@@ -30,11 +30,9 @@ from .grids import (
     increment_table,
     insert_times,
     make_uniform_grid,
-    merge_grids,
     p_variation,
     pvar_control,
     time_control,
-    w_midpoint,
 )
 from .integrals import (
     IntegralProcess,
@@ -47,9 +45,7 @@ from .norms import (
     chen_residual,
     lq_norm,
     lq_table,
-    mean_table,
     rough_path_distance,
-    rough_path_norm,
     second_level_seminorm,
     two_param_seminorm,
     vp_lq_seminorm,
@@ -68,7 +64,7 @@ from .paths import (
     simulate_mixed,
     smooth_lift,
 )
-from .rng import spawn_seeds, stream
+from .rng import stream
 from .rsde import (
     CoefficientSet,
     RSDEProblem,

@@ -207,7 +207,11 @@ def _cmd_verify(args) -> int:
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
-    cfg = default_config(scenario_id, **overrides)
+    try:
+        cfg = default_config(scenario_id, **overrides)
+    except ValueError as exc:
+        print(f"roughsew verify: bad config: {exc}", file=sys.stderr)
+        return 1
     rows = run_scenario(cfg, threads=args.threads)
     checks = checker(rows)
     ok_all = True

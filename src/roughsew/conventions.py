@@ -52,7 +52,6 @@ __all__ = [
     "map_dot",
     "second_level_contract",
     "sym",
-    "antisym",
 ]
 
 
@@ -89,7 +88,3 @@ def sym(m):
     """Symmetric part of the trailing two axes."""
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
-
-def antisym(m):
-    """Antisymmetric part of the trailing two axes."""
-    return 0.5 * (m - np.swapaxes(m, -1, -2))

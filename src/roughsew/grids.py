@@ -92,26 +92,6 @@ def full_partition(grid: TimeGrid, s: int = 0, t: int | None = None) -> Partitio
     return Partition(grid, np.arange(s, t + 1, dtype=np.int64))
 
 
-def merge_grids(a: TimeGrid, b: TimeGrid) -> TimeGrid:
-    """Union of two grids with the same terminal time.
-
-    Points closer than TIME_TOL collapse to a single point (the smaller value
-    survives, so exact duplicates are unchanged).
-    """
-    if abs(a.terminal - b.terminal) > TIME_TOL:
-        raise ValueError("grids have different terminal times")
-    merged = np.sort(np.concatenate([a.times, b.times]))
-    keep = [merged[0]]
-    for x in merged[1:]:
-        if x - keep[-1] > TIME_TOL:
-            keep.append(x)
-    out = np.array(keep)
-    # never let the collapse move the endpoints
-    out[0] = 0.0
-    out[-1] = max(a.terminal, b.terminal)
-    return TimeGrid(out)
-
-
 def insert_times(grid: TimeGrid, extra: np.ndarray) -> TimeGrid:
     """Grid with additional interior times merged in (TIME_TOL collapse).
 
@@ -136,14 +116,28 @@ def insert_times(grid: TimeGrid, extra: np.ndarray) -> TimeGrid:
 def increment_table(values: np.ndarray) -> np.ndarray:
     """|x_j - x_i| for a single path.
 
-    values: (n+1,) or (n+1, d); returns the (n+1, n+1) table of increment
-    magnitudes (Euclidean norm across components).
+    values: (n+1,) or (n+1, d); returns the symmetric (n+1, n+1) table of
+    increment magnitudes (Euclidean norm across components).  This is the
+    ensemble table builder of `norms` at N = 1, mirrored below the diagonal.
     """
-    v = np.asarray(values, dtype=float)
-    if v.ndim == 1:
-        v = v[:, None]
-    diff = v[None, :, :] - v[:, None, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    from .norms import lq_table  # norms builds on this module
+
+    upper = lq_table(np.asarray(values, dtype=float)[None], 2.0)
+    return upper + upper.T
+
+
+def _pvar_dp(powers: np.ndarray) -> np.ndarray:
+    """best[j] = max over partitions of [0, j] of the summed powers[u, v].
+
+    The O(m^2) dynamic program over end points: the best value reaching j is
+    the best value reaching any i < j plus powers[i, j].
+    """
+    m = powers.shape[0] - 1
+    best = np.empty(m + 1)
+    best[0] = 0.0
+    for j in range(1, m + 1):
+        best[j] = np.max(best[:j] + powers[:j, j])
+    return best
 
 
 def p_variation(dist: np.ndarray, p: float, s: int = 0, t: int | None = None) -> float:
@@ -153,8 +147,7 @@ def p_variation(dist: np.ndarray, p: float, s: int = 0, t: int | None = None) ->
 
         sup over partitions P of [s, t] of (sum over [u,v] in P |dist|^p)^(1/p)
 
-    computed by the O(n^2) dynamic program over end points: the best value
-    reaching j is the best value reaching any i < j plus |dist[i, j]|^p.
+    computed by the dynamic program `_pvar_dp` on |dist|^p.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -162,12 +155,7 @@ def p_variation(dist: np.ndarray, p: float, s: int = 0, t: int | None = None) ->
     if t <= s:
         return 0.0
     powers = np.abs(np.asarray(dist, dtype=float)[s : t + 1, s : t + 1]) ** p
-    m = t - s
-    best = np.empty(m + 1)
-    best[0] = 0.0
-    for j in range(1, m + 1):
-        best[j] = np.max(best[:j] + powers[:j, j])
-    return float(best[m]) ** (1.0 / p)
+    return float(_pvar_dp(powers)[-1]) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------
@@ -220,19 +208,12 @@ def pvar_control(grid: TimeGrid, dist: np.ndarray, p: float, name: str = "pvar")
     partition machinery needs.
     """
     powers = np.abs(np.asarray(dist, dtype=float)) ** p
-    n = grid.n_steps
     rows: dict[int, np.ndarray] = {}
 
     def row(s: int) -> np.ndarray:
         got = rows.get(s)
         if got is None:
-            m = n - s
-            best = np.empty(m + 1)
-            best[0] = 0.0
-            block = powers[s:, s:]
-            for j in range(1, m + 1):
-                best[j] = np.max(best[:j] + block[:j, j])
-            rows[s] = got = best
+            rows[s] = got = _pvar_dp(powers[s:, s:])
         return got
 
     return ControlFn(grid, lambda s, t: row(s)[t - s], name=name)
@@ -247,23 +228,6 @@ def power_product_control(w1: ControlFn, a: float, w2: ControlFn, b: float) -> C
         lambda s, t: (w1(s, t) ** a) * (w2(s, t) ** b),
         name=f"{w1.name}^{a}*{w2.name}^{b}",
     )
-
-
-def w_midpoint(w: ControlFn, s: int, t: int) -> int:
-    """Smallest grid index u in [s, t] with w(s, u) >= w(s, t) / 2.
-
-    Returns s when the window is empty or carries no mass.  The returned u
-    satisfies w(s, u-1) < w(s, t)/2 <= w(s, u) whenever u > s.
-    """
-    if t <= s:
-        return s
-    target = 0.5 * w(s, t)
-    if target <= 0.0:
-        return s
-    for u in range(s, t + 1):
-        if w(s, u) >= target:
-            return u
-    return t  # unreachable for a genuine control; defensive
 
 
 def _halving_point(w: ControlFn, a: int, b: int) -> int:

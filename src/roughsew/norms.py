@@ -6,7 +6,8 @@ variants (the V^p L^q[r] family with r > 1) are out of empirical reach on a
 desk ensemble and are reduced to r = 1: conditional means are approximated by
 unconditional ensemble means (for r = 1 the two families coincide; r = infinity
 facts enter only through analytic closed forms such as a stored Brownian
-bracket).  Full O(n^2) tables are only built for n <= 2048 as a memory guard.
+bracket).  Every table goes through one row builder, `_magnitude_table`, and
+full O(n^2) tables are only built for n <= 2048 as a memory guard.
 """
 from __future__ import annotations
 
@@ -14,18 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import TimeGrid, p_variation
+from .grids import p_variation
 from .paths import RoughLift
 
 __all__ = [
     "LqEstimate",
     "lq_norm",
     "lq_table",
-    "mean_table",
     "two_param_seminorm",
     "vp_lq_seminorm",
     "second_level_seminorm",
-    "rough_path_norm",
     "rough_path_distance",
     "chen_residual",
 ]
@@ -73,39 +72,35 @@ def _check_table_size(n_points: int):
         )
 
 
+def _magnitude_table(row, m: int, q: float) -> np.ndarray:
+    """The two-parameter table builder behind every seminorm.
+
+    row(i) returns the increments dY_{i, i+1..m-1}, shape (N, m-1-i, ...);
+    the table is out[i, j] = ||dY_{i,j}||_{L^q(ensemble)} for i < j and zero
+    elsewhere, with Euclidean magnitudes across the trailing axes.  Built one
+    row at a time, so memory stays at O(N * m) rather than O(N * m^2).
+    """
+    _check_table_size(m)
+    out = np.zeros((m, m))
+    for i in range(m - 1):
+        r = row(i)
+        flat = r.reshape(r.shape[0], r.shape[1], -1)
+        mags = np.sqrt(np.einsum("nkd,nkd->nk", flat, flat))
+        out[i, i + 1 :] = np.mean(mags**q, axis=0) ** (1.0 / q)
+    return out
+
+
 def lq_table(values: np.ndarray, q: float, s: int = 0, t: int | None = None) -> np.ndarray:
     """Two-parameter table F[u, v] = ||Y_v - Y_u||_{L^q} over the window [s, t].
 
-    values: (N, n+1) or (N, n+1, d).  Built row by row to keep memory at
-    O(window^2) rather than O(N * window^2).
+    values: (N, n+1) or (N, n+1, d).
     """
     v = np.asarray(values, dtype=float)
     if v.ndim == 2:
         v = v[:, :, None]
     t = v.shape[1] - 1 if t is None else t
-    m = t - s + 1
-    _check_table_size(m)
     block = v[:, s : t + 1, :]
-    n = block.shape[0]
-    out = np.zeros((m, m))
-    for i in range(m - 1):
-        diff = block[:, i + 1 :, :] - block[:, i : i + 1, :]
-        mags = np.sqrt(np.einsum("nkd,nkd->nk", diff, diff))
-        out[i, i + 1 :] = np.mean(mags**q, axis=0) ** (1.0 / q)
-    return out
-
-
-def mean_table(values: np.ndarray, s: int = 0, t: int | None = None) -> np.ndarray:
-    """|ensemble mean of dY_{u,v}| table (the r = 1 stand-in for E_u dY_{u,v})."""
-    v = np.asarray(values, dtype=float)
-    if v.ndim == 2:
-        v = v[:, :, None]
-    t = v.shape[1] - 1 if t is None else t
-    m = t - s + 1
-    _check_table_size(m)
-    mean_path = v[:, s : t + 1, :].mean(axis=0)
-    diff = mean_path[None, :, :] - mean_path[:, None, :]
-    return np.sqrt(np.einsum("uvd,uvd->uv", diff, diff))
+    return _magnitude_table(lambda i: block[:, i + 1 :] - block[:, i : i + 1], t - s + 1, q)
 
 
 def two_param_seminorm(table: np.ndarray, p: float, s: int = 0, t: int | None = None) -> float:
@@ -121,17 +116,9 @@ def vp_lq_seminorm(
     return p_variation(tab, p)
 
 
-def _second_level_table(lift: RoughLift, q: float, s: int, t: int) -> np.ndarray:
-    m = t - s + 1
-    _check_table_size(m)
-    out = np.zeros((m, m))
-    for i in range(m):
-        for j_rel in range(i + 1, m):
-            xx = lift.second(s + i, s + j_rel)
-            n = xx.shape[0]
-            mags = np.sqrt(np.einsum("nk,nk->n", xx.reshape(n, -1), xx.reshape(n, -1)))
-            out[i, j_rel] = np.mean(mags**q) ** (1.0 / q)
-    return out
+def _second_rows(lift: RoughLift, s: int, t: int):
+    """row(i) = XX_{s+i, s+i+1..t}, one Chen evaluation per row."""
+    return lambda i: lift.second(s + i, np.arange(s + i + 1, t + 1))
 
 
 def second_level_seminorm(
@@ -139,14 +126,7 @@ def second_level_seminorm(
 ) -> float:
     """||XX||_{p/2, q}: (p/2)-variation of the second level's L^q table."""
     t = lift.grid.n_steps if t is None else t
-    return p_variation(_second_level_table(lift, q, s, t), p / 2.0)
-
-
-def rough_path_norm(lift: RoughLift, p: float, q: float = 2.0, s: int = 0, t: int | None = None) -> float:
-    """||X||_p + ||XX||_{p/2} with L^q magnitudes over the ensemble."""
-    t = lift.grid.n_steps if t is None else t
-    first = vp_lq_seminorm(lift.path.values, p, q, s=s, t=t)
-    return first + second_level_seminorm(lift, p, q, s=s, t=t)
+    return p_variation(_magnitude_table(_second_rows(lift, s, t), t - s + 1, q), p / 2.0)
 
 
 def rough_path_distance(
@@ -160,15 +140,8 @@ def rough_path_distance(
         raise ValueError("lifts live on different grids")
     t = a.grid.n_steps if t is None else t
     first = vp_lq_seminorm(a.path.values - b.path.values, p, q, s=s, t=t)
-    m = t - s + 1
-    _check_table_size(m)
-    tab = np.zeros((m, m))
-    for i in range(m):
-        for j_rel in range(i + 1, m):
-            dxx = a.second(s + i, s + j_rel) - b.second(s + i, s + j_rel)
-            n = dxx.shape[0]
-            mags = np.sqrt(np.einsum("nk,nk->n", dxx.reshape(n, -1), dxx.reshape(n, -1)))
-            tab[i, j_rel] = np.mean(mags**q) ** (1.0 / q)
+    rows_a, rows_b = _second_rows(a, s, t), _second_rows(b, s, t)
+    tab = _magnitude_table(lambda i: rows_a(i) - rows_b(i), t - s + 1, q)
     return first + p_variation(tab, p / 2.0)
 
 

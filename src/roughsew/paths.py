@@ -31,7 +31,6 @@ __all__ = [
     "smooth_lift",
     "smooth_path_registry",
     "lift_from_steps",
-    "chen_lookup",
     "simulate_mixed",
     "build_driver",
 ]
@@ -147,16 +146,17 @@ class RoughLift:
     def dim(self) -> int:
         return self.path.dim
 
-    def second(self, s: int, t: int) -> np.ndarray:
-        """XX_{s,t} via Chen from the stored prefix, shape (N, d, d)."""
-        x = self.path.values
-        dx0s = x[:, s, :] - x[:, 0, :]
-        dxst = x[:, t, :] - x[:, s, :]
-        return (
-            self.second_prefix[:, t]
-            - self.second_prefix[:, s]
-            - outer_increment(dx0s, dxst)
-        )
+    def second(self, s: int, t: int | np.ndarray) -> np.ndarray:
+        """XX_{s,t} via Chen from the stored prefix, shape (N, d, d).
+
+        `t` may also be an index array; the result is then (N, len(t), d, d),
+        entry k equal to XX_{s, t[k]} bit for bit.
+        """
+        x, pre = self.path.values, self.second_prefix
+        dx0s, x_s, pre_s = x[:, s, :] - x[:, 0, :], x[:, s, :], pre[:, s]
+        if np.ndim(t):  # a row of windows: broadcast the s terms over t
+            dx0s, x_s, pre_s = dx0s[:, None], x_s[:, None], pre_s[:, None]
+        return pre[:, t] - pre_s - outer_increment(dx0s, x[:, t, :] - x_s)
 
     def step_seconds(self) -> np.ndarray:
         """XX over every grid step, shape (Nx, n, d, d)."""
@@ -170,11 +170,6 @@ class RoughLift:
             - self.second_prefix[:, :-1]
             - outer_increment(dx0, dstep)
         )
-
-
-def chen_lookup(lift: RoughLift, s: int, t: int) -> np.ndarray:
-    """O(1) window lookup XX_{s,t} = XX_{0,t} - XX_{0,s} - dX_{0,s} (x) dX_{s,t}."""
-    return lift.second(s, t)
 
 
 def _accumulate_prefix(values: np.ndarray, step_second: np.ndarray) -> np.ndarray:

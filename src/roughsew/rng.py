@@ -23,8 +23,3 @@ def stream(seed: int, *tags) -> np.random.Generator:
     entropy = (int(seed),) + tuple(_tag_int(t) for t in tags)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
-
-def spawn_seeds(seed: int, count: int, *tags) -> list[int]:
-    """Derive `count` child seeds for independent sub-experiments."""
-    rng = stream(seed, "spawn", *tags)
-    return [int(x) for x in rng.integers(0, 2**63 - 1, size=count)]

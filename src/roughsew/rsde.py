@@ -30,6 +30,7 @@ import numpy as np
 from .calculus import SmoothFn
 from .grids import TimeGrid
 from .norms import (
+    _magnitude_table,
     lq_norm,
     rough_path_distance,
     second_level_seminorm,
@@ -567,20 +568,18 @@ class StabilityReport:
 def _remainder_mean_table(res: RSDEResult, lift: RoughLift, res2: RSDEResult, lift2: RoughLift):
     """Table of |E[R_{u,v} - Rtilde_{u,v}]| for the two solutions' remainders,
     each taken against its own driver."""
-    y, yp = res.values, res.derivative
-    y2, yp2 = res2.values, res2.derivative
-    x, x2 = lift.path.values, lift2.path.values
-    n1 = y.shape[1]
-    tab = np.zeros((n1, n1))
-    for u in range(n1 - 1):
-        dy = y[:, u + 1 :] - y[:, u : u + 1]
+
+    def remainder_row(r: RSDEResult, x: np.ndarray, u: int) -> np.ndarray:
+        dy = r.values[:, u + 1 :] - r.values[:, u : u + 1]
         dx = x[:, u + 1 :, :] - x[:, u : u + 1, :]
-        r = dy - np.einsum("nd,ntd->nt", yp[:, u], dx)
-        dy2 = y2[:, u + 1 :] - y2[:, u : u + 1]
-        dx2 = x2[:, u + 1 :, :] - x2[:, u : u + 1, :]
-        r2 = dy2 - np.einsum("nd,ntd->nt", yp2[:, u], dx2)
-        tab[u, u + 1 :] = np.abs(np.mean(r - r2, axis=0))
-    return tab
+        return dy - np.einsum("nd,ntd->nt", r.derivative[:, u], dx)
+
+    def mean_row(u: int) -> np.ndarray:
+        diff = remainder_row(res, lift.path.values, u) - remainder_row(res2, lift2.path.values, u)
+        return np.mean(diff, axis=0)[None]
+
+    # one "member" (the ensemble mean) and q = 1: the builder returns |mean|
+    return _magnitude_table(mean_row, res.values.shape[1], 1.0)
 
 
 def stability_experiment(

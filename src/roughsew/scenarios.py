@@ -13,6 +13,8 @@ identical jumps at every resolution.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -58,12 +60,16 @@ class ExperimentConfig:
         if self.scenario not in SCENARIOS:
             known = ", ".join(sorted(SCENARIOS))
             raise ValueError(f"unknown scenario {self.scenario!r} (known: {known})")
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
-        if self.ensemble < 1:
-            raise ValueError("ensemble must be >= 1")
-        if self.levels < 1:
-            raise ValueError("levels must be >= 1")
+        for name, low in (("n", 2), ("levels", 1), ("ensemble", 1), ("seed", 0)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+            if v < low:
+                raise ValueError(f"{name} must be >= {low}, got {v!r}")
+        for name in ("p", "q"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 1 <= v < math.inf:
+                raise ValueError(f"{name} must be a finite number >= 1, got {v!r}")
 
 
 def _row(cfg, metric, value, std_error=0.0, level=0, n=None, N=None):
@@ -80,20 +86,8 @@ def _row(cfg, metric, value, std_error=0.0, level=0, n=None, N=None):
 
 
 def _fit_log2_slope(sizes, errors) -> float:
-    """Slope of log2(error) against log2(size).
-
-    Exact zeros are excluded (telescoping germs); all-zero series report -inf,
-    the sentinel for "converged identically".
-    """
-    x = np.log2(np.asarray(sizes, dtype=float))
-    e = np.asarray(errors, dtype=float)
-    pos = e > 0
-    if not np.any(pos):
-        return float("-inf")
-    if pos.sum() == 1:
-        return 0.0
-    slope, _ = np.polyfit(x[pos], np.log2(e[pos]), 1)
-    return float(slope)
+    """Slope of log2(error) against log2(size), by `sewing.log2_fit`."""
+    return sewing.log2_fit(np.log2(np.asarray(sizes, dtype=float)), errors)[0]
 
 
 def _run_levels(fn, levels: int, threads: int) -> list:

@@ -28,7 +28,6 @@ from .grids import (
     TimeGrid,
     alternating_midpoints,
     full_partition,
-    increment_table,
     pvar_control,
     time_control,
 )
@@ -43,6 +42,7 @@ __all__ = [
     "delta_germ",
     "sew",
     "convergence_rate",
+    "log2_fit",
     "increment_germ",
     "ito_germ",
     "rough_germ",
@@ -143,8 +143,7 @@ def default_controls(germ: Germ, grid: TimeGrid, p: float = 2.0, q: float = 2.0)
     for key in germ.control_keys:
         arr = germ.context[key]
         if arr.ndim >= 2 and arr.shape[1] == grid.n_steps + 1:
-            tab = lq_table(arr, q) if arr.shape[0] > 1 else increment_table(arr[0])
-            controls.append(pvar_control(grid, tab, p, name=f"pvar[{key}]"))
+            controls.append(pvar_control(grid, lq_table(arr, q), p, name=f"pvar[{key}]"))
     return controls
 
 
@@ -259,21 +258,35 @@ def convergence_rate(
 ) -> RateReport:
     """Distance-to-limit per refinement level and the fitted log2 slope.
 
-    Levels whose distance is exactly zero (germs whose sums telescope) are
-    excluded from the fit; if every level is zero the slope is -inf.
+    The slope is fitted by `log2_fit`.
     """
     controls = controls if controls is not None else default_controls(germ, grid)
     full = riemann_path(germ, full_partition(grid))
     parts, paths = _level_paths(germ, grid, controls, depth, 0, grid.n_steps)
     distances = np.array([_uniform_lq_distance(full, p, q) for p in paths])
     levels = np.arange(depth + 1)
-    pos = distances > 0
+    slope, intercept = log2_fit(levels, distances)
+    return RateReport(levels, distances, slope, intercept, q)
+
+
+def log2_fit(x, errors) -> tuple[float, float]:
+    """Least-squares line log2(error) ~ slope * x + intercept.
+
+    Exact zeros are excluded (germs whose sums telescope); if every error is
+    zero both numbers are -inf, the sentinel for "converged identically".  A
+    single nonzero error gives slope 0.  Any non-finite error (a NaN level, a
+    diverged member) makes both NaN, so no rate gate can pass on it.
+    """
+    x = np.asarray(x, dtype=float)
+    e = np.asarray(errors, dtype=float)
+    if not np.all(np.isfinite(e)):
+        return float("nan"), float("nan")
+    pos = e > 0
     if not np.any(pos):
-        return RateReport(levels, distances, float("-inf"), float("-inf"), q)
-    x = levels[pos].astype(float)
-    y = np.log2(distances[pos])
-    slope, intercept = np.polyfit(x, y, 1) if x.size > 1 else (0.0, y[0])
-    return RateReport(levels, distances, float(slope), float(intercept), q)
+        return float("-inf"), float("-inf")
+    y = np.log2(e[pos])
+    slope, intercept = np.polyfit(x[pos], y, 1) if y.size > 1 else (0.0, y[0])
+    return float(slope), float(intercept)
 
 
 # ---------------------------------------------------------------------------

@@ -114,17 +114,105 @@ def fine_grid_ito_reference(integrand_fn, b_fine, t_fine, refine):
     return b_fine[:, ::refine], integral[:, ::refine]
 
 
-def midpoint_scan(w_table, s, t):
-    """Smallest grid index u in [s, t] with w(s, u) >= w(s, t) / 2.
+def increment_table_broadcast(values):
+    """|x_j - x_i| for a single path by one broadcast difference, (n+1, n+1)."""
+    v = np.asarray(values, dtype=float)
+    if v.ndim == 1:
+        v = v[:, None]
+    diff = v[None, :, :] - v[:, None, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
-    w_table: callable on index pairs.  Direct linear scan; the oracle for the
-    library's w-midpoint.
+
+def pvar_dp_rows(dist, p):
+    """Row s of the p-variation power DP over [s, .] for every s, by loops.
+
+    Returns a list: entry s has length n+1-s and holds, at position j, the
+    p-th power of the p-variation of `dist` over [s, s+j].
     """
-    target = 0.5 * w_table(s, t)
-    for u in range(s, t + 1):
-        if w_table(s, u) >= target:
-            return u
-    return t
+    powers = np.abs(np.asarray(dist, dtype=float)) ** p
+    n = powers.shape[0] - 1
+    rows = []
+    for s in range(n + 1):
+        best = np.empty(n - s + 1)
+        best[0] = 0.0
+        block = powers[s:, s:]
+        for j in range(1, n - s + 1):
+            best[j] = np.max(best[:j] + block[:j, j])
+        rows.append(best)
+    return rows
+
+
+def _lq_of_members(x, q):
+    """L^q over members (axis 0) of Frobenius magnitudes, one table cell."""
+    n = x.shape[0]
+    flat = x.reshape(n, -1)
+    mags = np.sqrt(np.einsum("nk,nk->n", flat, flat))
+    return np.mean(mags**q) ** (1.0 / q)
+
+
+def lq_table_rows(values, q, s=0, t=None):
+    """F[u, v] = ||Y_v - Y_u||_{L^q} over [s, t], one row loop per u.
+
+    values: (N, n+1) or (N, n+1, d); upper triangle filled, zeros elsewhere.
+    """
+    v = np.asarray(values, dtype=float)
+    if v.ndim == 2:
+        v = v[:, :, None]
+    t = v.shape[1] - 1 if t is None else t
+    m = t - s + 1
+    block = v[:, s : t + 1, :]
+    out = np.zeros((m, m))
+    for i in range(m - 1):
+        diff = block[:, i + 1 :, :] - block[:, i : i + 1, :]
+        mags = np.sqrt(np.einsum("nkd,nkd->nk", diff, diff))
+        out[i, i + 1 :] = np.mean(mags**q, axis=0) ** (1.0 / q)
+    return out
+
+
+def chen_window(values, prefix, s, t):
+    """XX_{s,t} = XX_{0,t} - XX_{0,s} - dX_{0,s} (x) dX_{s,t}, shape (N, d, d).
+
+    values: (N, n+1, d) first level; prefix: (N, n+1, d, d) second-level prefix.
+    """
+    dx0s = values[:, s, :] - values[:, 0, :]
+    dxst = values[:, t, :] - values[:, s, :]
+    return prefix[:, t] - prefix[:, s] - dx0s[:, :, None] * dxst[:, None, :]
+
+
+def second_level_table_cells(values, prefix, q, s, t, other=None):
+    """||XX_{u,v}||_{L^q} over [s, t], one Chen window per cell.
+
+    With other = (values_b, prefix_b) the cell holds ||XX_{u,v} - XXb_{u,v}||,
+    the second-level table of the inhomogeneous rough-path distance.
+    """
+    m = t - s + 1
+    out = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            xx = chen_window(values, prefix, s + i, s + j)
+            if other is not None:
+                xx = xx - chen_window(other[0], other[1], s + i, s + j)
+            out[i, j] = _lq_of_members(xx, q)
+    return out
+
+
+def remainder_mean_table_rows(y, yp, x, y2, yp2, x2):
+    """|E[R_{u,v} - R2_{u,v}]| with R_{u,v} = dY_{u,v} - Y'_u . dX_{u,v}.
+
+    y: (N, n+1) values; yp: (N, n+1, d) derivatives; x: (N, n+1, d) driver;
+    likewise for the second solution.  One row loop per u.
+    """
+    n1 = y.shape[1]
+    tab = np.zeros((n1, n1))
+    for u in range(n1 - 1):
+        dy = y[:, u + 1 :] - y[:, u : u + 1]
+        dx = x[:, u + 1 :, :] - x[:, u : u + 1, :]
+        r = dy - np.einsum("nd,ntd->nt", yp[:, u], dx)
+        dy2 = y2[:, u + 1 :] - y2[:, u : u + 1]
+        dx2 = x2[:, u + 1 :, :] - x2[:, u : u + 1, :]
+        r2 = dy2 - np.einsum("nd,ntd->nt", yp2[:, u], dx2)
+        tab[u, u + 1 :] = np.abs(np.mean(r - r2, axis=0))
+    return tab
 
 
 def ols_slope(x, y):

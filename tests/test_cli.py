@@ -97,12 +97,28 @@ def test_run_uses_config_out_dir_when_no_flag(tmp_path):
         {"scenario": "not_a_scenario"},
         {"scenario": "chen_check", "bogus_key": 1},
         {"scenario": "chen_check", "params": "not-an-object"},
+        {"scenario": "chen_check", "n": "64"},
+        {"scenario": "chen_check", "n": 64.5},
+        {"scenario": "chen_check", "seed": -1},
+        {"scenario": "chen_check", "p": 0.5},
+        {"scenario": "chen_check", "levels": True},
+        {"scenario": "chen_check", "ensemble": True},
+        {"scenario": "chen_check", "q": 0.5},
+        {"scenario": "chen_check", "q": "x"},
     ],
 )
 def test_run_rejects_bad_configs(tmp_path, capsys, body):
     cfg = _write_config(tmp_path, **body)
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
-    assert "roughsew run: bad config:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # one line, no traceback
+    assert err.startswith("roughsew run: bad config:") and err.count("\n") == 1
+
+
+def test_verify_rejects_negative_seed(capsys):
+    assert main(["verify", "chen", "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.strip() == "roughsew verify: bad config: seed must be >= 0, got -1"
 
 
 def test_run_rejects_malformed_json_and_missing_file(tmp_path, capsys):

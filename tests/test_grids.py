@@ -14,15 +14,13 @@ from roughsew.grids import (
     increment_table,
     insert_times,
     make_uniform_grid,
-    merge_grids,
     p_variation,
     power_product_control,
     pvar_control,
     time_control,
-    w_midpoint,
 )
 
-from oracles import brute_force_p_variation, midpoint_scan
+from oracles import brute_force_p_variation, pvar_dp_rows
 
 
 def test_uniform_grid_basics():
@@ -49,12 +47,14 @@ def test_insert_times_keeps_old_points_and_adds_new():
     assert g2.n_steps == g.n_steps + 2
 
 
-def test_merge_grids_is_union():
-    a = make_uniform_grid(1.0, 4)
-    b = make_uniform_grid(1.0, 6)
-    m = merge_grids(a, b)
-    expected = np.unique(np.concatenate([a.times, b.times]))
-    assert np.allclose(m.times, expected)
+def test_insert_times_collapses_near_duplicates():
+    g = make_uniform_grid(1.0, 4)
+    near = [0.5 + 5e-13, 0.3, 0.3 + 4e-13, 0.3 - 4e-13, 5e-13, 1.0 - 5e-13]
+    g2 = insert_times(g, np.array(near))
+    # the smallest of the three points near 0.3 survives and the others
+    # collapse onto it; 0.5 + 5e-13 collapses onto 0.5; times within TIME_TOL
+    # of the endpoints are dropped
+    assert np.array_equal(g2.times, np.array([0.0, 0.25, 0.3 - 4e-13, 0.5, 0.75, 1.0]))
 
 
 def test_full_partition_covers_window():
@@ -160,6 +160,19 @@ def test_pvar_control_superadditive_on_random_table():
     assert w(0, 8) == pytest.approx(p_variation(tab, 2.0) ** 2.0)
 
 
+def test_pvar_control_rows_equal_loop_oracle_bitwise():
+    rng = np.random.default_rng(21)
+    n = 14
+    g = make_uniform_grid(1.0, n)
+    tab = increment_table(np.cumsum(rng.standard_normal((n + 1, 2)), axis=0))
+    for p in (1.0, 2.0, 2.5):
+        w = pvar_control(g, tab, p)
+        for s, want in enumerate(pvar_dp_rows(tab, p)):
+            got = np.array([w.fn(s, t) for t in range(s, n + 1)])
+            assert np.array_equal(got, want)
+        assert p_variation(tab, p) == float(pvar_dp_rows(tab, p)[0][-1]) ** (1.0 / p)
+
+
 def test_power_product_control_validates_exponents():
     g = make_uniform_grid(1.0, 4)
     w = time_control(g)
@@ -178,30 +191,8 @@ def test_control_left_evaluation():
 
 
 # ---------------------------------------------------------------------------
-# w-midpoints and alternating refinements
+# alternating refinements
 # ---------------------------------------------------------------------------
-
-
-def test_w_midpoint_against_scan_oracle():
-    rng = np.random.default_rng(11)
-    n = 12
-    g = make_uniform_grid(1.0, n)
-    vals = np.cumsum(rng.standard_normal(n + 1))
-    tab = np.abs(increment_table(vals))
-    w = pvar_control(g, tab, 2.0)
-    for s in range(0, n):
-        for t in range(s + 1, n + 1):
-            assert w_midpoint(w, s, t) == midpoint_scan(w, s, t)
-
-
-def test_w_midpoint_halving_inequalities():
-    g = make_uniform_grid(1.0, 16)
-    w = time_control(g)
-    for (s, t) in [(0, 16), (3, 11), (5, 6)]:
-        u = w_midpoint(w, s, t)
-        assert w(s, u) >= 0.5 * w(s, t)
-        if u > s:
-            assert w(s, u - 1) < 0.5 * w(s, t)
 
 
 def _random_control(rng, grid):

@@ -3,20 +3,27 @@
 import numpy as np
 import pytest
 
-from roughsew.grids import increment_table, make_uniform_grid, p_variation
+from roughsew.calculus import smooth_fn
+from roughsew.grids import increment_table, p_variation
 from roughsew.norms import (
     MAX_TABLE_POINTS,
     chen_residual,
     lq_norm,
     lq_table,
-    mean_table,
     rough_path_distance,
-    rough_path_norm,
     second_level_seminorm,
     two_param_seminorm,
     vp_lq_seminorm,
 )
 from roughsew.paths import ito_lift_brownian, simulate_brownian, smooth_lift
+from roughsew.rsde import CoefficientSet, RSDEProblem, solve, stability_experiment
+
+from oracles import (
+    increment_table_broadcast,
+    lq_table_rows,
+    remainder_mean_table_rows,
+    second_level_table_cells,
+)
 
 
 def test_lq_norm_matches_manual_moment():
@@ -53,13 +60,6 @@ def test_lq_table_known_two_member_ensemble():
     assert np.all(np.diag(tab) == 0.0)
 
 
-def test_mean_table_single_member_reduces_to_increments():
-    vals = np.array([[0.0, 2.0, 1.0]])
-    tab = mean_table(vals)
-    inc = increment_table(vals[0])
-    assert np.allclose(np.triu(tab), np.triu(inc))
-
-
 def test_vp_lq_seminorm_monotone_single_member():
     vals = np.array([[0.0, 1.0, 2.0, 3.0]])
     # degenerate ensemble: reduces to the path's own p-variation
@@ -85,15 +85,6 @@ def test_second_level_seminorm_smooth_lift():
     # XX_{s,t} = (t-s)^2/2; the (p/2)-variation at p = 2 is additive in t-s
     val = second_level_seminorm(lift, 2.0)
     assert val == pytest.approx(0.5, rel=1e-12)
-
-
-def test_rough_path_norm_positive_and_scales():
-    bm = simulate_brownian(1.0, 24, seed=31, n_members=64)
-    lift = ito_lift_brownian(bm)
-    norm = rough_path_norm(lift, 2.5, q=2.0)
-    assert norm > 0
-    first = vp_lq_seminorm(bm.values, 2.5, 2.0)
-    assert norm > first  # second level adds mass
 
 
 def test_rough_path_distance_zero_on_identical_lifts():
@@ -124,3 +115,93 @@ def test_chen_residual_zero_for_consistent_lift():
         for (s, u, t) in [(0, 8, 32), (1, 2, 3), (10, 20, 30), (0, 0, 32), (5, 5, 5)]
     )
     assert worst < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the one table builder against the per-table loops it replaced
+# ---------------------------------------------------------------------------
+
+# (members, dim): a single-member and a multi-member ensemble in d = 1 and 2
+ENSEMBLE_CASES = [(1, 1), (1, 2), (9, 1), (9, 2)]
+ORACLE_RTOL = 1e-13
+
+
+def _lift(n_members, dim, seed, n=12):
+    bm = simulate_brownian(1.0, n, seed=seed, n_members=n_members, dim=dim)
+    return ito_lift_brownian(bm, substeps=4, seed=seed)
+
+
+def _second_table_oracle(lift, q, s, t, other=None):
+    pair = None if other is None else (other.path.values, other.second_prefix)
+    return second_level_table_cells(
+        lift.path.values, lift.second_prefix, q, s, t, other=pair
+    )
+
+
+@pytest.mark.parametrize("n_members,dim", ENSEMBLE_CASES)
+def test_lq_table_matches_row_loop_oracle(n_members, dim):
+    vals = _lift(n_members, dim, seed=3).path.values
+    for q, s, t in [(2.0, 0, None), (4.0, 2, 9), (1.5, 5, 5)]:
+        got = lq_table(vals, q, s=s, t=t)
+        want = lq_table_rows(vals, q, s=s, t=t)
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=ORACLE_RTOL, atol=0.0)
+
+
+@pytest.mark.parametrize("n_members,dim", ENSEMBLE_CASES)
+def test_second_level_seminorm_matches_cell_loop_oracle(n_members, dim):
+    lift = _lift(n_members, dim, seed=5)
+    for p, q, s, t in [(2.5, 2.0, 0, 12), (3.0, 4.0, 3, 10)]:
+        want = p_variation(_second_table_oracle(lift, q, s, t), p / 2.0)
+        got = second_level_seminorm(lift, p, q, s=s, t=t)
+        assert got == pytest.approx(want, rel=ORACLE_RTOL, abs=0.0)
+
+
+@pytest.mark.parametrize("n_members,dim", ENSEMBLE_CASES)
+def test_rough_path_distance_matches_cell_loop_oracle(n_members, dim):
+    a, b = _lift(n_members, dim, seed=7), _lift(n_members, dim, seed=8)
+    for p, q, s, t in [(2.5, 2.0, 0, 12), (3.0, 4.0, 2, 11)]:
+        first = p_variation(
+            lq_table_rows(a.path.values - b.path.values, q, s=s, t=t), p
+        )
+        second = p_variation(_second_table_oracle(a, q, s, t, other=b), p / 2.0)
+        got = rough_path_distance(a, b, p, q, s=s, t=t)
+        assert got == pytest.approx(first + second, rel=ORACLE_RTOL, abs=0.0)
+
+
+@pytest.mark.parametrize("n_members,dim", ENSEMBLE_CASES)
+def test_stability_remainder_term_matches_row_loop_oracle(n_members, dim):
+    coeffs = CoefficientSet(
+        b=smooth_fn("tanh_affine", a=0.3),
+        f=tuple(smooth_fn("sin_bundle", a=0.5, c=0.2 * k) for k in range(dim)),
+    )
+    base = RSDEProblem(0.4, _lift(n_members, dim, seed=11))
+    pert = RSDEProblem(0.45, _lift(n_members, dim, seed=12))
+    p, q = 2.5, 4.0
+    rep = stability_experiment(coeffs, base, pert, p=p, q=q)
+    ra = solve(coeffs, base.y0, base.lift)
+    rb = solve(coeffs, pert.y0, pert.lift)
+    tab = remainder_mean_table_rows(
+        ra.values, ra.derivative, base.lift.path.values,
+        rb.values, rb.derivative, pert.lift.path.values,
+    )
+    want = p_variation(tab, p / 2.0)
+    assert want > 0
+    assert rep.lhs_parts["remainder"] == pytest.approx(want, rel=ORACLE_RTOL, abs=0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_single_member_table_is_the_broadcast_increment_table_bitwise(dim):
+    vals = np.cumsum(np.random.default_rng(dim).standard_normal((17, dim)), axis=0)
+    want = increment_table_broadcast(vals)
+    upper = lq_table(vals[None], 2.0)
+    assert np.array_equal(upper, np.triu(want))
+    assert np.array_equal(increment_table(vals), want)
+
+
+def test_second_accepts_an_index_row_bitwise():
+    lift = _lift(4, 2, seed=13)
+    row = lift.second(3, np.arange(4, 13))
+    assert row.shape == (4, 9, 2, 2)
+    for k, t in enumerate(range(4, 13)):
+        assert np.array_equal(row[:, k], lift.second(3, t))

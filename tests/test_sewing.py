@@ -12,6 +12,7 @@ from roughsew.sewing import (
     delta_germ,
     increment_germ,
     ito_germ,
+    log2_fit,
     qv_germ,
     riemann_path,
     riemann_sum,
@@ -20,6 +21,7 @@ from roughsew.sewing import (
     truncate_context,
     young_germ,
 )
+from roughsew.scenarios import _fit_log2_slope
 
 
 def _random_partition(rng, n):
@@ -97,6 +99,36 @@ def test_convergence_rate_ito_germ_decays():
     report = convergence_rate(germ, bm.grid, depth=6)
     assert report.slope < -0.2
     assert report.distances.shape[0] == report.levels.shape[0]
+
+
+def test_nan_level_fails_both_rate_fits():
+    # at sizes 1, 2, 4, 8 the finite levels alone fit slope -1 and would pass
+    # a rate gate; a NaN level must make the fitted slope NaN instead
+    errors = [np.nan, 0.1, 0.05, 0.025]
+    assert np.isnan(_fit_log2_slope([1, 2, 4, 8], errors))
+    slope, intercept = log2_fit(np.arange(4), errors)
+    assert np.isnan(slope) and np.isnan(intercept)
+
+    bm = simulate_brownian(1.0, 64, seed=29, n_members=32)
+    ito = ito_germ(bm.values, bm.values)
+    # NaN on the level-0 window only; finer levels decay as for the Ito germ
+    nan_at_top = Germ(
+        "nan-top",
+        lambda c, s, t: ito.fn(c, s, t) * (np.nan if (s, t) == (0, 64) else 1.0),
+        ito.context,
+        ito.control_keys,
+    )
+    report = convergence_rate(nan_at_top, bm.grid, depth=5)
+    assert np.isnan(report.distances[0])
+    assert np.isnan(report.slope) and not report.slope < -0.2
+
+
+def test_log2_fit_zero_levels():
+    assert log2_fit([0, 1, 2], [0.0, 0.0, 0.0]) == (float("-inf"), float("-inf"))
+    assert log2_fit([0, 1, 2], [0.5, 0.0, 0.0]) == (0.0, -1.0)
+    slope, _ = log2_fit([0, 1, 2, 3], [0.5, 0.25, 0.0, 0.0625])
+    assert slope == pytest.approx(-1.0)
+    assert _fit_log2_slope([2, 4, 8], [0.0, 0.0, 0.0]) == float("-inf")
 
 
 def test_rough_germ_partition_independence():
