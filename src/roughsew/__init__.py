@@ -51,14 +51,11 @@ from .norms import (
     vp_lq_seminorm,
 )
 from .paths import (
-    DriverSpec,
     MartingalePath,
     RoughLift,
     SamplePath,
-    build_driver,
     forward_lift_jump_path,
     ito_lift_brownian,
-    lift_from_steps,
     simulate_brownian,
     simulate_compound_poisson,
     simulate_mixed,

@@ -264,7 +264,7 @@ def bracket(a: ControlledPath, b: ControlledPath, lift: RoughLift | None = None)
     lift = lift if lift is not None else a.lift
     dy = np.diff(a.values, axis=1)
     dz = np.diff(b.values, axis=1)
-    sxx = sym(lift.step_seconds())
+    sxx = sym(lift.step_second)
     first = np.einsum("nta,ntb->ntab", dy, dz)
     second = 2.0 * np.einsum("ntaj,ntbk,ntjk->ntab", a.derivative[:, :-1], b.derivative[:, :-1], sxx)
     steps = first - second
@@ -281,7 +281,7 @@ def rough_bracket(lift: RoughLift) -> IntegralProcess:
     path gives the exact jump sum of (Delta X)^(x2).
     """
     dx = np.diff(lift.path.values, axis=1)
-    steps = np.einsum("ntj,ntk->ntjk", dx, dx) - 2.0 * sym(lift.step_seconds())
+    steps = np.einsum("ntj,ntk->ntjk", dx, dx) - 2.0 * sym(lift.step_second)
     n = steps.shape[0]
     vals = np.concatenate([np.zeros((n, 1) + steps.shape[2:]), np.cumsum(steps, axis=1)], axis=1)
     return IntegralProcess(grid=lift.grid, values=vals, jump_indices=lift.path.jump_indices)
@@ -339,7 +339,7 @@ def controlled_integral(a: ControlledPath, b: ControlledPath) -> IntegralProcess
     Output shape (N, n+1, ma, mb).
     """
     lift = a.lift
-    xx = lift.step_seconds()
+    xx = lift.step_second
     dz = np.diff(b.values, axis=1)
     first = np.einsum("nta,ntb->ntab", a.values[:, :-1], dz)
     second = np.einsum(
@@ -392,7 +392,7 @@ def ito_formula_residual(
     dfv = np.diff(fn.f(y), axis=1)
     dfy = fn.df(y[:, :-1])
     d2fy = fn.d2f(y[:, :-1])
-    xx = lift.step_seconds()
+    xx = lift.step_second
 
     a = dfy * dy
     sec = np.einsum("ntj,ntk,ntjk->nt", d2fy[..., None] * yp, yp, xx)

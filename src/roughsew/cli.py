@@ -167,7 +167,11 @@ def _cmd_run(args) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"roughsew run: bad config: {exc}", file=sys.stderr)
         return 1
-    rows = run_scenario(cfg, threads=args.threads)
+    try:
+        rows = run_scenario(cfg, threads=args.threads)
+    except MemoryError as exc:  # sizes that pass validation but cannot be allocated
+        print(f"roughsew run: bad config: {exc}", file=sys.stderr)
+        return 1
 
     out_dir = Path(args.out if args.out is not None else (cfg.out_dir or "."))
     try:

@@ -19,8 +19,9 @@ is the direction of integration.  Chen's identity in this convention reads
 
     XX_{s,t} = XX_{s,u} + XX_{u,t} + outer(dX_{s,u}, dX_{u,t}).
 
-Lifts store the prefix ``XX[:, k] = XX_{0, t_k}`` of shape ``(N, n+1, d, d)``
-and reconstruct any window in O(1) via Chen.
+Lifts store the per-step values ``XX_{t_k, t_{k+1}}`` of shape ``(N, n, d, d)``,
+derive the prefix ``XX[:, k] = XX_{0, t_k}`` of shape ``(N, n+1, d, d)`` from
+them on first use, and reconstruct any window in O(1) via Chen.
 
 Controlled paths and integrand maps
 -----------------------------------

@@ -84,7 +84,7 @@ def rough_stoch_integrate(y: np.ndarray, yp: np.ndarray, lift: RoughLift) -> Int
     yp = np.asarray(yp, dtype=float)
     x = lift.path.values
     dx = np.diff(x, axis=1)
-    xx = lift.step_seconds()
+    xx = lift.step_second
     if lift.dim == 1:
         if y.ndim == 3 and y.shape[-1] == 1:
             y, yp = y[..., 0], yp[..., 0]

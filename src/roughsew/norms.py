@@ -11,15 +11,12 @@ full O(n^2) tables are only built for n <= 2048 as a memory guard.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grids import p_variation
 from .paths import RoughLift
 
 __all__ = [
-    "LqEstimate",
     "lq_norm",
     "lq_table",
     "two_param_seminorm",
@@ -32,21 +29,11 @@ __all__ = [
 MAX_TABLE_POINTS = 2048
 
 
-@dataclass(frozen=True)
-class LqEstimate:
-    """An empirical moment estimate with its delta-method standard error."""
-
-    value: float
-    std_error: float
-    n_members: int
-
-
-def lq_norm(samples: np.ndarray, q: float, return_estimate: bool = False):
+def lq_norm(samples: np.ndarray, q: float) -> float:
     """Empirical L^q norm over the member axis (axis 0).
 
     samples: (N, ...) — any trailing shape; magnitudes are Euclidean across
-    the trailing axes.  Returns a float (or an LqEstimate with the
-    delta-method standard error of the q-th-root statistic).
+    the trailing axes.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -54,14 +41,7 @@ def lq_norm(samples: np.ndarray, q: float, return_estimate: bool = False):
     n = x.shape[0]
     flat = x.reshape(n, -1)
     mags = np.sqrt(np.einsum("nk,nk->n", flat, flat))
-    mq = np.mean(mags**q)
-    value = mq ** (1.0 / q)
-    if not return_estimate:
-        return float(value)
-    var_mq = np.var(mags**q, ddof=1) / n if n > 1 else 0.0
-    # delta method for x -> x^(1/q)
-    se = (value / (q * mq) * np.sqrt(var_mq)) if mq > 0 else 0.0
-    return LqEstimate(value=float(value), std_error=float(se), n_members=n)
+    return float(np.mean(mags**q) ** (1.0 / q))
 
 
 def _check_table_size(n_points: int):

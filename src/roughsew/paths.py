@@ -5,13 +5,16 @@ times are grid members; `jump_indices` lists them and `left_values` stores the
 state immediately before each jump (for piecewise-constant paths this is the
 value at the previous grid point, bit for bit).
 
-A lift stores the prefix XX_{0, t_k} of its second level plus the jumps
-Delta XX of the second level itself, and reconstructs any window XX_{s,t} in
-O(1) through Chen's identity; see `conventions` for the index layout.
+A lift stores its second level on each grid step, XX_{t_k, t_{k+1}}, plus the
+jumps Delta XX of the second level itself.  That fixes every window: on first
+use the lift derives the prefix XX_{0, t_k} from the steps by Chen's identity
+and then reconstructs any window XX_{s,t} in O(1); see `conventions` for the
+index layout.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,16 +26,13 @@ __all__ = [
     "SamplePath",
     "MartingalePath",
     "RoughLift",
-    "DriverSpec",
     "simulate_brownian",
     "ito_lift_brownian",
     "simulate_compound_poisson",
     "forward_lift_jump_path",
     "smooth_lift",
     "smooth_path_registry",
-    "lift_from_steps",
     "simulate_mixed",
-    "build_driver",
 ]
 
 
@@ -106,37 +106,36 @@ class MartingalePath(SamplePath):
 
 @dataclass
 class RoughLift:
-    """A rough-path lift: first level `path`, second-level prefix, and its jumps.
+    """A rough-path lift: first level `path`, per-step second level, and its jumps.
 
-    second_prefix[:, k] = XX_{0, t_k}, shape (Nx, n+1, d, d), Nx in {1, N}.
-    jump_second[:, j] = Delta XX at path.jump_indices[j] (the jump of the
-    second level itself; zero for forward lifts of pure-jump paths).
+    step_second[:, k] = XX_{t_k, t_{k+1}}, shape (Nx, n, d, d), Nx in {1, N},
+    is the one stored second-level array.  jump_second[:, j] = Delta XX at
+    path.jump_indices[j], shape (Nx, J, d, d) (the jump of the second level
+    itself; zero for forward lifts of pure-jump paths, and the default).
+    `second_prefix` is derived from the steps by Chen on first use.
     """
 
     path: SamplePath
-    second_prefix: np.ndarray
+    step_second: np.ndarray
     jump_second: np.ndarray | None = None
     name: str = "lift"
-    # per-step XX as handed to the builder; kept verbatim so that step-based
-    # consumers (brackets, correction terms) see the exact array rather than a
-    # prefix-difference reconstruction, which reintroduces rounding.
-    step_second: np.ndarray | None = None
 
     def __post_init__(self):
-        xx = np.asarray(self.second_prefix, dtype=float)
-        d = self.path.dim
-        if xx.shape[1:] != (self.path.grid.n_steps + 1, d, d):
-            raise ValueError("second_prefix must have shape (Nx, n+1, d, d)")
-        self.second_prefix = xx
+        ss = np.asarray(self.step_second, dtype=float)
+        d, n_jumps = self.path.dim, self.path.jump_indices.size
+        if ss.ndim != 4 or ss.shape[1:] != (self.path.grid.n_steps, d, d):
+            raise ValueError("step_second must have shape (Nx, n, d, d)")
+        self.step_second = ss
         if self.jump_second is None:
-            self.jump_second = np.zeros((xx.shape[0], self.path.jump_indices.size, d, d))
+            self.jump_second = np.zeros((ss.shape[0], n_jumps, d, d))
         else:
-            self.jump_second = np.asarray(self.jump_second, dtype=float)
-        if self.step_second is not None:
-            ss = np.asarray(self.step_second, dtype=float)
-            if ss.shape[1:] != (self.path.grid.n_steps, d, d):
-                raise ValueError("step_second must have shape (Nx, n, d, d)")
-            self.step_second = ss
+            js = np.asarray(self.jump_second, dtype=float)
+            if js.shape != (ss.shape[0], n_jumps, d, d):
+                raise ValueError(
+                    f"jump_second must have shape (Nx, J, d, d) = "
+                    f"{(ss.shape[0], n_jumps, d, d)}, got {js.shape}"
+                )
+            self.jump_second = js
 
     @property
     def grid(self) -> TimeGrid:
@@ -146,8 +145,28 @@ class RoughLift:
     def dim(self) -> int:
         return self.path.dim
 
+    @cached_property
+    def second_prefix(self) -> np.ndarray:
+        """XX_{0, t_k} by Chen, shape (N, n+1, d, d); built on first use.
+
+        One running sum over [0, step_0, cross_0, step_1, cross_1, ...] along
+        the time axis, where cross_k = outer(X_{t_k} - X_0, dX_k); every
+        second entry is a prefix.  The sum runs in order, so reconstructing a
+        step from the prefix returns the step bit for bit whenever no
+        rounding intervenes.
+        """
+        x = self.path.values
+        cross = outer_increment(x[:, :-1, :] - x[:, :1, :], np.diff(x, axis=1))
+        steps = self.step_second
+        nx, n = max(steps.shape[0], cross.shape[0]), steps.shape[1]
+        terms = np.zeros((nx, 2 * n + 1) + steps.shape[2:])
+        terms[:, 1::2] = steps
+        terms[:, 2::2] = cross
+        np.cumsum(terms, axis=1, out=terms)
+        return np.ascontiguousarray(terms[:, ::2])
+
     def second(self, s: int, t: int | np.ndarray) -> np.ndarray:
-        """XX_{s,t} via Chen from the stored prefix, shape (N, d, d).
+        """XX_{s,t} via Chen from the prefix, shape (N, d, d).
 
         `t` may also be an index array; the result is then (N, len(t), d, d),
         entry k equal to XX_{s, t[k]} bit for bit.
@@ -157,34 +176,6 @@ class RoughLift:
         if np.ndim(t):  # a row of windows: broadcast the s terms over t
             dx0s, x_s, pre_s = dx0s[:, None], x_s[:, None], pre_s[:, None]
         return pre[:, t] - pre_s - outer_increment(dx0s, x[:, t, :] - x_s)
-
-    def step_seconds(self) -> np.ndarray:
-        """XX over every grid step, shape (Nx, n, d, d)."""
-        if self.step_second is not None:
-            return self.step_second
-        x = self.path.values
-        dx0 = x[:, :-1, :] - x[:, :1, :]
-        dstep = np.diff(x, axis=1)
-        return (
-            self.second_prefix[:, 1:]
-            - self.second_prefix[:, :-1]
-            - outer_increment(dx0, dstep)
-        )
-
-
-def _accumulate_prefix(values: np.ndarray, step_second: np.ndarray) -> np.ndarray:
-    """Prefix XX_{0, t_k} from per-step second levels via Chen, done in order
-    so that reconstructing a step from the prefix returns the step bit for bit
-    whenever no rounding intervenes."""
-    n_members, n_plus1, d = values.shape
-    nx = step_second.shape[0]
-    out = np.zeros((nx, n_plus1, d, d))
-    dstep = np.diff(values, axis=1)
-    dx0 = values[:, :-1, :] - values[:, :1, :]
-    cross = outer_increment(dx0, dstep)
-    for k in range(n_plus1 - 1):
-        out[:, k + 1] = out[:, k] + step_second[:, k] + cross[:, k]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +252,7 @@ def ito_lift_brownian(bm: MartingalePath, substeps: int = 8, seed: int = 0) -> R
             )
             area[:, k] = 0.5 * (raw - np.swapaxes(raw, -1, -2))
         step_second = sym_part + area
-    prefix = _accumulate_prefix(bm.values, step_second)
-    return RoughLift(path=bm, second_prefix=prefix, name="brownian-ito", step_second=step_second)
+    return RoughLift(path=bm, step_second=step_second, name="brownian-ito")
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +393,7 @@ def forward_lift_jump_path(path: SamplePath) -> RoughLift:
     step_second = np.zeros(
         (path.n_members, path.grid.n_steps, path.dim, path.dim)
     )
-    prefix = _accumulate_prefix(path.values, step_second)
-    return RoughLift(path=path, second_prefix=prefix, name="jump-forward", step_second=step_second)
+    return RoughLift(path=path, step_second=step_second, name="jump-forward")
 
 
 # ---------------------------------------------------------------------------
@@ -456,25 +445,7 @@ def smooth_lift(path_id: str, T: float, n: int, grid: TimeGrid | None = None) ->
     else:
         step_second = _sine_cosine_window(grid.times[:-1], grid.times[1:])[None]
     path = SamplePath(grid=grid, values=values)
-    prefix = _accumulate_prefix(values, step_second)
-    return RoughLift(path=path, second_prefix=prefix, name=f"smooth-{path_id}", step_second=step_second)
-
-
-def lift_from_steps(
-    path: SamplePath, step_second: np.ndarray, jump_second: np.ndarray | None = None,
-    name: str = "custom",
-) -> RoughLift:
-    """Build a lift from per-step second-level values (the custom-lift hook).
-
-    step_second: (Nx, n, d, d) window values XX_{t_k, t_{k+1}}; jump_second
-    optionally injects a nonzero jump Delta XX at each declared jump index.
-    Chen's identity then holds by construction for all grid windows.
-    """
-    xx = np.asarray(step_second, dtype=float)
-    if xx.ndim == 3:
-        xx = xx[None]
-    prefix = _accumulate_prefix(path.values, xx)
-    return RoughLift(path=path, second_prefix=prefix, jump_second=jump_second, name=name, step_second=xx)
+    return RoughLift(path=path, step_second=step_second, name=f"smooth-{path_id}")
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +498,7 @@ def simulate_mixed(
     dj = cp.path.increments()
     step_second = 0.5 * (outer_increment(db, db) - dt[None, :, None, None] * vol**2)
     step_second = step_second + outer_increment(db, dj)
-    prefix = _accumulate_prefix(values, step_second)
-    lift = RoughLift(path=path, second_prefix=prefix, name="mixed-forward", step_second=step_second)
+    lift = RoughLift(path=path, step_second=step_second, name="mixed-forward")
 
     mvals = values - (cp.rate * cp.jump_mean * grid.times)[None, :, None]
     mleft = (
@@ -541,39 +511,3 @@ def simulate_mixed(
         grid=grid, values=mvals, jump_indices=jump_indices, left_values=mleft, bracket=bracket
     )
     return MixedResult(path=path, martingale=mart, lift=lift, brownian=bm, poisson=cp)
-
-
-# ---------------------------------------------------------------------------
-# driver specs
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DriverSpec:
-    """Tagged description of a driver, buildable by `build_driver`.
-
-    kind: "brownian" | "compound_poisson" | "smooth" | "mixed"
-    params: kind-specific keyword arguments (see the simulators).
-    """
-
-    kind: str
-    params: dict = field(default_factory=dict)
-
-
-def build_driver(spec: DriverSpec, T: float, n: int, seed: int, n_members: int = 1):
-    """Build (path-like object, lift or None) from a DriverSpec."""
-    p = dict(spec.params)
-    if spec.kind == "brownian":
-        substeps = p.pop("substeps", 8)
-        bm = simulate_brownian(T, n, seed, n_members, **p)
-        return bm, ito_lift_brownian(bm, substeps=substeps, seed=seed)
-    if spec.kind == "compound_poisson":
-        cp = simulate_compound_poisson(T, p.pop("rate", 2.0), n, seed, n_members, **p)
-        return cp, forward_lift_jump_path(cp.path)
-    if spec.kind == "smooth":
-        lift = smooth_lift(p.pop("path_id", "linear"), T, n)
-        return lift.path, lift
-    if spec.kind == "mixed":
-        mixed = simulate_mixed(T, n, seed, n_members, **p)
-        return mixed, mixed.lift
-    raise ValueError(f"unknown driver kind {spec.kind!r}")

@@ -176,7 +176,7 @@ def build_event_schedule(lift: RoughLift, mart: MartingalePath | None = None) ->
     d = lift.dim
     x = lift.path.values
     dxs = lift.path.increments()
-    xxs = lift.step_seconds()
+    xxs = lift.step_second
     dts = grid.steps()
     if mart is not None:
         _check_same_grid(grid, mart.grid)

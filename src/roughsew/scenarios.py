@@ -180,7 +180,7 @@ def scenario_jump_structure(cfg: ExperimentConfig, threads: int = 1):
     )
     step2 = np.zeros((1, 2, 1, 1))
     step2[0, 1, 0, 0] = 0.3
-    lift2 = paths.lift_from_steps(
+    lift2 = paths.RoughLift(
         sp, step2, jump_second=np.full((1, 1, 1, 1), 0.3), name="hand-built-jump"
     )
     y2 = np.array([[1.0, 2.0, 2.0]])
@@ -598,7 +598,7 @@ def scenario_stability_base(cfg: ExperimentConfig, threads: int = 1):
 
         vals = base_lift.path.values + eps * (times * (1.0 - times))[None, :, None]
         dx = np.diff(vals, axis=1)
-        tilted = paths.lift_from_steps(
+        tilted = paths.RoughLift(
             paths.SamplePath(grid=grid, values=vals),
             0.5 * dx[..., None] * dx[:, :, None, :],
             name="tilted-linear",

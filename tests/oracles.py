@@ -169,6 +169,23 @@ def lq_table_rows(values, q, s=0, t=None):
     return out
 
 
+def accumulate_prefix(values, step_second):
+    """Second-level prefix XX_{0, t_k} from per-step values, one step at a time.
+
+    XX_{0, t_{k+1}} = XX_{0, t_k} + XX_{t_k, t_{k+1}} + dX_{0, t_k} (x) dX_k
+    (Chen), summed in that order.  values: (N, n+1, d); step_second:
+    (Nx, n, d, d).  Returns (Nx, n+1, d, d).
+    """
+    n_plus1, d = values.shape[1], values.shape[2]
+    out = np.zeros((step_second.shape[0], n_plus1, d, d))
+    dstep = np.diff(values, axis=1)
+    dx0 = values[:, :-1, :] - values[:, :1, :]
+    cross = dx0[..., :, None] * dstep[..., None, :]
+    for k in range(n_plus1 - 1):
+        out[:, k + 1] = out[:, k] + step_second[:, k] + cross[:, k]
+    return out
+
+
 def chen_window(values, prefix, s, t):
     """XX_{s,t} = XX_{0,t} - XX_{0,s} - dX_{0,s} (x) dX_{s,t}, shape (N, d, d).
 

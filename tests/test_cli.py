@@ -105,6 +105,8 @@ def test_run_uses_config_out_dir_when_no_flag(tmp_path):
         {"scenario": "chen_check", "ensemble": True},
         {"scenario": "chen_check", "q": 0.5},
         {"scenario": "chen_check", "q": "x"},
+        # passes validation, but its finest grid alone would need 256 TiB
+        {"scenario": "brownian_milstein", "n": 64, "levels": 40, "ensemble": 4},
     ],
 )
 def test_run_rejects_bad_configs(tmp_path, capsys, body):

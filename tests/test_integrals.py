@@ -11,10 +11,10 @@ from roughsew.integrals import (
     young_integrate,
 )
 from roughsew.paths import (
+    RoughLift,
     SamplePath,
     forward_lift_jump_path,
     ito_lift_brownian,
-    lift_from_steps,
     simulate_brownian,
     simulate_compound_poisson,
     smooth_lift,
@@ -123,7 +123,7 @@ def test_jump_structure_hand_built_second_level_jump():
     steps = np.zeros((1, 2, 1, 1))
     steps[0, 1, 0, 0] = 0.3
     path = SamplePath(grid=grid, values=values, jump_indices=np.array([2]))
-    lift = lift_from_steps(path, steps, jump_second=np.full((1, 1, 1, 1), 0.3))
+    lift = RoughLift(path, steps, jump_second=np.full((1, 1, 1, 1), 0.3))
     y = np.array([[1.0, 2.0, 2.0]])
     yp = np.array([[0.5, 1.5, 1.5]])
     z = rough_stoch_integrate(y, yp, lift)

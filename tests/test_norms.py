@@ -39,13 +39,8 @@ def test_lq_norm_euclidean_across_trailing_axes():
     assert lq_norm(x, 2.0) == pytest.approx(5.0)
 
 
-def test_lq_norm_estimate_and_validation():
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(500, 3))
-    est = lq_norm(x, 2.0, return_estimate=True)
-    assert est.value == pytest.approx(lq_norm(x, 2.0))
-    assert est.std_error > 0
-    assert est.n_members == 500
+def test_lq_norm_validation():
+    x = np.random.default_rng(0).normal(size=(500, 3))
     with pytest.raises(ValueError):
         lq_norm(x, 0.5)
 

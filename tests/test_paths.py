@@ -6,12 +6,10 @@ import pytest
 from roughsew.grids import TimeGrid, make_uniform_grid
 from roughsew.norms import chen_residual
 from roughsew.paths import (
-    DriverSpec,
+    RoughLift,
     SamplePath,
-    build_driver,
     forward_lift_jump_path,
     ito_lift_brownian,
-    lift_from_steps,
     simulate_brownian,
     simulate_compound_poisson,
     simulate_mixed,
@@ -20,7 +18,7 @@ from roughsew.paths import (
 )
 from roughsew.rng import stream
 
-from oracles import quadrature_second_level
+from oracles import accumulate_prefix, quadrature_second_level
 
 
 def _max_chen(lift, rng, n_triples=200):
@@ -72,7 +70,7 @@ def test_ito_lift_dim1_step_identity():
     db = bm.increments()
     dt = bm.bracket_increments()
     expected = 0.5 * (db[:, :, :, None] * db[:, :, None, :] - dt)
-    assert np.array_equal(lift.step_seconds(), expected)
+    assert np.array_equal(lift.step_second, expected)
 
 
 def test_ito_lift_chen_residual_small():
@@ -143,7 +141,7 @@ def test_forward_lift_two_unit_jumps():
     lift = forward_lift_jump_path(_two_unit_jump_path())
     assert lift.second(0, 2)[0, 0, 0] == 1.0
     # each step in isolation has zero second level (the jump sits at its end)
-    assert np.array_equal(lift.step_seconds(), np.zeros((1, 2, 1, 1)))
+    assert np.array_equal(lift.step_second, np.zeros((1, 2, 1, 1)))
     # and the lift carries no second-level jump
     assert np.array_equal(lift.jump_second, np.zeros((1, 2, 1, 1)))
 
@@ -211,20 +209,23 @@ def test_lift_from_steps_chen_by_construction():
     values = np.cumsum(rng.normal(size=(2, 11, 1)), axis=1)
     values -= values[:, :1]
     steps = rng.normal(size=(2, 10, 1, 1))
-    lift = lift_from_steps(SamplePath(grid=grid, values=values), steps, name="custom")
-    assert np.array_equal(lift.step_seconds(), steps)
+    lift = RoughLift(SamplePath(grid=grid, values=values), steps, name="custom")
+    assert np.array_equal(lift.step_second, steps)
     worst = _max_chen(lift, stream(8, "custom-chen"))
     assert worst < 1e-10
 
 
-def test_lift_from_steps_jump_second_injection():
+def _hand_built_jump_lift():
     grid = TimeGrid(np.array([0.0, 0.5, 1.0]))
     values = np.array([[[0.0], [0.2], [1.2]]])
     steps = np.zeros((1, 2, 1, 1))
     steps[0, 1, 0, 0] = 0.3
-    jump_second = np.full((1, 1, 1, 1), 0.3)
     path = SamplePath(grid=grid, values=values, jump_indices=np.array([2]))
-    lift = lift_from_steps(path, steps, jump_second=jump_second, name="two-step")
+    return RoughLift(path, steps, jump_second=np.full((1, 1, 1, 1), 0.3), name="two-step")
+
+
+def test_lift_from_steps_jump_second_injection():
+    lift = _hand_built_jump_lift()
     assert lift.jump_second.shape == (1, 1, 1, 1)
     assert lift.second(1, 2)[0, 0, 0] == pytest.approx(0.3)
 
@@ -238,16 +239,34 @@ def test_mixed_driver_structure_and_chen():
     assert worst < 1e-10
 
 
-def test_build_driver_dispatch():
-    for kind, params in [
-        ("brownian", {"dim": 2}),
-        ("compound_poisson", {"rate": 2.0}),
-        ("smooth", {"path_id": "linear"}),
-        ("mixed", {"rate": 1.0}),
-    ]:
-        path, lift = build_driver(DriverSpec(kind, params), 1.0, 16, seed=3, n_members=2)
-        assert path is not None
-        if lift is not None:
-            assert lift.grid.n_steps >= 16
-    with pytest.raises(ValueError):
-        build_driver(DriverSpec("fractional", {}), 1.0, 16, seed=3)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ito_lift_brownian(simulate_brownian(1.0, 40, seed=2, n_members=5)),
+        lambda: ito_lift_brownian(simulate_brownian(1.0, 24, seed=3, n_members=4, dim=2), seed=3),
+        lambda: forward_lift_jump_path(simulate_compound_poisson(1.0, 4.0, 16, seed=4, n_members=5).path),
+        lambda: smooth_lift("linear", 2.0, 32),
+        lambda: smooth_lift("polynomial", 1.0, 32),
+        lambda: smooth_lift("sine_cosine_pair", 3.0, 48),
+        lambda: simulate_mixed(1.0, 32, seed=12, n_members=4, rate=3.0).lift,
+        _hand_built_jump_lift,
+    ],
+    ids=["ito-d1", "ito-d2", "jump-forward", "linear", "polynomial", "sine-cosine",
+         "mixed", "hand-built-jump"],
+)
+def test_second_prefix_matches_stepwise_oracle(build):
+    lift = build()
+    expected = accumulate_prefix(lift.path.values, lift.step_second)
+    assert np.array_equal(lift.second_prefix, expected)
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 1, 1), (1, 1, 1, 1)])
+def test_lift_rejects_misshapen_jump_second(shape):
+    # one declared jump and three members: jump_second must be (3, 1, 1, 1)
+    grid = TimeGrid(np.array([0.0, 0.5, 1.0]))
+    values = np.array([[[0.0], [0.2], [1.2]]] * 3)
+    path = SamplePath(grid=grid, values=values, jump_indices=np.array([2]))
+    steps = np.zeros((3, 2, 1, 1))
+    with pytest.raises(ValueError, match="jump_second"):
+        RoughLift(path, steps, jump_second=np.zeros(shape))
+    assert RoughLift(path, steps, jump_second=np.zeros((3, 1, 1, 1))).jump_second.shape == (3, 1, 1, 1)

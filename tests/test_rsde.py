@@ -103,6 +103,15 @@ def test_solve_derivative_is_f_of_solution():
     assert np.allclose(res.derivative[..., 0], f.f(res.values))
 
 
+def test_solve_never_builds_the_second_level_prefix():
+    # the solver reads per-step second levels only; the Chen prefix is derived
+    # on first use, so a solve must leave it unbuilt
+    bm = simulate_brownian(1.0, 16, seed=9, n_members=3)
+    lift = ito_lift_brownian(bm)
+    solve(CoefficientSet(f=smooth_fn("sin_bundle", a=0.5)), 0.1, lift, bm)
+    assert "second_prefix" not in lift.__dict__
+
+
 def test_solution_jump_structure_from_left_limits():
     mix = simulate_mixed(1.0, 64, seed=11, n_members=16, rate=3.0)
     b = smooth_fn("tanh_affine", a=0.4, b=0.9)
