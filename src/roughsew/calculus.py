@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .conventions import apply_derivative, sym
-from .integrals import IntegralProcess
+from .integrals import IntegralProcess, _cumulative
 from .paths import RoughLift
 
 __all__ = [
@@ -269,9 +269,7 @@ def bracket(a: ControlledPath, b: ControlledPath, lift: RoughLift | None = None)
     second = 2.0 * np.einsum("ntaj,ntbk,ntjk->ntab", a.derivative[:, :-1], b.derivative[:, :-1], sxx)
     steps = first - second
     _heavy_tail_warning(steps, "bracket")
-    n = steps.shape[0]
-    vals = np.concatenate([np.zeros((n, 1) + steps.shape[2:]), np.cumsum(steps, axis=1)], axis=1)
-    return IntegralProcess(grid=lift.grid, values=vals, jump_indices=lift.path.jump_indices)
+    return _cumulative(lift.grid, steps, lift.path.jump_indices)
 
 
 def rough_bracket(lift: RoughLift) -> IntegralProcess:
@@ -282,9 +280,7 @@ def rough_bracket(lift: RoughLift) -> IntegralProcess:
     """
     dx = np.diff(lift.path.values, axis=1)
     steps = np.einsum("ntj,ntk->ntjk", dx, dx) - 2.0 * sym(lift.step_second)
-    n = steps.shape[0]
-    vals = np.concatenate([np.zeros((n, 1) + steps.shape[2:]), np.cumsum(steps, axis=1)], axis=1)
-    return IntegralProcess(grid=lift.grid, values=vals, jump_indices=lift.path.jump_indices)
+    return _cumulative(lift.grid, steps, lift.path.jump_indices)
 
 
 def mixed_bracket_check(
@@ -346,9 +342,7 @@ def controlled_integral(a: ControlledPath, b: ControlledPath) -> IntegralProcess
         "ntaj,ntbk,ntjk->ntab", a.derivative[:, :-1], b.derivative[:, :-1], xx
     )
     steps = first + second
-    n = steps.shape[0]
-    vals = np.concatenate([np.zeros((n, 1) + steps.shape[2:]), np.cumsum(steps, axis=1)], axis=1)
-    return IntegralProcess(grid=lift.grid, values=vals, jump_indices=lift.path.jump_indices)
+    return _cumulative(lift.grid, steps, lift.path.jump_indices)
 
 
 def integration_by_parts_residual(a: ControlledPath, b: ControlledPath) -> float:

@@ -168,7 +168,7 @@ def _cmd_run(args) -> int:
         print(f"roughsew run: bad config: {exc}", file=sys.stderr)
         return 1
     try:
-        rows = run_scenario(cfg, threads=args.threads)
+        rows = run_scenario(cfg)
     except MemoryError as exc:  # sizes that pass validation but cannot be allocated
         print(f"roughsew run: bad config: {exc}", file=sys.stderr)
         return 1
@@ -216,7 +216,7 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"roughsew verify: bad config: {exc}", file=sys.stderr)
         return 1
-    rows = run_scenario(cfg, threads=args.threads)
+    rows = run_scenario(cfg)
     checks = checker(rows)
     ok_all = True
     for name, ok, detail in checks:
@@ -251,13 +251,11 @@ def _build_parser() -> _Parser:
     p_run.add_argument("--seed", type=int, default=None, help="override the master seed")
     p_run.add_argument("--levels", type=int, default=None, help="override refinement levels")
     p_run.add_argument("--ensemble", type=int, default=None, help="override ensemble size")
-    p_run.add_argument("--threads", type=int, default=1, help="worker threads across levels")
     p_run.set_defaults(fn=_cmd_run)
 
     p_ver = sub.add_parser("verify", help="run a verification suite at desk scale")
     p_ver.add_argument("suite", choices=sorted(SUITES))
     p_ver.add_argument("--seed", type=int, default=None)
-    p_ver.add_argument("--threads", type=int, default=1)
     p_ver.set_defaults(fn=_cmd_verify)
 
     p_list = sub.add_parser("list", help="list scenarios and verify suites")
@@ -272,3 +270,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     return args.fn(args)
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -75,10 +75,6 @@ class Partition:
         t = self.grid.times[self.indices]
         return float(np.max(np.diff(t)))
 
-    def pairs(self):
-        idx = self.indices
-        return zip(idx[:-1], idx[1:])
-
 
 def make_uniform_grid(T: float, n: int) -> TimeGrid:
     """Uniform grid with n steps on [0, T]."""

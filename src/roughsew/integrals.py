@@ -1,9 +1,10 @@
 """Left-point stochastic integrals on grids: Ito, rough-stochastic, Young.
 
-All integrals are cumulative germ sums over the full grid (the sewn limit on
-a finite grid).  Integrands are sampled at the left endpoint of every step,
-which is what makes the Ito isometry an exact identity at grid level and
-keeps jump structure canonical: over a step that ends in a jump of a
+All integrals are full-grid sums of the `sewing` germs (the sewn limit on a
+finite grid): one germ evaluation on the step windows [t_k, t_{k+1}] plus one
+running sum from zero.  Integrands are sampled at the left endpoint of every
+step, which is what makes the Ito isometry an exact identity at grid level
+and keeps jump structure canonical: over a step that ends in a jump of a
 piecewise-constant driver, the left endpoint IS the pre-jump state.
 """
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 from .conventions import map_dot, second_level_contract
 from .grids import TimeGrid
 from .paths import MartingalePath, RoughLift
+from .sewing import ito_germ, young_germ
 
 __all__ = [
     "IntegralProcess",
@@ -48,6 +50,7 @@ class IntegralProcess:
 
 
 def _cumulative(grid, steps, jump_indices) -> IntegralProcess:
+    """The integral process of per-step germ values (N, n, ...), zero at t_0."""
     n = steps.shape[0]
     zero = np.zeros((n, 1) + steps.shape[2:])
     vals = np.concatenate([zero, np.cumsum(steps, axis=1)], axis=1)
@@ -63,13 +66,8 @@ def ito_integrate(integrand: np.ndarray, mart: MartingalePath) -> IntegralProces
     """
     if mart.dim != 1:
         raise ValueError("ito_integrate handles one-dimensional martingales")
-    y = np.asarray(integrand, dtype=float)
-    if y.ndim == 3:
-        y = y[..., 0]
-    dm = mart.increments()[..., 0]
-    if y.shape[0] == 1 and dm.shape[0] > 1:
-        y = np.broadcast_to(y, (dm.shape[0], y.shape[1]))
-    steps = y[:, :-1] * dm
+    k = np.arange(mart.grid.n_steps)
+    steps = ito_germ(integrand, mart.values)(k, k + 1)
     return _cumulative(mart.grid, steps, mart.jump_indices)
 
 
@@ -106,23 +104,12 @@ def young_integrate(integrand: np.ndarray, integrator: np.ndarray, grid: TimeGri
                     jump_indices=None) -> IntegralProcess:
     """Left-point Stieltjes integral int Y dA for a finite-variation path A.
 
-    integrator: (N, n+1) (e.g. a bracket component); over a pure-jump A the
+    integrator: (N, n+1) or a bracket (N, n+1, 1, 1); over a pure-jump A the
     sum reduces to sum_{u <= t} Y_{u-} Delta A_u exactly, since the left
     endpoint of the jump step carries the pre-jump state.
     """
-    y = np.asarray(integrand, dtype=float)
-    a = np.asarray(integrator, dtype=float)
-    if y.ndim == 3 and y.shape[-1] == 1:
-        y = y[..., 0]
-    if a.ndim == 3 and a.shape[-1] == 1:
-        a = a[..., 0]
-    if a.ndim == 4:  # a bracket (Nb, n+1, 1, 1)
-        a = a[..., 0, 0]
-    da = np.diff(a, axis=1)
-    n = max(y.shape[0], a.shape[0])
-    steps = np.broadcast_to(y[:, :-1], (n, da.shape[1]) + y.shape[2:]) * np.broadcast_to(
-        da, (n, da.shape[1])
-    )
+    k = np.arange(grid.n_steps)
+    steps = young_germ(integrand, integrator)(k, k + 1)
     if jump_indices is None:
         jump_indices = np.array([], dtype=np.int64)
     return _cumulative(grid, steps, jump_indices)

@@ -100,36 +100,27 @@ def step(y, coeffs: CoefficientSet, dt, dm=0.0, dx=None, xx=None):
     sigma-only case reproduces a plain Euler-Maruyama update bitwise.
     """
     y = np.asarray(y, dtype=float)
-    out = y
+    return _add_germ(y, y, coeffs, coeffs.f_components(), dt, dm, dx, xx)
+
+
+def _add_germ(out, y, coeffs: CoefficientSet, fs, dt, dm, dx, xx):
+    """out + b(y) dt + sigma(y) dm + f(y) . dx + (Df f)(y) : XX, term by term
+    left to right, for the rough components `fs` of `coeffs`.
+
+    `step` and `solve` start from y; Picard starts from zeros, vectorized
+    over an event axis.  XX = None drops the second-order term.
+    """
     if coeffs.b is not None:
         out = out + coeffs.b.f(y) * dt
     if coeffs.sigma is not None:
         out = out + coeffs.sigma.f(y) * dm
-    fs = coeffs.f_components()
     if fs:
-        dx = np.asarray(dx, dtype=float)
         fv = _f_stack(fs, y)
-        out = out + np.einsum("...i,...i->...", fv, dx)
+        out = out + np.einsum("...i,...i->...", fv, np.asarray(dx, dtype=float))
         if xx is not None:
             dfv = _df_stack(fs, y)
             # second index of XX is the integration direction
             out = out + np.einsum("...i,...j,...ji->...", dfv, fv, np.asarray(xx, dtype=float))
-    return out
-
-
-def _germ_increments(y, coeffs: CoefficientSet, dt, dm, dx, xx):
-    """The step's increment (no +y), vectorized over an event axis."""
-    out = np.zeros(np.broadcast_shapes(np.shape(y), np.shape(dm)))
-    if coeffs.b is not None:
-        out = out + coeffs.b.f(y) * dt
-    if coeffs.sigma is not None:
-        out = out + coeffs.sigma.f(y) * dm
-    fs = coeffs.f_components()
-    if fs:
-        fv = _f_stack(fs, y)
-        out = out + np.einsum("...i,...i->...", fv, dx)
-        dfv = _df_stack(fs, y)
-        out = out + np.einsum("...i,...j,...ji->...", dfv, fv, xx)
     return out
 
 
@@ -351,7 +342,9 @@ def solve(
     y = values[:, start]
     with np.errstate(over="ignore", invalid="ignore"):
         for e in range(sched.event_start[start], sched.event_start[stop]):
-            y = step(y, coeffs, sched.dt[e], sched.dm[:, e], sched.dx[:, e], sched.xx[:, e])
+            y = _add_germ(
+                y, y, coeffs, fs, sched.dt[e], sched.dm[:, e], sched.dx[:, e], sched.xx[:, e]
+            )
             gi = sched.grid_index[e]
             if sched.lands_on_grid[e]:
                 values[:, gi] = y
@@ -498,7 +491,9 @@ def picard_solve(
         converged = False
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(max_iter):
-                germs = _germ_increments(cur[:, :-1], coeffs, dt_w, dm_w, dx_w, xx_w)
+                y_w = cur[:, :-1]
+                zero = np.zeros(np.broadcast_shapes(y_w.shape, dm_w.shape))
+                germs = _add_germ(zero, y_w, coeffs, fs, dt_w, dm_w, dx_w, xx_w)
                 new = np.empty_like(cur)
                 new[:, 0] = y_start
                 np.cumsum(germs, axis=1, out=new[:, 1:])

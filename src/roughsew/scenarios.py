@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,14 +89,6 @@ def _fit_log2_slope(sizes, errors) -> float:
     return sewing.log2_fit(np.log2(np.asarray(sizes, dtype=float)), errors)[0]
 
 
-def _run_levels(fn, levels: int, threads: int) -> list:
-    """fn(k) for k = 0..levels-1, optionally on a thread pool (order kept)."""
-    if threads > 1 and levels > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, range(levels)))
-    return [fn(k) for k in range(levels)]
-
-
 def _l2_with_se(err: np.ndarray) -> tuple[float, float]:
     """Root-mean-square of err with its delta-method standard error."""
     sq = err**2
@@ -124,7 +115,7 @@ def _subsampled_brownian(bm: paths.MartingalePath, stride: int) -> paths.Marting
 # ---------------------------------------------------------------------------
 
 
-def scenario_chen_check(cfg: ExperimentConfig, threads: int = 1):
+def scenario_chen_check(cfg: ExperimentConfig):
     """Chen's identity on random windows for every built-in lift family."""
     seed, n = cfg.seed, cfg.n
     n_triples = int(cfg.params.get("triples", 1000))
@@ -154,7 +145,7 @@ def scenario_chen_check(cfg: ExperimentConfig, threads: int = 1):
     return rows
 
 
-def scenario_jump_structure(cfg: ExperimentConfig, threads: int = 1):
+def scenario_jump_structure(cfg: ExperimentConfig):
     """Jump identity dZ = Y_{t-} dX + Y'_{t-} dXX for rough integrals."""
     rows = []
     cp = paths.simulate_compound_poisson(
@@ -197,7 +188,7 @@ def scenario_jump_structure(cfg: ExperimentConfig, threads: int = 1):
 # ---------------------------------------------------------------------------
 
 
-def scenario_ito_bdb(cfg: ExperimentConfig, threads: int = 1):
+def scenario_ito_bdb(cfg: ExperimentConfig):
     """Strong error of int B dB against (B_T^2 - T)/2 across refinements."""
     T = 1.0
     n_max = cfg.n * 2 ** (cfg.levels - 1)
@@ -211,7 +202,7 @@ def scenario_ito_bdb(cfg: ExperimentConfig, threads: int = 1):
         l2, se = _l2_with_se(term - ref)
         return mart.grid.n_steps, l2, se
 
-    out = _run_levels(level, cfg.levels, threads)
+    out = [level(k) for k in range(cfg.levels)]
     rows = [
         _row(cfg, "L2_error", l2, se, level=k, n=n_k)
         for k, (n_k, l2, se) in enumerate(out)
@@ -221,7 +212,7 @@ def scenario_ito_bdb(cfg: ExperimentConfig, threads: int = 1):
     return rows
 
 
-def scenario_ito_isometry(cfg: ExperimentConfig, threads: int = 1):
+def scenario_ito_isometry(cfg: ExperimentConfig):
     """E[(int Y dM)^2] vs E[int Y^2 d[M]] for three integrands, two drivers."""
     T, n, N, seed = 1.0, cfg.n, cfg.ensemble, cfg.seed
     bm = paths.simulate_brownian(T, n, seed, n_members=N, dim=1)
@@ -243,7 +234,7 @@ def scenario_ito_isometry(cfg: ExperimentConfig, threads: int = 1):
     return rows
 
 
-def scenario_sewing_rate(cfg: ExperimentConfig, threads: int = 1):
+def scenario_sewing_rate(cfg: ExperimentConfig):
     """Refinement decay for sewn germs; exactness for additive ones."""
     T, n, N, seed = 1.0, cfg.n, cfg.ensemble, cfg.seed
     depth = int(cfg.params.get("depth", 8))
@@ -298,7 +289,7 @@ def scenario_sewing_rate(cfg: ExperimentConfig, threads: int = 1):
 # ---------------------------------------------------------------------------
 
 
-def scenario_brackets(cfg: ExperimentConfig, threads: int = 1):
+def scenario_brackets(cfg: ExperimentConfig):
     T, n, N, seed = 1.0, cfg.n, cfg.ensemble, cfg.seed
     rows = []
 
@@ -360,7 +351,7 @@ def scenario_brackets(cfg: ExperimentConfig, threads: int = 1):
     return rows
 
 
-def scenario_ito_formula(cfg: ExperimentConfig, threads: int = 1):
+def scenario_ito_formula(cfg: ExperimentConfig):
     """Change-of-variable residuals: Brownian CLT rate, smooth Taylor rate,
     and the exactly-compensated pure-jump case."""
     T, seed, N = 1.0, cfg.seed, cfg.ensemble
@@ -381,7 +372,7 @@ def scenario_ito_formula(cfg: ExperimentConfig, threads: int = 1):
         se = float(np.std(ab, ddof=1) / np.sqrt(ab.size)) if ab.size > 1 else 0.0
         return mart.grid.n_steps, float(ab.mean()), se
 
-    out = _run_levels(level, cfg.levels, threads)
+    out = [level(k) for k in range(cfg.levels)]
     for k, (n_k, l1, se) in enumerate(out):
         rows.append(_row(cfg, "l1_residual[brownian_square]", l1, se, level=k, n=n_k))
     rows.append(
@@ -431,7 +422,7 @@ def _picard_gap_row(cfg, coeffs, y0, lift, mart=None, n=None, N=None, tol=1e-10)
     return _row(cfg, "solve_picard_gap", gap, n=n, N=N)
 
 
-def scenario_smooth_exponential(cfg: ExperimentConfig, threads: int = 1):
+def scenario_smooth_exponential(cfg: ExperimentConfig):
     """dY = Y dX along a deterministic geometric lift vs y0 exp(dX_{0,T})."""
     coeffs = rsde.CoefficientSet(f=calculus.smooth_fn("linear"))
     y0 = 1.0
@@ -454,7 +445,7 @@ def scenario_smooth_exponential(cfg: ExperimentConfig, threads: int = 1):
     return rows
 
 
-def scenario_brownian_milstein(cfg: ExperimentConfig, threads: int = 1):
+def scenario_brownian_milstein(cfg: ExperimentConfig):
     """dY = Y dB with the Ito lift vs y0 exp(B_T - T/2), coupled refinements."""
     T, seed, N = 1.0, cfg.seed, cfg.ensemble
     coeffs = rsde.CoefficientSet(f=calculus.smooth_fn("linear"))
@@ -481,7 +472,7 @@ def scenario_brownian_milstein(cfg: ExperimentConfig, threads: int = 1):
     return rows
 
 
-def scenario_em_reduction(cfg: ExperimentConfig, threads: int = 1):
+def scenario_em_reduction(cfg: ExperimentConfig):
     """With no rough coefficient the scheme IS Euler-Maruyama, to the bit."""
     T, n, N, seed = 1.0, cfg.n, cfg.ensemble, cfg.seed
     bm = paths.simulate_brownian(T, n, seed, n_members=N, dim=1)
@@ -508,7 +499,7 @@ def scenario_em_reduction(cfg: ExperimentConfig, threads: int = 1):
     return rows
 
 
-def scenario_jump_mix(cfg: ExperimentConfig, threads: int = 1):
+def scenario_jump_mix(cfg: ExperimentConfig):
     """Full RSDE on a Brownian-plus-jumps driver: solution jump structure,
     flow property under restart, and the two solver modes agreeing."""
     T, n, N, seed = 1.0, cfg.n, cfg.ensemble, cfg.seed
@@ -553,7 +544,7 @@ def scenario_jump_mix(cfg: ExperimentConfig, threads: int = 1):
     return rows
 
 
-def scenario_stability_base(cfg: ExperimentConfig, threads: int = 1):
+def scenario_stability_base(cfg: ExperimentConfig):
     """Data-to-solution Lipschitz ratios under separate perturbations of
     (y0, M, X) across four decades of epsilon."""
     T, n, N, seed = 1.0, cfg.n, cfg.ensemble, cfg.seed
@@ -664,5 +655,5 @@ def default_config(scenario: str, **overrides) -> ExperimentConfig:
     return ExperimentConfig(scenario=scenario, **kw)
 
 
-def run_scenario(cfg: ExperimentConfig, threads: int = 1) -> list[dict]:
-    return SCENARIOS[cfg.scenario](cfg, threads=threads)
+def run_scenario(cfg: ExperimentConfig) -> list[dict]:
+    return SCENARIOS[cfg.scenario](cfg)

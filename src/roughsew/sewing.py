@@ -5,7 +5,10 @@ Xi_{s,t}; its Riemann sums over a partition P, clipped at time t, are
 
     Xi^P_t = sum over [u,v] in P of Xi_{u ^ t, v ^ t}.
 
-On a finite grid the sewn limit is the full-grid Riemann sum.  `sew` walks a
+On a finite grid the sewn limit is the full-grid Riemann sum, so every
+integral of the package (Ito, Young, rough) is a full-grid sum of one of the
+germs built here.  A germ evaluates whole index arrays, so a Riemann path is
+one germ call per partition plus a running sum.  `sew` walks a
 sequence of nested partitions produced by alternating midpoints of the
 supplied controls (time plus p-variation controls of the germ's inputs by
 default), measures the uniform-in-time empirical L^q distance to the limit at
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -56,7 +59,9 @@ __all__ = [
 class Germ:
     """A two-parameter ensemble process Xi_{s,t} driven by named context arrays.
 
-    `fn(ctx, s, t)` must read only ctx entries at indices <= t (adaptedness:
+    `fn(ctx, s, t)` takes scalar grid indices or equal-shape index arrays;
+    for arrays of shape (m,) it returns the m windows [s_j, t_j] along axis 1,
+    (N, m, ...).  It must read only ctx entries at indices <= t (adaptedness:
     evaluating on a context truncated at t must reproduce every value up to t;
     the engine's diagnostics rely on this being checkable by recomputation).
     Context arrays are member-major: (N, n+1, ...).
@@ -65,19 +70,12 @@ class Germ:
     """
 
     name: str
-    fn: Callable[[dict, int, int], np.ndarray]
+    fn: Callable[[dict, Any, Any], np.ndarray]
     context: dict
     control_keys: tuple = ()
 
-    def __call__(self, s: int, t: int, ctx: dict | None = None) -> np.ndarray:
-        return self.fn(self.context if ctx is None else ctx, int(s), int(t))
-
-    @property
-    def n_members(self) -> int:
-        for v in self.context.values():
-            if isinstance(v, np.ndarray):
-                return v.shape[0]
-        raise ValueError("germ context holds no arrays")
+    def __call__(self, s, t, ctx: dict | None = None) -> np.ndarray:
+        return self.fn(self.context if ctx is None else ctx, s, t)
 
 
 def truncate_context(ctx: dict, t: int) -> dict:
@@ -95,31 +93,29 @@ def delta_germ(germ: Germ, s: int, u: int, t: int) -> np.ndarray:
 
 def riemann_sum(germ: Germ, partition: Partition) -> np.ndarray:
     """Sum of the germ over the partition's intervals, shape (N, ...)."""
-    total = None
-    for u, v in partition.pairs():
-        val = germ(u, v)
-        total = val if total is None else total + val
-    return total
+    return riemann_path(germ, partition)[:, -1]
 
 
 def riemann_path(germ: Germ, partition: Partition) -> np.ndarray:
     """Clipped sums Xi^P_t for every grid t in [partition start, end].
 
     Returns (N, n_window+1, ...) with entry j the clipped sum at grid index
-    start + j.  Inside an interval [u, v] the clipped sum is the accumulated
-    total plus Xi_{u, t}.
+    start + j.  Inside an interval [u, v] the clipped sum is the running total
+    of the earlier intervals plus Xi_{u, t}; one germ call covers every t.
     """
     idx = partition.indices
-    start, end = int(idx[0]), int(idx[-1])
-    probe = germ(start, min(start + 1, end))
-    n = probe.shape[0]
-    trail = probe.shape[1:]
-    out = np.zeros((n, end - start + 1) + trail)
-    acc = np.zeros((n,) + trail)
-    for u, v in partition.pairs():
-        for t in range(u + 1, v + 1):
-            out[:, t - start] = acc + germ(u, t)
-        acc = out[:, v - start].copy()
+    start = idx[0]
+    t = np.arange(start + 1, idx[-1] + 1)
+    k = np.searchsorted(idx, t) - 1  # interval [idx[k], idx[k+1]] holding t
+    vals = germ(idx[k], t)
+    # running total before each interval, summed from zero in interval order
+    totals = vals[:, idx[1:-1] - start - 1]
+    acc = np.cumsum(
+        np.concatenate([np.zeros_like(vals[:, :1]), totals], axis=1), axis=1
+    )
+    out = np.empty((vals.shape[0], t.size + 1) + vals.shape[2:])
+    out[:, 0] = 0.0
+    np.add(acc[:, k], vals, out=out[:, 1:])
     return out
 
 
@@ -164,10 +160,15 @@ class SewOutput:
         return self.value_path[:, -1]
 
 
-def _level_paths(germ, grid, controls, depth, s, t):
-    levels = alternating_midpoints(controls, s, t, depth)
-    parts = [Partition(grid, lv) for lv in levels]
-    return parts, [riemann_path(germ, p) for p in parts]
+def _refinement(germ, grid, controls, depth):
+    """The full-grid limit and a lazy walk of (partition, Riemann path), one
+    pair per alternating-midpoint level of the controls (default ones if
+    None)."""
+    controls = controls if controls is not None else default_controls(germ, grid)
+    full = riemann_path(germ, full_partition(grid))
+    levels = alternating_midpoints(controls, 0, grid.n_steps, depth)
+    parts = (Partition(grid, lv) for lv in levels)
+    return full, ((part, riemann_path(germ, part)) for part in parts)
 
 
 def sew(
@@ -188,32 +189,28 @@ def sew(
     culprit is a non-adapted germ) and a warning is attached and emitted.
     """
     n = grid.n_steps
-    controls = controls if controls is not None else default_controls(germ, grid)
-    full = riemann_path(germ, full_partition(grid))
-    scale = 1.0 + _uniform_lq_distance(full, np.zeros_like(full), q)
     depth = max_depth if max_depth is not None else max(1, int(np.ceil(np.log2(n))) + 2)
+    full, walk = _refinement(germ, grid, controls, depth)
+    scale = 1.0 + _uniform_lq_distance(full, np.zeros_like(full), q)
 
     partitions: list[Partition] = []
-    paths: list[np.ndarray] = []
     distances: list[float] = []
     gaps: list[float] = []
     met_tol = False
     exhausted = False
-    levels = alternating_midpoints(controls, 0, n, depth)
-    for h, lv in enumerate(levels):
-        part = Partition(grid, lv)
-        path = riemann_path(germ, part)
+    prev = None
+    for part, path in walk:
         partitions.append(part)
-        paths.append(path)
         distances.append(_uniform_lq_distance(full, path, q))
-        if h > 0:
-            gaps.append(_uniform_lq_distance(paths[h - 1], path, q))
+        if prev is not None:
+            gaps.append(_uniform_lq_distance(prev, path, q))
             if gaps[-1] < tol * scale:
                 met_tol = True
                 break
-        if lv.size == n + 1:
+        if part.indices.size == n + 1:
             exhausted = True
             break
+        prev = path
     gap_arr = np.array(gaps)
     warning = None
     if gap_arr.size >= 4 and np.any(
@@ -260,10 +257,8 @@ def convergence_rate(
 
     The slope is fitted by `log2_fit`.
     """
-    controls = controls if controls is not None else default_controls(germ, grid)
-    full = riemann_path(germ, full_partition(grid))
-    parts, paths = _level_paths(germ, grid, controls, depth, 0, grid.n_steps)
-    distances = np.array([_uniform_lq_distance(full, p, q) for p in paths])
+    full, walk = _refinement(germ, grid, controls, depth)
+    distances = np.array([_uniform_lq_distance(full, path, q) for _, path in walk])
     levels = np.arange(depth + 1)
     slope, intercept = log2_fit(levels, distances)
     return RateReport(levels, distances, slope, intercept, q)
@@ -328,7 +323,8 @@ def rough_germ(
     """One-dimensional controlled-integrand germ Y_s dX_{s,t} + Y'_s XX_{s,t}.
 
     The second level is reconstructed from its prefix inside the germ (Chen),
-    so truncated contexts stay self-consistent.
+    so truncated contexts stay self-consistent.  The context keeps X - X_0
+    ("x0") next to X for the Chen cross term.
     """
     ctx = {
         "y": np.asarray(y, dtype=float),
@@ -341,10 +337,11 @@ def rough_germ(
             ctx[k] = ctx[k][..., 0]
     if ctx["xx0"].ndim == 4:
         ctx["xx0"] = ctx["xx0"][..., 0, 0]
+    ctx["x0"] = ctx["x"] - ctx["x"][:, :1]
 
     def fn(c, s, t):
         dx = c["x"][:, t] - c["x"][:, s]
-        xx = c["xx0"][:, t] - c["xx0"][:, s] - (c["x"][:, s] - c["x"][:, 0]) * dx
+        xx = c["xx0"][:, t] - c["xx0"][:, s] - c["x0"][:, s] * dx
         return c["y"][:, s] * dx + c["yp"][:, s] * xx
 
     return Germ(name, fn, ctx, ("y", "x"))
@@ -371,14 +368,18 @@ def qv_germ(values: np.ndarray, bracket: np.ndarray | None = None, name: str = "
 
 
 def young_germ(integrand: np.ndarray, a_values: np.ndarray, name: str = "young") -> Germ:
-    """Left-point Stieltjes germ Y_s dA_{s,t} for a finite-variation integrator."""
+    """Left-point Stieltjes germ Y_s dA_{s,t} for a finite-variation integrator.
+
+    A may be (N, n+1), (N, n+1, 1) or a bracket (N, n+1, 1, 1).
+    """
     ctx = {
         "y": np.asarray(integrand, dtype=float),
         "a": np.asarray(a_values, dtype=float),
     }
-    for k in ("y", "a"):
-        if ctx[k].ndim == 3:
-            ctx[k] = ctx[k][..., 0]
+    if ctx["y"].ndim == 3:
+        ctx["y"] = ctx["y"][..., 0]
+    while ctx["a"].ndim > 2:
+        ctx["a"] = ctx["a"][..., 0]
     return Germ(
         name,
         lambda c, s, t: c["y"][:, s] * (c["a"][:, t] - c["a"][:, s]),

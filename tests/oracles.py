@@ -239,3 +239,49 @@ def ols_slope(x, y):
     xbar = x.mean()
     ybar = y.mean()
     return float(((x - xbar) * (y - ybar)).sum() / ((x - xbar) ** 2).sum())
+
+
+def riemann_path_loop(germ, indices):
+    """Clipped Riemann sums of a germ, one germ call per (interval, t).
+
+    germ(s, t) is called with Python ints only; indices are the partition's
+    grid indices.  Entry j is the clipped sum at grid index indices[0] + j:
+    the accumulated total of the earlier intervals plus Xi_{u, t}.
+    """
+    idx = [int(i) for i in indices]
+    start, end = idx[0], idx[-1]
+    probe = germ(start, min(start + 1, end))
+    n = probe.shape[0]
+    trail = probe.shape[1:]
+    out = np.zeros((n, end - start + 1) + trail)
+    acc = np.zeros((n,) + trail)
+    for u, v in zip(idx[:-1], idx[1:]):
+        for t in range(u + 1, v + 1):
+            out[:, t - start] = acc + germ(u, t)
+        acc = out[:, v - start].copy()
+    return out
+
+
+def riemann_sum_loop(germ, indices):
+    """Sum of germ(u, v) over the partition's intervals, left to right."""
+    idx = [int(i) for i in indices]
+    total = None
+    for u, v in zip(idx[:-1], idx[1:]):
+        val = germ(u, v)
+        total = val if total is None else total + val
+    return total
+
+
+def left_point_steps_integral(integrand, integrator):
+    """Cumulative left-point sums Y_k (A_{k+1} - A_k) from one step product.
+
+    integrand (Ny, n+1), integrator (Na, n+1); members broadcast.  Returns
+    (max(Ny, Na), n+1), zero at the first grid point.
+    """
+    y = np.asarray(integrand, dtype=float)
+    da = np.diff(np.asarray(integrator, dtype=float), axis=1)
+    n = max(y.shape[0], da.shape[0])
+    steps = np.broadcast_to(y[:, :-1], (n, da.shape[1])) * np.broadcast_to(
+        da, (n, da.shape[1])
+    )
+    return np.concatenate([np.zeros((n, 1)), np.cumsum(steps, axis=1)], axis=1)

@@ -1,9 +1,14 @@
 """End-to-end checks of the command line: exit codes, CSV/manifest contract,
 byte-for-byte reproducibility."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import roughsew
 from roughsew import __version__
 from roughsew import cli
 from roughsew.cli import SUITES, main
@@ -72,17 +77,6 @@ def test_run_seed_override_changes_output(tmp_path):
     assert man["config"]["seed"] == 77
 
 
-def test_run_threads_do_not_change_bytes(tmp_path):
-    cfg = _write_config(
-        tmp_path, scenario="ito_bdb", n=16, levels=3, ensemble=32, seed=9
-    )
-    main(["run", cfg, "--out", str(tmp_path / "a"), "--threads", "1"])
-    main(["run", cfg, "--out", str(tmp_path / "b"), "--threads", "3"])
-    assert (tmp_path / "a" / "ito_bdb.csv").read_bytes() == (
-        tmp_path / "b" / "ito_bdb.csv"
-    ).read_bytes()
-
-
 def test_run_uses_config_out_dir_when_no_flag(tmp_path):
     dest = tmp_path / "fromcfg"
     cfg = _cheap_config(tmp_path, out_dir=str(dest))
@@ -143,7 +137,7 @@ def test_verify_failure_exits_2(monkeypatch, capsys):
     monkeypatch.setitem(
         cli.SUITES, "chen", ("chen_check", lambda rows: [("forced", False, "x")])
     )
-    monkeypatch.setattr(cli, "run_scenario", lambda cfg, threads=1: [])
+    monkeypatch.setattr(cli, "run_scenario", lambda cfg: [])
     assert main(["verify", "chen"]) == 2
     out = capsys.readouterr().out
     assert "[FAIL] chen: forced" in out
@@ -157,6 +151,19 @@ def test_list_names_every_scenario_and_suite(capsys):
         assert name in out
     for name in SUITES:
         assert name in out
+
+
+def test_module_invocation_runs_main():
+    # `python -m roughsew.cli` must reach main(), not import and exit 0
+    src = str(Path(roughsew.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "roughsew.cli", "list"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0
+    assert "sewing_rate" in done.stdout
 
 
 def test_usage_errors_exit_1(capsys):

@@ -20,7 +20,7 @@ from roughsew.paths import (
     smooth_lift,
 )
 
-from oracles import fine_grid_ito_reference
+from oracles import fine_grid_ito_reference, left_point_steps_integral
 
 
 def test_ito_integrate_known_deterministic_integrand():
@@ -55,6 +55,34 @@ def test_ito_integrate_matches_fine_grid_oracle():
     coarse_vals, ref = fine_grid_ito_reference(lambda x: x, b, bm.grid.times, refine=1)
     assert np.array_equal(coarse_vals, b)
     assert np.allclose(out.values, ref, atol=1e-14)
+
+
+def test_ito_and_young_integrate_match_step_products():
+    bm = simulate_brownian(1.0, 40, seed=19, n_members=6)
+    b = bm.values[..., 0]
+    y = np.sin(b)
+    # member-wise integrand, then one integrand row broadcast over members
+    assert np.array_equal(ito_integrate(y, bm).values, left_point_steps_integral(y, b))
+    assert np.array_equal(
+        ito_integrate(y[:1], bm).values, left_point_steps_integral(y[:1], b)
+    )
+    assert np.array_equal(
+        ito_integrate(y[:1, :, None], bm).values, left_point_steps_integral(y[:1], b)
+    )
+    # a (Nb, n+1, 1, 1) bracket integrator, Nb = 1 and Nb = N
+    assert bm.bracket.shape == (1, 41, 1, 1)
+    assert np.array_equal(
+        young_integrate(y, bm.bracket, bm.grid).values,
+        left_point_steps_integral(y, bm.bracket[..., 0, 0]),
+    )
+    res = simulate_compound_poisson(1.0, 4.0, 40, seed=23, n_members=6, align_jumps=False)
+    br = res.martingale.bracket
+    assert br.shape == (6, 41, 1, 1)
+    for integrand in (y, y[:1]):
+        assert np.array_equal(
+            young_integrate(integrand, br, bm.grid).values,
+            left_point_steps_integral(integrand, br[..., 0, 0]),
+        )
 
 
 def test_rough_stoch_integrate_smooth_driver_chain_rule():

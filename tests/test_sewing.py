@@ -23,6 +23,8 @@ from roughsew.sewing import (
 )
 from roughsew.scenarios import _fit_log2_slope
 
+from oracles import riemann_path_loop, riemann_sum_loop
+
 
 def _random_partition(rng, n):
     interior = np.unique(rng.integers(1, n, size=rng.integers(0, n)))
@@ -59,6 +61,38 @@ def test_riemann_path_endpoints_and_cumulative_structure():
     assert np.all(path[:, 0] == 0.0)
     # terminal entry equals the plain Riemann sum
     assert np.allclose(path[:, -1], riemann_sum(germ, part))
+
+
+def _oracle_germs(n_members):
+    bm = simulate_brownian(1.0, 48, seed=41, n_members=n_members)
+    lift = ito_lift_brownian(bm, seed=41)
+    b = bm.values[..., 0]
+    yp = np.cos(b)
+    return bm.grid, {
+        "increment": increment_germ(b),
+        "ito": ito_germ(np.sin(b), bm.values),
+        "qv": qv_germ(bm.values, bracket=bm.bracket),
+        "rough": rough_germ(np.sin(b), yp, bm.values, lift.second_prefix),
+        "young": young_germ(b, bm.bracket),
+    }
+
+
+@pytest.mark.parametrize("n_members", [1, 5])
+@pytest.mark.parametrize("name", ["increment", "ito", "qv", "rough", "young"])
+def test_riemann_path_and_sum_match_interval_loop(name, n_members):
+    grid, germs = _oracle_germs(n_members)
+    germ = germs[name]
+    rng = stream(43, "oracle-partitions", n_members)
+    parts = [np.arange(49), np.array([0, 48]), np.array([5, 6]), np.array([7, 20, 21, 40])]
+    parts += [_random_partition(rng, 48) for _ in range(4)]
+    for _ in range(4):  # windows that start and end inside the grid
+        s, e = np.sort(rng.choice(np.arange(1, 48), size=2, replace=False))
+        interior = np.unique(rng.integers(s + 1, e, size=rng.integers(0, e - s)))
+        parts.append(np.concatenate([[s], interior, [e]]).astype(np.int64))
+    for idx in parts:
+        part = Partition(grid, idx)
+        assert np.array_equal(riemann_path(germ, part), riemann_path_loop(germ, idx))
+        assert np.array_equal(riemann_sum(germ, part), riemann_sum_loop(germ, idx))
 
 
 def test_sew_ito_germ_converges():
@@ -114,7 +148,7 @@ def test_nan_level_fails_both_rate_fits():
     # NaN on the level-0 window only; finer levels decay as for the Ito germ
     nan_at_top = Germ(
         "nan-top",
-        lambda c, s, t: ito.fn(c, s, t) * (np.nan if (s, t) == (0, 64) else 1.0),
+        lambda c, s, t: ito.fn(c, s, t) * np.where((s == 0) & (t == 64), np.nan, 1.0),
         ito.context,
         ito.control_keys,
     )
