@@ -70,11 +70,6 @@ class Partition:
             raise ValueError("partition indices outside the grid")
         object.__setattr__(self, "indices", idx)
 
-    @property
-    def mesh(self) -> float:
-        t = self.grid.times[self.indices]
-        return float(np.max(np.diff(t)))
-
 
 def make_uniform_grid(T: float, n: int) -> TimeGrid:
     """Uniform grid with n steps on [0, T]."""

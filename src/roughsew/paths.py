@@ -385,11 +385,10 @@ def forward_lift_jump_path(path: SamplePath) -> RoughLift:
     carried by the Chen cross terms, which keeps the pure-jump bracket
     identity exact in floating point.
     """
-    jumps = set(int(j) for j in path.jump_indices)
-    dstep = path.increments()
-    for k in range(path.grid.n_steps):
-        if (k + 1) not in jumps and np.any(dstep[:, k] != 0.0):
-            raise ValueError("path moves on a step with no declared jump")
+    undeclared = np.any(path.increments() != 0.0, axis=(0, 2))  # moves in any member
+    undeclared[path.jump_indices - 1] = False
+    if undeclared.any():
+        raise ValueError("path moves on a step with no declared jump")
     step_second = np.zeros(
         (path.n_members, path.grid.n_steps, path.dim, path.dim)
     )

@@ -14,11 +14,15 @@ therefore holds by construction.  State is scalar; the rough driver may have
 any dimension (f is then a tuple of coefficient functions, one per driver
 direction).
 
-Two modes: `solve` runs the one-step scheme event by event; `picard_solve`
-iterates the integral map Phi(Y) = y0 + int b dt + int sigma(Y_-) dM
-+ int f(Y) dX on windows where a grid-proxy control is small, which mirrors
-the contraction argument that produces the solution in the first place.
-Cross-agreement of the two modes is itself one of the package's checks.
+Both solvers run on one event path, `build_event_schedule`: per-event
+increments plus, for every event, the column of the state array
+[Y_{t_0..t_n} | Y_{tau_1-}..Y_{tau_J-}] it lands on, so grid values and left
+limits at the J jump times are written the same way.  Two modes: `solve` runs
+the one-step scheme event by event; `picard_solve` iterates the integral map
+Phi(Y) = y0 + int b dt + int sigma(Y_-) dM + int f(Y) dX on windows where a
+grid-proxy control is small, which mirrors the contraction argument that
+produces the solution in the first place.  Cross-agreement of the two modes
+is itself one of the package's checks.
 """
 from __future__ import annotations
 
@@ -28,12 +32,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import SmoothFn
-from .grids import TimeGrid
+from .conventions import outer_increment
+from .grids import TimeGrid, _pvar_dp
 from .norms import (
     _magnitude_table,
+    _second_rows,
     lq_norm,
+    lq_table,
     rough_path_distance,
-    second_level_seminorm,
+    second_level_seminorm,  # noqa: F401  (kept importable from this module)
     two_param_seminorm,
     vp_lq_seminorm,
 )
@@ -131,7 +138,7 @@ def _add_germ(out, y, coeffs: CoefficientSet, fs, dt, dm, dx, xx):
 
 @dataclass
 class EventSchedule:
-    """Per-event increments of the driver bundle.
+    """Per-event increments of the driver bundle, and where each event lands.
 
     Every grid step contributes one continuous event; a step ending at a
     declared jump time contributes a second, zero-duration jump event whose
@@ -139,6 +146,15 @@ class EventSchedule:
     events on jump steps carry the left-limit increments, with the second
     level split by Chen at the jump:  XX_cont = XX_step - dX_cont (x) dX_jump
     - Delta XX.
+
+    The solvers keep one state array per member with columns
+
+        [Y_{t_0} .. Y_{t_n} | Y_{tau_1-} .. Y_{tau_J-}],
+
+    grid values first, then the left limits at `jump_indices`; event e writes
+    its result to column dest[e].  A continuous event lands on its step's
+    right grid point, or on the left-limit column n + 1 + j when the step ends
+    at the j-th jump; that step's jump event then lands on the grid point.
     """
 
     grid: TimeGrid
@@ -146,14 +162,9 @@ class EventSchedule:
     dm: np.ndarray  # (Nm, E)
     dx: np.ndarray  # (Nx, E, d)
     xx: np.ndarray  # (Nx, E, d, d)
-    lands_on_grid: np.ndarray  # (E,) bool: event ends at grid point `grid_index`
-    grid_index: np.ndarray  # (E,) right grid index of the owning step
+    dest: np.ndarray  # (E,) state column the event lands on
     event_start: np.ndarray  # (n+1,) first event of step k; event_start[n] = E
     jump_indices: np.ndarray  # union of declared driver jumps
-
-    @property
-    def n_events(self) -> int:
-        return self.dt.size
 
 
 def _check_same_grid(a: TimeGrid, b: TimeGrid):
@@ -164,105 +175,57 @@ def _check_same_grid(a: TimeGrid, b: TimeGrid):
 def build_event_schedule(lift: RoughLift, mart: MartingalePath | None = None) -> EventSchedule:
     grid = lift.grid
     n = grid.n_steps
-    d = lift.dim
-    x = lift.path.values
-    dxs = lift.path.increments()
-    xxs = lift.step_second
-    dts = grid.steps()
+    path = lift.path
+    dts, dxs, xxs = grid.steps(), path.increments(), lift.step_second
     if mart is not None:
         _check_same_grid(grid, mart.grid)
         mv = mart.values[..., 0]
         dms = np.diff(mv, axis=1)
         m_jumps = mart.jump_indices
     else:
-        mv = None
         dms = np.zeros((1, n))
         m_jumps = np.array([], dtype=np.int64)
+    jumps = np.union1d(path.jump_indices, m_jumps).astype(np.int64)
 
-    x_jumps = lift.path.jump_indices
-    all_jumps = np.union1d(x_jumps, m_jumps).astype(np.int64)
-    if not all_jumps.size:
-        return EventSchedule(
-            grid=grid,
-            dt=dts,
-            dm=dms,
-            dx=dxs,
-            xx=xxs,
-            lands_on_grid=np.ones(n, dtype=bool),
-            grid_index=np.arange(1, n + 1, dtype=np.int64),
-            event_start=np.arange(n + 1, dtype=np.int64),
-            jump_indices=all_jumps,
-        )
+    # step k owns events event_start[k] (continuous) and, when k + 1 is a
+    # jump, event_start[k] + 1 (the jump)
+    ks = np.arange(n + 1, dtype=np.int64)
+    event_start = ks + np.searchsorted(jumps, ks, side="right")
+    cont = event_start[:-1]
+    jump_event = event_start[jumps - 1] + 1
+    n_events = int(event_start[-1])
+    dest = np.empty(n_events, dtype=np.int64)
+    dest[cont] = ks[1:]
+    dest[jump_event - 1] = n + 1 + np.arange(jumps.size)
+    dest[jump_event] = jumps
+    if not jumps.size:  # one event per step: the step arrays themselves
+        return EventSchedule(grid, dts, dms, dxs, xxs, dest, event_start, jumps)
 
-    nx, nm = x.shape[0], dms.shape[0]
-    jset = {int(j) for j in all_jumps}
-    dt_l, dm_l, dx_l, xx_l, lands_l, gidx_l = [], [], [], [], [], []
-    event_start = np.zeros(n + 1, dtype=np.int64)
-    for k in range(n):
-        event_start[k] = len(dt_l)
-        j = k + 1
-        if j not in jset:
-            dt_l.append(dts[k])
-            dm_l.append(dms[:, k])
-            dx_l.append(dxs[:, k])
-            xx_l.append(xxs[:, k])
-            lands_l.append(True)
-            gidx_l.append(j)
-            continue
-        # continuous sub-step to the left limit
-        px = np.searchsorted(x_jumps, j)
-        if px < x_jumps.size and x_jumps[px] == j:
-            xl = lift.path.left_values[:, px, :]
-            dx_cont = xl - x[:, k, :]
-            dx_jump = x[:, j, :] - xl
-            dxx_jump = lift.jump_second[:, px]
-            xx_cont = (
-                xxs[:, k]
-                - np.einsum("nj,nk->njk", dx_cont, dx_jump)
-                - dxx_jump
-            )
-        else:
-            dx_cont = dxs[:, k]
-            dx_jump = np.zeros((nx, d))
-            dxx_jump = np.zeros((nx, d, d))
-            xx_cont = xxs[:, k]
-        pm = np.searchsorted(m_jumps, j)
-        if mv is not None and pm < m_jumps.size and m_jumps[pm] == j:
-            ml = mart.left_values[:, pm, 0]
-            dm_cont = ml - mv[:, k]
-            dm_jump = mv[:, j] - ml
-        else:
-            dm_cont = dms[:, k]
-            dm_jump = np.zeros(nm)
-        dt_l.append(dts[k])
-        dm_l.append(dm_cont)
-        dx_l.append(dx_cont)
-        xx_l.append(xx_cont)
-        lands_l.append(False)
-        gidx_l.append(j)
-        # the jump event, applied at the left limit
-        dt_l.append(0.0)
-        dm_l.append(dm_jump)
-        dx_l.append(dx_jump)
-        xx_l.append(dxx_jump)
-        lands_l.append(True)
-        gidx_l.append(j)
-    event_start[n] = len(dt_l)
-    return EventSchedule(
-        grid=grid,
-        dt=np.asarray(dt_l, dtype=float),
-        dm=np.stack(dm_l, axis=1),
-        dx=np.stack(dx_l, axis=1),
-        xx=np.stack(xx_l, axis=1),
-        lands_on_grid=np.asarray(lands_l, dtype=bool),
-        grid_index=np.asarray(gidx_l, dtype=np.int64),
-        event_start=event_start,
-        jump_indices=all_jumps,
-    )
+    def spread(steps):
+        """Per-step rows (axis 1) at their continuous events, zeros elsewhere."""
+        out = np.zeros(steps.shape[:1] + (n_events,) + steps.shape[2:])
+        out[:, cont] = steps
+        return out
+
+    dt, dm, dx, xx = spread(dts[None])[0], spread(dms), spread(dxs), spread(xxs)
+    if path.jump_indices.size:
+        ix = path.jump_indices
+        ev = jump_event[np.searchsorted(jumps, ix)]
+        x, xl = path.values, path.left_values
+        dx[:, ev - 1] = dx_cont = xl - x[:, ix - 1]
+        dx[:, ev] = dx_jump = x[:, ix] - xl
+        xx[:, ev - 1] = xxs[:, ix - 1] - outer_increment(dx_cont, dx_jump) - lift.jump_second
+        xx[:, ev] = lift.jump_second
+    if m_jumps.size:
+        ev = jump_event[np.searchsorted(jumps, m_jumps)]
+        ml = mart.left_values[..., 0]
+        dm[:, ev - 1] = ml - mv[:, m_jumps - 1]
+        dm[:, ev] = mv[:, m_jumps] - ml
+    return EventSchedule(grid, dt, dm, dx, xx, dest, event_start, jumps)
 
 
 # ---------------------------------------------------------------------------
-# direct solver
+# solvers
 # ---------------------------------------------------------------------------
 
 
@@ -296,11 +259,42 @@ class RSDEResult:
         )
 
 
-def _derivative_of(coeffs: CoefficientSet, values: np.ndarray, d: int) -> np.ndarray:
+def _prologue(coeffs: CoefficientSet, y0, lift: RoughLift, mart, start: int):
+    """Schedule, rough components and a state array (see `EventSchedule`)
+    holding y0 on grid columns 0..start and NaN in every left-limit column."""
+    sched = build_event_schedule(lift, mart)
     fs = coeffs.f_components()
-    if not fs:
-        return np.zeros(values.shape + (d,))
-    return _f_stack(fs, values)
+    if fs and len(fs) != lift.dim:
+        raise ValueError("one rough coefficient per driver direction required")
+    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+    n_members = int(
+        np.broadcast_shapes(y0.shape, (sched.dm.shape[0],), (sched.dx.shape[0],))[0]
+    )
+    n = lift.grid.n_steps
+    state = np.empty((n_members, n + 1 + sched.jump_indices.size))
+    state[:, : start + 1] = np.broadcast_to(y0, (n_members,))[:, None]
+    state[:, n + 1 :] = np.nan
+    return sched, fs, state
+
+
+def _epilogue(lift, sched, fs, state, start, stop, diagnostics) -> RSDEResult:
+    """Split the state into values and left limits; flag diverged members."""
+    n = lift.grid.n_steps
+    values = state[:, : n + 1]
+    diagnostics["n_steps"] = stop - start
+    diagnostics["n_events"] = int(sched.event_start[stop] - sched.event_start[start])
+    bad = ~np.isfinite(values[:, stop])
+    if bad.any():
+        warnings.warn(f"{int(bad.sum())} member(s) diverged (NaN/overflow)")
+        diagnostics["diverged"] = bad
+    return RSDEResult(
+        grid=lift.grid,
+        values=values,
+        derivative=_f_stack(fs, values) if fs else np.zeros(values.shape + (lift.dim,)),
+        jump_indices=sched.jump_indices,
+        left_values=state[:, n + 1 :],
+        diagnostics=diagnostics,
+    )
 
 
 def solve(
@@ -310,7 +304,6 @@ def solve(
     mart: MartingalePath | None = None,
     start: int = 0,
     stop: int | None = None,
-    schedule: EventSchedule | None = None,
 ) -> RSDEResult:
     """Run the one-step scheme event by event over grid steps [start, stop).
 
@@ -318,59 +311,20 @@ def solve(
     common range (the scheme is a plain recursion in the same increments).
     Members that blow up are flagged in diagnostics rather than raising.
     """
-    sched = schedule if schedule is not None else build_event_schedule(lift, mart)
-    grid = lift.grid
-    n = grid.n_steps
+    n = lift.grid.n_steps
     stop = n if stop is None else stop
     if not (0 <= start < stop <= n):
         raise ValueError("need 0 <= start < stop <= n")
-    fs = coeffs.f_components()
-    if fs and len(fs) != lift.dim:
-        raise ValueError("one rough coefficient per driver direction required")
-
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    n_members = int(
-        np.broadcast_shapes(
-            y0.shape, (sched.dm.shape[0],), (sched.dx.shape[0],)
-        )[0]
-    )
-    values = np.empty((n_members, n + 1))
-    values[:, : start + 1] = np.broadcast_to(y0, (n_members,))[:, None]
-    jumps = sched.jump_indices
-    left_values = np.full((n_members, jumps.size), np.nan)
-
-    y = values[:, start]
+    sched, fs, state = _prologue(coeffs, y0, lift, mart, start)
+    dest = sched.dest
+    y = state[:, start]
     with np.errstate(over="ignore", invalid="ignore"):
         for e in range(sched.event_start[start], sched.event_start[stop]):
-            y = _add_germ(
+            state[:, dest[e]] = y = _add_germ(
                 y, y, coeffs, fs, sched.dt[e], sched.dm[:, e], sched.dx[:, e], sched.xx[:, e]
             )
-            gi = sched.grid_index[e]
-            if sched.lands_on_grid[e]:
-                values[:, gi] = y
-            else:
-                left_values[:, np.searchsorted(jumps, gi)] = y
-    if stop < n:
-        values[:, stop + 1 :] = values[:, stop : stop + 1]
-
-    diagnostics = {"n_steps": stop - start, "n_events": int(sched.event_start[stop] - sched.event_start[start])}
-    bad = ~np.isfinite(values[:, stop])
-    if bad.any():
-        warnings.warn(f"{int(bad.sum())} member(s) diverged (NaN/overflow)")
-        diagnostics["diverged"] = bad
-    return RSDEResult(
-        grid=grid,
-        values=values,
-        derivative=_derivative_of(coeffs, values, lift.dim),
-        jump_indices=jumps,
-        left_values=left_values,
-        diagnostics=diagnostics,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Picard mode
-# ---------------------------------------------------------------------------
+    state[:, stop + 1 : n + 1] = state[:, stop : stop + 1]
+    return _epilogue(lift, sched, fs, state, start, stop, {})
 
 
 def window_control(
@@ -380,55 +334,47 @@ def window_control(
     q: float,
     s: int,
     t: int,
-) -> float:
-    """Grid-proxy smallness of [s, t]:
+) -> np.ndarray:
+    """Grid-proxy smallness of [s, u] for every u in s+1..t, shape (t - s,):
 
-        (t - s) + ||[M]||_{p/2,q/2}^{p/2} + ||X||_{p,q}^p + ||XX||_{p/2,q}^{p/2}.
+        (t_u - t_s) + ||X||_{p,q}^p + ||XX||_{p/2,q}^{p/2} + ||[M]||_{p/2,q/2}^{p/2}.
 
-    Powered seminorms, so each term scales like a control in the window.
+    Powered seminorms, so each term scales like a control in the window.  One
+    table over [s, t] per term and one p-variation DP over it give the whole
+    row; it is nondecreasing in u.
     """
-    grid = lift.grid
-    out = float(grid.times[t] - grid.times[s])
-    out += vp_lq_seminorm(lift.path.values, p, q, s=s, t=t) ** p
-    out += second_level_seminorm(lift, p, q, s=s, t=t) ** (p / 2.0)
+    times = lift.grid.times
+
+    def powered(table, r):  # (r-variation over [s, u]) ** r, for every u
+        if r < 1:
+            raise ValueError("p must be >= 1")
+        return (_pvar_dp(np.abs(table) ** r)[1:] ** (1.0 / r)) ** r
+
+    out = times[s + 1 : t + 1] - times[s]
+    out = out + powered(lq_table(lift.path.values, q, s=s, t=t), p)
+    out = out + powered(_magnitude_table(_second_rows(lift, s, t), t - s + 1, q), p / 2.0)
     if mart is not None and mart.bracket is not None:
-        out += vp_lq_seminorm(mart.bracket[..., 0, 0], p / 2.0, q / 2.0, s=s, t=t) ** (p / 2.0)
+        out = out + powered(lq_table(mart.bracket[..., 0, 0], q / 2.0, s=s, t=t), p / 2.0)
     return out
 
 
 def _plan_windows(lift, mart, p, q, threshold) -> list[tuple[int, int]]:
     """Greedy split of [0, n] into maximal windows with control <= threshold.
 
-    Uses doubling plus bisection so each window costs O(log) control
-    evaluations.  A single step over threshold still becomes its own window.
+    Doubles the window until its control exceeds the threshold, then ends it
+    at the last grid point of that row still within it.  A single step over
+    threshold still becomes its own window.
     """
     n = lift.grid.n_steps
     out: list[tuple[int, int]] = []
     s = 0
     while s < n:
         t = s + 1
-        if t == n or window_control(lift, mart, p, q, s, t) > threshold:
-            out.append((s, t))
-            s = t
-            continue
-        good = t
-        while good < n:
-            cand = min(n, s + 2 * (good - s))
-            if window_control(lift, mart, p, q, s, cand) <= threshold:
-                good = cand
-                if cand == n:
-                    break
-            else:
-                # bisect between good (fine) and cand (over)
-                lo, hi = good, cand
-                while hi - lo > 1:
-                    mid = (lo + hi) // 2
-                    if window_control(lift, mart, p, q, s, mid) <= threshold:
-                        lo = mid
-                    else:
-                        hi = mid
-                good = lo
-                break
+        row = window_control(lift, mart, p, q, s, t)
+        while row[-1] <= threshold and t < n:
+            t = min(n, s + 2 * (t - s))
+            row = window_control(lift, mart, p, q, s, t)
+        good = s + max(1, int(np.count_nonzero(row <= threshold)))
         out.append((s, good))
         s = good
     return out
@@ -451,42 +397,27 @@ def picard_solve(
     Successive iterates are compared in the empirical V^p L^q seminorm at the
     window's grid points; iteration stops below `tol` (hitting `max_iter`
     warns and keeps the last iterate).  Diagnostics record window boundaries,
-    iteration counts, successive distances, and contraction ratios.
+    iteration counts, successive distances, and contraction ratios, plus the
+    event count and diverged members as in `solve`.
     """
-    sched = build_event_schedule(lift, mart)
-    grid = lift.grid
-    n = grid.n_steps
-    fs = coeffs.f_components()
-    if fs and len(fs) != lift.dim:
-        raise ValueError("one rough coefficient per driver direction required")
-
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    n_members = int(
-        np.broadcast_shapes(y0.shape, (sched.dm.shape[0],), (sched.dx.shape[0],))[0]
-    )
-    values = np.empty((n_members, n + 1))
-    values[:, 0] = y0
-    jumps = sched.jump_indices
-    left_values = np.full((n_members, jumps.size), np.nan)
-
+    sched, fs, state = _prologue(coeffs, y0, lift, mart, 0)
+    n = lift.grid.n_steps
     windows = _plan_windows(lift, mart, p, q, window_threshold)
     iters_per_window: list[int] = []
     distance_history: list[list[float]] = []
 
-    y_start = values[:, 0]
     for (s, t) in windows:
         e0, e1 = int(sched.event_start[s]), int(sched.event_start[t])
         dt_w = sched.dt[e0:e1]
         dm_w = sched.dm[:, e0:e1]
         dx_w = sched.dx[:, e0:e1]
         xx_w = sched.xx[:, e0:e1]
-        lands_w = sched.lands_on_grid[e0:e1]
-        gidx_w = sched.grid_index[e0:e1]
-        n_ev = e1 - e0
+        dest_w = sched.dest[e0:e1]
         # positions (in the event path) of the window's grid points
-        grid_slots = np.concatenate([[0], np.flatnonzero(lands_w) + 1])
+        grid_slots = np.concatenate([[0], np.flatnonzero(dest_w <= n) + 1])
 
-        cur = np.broadcast_to(y_start[:, None], (n_members, n_ev + 1)).copy()
+        y_start = state[:, s]
+        cur = np.broadcast_to(y_start[:, None], (y_start.size, e1 - e0 + 1)).copy()
         dists: list[float] = []
         converged = False
         with np.errstate(over="ignore", invalid="ignore"):
@@ -512,29 +443,18 @@ def picard_solve(
             )
         iters_per_window.append(len(dists))
         distance_history.append(dists)
-
-        values[:, s : t + 1] = cur[:, grid_slots]
-        off_grid = np.flatnonzero(~lands_w) + 1
-        for pos in off_grid:
-            left_values[:, np.searchsorted(jumps, gidx_w[pos - 1])] = cur[:, pos]
-        y_start = cur[:, -1]
+        state[:, dest_w] = cur[:, 1:]
 
     ratios = [
         [b / a for a, b in zip(d, d[1:]) if a > 0] for d in distance_history
     ]
-    return RSDEResult(
-        grid=grid,
-        values=values,
-        derivative=_derivative_of(coeffs, values, lift.dim),
-        jump_indices=jumps,
-        left_values=left_values,
-        diagnostics={
-            "windows": windows,
-            "iterations": iters_per_window,
-            "distances": distance_history,
-            "contraction_ratios": ratios,
-        },
-    )
+    diagnostics = {
+        "windows": windows,
+        "iterations": iters_per_window,
+        "distances": distance_history,
+        "contraction_ratios": ratios,
+    }
+    return _epilogue(lift, sched, fs, state, 0, n, diagnostics)
 
 
 # ---------------------------------------------------------------------------

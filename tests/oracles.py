@@ -285,3 +285,81 @@ def left_point_steps_integral(integrand, integrator):
         da, (n, da.shape[1])
     )
     return np.concatenate([np.zeros((n, 1)), np.cumsum(steps, axis=1)], axis=1)
+
+
+def event_schedule_loop(
+    dts, x, step_second, x_jumps, x_left, jump_second, m=None, m_jumps=(), m_left=None
+):
+    """The RSDE event schedule built one grid step at a time.
+
+    dts (n,) step sizes; x (Nx, n+1, d) lift values with left limits x_left
+    (Nx, Jx, d) and second-level jumps jump_second (Nx, Jx, d, d) at x_jumps;
+    step_second (Nx, n, d, d).  m (Nm, n+1) martingale values with left limits
+    m_left (Nm, Jm) at m_jumps, or None for no martingale.  Every step gives a
+    continuous event; a step ending at a jump of either driver gives a
+    continuous event to the left limit and then a jump event.  Returns a dict
+    of dt (E,), dm (Nm, E), dx (Nx, E, d), xx (Nx, E, d, d), lands_on_grid
+    (E,) (False for an event ending at a left limit), grid_index (E,) (right
+    grid index of the owning step), event_start (n+1,) and jump_indices.
+    """
+    n = dts.size
+    nx, d = x.shape[0], x.shape[2]
+    dxs = np.diff(x, axis=1)
+    x_jumps = np.asarray(x_jumps, dtype=np.int64)
+    m_jumps = np.asarray(m_jumps, dtype=np.int64)
+    dms = np.diff(m, axis=1) if m is not None else np.zeros((1, n))
+    nm = dms.shape[0]
+    all_jumps = np.union1d(x_jumps, m_jumps).astype(np.int64)
+    jset = {int(j) for j in all_jumps}
+    dt_l, dm_l, dx_l, xx_l, lands_l, gidx_l = [], [], [], [], [], []
+    event_start = np.zeros(n + 1, dtype=np.int64)
+    for k in range(n):
+        event_start[k] = len(dt_l)
+        j = k + 1
+        if j not in jset:
+            dt_l.append(dts[k])
+            dm_l.append(dms[:, k])
+            dx_l.append(dxs[:, k])
+            xx_l.append(step_second[:, k])
+            lands_l.append(True)
+            gidx_l.append(j)
+            continue
+        px = np.searchsorted(x_jumps, j)
+        if px < x_jumps.size and x_jumps[px] == j:
+            xl = x_left[:, px, :]
+            dx_cont = xl - x[:, k, :]
+            dx_jump = x[:, j, :] - xl
+            dxx_jump = jump_second[:, px]
+            xx_cont = (
+                step_second[:, k] - np.einsum("nj,nk->njk", dx_cont, dx_jump) - dxx_jump
+            )
+        else:
+            dx_cont = dxs[:, k]
+            dx_jump = np.zeros((nx, d))
+            dxx_jump = np.zeros((nx, d, d))
+            xx_cont = step_second[:, k]
+        pm = np.searchsorted(m_jumps, j)
+        if m is not None and pm < m_jumps.size and m_jumps[pm] == j:
+            ml = m_left[:, pm]
+            dm_cont = ml - m[:, k]
+            dm_jump = m[:, j] - ml
+        else:
+            dm_cont = dms[:, k]
+            dm_jump = np.zeros(nm)
+        dt_l += [dts[k], 0.0]
+        dm_l += [dm_cont, dm_jump]
+        dx_l += [dx_cont, dx_jump]
+        xx_l += [xx_cont, dxx_jump]
+        lands_l += [False, True]
+        gidx_l += [j, j]
+    event_start[n] = len(dt_l)
+    return {
+        "dt": np.asarray(dt_l, dtype=float),
+        "dm": np.stack(dm_l, axis=1),
+        "dx": np.stack(dx_l, axis=1),
+        "xx": np.stack(xx_l, axis=1),
+        "lands_on_grid": np.asarray(lands_l, dtype=bool),
+        "grid_index": np.asarray(gidx_l, dtype=np.int64),
+        "event_start": event_start,
+        "jump_indices": all_jumps,
+    }

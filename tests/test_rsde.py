@@ -12,9 +12,11 @@ from roughsew.paths import (
     simulate_mixed,
     smooth_lift,
 )
+from roughsew.norms import second_level_seminorm, vp_lq_seminorm
 from roughsew.rsde import (
     CoefficientSet,
     RSDEProblem,
+    build_event_schedule,
     picard_solve,
     solve,
     stability_experiment,
@@ -22,7 +24,7 @@ from roughsew.rsde import (
     window_control,
 )
 
-from oracles import euler_maruyama_reference
+from oracles import euler_maruyama_reference, event_schedule_loop
 
 
 def _linear_coeffs():
@@ -140,13 +142,83 @@ def test_solve_flags_divergent_members():
     assert res.diagnostics["diverged"].all()
 
 
+def test_picard_flags_divergent_members():
+    # the same overflow through the fixed-point mode: every member is flagged
+    # with the same warning and diagnostics as the one-step scheme
+    bm = simulate_brownian(1.0, 4, seed=13, n_members=2)
+    lift = ito_lift_brownian(bm)
+    stiff = CoefficientSet(b=smooth_fn("linear", a=1e200))
+    with pytest.warns(UserWarning) as caught:
+        res = picard_solve(stiff, 10.0, lift, bm)
+    assert any("2 member(s) diverged" in str(w.message) for w in caught)
+    assert res.diagnostics["diverged"].all()
+    assert res.diagnostics["n_events"] == 4
+
+
+def _schedule_cases():
+    mix = simulate_mixed(1.0, 24, seed=31, n_members=5, rate=3.0)
+    cp = simulate_compound_poisson(1.0, 3.0, 24, seed=33, n_members=5)
+    bm_cp = simulate_brownian(1.0, cp.path.grid.n_steps, 33, n_members=5, grid=cp.path.grid)
+    bm = simulate_brownian(1.0, 24, seed=35, n_members=5)
+    return {
+        "x_and_m_jumps": (mix.lift, mix.martingale),
+        "lift_jumps_only": (mix.lift, None),
+        "m_jumps_only": (ito_lift_brownian(bm_cp), cp.martingale),
+        "no_jumps": (ito_lift_brownian(bm), bm),
+    }
+
+
+@pytest.mark.parametrize("case", ["x_and_m_jumps", "lift_jumps_only", "m_jumps_only", "no_jumps"])
+def test_event_schedule_matches_step_loop_oracle(case):
+    lift, mart = _schedule_cases()[case]
+    path = lift.path
+    ref = event_schedule_loop(
+        lift.grid.steps(), path.values, lift.step_second, path.jump_indices,
+        path.left_values, lift.jump_second,
+        m=None if mart is None else mart.values[..., 0],
+        m_jumps=() if mart is None else mart.jump_indices,
+        m_left=None if mart is None or mart.left_values is None else mart.left_values[..., 0],
+    )
+    sched = build_event_schedule(lift, mart)
+    assert (ref["jump_indices"].size > 0) == (case != "no_jumps")
+    for key in ("dt", "dm", "dx", "xx", "event_start", "jump_indices"):
+        assert np.array_equal(getattr(sched, key), ref[key]), key
+    # grid events land on their grid index, left-limit events on the column
+    # after the grid that belongs to their jump
+    n = lift.grid.n_steps
+    left_col = n + 1 + np.searchsorted(ref["jump_indices"], ref["grid_index"])
+    assert np.array_equal(sched.dest, np.where(ref["lands_on_grid"], ref["grid_index"], left_col))
+
+
 def test_window_control_contains_time_and_grows():
     bm = simulate_brownian(1.0, 64, seed=15, n_members=64)
     lift = ito_lift_brownian(bm)
-    w_small = window_control(lift, bm, 2.0, 4.0, 0, 8)
-    w_big = window_control(lift, bm, 2.0, 4.0, 0, 64)
+    w_small = window_control(lift, bm, 2.0, 4.0, 0, 8)[-1]
+    w_big = window_control(lift, bm, 2.0, 4.0, 0, 64)[-1]
     assert w_big >= 1.0  # the time term alone contributes T
     assert w_big > w_small > 0.0
+
+
+@pytest.mark.parametrize("with_mart", [True, False])
+@pytest.mark.parametrize("p,q", [(2.0, 4.0), (2.5, 3.0)])
+def test_window_control_row_matches_per_window_seminorms(with_mart, p, q):
+    # entry u - s - 1 of the row is the control of [s, u], summed term by term
+    # from the scalar seminorms of that window alone
+    mix = simulate_mixed(1.0, 16, seed=29, n_members=12, rate=3.0)
+    lift = mix.lift
+    mart = mix.martingale if with_mart else None
+    s, t = 2, lift.grid.n_steps - 1
+    row = window_control(lift, mart, p, q, s, t)
+    assert row.shape == (t - s,)
+    times = lift.grid.times
+    for u in range(s + 1, t + 1):
+        ref = float(times[u] - times[s])
+        ref += vp_lq_seminorm(lift.path.values, p, q, s=s, t=u) ** p
+        ref += second_level_seminorm(lift, p, q, s=s, t=u) ** (p / 2.0)
+        if with_mart:
+            ref += vp_lq_seminorm(mart.bracket[..., 0, 0], p / 2.0, q / 2.0, s=s, t=u) ** (p / 2.0)
+        assert row[u - s - 1] == pytest.approx(ref, rel=1e-12, abs=0.0)
+    assert np.all(np.diff(row) >= 0.0)
 
 
 def test_picard_matches_onestep_brownian():
@@ -175,6 +247,10 @@ def test_picard_matches_onestep_with_jumps():
     direct = solve(coeffs, 0.25, mix.lift, mix.martingale)
     fixed = picard_solve(coeffs, 0.25, mix.lift, mix.martingale, tol=1e-11)
     assert np.max(np.abs(direct.values - fixed.values)) <= 1e-6
+    # the left limits at the jumps agree too
+    assert fixed.jump_indices.size > 0
+    assert np.all(np.isfinite(fixed.left_values))
+    assert np.max(np.abs(direct.left_values - fixed.left_values)) <= 1e-6
 
 
 def test_stability_identical_data_reports_zero():
