@@ -5,10 +5,15 @@ grid points, a left limit at t is the value at the previous grid point, and
 suprema over partitions are suprema over sub-grids.  Jump times are expected
 to be grid members (the simulators guarantee this), so refining a grid never
 moves a jump.
+
+A control is stored as its rows: row(s, t) = w(s, s+1..t), a prefix of
+row(s, t') for t <= t', nondecreasing for the time and p-variation controls
+and for superadditive tables (`control_from_table` does not check this).
+Midpoint refinement, p-variation and the solver's window plans read rows.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -136,17 +141,13 @@ def p_variation(dist: np.ndarray, p: float, s: int = 0, t: int | None = None) ->
 
     dist[i, j] holds |increment over [t_i, t_j]|; the result is
 
-        sup over partitions P of [s, t] of (sum over [u,v] in P |dist|^p)^(1/p)
+        sup over partitions P of [s, t] of (sum over [u,v] in P |dist|^p)^(1/p),
 
-    computed by the dynamic program `_pvar_dp` on |dist|^p.
+    the rooted right-end value of the window's `pvar_control`.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
     t = dist.shape[0] - 1 if t is None else t
-    if t <= s:
-        return 0.0
-    powers = np.abs(np.asarray(dist, dtype=float)[s : t + 1, s : t + 1]) ** p
-    return float(_pvar_dp(powers)[-1]) ** (1.0 / p)
+    window = np.asarray(dist, dtype=float)[s : t + 1, s : t + 1]
+    return pvar_control(window, p)(0, t - s) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------
@@ -156,95 +157,89 @@ def p_variation(dist: np.ndarray, p: float, s: int = 0, t: int | None = None) ->
 
 @dataclass
 class ControlFn:
-    """A control w(s, t) on grid index pairs: superadditive, zero on the diagonal.
+    """A control w on grid index pairs, stored as its rows.
 
-    `left(s, t)` evaluates the left-limit version w(s, t-): the control of the
-    window that stops at the previous grid point (0 when the window is empty).
-    All partition machinery that needs controls "continuous from the inside"
-    uses `left`.
+    row(s, t) returns w(s, s+1..t), shape (t - s,), a prefix of row(s, t')
+    for t <= t'.  Rows of `time_control`, `pvar_control` and superadditive
+    tables are nondecreasing; `control_from_table` does not check this.  A
+    row may be a view of cached data; callers do not write to it.  w(s, t)
+    is the row's last entry (0 on the diagonal); `left(s, t)` is w(s, t-),
+    the control of the window that stops at the previous grid point, which
+    all partition machinery that needs controls "continuous from the
+    inside" uses.
     """
 
-    grid: TimeGrid
-    fn: Callable[[int, int], float]
+    row: Callable[[int, int], np.ndarray]
     name: str = "control"
 
     def __call__(self, s: int, t: int) -> float:
         if t <= s:
             return 0.0
-        return float(self.fn(int(s), int(t)))
+        return float(self.row(int(s), int(t))[-1])
 
     def left(self, s: int, t: int) -> float:
         """w(s, t-) = w evaluated at the previous grid point (0 when none)."""
-        if t - 1 <= s:
-            return 0.0 if t <= s else self(s, s)
         return self(s, t - 1)
 
 
 def time_control(grid: TimeGrid) -> ControlFn:
     times = grid.times
-    return ControlFn(grid, lambda s, t: times[t] - times[s], name="time")
+    return ControlFn(lambda s, t: times[s + 1 : t + 1] - times[s], name="time")
 
 
 def control_from_table(grid: TimeGrid, table: np.ndarray, name: str = "table") -> ControlFn:
     tab = np.asarray(table, dtype=float)
     if tab.shape != (grid.n_steps + 1, grid.n_steps + 1):
         raise ValueError("table shape does not match the grid")
-    return ControlFn(grid, lambda s, t: tab[s, t], name=name)
+    return ControlFn(lambda s, t: tab[s, s + 1 : t + 1], name=name)
 
 
-def pvar_control(grid: TimeGrid, dist: np.ndarray, p: float, name: str = "pvar") -> ControlFn:
-    """w(s, t) = (p-variation of `dist` over [s, t])^p, lazily cached by row.
+def pvar_control(dist: np.ndarray, p: float, name: str = "pvar") -> ControlFn:
+    """w(s, t) = (p-variation of `dist` over [s, t])^p, one cached DP per start.
 
     The p-th power of a p-variation is superadditive, which is what the
-    partition machinery needs.
+    partition machinery needs.  The DP over [s, t] is a prefix of the DP over
+    any longer window, so the row of start s is rebuilt only when a longer t
+    is asked for.
     """
+    if p < 1:
+        raise ValueError("p must be >= 1")
     powers = np.abs(np.asarray(dist, dtype=float)) ** p
     rows: dict[int, np.ndarray] = {}
 
-    def row(s: int) -> np.ndarray:
-        got = rows.get(s)
-        if got is None:
-            rows[s] = got = _pvar_dp(powers[s:, s:])
-        return got
+    def row(s: int, t: int) -> np.ndarray:
+        best = rows.get(s)
+        if best is None or best.size <= t - s:
+            rows[s] = best = _pvar_dp(powers[s : t + 1, s : t + 1])
+        return best[1 : t - s + 1]
 
-    return ControlFn(grid, lambda s, t: row(s)[t - s], name=name)
-
-
-def power_product_control(w1: ControlFn, a: float, w2: ControlFn, b: float) -> ControlFn:
-    """w1^a * w2^b, a control whenever a + b >= 1 (and each exponent >= 0)."""
-    if a < 0 or b < 0 or a + b < 1:
-        raise ValueError("need a, b >= 0 with a + b >= 1")
-    return ControlFn(
-        w1.grid,
-        lambda s, t: (w1(s, t) ** a) * (w2(s, t) ** b),
-        name=f"{w1.name}^{a}*{w2.name}^{b}",
-    )
+    return ControlFn(row, name=name)
 
 
 def _halving_point(w: ControlFn, a: int, b: int) -> int:
-    """Midpoint used by `alternating_midpoints`.
+    """Midpoint used by `alternating_midpoints`: the first u in (a, b] with
+    w(a, u) >= w(a, b-) / 2, read off the one row w(a, a+1..b).
 
     The threshold references the mass of the window *open at the right end*,
     w(a, b-); with that choice both children satisfy the exact halving bound
     in the left-open evaluation:
 
-        w(a, d-)  <  w(a, b-) / 2   (minimality of the scan)
+        w(a, d-)  <  w(a, b-) / 2   (minimality of the first hit)
         w(d, b-) <=  w(a, b-) / 2   (superadditivity, since w(a, d) >= half).
 
     A closed-endpoint threshold admits counterexamples when the control has
     an atom exactly at b, so this form is what makes the per-level halving
-    certificate exact on grids.
+    certificate exact on grids.  The first hit is defined for any row; the
+    bounds above need a superadditive control.
     """
     if b <= a:
         return a
-    mass = w.left(a, b)
+    row = w.row(a, b)
+    mass = row[-2] if row.size > 1 else 0.0
     if mass <= 0.0:
         return a
-    target = 0.5 * mass
-    for u in range(a + 1, b + 1):
-        if w(a, u) >= target:
-            return u
-    return b  # unreachable: w(a, b-1) = mass >= target
+    hit = row >= 0.5 * mass
+    return a + 1 + int(np.argmax(hit)) if hit.any() else b  # no hit only for NaN
 
 
 def alternating_midpoints(

@@ -33,7 +33,7 @@ import numpy as np
 
 from .calculus import SmoothFn
 from .conventions import outer_increment
-from .grids import TimeGrid, _pvar_dp
+from .grids import TimeGrid, pvar_control, time_control
 from .norms import (
     _magnitude_table,
     _second_rows,
@@ -339,22 +339,18 @@ def window_control(
 
         (t_u - t_s) + ||X||_{p,q}^p + ||XX||_{p/2,q}^{p/2} + ||[M]||_{p/2,q/2}^{p/2}.
 
-    Powered seminorms, so each term scales like a control in the window.  One
-    table over [s, t] per term and one p-variation DP over it give the whole
-    row; it is nondecreasing in u.
+    Powered seminorms, so each term scales like a control in the window: the
+    time control's row plus one `pvar_control` row per local table over
+    [s, t].  The row is nondecreasing in u.
     """
-    times = lift.grid.times
-
-    def powered(table, r):  # (r-variation over [s, u]) ** r, for every u
-        if r < 1:
-            raise ValueError("p must be >= 1")
-        return (_pvar_dp(np.abs(table) ** r)[1:] ** (1.0 / r)) ** r
-
-    out = times[s + 1 : t + 1] - times[s]
-    out = out + powered(lq_table(lift.path.values, q, s=s, t=t), p)
-    out = out + powered(_magnitude_table(_second_rows(lift, s, t), t - s + 1, q), p / 2.0)
+    m = t - s
+    out = time_control(lift.grid).row(s, t)
+    out = out + pvar_control(lq_table(lift.path.values, q, s=s, t=t), p).row(0, m)
+    second = _magnitude_table(_second_rows(lift, s, t), m + 1, q)
+    out = out + pvar_control(second, p / 2.0).row(0, m)
     if mart is not None and mart.bracket is not None:
-        out = out + powered(lq_table(mart.bracket[..., 0, 0], q / 2.0, s=s, t=t), p / 2.0)
+        bracket = lq_table(mart.bracket[..., 0, 0], q / 2.0, s=s, t=t)
+        out = out + pvar_control(bracket, p / 2.0).row(0, m)
     return out
 
 
@@ -395,10 +391,11 @@ def picard_solve(
     previous iterate on each window, windows sized by `window_control`.
 
     Successive iterates are compared in the empirical V^p L^q seminorm at the
-    window's grid points; iteration stops below `tol` (hitting `max_iter`
-    warns and keeps the last iterate).  Diagnostics record window boundaries,
-    iteration counts, successive distances, and contraction ratios, plus the
-    event count and diverged members as in `solve`.
+    window's grid points, over the members whose iterate ends the window
+    finite; iteration stops below `tol` or once no member is finite (hitting
+    `max_iter` warns and keeps the last iterate).  Diagnostics record window
+    boundaries, iteration counts, successive distances, and contraction
+    ratios, plus the event count and diverged members as in `solve`.
     """
     sched, fs, state = _prologue(coeffs, y0, lift, mart, 0)
     n = lift.grid.n_steps
@@ -419,7 +416,6 @@ def picard_solve(
         y_start = state[:, s]
         cur = np.broadcast_to(y_start[:, None], (y_start.size, e1 - e0 + 1)).copy()
         dists: list[float] = []
-        converged = False
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(max_iter):
                 y_w = cur[:, :-1]
@@ -429,18 +425,21 @@ def picard_solve(
                 new[:, 0] = y_start
                 np.cumsum(germs, axis=1, out=new[:, 1:])
                 new[:, 1:] += y_start[:, None]
-                diff = new[:, grid_slots] - cur[:, grid_slots]
+                live = np.isfinite(new[:, -1])  # others stay non-finite, get flagged
+                diff = (new[:, grid_slots] - cur[:, grid_slots])[live]
+                cur = new
+                if not live.any():
+                    dists.append(float("nan"))
+                    break
                 dist = vp_lq_seminorm(diff, p, q) + lq_norm(diff[:, -1], q)
                 dists.append(float(dist))
-                cur = new
                 if dist < tol:
-                    converged = True
                     break
-        if not converged:
-            warnings.warn(
-                f"Picard iteration hit max_iter={max_iter} on window [{s}, {t}] "
-                f"(last update {dists[-1]:.3e}); keeping the last iterate"
-            )
+            else:
+                warnings.warn(
+                    f"Picard iteration hit max_iter={max_iter} on window [{s}, {t}] "
+                    f"(last update {dists[-1]:.3e}); keeping the last iterate"
+                )
         iters_per_window.append(len(dists))
         distance_history.append(dists)
         state[:, dest_w] = cur[:, 1:]

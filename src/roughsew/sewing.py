@@ -133,13 +133,17 @@ def default_controls(germ: Germ, grid: TimeGrid, p: float = 2.0, q: float = 2.0)
     """Time control plus a p-variation control per declared germ input.
 
     Input controls are built from the ensemble L^q increment table so the
-    partitions are deterministic and shared by all members.
+    partitions are deterministic and shared by all members.  Inputs that are
+    one array share one control.
     """
     controls = [time_control(grid)]
+    by_array: dict[int, ControlFn] = {}
     for key in germ.control_keys:
         arr = germ.context[key]
         if arr.ndim >= 2 and arr.shape[1] == grid.n_steps + 1:
-            controls.append(pvar_control(grid, lq_table(arr, q), p, name=f"pvar[{key}]"))
+            if id(arr) not in by_array:
+                by_array[id(arr)] = pvar_control(lq_table(arr, q), p, name=f"pvar[{key}]")
+            controls.append(by_array[id(arr)])
     return controls
 
 

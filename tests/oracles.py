@@ -142,6 +142,42 @@ def pvar_dp_rows(dist, p):
     return rows
 
 
+def _first_half_hit(w, a, b):
+    """First u in (a, b] with w(a, u) >= w(a, b-1) / 2; a when that mass is 0."""
+    if b <= a:
+        return a
+    mass = w(a, b - 1) if b - 1 > a else 0.0
+    if mass <= 0.0:
+        return a
+    target = 0.5 * mass
+    for u in range(a + 1, b + 1):
+        if w(a, u) >= target:
+            return u
+    return b
+
+
+def halving_scan(ws, s, t, depth):
+    """Alternating-midpoint levels of [s, t], each midpoint found by a scan.
+
+    ws are scalar controls w(a, u), called with u > a only; level h inserts
+    into every interval [a, b] of level h-1 the first u in (a, b] whose
+    w(a, u) reaches half of the left-open mass w(a, b-1), using control
+    ws[(h-1) % len(ws)].  Returns one sorted, duplicate-free int64 array per
+    level, levels 0..depth.
+    """
+    levels = [np.array([s, t], dtype=np.int64)]
+    pts = [s, t]
+    for h in range(1, depth + 1):
+        w = ws[(h - 1) % len(ws)]
+        new_pts = [pts[0]]
+        for a, b in zip(pts[:-1], pts[1:]):
+            new_pts.append(_first_half_hit(w, a, b))
+            new_pts.append(b)
+        pts = new_pts
+        levels.append(np.unique(np.asarray(pts, dtype=np.int64)))
+    return levels
+
+
 def _lq_of_members(x, q):
     """L^q over members (axis 0) of Frobenius magnitudes, one table cell."""
     n = x.shape[0]

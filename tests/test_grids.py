@@ -1,5 +1,8 @@
 """Grids, partitions, p-variation, controls, and midpoint machinery."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,12 +18,11 @@ from roughsew.grids import (
     insert_times,
     make_uniform_grid,
     p_variation,
-    power_product_control,
     pvar_control,
     time_control,
 )
 
-from oracles import brute_force_p_variation, pvar_dp_rows
+from oracles import brute_force_p_variation, halving_scan, pvar_dp_rows
 
 
 def test_uniform_grid_basics():
@@ -154,7 +156,7 @@ def test_pvar_control_superadditive_on_random_table():
     vals = np.cumsum(rng.standard_normal(9))
     g = make_uniform_grid(1.0, 8)
     tab = np.abs(increment_table(vals))
-    w = pvar_control(g, tab, 2.0)
+    w = pvar_control(tab, 2.0)
     assert _superadditivity_violation(w, 8) <= 1e-12
     # the control is the p-th power of the rooted p-variation
     assert w(0, 8) == pytest.approx(p_variation(tab, 2.0) ** 2.0)
@@ -163,23 +165,22 @@ def test_pvar_control_superadditive_on_random_table():
 def test_pvar_control_rows_equal_loop_oracle_bitwise():
     rng = np.random.default_rng(21)
     n = 14
-    g = make_uniform_grid(1.0, n)
     tab = increment_table(np.cumsum(rng.standard_normal((n + 1, 2)), axis=0))
     for p in (1.0, 2.0, 2.5):
-        w = pvar_control(g, tab, p)
-        for s, want in enumerate(pvar_dp_rows(tab, p)):
-            got = np.array([w.fn(s, t) for t in range(s, n + 1)])
-            assert np.array_equal(got, want)
-        assert p_variation(tab, p) == float(pvar_dp_rows(tab, p)[0][-1]) ** (1.0 / p)
+        want = pvar_dp_rows(tab, p)
+        # t increasing rebuilds each start's cached DP; t decreasing reads it
+        for order in (range(n + 1), range(n, -1, -1)):
+            w = pvar_control(tab, p)
+            for s in range(n + 1):
+                for t in [u for u in order if u >= s]:
+                    assert np.array_equal(w.row(s, t), want[s][1 : t - s + 1])
+        assert p_variation(tab, p) == float(want[0][-1]) ** (1.0 / p)
 
 
-def test_power_product_control_validates_exponents():
-    g = make_uniform_grid(1.0, 4)
-    w = time_control(g)
-    with pytest.raises(ValueError):
-        power_product_control(w, 0.3, w, 0.3)
-    combined = power_product_control(w, 0.5, w, 0.5)
-    assert combined(0, 4) == pytest.approx(w(0, 4))
+def test_pvar_control_rejects_p_below_one():
+    tab = increment_table(np.arange(5.0))
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        pvar_control(tab, 0.5)
 
 
 def test_control_left_evaluation():
@@ -224,6 +225,50 @@ def test_alternating_midpoints_halving_bound_exact(n_controls):
                         f"halving bound violated at level {h} on [{a}, {b}] "
                         f"(trial {trial}, {n_controls} controls)"
                     )
+
+
+def test_alternating_midpoints_match_halving_scan_bitwise():
+    # every kind of control against the old scan on scalar oracle controls,
+    # on windows starting inside the grid and deep enough to exhaust it
+    rng = np.random.default_rng(17)
+    n = 24
+    g = TimeGrid(np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, n))]))
+    times = g.times
+    tab = increment_table(np.cumsum(rng.standard_normal((n + 1, 2)), axis=0))
+    rough = rng.uniform(0.0, 1.0, (n + 1, n + 1))  # rows not monotone
+    rough[3, 5:9] = 0.0
+    rough[5, 20:] = np.nan  # a NaN mass: no first hit, the midpoint is b
+    ticks = TimeGrid(np.arange(n + 1.0))  # integer masses: exact half-mass ties
+    cases = [
+        ([time_control(g)], [lambda a, u: times[u] - times[a]]),
+        ([time_control(ticks)], [lambda a, u: float(u - a)]),
+    ]
+    for p in (1.0, 2.0, 2.5):
+        rows = pvar_dp_rows(tab, p)
+        cases.append(([pvar_control(tab, p)], [lambda a, u, r=rows: r[a][u - a]]))
+    for t in (tab, rough):
+        cases.append(([control_from_table(g, t)], [lambda a, u, t=t: t[a, u]]))
+    cases.append(([c[0][0] for c in cases[:5]], [c[1][0] for c in cases[:5]]))
+    for ws, scalar in cases:
+        for s, t, depth in ((0, n, 6), (3, 19, 6), (5, 24, 12), (2, 3, 2), (7, 7, 1)):
+            got = alternating_midpoints(ws, s, t, depth)
+            want = halving_scan(scalar, s, t, depth)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+    full = alternating_midpoints([time_control(g)], 3, 19, 12)[-1]
+    assert full.tolist() == list(range(3, 20))
+
+
+def test_oracles_do_not_import_the_package():
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert not any(m.startswith(("roughsew", ".")) for m in imported), imported
 
 
 def test_alternating_midpoints_levels_are_nested():

@@ -5,6 +5,7 @@ import pytest
 
 from roughsew.calculus import smooth_fn
 from roughsew.paths import (
+    MartingalePath,
     forward_lift_jump_path,
     ito_lift_brownian,
     simulate_brownian,
@@ -150,9 +151,31 @@ def test_picard_flags_divergent_members():
     stiff = CoefficientSet(b=smooth_fn("linear", a=1e200))
     with pytest.warns(UserWarning) as caught:
         res = picard_solve(stiff, 10.0, lift, bm)
-    assert any("2 member(s) diverged" in str(w.message) for w in caught)
+    assert [str(w.message) for w in caught] == ["2 member(s) diverged (NaN/overflow)"]
     assert res.diagnostics["diverged"].all()
     assert res.diagnostics["n_events"] == 4
+    # once no member is finite the window ends instead of running to max_iter
+    assert res.diagnostics["iterations"] == [2, 1, 1, 1]
+
+
+def test_picard_diverged_member_leaves_finite_members_alone():
+    # two members on one driving path: the second overflows, the first must
+    # iterate exactly as it does alone, with no max_iter warning
+    bm1 = simulate_brownian(1.0, 128, seed=21)
+    bm2 = MartingalePath(
+        grid=bm1.grid, values=np.repeat(bm1.values, 2, axis=0), bracket=bm1.bracket
+    )
+    coeffs = CoefficientSet(b=smooth_fn("linear", a=2.0), sigma=smooth_fn("sin_bundle", a=0.5))
+    solo = picard_solve(coeffs, 0.3, ito_lift_brownian(bm1), bm1)
+    with pytest.warns(UserWarning) as caught:
+        mixed = picard_solve(coeffs, [0.3, 1e308], ito_lift_brownian(bm2), bm2)
+    assert [str(w.message) for w in caught] == ["1 member(s) diverged (NaN/overflow)"]
+    assert mixed.diagnostics["diverged"].tolist() == [False, True]
+    assert len(solo.diagnostics["windows"]) > 1
+    assert mixed.diagnostics["windows"] == solo.diagnostics["windows"]
+    assert mixed.diagnostics["iterations"] == solo.diagnostics["iterations"]
+    assert max(solo.diagnostics["iterations"]) > 2
+    assert np.array_equal(mixed.values[0], solo.values[0])
 
 
 def _schedule_cases():

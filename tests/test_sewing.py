@@ -9,6 +9,7 @@ from roughsew.rng import stream
 from roughsew.sewing import (
     Germ,
     convergence_rate,
+    default_controls,
     delta_germ,
     increment_germ,
     ito_germ,
@@ -125,6 +126,16 @@ def test_sew_respects_supplied_controls():
     assert out.converged
     # with the time control alone, every level is a dyadic refinement
     assert out.partitions[1].indices.tolist() == [0, 32, 64]
+
+
+def test_default_controls_share_one_control_per_input_array():
+    bm = simulate_brownian(1.0, 16, seed=13, n_members=8)
+    b = bm.values[..., 0]
+    controls = default_controls(ito_germ(b, b), bm.grid)
+    assert len(controls) == 3 and controls[1] is controls[2]
+    apart = default_controls(ito_germ(b, b.copy()), bm.grid)
+    assert apart[1] is not apart[2]
+    assert np.array_equal(apart[1].row(0, 16), controls[2].row(0, 16))
 
 
 def test_convergence_rate_ito_germ_decays():
