@@ -14,13 +14,11 @@ from .calculus import (
     constant_controlled,
     controlled_from_lift,
     controlled_integral,
-    integration_by_parts_residual,
     ito_formula_residual,
     mixed_bracket_check,
     remainder,
     rough_bracket,
     smooth_fn,
-    smooth_fn_registry,
 )
 from .grids import (
     ControlFn,
@@ -69,7 +67,6 @@ from .rsde import (
     picard_solve,
     solve,
     stability_experiment,
-    step,
     window_control,
 )
 from .scenarios import ExperimentConfig, SCENARIOS, default_config, run_scenario
@@ -78,7 +75,6 @@ from .sewing import (
     RateReport,
     SewOutput,
     convergence_rate,
-    delta_germ,
     increment_germ,
     ito_germ,
     qv_germ,

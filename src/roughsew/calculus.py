@@ -24,7 +24,6 @@ __all__ = [
     "ControlledPath",
     "SmoothFn",
     "smooth_fn",
-    "smooth_fn_registry",
     "controlled_from_lift",
     "constant_controlled",
     "remainder",
@@ -33,7 +32,6 @@ __all__ = [
     "rough_bracket",
     "mixed_bracket_check",
     "controlled_integral",
-    "integration_by_parts_residual",
     "ito_formula_residual",
 ]
 
@@ -225,10 +223,6 @@ def smooth_fn(name: str, **params) -> SmoothFn:
     raise ValueError(f"unknown smooth function {name!r}")
 
 
-def smooth_fn_registry() -> tuple[str, ...]:
-    return ("linear", "sin_bundle", "tanh_affine", "exp_clipped", "polynomial_clipped")
-
-
 def compose(fn: SmoothFn, cp: ControlledPath) -> ControlledPath:
     """(f(Y), Df(Y) Y'): composition along the chain rule, elementwise in channels."""
     vals = fn.f(cp.values)
@@ -288,7 +282,6 @@ def mixed_bracket_check(
     m_jump_indices: np.ndarray,
     m_jump_sizes: np.ndarray,
     z: ControlledPath,
-    q: float = 4.0,
 ):
     """Compare the grid bracket [M, Z]_T against the jump-sum formula
     sum_{s <= T} Delta M_s Delta Z_s (scalar channels).
@@ -343,21 +336,6 @@ def controlled_integral(a: ControlledPath, b: ControlledPath) -> IntegralProcess
     )
     steps = first + second
     return _cumulative(lift.grid, steps, lift.path.jump_indices)
-
-
-def integration_by_parts_residual(a: ControlledPath, b: ControlledPath) -> float:
-    """Max defect of Y_t Z_t = Y_0 Z_0 + int a db + (int b da)^T + [a, b]_t.
-
-    A pure grid identity: every term telescopes against the product rule, so
-    the residual is floating-point noise.
-    """
-    prod = np.einsum("nta,ntb->ntab", a.values, b.values)
-    lhs = prod - prod[:, :1]
-    i_ab = controlled_integral(a, b).values
-    i_ba = np.swapaxes(controlled_integral(b, a).values, -1, -2)
-    br = bracket(a, b).values
-    resid = lhs - i_ab - i_ba - br
-    return float(np.max(np.abs(resid)))
 
 
 def ito_formula_residual(

@@ -49,14 +49,6 @@ class TimeGrid:
     def steps(self) -> np.ndarray:
         return np.diff(self.times)
 
-    def index_of(self, time: float) -> int:
-        """Index of a grid point equal to `time` (within TIME_TOL)."""
-        i = int(np.searchsorted(self.times, time))
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < self.times.size and abs(self.times[j] - time) <= TIME_TOL:
-                return j
-        raise ValueError(f"{time!r} is not a grid point")
-
 
 @dataclass(frozen=True)
 class Partition:

@@ -297,7 +297,6 @@ def simulate_compound_poisson(
     jump_kind: str = "gauss",
     jump_params: tuple = (0.0, 1.0),
     align_jumps: bool = True,
-    base_grid: TimeGrid | None = None,
 ) -> CompoundPoissonResult:
     """Compound Poisson ensemble with intensity `rate` on [0, T].
 
@@ -313,7 +312,7 @@ def simulate_compound_poisson(
     The compensated martingale is M_t = X_t - rate * E[jump] * t with bracket
     [M]_t = sum of (Delta X_u)^2 over actual jump times u <= t.
     """
-    base = base_grid if base_grid is not None else make_uniform_grid(T, n)
+    base = make_uniform_grid(T, n)
     rng = stream(seed, "compound-poisson", n_members)
     counts = rng.poisson(rate * T, size=n_members)
     total = int(counts.sum())
@@ -331,28 +330,23 @@ def simulate_compound_poisson(
     grid = insert_times(base, flat_times) if (align_jumps and total) else base
 
     times = grid.times
-    values = np.zeros((n_members, times.size))
-    qv = np.zeros((n_members, times.size))
-    jump_idx_set = set()
-    starts = np.concatenate([[0], np.cumsum(counts)])
-    for i in range(n_members):
-        ti = flat_times[starts[i] : starts[i + 1]]
-        si = flat_sizes[starts[i] : starts[i + 1]]
-        if ti.size == 0:
-            continue
-        csum = np.cumsum(si)
-        c2 = np.cumsum(si**2)
-        pos = np.searchsorted(ti, times + TIME_TOL, side="left")
-        values[i] = np.where(pos > 0, csum[np.maximum(pos - 1, 0)], 0.0)
-        qv[i] = np.where(pos > 0, c2[np.maximum(pos - 1, 0)], 0.0)
-        if align_jumps:
-            for tj in ti:
-                jump_idx_set.add(grid.index_of(tj))
+    # a jump at u counts at t_k once u < t_k + TIME_TOL; col is the first such k
+    col = np.searchsorted(times + TIME_TOL, flat_times, side="right")
+    seen = np.bincount(member_of * times.size + col, minlength=n_members * times.size)
+    seen = seen.reshape(n_members, times.size)
+    np.cumsum(seen, axis=1, out=seen)  # jumps so far
+    # running sums of each member's sizes and squared sizes, in time order:
+    # sums[:, i] = [0, s_1, s_1 + s_2, ...]
+    rank = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+    sums = np.zeros((2, n_members, int(counts.max(initial=0)) + 1))
+    sums[:, member_of, rank + 1] = flat_sizes, flat_sizes**2
+    np.cumsum(sums, axis=2, out=sums)
+    values = np.take_along_axis(sums[0], seen, axis=1)
+    qv = np.take_along_axis(sums[1], seen, axis=1)
+    del seen  # an (N, n+1) table: free it before the martingale's arrays
 
-    jump_indices = np.array(sorted(jump_idx_set), dtype=np.int64)
-    vals3 = values[:, :, None]
-    left = vals3[:, jump_indices - 1, :].copy() if jump_indices.size else None
-    path = SamplePath(grid=grid, values=vals3, jump_indices=jump_indices, left_values=left)
+    jump_indices = np.unique(col) if align_jumps else np.array([], dtype=np.int64)
+    path = SamplePath(grid=grid, values=values[:, :, None], jump_indices=jump_indices)
 
     jump_mean = float(_JUMP_MEANS[jump_kind](jump_params))
     comp = rate * jump_mean * times
@@ -457,8 +451,6 @@ class MixedResult:
     path: SamplePath
     martingale: MartingalePath
     lift: RoughLift
-    brownian: MartingalePath
-    poisson: CompoundPoissonResult
 
 
 def simulate_mixed(
@@ -509,4 +501,4 @@ def simulate_mixed(
     mart = MartingalePath(
         grid=grid, values=mvals, jump_indices=jump_indices, left_values=mleft, bracket=bracket
     )
-    return MixedResult(path=path, martingale=mart, lift=lift, brownian=bm, poisson=cp)
+    return MixedResult(path=path, martingale=mart, lift=lift)

@@ -23,6 +23,10 @@ Phi(Y) = y0 + int b dt + int sigma(Y_-) dM + int f(Y) dX on windows where a
 grid-proxy control is small, which mirrors the contraction argument that
 produces the solution in the first place.  Cross-agreement of the two modes
 is itself one of the package's checks.
+
+A solution is the controlled pair (Y, f(Y)), but the solvers return Y only;
+a caller that needs the Gubinelli derivative Y' = f(Y) evaluates the rough
+coefficients on the values (as `stability_experiment` does).
 """
 from __future__ import annotations
 
@@ -44,14 +48,13 @@ from .norms import (
     two_param_seminorm,
     vp_lq_seminorm,
 )
-from .paths import MartingalePath, RoughLift, SamplePath
+from .paths import MartingalePath, RoughLift
 
 __all__ = [
     "CoefficientSet",
     "RSDEProblem",
     "RSDEResult",
     "StabilityReport",
-    "step",
     "build_event_schedule",
     "EventSchedule",
     "window_control",
@@ -98,24 +101,14 @@ def _df_stack(fs, y):
     return np.stack([fn.df(y) for fn in fs], axis=-1)
 
 
-def step(y, coeffs: CoefficientSet, dt, dm=0.0, dx=None, xx=None):
-    """One germ step:
-
-        y + b(y) dt + sigma(y) dm + f(y) . dx + (Df f)(y) : XX
-
-    accumulated left to right, so absent terms are skipped entirely and the
-    sigma-only case reproduces a plain Euler-Maruyama update bitwise.
-    """
-    y = np.asarray(y, dtype=float)
-    return _add_germ(y, y, coeffs, coeffs.f_components(), dt, dm, dx, xx)
-
-
 def _add_germ(out, y, coeffs: CoefficientSet, fs, dt, dm, dx, xx):
     """out + b(y) dt + sigma(y) dm + f(y) . dx + (Df f)(y) : XX, term by term
     left to right, for the rough components `fs` of `coeffs`.
 
-    `step` and `solve` start from y; Picard starts from zeros, vectorized
-    over an event axis.  XX = None drops the second-order term.
+    Absent terms are skipped entirely, so the sigma-only step from y is a
+    plain Euler-Maruyama update bitwise.  `solve` starts from y; Picard
+    starts from zeros, vectorized over an event axis.  XX = None drops the
+    second-order term.
     """
     if coeffs.b is not None:
         out = out + coeffs.b.f(y) * dt
@@ -157,7 +150,6 @@ class EventSchedule:
     at the j-th jump; that step's jump event then lands on the grid point.
     """
 
-    grid: TimeGrid
     dt: np.ndarray  # (E,)
     dm: np.ndarray  # (Nm, E)
     dx: np.ndarray  # (Nx, E, d)
@@ -199,7 +191,7 @@ def build_event_schedule(lift: RoughLift, mart: MartingalePath | None = None) ->
     dest[jump_event - 1] = n + 1 + np.arange(jumps.size)
     dest[jump_event] = jumps
     if not jumps.size:  # one event per step: the step arrays themselves
-        return EventSchedule(grid, dts, dms, dxs, xxs, dest, event_start, jumps)
+        return EventSchedule(dts, dms, dxs, xxs, dest, event_start, jumps)
 
     def spread(steps):
         """Per-step rows (axis 1) at their continuous events, zeros elsewhere."""
@@ -221,7 +213,7 @@ def build_event_schedule(lift: RoughLift, mart: MartingalePath | None = None) ->
         ml = mart.left_values[..., 0]
         dm[:, ev - 1] = ml - mv[:, m_jumps - 1]
         dm[:, ev] = mv[:, m_jumps] - ml
-    return EventSchedule(grid, dt, dm, dx, xx, dest, event_start, jumps)
+    return EventSchedule(dt, dm, dx, xx, dest, event_start, jumps)
 
 
 # ---------------------------------------------------------------------------
@@ -231,16 +223,16 @@ def build_event_schedule(lift: RoughLift, mart: MartingalePath | None = None) ->
 
 @dataclass
 class RSDEResult:
-    """Solution ensemble with its Gubinelli derivative and solver diagnostics.
+    """Solution ensemble with solver diagnostics.
 
-    values: (N, n+1); derivative Y' = f(Y): (N, n+1, d); left_values holds the
-    computed left limits Y_{t-} at `jump_indices` (NaN where a partial-range
-    solve never visited the jump).
+    values: (N, n+1); left_values holds the computed left limits Y_{t-} at
+    `jump_indices` (NaN where a partial-range solve never visited the jump).
+    The Gubinelli derivative Y' = f(Y) is not stored: a caller that needs it
+    evaluates the rough coefficients on `values`.
     """
 
     grid: TimeGrid
     values: np.ndarray
-    derivative: np.ndarray
     jump_indices: np.ndarray
     left_values: np.ndarray
     diagnostics: dict = field(default_factory=dict)
@@ -248,15 +240,6 @@ class RSDEResult:
     @property
     def terminal(self) -> np.ndarray:
         return self.values[:, -1]
-
-    def solution_path(self) -> SamplePath:
-        left = self.left_values[..., None] if self.left_values.size else None
-        return SamplePath(
-            grid=self.grid,
-            values=self.values[..., None],
-            jump_indices=self.jump_indices,
-            left_values=left,
-        )
 
 
 def _prologue(coeffs: CoefficientSet, y0, lift: RoughLift, mart, start: int):
@@ -277,7 +260,7 @@ def _prologue(coeffs: CoefficientSet, y0, lift: RoughLift, mart, start: int):
     return sched, fs, state
 
 
-def _epilogue(lift, sched, fs, state, start, stop, diagnostics) -> RSDEResult:
+def _epilogue(lift, sched, state, start, stop, diagnostics) -> RSDEResult:
     """Split the state into values and left limits; flag diverged members."""
     n = lift.grid.n_steps
     values = state[:, : n + 1]
@@ -290,7 +273,6 @@ def _epilogue(lift, sched, fs, state, start, stop, diagnostics) -> RSDEResult:
     return RSDEResult(
         grid=lift.grid,
         values=values,
-        derivative=_f_stack(fs, values) if fs else np.zeros(values.shape + (lift.dim,)),
         jump_indices=sched.jump_indices,
         left_values=state[:, n + 1 :],
         diagnostics=diagnostics,
@@ -324,7 +306,7 @@ def solve(
                 y, y, coeffs, fs, sched.dt[e], sched.dm[:, e], sched.dx[:, e], sched.xx[:, e]
             )
     state[:, stop + 1 : n + 1] = state[:, stop : stop + 1]
-    return _epilogue(lift, sched, fs, state, start, stop, {})
+    return _epilogue(lift, sched, state, start, stop, {})
 
 
 def window_control(
@@ -354,7 +336,11 @@ def window_control(
     return out
 
 
-def _plan_windows(lift, mart, p, q, threshold) -> list[tuple[int, int]]:
+#: the `window_control` value a planned Picard window stays at or below
+_WINDOW_THRESHOLD = 0.25
+
+
+def _plan_windows(lift, mart, p, q) -> list[tuple[int, int]]:
     """Greedy split of [0, n] into maximal windows with control <= threshold.
 
     Doubles the window until its control exceeds the threshold, then ends it
@@ -367,10 +353,10 @@ def _plan_windows(lift, mart, p, q, threshold) -> list[tuple[int, int]]:
     while s < n:
         t = s + 1
         row = window_control(lift, mart, p, q, s, t)
-        while row[-1] <= threshold and t < n:
+        while row[-1] <= _WINDOW_THRESHOLD and t < n:
             t = min(n, s + 2 * (t - s))
             row = window_control(lift, mart, p, q, s, t)
-        good = s + max(1, int(np.count_nonzero(row <= threshold)))
+        good = s + max(1, int(np.count_nonzero(row <= _WINDOW_THRESHOLD)))
         out.append((s, good))
         s = good
     return out
@@ -383,7 +369,7 @@ def picard_solve(
     mart: MartingalePath | None = None,
     p: float = 2.0,
     q: float = 4.0,
-    window_threshold: float = 0.25,
+    *,
     tol: float = 1e-9,
     max_iter: int = 60,
 ) -> RSDEResult:
@@ -399,7 +385,7 @@ def picard_solve(
     """
     sched, fs, state = _prologue(coeffs, y0, lift, mart, 0)
     n = lift.grid.n_steps
-    windows = _plan_windows(lift, mart, p, q, window_threshold)
+    windows = _plan_windows(lift, mart, p, q)
     iters_per_window: list[int] = []
     distance_history: list[list[float]] = []
 
@@ -453,7 +439,7 @@ def picard_solve(
         "distances": distance_history,
         "contraction_ratios": ratios,
     }
-    return _epilogue(lift, sched, fs, state, 0, n, diagnostics)
+    return _epilogue(lift, sched, state, 0, n, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -479,21 +465,22 @@ class StabilityReport:
     rhs_parts: dict
 
 
-def _remainder_mean_table(res: RSDEResult, lift: RoughLift, res2: RSDEResult, lift2: RoughLift):
-    """Table of |E[R_{u,v} - Rtilde_{u,v}]| for the two solutions' remainders,
-    each taken against its own driver."""
+def _remainder_mean_table(ya, dya, xa, yb, dyb, xb):
+    """Table of |E[R_{u,v} - Rtilde_{u,v}]| for two solutions' remainders,
+    each taken against its own driver: values (N, n+1), derivatives
+    Y' = f(Y) (N, n+1, d) and driver values (N, n+1, d)."""
 
-    def remainder_row(r: RSDEResult, x: np.ndarray, u: int) -> np.ndarray:
-        dy = r.values[:, u + 1 :] - r.values[:, u : u + 1]
+    def remainder_row(y, yp, x, u: int) -> np.ndarray:
+        dy = y[:, u + 1 :] - y[:, u : u + 1]
         dx = x[:, u + 1 :, :] - x[:, u : u + 1, :]
-        return dy - np.einsum("nd,ntd->nt", r.derivative[:, u], dx)
+        return dy - np.einsum("nd,ntd->nt", yp[:, u], dx)
 
     def mean_row(u: int) -> np.ndarray:
-        diff = remainder_row(res, lift.path.values, u) - remainder_row(res2, lift2.path.values, u)
+        diff = remainder_row(ya, dya, xa, u) - remainder_row(yb, dyb, xb, u)
         return np.mean(diff, axis=0)[None]
 
     # one "member" (the ensemble mean) and q = 1: the builder returns |mean|
-    return _magnitude_table(mean_row, res.values.shape[1], 1.0)
+    return _magnitude_table(mean_row, ya.shape[1], 1.0)
 
 
 def stability_experiment(
@@ -513,14 +500,18 @@ def stability_experiment(
     (Nb, n+1); omit it when the martingale is unperturbed.  Identical data
     reports ratio 0 by convention.
     """
-    ra = solve(coeffs, base.y0, base.lift, base.mart)
-    rb = solve(coeffs, pert.y0, pert.lift, pert.mart)
+    fs = coeffs.f_components()
+    ya = solve(coeffs, base.y0, base.lift, base.mart).values
+    yb = solve(coeffs, pert.y0, pert.lift, pert.mart).values
+    # Y' = f(Y); zero without a rough coefficient
+    dya = _f_stack(fs, ya) if fs else np.zeros(ya.shape + (base.lift.dim,))
+    dyb = _f_stack(fs, yb) if fs else np.zeros(yb.shape + (pert.lift.dim,))
 
-    dv = ra.values - rb.values
-    l_sol = vp_lq_seminorm(dv, p, q)
-    l_der = vp_lq_seminorm(ra.derivative - rb.derivative, p, q)
+    l_sol = vp_lq_seminorm(ya - yb, p, q)
+    l_der = vp_lq_seminorm(dya - dyb, p, q)
     l_rem = two_param_seminorm(
-        _remainder_mean_table(ra, base.lift, rb, pert.lift), p / 2.0
+        _remainder_mean_table(ya, dya, base.lift.path.values, yb, dyb, pert.lift.path.values),
+        p / 2.0,
     )
     lhs = l_sol + l_der + l_rem
 

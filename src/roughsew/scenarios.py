@@ -341,9 +341,7 @@ def scenario_brackets(cfg: ExperimentConfig):
             calculus.controlled_from_lift(liftk),
         )
         m = cpk.martingale
-        _, _, resid = calculus.mixed_bracket_check(
-            m.values, m.jump_indices, m.jump_sizes(), zk, q=cfg.q
-        )
+        _, _, resid = calculus.mixed_bracket_check(m.values, m.jump_indices, m.jump_sizes(), zk)
         errs.append(lq_norm(resid, 2.0))
         sizes.append(n_k)
         rows.append(_row(cfg, "mixed_bracket_l2", errs[-1], level=k, n=n_k, N=n_mz))
@@ -413,11 +411,10 @@ def scenario_ito_formula(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 
-def _picard_gap_row(cfg, coeffs, y0, lift, mart=None, n=None, N=None, tol=1e-10):
-    sol = rsde.solve(coeffs, y0, lift, mart)
-    pic = rsde.picard_solve(
-        coeffs, y0, lift, mart, p=cfg.p, q=cfg.q, tol=tol, max_iter=80
-    )
+def _picard_gap_row(cfg, sol, coeffs, y0, lift, mart=None, n=None, N=None):
+    """Max gap between `sol`, the caller's `rsde.solve` of the same data, and
+    the Picard solution."""
+    pic = rsde.picard_solve(coeffs, y0, lift, mart, p=cfg.p, q=cfg.q, tol=1e-10, max_iter=80)
     gap = float(np.max(np.abs(sol.values - pic.values)))
     return _row(cfg, "solve_picard_gap", gap, n=n, N=N)
 
@@ -439,9 +436,9 @@ def scenario_smooth_exponential(cfg: ExperimentConfig):
         rows.append(_row(cfg, "abs_error", err, level=k, n=n_k, N=1))
     slope = _fit_log2_slope(sizes, errs)
     rows.append(_row(cfg, "observed_order", -slope, N=1))
-    rows.append(
-        _picard_gap_row(cfg, coeffs, y0, paths.smooth_lift("polynomial", 1.0, 64), n=64, N=1)
-    )
+    lift = paths.smooth_lift("polynomial", 1.0, 64)
+    sol = rsde.solve(coeffs, y0, lift)
+    rows.append(_picard_gap_row(cfg, sol, coeffs, y0, lift, n=64, N=1))
     return rows
 
 
@@ -466,9 +463,8 @@ def scenario_brownian_milstein(cfg: ExperimentConfig):
 
     bm_small = paths.simulate_brownian(T, 128, seed + 1, n_members=min(N, 64), dim=1)
     lift_small = paths.ito_lift_brownian(bm_small, seed=seed + 1)
-    rows.append(
-        _picard_gap_row(cfg, coeffs, 1.0, lift_small, n=128, N=bm_small.n_members)
-    )
+    sol = rsde.solve(coeffs, 1.0, lift_small)
+    rows.append(_picard_gap_row(cfg, sol, coeffs, 1.0, lift_small, n=128, N=bm_small.n_members))
     return rows
 
 
@@ -495,7 +491,7 @@ def scenario_em_reduction(cfg: ExperimentConfig):
         y = out
         gap = max(gap, float(np.max(np.abs(res.values[:, k + 1] - y))))
     rows = [_row(cfg, "em_bitwise_gap", gap)]
-    rows.append(_picard_gap_row(cfg, coeffs, y0, lift, mart=bm))
+    rows.append(_picard_gap_row(cfg, res, coeffs, y0, lift, mart=bm))
     return rows
 
 
@@ -538,9 +534,7 @@ def scenario_jump_mix(cfg: ExperimentConfig):
     flow_gap = float(np.max(np.abs(second.values[:, mid:] - res.values[:, mid:])))
     rows.append(_row(cfg, "flow_restart_gap", flow_gap, n=lift.grid.n_steps))
 
-    rows.append(
-        _picard_gap_row(cfg, coeffs, y0, lift, mart=mart, n=lift.grid.n_steps)
-    )
+    rows.append(_picard_gap_row(cfg, res, coeffs, y0, lift, mart=mart, n=lift.grid.n_steps))
     return rows
 
 
@@ -607,7 +601,8 @@ def scenario_stability_base(cfg: ExperimentConfig):
             spread = float("inf")
         rows.append(_row(cfg, f"ratio_spread[{key}]", spread))
 
-    rows.append(_picard_gap_row(cfg, coeffs, y0, base_lift, mart=bm))
+    sol = rsde.solve(coeffs, y0, base_lift, bm)
+    rows.append(_picard_gap_row(cfg, sol, coeffs, y0, base_lift, mart=bm))
     return rows
 
 

@@ -42,7 +42,6 @@ __all__ = [
     "RateReport",
     "riemann_sum",
     "riemann_path",
-    "delta_germ",
     "sew",
     "convergence_rate",
     "log2_fit",
@@ -51,7 +50,6 @@ __all__ = [
     "rough_germ",
     "qv_germ",
     "young_germ",
-    "truncate_context",
 ]
 
 
@@ -61,9 +59,9 @@ class Germ:
 
     `fn(ctx, s, t)` takes scalar grid indices or equal-shape index arrays;
     for arrays of shape (m,) it returns the m windows [s_j, t_j] along axis 1,
-    (N, m, ...).  It must read only ctx entries at indices <= t (adaptedness:
-    evaluating on a context truncated at t must reproduce every value up to t;
-    the engine's diagnostics rely on this being checkable by recomputation).
+    (N, m, ...).  It must read only ctx entries at indices <= t
+    (adaptedness): the same germ built on context arrays cut after index t
+    gives the same value on every window ending at or before t.
     Context arrays are member-major: (N, n+1, ...).
     `control_keys` names the inputs whose p-variation should control the
     default partition refinement.
@@ -74,21 +72,8 @@ class Germ:
     context: dict
     control_keys: tuple = ()
 
-    def __call__(self, s, t, ctx: dict | None = None) -> np.ndarray:
-        return self.fn(self.context if ctx is None else ctx, s, t)
-
-
-def truncate_context(ctx: dict, t: int) -> dict:
-    """Context restricted to grid indices 0..t (time axis is axis 1)."""
-    out = {}
-    for k, v in ctx.items():
-        out[k] = v[:, : t + 1] if isinstance(v, np.ndarray) and v.ndim >= 2 else v
-    return out
-
-
-def delta_germ(germ: Germ, s: int, u: int, t: int) -> np.ndarray:
-    """Coboundary dXi_{s,u,t} = Xi_{s,t} - Xi_{s,u} - Xi_{u,t}."""
-    return germ(s, t) - germ(s, u) - germ(u, t)
+    def __call__(self, s, t) -> np.ndarray:
+        return self.fn(self.context, s, t)
 
 
 def riemann_sum(germ: Germ, partition: Partition) -> np.ndarray:
@@ -327,8 +312,8 @@ def rough_germ(
     """One-dimensional controlled-integrand germ Y_s dX_{s,t} + Y'_s XX_{s,t}.
 
     The second level is reconstructed from its prefix inside the germ (Chen),
-    so truncated contexts stay self-consistent.  The context keeps X - X_0
-    ("x0") next to X for the Chen cross term.
+    which reads the prefix at s and t only, so the germ stays adapted.  The
+    context keeps X - X_0 ("x0") next to X for the Chen cross term.
     """
     ctx = {
         "y": np.asarray(y, dtype=float),

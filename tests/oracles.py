@@ -399,3 +399,39 @@ def event_schedule_loop(
         "event_start": event_start,
         "jump_indices": all_jumps,
     }
+
+
+def compound_poisson_loop(times, flat_times, flat_sizes, counts, align_jumps, time_tol=1e-12):
+    """Compound Poisson values, squared-jump sums and jump columns, one member
+    at a time.
+
+    times (n+1,) grid; flat_times, flat_sizes (total,) every member's jumps,
+    member-major and time-sorted within a member; counts (N,) jumps per
+    member.  A jump at u counts at t_k when u < t_k + time_tol.  With
+    align_jumps each jump's column is the grid point within time_tol of u
+    found next to searchsorted(times, u).  Returns values (N, n+1),
+    qv (N, n+1) and the sorted jump columns.
+    """
+    n_members = counts.size
+    values = np.zeros((n_members, times.size))
+    qv = np.zeros((n_members, times.size))
+    columns = set()
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    for i in range(n_members):
+        ti = flat_times[starts[i] : starts[i + 1]]
+        si = flat_sizes[starts[i] : starts[i + 1]]
+        if ti.size == 0:
+            continue
+        csum = np.cumsum(si)
+        c2 = np.cumsum(si**2)
+        pos = np.searchsorted(ti, times + time_tol, side="left")
+        values[i] = np.where(pos > 0, csum[np.maximum(pos - 1, 0)], 0.0)
+        qv[i] = np.where(pos > 0, c2[np.maximum(pos - 1, 0)], 0.0)
+        if align_jumps:
+            for tj in ti:
+                k = int(np.searchsorted(times, tj))
+                columns.add(next(
+                    j for j in (k - 1, k, k + 1)
+                    if 0 <= j < times.size and abs(times[j] - tj) <= time_tol
+                ))
+    return values, qv, np.array(sorted(columns), dtype=np.int64)

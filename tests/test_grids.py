@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roughsew.grids import (
+    TIME_TOL,
     ControlFn,
     TimeGrid,
     alternating_midpoints,
@@ -41,10 +42,8 @@ def test_grid_rejects_unsorted_times():
 def test_insert_times_keeps_old_points_and_adds_new():
     g = make_uniform_grid(1.0, 4)
     g2 = insert_times(g, np.array([0.1, 0.625, 0.625]))
-    for t in g.times:
-        assert g2.index_of(t) >= 0
-    assert g2.index_of(0.1) >= 0
-    assert g2.index_of(0.625) >= 0
+    for t in (*g.times, 0.1, 0.625):
+        assert np.any(np.abs(g2.times - t) <= TIME_TOL)
     # duplicates collapse
     assert g2.n_steps == g.n_steps + 2
 

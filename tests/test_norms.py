@@ -174,11 +174,14 @@ def test_stability_remainder_term_matches_row_loop_oracle(n_members, dim):
     pert = RSDEProblem(0.45, _lift(n_members, dim, seed=12))
     p, q = 2.5, 4.0
     rep = stability_experiment(coeffs, base, pert, p=p, q=q)
-    ra = solve(coeffs, base.y0, base.lift)
-    rb = solve(coeffs, pert.y0, pert.lift)
+    ya = solve(coeffs, base.y0, base.lift).values
+    yb = solve(coeffs, pert.y0, pert.lift).values
+    # the Gubinelli derivative Y' = f(Y), one column per driver direction
+    dya = np.stack([fn.f(ya) for fn in coeffs.f], axis=-1)
+    dyb = np.stack([fn.f(yb) for fn in coeffs.f], axis=-1)
+    assert rep.lhs_parts["derivative"] == vp_lq_seminorm(dya - dyb, p, q)
     tab = remainder_mean_table_rows(
-        ra.values, ra.derivative, base.lift.path.values,
-        rb.values, rb.derivative, pert.lift.path.values,
+        ya, dya, base.lift.path.values, yb, dyb, pert.lift.path.values
     )
     want = p_variation(tab, p / 2.0)
     assert want > 0

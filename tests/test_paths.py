@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from roughsew.grids import TimeGrid, make_uniform_grid
+from roughsew.grids import TimeGrid, insert_times, make_uniform_grid
 from roughsew.norms import chen_residual
 from roughsew.paths import (
     RoughLift,
     SamplePath,
+    _draw_jump_sizes,
     forward_lift_jump_path,
     ito_lift_brownian,
     simulate_brownian,
@@ -18,7 +19,7 @@ from roughsew.paths import (
 )
 from roughsew.rng import stream
 
-from oracles import accumulate_prefix, quadrature_second_level
+from oracles import accumulate_prefix, compound_poisson_loop, quadrature_second_level
 
 
 def _max_chen(lift, rng, n_triples=200):
@@ -189,6 +190,56 @@ def test_compound_poisson_unaligned_quadratic_variation():
     assert res.path.grid.n_steps == 8
     assert res.path.jump_indices.size == 0
     assert np.all(np.diff(res.martingale.bracket[:, :, 0, 0], axis=1) >= -1e-15)
+
+
+def _compound_poisson_draws(T, rate, seed, n_members, kind, params):
+    """The jumps `simulate_compound_poisson` draws, member-major and
+    time-sorted within a member: (counts, times, sizes)."""
+    rng = stream(seed, "compound-poisson", n_members)
+    counts = rng.poisson(rate * T, size=n_members)
+    total = int(counts.sum())
+    times = np.clip(rng.uniform(0.0, T, size=total), 1e-9 * T, T)
+    sizes = _draw_jump_sizes(rng, kind, params, total)
+    order = np.lexsort((times, np.repeat(np.arange(n_members), counts)))
+    return counts, times[order], sizes[order]
+
+
+@pytest.mark.parametrize(
+    "n_members,rate,n,align,kind,params",
+    [
+        (1, 3.0, 16, True, "gauss", (0.0, 1.0)),
+        (64, 3.0, 16, True, "gauss", (0.3, 0.45)),
+        (256, 4.0, 32, True, "uniform", (-1.0, 2.0)),
+        (64, 5.0, 8, False, "gauss", (0.0, 1.0)),
+        (16, 0.3, 16, True, "fixed", (0.7,)),   # members without jumps
+        (16, 0.3, 16, False, "fixed", (0.7,)),
+        (8, 0.0, 16, True, "gauss", (0.0, 1.0)),  # no jumps at all
+    ],
+)
+def test_compound_poisson_matches_member_loop_oracle_bitwise(
+    n_members, rate, n, align, kind, params
+):
+    T, seed = 1.5, 41
+    res = simulate_compound_poisson(
+        T, rate, n, seed, n_members, jump_kind=kind, jump_params=params, align_jumps=align
+    )
+    counts, times, sizes = _compound_poisson_draws(T, rate, seed, n_members, kind, params)
+    if rate == 0.0:
+        assert counts.sum() == 0
+    elif rate < 1.0:
+        assert 0 < np.count_nonzero(counts == 0) < n_members
+    base = make_uniform_grid(T, n)
+    grid = insert_times(base, times) if align and times.size else base
+    assert np.array_equal(res.path.grid.times, grid.times)
+    values, qv, columns = compound_poisson_loop(grid.times, times, sizes, counts, align)
+    assert np.array_equal(res.path.values[..., 0], values)
+    assert np.array_equal(res.martingale.bracket[..., 0, 0], qv)
+    assert np.array_equal(res.path.jump_indices, columns)
+    assert np.array_equal(res.martingale.jump_indices, columns)
+    if columns.size:
+        assert np.array_equal(res.path.left_values[..., 0], values[:, columns - 1])
+    else:
+        assert res.path.left_values is None
 
 
 def test_forward_lift_compound_poisson_chen():

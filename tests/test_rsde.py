@@ -17,11 +17,11 @@ from roughsew.norms import second_level_seminorm, vp_lq_seminorm
 from roughsew.rsde import (
     CoefficientSet,
     RSDEProblem,
+    _add_germ,
     build_event_schedule,
     picard_solve,
     solve,
     stability_experiment,
-    step,
     window_control,
 )
 
@@ -38,7 +38,8 @@ def test_step_zero_increments_is_identity():
         b=smooth_fn("tanh_affine"), sigma=smooth_fn("sin_bundle"), f=smooth_fn("sin_bundle")
     )
     y = np.array([0.3, -1.2, 7.0])
-    out = step(y, coeffs, 0.0, 0.0, np.zeros((3, 1)), np.zeros((3, 1, 1)))
+    fs = coeffs.f_components()
+    out = _add_germ(y, y, coeffs, fs, 0.0, 0.0, np.zeros((3, 1)), np.zeros((3, 1, 1)))
     assert np.array_equal(out, y)
 
 
@@ -47,7 +48,9 @@ def test_step_rough_germ_example():
     # y -> y (1 + dx + dx^2/2), the second-order Taylor germ of y e^dx
     coeffs = _linear_coeffs()
     y0, dx = 2.0, 0.1
-    out = step(np.array([y0]), coeffs, 0.0, 0.0, np.array([[dx]]), np.array([[[0.5 * dx**2]]]))
+    y = np.array([y0])
+    fs = coeffs.f_components()
+    out = _add_germ(y, y, coeffs, fs, 0.0, 0.0, np.array([[dx]]), np.array([[[0.5 * dx**2]]]))
     assert out[0] == pytest.approx(y0 * (1.0 + dx + 0.5 * dx**2), abs=1e-15)
 
 
@@ -96,14 +99,6 @@ def test_solve_flow_property_bitwise():
     first = solve(coeffs, 0.2, lift, bm, stop=32)
     second = solve(coeffs, first.values[:, 32], lift, bm, start=32)
     assert np.array_equal(second.values[:, 32:], full.values[:, 32:])
-
-
-def test_solve_derivative_is_f_of_solution():
-    bm = simulate_brownian(1.0, 32, seed=9, n_members=4)
-    lift = ito_lift_brownian(bm)
-    f = smooth_fn("sin_bundle", a=0.5)
-    res = solve(CoefficientSet(f=f), 0.1, lift, bm)
-    assert np.allclose(res.derivative[..., 0], f.f(res.values))
 
 
 def test_solve_never_builds_the_second_level_prefix():

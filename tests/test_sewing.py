@@ -10,7 +10,6 @@ from roughsew.sewing import (
     Germ,
     convergence_rate,
     default_controls,
-    delta_germ,
     increment_germ,
     ito_germ,
     log2_fit,
@@ -19,7 +18,6 @@ from roughsew.sewing import (
     riemann_sum,
     rough_germ,
     sew,
-    truncate_context,
     young_germ,
 )
 from roughsew.scenarios import _fit_log2_slope
@@ -35,10 +33,10 @@ def _random_partition(rng, n):
 def test_delta_germ_vanishes_for_additive_germ():
     bm = simulate_brownian(1.0, 32, seed=1, n_members=4)
     germ = increment_germ(bm.values[..., 0])
-    worst = 0.0
-    for (s, u, t) in [(0, 10, 32), (3, 4, 5), (0, 16, 31)]:
-        worst = max(worst, float(np.max(np.abs(delta_germ(germ, s, u, t)))))
-    assert worst <= 1e-12
+    s, u, t = np.array([0, 3, 0]), np.array([10, 4, 16]), np.array([32, 5, 31])
+    # the coboundary Xi_{s,t} - Xi_{s,u} - Xi_{u,t}
+    delta = germ(s, t) - germ(s, u) - germ(u, t)
+    assert np.max(np.abs(delta)) <= 1e-12
 
 
 def test_increment_germ_sums_are_partition_independent():
@@ -217,10 +215,25 @@ def test_young_germ_left_point_sum():
     assert total[0] == pytest.approx(2.0)  # Y at the left of the moving step
 
 
-def test_truncate_context_is_prefix_restriction():
-    bm = simulate_brownian(1.0, 16, seed=37, n_members=2)
-    germ = ito_germ(bm.values, bm.values)
-    cut = truncate_context(germ.context, 8)
-    assert cut["y"].shape[1] == 9
-    # germ values on the truncated window agree with the full context
-    assert np.array_equal(germ(2, 7, cut), germ(2, 7))
+def test_builtin_germs_are_adapted():
+    # a germ built on its input arrays cut after index t gives the same value
+    # on every window ending at or before t
+    bm = simulate_brownian(1.0, 16, seed=37, n_members=3)
+    lift = ito_lift_brownian(bm)
+    y, x, br = bm.values[..., 0] ** 2, bm.values, bm.bracket[..., 0, 0]
+    builders = {
+        "increment": lambda k: increment_germ(x[:, :k]),
+        "ito": lambda k: ito_germ(y[:, :k], x[:, :k]),
+        "rough": lambda k: rough_germ(y[:, :k], 2.0 * y[:, :k], x[:, :k],
+                                      lift.second_prefix[:, :k]),
+        "qv": lambda k: qv_germ(x[:, :k]),
+        "qv_compensated": lambda k: qv_germ(x[:, :k], br[:, :k]),
+        "young": lambda k: young_germ(y[:, :k], br[:, :k]),
+    }
+    n = bm.grid.n_steps
+    for name, build in builders.items():
+        full = build(n + 1)
+        for t in (0, 5, 11):
+            s_idx, t_idx = np.triu_indices(t + 1)
+            cut = build(t + 1)
+            assert np.array_equal(cut(s_idx, t_idx), full(s_idx, t_idx)), (name, t)
