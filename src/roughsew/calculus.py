@@ -107,16 +107,14 @@ def remainder(cp: ControlledPath, s: int, t: int) -> np.ndarray:
 class SmoothFn:
     """A scalar C^3 function applied elementwise, with exact derivatives.
 
-    c3_bound is an upper bound for max(|f|, |f'|, |f''|, |f'''|) on the
-    function's working range; `bounded` records whether f itself is bounded
-    (the RSDE solver warns when it is not).
+    `bounded` records whether f itself is bounded (the RSDE solver warns when
+    it is not).
     """
 
     name: str
     f: Callable[[np.ndarray], np.ndarray]
     df: Callable[[np.ndarray], np.ndarray]
     d2f: Callable[[np.ndarray], np.ndarray]
-    c3_bound: float
     bounded: bool = True
 
 
@@ -124,8 +122,7 @@ def _poly_derivatives(coeffs):
     c = np.asarray(coeffs, dtype=float)  # c[k] multiplies y^k
     d1 = c[1:] * np.arange(1, c.size)
     d2 = d1[1:] * np.arange(1, d1.size) if d1.size > 1 else np.zeros(1)
-    d3 = d2[1:] * np.arange(1, d2.size) if d2.size > 1 else np.zeros(1)
-    return c, d1, d2, d3
+    return c, d1, d2
 
 
 def _poly_eval(c, y):
@@ -154,7 +151,6 @@ def smooth_fn(name: str, **params) -> SmoothFn:
             lambda y: a * y + c,
             lambda y: np.full_like(np.asarray(y, dtype=float), a),
             lambda y: np.zeros_like(np.asarray(y, dtype=float)),
-            c3_bound=max(abs(a), abs(c)),
             bounded=False,
         )
     if name == "sin_bundle":
@@ -164,7 +160,6 @@ def smooth_fn(name: str, **params) -> SmoothFn:
             lambda y: a * np.sin(b * y + c),
             lambda y: a * b * np.cos(b * y + c),
             lambda y: -a * b * b * np.sin(b * y + c),
-            c3_bound=abs(a) * max(1.0, abs(b)) ** 3,
         )
     if name == "tanh_affine":
         a, b, c = params.get("a", 1.0), params.get("b", 1.0), params.get("c", 0.0)
@@ -179,10 +174,7 @@ def smooth_fn(name: str, **params) -> SmoothFn:
             th = np.tanh(b * y)
             return -2.0 * a * b * b * th * (1.0 - th * th)
 
-        return SmoothFn(
-            "tanh_affine", _f, _df, _d2f,
-            c3_bound=(abs(a) + abs(c)) * max(1.0, abs(b)) ** 3 * 2.0,
-        )
+        return SmoothFn("tanh_affine", _f, _df, _d2f)
     if name == "exp_clipped":
         r = params.get("r", 4.0)
 
@@ -197,16 +189,11 @@ def smooth_fn(name: str, **params) -> SmoothFn:
             y = np.asarray(y, dtype=float)
             return np.exp(np.clip(y, -r, r)) * (np.abs(y) < r)
 
-        return SmoothFn("exp_clipped", _f, _df, _d2f, c3_bound=float(np.exp(r)))
+        return SmoothFn("exp_clipped", _f, _df, _d2f)
     if name == "polynomial_clipped":
         coeffs = params.get("coeffs", (0.0, 0.0, 1.0))
         r = params.get("r", 16.0)
-        c, d1, d2, _d3 = _poly_derivatives(coeffs)
-        grid = np.linspace(-r, r, 4097)
-        bound = max(
-            float(np.max(np.abs(_poly_eval(arr, grid)))) if arr.size else 0.0
-            for arr in (c, d1, d2, _d3)
-        )
+        c, d1, d2 = _poly_derivatives(coeffs)
 
         def _f(y):
             return _poly_eval(c, np.clip(y, -r, r))
@@ -219,7 +206,7 @@ def smooth_fn(name: str, **params) -> SmoothFn:
             y = np.asarray(y, dtype=float)
             return _poly_eval(d2, np.clip(y, -r, r)) * (np.abs(y) < r)
 
-        return SmoothFn("polynomial_clipped", _f, _df, _d2f, c3_bound=bound)
+        return SmoothFn("polynomial_clipped", _f, _df, _d2f)
     raise ValueError(f"unknown smooth function {name!r}")
 
 

@@ -219,7 +219,8 @@ def ito_lift_brownian(bm: MartingalePath, substeps: int = 8, seed: int = 0) -> R
     The symmetric part of each step is the exact Ito identity
     (dB (x) dB - [B]_step) / 2; for dim >= 2 the antisymmetric part (the Levy
     area) is simulated from `substeps` Brownian-bridge sub-increments per step,
-    which carries an O(1/substeps) distributional bias.  In one dimension the
+    which carries an O(1/substeps) distributional bias and needs one bracket
+    shared by all members.  In one dimension the
     lift is exact: XX_step = (dB^2 - vol^2 dt) / 2.
     """
     grid = bm.grid
@@ -233,18 +234,15 @@ def ito_lift_brownian(bm: MartingalePath, substeps: int = 8, seed: int = 0) -> R
     else:
         if substeps < 2:
             raise ValueError("need at least 2 substeps for the Levy area")
+        if bracket_step.shape[0] != 1:
+            raise ValueError("the Levy area needs one bracket shared by all members")
         rng = stream(seed, "levy-area", d, substeps, n_members)
         area = np.zeros((n_members, n, d, d))
         # per-step bridge: xi_i ~ N(0, [B]_step / m), then eta_i = xi_i + (dB - sum xi)/m
-        chol = np.linalg.cholesky(bracket_step[0] / substeps) if bracket_step.shape[0] == 1 else None
+        chol = np.linalg.cholesky(bracket_step[0] / substeps)
         for k in range(n):
-            ck = chol[k] if chol is not None else np.linalg.cholesky(
-                bracket_step[:, k] / substeps
-            )
             xi = rng.standard_normal((n_members, substeps, d))
-            xi = np.einsum("ij,nmj->nmi", ck, xi) if chol is not None else np.einsum(
-                "nij,nmj->nmi", ck, xi
-            )
+            xi = np.einsum("ij,nmj->nmi", chol[k], xi)
             eta = xi + (db[:, k, None, :] - xi.sum(axis=1, keepdims=True)) / substeps
             run = np.cumsum(eta, axis=1)
             raw = np.einsum(

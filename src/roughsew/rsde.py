@@ -31,6 +31,7 @@ coefficients on the values (as `stability_experiment` does).
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,30 +98,26 @@ def _f_stack(fs, y):
     return np.stack([fn.f(y) for fn in fs], axis=-1)
 
 
-def _df_stack(fs, y):
-    return np.stack([fn.df(y) for fn in fs], axis=-1)
-
-
 def _add_germ(out, y, coeffs: CoefficientSet, fs, dt, dm, dx, xx):
     """out + b(y) dt + sigma(y) dm + f(y) . dx + (Df f)(y) : XX, term by term
     left to right, for the rough components `fs` of `coeffs`.
 
     Absent terms are skipped entirely, so the sigma-only step from y is a
     plain Euler-Maruyama update bitwise.  `solve` starts from y; Picard
-    starts from zeros, vectorized over an event axis.  XX = None drops the
-    second-order term.
+    starts from zeros, vectorized over an event axis.
     """
     if coeffs.b is not None:
         out = out + coeffs.b.f(y) * dt
     if coeffs.sigma is not None:
         out = out + coeffs.sigma.f(y) * dm
     if fs:
-        fv = _f_stack(fs, y)
-        out = out + np.einsum("...i,...i->...", fv, np.asarray(dx, dtype=float))
-        if xx is not None:
-            dfv = _df_stack(fs, y)
-            # second index of XX is the integration direction
-            out = out + np.einsum("...i,...j,...ji->...", dfv, fv, np.asarray(xx, dtype=float))
+        fv = [fn.f(y) for fn in fs]
+        out = out + sum(f * dx[..., i] for i, f in enumerate(fv))
+        dfv = [fn.df(y) for fn in fs]
+        # second index of XX is the integration direction
+        out = out + sum(
+            df * f * xx[..., j, i] for j, f in enumerate(fv) for i, df in enumerate(dfv)
+        )
     return out
 
 
@@ -343,22 +340,24 @@ _WINDOW_THRESHOLD = 0.25
 def _plan_windows(lift, mart, p, q) -> list[tuple[int, int]]:
     """Greedy split of [0, n] into maximal windows with control <= threshold.
 
-    Doubles the window until its control exceeds the threshold, then ends it
-    at the last grid point of that row still within it.  A single step over
-    threshold still becomes its own window.
+    Each search starts at the previous window's length and doubles the
+    window until its control exceeds the threshold, then ends it at the last
+    grid point of that row still within it.  Control rows are prefix-stable
+    and nondecreasing, so the windows do not depend on where the search
+    starts.  A single step over threshold still becomes its own window.
     """
     n = lift.grid.n_steps
     out: list[tuple[int, int]] = []
-    s = 0
+    s, length = 0, 1
     while s < n:
-        t = s + 1
+        t = min(n, s + length)
         row = window_control(lift, mart, p, q, s, t)
         while row[-1] <= _WINDOW_THRESHOLD and t < n:
             t = min(n, s + 2 * (t - s))
             row = window_control(lift, mart, p, q, s, t)
-        good = s + max(1, int(np.count_nonzero(row <= _WINDOW_THRESHOLD)))
-        out.append((s, good))
-        s = good
+        length = max(1, int(np.count_nonzero(row <= _WINDOW_THRESHOLD)))
+        out.append((s, s + length))
+        s += length
     return out
 
 
@@ -380,8 +379,8 @@ def picard_solve(
     window's grid points, over the members whose iterate ends the window
     finite; iteration stops below `tol` or once no member is finite (hitting
     `max_iter` warns and keeps the last iterate).  Diagnostics record window
-    boundaries, iteration counts, successive distances, and contraction
-    ratios, plus the event count and diverged members as in `solve`.
+    boundaries, iteration counts and successive distances, plus the event
+    count and diverged members as in `solve`.
     """
     sched, fs, state = _prologue(coeffs, y0, lift, mart, 0)
     n = lift.grid.n_steps
@@ -430,14 +429,10 @@ def picard_solve(
         distance_history.append(dists)
         state[:, dest_w] = cur[:, 1:]
 
-    ratios = [
-        [b / a for a, b in zip(d, d[1:]) if a > 0] for d in distance_history
-    ]
     diagnostics = {
         "windows": windows,
         "iterations": iters_per_window,
         "distances": distance_history,
-        "contraction_ratios": ratios,
     }
     return _epilogue(lift, sched, state, 0, n, diagnostics)
 
@@ -486,56 +481,63 @@ def _remainder_mean_table(ya, dya, xa, yb, dyb, xb):
 def stability_experiment(
     coeffs: CoefficientSet,
     base: RSDEProblem,
-    pert: RSDEProblem,
+    perts: Sequence[tuple[RSDEProblem, np.ndarray | None]],
     p: float = 2.0,
     q: float = 4.0,
-    mdiff_bracket: np.ndarray | None = None,
-) -> StabilityReport:
-    """Solve both data bundles and compare solution distance to data distance.
+) -> list[StabilityReport]:
+    """Solve the base data bundle once and each perturbed one, and compare
+    solution distance to data distance, one report per pair in `perts`:
 
         LHS = ||Y - Yt||_{p,q} + ||Y' - Yt'||_{p,q} + ||E.(R - Rt)||_{p/2}
         RHS = ||y0 - y0t||_{L^q} + ||[M - Mt]||_{p/2,q/2}^{1/2} + dist_p(X, Xt)
 
-    `mdiff_bracket` is the bracket path of the martingale difference, shape
-    (Nb, n+1); omit it when the martingale is unperturbed.  Identical data
-    reports ratio 0 by convention.
+    Each pair is (perturbed problem, bracket path of the martingale
+    difference, shape (Nb, n+1)); the bracket is None when the martingale is
+    unperturbed.  Identical data reports ratio 0 by convention.
     """
     fs = coeffs.f_components()
-    ya = solve(coeffs, base.y0, base.lift, base.mart).values
-    yb = solve(coeffs, pert.y0, pert.lift, pert.mart).values
-    # Y' = f(Y); zero without a rough coefficient
-    dya = _f_stack(fs, ya) if fs else np.zeros(ya.shape + (base.lift.dim,))
-    dyb = _f_stack(fs, yb) if fs else np.zeros(yb.shape + (pert.lift.dim,))
 
-    l_sol = vp_lq_seminorm(ya - yb, p, q)
-    l_der = vp_lq_seminorm(dya - dyb, p, q)
-    l_rem = two_param_seminorm(
-        _remainder_mean_table(ya, dya, base.lift.path.values, yb, dyb, pert.lift.path.values),
-        p / 2.0,
-    )
-    lhs = l_sol + l_der + l_rem
+    def solution(prob: RSDEProblem):
+        y = solve(coeffs, prob.y0, prob.lift, prob.mart).values
+        # Y' = f(Y); zero without a rough coefficient
+        return y, _f_stack(fs, y) if fs else np.zeros(y.shape + (prob.lift.dim,))
 
+    ya, dya = solution(base)
     y0a = np.atleast_1d(np.asarray(base.y0, dtype=float))
-    y0b = np.atleast_1d(np.asarray(pert.y0, dtype=float))
-    r_init = lq_norm(y0a - y0b, q)
-    r_mart = (
-        vp_lq_seminorm(mdiff_bracket, p / 2.0, q / 2.0) ** 0.5
-        if mdiff_bracket is not None
-        else 0.0
-    )
-    r_lift = rough_path_distance(base.lift, pert.lift, p, q)
-    rhs = r_init + r_mart + r_lift
+    reports = []
+    for pert, mdiff_bracket in perts:
+        yb, dyb = solution(pert)
+        l_sol = vp_lq_seminorm(ya - yb, p, q)
+        l_der = vp_lq_seminorm(dya - dyb, p, q)
+        l_rem = two_param_seminorm(
+            _remainder_mean_table(ya, dya, base.lift.path.values, yb, dyb, pert.lift.path.values),
+            p / 2.0,
+        )
+        lhs = l_sol + l_der + l_rem
 
-    if lhs == 0.0:
-        ratio = 0.0
-    elif rhs == 0.0:
-        ratio = float("inf")
-    else:
-        ratio = lhs / rhs
-    return StabilityReport(
-        lhs=lhs,
-        rhs=rhs,
-        ratio=ratio,
-        lhs_parts={"solution": l_sol, "derivative": l_der, "remainder": l_rem},
-        rhs_parts={"initial": r_init, "martingale": r_mart, "lift": r_lift},
-    )
+        y0b = np.atleast_1d(np.asarray(pert.y0, dtype=float))
+        r_init = lq_norm(y0a - y0b, q)
+        r_mart = (
+            vp_lq_seminorm(mdiff_bracket, p / 2.0, q / 2.0) ** 0.5
+            if mdiff_bracket is not None
+            else 0.0
+        )
+        r_lift = rough_path_distance(base.lift, pert.lift, p, q)
+        rhs = r_init + r_mart + r_lift
+
+        if lhs == 0.0:
+            ratio = 0.0
+        elif rhs == 0.0:
+            ratio = float("inf")
+        else:
+            ratio = lhs / rhs
+        reports.append(
+            StabilityReport(
+                lhs=lhs,
+                rhs=rhs,
+                ratio=ratio,
+                lhs_parts={"solution": l_sol, "derivative": l_der, "remainder": l_rem},
+                rhs_parts={"initial": r_init, "martingale": r_mart, "lift": r_lift},
+            )
+        )
+    return reports

@@ -555,32 +555,14 @@ def scenario_stability_base(cfg: ExperimentConfig):
     base = rsde.RSDEProblem(y0=y0, lift=base_lift, mart=bm)
     w = paths.simulate_brownian(T, n, seed + 101, n_members=N, dim=1)
 
-    rows = []
-    ratios: dict[str, list[float]] = {"y0": [], "martingale": [], "lift": []}
     eps_grid = tuple(cfg.params.get("eps", (1e-1, 1e-2, 1e-3, 1e-4)))
-    for i, eps in enumerate(eps_grid):
-        rep = rsde.stability_experiment(
-            coeffs, base, rsde.RSDEProblem(y0 + eps, base_lift, bm), p=cfg.p, q=cfg.q
-        )
-        ratios["y0"].append(rep.ratio)
-        rows.append(_row(cfg, "stability_ratio[y0]", rep.ratio, level=i))
-
+    pairs = []  # per eps: the y0, martingale and lift perturbations, in row order
+    for eps in eps_grid:
         mart_p = paths.MartingalePath(
             grid=grid,
             values=bm.values + eps * w.values,
             bracket=((1.0 + eps**2) * times)[None, :, None, None],
         )
-        rep = rsde.stability_experiment(
-            coeffs,
-            base,
-            rsde.RSDEProblem(y0, base_lift, mart_p),
-            p=cfg.p,
-            q=cfg.q,
-            mdiff_bracket=(eps**2 * times)[None, :],
-        )
-        ratios["martingale"].append(rep.ratio)
-        rows.append(_row(cfg, "stability_ratio[martingale]", rep.ratio, level=i))
-
         vals = base_lift.path.values + eps * (times * (1.0 - times))[None, :, None]
         dx = np.diff(vals, axis=1)
         tilted = paths.RoughLift(
@@ -588,11 +570,19 @@ def scenario_stability_base(cfg: ExperimentConfig):
             0.5 * dx[..., None] * dx[:, :, None, :],
             name="tilted-linear",
         )
-        rep = rsde.stability_experiment(
-            coeffs, base, rsde.RSDEProblem(y0, tilted, bm), p=cfg.p, q=cfg.q
-        )
-        ratios["lift"].append(rep.ratio)
-        rows.append(_row(cfg, "stability_ratio[lift]", rep.ratio, level=i))
+        pairs += [
+            (rsde.RSDEProblem(y0 + eps, base_lift, bm), None),
+            (rsde.RSDEProblem(y0, base_lift, mart_p), (eps**2 * times)[None, :]),
+            (rsde.RSDEProblem(y0, tilted, bm), None),
+        ]
+    reports = rsde.stability_experiment(coeffs, base, pairs, p=cfg.p, q=cfg.q)
+
+    rows = []
+    ratios: dict[str, list[float]] = {"y0": [], "martingale": [], "lift": []}
+    for j, rep in enumerate(reports):
+        key = list(ratios)[j % 3]
+        ratios[key].append(rep.ratio)
+        rows.append(_row(cfg, f"stability_ratio[{key}]", rep.ratio, level=j // 3))
 
     for key, vals in ratios.items():
         arr = np.asarray(vals)

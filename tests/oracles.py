@@ -435,3 +435,47 @@ def compound_poisson_loop(times, flat_times, flat_sizes, counts, align_jumps, ti
                     if 0 <= j < times.size and abs(times[j] - tj) <= time_tol
                 ))
     return values, qv, np.array(sorted(columns), dtype=np.int64)
+
+
+def plan_windows_one_step(control, n, threshold):
+    """Greedy split of [0, n] into maximal windows whose control stays at or
+    below `threshold`, each search starting at one step.
+
+    control(s, t) returns the row of window controls of [s, u] for
+    u = s+1..t.  The window doubles until the row's last entry exceeds the
+    threshold (or reaches n) and then ends at the last grid point of that row
+    still within it; a single step over the threshold is its own window.
+    """
+    out = []
+    s = 0
+    while s < n:
+        t = s + 1
+        row = control(s, t)
+        while row[-1] <= threshold and t < n:
+            t = min(n, s + 2 * (t - s))
+            row = control(s, t)
+        good = s + max(1, int(np.count_nonzero(row <= threshold)))
+        out.append((s, good))
+        s = good
+    return out
+
+
+def add_germ_einsum(out, y, coeffs, fs, dt, dm, dx, xx):
+    """out + b(y) dt + sigma(y) dm + f(y) . dx + (Df f)(y) : XX with the rough
+    components stacked on a last axis and contracted by einsum.
+
+    coeffs has optional `b` and `sigma`, and fs is a sequence of the rough
+    components; each of these has elementwise `f` (and, for fs, `df`).  dx
+    is (..., d) and xx (..., d, d), whose second index is the integration
+    direction.
+    """
+    if coeffs.b is not None:
+        out = out + coeffs.b.f(y) * dt
+    if coeffs.sigma is not None:
+        out = out + coeffs.sigma.f(y) * dm
+    if fs:
+        fv = np.stack([fn.f(y) for fn in fs], axis=-1)
+        out = out + np.einsum("...i,...i->...", fv, np.asarray(dx, dtype=float))
+        dfv = np.stack([fn.df(y) for fn in fs], axis=-1)
+        out = out + np.einsum("...i,...j,...ji->...", dfv, fv, np.asarray(xx, dtype=float))
+    return out

@@ -173,7 +173,7 @@ def test_stability_remainder_term_matches_row_loop_oracle(n_members, dim):
     base = RSDEProblem(0.4, _lift(n_members, dim, seed=11))
     pert = RSDEProblem(0.45, _lift(n_members, dim, seed=12))
     p, q = 2.5, 4.0
-    rep = stability_experiment(coeffs, base, pert, p=p, q=q)
+    [rep] = stability_experiment(coeffs, base, [(pert, None)], p=p, q=q)
     ya = solve(coeffs, base.y0, base.lift).values
     yb = solve(coeffs, pert.y0, pert.lift).values
     # the Gubinelli derivative Y' = f(Y), one column per driver direction

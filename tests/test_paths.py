@@ -6,6 +6,7 @@ import pytest
 from roughsew.grids import TimeGrid, insert_times, make_uniform_grid
 from roughsew.norms import chen_residual
 from roughsew.paths import (
+    MartingalePath,
     RoughLift,
     SamplePath,
     _draw_jump_sizes,
@@ -89,6 +90,15 @@ def test_levy_area_mean_zero():
     area = 0.5 * (xx[:, 0, 1] - xx[:, 1, 0])
     se = area.std(ddof=1) / np.sqrt(area.shape[0])
     assert abs(area.mean()) < 3 * se
+
+
+def test_levy_area_rejects_per_member_bracket():
+    bm = simulate_brownian(1.0, 8, seed=19, n_members=3, dim=2)
+    per_member = MartingalePath(
+        grid=bm.grid, values=bm.values, bracket=np.repeat(bm.bracket, 3, axis=0)
+    )
+    with pytest.raises(ValueError, match="one bracket shared by all members"):
+        ito_lift_brownian(per_member, seed=19)
 
 
 # ---------------------------------------------------------------------------

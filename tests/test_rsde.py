@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from roughsew import rsde
 from roughsew.calculus import smooth_fn
 from roughsew.paths import (
     MartingalePath,
@@ -15,17 +16,25 @@ from roughsew.paths import (
 )
 from roughsew.norms import second_level_seminorm, vp_lq_seminorm
 from roughsew.rsde import (
+    _WINDOW_THRESHOLD,
     CoefficientSet,
     RSDEProblem,
     _add_germ,
+    _plan_windows,
     build_event_schedule,
     picard_solve,
     solve,
     stability_experiment,
     window_control,
 )
+from roughsew.scenarios import default_config, run_scenario
 
-from oracles import euler_maruyama_reference, event_schedule_loop
+from oracles import (
+    add_germ_einsum,
+    euler_maruyama_reference,
+    event_schedule_loop,
+    plan_windows_one_step,
+)
 
 
 def _linear_coeffs():
@@ -52,6 +61,39 @@ def test_step_rough_germ_example():
     fs = coeffs.f_components()
     out = _add_germ(y, y, coeffs, fs, 0.0, 0.0, np.array([[dx]]), np.array([[[0.5 * dx**2]]]))
     assert out[0] == pytest.approx(y0 * (1.0 + dx + 0.5 * dx**2), abs=1e-15)
+
+
+def _germ_case(dim):
+    b, s = smooth_fn("tanh_affine", a=0.4, b=0.9), smooth_fn("sin_bundle", a=0.5, b=1.1, c=0.2)
+    if dim == 1:  # a jump driver, so jump events are among the increments
+        mix = simulate_mixed(1.0, 32, seed=37, n_members=16, rate=3.0)
+        lift, mart = mix.lift, mix.martingale
+        f = smooth_fn("tanh_affine", a=0.8, b=0.7, c=0.1)
+    else:
+        mart = simulate_brownian(1.0, 32, seed=39, n_members=16, dim=2)
+        lift = ito_lift_brownian(mart, seed=39)
+        f = (smooth_fn("sin_bundle", a=0.7, c=0.1), smooth_fn("tanh_affine", a=0.5, b=0.8, c=0.2))
+    return CoefficientSet(b=b, sigma=s, f=f), build_event_schedule(lift, mart)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_add_germ_matches_einsum_oracle_bitwise(dim):
+    # at d = 2 too: the sums run over the directions in einsum's order
+    coeffs, sched = _germ_case(dim)
+    fs = coeffs.f_components()
+    y = np.linspace(-1.5, 1.5, 16)
+    # solve: one event at a time, shape (N,), starting from y
+    for e in range(sched.dt.size):
+        args = (sched.dt[e], sched.dm[:, e], sched.dx[:, e], sched.xx[:, e])
+        got = _add_germ(y, y, coeffs, fs, *args)
+        assert np.array_equal(got, add_germ_einsum(y, y, coeffs, fs, *args))
+    # Picard: every event at once, shape (N, L), starting from zeros
+    ys = y[:, None] * np.cos(np.arange(sched.dt.size))[None, :]
+    zero = np.zeros_like(ys)
+    args = (sched.dt, sched.dm, sched.dx, sched.xx)
+    got = _add_germ(zero, ys, coeffs, fs, *args)
+    assert got.shape == ys.shape
+    assert np.array_equal(got, add_germ_einsum(zero, ys, coeffs, fs, *args))
 
 
 def test_solve_constant_when_no_coefficients():
@@ -239,6 +281,42 @@ def test_window_control_row_matches_per_window_seminorms(with_mart, p, q):
     assert np.all(np.diff(row) >= 0.0)
 
 
+def _one_step_windows(lift, mart):
+    return plan_windows_one_step(
+        lambda s, t: window_control(lift, mart, 2.0, 4.0, s, t),
+        lift.grid.n_steps,
+        _WINDOW_THRESHOLD,
+    )
+
+
+@pytest.mark.parametrize("n_members", [64, 256])
+@pytest.mark.parametrize("seed", [7, 8, 9, 10])
+def test_plan_windows_match_one_step_search_oracle(n_members, seed):
+    # the jump_mix driver: a search resumed at the last window's length finds
+    # the windows a search from one step finds
+    mix = simulate_mixed(1.0, 128, seed, n_members=n_members, rate=2.0, jump_params=(0.3, 0.45))
+    lift, mart = mix.lift, mix.martingale
+    assert _plan_windows(lift, mart, 2.0, 4.0) == _one_step_windows(lift, mart)
+
+
+def test_plan_windows_single_step_over_threshold():
+    # unit jumps: each jump step alone exceeds the threshold, right after a
+    # longer window, and still becomes its own window
+    mix = simulate_mixed(
+        1.0, 64, seed=4, n_members=4, rate=1.0, jump_kind="fixed", jump_params=(1.0,), vol=0.2
+    )
+    lift, mart = mix.lift, mix.martingale
+    windows = _plan_windows(lift, mart, 2.0, 4.0)
+    assert windows == _one_step_windows(lift, mart)
+    over = [
+        k for k, (s, t) in enumerate(windows)
+        if window_control(lift, mart, 2.0, 4.0, s, s + 1)[0] > _WINDOW_THRESHOLD
+    ]
+    assert over
+    assert all(windows[k][1] - windows[k][0] == 1 for k in over)
+    assert any(k > 0 and windows[k - 1][1] - windows[k - 1][0] > 1 for k in over)
+
+
 def test_picard_matches_onestep_brownian():
     bm = simulate_brownian(1.0, 128, seed=17, n_members=32)
     lift = ito_lift_brownian(bm)
@@ -276,7 +354,7 @@ def test_stability_identical_data_reports_zero():
     lift = ito_lift_brownian(bm)
     coeffs = CoefficientSet(b=smooth_fn("tanh_affine"), sigma=smooth_fn("sin_bundle"))
     prob = RSDEProblem(y0=0.1, lift=lift, mart=bm)
-    rep = stability_experiment(coeffs, prob, prob)
+    [rep] = stability_experiment(coeffs, prob, [(prob, None)])
     assert rep.ratio == 0.0
     assert rep.lhs == 0.0
 
@@ -288,10 +366,51 @@ def test_stability_initial_condition_perturbation():
     eps = 1e-3
     base = RSDEProblem(y0=0.1, lift=lift, mart=bm)
     pert = RSDEProblem(y0=0.1 + eps, lift=lift, mart=bm)
-    rep = stability_experiment(coeffs, base, pert)
+    [rep] = stability_experiment(coeffs, base, [(pert, None)])
     assert rep.rhs == pytest.approx(eps)
     assert np.isfinite(rep.ratio)
     assert rep.ratio > 0
+
+
+def test_stability_pairs_match_single_pair_calls_bitwise():
+    bm = simulate_brownian(1.0, 32, seed=41, n_members=16)
+    w = simulate_brownian(1.0, 32, seed=43, n_members=16)
+    lift = ito_lift_brownian(bm)
+    coeffs = CoefficientSet(
+        b=smooth_fn("tanh_affine", a=0.3), sigma=smooth_fn("sin_bundle", a=0.5),
+        f=smooth_fn("tanh_affine", a=0.6, b=0.8),
+    )
+    eps, times = 1e-2, bm.grid.times
+    mart = MartingalePath(
+        grid=bm.grid,
+        values=bm.values + eps * w.values,
+        bracket=((1.0 + eps**2) * times)[None, :, None, None],
+    )
+    base = RSDEProblem(0.1, lift, bm)
+    pairs = [
+        (RSDEProblem(0.1 + eps, lift, bm), None),
+        (RSDEProblem(0.1, lift, mart), (eps**2 * times)[None, :]),
+        (RSDEProblem(0.1, ito_lift_brownian(w), bm), None),
+    ]
+    reports = stability_experiment(coeffs, base, pairs)
+    assert len(reports) == len(pairs)
+    for pair, rep in zip(pairs, reports):
+        assert stability_experiment(coeffs, base, [pair]) == [rep]
+    assert len({rep.ratio for rep in reports}) == 3
+
+
+def test_stability_base_solves_its_base_once(monkeypatch):
+    calls = []
+    real_solve = rsde.solve
+
+    def counting_solve(*args, **kwargs):
+        calls.append(1)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(rsde, "solve", counting_solve)
+    run_scenario(default_config("stability_base"))
+    # the base, its 12 perturbations and the Picard gap row's solve
+    assert len(calls) == 14
 
 
 def test_solve_validates_driver_dimension():
