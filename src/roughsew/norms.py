@@ -6,8 +6,15 @@ variants (the V^p L^q[r] family with r > 1) are out of empirical reach on a
 desk ensemble and are reduced to r = 1: conditional means are approximated by
 unconditional ensemble means (for r = 1 the two families coincide; r = infinity
 facts enter only through analytic closed forms such as a stored Brownian
-bracket).  Every table goes through one row builder, `_magnitude_table`, and
-full O(n^2) tables are only built for n <= 2048 as a memory guard.
+bracket).  Tables are built row by row in `_magnitude_table`, except the
+q = 2 table of an ensemble, which `lq_table` reads off one Gram product G of
+the members' paths, each centred by its time-mean:
+||dY_{i,j}||^2 = (G_ii + G_jj - 2 G_ij) / N.  That subtraction cancels where
+an increment is small next to the paths' distance from their time-means, so
+a row with a cell where eps (G_ii + G_jj) exceeds `_GRAM_RTOL` times
+G_ii + G_jj - 2 G_ij is rebuilt by the row builder, and a block with a
+non-finite entry or Gram entry is built by rows throughout.  Full O(n^2)
+tables are only built for n <= 2048 as a memory guard.
 """
 from __future__ import annotations
 
@@ -27,6 +34,10 @@ __all__ = [
 ]
 
 MAX_TABLE_POINTS = 2048
+
+# a q = 2 Gram row is kept when eps * (G_ii + G_jj) stays below this fraction
+# of G_ii + G_jj - 2 G_ij in every cell, else the row builder rebuilds it
+_GRAM_RTOL = 1e-13
 
 
 def lq_norm(samples: np.ndarray, q: float) -> float:
@@ -52,17 +63,18 @@ def _check_table_size(n_points: int):
         )
 
 
-def _magnitude_table(row, m: int, q: float) -> np.ndarray:
-    """The two-parameter table builder behind every seminorm.
+def _magnitude_table(row, m: int, q: float, rows=None) -> np.ndarray:
+    """The row builder behind every seminorm table.
 
     row(i) returns the increments dY_{i, i+1..m-1}, shape (N, m-1-i, ...);
     the table is out[i, j] = ||dY_{i,j}||_{L^q(ensemble)} for i < j and zero
-    elsewhere, with Euclidean magnitudes across the trailing axes.  Built one
-    row at a time, so memory stays at O(N * m) rather than O(N * m^2).
+    elsewhere, with Euclidean magnitudes across the trailing axes.  Only the
+    given `rows` are filled (all by default).  Built one row at a time, so
+    memory stays at O(N * m) rather than O(N * m^2).
     """
     _check_table_size(m)
     out = np.zeros((m, m))
-    for i in range(m - 1):
+    for i in range(m - 1) if rows is None else rows:
         r = row(i)
         flat = r.reshape(r.shape[0], r.shape[1], -1)
         mags = np.sqrt(np.einsum("nkd,nkd->nk", flat, flat))
@@ -70,17 +82,58 @@ def _magnitude_table(row, m: int, q: float) -> np.ndarray:
     return out
 
 
+def _gram_table(block: np.ndarray):
+    """The q = 2 table of an (N, m, d) block from one Gram product.
+
+    Returns (table, rows the cancellation guard rejects), or None when the
+    block, a Gram entry or a sum of two is not finite.
+    """
+    n_members, m, _ = block.shape
+    _check_table_size(m)
+    # one column per member and component, centred by its time-mean, which
+    # leaves every increment as it is; a copy, so the centring never writes
+    # through to the caller's values
+    y = np.array(block.transpose(1, 0, 2), order="C").reshape(m, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y -= y.mean(axis=0)
+        g = y @ y.T
+        diag = np.diag(g)
+        both = diag[:, None] + diag[None, :]
+        sq = both - 2.0 * g
+    # a non-finite entry of the block makes its column, and so every cell,
+    # NaN; a non-finite Gram entry or sum shows here too
+    if not np.all(np.isfinite(sq)):
+        return None
+    lossy = np.triu(np.finfo(float).eps * both > _GRAM_RTOL * sq, 1).any(axis=1)
+    out = np.triu(np.sqrt(np.maximum(sq, 0.0) / n_members), 1)
+    return out, np.flatnonzero(lossy)
+
+
 def lq_table(values: np.ndarray, q: float, s: int = 0, t: int | None = None) -> np.ndarray:
     """Two-parameter table F[u, v] = ||Y_v - Y_u||_{L^q} over the window [s, t].
 
-    values: (N, n+1) or (N, n+1, d).
+    values: (N, n+1) or (N, n+1, d).  At q = 2 with N >= 2 the table comes
+    from one Gram product (see the module docstring); the rows it cannot keep
+    to `_GRAM_RTOL`, and every row of a non-finite block, come from the row
+    builder, bitwise as `_magnitude_table` alone gives them.
     """
     v = np.asarray(values, dtype=float)
     if v.ndim == 2:
         v = v[:, :, None]
     t = v.shape[1] - 1 if t is None else t
     block = v[:, s : t + 1, :]
-    return _magnitude_table(lambda i: block[:, i + 1 :] - block[:, i : i + 1], t - s + 1, q)
+    m = t - s + 1
+
+    def row(i):
+        return block[:, i + 1 :] - block[:, i : i + 1]
+
+    # a single path keeps its exact differences (`grids.increment_table`)
+    gram = _gram_table(block) if q == 2.0 and block.shape[0] >= 2 else None
+    if gram is None:
+        return _magnitude_table(row, m, q)
+    out, lossy = gram
+    out[lossy] = _magnitude_table(row, m, q, rows=lossy)[lossy]
+    return out
 
 
 def two_param_seminorm(table: np.ndarray, p: float, s: int = 0, t: int | None = None) -> float:

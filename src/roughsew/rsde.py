@@ -484,7 +484,7 @@ def stability_experiment(
     perts: Sequence[tuple[RSDEProblem, np.ndarray | None]],
     p: float = 2.0,
     q: float = 4.0,
-) -> list[StabilityReport]:
+) -> tuple[RSDEResult, list[StabilityReport]]:
     """Solve the base data bundle once and each perturbed one, and compare
     solution distance to data distance, one report per pair in `perts`:
 
@@ -493,20 +493,22 @@ def stability_experiment(
 
     Each pair is (perturbed problem, bracket path of the martingale
     difference, shape (Nb, n+1)); the bracket is None when the martingale is
-    unperturbed.  Identical data reports ratio 0 by convention.
+    unperturbed.  Identical data reports ratio 0 by convention.  Returns the
+    base problem's `solve` result next to the reports.
     """
     fs = coeffs.f_components()
 
     def solution(prob: RSDEProblem):
-        y = solve(coeffs, prob.y0, prob.lift, prob.mart).values
+        sol = solve(coeffs, prob.y0, prob.lift, prob.mart)
         # Y' = f(Y); zero without a rough coefficient
-        return y, _f_stack(fs, y) if fs else np.zeros(y.shape + (prob.lift.dim,))
+        y = sol.values
+        return sol, y, _f_stack(fs, y) if fs else np.zeros(y.shape + (prob.lift.dim,))
 
-    ya, dya = solution(base)
+    base_sol, ya, dya = solution(base)
     y0a = np.atleast_1d(np.asarray(base.y0, dtype=float))
     reports = []
     for pert, mdiff_bracket in perts:
-        yb, dyb = solution(pert)
+        _, yb, dyb = solution(pert)
         l_sol = vp_lq_seminorm(ya - yb, p, q)
         l_der = vp_lq_seminorm(dya - dyb, p, q)
         l_rem = two_param_seminorm(
@@ -540,4 +542,4 @@ def stability_experiment(
                 rhs_parts={"initial": r_init, "martingale": r_mart, "lift": r_lift},
             )
         )
-    return reports
+    return base_sol, reports

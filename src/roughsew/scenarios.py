@@ -575,7 +575,7 @@ def scenario_stability_base(cfg: ExperimentConfig):
             (rsde.RSDEProblem(y0, base_lift, mart_p), (eps**2 * times)[None, :]),
             (rsde.RSDEProblem(y0, tilted, bm), None),
         ]
-    reports = rsde.stability_experiment(coeffs, base, pairs, p=cfg.p, q=cfg.q)
+    sol, reports = rsde.stability_experiment(coeffs, base, pairs, p=cfg.p, q=cfg.q)
 
     rows = []
     ratios: dict[str, list[float]] = {"y0": [], "martingale": [], "lift": []}
@@ -591,7 +591,6 @@ def scenario_stability_base(cfg: ExperimentConfig):
             spread = float("inf")
         rows.append(_row(cfg, f"ratio_spread[{key}]", spread))
 
-    sol = rsde.solve(coeffs, y0, base_lift, bm)
     rows.append(_picard_gap_row(cfg, sol, coeffs, y0, base_lift, mart=bm))
     return rows
 

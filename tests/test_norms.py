@@ -7,6 +7,7 @@ from roughsew.calculus import smooth_fn
 from roughsew.grids import increment_table, p_variation
 from roughsew.norms import (
     MAX_TABLE_POINTS,
+    _gram_table,
     chen_residual,
     lq_norm,
     lq_table,
@@ -15,7 +16,12 @@ from roughsew.norms import (
     two_param_seminorm,
     vp_lq_seminorm,
 )
-from roughsew.paths import ito_lift_brownian, simulate_brownian, smooth_lift
+from roughsew.paths import (
+    ito_lift_brownian,
+    simulate_brownian,
+    simulate_compound_poisson,
+    smooth_lift,
+)
 from roughsew.rsde import CoefficientSet, RSDEProblem, solve, stability_experiment
 
 from oracles import (
@@ -173,7 +179,7 @@ def test_stability_remainder_term_matches_row_loop_oracle(n_members, dim):
     base = RSDEProblem(0.4, _lift(n_members, dim, seed=11))
     pert = RSDEProblem(0.45, _lift(n_members, dim, seed=12))
     p, q = 2.5, 4.0
-    [rep] = stability_experiment(coeffs, base, [(pert, None)], p=p, q=q)
+    _, [rep] = stability_experiment(coeffs, base, [(pert, None)], p=p, q=q)
     ya = solve(coeffs, base.y0, base.lift).values
     yb = solve(coeffs, pert.y0, pert.lift).values
     # the Gubinelli derivative Y' = f(Y), one column per driver direction
@@ -195,6 +201,73 @@ def test_single_member_table_is_the_broadcast_increment_table_bitwise(dim):
     upper = lq_table(vals[None], 2.0)
     assert np.array_equal(upper, np.triu(want))
     assert np.array_equal(increment_table(vals), want)
+
+
+GRAM_RTOL = 1e-12
+
+
+def _assert_gram_matches_rows(vals, s=0, t=None):
+    got = lq_table(vals, 2.0, s=s, t=t)
+    want = lq_table_rows(vals, 2.0, s=s, t=t)
+    assert got.shape == want.shape
+    # atol 0: a zero cell of the row loop is a zero cell of the Gram table
+    assert np.allclose(got, want, rtol=GRAM_RTOL, atol=0.0)
+
+
+def test_gram_table_matches_rows_on_a_workload_size_brownian_ensemble():
+    vals = simulate_brownian(1.0, 512, seed=7, n_members=2000).values
+    _assert_gram_matches_rows(vals)
+    # every row is kept from the Gram product at this size
+    assert _gram_table(vals)[1].size == 0
+
+
+@pytest.mark.parametrize("rate,n_members,align", [(5.0, 500, False), (2.0, 64, True)])
+def test_gram_table_matches_rows_on_a_jump_ensemble(rate, n_members, align):
+    cp = simulate_compound_poisson(1.0, rate, 256, seed=3, n_members=n_members, align_jumps=align)
+    _assert_gram_matches_rows(cp.path.values)
+
+
+def test_gram_table_matches_rows_in_two_dimensions_on_a_late_window():
+    vals = simulate_brownian(1.0, 300, seed=5, n_members=400, dim=2).values
+    _assert_gram_matches_rows(vals, s=37, t=281)
+
+
+def test_gram_table_centres_away_a_large_level():
+    # each member's time-mean takes the level off exactly, so the Gram path
+    # sees the 1e-6 scale alone
+    w = simulate_brownian(1.0, 64, seed=9, n_members=50).values
+    _assert_gram_matches_rows(1e6 + 1e-6 * w)
+
+
+def test_gram_table_leaves_its_input_as_it_is():
+    vals = np.array([[1.0], [2.0], [4.0]])  # one time point: no copy on transpose
+    assert np.array_equal(lq_table(vals, 2.0), np.zeros((1, 1)))
+    assert np.array_equal(vals, [[1.0], [2.0], [4.0]])
+
+
+def test_gram_table_rebuilds_cancelling_rows_bitwise():
+    # a turn of radius 1e6 in 512 steps: every row has a cell whose increment
+    # is tiny next to the distance from the time-mean, where the unguarded
+    # Gram table is off by ~7e-12 relative and has a false zero
+    t = np.linspace(0.0, 1.0, 513)
+    circle = np.stack([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)], axis=-1)
+    w = simulate_brownian(1.0, 512, seed=9, n_members=40, dim=2).values
+    vals = 1e6 * circle[None] + 1e-6 * w
+    assert np.array_equal(lq_table(vals, 2.0), lq_table_rows(vals, 2.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+def test_gram_table_keeps_the_row_pattern_of_a_non_finite_member(bad):
+    vals = simulate_brownian(1.0, 64, seed=1, n_members=50).values[..., 0]
+    vals[3, 20] = bad
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = lq_table(vals, 2.0), lq_table_rows(vals, 2.0)
+    # row 20 and column 20 of the 65-point table, nothing else
+    assert np.count_nonzero(~np.isfinite(want)) == 64
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    finite = np.isfinite(want)
+    assert np.array_equal(got[finite], want[finite])
 
 
 def test_second_accepts_an_index_row_bitwise():

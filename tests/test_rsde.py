@@ -354,7 +354,7 @@ def test_stability_identical_data_reports_zero():
     lift = ito_lift_brownian(bm)
     coeffs = CoefficientSet(b=smooth_fn("tanh_affine"), sigma=smooth_fn("sin_bundle"))
     prob = RSDEProblem(y0=0.1, lift=lift, mart=bm)
-    [rep] = stability_experiment(coeffs, prob, [(prob, None)])
+    _, [rep] = stability_experiment(coeffs, prob, [(prob, None)])
     assert rep.ratio == 0.0
     assert rep.lhs == 0.0
 
@@ -366,7 +366,7 @@ def test_stability_initial_condition_perturbation():
     eps = 1e-3
     base = RSDEProblem(y0=0.1, lift=lift, mart=bm)
     pert = RSDEProblem(y0=0.1 + eps, lift=lift, mart=bm)
-    [rep] = stability_experiment(coeffs, base, [(pert, None)])
+    _, [rep] = stability_experiment(coeffs, base, [(pert, None)])
     assert rep.rhs == pytest.approx(eps)
     assert np.isfinite(rep.ratio)
     assert rep.ratio > 0
@@ -392,10 +392,11 @@ def test_stability_pairs_match_single_pair_calls_bitwise():
         (RSDEProblem(0.1, lift, mart), (eps**2 * times)[None, :]),
         (RSDEProblem(0.1, ito_lift_brownian(w), bm), None),
     ]
-    reports = stability_experiment(coeffs, base, pairs)
+    sol, reports = stability_experiment(coeffs, base, pairs)
+    assert np.array_equal(sol.values, solve(coeffs, 0.1, lift, bm).values)
     assert len(reports) == len(pairs)
     for pair, rep in zip(pairs, reports):
-        assert stability_experiment(coeffs, base, [pair]) == [rep]
+        assert stability_experiment(coeffs, base, [pair])[1] == [rep]
     assert len({rep.ratio for rep in reports}) == 3
 
 
@@ -409,8 +410,8 @@ def test_stability_base_solves_its_base_once(monkeypatch):
 
     monkeypatch.setattr(rsde, "solve", counting_solve)
     run_scenario(default_config("stability_base"))
-    # the base, its 12 perturbations and the Picard gap row's solve
-    assert len(calls) == 14
+    # the base, whose solve the Picard gap row reuses, and its 12 perturbations
+    assert len(calls) == 13
 
 
 def test_solve_validates_driver_dimension():
