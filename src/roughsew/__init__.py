@@ -82,7 +82,7 @@ from .sewing import (
     riemann_sum,
     rough_germ,
     sew,
-    young_germ,
+    step_path,
 )
 
 __version__ = "0.1.0"

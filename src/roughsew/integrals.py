@@ -16,7 +16,7 @@ import numpy as np
 from .conventions import map_dot, second_level_contract
 from .grids import TimeGrid
 from .paths import MartingalePath, RoughLift
-from .sewing import ito_germ, young_germ
+from .sewing import _running_sum, ito_germ, step_path
 
 __all__ = [
     "IntegralProcess",
@@ -51,10 +51,7 @@ class IntegralProcess:
 
 def _cumulative(grid, steps, jump_indices) -> IntegralProcess:
     """The integral process of per-step germ values (N, n, ...), zero at t_0."""
-    n = steps.shape[0]
-    zero = np.zeros((n, 1) + steps.shape[2:])
-    vals = np.concatenate([zero, np.cumsum(steps, axis=1)], axis=1)
-    return IntegralProcess(grid=grid, values=vals, jump_indices=jump_indices)
+    return IntegralProcess(grid=grid, values=_running_sum(steps), jump_indices=jump_indices)
 
 
 def ito_integrate(integrand: np.ndarray, mart: MartingalePath) -> IntegralProcess:
@@ -66,9 +63,27 @@ def ito_integrate(integrand: np.ndarray, mart: MartingalePath) -> IntegralProces
     """
     if mart.dim != 1:
         raise ValueError("ito_integrate handles one-dimensional martingales")
-    k = np.arange(mart.grid.n_steps)
-    steps = ito_germ(integrand, mart.values)(k, k + 1)
-    return _cumulative(mart.grid, steps, mart.jump_indices)
+    values = step_path(ito_germ(integrand, mart.values), mart.grid)
+    return IntegralProcess(grid=mart.grid, values=values, jump_indices=mart.jump_indices)
+
+
+def _controlled_steps(y: np.ndarray, yp: np.ndarray, dx: np.ndarray, xx: np.ndarray) -> np.ndarray:
+    """Y . dX + Y' : XX per increment of the two levels, dx (N, J, d) and
+    xx (N, J, d, d), with the integrand at their left points in a layout of
+    `rough_stoch_integrate` (a single scalar channel collapses to scalar)."""
+    d = dx.shape[-1]
+    if d >= 2:
+        if y.ndim != 4 or y.shape[-1] != d:
+            raise ValueError(
+                "multi-dimensional drivers need a map-valued integrand (N, n+1, m, d)"
+            )
+        return map_dot(y, dx) + second_level_contract(yp, xx)
+    if y.ndim == 3 and y.shape[-1] == 1:
+        y, yp = y[..., 0], yp[..., 0]
+    dx, xx = dx[..., 0], xx[..., 0, 0]
+    if y.ndim == 3:  # scalar driver, m integrand channels
+        dx, xx = dx[..., None], xx[..., None]
+    return y * dx + yp * xx
 
 
 def rough_stoch_integrate(y: np.ndarray, yp: np.ndarray, lift: RoughLift) -> IntegralProcess:
@@ -80,23 +95,8 @@ def rough_stoch_integrate(y: np.ndarray, yp: np.ndarray, lift: RoughLift) -> Int
     """
     y = np.asarray(y, dtype=float)
     yp = np.asarray(yp, dtype=float)
-    x = lift.path.values
-    dx = np.diff(x, axis=1)
-    xx = lift.step_second
-    if lift.dim == 1:
-        if y.ndim == 3 and y.shape[-1] == 1:
-            y, yp = y[..., 0], yp[..., 0]
-        dx1, xx1 = dx[..., 0], xx[..., 0, 0]
-        if y.ndim == 2:
-            steps = y[:, :-1] * dx1 + yp[:, :-1] * xx1
-        else:  # scalar driver, m integrand channels
-            steps = y[:, :-1] * dx1[..., None] + yp[:, :-1] * xx1[..., None]
-    else:
-        if y.ndim != 4 or y.shape[-1] != lift.dim:
-            raise ValueError(
-                "multi-dimensional drivers need a map-valued integrand (N, n+1, m, d)"
-            )
-        steps = map_dot(y[:, :-1], dx) + second_level_contract(yp[:, :-1], xx)
+    dx = np.diff(lift.path.values, axis=1)
+    steps = _controlled_steps(y[:, :-1], yp[:, :-1], dx, lift.step_second)
     return _cumulative(lift.grid, steps, lift.path.jump_indices)
 
 
@@ -104,15 +104,14 @@ def young_integrate(integrand: np.ndarray, integrator: np.ndarray, grid: TimeGri
                     jump_indices=None) -> IntegralProcess:
     """Left-point Stieltjes integral int Y dA for a finite-variation path A.
 
-    integrator: (N, n+1) or a bracket (N, n+1, 1, 1); over a pure-jump A the
-    sum reduces to sum_{u <= t} Y_{u-} Delta A_u exactly, since the left
-    endpoint of the jump step carries the pre-jump state.
+    integrator: (N, n+1), (N, n+1, 1) or a bracket (N, n+1, 1, 1); over a
+    pure-jump A the sum reduces to sum_{u <= t} Y_{u-} Delta A_u exactly,
+    since the left endpoint of the jump step carries the pre-jump state.
     """
-    k = np.arange(grid.n_steps)
-    steps = young_germ(integrand, integrator)(k, k + 1)
     if jump_indices is None:
         jump_indices = np.array([], dtype=np.int64)
-    return _cumulative(grid, steps, jump_indices)
+    values = step_path(ito_germ(integrand, integrator), grid)
+    return IntegralProcess(grid=grid, values=values, jump_indices=jump_indices)
 
 
 def jump_structure_check(
@@ -124,22 +123,17 @@ def jump_structure_check(
 
     over all declared jump times and members.  Left limits are previous grid
     values (exact for drivers whose jump times are grid members and whose
-    integrands are constant over the jump step).  Returns the max absolute
-    residual; 0 up to float identity for the built-in pure-jump lifts.
+    integrands are constant over the jump step).  Integrands take the layouts
+    of `rough_stoch_integrate`.  Returns the max absolute residual; 0 up to
+    float identity for the built-in pure-jump lifts.
     """
     jumps = lift.path.jump_indices
     if not jumps.size:
         return 0.0
     y = np.asarray(y, dtype=float)
     yp = np.asarray(yp, dtype=float)
-    if y.ndim == 3 and y.shape[-1] == 1:
-        y, yp = y[..., 0], yp[..., 0]
-    dz = z.jumps()
-    dx = lift.path.jump_sizes()
-    dxx = lift.jump_second
-    if lift.dim == 1:
-        pred = y[:, jumps - 1] * dx[..., 0] + yp[:, jumps - 1] * dxx[..., 0, 0]
-    else:
-        pred = map_dot(y[:, jumps - 1], dx) + second_level_contract(yp[:, jumps - 1], dxx)
-    resid = dz - pred
+    pred = _controlled_steps(
+        y[:, jumps - 1], yp[:, jumps - 1], lift.path.jump_sizes(), lift.jump_second
+    )
+    resid = z.jumps() - pred
     return float(np.max(np.abs(resid))) if resid.size else 0.0

@@ -8,8 +8,9 @@ Xi_{s,t}; its Riemann sums over a partition P, clipped at time t, are
 On a finite grid the sewn limit is the full-grid Riemann sum, so every
 integral of the package (Ito, Young, rough) is a full-grid sum of one of the
 germs built here.  A germ evaluates whole index arrays, so a Riemann path is
-one germ call per partition plus a running sum.  `sew` walks a
-sequence of nested partitions produced by alternating midpoints of the
+one germ call per partition plus a running sum; the full-grid path
+(`step_path`) is one germ call on the step views.  `sew` walks a sequence of
+nested partitions produced by alternating midpoints of the
 supplied controls (time plus p-variation controls of the germ's inputs by
 default), measures the uniform-in-time empirical L^q distance to the limit at
 every level, and reports the observed geometric decay.  Non-decay is a
@@ -30,7 +31,6 @@ from .grids import (
     Partition,
     TimeGrid,
     alternating_midpoints,
-    full_partition,
     pvar_control,
     time_control,
 )
@@ -42,6 +42,7 @@ __all__ = [
     "RateReport",
     "riemann_sum",
     "riemann_path",
+    "step_path",
     "sew",
     "convergence_rate",
     "log2_fit",
@@ -49,7 +50,6 @@ __all__ = [
     "ito_germ",
     "rough_germ",
     "qv_germ",
-    "young_germ",
 ]
 
 
@@ -57,11 +57,14 @@ __all__ = [
 class Germ:
     """A two-parameter ensemble process Xi_{s,t} driven by named context arrays.
 
-    `fn(ctx, s, t)` takes scalar grid indices or equal-shape index arrays;
-    for arrays of shape (m,) it returns the m windows [s_j, t_j] along axis 1,
-    (N, m, ...).  It must read only ctx entries at indices <= t
-    (adaptedness): the same germ built on context arrays cut after index t
-    gives the same value on every window ending at or before t.
+    `fn(ctx, s, t)` takes scalar grid indices, equal-shape index arrays, or
+    the step views `(slice(0, n), slice(1, n + 1))`; for arrays of shape (m,)
+    it returns the m windows [s_j, t_j] along axis 1, (N, m, ...), and for
+    the step views the n steps [t_k, t_{k+1}], (N, n, ...).  Basic slices
+    read the context as views, so a germ written with `c[key][:, s]` serves
+    all three without gathering a copy.  It must read only ctx entries at
+    indices <= t (adaptedness): the same germ built on context arrays cut
+    after index t gives the same value on every window ending at or before t.
     Context arrays are member-major: (N, n+1, ...).
     `control_keys` names the inputs whose p-variation should control the
     default partition refinement.
@@ -94,13 +97,29 @@ def riemann_path(germ: Germ, partition: Partition) -> np.ndarray:
     k = np.searchsorted(idx, t) - 1  # interval [idx[k], idx[k+1]] holding t
     vals = germ(idx[k], t)
     # running total before each interval, summed from zero in interval order
-    totals = vals[:, idx[1:-1] - start - 1]
-    acc = np.cumsum(
-        np.concatenate([np.zeros_like(vals[:, :1]), totals], axis=1), axis=1
-    )
+    acc = _running_sum(vals[:, idx[1:-1] - start - 1])
     out = np.empty((vals.shape[0], t.size + 1) + vals.shape[2:])
     out[:, 0] = 0.0
     np.add(acc[:, k], vals, out=out[:, 1:])
+    return out
+
+
+def step_path(germ: Germ, grid: TimeGrid) -> np.ndarray:
+    """The full-grid Riemann path, i.e. the sewn limit on a finite grid.
+
+    One germ call on the step views gives every step [t_k, t_{k+1}]; their
+    running sum from zero is the (N, n+1, ...) path.  Equal to
+    `riemann_path(germ, full_partition(grid))`.
+    """
+    n = grid.n_steps
+    return _running_sum(germ(slice(0, n), slice(1, n + 1)))
+
+
+def _running_sum(steps: np.ndarray) -> np.ndarray:
+    """Cumulative sums of (N, n, ...) step values along axis 1, led by zero."""
+    out = np.empty((steps.shape[0], steps.shape[1] + 1) + steps.shape[2:])
+    out[:, 0] = 0.0
+    np.cumsum(steps, axis=1, out=out[:, 1:])
     return out
 
 
@@ -154,7 +173,7 @@ def _refinement(germ, grid, controls, depth):
     pair per alternating-midpoint level of the controls (default ones if
     None)."""
     controls = controls if controls is not None else default_controls(germ, grid)
-    full = riemann_path(germ, full_partition(grid))
+    full = step_path(germ, grid)
     levels = alternating_midpoints(controls, 0, grid.n_steps, depth)
     parts = (Partition(grid, lv) for lv in levels)
     return full, ((part, riemann_path(germ, part)) for part in parts)
@@ -278,22 +297,32 @@ def log2_fit(x, errors) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
+def _scalar(values, what: str) -> np.ndarray:
+    """The (N, n+1) view of a scalar germ input given as (N, n+1), (N, n+1, 1)
+    or (N, n+1, 1, 1); any other shape is refused, not cut to a component."""
+    a = np.asarray(values, dtype=float)
+    if a.ndim < 2 or a.ndim > 4 or any(k != 1 for k in a.shape[2:]):
+        raise ValueError(
+            f"{what} must be scalar, (N, n+1), (N, n+1, 1) or (N, n+1, 1, 1); got {a.shape}"
+        )
+    # a 2-d input stays the same object: `default_controls` shares a control
+    # per input array by identity
+    return a if a.ndim == 2 else a.reshape(a.shape[:2])
+
+
 def increment_germ(values: np.ndarray, name: str = "increment") -> Germ:
     """Additive germ Xi_{s,t} = dX_{s,t}; its sums are partition-independent."""
     ctx = {"x": np.asarray(values, dtype=float)}
     return Germ(name, lambda c, s, t: c["x"][:, t] - c["x"][:, s], ctx, ("x",))
 
 
-def ito_germ(integrand: np.ndarray, mart_values: np.ndarray, name: str = "ito") -> Germ:
-    """Left-point germ Xi_{s,t} = Y_s dM_{s,t} (scalar integrand and martingale)."""
-    ctx = {
-        "y": np.asarray(integrand, dtype=float),
-        "m": np.asarray(mart_values, dtype=float),
-    }
-    if ctx["y"].ndim == 3:
-        ctx["y"] = ctx["y"][..., 0]
-    if ctx["m"].ndim == 3:
-        ctx["m"] = ctx["m"][..., 0]
+def ito_germ(integrand: np.ndarray, integrator: np.ndarray, name: str = "ito") -> Germ:
+    """Left-point germ Xi_{s,t} = Y_s dM_{s,t}, scalar integrand and integrator.
+
+    The integrator may be a martingale or a finite-variation path such as a
+    bracket (N, n+1, 1, 1), for which the sums are Stieltjes (Young) sums.
+    """
+    ctx = {"y": _scalar(integrand, "integrand"), "m": _scalar(integrator, "integrator")}
     return Germ(
         name,
         lambda c, s, t: c["y"][:, s] * (c["m"][:, t] - c["m"][:, s]),
@@ -316,16 +345,11 @@ def rough_germ(
     context keeps X - X_0 ("x0") next to X for the Chen cross term.
     """
     ctx = {
-        "y": np.asarray(y, dtype=float),
-        "yp": np.asarray(yp, dtype=float),
-        "x": np.asarray(x_values, dtype=float),
-        "xx0": np.asarray(second_prefix, dtype=float),
+        "y": _scalar(y, "y"),
+        "yp": _scalar(yp, "yp"),
+        "x": _scalar(x_values, "x_values"),
+        "xx0": _scalar(second_prefix, "second_prefix"),
     }
-    for k in ("y", "yp", "x"):
-        if ctx[k].ndim == 3:
-            ctx[k] = ctx[k][..., 0]
-    if ctx["xx0"].ndim == 4:
-        ctx["xx0"] = ctx["xx0"][..., 0, 0]
     ctx["x0"] = ctx["x"] - ctx["x"][:, :1]
 
     def fn(c, s, t):
@@ -338,14 +362,9 @@ def rough_germ(
 
 def qv_germ(values: np.ndarray, bracket: np.ndarray | None = None, name: str = "qv") -> Germ:
     """Quadratic-variation germ (dM_{s,t})^2, optionally bracket-compensated."""
-    ctx = {"m": np.asarray(values, dtype=float)}
-    if ctx["m"].ndim == 3:
-        ctx["m"] = ctx["m"][..., 0]
+    ctx = {"m": _scalar(values, "values")}
     if bracket is not None:
-        b = np.asarray(bracket, dtype=float)
-        while b.ndim > 2:
-            b = b[..., 0]
-        ctx["b"] = b
+        ctx["b"] = _scalar(bracket, "bracket")
 
     def fn(c, s, t):
         val = (c["m"][:, t] - c["m"][:, s]) ** 2
@@ -354,24 +373,3 @@ def qv_germ(values: np.ndarray, bracket: np.ndarray | None = None, name: str = "
         return val
 
     return Germ(name, fn, ctx, ("m",))
-
-
-def young_germ(integrand: np.ndarray, a_values: np.ndarray, name: str = "young") -> Germ:
-    """Left-point Stieltjes germ Y_s dA_{s,t} for a finite-variation integrator.
-
-    A may be (N, n+1), (N, n+1, 1) or a bracket (N, n+1, 1, 1).
-    """
-    ctx = {
-        "y": np.asarray(integrand, dtype=float),
-        "a": np.asarray(a_values, dtype=float),
-    }
-    if ctx["y"].ndim == 3:
-        ctx["y"] = ctx["y"][..., 0]
-    while ctx["a"].ndim > 2:
-        ctx["a"] = ctx["a"][..., 0]
-    return Germ(
-        name,
-        lambda c, s, t: c["y"][:, s] * (c["a"][:, t] - c["a"][:, s]),
-        ctx,
-        ("y", "a"),
-    )

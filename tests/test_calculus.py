@@ -16,6 +16,7 @@ from roughsew.calculus import (
     rough_bracket,
     smooth_fn,
 )
+from roughsew.conventions import sym
 from roughsew.grids import TimeGrid
 from roughsew.paths import (
     SamplePath,
@@ -246,3 +247,13 @@ def test_ito_formula_brownian_square_residual_shrinks():
         resid = ito_formula_residual(fn, cp, bracket_path=bm.grid.times[None, :])
         l1.append(np.mean(np.abs(resid)))
     assert l1[1] < 0.75 * l1[0]
+
+
+def test_bracket_running_sum_matches_concatenate_cumsum():
+    # (N, n, d, d) steps of the germ dX (x) dX - 2 Sym(XX), summed from zero
+    bm = simulate_brownian(1.0, 32, seed=43, n_members=4, dim=2)
+    lift = ito_lift_brownian(bm, seed=43)
+    dx = np.diff(bm.values, axis=1)
+    steps = np.einsum("ntj,ntk->ntjk", dx, dx) - 2.0 * sym(lift.step_second)
+    ref = np.concatenate([np.zeros((4, 1, 2, 2)), np.cumsum(steps, axis=1)], axis=1)
+    assert np.array_equal(rough_bracket(lift).values, ref)

@@ -2,6 +2,9 @@
 
 import importlib
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import roughsew
 
@@ -16,3 +19,22 @@ def test_every_all_entry_resolves():
         assert len(set(exported)) == len(exported), name
         missing[name] = [attr for attr in exported if not hasattr(module, attr)]
     assert not any(missing.values()), missing
+
+
+def test_benchmark_tracer_wraps_every_binding():
+    # the benchmark's tracer rebinds every public function and a list of
+    # required cross-module bindings; a refactor that drops one fails here,
+    # not only in the benchmark's traced run.  -B keeps perfbench/ unwritten.
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import sys; sys.path[:0] = sys.argv[1:3]\n"
+        "import tracer\n"
+        "t = tracer.Tracer('bindings'); t.install()\n"
+        "missed = t.unwrapped_bindings()\n"
+        "assert missed == [], missed\n"
+    )
+    subprocess.run(
+        [sys.executable, "-B", "-c", code, str(root / "perfbench"), str(root / "src")],
+        check=True,
+        timeout=120,
+    )

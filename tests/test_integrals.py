@@ -5,6 +5,7 @@ import pytest
 
 from roughsew.grids import TimeGrid, make_uniform_grid
 from roughsew.integrals import (
+    IntegralProcess,
     ito_integrate,
     jump_structure_check,
     rough_stoch_integrate,
@@ -19,6 +20,7 @@ from roughsew.paths import (
     simulate_compound_poisson,
     smooth_lift,
 )
+from roughsew.scenarios import _subsampled_brownian
 
 from oracles import fine_grid_ito_reference, left_point_steps_integral
 
@@ -83,6 +85,27 @@ def test_ito_and_young_integrate_match_step_products():
             young_integrate(integrand, br, bm.grid).values,
             left_point_steps_integral(integrand, br[..., 0, 0]),
         )
+    # strided integrand and integrator views, as the refinement scenarios pass
+    sub = _subsampled_brownian(bm, 2)
+    ys = y[:, ::2]
+    assert not sub.values.flags.c_contiguous and sub.grid.n_steps == 20
+    assert np.array_equal(
+        ito_integrate(ys, sub).values, left_point_steps_integral(ys, sub.values[..., 0])
+    )
+    assert np.array_equal(
+        young_integrate(ys, sub.bracket, sub.grid).values,
+        left_point_steps_integral(ys, sub.bracket[..., 0, 0]),
+    )
+
+
+def test_integrals_refuse_non_scalar_integrators():
+    # a d = 2 Brownian bracket (1, n+1, 2, 2) is not cut to its [B]^11 entry
+    bm = simulate_brownian(1.0, 16, seed=19, n_members=3, dim=2)
+    y = np.sin(bm.values[..., 0])
+    with pytest.raises(ValueError, match="integrator must be scalar"):
+        young_integrate(y, bm.bracket, bm.grid)
+    with pytest.raises(ValueError, match="integrator must be scalar"):
+        young_integrate(y, bm.values, bm.grid)  # (N, n+1, 2), as ito_germ(y, x)
 
 
 def test_rough_stoch_integrate_smooth_driver_chain_rule():
@@ -108,8 +131,18 @@ def test_rough_stoch_integrate_reduces_to_ito_for_zero_derivative():
 def test_rough_stoch_integrate_multidim_requires_map_integrand():
     bm = simulate_brownian(1.0, 16, seed=9, n_members=2, dim=2)
     lift = ito_lift_brownian(bm, seed=9)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="map-valued integrand"):
         rough_stoch_integrate(bm.values[..., 0], bm.values[..., 0], lift)
+    # the jump check refuses the same integrand on a d = 2 pure-jump lift
+    cp = simulate_compound_poisson(1.0, 4.0, 16, seed=9, n_members=2).path
+    v = cp.values
+    path = SamplePath(cp.grid, np.concatenate([v, np.sin(v)], axis=-1), cp.jump_indices)
+    jlift = forward_lift_jump_path(path)
+    y = np.cos(v[..., 0])
+    z = IntegralProcess(cp.grid, np.zeros(y.shape))
+    for yy in (y, y[..., None]):
+        with pytest.raises(ValueError, match="map-valued integrand"):
+            jump_structure_check(yy, yy, z, jlift)
 
 
 def test_young_integrate_pure_jump_bracket():
@@ -140,6 +173,18 @@ def test_jump_structure_compound_poisson():
     y = np.sin(x)
     yp = np.cos(x)
     z = rough_stoch_integrate(y, yp, lift)
+    assert jump_structure_check(y, yp, z, lift) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_jump_structure_channels_on_scalar_driver(m):
+    res = simulate_compound_poisson(1.0, 4.0, 32, seed=13, n_members=8)
+    lift = forward_lift_jump_path(res.path)
+    x = res.path.values[..., 0]
+    y = np.stack([np.sin(x), np.cos(x), x * x][:m], axis=-1)
+    yp = np.stack([np.cos(x), -np.sin(x), 2.0 * x][:m], axis=-1)
+    z = rough_stoch_integrate(y, yp, lift)
+    assert z.values.shape == x.shape + (m,) and z.jump_indices.size
     assert jump_structure_check(y, yp, z, lift) <= 1e-12
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from roughsew.grids import Partition, full_partition, make_uniform_grid, time_control
+from roughsew.grids import Partition, TimeGrid, full_partition, make_uniform_grid, time_control
 from roughsew.paths import ito_lift_brownian, simulate_brownian, simulate_compound_poisson
 from roughsew.rng import stream
 from roughsew.sewing import (
@@ -18,7 +18,7 @@ from roughsew.sewing import (
     riemann_sum,
     rough_germ,
     sew,
-    young_germ,
+    step_path,
 )
 from roughsew.scenarios import _fit_log2_slope
 
@@ -62,17 +62,21 @@ def test_riemann_path_endpoints_and_cumulative_structure():
     assert np.allclose(path[:, -1], riemann_sum(germ, part))
 
 
-def _oracle_germs(n_members):
+def _oracle_germs(n_members, stride=1):
+    # stride 2 reads every input as a strided view, as `_subsampled_brownian` does
     bm = simulate_brownian(1.0, 48, seed=41, n_members=n_members)
     lift = ito_lift_brownian(bm, seed=41)
-    b = bm.values[..., 0]
+    x, br = bm.values[:, ::stride], bm.bracket[:, ::stride]
+    b = x[..., 0]
     yp = np.cos(b)
-    return bm.grid, {
+    return TimeGrid(bm.grid.times[::stride]), {
         "increment": increment_germ(b),
-        "ito": ito_germ(np.sin(b), bm.values),
-        "qv": qv_germ(bm.values, bracket=bm.bracket),
-        "rough": rough_germ(np.sin(b), yp, bm.values, lift.second_prefix),
-        "young": young_germ(b, bm.bracket),
+        "ito": ito_germ(np.sin(b), x),
+        "qv": qv_germ(x, bracket=br),
+        "qv_plain": qv_germ(x),
+        "rough": rough_germ(np.sin(b), yp, x, lift.second_prefix[:, ::stride]),
+        # a Young (Stieltjes) sum: the Ito germ against the bracket (1, n+1, 1, 1)
+        "young": ito_germ(b, br),
     }
 
 
@@ -92,6 +96,17 @@ def test_riemann_path_and_sum_match_interval_loop(name, n_members):
         part = Partition(grid, idx)
         assert np.array_equal(riemann_path(germ, part), riemann_path_loop(germ, idx))
         assert np.array_equal(riemann_sum(germ, part), riemann_sum_loop(germ, idx))
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("name", ["increment", "ito", "qv", "qv_plain", "rough", "young"])
+def test_step_path_matches_full_riemann_path_and_loop(name, stride):
+    grid, germs = _oracle_germs(5, stride)
+    germ = germs[name]
+    got = step_path(germ, grid)
+    assert got.shape[1] == grid.n_steps + 1 and np.all(got[:, 0] == 0.0)
+    assert np.array_equal(got, riemann_path(germ, full_partition(grid)))
+    assert np.array_equal(got, riemann_path_loop(germ, np.arange(grid.n_steps + 1)))
 
 
 def test_sew_ito_germ_converges():
@@ -205,14 +220,27 @@ def test_qv_germ_compensated_is_centered():
     assert abs(total.mean()) < 3 * se
 
 
-def test_young_germ_left_point_sum():
-    # integrate Y against a staircase: only the jump column contributes
+def test_ito_germ_left_point_sum_against_a_bracket():
+    # integrate Y against a bracket-shaped staircase: only the jump column
+    # contributes
     grid = make_uniform_grid(1.0, 4)
     y = np.array([[1.0, 2.0, 3.0, 4.0, 5.0]])
-    a = np.array([[0.0, 0.0, 1.0, 1.0, 1.0]])
-    germ = young_germ(y, a)
+    a = np.array([[0.0, 0.0, 1.0, 1.0, 1.0]])[..., None, None]
+    germ = ito_germ(y, a)
     total = riemann_sum(germ, full_partition(grid))
     assert total[0] == pytest.approx(2.0)  # Y at the left of the moving step
+
+
+def test_germ_builders_refuse_non_scalar_inputs():
+    # the Ito germ's shapes are checked through `young_integrate`
+    bm = simulate_brownian(1.0, 8, seed=3, n_members=2, dim=2)
+    y = bm.values[..., 0]
+    with pytest.raises(ValueError, match="values must be scalar"):
+        qv_germ(bm.values)
+    with pytest.raises(ValueError, match="bracket must be scalar"):
+        qv_germ(y, bracket=bm.bracket)
+    with pytest.raises(ValueError, match="x_values must be scalar"):
+        rough_germ(y, y, bm.values, ito_lift_brownian(bm).second_prefix)
 
 
 def test_builtin_germs_are_adapted():
@@ -220,7 +248,7 @@ def test_builtin_germs_are_adapted():
     # on every window ending at or before t
     bm = simulate_brownian(1.0, 16, seed=37, n_members=3)
     lift = ito_lift_brownian(bm)
-    y, x, br = bm.values[..., 0] ** 2, bm.values, bm.bracket[..., 0, 0]
+    y, x, br = bm.values[..., 0] ** 2, bm.values, bm.bracket
     builders = {
         "increment": lambda k: increment_germ(x[:, :k]),
         "ito": lambda k: ito_germ(y[:, :k], x[:, :k]),
@@ -228,7 +256,7 @@ def test_builtin_germs_are_adapted():
                                       lift.second_prefix[:, :k]),
         "qv": lambda k: qv_germ(x[:, :k]),
         "qv_compensated": lambda k: qv_germ(x[:, :k], br[:, :k]),
-        "young": lambda k: young_germ(y[:, :k], br[:, :k]),
+        "young": lambda k: ito_germ(y[:, :k], br[:, :k]),
     }
     n = bm.grid.n_steps
     for name, build in builders.items():
