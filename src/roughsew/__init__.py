@@ -67,7 +67,6 @@ from .rsde import (
     picard_solve,
     solve,
     stability_experiment,
-    window_control,
 )
 from .scenarios import ExperimentConfig, SCENARIOS, default_config, run_scenario
 from .sewing import (

@@ -19,6 +19,7 @@ import numpy as np
 from .conventions import apply_derivative, sym
 from .integrals import IntegralProcess, _cumulative
 from .paths import RoughLift
+from .sewing import _scalar
 
 __all__ = [
     "ControlledPath",
@@ -278,9 +279,7 @@ def mixed_bracket_check(
     declared jumps, so its jump sum is zero and the residual is the full grid
     bracket.
     """
-    mv = np.asarray(m_values, dtype=float)
-    if mv.ndim == 3:
-        mv = mv[..., 0]
+    mv = _scalar(m_values, "m_values")
     zv = z.scalar()
     dm = np.diff(mv, axis=1)
     dz = np.diff(zv, axis=1)
@@ -291,9 +290,7 @@ def mixed_bracket_check(
     jump_sum = np.zeros(max(mv.shape[0], zv.shape[0]))
     if np.asarray(m_jump_indices).size:
         jidx = np.asarray(m_jump_indices, dtype=np.int64)
-        dmj = np.asarray(m_jump_sizes, dtype=float)
-        if dmj.ndim == 3:
-            dmj = dmj[..., 0]
+        dmj = _scalar(m_jump_sizes, "m_jump_sizes")
         dzj = zv[:, jidx] - zv[:, jidx - 1]
         jump_sum = np.sum(dmj * dzj, axis=1)
     residual = grid_value - jump_sum
@@ -361,10 +358,7 @@ def ito_formula_residual(
     if bracket_path is None:
         dbr = dy2 - 2.0 * np.einsum("ntj,ntk,ntjk->nt", yp, yp, sym(xx))
     else:
-        br = np.asarray(bracket_path, dtype=float)
-        while br.ndim > 2:
-            br = br[..., 0]
-        dbr = np.diff(br, axis=1)
+        dbr = np.diff(_scalar(bracket_path, "bracket_path"), axis=1)
     half = 0.5 * (d2fy * dbr)
 
     resid_steps = (dfv - germ) - half

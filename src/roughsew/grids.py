@@ -9,7 +9,9 @@ moves a jump.
 A control is stored as its rows: row(s, t) = w(s, s+1..t), a prefix of
 row(s, t') for t <= t', nondecreasing for the time and p-variation controls
 and for superadditive tables (`control_from_table` does not check this).
-Midpoint refinement, p-variation and the solver's window plans read rows.
+Midpoint refinement and p-variation read rows.  The p-variation DP itself
+reads one table column per end point, so a caller that grows a window, as
+the solver's Picard plan does, feeds it columns as it builds them.
 """
 from __future__ import annotations
 
@@ -114,18 +116,19 @@ def increment_table(values: np.ndarray) -> np.ndarray:
     return upper + upper.T
 
 
-def _pvar_dp(powers: np.ndarray) -> np.ndarray:
-    """best[j] = max over partitions of [0, j] of the summed powers[u, v].
+def _pvar_dp(columns, m: int):
+    """Yield best[j] = max over partitions of [0, j] of the summed powers[u, v]
+    for j = 1, 2, ... (at most m), one per column powers[:j, j] fed in.
 
     The O(m^2) dynamic program over end points: the best value reaching j is
-    the best value reaching any i < j plus powers[i, j].
+    the best value reaching any i < j plus powers[i, j].  It reads each column
+    once, as it arrives, so a caller can build a table column by column and
+    stop where it likes.
     """
-    m = powers.shape[0] - 1
-    best = np.empty(m + 1)
-    best[0] = 0.0
-    for j in range(1, m + 1):
-        best[j] = np.max(best[:j] + powers[:j, j])
-    return best
+    best = np.zeros(m + 1)
+    for j, column in enumerate(columns, 1):
+        best[j] = np.max(best[:j] + column)
+        yield best[j]
 
 
 def p_variation(dist: np.ndarray, p: float, s: int = 0, t: int | None = None) -> float:
@@ -201,9 +204,10 @@ def pvar_control(dist: np.ndarray, p: float, name: str = "pvar") -> ControlFn:
 
     def row(s: int, t: int) -> np.ndarray:
         best = rows.get(s)
-        if best is None or best.size <= t - s:
-            rows[s] = best = _pvar_dp(powers[s : t + 1, s : t + 1])
-        return best[1 : t - s + 1]
+        if best is None or best.size < t - s:
+            columns = (powers[s:u, u] for u in range(s + 1, t + 1))
+            rows[s] = best = np.fromiter(_pvar_dp(columns, t - s), float, t - s)
+        return best[: t - s]
 
     return ControlFn(row, name=name)
 

@@ -48,11 +48,17 @@ def lq_norm(samples: np.ndarray, q: float) -> float:
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    x = np.asarray(samples, dtype=float)
-    n = x.shape[0]
-    flat = x.reshape(n, -1)
-    mags = np.sqrt(np.einsum("nk,nk->n", flat, flat))
-    return float(np.mean(mags**q) ** (1.0 / q))
+    return float(_lq_cells(np.asarray(samples, dtype=float), q, cell_axes=0))
+
+
+def _lq_cells(increments: np.ndarray, q: float, cell_axes: int = 1):
+    """||dY||_{L^q(ensemble)} of each cell of (N, *cells, ...) increments,
+    with Euclidean magnitudes across the axes after the `cell_axes` cell
+    axes: the one reduction behind every table cell, and `lq_norm` at
+    cell_axes = 0."""
+    flat = increments.reshape(increments.shape[: 1 + cell_axes] + (-1,))
+    mags = np.sqrt(np.einsum("...d,...d->...", flat, flat))
+    return np.mean(mags**q, axis=0) ** (1.0 / q)
 
 
 def _check_table_size(n_points: int):
@@ -75,10 +81,7 @@ def _magnitude_table(row, m: int, q: float, rows=None) -> np.ndarray:
     _check_table_size(m)
     out = np.zeros((m, m))
     for i in range(m - 1) if rows is None else rows:
-        r = row(i)
-        flat = r.reshape(r.shape[0], r.shape[1], -1)
-        mags = np.sqrt(np.einsum("nkd,nkd->nk", flat, flat))
-        out[i, i + 1 :] = np.mean(mags**q, axis=0) ** (1.0 / q)
+        out[i, i + 1 :] = _lq_cells(row(i), q)
     return out
 
 

@@ -165,17 +165,20 @@ class RoughLift:
         np.cumsum(terms, axis=1, out=terms)
         return np.ascontiguousarray(terms[:, ::2])
 
-    def second(self, s: int, t: int | np.ndarray) -> np.ndarray:
+    def second(self, s: int | np.ndarray, t: int | np.ndarray) -> np.ndarray:
         """XX_{s,t} via Chen from the prefix, shape (N, d, d).
 
-        `t` may also be an index array; the result is then (N, len(t), d, d),
-        entry k equal to XX_{s, t[k]} bit for bit.
+        One end may also be an index array: a row of windows (array `t`) or a
+        column of windows (array `s`).  The result is then (N, k, d, d),
+        entry k equal to the scalar window bit for bit.
         """
         x, pre = self.path.values, self.second_prefix
-        dx0s, x_s, pre_s = x[:, s, :] - x[:, 0, :], x[:, s, :], pre[:, s]
-        if np.ndim(t):  # a row of windows: broadcast the s terms over t
-            dx0s, x_s, pre_s = dx0s[:, None], x_s[:, None], pre_s[:, None]
-        return pre[:, t] - pre_s - outer_increment(dx0s, x[:, t, :] - x_s)
+        x_0, x_s, x_t, pre_s, pre_t = x[:, 0], x[:, s], x[:, t], pre[:, s], pre[:, t]
+        if np.ndim(t):  # broadcast the scalar end's terms over the windows
+            x_0, x_s, pre_s = x_0[:, None], x_s[:, None], pre_s[:, None]
+        elif np.ndim(s):
+            x_0, x_t, pre_t = x_0[:, None], x_t[:, None], pre_t[:, None]
+        return pre_t - pre_s - outer_increment(x_s - x_0, x_t - x_s)
 
 
 # ---------------------------------------------------------------------------

@@ -38,12 +38,11 @@ import numpy as np
 
 from .calculus import SmoothFn
 from .conventions import outer_increment
-from .grids import TimeGrid, pvar_control, time_control
+from .grids import TimeGrid, _pvar_dp
 from .norms import (
+    _lq_cells,
     _magnitude_table,
-    _second_rows,
     lq_norm,
-    lq_table,
     rough_path_distance,
     second_level_seminorm,  # noqa: F401  (kept importable from this module)
     two_param_seminorm,
@@ -58,7 +57,6 @@ __all__ = [
     "StabilityReport",
     "build_event_schedule",
     "EventSchedule",
-    "window_control",
     "solve",
     "picard_solve",
     "stability_experiment",
@@ -167,6 +165,8 @@ def build_event_schedule(lift: RoughLift, mart: MartingalePath | None = None) ->
     path = lift.path
     dts, dxs, xxs = grid.steps(), path.increments(), lift.step_second
     if mart is not None:
+        if mart.dim != 1:
+            raise ValueError("the solvers handle one-dimensional martingales")
         _check_same_grid(grid, mart.grid)
         mv = mart.values[..., 0]
         dms = np.diff(mv, axis=1)
@@ -306,58 +306,50 @@ def solve(
     return _epilogue(lift, sched, state, start, stop, {})
 
 
-def window_control(
-    lift: RoughLift,
-    mart: MartingalePath | None,
-    p: float,
-    q: float,
-    s: int,
-    t: int,
-) -> np.ndarray:
-    """Grid-proxy smallness of [s, u] for every u in s+1..t, shape (t - s,):
-
-        (t_u - t_s) + ||X||_{p,q}^p + ||XX||_{p/2,q}^{p/2} + ||[M]||_{p/2,q/2}^{p/2}.
-
-    Powered seminorms, so each term scales like a control in the window: the
-    time control's row plus one `pvar_control` row per local table over
-    [s, t].  The row is nondecreasing in u.
-    """
-    m = t - s
-    out = time_control(lift.grid).row(s, t)
-    out = out + pvar_control(lq_table(lift.path.values, q, s=s, t=t), p).row(0, m)
-    second = _magnitude_table(_second_rows(lift, s, t), m + 1, q)
-    out = out + pvar_control(second, p / 2.0).row(0, m)
-    if mart is not None and mart.bracket is not None:
-        bracket = lq_table(mart.bracket[..., 0, 0], q / 2.0, s=s, t=t)
-        out = out + pvar_control(bracket, p / 2.0).row(0, m)
-    return out
-
-
-#: the `window_control` value a planned Picard window stays at or below
+#: the grid-proxy control a planned Picard window stays at or below
 _WINDOW_THRESHOLD = 0.25
 
 
 def _plan_windows(lift, mart, p, q) -> list[tuple[int, int]]:
-    """Greedy split of [0, n] into maximal windows with control <= threshold.
+    """Greedy split of [0, n] into maximal windows [s, t] whose grid-proxy
+    smallness over [s, u],
 
-    Each search starts at the previous window's length and doubles the
-    window until its control exceeds the threshold, then ends it at the last
-    grid point of that row still within it.  Control rows are prefix-stable
-    and nondecreasing, so the windows do not depend on where the search
-    starts.  A single step over threshold still becomes its own window.
+        (t_u - t_s) + ||X||_{p,q}^p + ||XX||_{p/2,q}^{p/2} + ||[M]||_{p/2,q/2}^{p/2},
+
+    stays at or below the threshold for every u <= t.  Powered seminorms, so
+    each term scales like a control in the window.  A window from s grows one
+    grid point u at a time: each L^q table gains its column ||dY_{i,u}||,
+    i = s..u-1, and each powered seminorm one DP step.  The window ends
+    before the first u over the threshold (NaN counts as over); a single
+    step over it is its own window.
     """
     n = lift.grid.n_steps
+    times, x = lift.grid.times, lift.path.values
+    # (column dY_{s..u-1, u} of a table, its q, its p)
+    tables = [
+        (lambda s, u: x[:, u : u + 1] - x[:, s:u], q, p),
+        (lambda s, u: lift.second(np.arange(s, u), u), q, p / 2.0),
+    ]
+    if mart is not None and mart.bracket is not None:
+        br = mart.bracket[..., 0, 0]
+        tables.append((lambda s, u: br[:, u : u + 1] - br[:, s:u], q / 2.0, p / 2.0))
+
+    def powered_seminorms(s, column, r, pw):
+        """The table's powered seminorm over [s, u] for u = s+1, s+2, ..."""
+        cells = (_lq_cells(column(s, u), r) ** pw for u in range(s + 1, n + 1))
+        return _pvar_dp(cells, n - s)
+
     out: list[tuple[int, int]] = []
-    s, length = 0, 1
+    s = 0
     while s < n:
-        t = min(n, s + length)
-        row = window_control(lift, mart, p, q, s, t)
-        while row[-1] <= _WINDOW_THRESHOLD and t < n:
-            t = min(n, s + 2 * (t - s))
-            row = window_control(lift, mart, p, q, s, t)
-        length = max(1, int(np.count_nonzero(row <= _WINDOW_THRESHOLD)))
-        out.append((s, s + length))
-        s += length
+        seminorms = [powered_seminorms(s, *table) for table in tables]
+        t = n
+        for u, *terms in zip(range(s + 1, n + 1), *seminorms):
+            if not sum(terms, times[u] - times[s]) <= _WINDOW_THRESHOLD:
+                t = max(s + 1, u - 1)
+                break
+        out.append((s, t))
+        s = t
     return out
 
 
@@ -373,7 +365,8 @@ def picard_solve(
     max_iter: int = 60,
 ) -> RSDEResult:
     """Fixed-point mode: iterate Phi(Y) = y_s + sum of event germs of the
-    previous iterate on each window, windows sized by `window_control`.
+    previous iterate on each window, windows planned by `_plan_windows` where
+    the grid-proxy control of the drivers is small.
 
     Successive iterates are compared in the empirical V^p L^q seminorm at the
     window's grid points, over the members whose iterate ends the window

@@ -130,16 +130,17 @@ def pvar_dp_rows(dist, p):
     p-th power of the p-variation of `dist` over [s, s+j].
     """
     powers = np.abs(np.asarray(dist, dtype=float)) ** p
-    n = powers.shape[0] - 1
-    rows = []
-    for s in range(n + 1):
-        best = np.empty(n - s + 1)
-        best[0] = 0.0
-        block = powers[s:, s:]
-        for j in range(1, n - s + 1):
-            best[j] = np.max(best[:j] + block[:j, j])
-        rows.append(best)
-    return rows
+    return [_pvar_dp_row(powers[s:, s:]) for s in range(powers.shape[0])]
+
+
+def _pvar_dp_row(powers):
+    """best[j] = max over partitions of [0, j] of the summed powers, by the
+    end-point loop; best[0] = 0."""
+    m = powers.shape[0] - 1
+    best = np.zeros(m + 1)
+    for j in range(1, m + 1):
+        best[j] = np.max(best[:j] + powers[:j, j])
+    return best
 
 
 def _first_half_hit(w, a, b):
@@ -195,12 +196,18 @@ def lq_table_rows(values, q, s=0, t=None):
     if v.ndim == 2:
         v = v[:, :, None]
     t = v.shape[1] - 1 if t is None else t
-    m = t - s + 1
     block = v[:, s : t + 1, :]
+    return _row_table(lambda i: block[:, i + 1 :] - block[:, i : i + 1], t - s + 1, q)
+
+
+def _row_table(row, m, q):
+    """out[i, j] = ||row(i)[:, j - i - 1]||_{L^q} for i < j < m, zeros
+    elsewhere; row(i) is (N, m-1-i, ...), Frobenius magnitudes."""
     out = np.zeros((m, m))
     for i in range(m - 1):
-        diff = block[:, i + 1 :, :] - block[:, i : i + 1, :]
-        mags = np.sqrt(np.einsum("nkd,nkd->nk", diff, diff))
+        r = row(i)
+        flat = r.reshape(r.shape[0], r.shape[1], -1)
+        mags = np.sqrt(np.einsum("nkd,nkd->nk", flat, flat))
         out[i, i + 1 :] = np.mean(mags**q, axis=0) ** (1.0 / q)
     return out
 
@@ -230,6 +237,14 @@ def chen_window(values, prefix, s, t):
     dx0s = values[:, s, :] - values[:, 0, :]
     dxst = values[:, t, :] - values[:, s, :]
     return prefix[:, t] - prefix[:, s] - dx0s[:, :, None] * dxst[:, None, :]
+
+
+def chen_row(values, prefix, s, ts):
+    """XX_{s,t} for every t in the index array ts, shape (N, len(ts), d, d):
+    `chen_window` with the s terms broadcast over the row."""
+    dx0s = (values[:, s, :] - values[:, 0, :])[:, None]
+    dxst = values[:, ts, :] - values[:, s, None, :]
+    return prefix[:, ts] - prefix[:, s, None] - dx0s[..., :, None] * dxst[..., None, :]
 
 
 def second_level_table_cells(values, prefix, q, s, t, other=None):
@@ -435,6 +450,30 @@ def compound_poisson_loop(times, flat_times, flat_sizes, counts, align_jumps, ti
                     if 0 <= j < times.size and abs(times[j] - tj) <= time_tol
                 ))
     return values, qv, np.array(sorted(columns), dtype=np.int64)
+
+
+def window_control(lift, mart, p, q, s, t):
+    """Grid-proxy smallness of [s, u] for every u in s+1..t, shape (t - s,):
+
+        (t_u - t_s) + ||X||_{p,q}^p + ||XX||_{p/2,q}^{p/2} + ||[M]||_{p/2,q/2}^{p/2}.
+
+    The per-window control Picard windows are planned by, built the way the
+    solver once built it for each window alone: the time increments plus the
+    DP row from s of each L^q table over [s, t], every table row by row.
+    `lift` and `mart` are read through their arrays only (grid times, path
+    values, second-level prefix, scalar bracket).
+    """
+    times, x, prefix = lift.grid.times, lift.path.values, lift.second_prefix
+    out = times[s + 1 : t + 1] - times[s]
+    out = out + _pvar_dp_row(lq_table_rows(x, q, s=s, t=t) ** p)[1:]
+    second = _row_table(
+        lambda i: chen_row(x, prefix, s + i, np.arange(s + i + 1, t + 1)), t - s + 1, q
+    )
+    out = out + _pvar_dp_row(second ** (p / 2.0))[1:]
+    if mart is not None and mart.bracket is not None:
+        bracket = lq_table_rows(mart.bracket[..., 0, 0], q / 2.0, s=s, t=t)
+        out = out + _pvar_dp_row(bracket ** (p / 2.0))[1:]
+    return out
 
 
 def plan_windows_one_step(control, n, threshold):

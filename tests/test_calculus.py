@@ -170,6 +170,17 @@ def test_mixed_bracket_pure_jump_grid_identity():
     assert np.all(residual == 0.0)
 
 
+def test_mixed_bracket_refuses_planar_inputs():
+    # a planar M was read through its first component
+    bm = simulate_brownian(1.0, 16, seed=15, n_members=4, dim=2)
+    z = constant_controlled(ito_lift_brownian(simulate_brownian(1.0, 16, seed=16)), 0.5)
+    with pytest.raises(ValueError, match="m_values must be scalar"):
+        mixed_bracket_check(bm.values, np.array([], dtype=np.int64), np.zeros((4, 0, 2)), z)
+    sizes = np.ones((4, 2, 2))
+    with pytest.raises(ValueError, match="m_jump_sizes must be scalar"):
+        mixed_bracket_check(bm.values[..., :1], np.array([3, 9]), sizes, z)
+
+
 def test_bracket_heavy_tail_warning():
     bm = simulate_brownian(1.0, 16, seed=15, n_members=8)
     vals = bm.values.copy()
@@ -247,6 +258,19 @@ def test_ito_formula_brownian_square_residual_shrinks():
         resid = ito_formula_residual(fn, cp, bracket_path=bm.grid.times[None, :])
         l1.append(np.mean(np.abs(resid)))
     assert l1[1] < 0.75 * l1[0]
+
+
+def test_ito_formula_refuses_a_planar_bracket_path():
+    # a planar bracket was read through its (0, 0) entry
+    bm = simulate_brownian(1.0, 16, seed=23, n_members=4)
+    cp = constant_controlled(ito_lift_brownian(bm), bm.values[..., 0])
+    planar = simulate_brownian(1.0, 16, seed=23, n_members=4, dim=2).bracket
+    assert planar.shape == (1, 17, 2, 2)
+    fn = smooth_fn("tanh_affine")
+    with pytest.raises(ValueError, match="bracket_path must be scalar"):
+        ito_formula_residual(fn, cp, bracket_path=planar)
+    resid = ito_formula_residual(fn, cp, bracket_path=bm.bracket)
+    assert np.array_equal(resid, ito_formula_residual(fn, cp, bracket_path=bm.bracket[..., 0, 0]))
 
 
 def test_bracket_running_sum_matches_concatenate_cumsum():

@@ -144,6 +144,57 @@ def test_verify_failure_exits_2(monkeypatch, capsys):
     assert "chen: FAILED" in out
 
 
+# one passing set of gated rows per suite, (metric, value[, std_error])
+_PASSING_ROWS = {
+    "chen": [("chen_max_residual", 0.0)],
+    "jump_structure": [("jump_residual", 0.0)],
+    "ito_formula": [
+        ("slope[brownian_square]", -0.5), ("slope[smooth_tanh]", -1.0),
+        ("max_residual[pure_jump]", 0.0),
+    ],
+    "sewing_rate": [
+        ("refine_slope[ito]", -0.5), ("refine_slope[qv]", -0.5),
+        ("additive_max_distance", 0.0), ("partition_spread[rough]", 0.0),
+    ],
+    "stability": [
+        row for key in ("y0", "martingale", "lift")
+        for row in ((f"stability_ratio[{key}]", 1.2), (f"stability_ratio[{key}]", 1.5),
+                    (f"ratio_spread[{key}]", 1.25))
+    ],
+    "brackets": [
+        ("bracket_gap[brownian]", 0.01, 0.02), ("rough_bracket_max[linear]", 0.0),
+        ("rough_bracket_max[sine_cosine]", 0.0), ("pure_jump_bracket_residual", 0.0),
+        ("mixed_bracket_slope", -0.5),
+    ],
+}
+
+
+def _rows(spec):
+    return [
+        {"metric": r[0], "value": r[1], "std_error": r[2] if len(r) > 2 else 0.0} for r in spec
+    ]
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_a_nan_in_any_gated_row_fails_its_suite(suite, monkeypatch, capsys):
+    assert sorted(_PASSING_ROWS) == sorted(SUITES)
+    checker = SUITES[suite][1]
+    spec = _PASSING_ROWS[suite]
+    assert all(ok for _, ok, _ in checker(_rows(spec)))
+    # every gated value in turn, and the standard error the bracket gap is
+    # measured in
+    nan_cases = [(k, "value") for k in range(len(spec))]
+    nan_cases += [(k, "std_error") for k, r in enumerate(spec) if len(r) > 2]
+    assert len(nan_cases) == len(spec) + (suite == "brackets")
+    for k, field in nan_cases:
+        rows = _rows(spec)
+        rows[k][field] = float("nan")
+        assert not all(ok for _, ok, _ in checker(rows)), (rows[k]["metric"], field)
+        monkeypatch.setattr(cli, "run_scenario", lambda cfg, rows=rows: rows)
+        assert main(["verify", suite]) == 2
+        assert f"{suite}: FAILED" in capsys.readouterr().out
+
+
 def test_list_names_every_scenario_and_suite(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out

@@ -276,3 +276,11 @@ def test_second_accepts_an_index_row_bitwise():
     assert row.shape == (4, 9, 2, 2)
     for k, t in enumerate(range(4, 13)):
         assert np.array_equal(row[:, k], lift.second(3, t))
+
+
+def test_second_accepts_an_index_column_bitwise():
+    lift = _lift(4, 2, seed=13)
+    column = lift.second(np.arange(2, 11), 11)
+    assert column.shape == (4, 9, 2, 2)
+    for k, s in enumerate(range(2, 11)):
+        assert np.array_equal(column[:, k], lift.second(s, 11))

@@ -1,5 +1,7 @@
 """The RSDE solver: one-step scheme, Picard mode, jumps, stability."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,6 @@ from roughsew.rsde import (
     picard_solve,
     solve,
     stability_experiment,
-    window_control,
 )
 from roughsew.scenarios import default_config, run_scenario
 
@@ -34,6 +35,7 @@ from oracles import (
     euler_maruyama_reference,
     event_schedule_loop,
     plan_windows_one_step,
+    window_control,
 )
 
 
@@ -69,9 +71,9 @@ def _germ_case(dim):
         mix = simulate_mixed(1.0, 32, seed=37, n_members=16, rate=3.0)
         lift, mart = mix.lift, mix.martingale
         f = smooth_fn("tanh_affine", a=0.8, b=0.7, c=0.1)
-    else:
-        mart = simulate_brownian(1.0, 32, seed=39, n_members=16, dim=2)
-        lift = ito_lift_brownian(mart, seed=39)
+    else:  # a planar rough driver next to a scalar martingale
+        lift = ito_lift_brownian(simulate_brownian(1.0, 32, seed=39, n_members=16, dim=2), seed=39)
+        mart = simulate_brownian(1.0, 32, seed=41, n_members=16)
         f = (smooth_fn("sin_bundle", a=0.7, c=0.1), smooth_fn("tanh_affine", a=0.5, b=0.8, c=0.2))
     return CoefficientSet(b=b, sigma=s, f=f), build_event_schedule(lift, mart)
 
@@ -281,22 +283,50 @@ def test_window_control_row_matches_per_window_seminorms(with_mart, p, q):
     assert np.all(np.diff(row) >= 0.0)
 
 
-def _one_step_windows(lift, mart):
+def _one_step_windows(lift, mart, p=2.0, q=4.0):
     return plan_windows_one_step(
-        lambda s, t: window_control(lift, mart, 2.0, 4.0, s, t),
+        lambda s, t: window_control(lift, mart, p, q, s, t),
         lift.grid.n_steps,
         _WINDOW_THRESHOLD,
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _jump_mix_driver(n_members, seed):
+    return simulate_mixed(1.0, 128, seed, n_members=n_members, rate=2.0, jump_params=(0.3, 0.45))
+
+
 @pytest.mark.parametrize("n_members", [64, 256])
 @pytest.mark.parametrize("seed", [7, 8, 9, 10])
 def test_plan_windows_match_one_step_search_oracle(n_members, seed):
-    # the jump_mix driver: a search resumed at the last window's length finds
-    # the windows a search from one step finds
-    mix = simulate_mixed(1.0, 128, seed, n_members=n_members, rate=2.0, jump_params=(0.3, 0.45))
-    lift, mart = mix.lift, mix.martingale
-    assert _plan_windows(lift, mart, 2.0, 4.0) == _one_step_windows(lift, mart)
+    # the jump_mix driver: windows grown a column at a time are the windows
+    # of a doubling search over per-window controls built from scratch
+    mix = _jump_mix_driver(n_members, seed)
+    assert _plan_windows(mix.lift, mix.martingale, 2.0, 4.0) == _one_step_windows(
+        mix.lift, mix.martingale
+    )
+
+
+@pytest.mark.parametrize(
+    "p,q,with_mart",
+    [(2.0, 4.0, False), (2.5, 3.0, True), (2.5, 3.0, False), (2.0, 2.0, True), (2.0, 2.0, False)],
+)
+@pytest.mark.parametrize("n_members", [64, 256])
+@pytest.mark.parametrize("seed", [7, 8, 9, 10])
+def test_plan_windows_match_one_step_search_oracle_off_default(seed, n_members, p, q, with_mart):
+    # the same drivers at other exponents and without the martingale; at
+    # q = 2 the oracle's first-level table comes off the Gram path
+    mix = _jump_mix_driver(n_members, seed)
+    lift, mart = mix.lift, mix.martingale if with_mart else None
+    assert _plan_windows(lift, mart, p, q) == _one_step_windows(lift, mart, p, q)
+
+
+def test_plan_windows_match_one_step_search_oracle_on_a_two_dim_lift():
+    bm = simulate_brownian(1.0, 128, seed=43, n_members=64, dim=2)
+    lift, mart = ito_lift_brownian(bm, seed=43), simulate_brownian(1.0, 128, seed=45, n_members=64)
+    windows = _plan_windows(lift, mart, 2.0, 4.0)
+    assert len(windows) > 1
+    assert windows == _one_step_windows(lift, mart)
 
 
 def test_plan_windows_single_step_over_threshold():
@@ -315,6 +345,45 @@ def test_plan_windows_single_step_over_threshold():
     assert over
     assert all(windows[k][1] - windows[k][0] == 1 for k in over)
     assert any(k > 0 and windows[k - 1][1] - windows[k - 1][0] > 1 for k in over)
+
+
+def test_plan_windows_count_a_nan_control_as_over_threshold():
+    # a NaN member makes every control NaN: like the oracle's row, which
+    # keeps no NaN entry as within the threshold, each step is its own window
+    bm = simulate_brownian(1.0, 16, seed=47, n_members=4)
+    bm.values[2, 5:] = np.nan
+    lift = ito_lift_brownian(bm)
+    windows = _plan_windows(lift, bm, 2.0, 4.0)
+    assert windows[-1] == (15, 16) and windows[4] == (4, 5)
+    assert windows == _one_step_windows(lift, bm)
+
+
+def test_plan_windows_build_each_column_once(monkeypatch):
+    # every grid point of a window gets its column once; a window that ends
+    # before n also builds the column of the first point over the threshold,
+    # unless that point is its own single step
+    mix = simulate_mixed(
+        1.0, 64, seed=4, n_members=4, rate=1.0, jump_kind="fixed", jump_params=(1.0,), vol=0.2
+    )
+    lift, mart = mix.lift, mix.martingale
+    n = lift.grid.n_steps
+    columns = []
+    lq_cells = rsde._lq_cells
+
+    def counted(increments, q):
+        columns.append(increments.shape[1])
+        return lq_cells(increments, q)
+
+    monkeypatch.setattr(rsde, "_lq_cells", counted)
+    windows = _plan_windows(lift, mart, 2.0, 4.0)
+    want = []
+    for s, t in windows:
+        over = window_control(lift, mart, 2.0, 4.0, s, s + 1)[0] > _WINDOW_THRESHOLD
+        ends = list(range(s + 1, t + 1)) + ([t + 1] if t < n and not over else [])
+        # three tables (X, XX, [M]) per column, column u has u - s cells
+        want += [u - s for u in ends for _ in range(3)]
+    assert any(t < n for _, t in windows[:-1])
+    assert columns == want
 
 
 def test_picard_matches_onestep_brownian():
@@ -417,8 +486,18 @@ def test_stability_base_solves_its_base_once(monkeypatch):
 def test_solve_validates_driver_dimension():
     bm = simulate_brownian(1.0, 16, seed=25, n_members=2, dim=2)
     lift = ito_lift_brownian(bm, seed=25)
-    with pytest.raises(ValueError):
-        solve(CoefficientSet(f=smooth_fn("sin_bundle")), 0.0, lift, bm)
+    with pytest.raises(ValueError, match="one rough coefficient per driver direction"):
+        solve(CoefficientSet(f=smooth_fn("sin_bundle")), 0.0, lift)
+
+
+@pytest.mark.parametrize("solver", [solve, picard_solve])
+def test_solvers_refuse_a_planar_martingale(solver):
+    # the state is scalar, so sigma(Y) dM needs a scalar M; a planar one was
+    # read through its first component
+    bm = simulate_brownian(1.0, 16, seed=25, n_members=4, dim=2)
+    coeffs = CoefficientSet(sigma=smooth_fn("sin_bundle"))
+    with pytest.raises(ValueError, match="one-dimensional martingales"):
+        solver(coeffs, 0.0, ito_lift_brownian(simulate_brownian(1.0, 16, seed=27)), bm)
 
 
 def test_solve_validates_range():
