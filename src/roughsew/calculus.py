@@ -290,7 +290,7 @@ def mixed_bracket_check(
     jump_sum = np.zeros(max(mv.shape[0], zv.shape[0]))
     if np.asarray(m_jump_indices).size:
         jidx = np.asarray(m_jump_indices, dtype=np.int64)
-        dmj = _scalar(m_jump_sizes, "m_jump_sizes")
+        dmj = _scalar(m_jump_sizes, "m_jump_sizes", axis="J")
         dzj = zv[:, jidx] - zv[:, jidx - 1]
         jump_sum = np.sum(dmj * dzj, axis=1)
     residual = grid_value - jump_sum

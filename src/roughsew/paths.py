@@ -199,21 +199,45 @@ def simulate_brownian(
 
     The bracket vol vol^T t is stored analytically with a broadcast member
     axis.  Increments are drawn in one member-major call from the stream
-    (seed, "brownian").
+    (seed, "brownian"): the one-block case of `_brownian_blocks`.
+    """
+    return next(_brownian_blocks(max(n_members, 1), T, n, seed, n_members, dim, vol, grid))
+
+
+def _brownian_blocks(rows, T, n, seed, n_members=1, dim=1, vol=1.0, grid=None):
+    """The ensemble of `simulate_brownian` as consecutive blocks of `rows`
+    members (the last may be shorter), each a MartingalePath on the full grid.
+
+    Every block continues the one member-major draw of the stream
+    (seed, "brownian", dim, n_members), so the blocks stacked in order equal
+    the whole ensemble bit for bit (see `rng`).
     """
     grid = grid if grid is not None else make_uniform_grid(T, n)
     volm = np.eye(dim) * vol if np.ndim(vol) == 0 else np.asarray(vol, dtype=float)
     rng = stream(seed, "brownian", dim, n_members)
-    dt = grid.steps()
-    dw = rng.standard_normal((n_members, grid.n_steps, dim)) * np.sqrt(dt)[None, :, None]
-    db = np.einsum("ij,nkj->nki", volm, dw)
-    values = np.concatenate(
-        [np.zeros((n_members, 1, dim)), np.cumsum(db, axis=1)], axis=1
-    )
+    sqrt_dt = np.sqrt(grid.steps())[None, :, None]
     bracket = np.einsum("ij,kj->ik", volm, volm)[None, None, :, :] * grid.times[
         None, :, None, None
     ]
-    return MartingalePath(grid=grid, values=values, bracket=bracket)
+    for lo in range(0, max(n_members, 1), rows):
+        yield MartingalePath(
+            grid=grid,
+            values=_brownian_values(rng, min(rows, n_members - lo), dim, sqrt_dt, volm),
+            bracket=bracket,
+        )
+
+
+def _brownian_values(rng, n_members, dim, sqrt_dt, volm) -> np.ndarray:
+    """The next `n_members` rows of the draw as values (N, n+1, d), built in
+    place: one scaled draw, one `einsum`, one `cumsum` into the output."""
+    dw = rng.standard_normal((n_members, sqrt_dt.shape[1], dim))
+    dw *= sqrt_dt
+    db = np.einsum("ij,nkj->nki", volm, dw)
+    del dw
+    values = np.empty((n_members, db.shape[1] + 1, db.shape[2]))
+    values[:, 0] = 0.0
+    np.cumsum(db, axis=1, out=values[:, 1:])
+    return values
 
 
 def ito_lift_brownian(bm: MartingalePath, substeps: int = 8, seed: int = 0) -> RoughLift:

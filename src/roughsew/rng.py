@@ -1,10 +1,23 @@
 """Deterministic named random streams.
 
 Every stochastic routine in the package draws from a Philox generator keyed by
-(master seed, hashed purpose tags).  Draws are made in one vectorized call
-with a fixed member-major layout, so a given seed reproduces the identical
-ensemble regardless of chunking or thread schedule, and distinct purposes
-(e.g. Brownian increments vs. jump sizes) never share a stream.
+(master seed, hashed purpose tags), and distinct purposes (e.g. Brownian
+increments vs. jump sizes) never share a stream.
+
+A stream is one sequence of draws, so splitting a draw into consecutive
+calls leaves it unchanged.  Whether a split into member blocks is also a
+block of the ensemble depends on the stream's layout:
+
+- chunkable: the member-major draws, which run member by member.  The
+  Brownian increments (N, n, d) drawn in member blocks of any sizes stack to
+  the one (N, n, d) draw bit for bit (`paths._brownian_blocks` relies on
+  it).  The compound-Poisson jump draws (counts, then the flat times, then
+  the flat sizes, each member-major) split the same way draw by draw; a
+  member block of the whole simulation would still need every count before
+  the first time.
+- not chunkable: the step-major Levy-area stream of `ito_lift_brownian`
+  (d >= 2), which draws every member's substeps for step k before step
+  k + 1, so a member block would see other members' draws.
 """
 from __future__ import annotations
 

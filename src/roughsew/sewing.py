@@ -297,13 +297,15 @@ def log2_fit(x, errors) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _scalar(values, what: str) -> np.ndarray:
+def _scalar(values, what: str, axis: str = "n+1") -> np.ndarray:
     """The (N, n+1) view of a scalar germ input given as (N, n+1), (N, n+1, 1)
-    or (N, n+1, 1, 1); any other shape is refused, not cut to a component."""
+    or (N, n+1, 1, 1); any other shape is refused, not cut to a component.
+    `axis` names the second axis in the refusal, e.g. "J" for per-jump input."""
     a = np.asarray(values, dtype=float)
     if a.ndim < 2 or a.ndim > 4 or any(k != 1 for k in a.shape[2:]):
         raise ValueError(
-            f"{what} must be scalar, (N, n+1), (N, n+1, 1) or (N, n+1, 1, 1); got {a.shape}"
+            f"{what} must be scalar, (N, {axis}), (N, {axis}, 1) or (N, {axis}, 1, 1); "
+            f"got {a.shape}"
         )
     # a 2-d input stays the same object: `default_controls` shares a control
     # per input array by identity

@@ -2,7 +2,9 @@
 
 Everything in this module is deliberately written from first principles with
 plain Python loops / numpy and without importing the package under test, so
-the tests compare two genuinely different routes to the same number.
+the tests compare two genuinely different routes to the same number.  An
+oracle that keeps a replaced route through the package's own layers takes the
+module it runs on as an argument instead.
 """
 from __future__ import annotations
 
@@ -518,3 +520,52 @@ def add_germ_einsum(out, y, coeffs, fs, dt, dm, dx, xx):
         dfv = np.stack([fn.df(y) for fn in fs], axis=-1)
         out = out + np.einsum("...i,...j,...ji->...", dfv, fv, np.asarray(xx, dtype=float))
     return out
+
+
+def simulate_brownian(rng, times, n_members, dim, vol):
+    """Values (N, n+1, d) and bracket (1, n+1, d, d) of a Brownian ensemble
+    B = vol . W on `times`, drawn whole from `rng`: one (N, n, d) draw, a
+    scaled copy, an `einsum` copy, a `cumsum` and a `concatenate`."""
+    volm = np.eye(dim) * vol if np.ndim(vol) == 0 else np.asarray(vol, dtype=float)
+    dt = np.diff(times)
+    dw = rng.standard_normal((n_members, dt.size, dim)) * np.sqrt(dt)[None, :, None]
+    db = np.einsum("ij,nkj->nki", volm, dw)
+    values = np.concatenate(
+        [np.zeros((n_members, 1, dim)), np.cumsum(db, axis=1)], axis=1
+    )
+    bracket = np.einsum("ij,kj->ik", volm, volm)[None, None, :, :] * times[
+        None, :, None, None
+    ]
+    return values, bracket
+
+
+def brownian_milstein_whole_ensemble(cfg, scenarios):
+    """The rows of `scenario_brownian_milstein` with the whole ensemble held
+    at the finest grid through simulate, lift and solve, run on the package's
+    `scenarios` module (and the layers it imports)."""
+    sc = scenarios
+    paths, rsde, calculus = sc.paths, sc.rsde, sc.calculus
+    T, seed, N = 1.0, cfg.seed, cfg.ensemble
+    coeffs = rsde.CoefficientSet(f=calculus.smooth_fn("linear"))
+    n_max = cfg.n * 2 ** (cfg.levels - 1)
+    bm = paths.simulate_brownian(T, n_max, seed, n_members=N, dim=1)
+    exact = np.exp(bm.values[:, -1, 0] - 0.5 * T)
+    rows, sizes, errs = [], [], []
+    for k in range(cfg.levels):
+        mart = sc._subsampled_brownian(bm, n_max // (cfg.n * 2**k))
+        lift = paths.ito_lift_brownian(mart, seed=seed)
+        res = rsde.solve(coeffs, 1.0, lift)
+        l2, se = sc._l2_with_se(res.values[:, -1] - exact)
+        sizes.append(mart.grid.n_steps)
+        errs.append(l2)
+        rows.append(sc._row(cfg, "L2_error", l2, se, level=k, n=sizes[-1]))
+    slope = sc._fit_log2_slope(sizes, errs)
+    rows.append(sc._row(cfg, "observed_order", -slope, n=n_max))
+
+    bm_small = paths.simulate_brownian(T, 128, seed + 1, n_members=min(N, 64), dim=1)
+    lift_small = paths.ito_lift_brownian(bm_small, seed=seed + 1)
+    sol = rsde.solve(coeffs, 1.0, lift_small)
+    rows.append(
+        sc._picard_gap_row(cfg, sol, coeffs, 1.0, lift_small, n=128, N=bm_small.n_members)
+    )
+    return rows

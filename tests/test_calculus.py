@@ -177,7 +177,12 @@ def test_mixed_bracket_refuses_planar_inputs():
     with pytest.raises(ValueError, match="m_values must be scalar"):
         mixed_bracket_check(bm.values, np.array([], dtype=np.int64), np.zeros((4, 0, 2)), z)
     sizes = np.ones((4, 2, 2))
-    with pytest.raises(ValueError, match="m_jump_sizes must be scalar"):
+    # the jump sizes are per jump, so the refusal names the (N, J) shapes
+    with pytest.raises(
+        ValueError,
+        match=r"m_jump_sizes must be scalar, \(N, J\), \(N, J, 1\) or \(N, J, 1, 1\); "
+        r"got \(4, 2, 2\)",
+    ):
         mixed_bracket_check(bm.values[..., :1], np.array([3, 9]), sizes, z)
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from roughsew import paths
 from roughsew.grids import TimeGrid, insert_times, make_uniform_grid
 from roughsew.norms import chen_residual
 from roughsew.paths import (
@@ -20,6 +21,7 @@ from roughsew.paths import (
 )
 from roughsew.rng import stream
 
+import oracles
 from oracles import accumulate_prefix, compound_poisson_loop, quadrature_second_level
 
 
@@ -52,6 +54,52 @@ def test_brownian_seed_reproducibility():
     c = simulate_brownian(1.0, 32, seed=10, n_members=4)
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
+
+
+# a non-uniform grid of the kind `simulate_mixed` supplies: jump times merged in
+_MERGED_GRID = insert_times(make_uniform_grid(1.0, 24), np.array([0.013, 0.5003, 0.77]))
+
+
+@pytest.mark.parametrize(
+    "dim, vol, grid",
+    [
+        (1, 1.0, None),
+        (1, 0.7, _MERGED_GRID),
+        (2, np.array([[1.0, 0.3], [-0.4, 0.8]]), None),
+        (2, 1.3, _MERGED_GRID),
+    ],
+)
+def test_simulate_brownian_matches_whole_draw_oracle_bitwise(dim, vol, grid):
+    bm = simulate_brownian(1.0, 24, seed=31, n_members=9, dim=dim, vol=vol, grid=grid)
+    values, bracket = oracles.simulate_brownian(
+        stream(31, "brownian", dim, 9), bm.grid.times, 9, dim, vol
+    )
+    assert np.array_equal(bm.values, values)
+    assert np.array_equal(bm.bracket, bracket)
+
+
+@pytest.mark.parametrize("rows", [1, 4, 10, 29])
+def test_brownian_blocks_stack_to_the_whole_ensemble_bitwise(rows):
+    vol = np.array([[1.0, 0.3], [-0.4, 0.8]])
+    blocks = list(paths._brownian_blocks(rows, 1.0, 16, 5, 29, dim=2, vol=vol))
+    assert [b.n_members for b in blocks][:-1] == [rows] * (len(blocks) - 1)
+    values, bracket = oracles.simulate_brownian(
+        stream(5, "brownian", 2, 29), blocks[0].grid.times, 29, 2, vol
+    )
+    assert np.array_equal(np.concatenate([b.values for b in blocks]), values)
+    assert all(b.bracket is blocks[0].bracket for b in blocks)
+    assert np.array_equal(blocks[0].bracket, bracket)
+
+
+def test_brownian_values_continue_one_draw_in_uneven_blocks():
+    # the chunking promise of `rng`: any split of the member-major draw,
+    # ragged last block included, continues the one stream bit for bit
+    grid, volm = _MERGED_GRID, np.array([[0.9, 0.2], [0.1, 1.1]])
+    sqrt_dt = np.sqrt(grid.steps())[None, :, None]
+    rng = stream(8, "brownian", 2, 31)
+    parts = [paths._brownian_values(rng, m, 2, sqrt_dt, volm) for m in (7, 13, 1, 10)]
+    values, _ = oracles.simulate_brownian(stream(8, "brownian", 2, 31), grid.times, 31, 2, volm)
+    assert np.array_equal(np.concatenate(parts), values)
 
 
 def test_brownian_increment_moments():

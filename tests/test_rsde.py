@@ -1,11 +1,12 @@
 """The RSDE solver: one-step scheme, Picard mode, jumps, stability."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from roughsew import rsde
+from roughsew import rsde, scenarios
 from roughsew.calculus import smooth_fn
 from roughsew.paths import (
     MartingalePath,
@@ -32,6 +33,7 @@ from roughsew.scenarios import default_config, run_scenario
 
 from oracles import (
     add_germ_einsum,
+    brownian_milstein_whole_ensemble,
     euler_maruyama_reference,
     event_schedule_loop,
     plan_windows_one_step,
@@ -481,6 +483,42 @@ def test_stability_base_solves_its_base_once(monkeypatch):
     run_scenario(default_config("stability_base"))
     # the base, whose solve the Picard gap row reuses, and its 12 perturbations
     assert len(calls) == 13
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_brownian_milstein_blocks_match_the_whole_ensemble_exactly(monkeypatch, seed):
+    # n_max = 64 and 48-member blocks: 130 members run as 48, 48 and 34
+    cfg = default_config("brownian_milstein", n=8, levels=4, ensemble=130, seed=seed)
+    whole = brownian_milstein_whole_ensemble(cfg, scenarios)
+    monkeypatch.setattr(scenarios, "_BLOCK_BUDGET", 64 * 48)
+    blocks = []
+    real_solve = rsde.solve
+
+    def recording_solve(coeffs, y0, lift, *args, **kwargs):
+        blocks.append(lift.path.n_members)
+        return real_solve(coeffs, y0, lift, *args, **kwargs)
+
+    monkeypatch.setattr(rsde, "solve", recording_solve)
+    assert run_scenario(cfg) == whole
+    # four levels per block, then the Picard gap row's own solve
+    assert blocks == [48] * 4 + [48] * 4 + [34] * 4 + [64]
+
+
+def test_brownian_milstein_peak_memory_is_per_block(monkeypatch):
+    # 2048-member blocks at n_max = 128: 5000 members run as three blocks.
+    # Measured: the traced peak is 4.5-4.6 block arrays (the block's values,
+    # the finest lift and its temporaries); the whole ensemble held at once
+    # would need about 11.
+    monkeypatch.setattr(scenarios, "_BLOCK_BUDGET", 2**18)
+    cfg = default_config("brownian_milstein", n=16, levels=4, ensemble=5000)
+    block_array = 2048 * (128 + 1) * 8  # one (rows, n_max + 1) float64 array
+    tracemalloc.start()
+    try:
+        run_scenario(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * block_array
 
 
 def test_solve_validates_driver_dimension():
