@@ -55,10 +55,12 @@ def _lq_cells(increments: np.ndarray, q: float, cell_axes: int = 1):
     """||dY||_{L^q(ensemble)} of each cell of (N, *cells, ...) increments,
     with Euclidean magnitudes across the axes after the `cell_axes` cell
     axes: the one reduction behind every table cell, and `lq_norm` at
-    cell_axes = 0."""
+    cell_axes = 0.  The member mean runs on C-order memory, so a cell does
+    not depend on the layout of the increments (a time-major lift's columns
+    give the member-major cells bit for bit)."""
     flat = increments.reshape(increments.shape[: 1 + cell_axes] + (-1,))
     mags = np.sqrt(np.einsum("...d,...d->...", flat, flat))
-    return np.mean(mags**q, axis=0) ** (1.0 / q)
+    return np.mean(np.ascontiguousarray(mags**q), axis=0) ** (1.0 / q)
 
 
 def _check_table_size(n_points: int):

@@ -15,9 +15,12 @@ any dimension (f is then a tuple of coefficient functions, one per driver
 direction).
 
 Both solvers run on one event path, `build_event_schedule`: per-event
-increments plus, for every event, the column of the state array
+increments plus, for every event, the row of the state array
 [Y_{t_0..t_n} | Y_{tau_1-}..Y_{tau_J-}] it lands on, so grid values and left
-limits at the J jump times are written the same way.  Two modes: `solve` runs
+limits at the J jump times are written the same way.  The layout is
+time-major, as the scheme is a recursion in time: increments are (E, N, ...)
+with event e in the contiguous block [e], and the state is (n+1+J, N), so one
+event reads and writes whole contiguous rows.  Two modes: `solve` runs
 the one-step scheme event by event; `picard_solve` iterates the integral map
 Phi(Y) = y0 + int b dt + int sigma(Y_-) dM + int f(Y) dX on windows where a
 grid-proxy control is small, which mirrors the contraction argument that
@@ -110,12 +113,17 @@ def _add_germ(out, y, coeffs: CoefficientSet, fs, dt, dm, dx, xx):
         out = out + coeffs.sigma.f(y) * dm
     if fs:
         fv = [fn.f(y) for fn in fs]
-        out = out + sum(f * dx[..., i] for i, f in enumerate(fv))
+        acc = 0.0
+        for i, f in enumerate(fv):
+            acc = acc + f * dx[..., i]
+        out = out + acc
         dfv = [fn.df(y) for fn in fs]
-        # second index of XX is the integration direction
-        out = out + sum(
-            df * f * xx[..., j, i] for j, f in enumerate(fv) for i, df in enumerate(dfv)
-        )
+        acc = 0.0
+        for j, f in enumerate(fv):
+            for i, df in enumerate(dfv):
+                # second index of XX is the integration direction
+                acc = acc + df * f * xx[..., j, i]
+        out = out + acc
     return out
 
 
@@ -135,21 +143,24 @@ class EventSchedule:
     level split by Chen at the jump:  XX_cont = XX_step - dX_cont (x) dX_jump
     - Delta XX.
 
-    The solvers keep one state array per member with columns
+    The arrays are time-major and C-contiguous: event e's increments are the
+    contiguous blocks dm[e] (Nm,), dx[e] (Nx, d) and xx[e] (Nx, d, d), with
+    Nm, Nx in {1, N}.  The solvers keep one time-major state array (n+1+J, N)
+    with rows
 
         [Y_{t_0} .. Y_{t_n} | Y_{tau_1-} .. Y_{tau_J-}],
 
     grid values first, then the left limits at `jump_indices`; event e writes
-    its result to column dest[e].  A continuous event lands on its step's
-    right grid point, or on the left-limit column n + 1 + j when the step ends
-    at the j-th jump; that step's jump event then lands on the grid point.
+    its result to row dest[e].  A continuous event lands on its step's right
+    grid point, or on the left-limit row n + 1 + j when the step ends at the
+    j-th jump; that step's jump event then lands on the grid point.
     """
 
     dt: np.ndarray  # (E,)
-    dm: np.ndarray  # (Nm, E)
-    dx: np.ndarray  # (Nx, E, d)
-    xx: np.ndarray  # (Nx, E, d, d)
-    dest: np.ndarray  # (E,) state column the event lands on
+    dm: np.ndarray  # (E, Nm)
+    dx: np.ndarray  # (E, Nx, d)
+    xx: np.ndarray  # (E, Nx, d, d)
+    dest: np.ndarray  # (E,) state row the event lands on
     event_start: np.ndarray  # (n+1,) first event of step k; event_start[n] = E
     jump_indices: np.ndarray  # union of declared driver jumps
 
@@ -159,20 +170,32 @@ def _check_same_grid(a: TimeGrid, b: TimeGrid):
         raise ValueError("driver grids are not aligned")
 
 
+def _time_major(a: np.ndarray) -> np.ndarray:
+    """(N, n, ...) -> (n, N, ...) view, time axis first."""
+    return np.moveaxis(a, 1, 0)
+
+
 def build_event_schedule(lift: RoughLift, mart: MartingalePath | None = None) -> EventSchedule:
+    """The time-major event arrays of (lift, mart); see `EventSchedule`.
+
+    Without jumps the per-step arrays are the event arrays: a lift whose
+    memory is already time-major (step k's members contiguous) is used
+    without a copy, a member-major one is copied once.
+    """
     grid = lift.grid
     n = grid.n_steps
     path = lift.path
-    dts, dxs, xxs = grid.steps(), path.increments(), lift.step_second
+    dts = grid.steps()
+    dxs, xxs = _time_major(path.increments()), _time_major(lift.step_second)
     if mart is not None:
         if mart.dim != 1:
             raise ValueError("the solvers handle one-dimensional martingales")
         _check_same_grid(grid, mart.grid)
         mv = mart.values[..., 0]
-        dms = np.diff(mv, axis=1)
+        dms = _time_major(np.diff(mv, axis=1))
         m_jumps = mart.jump_indices
     else:
-        dms = np.zeros((1, n))
+        dms = np.zeros((n, 1))
         m_jumps = np.array([], dtype=np.int64)
     jumps = np.union1d(path.jump_indices, m_jumps).astype(np.int64)
 
@@ -188,28 +211,29 @@ def build_event_schedule(lift: RoughLift, mart: MartingalePath | None = None) ->
     dest[jump_event - 1] = n + 1 + np.arange(jumps.size)
     dest[jump_event] = jumps
     if not jumps.size:  # one event per step: the step arrays themselves
+        dms, dxs, xxs = (np.ascontiguousarray(a) for a in (dms, dxs, xxs))
         return EventSchedule(dts, dms, dxs, xxs, dest, event_start, jumps)
 
     def spread(steps):
-        """Per-step rows (axis 1) at their continuous events, zeros elsewhere."""
-        out = np.zeros(steps.shape[:1] + (n_events,) + steps.shape[2:])
-        out[:, cont] = steps
+        """Per-step rows (axis 0) at their continuous events, zeros elsewhere."""
+        out = np.zeros((n_events,) + steps.shape[1:])
+        out[cont] = steps
         return out
 
-    dt, dm, dx, xx = spread(dts[None])[0], spread(dms), spread(dxs), spread(xxs)
+    dt, dm, dx, xx = spread(dts), spread(dms), spread(dxs), spread(xxs)
     if path.jump_indices.size:
         ix = path.jump_indices
         ev = jump_event[np.searchsorted(jumps, ix)]
         x, xl = path.values, path.left_values
-        dx[:, ev - 1] = dx_cont = xl - x[:, ix - 1]
-        dx[:, ev] = dx_jump = x[:, ix] - xl
-        xx[:, ev - 1] = xxs[:, ix - 1] - outer_increment(dx_cont, dx_jump) - lift.jump_second
-        xx[:, ev] = lift.jump_second
+        dx_cont, dx_jump = xl - x[:, ix - 1], x[:, ix] - xl
+        xx_cont = lift.step_second[:, ix - 1] - outer_increment(dx_cont, dx_jump) - lift.jump_second
+        dx[ev - 1], dx[ev] = _time_major(dx_cont), _time_major(dx_jump)
+        xx[ev - 1], xx[ev] = _time_major(xx_cont), _time_major(lift.jump_second)
     if m_jumps.size:
         ev = jump_event[np.searchsorted(jumps, m_jumps)]
         ml = mart.left_values[..., 0]
-        dm[:, ev - 1] = ml - mv[:, m_jumps - 1]
-        dm[:, ev] = mv[:, m_jumps] - ml
+        dm[ev - 1] = (ml - mv[:, m_jumps - 1]).T
+        dm[ev] = (mv[:, m_jumps] - ml).T
     return EventSchedule(dt, dm, dx, xx, dest, event_start, jumps)
 
 
@@ -222,10 +246,15 @@ def build_event_schedule(lift: RoughLift, mart: MartingalePath | None = None) ->
 class RSDEResult:
     """Solution ensemble with solver diagnostics.
 
-    values: (N, n+1); left_values holds the computed left limits Y_{t-} at
-    `jump_indices` (NaN where a partial-range solve never visited the jump).
-    The Gubinelli derivative Y' = f(Y) is not stored: a caller that needs it
-    evaluates the rough coefficients on `values`.
+    values: (N, n+1); left_values (N, J) holds the computed left limits Y_{t-}
+    at `jump_indices` (NaN where a partial-range solve never visited the
+    jump).  Both are member-major views (transposes) of the solver's
+    time-major state (n+1+J, N), so a member's path is strided in memory.
+    The package's seminorms give the same numbers on either layout; a caller
+    whose own reductions over members must sum as on C-order memory takes
+    `np.ascontiguousarray(values)` first.  The Gubinelli derivative Y' = f(Y)
+    is not stored: a caller that needs it evaluates the rough coefficients on
+    `values`.
     """
 
     grid: TimeGrid
@@ -240,30 +269,32 @@ class RSDEResult:
 
 
 def _prologue(coeffs: CoefficientSet, y0, lift: RoughLift, mart, start: int):
-    """Schedule, rough components and a state array (see `EventSchedule`)
-    holding y0 on grid columns 0..start and NaN in every left-limit column."""
+    """Schedule, rough components and a time-major state array (n+1+J, N)
+    (see `EventSchedule`) holding y0 on grid rows 0..start and NaN in every
+    left-limit row."""
     sched = build_event_schedule(lift, mart)
     fs = coeffs.f_components()
     if fs and len(fs) != lift.dim:
         raise ValueError("one rough coefficient per driver direction required")
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     n_members = int(
-        np.broadcast_shapes(y0.shape, (sched.dm.shape[0],), (sched.dx.shape[0],))[0]
+        np.broadcast_shapes(y0.shape, (sched.dm.shape[1],), (sched.dx.shape[1],))[0]
     )
     n = lift.grid.n_steps
-    state = np.empty((n_members, n + 1 + sched.jump_indices.size))
-    state[:, : start + 1] = np.broadcast_to(y0, (n_members,))[:, None]
-    state[:, n + 1 :] = np.nan
+    state = np.empty((n + 1 + sched.jump_indices.size, n_members))
+    state[: start + 1] = np.broadcast_to(y0, (n_members,))
+    state[n + 1 :] = np.nan
     return sched, fs, state
 
 
 def _epilogue(lift, sched, state, start, stop, diagnostics) -> RSDEResult:
-    """Split the state into values and left limits; flag diverged members."""
+    """Split the state into member-major views of the values and left
+    limits; flag diverged members."""
     n = lift.grid.n_steps
-    values = state[:, : n + 1]
+    values = state[: n + 1].T
     diagnostics["n_steps"] = stop - start
     diagnostics["n_events"] = int(sched.event_start[stop] - sched.event_start[start])
-    bad = ~np.isfinite(values[:, stop])
+    bad = ~np.isfinite(state[stop])
     if bad.any():
         warnings.warn(f"{int(bad.sum())} member(s) diverged (NaN/overflow)")
         diagnostics["diverged"] = bad
@@ -271,7 +302,7 @@ def _epilogue(lift, sched, state, start, stop, diagnostics) -> RSDEResult:
         grid=lift.grid,
         values=values,
         jump_indices=sched.jump_indices,
-        left_values=state[:, n + 1 :],
+        left_values=state[n + 1 :].T,
         diagnostics=diagnostics,
     )
 
@@ -295,14 +326,12 @@ def solve(
     if not (0 <= start < stop <= n):
         raise ValueError("need 0 <= start < stop <= n")
     sched, fs, state = _prologue(coeffs, y0, lift, mart, start)
-    dest = sched.dest
-    y = state[:, start]
+    dt, dm, dx, xx, dest = sched.dt, sched.dm, sched.dx, sched.xx, sched.dest
+    y = state[start]
     with np.errstate(over="ignore", invalid="ignore"):
         for e in range(sched.event_start[start], sched.event_start[stop]):
-            state[:, dest[e]] = y = _add_germ(
-                y, y, coeffs, fs, sched.dt[e], sched.dm[:, e], sched.dx[:, e], sched.xx[:, e]
-            )
-    state[:, stop + 1 : n + 1] = state[:, stop : stop + 1]
+            state[dest[e]] = y = _add_germ(y, y, coeffs, fs, dt[e], dm[e], dx[e], xx[e])
+    state[stop + 1 : n + 1] = state[stop]
     return _epilogue(lift, sched, state, start, stop, {})
 
 
@@ -383,28 +412,29 @@ def picard_solve(
 
     for (s, t) in windows:
         e0, e1 = int(sched.event_start[s]), int(sched.event_start[t])
-        dt_w = sched.dt[e0:e1]
-        dm_w = sched.dm[:, e0:e1]
-        dx_w = sched.dx[:, e0:e1]
-        xx_w = sched.xx[:, e0:e1]
+        dt_w = sched.dt[e0:e1, None]
+        dm_w = sched.dm[e0:e1]
+        dx_w = sched.dx[e0:e1]
+        xx_w = sched.xx[e0:e1]
         dest_w = sched.dest[e0:e1]
         # positions (in the event path) of the window's grid points
         grid_slots = np.concatenate([[0], np.flatnonzero(dest_w <= n) + 1])
 
-        y_start = state[:, s]
-        cur = np.broadcast_to(y_start[:, None], (y_start.size, e1 - e0 + 1)).copy()
+        # the window's iterate, time-major (E_w + 1, N) like the state
+        y_start = state[s]
+        cur = np.broadcast_to(y_start, (e1 - e0 + 1, y_start.size)).copy()
         dists: list[float] = []
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(max_iter):
-                y_w = cur[:, :-1]
+                y_w = cur[:-1]
                 zero = np.zeros(np.broadcast_shapes(y_w.shape, dm_w.shape))
                 germs = _add_germ(zero, y_w, coeffs, fs, dt_w, dm_w, dx_w, xx_w)
                 new = np.empty_like(cur)
-                new[:, 0] = y_start
-                np.cumsum(germs, axis=1, out=new[:, 1:])
-                new[:, 1:] += y_start[:, None]
-                live = np.isfinite(new[:, -1])  # others stay non-finite, get flagged
-                diff = (new[:, grid_slots] - cur[:, grid_slots])[live]
+                new[0] = y_start
+                np.cumsum(germs, axis=0, out=new[1:])
+                new[1:] += y_start
+                live = np.isfinite(new[-1])  # others stay non-finite, get flagged
+                diff = (new[grid_slots] - cur[grid_slots]).T[live]  # (N_live, G)
                 cur = new
                 if not live.any():
                     dists.append(float("nan"))
@@ -420,7 +450,7 @@ def picard_solve(
                 )
         iters_per_window.append(len(dists))
         distance_history.append(dists)
-        state[:, dest_w] = cur[:, 1:]
+        state[dest_w] = cur[1:]
 
     diagnostics = {
         "windows": windows,
@@ -493,8 +523,9 @@ def stability_experiment(
 
     def solution(prob: RSDEProblem):
         sol = solve(coeffs, prob.y0, prob.lift, prob.mart)
-        # Y' = f(Y); zero without a rough coefficient
-        y = sol.values
+        # one C-order copy, so the seminorm tables below read contiguous
+        # member rows; Y' = f(Y), zero without a rough coefficient
+        y = np.ascontiguousarray(sol.values)
         return sol, y, _f_stack(fs, y) if fs else np.zeros(y.shape + (prob.lift.dim,))
 
     base_sol, ya, dya = solution(base)

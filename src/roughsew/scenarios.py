@@ -458,11 +458,17 @@ def scenario_brownian_milstein(cfg: ExperimentConfig):
     block_errs = [[] for _ in sizes]
     block = max(1, _BLOCK_BUDGET // n_max)
     for bm in paths._brownian_blocks(block, T, n_max, seed, N):
+        # one transposed copy lays the block out time-major (the members of a
+        # grid point contiguous); numpy keeps that layout through every
+        # level's increments and step_second, so the solver's time-major
+        # event arrays are views of them, not copies
+        values = np.moveaxis(np.ascontiguousarray(np.moveaxis(bm.values, 1, 0)), 0, 1)
+        bm = paths.MartingalePath(grid=bm.grid, values=values, bracket=bm.bracket)
         exact = np.exp(bm.values[:, -1, 0] - 0.5 * T)
         for n_k, kept in zip(sizes, block_errs):
             lift = paths.ito_lift_brownian(_subsampled_brownian(bm, n_max // n_k), seed=seed)
             kept.append(rsde.solve(coeffs, 1.0, lift).values[:, -1] - exact)
-        del bm, lift  # free this block before the next one is drawn
+        del bm, values, lift  # free this block before the next one is drawn
     rows, errs = [], []
     for k, (n_k, kept) in enumerate(zip(sizes, block_errs)):
         l2, se = _l2_with_se(np.concatenate(kept))

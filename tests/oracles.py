@@ -522,6 +522,34 @@ def add_germ_einsum(out, y, coeffs, fs, dt, dm, dx, xx):
     return out
 
 
+def solve_member_major(germ, coeffs, fs, y0, dt, dm, dx, xx, dest, event_start, n_jumps,
+                       start=0, stop=None):
+    """The one-step RSDE scheme event by event on member-major arrays: the
+    solver loop that strided through column e of every array per event.
+
+    germ(out, y, coeffs, fs, dt, dm, dx, xx) is the scheme's germ (the
+    package's `rsde._add_germ`); dt (E,), dm (Nm, E), dx (Nx, E, d) and xx
+    (Nx, E, d, d) are the event increments, dest (E,) the state column each
+    event lands on and event_start (n+1,) the first event of each step, as
+    `event_schedule_loop` lays them out.  The state (N, n+1+n_jumps) holds
+    y0 on grid columns 0..start and NaN in the left-limit columns.  Returns
+    (values (N, n+1), left_values (N, n_jumps)).
+    """
+    n = event_start.size - 1
+    stop = n if stop is None else stop
+    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+    n_members = int(np.broadcast_shapes(y0.shape, (dm.shape[0],), (dx.shape[0],))[0])
+    state = np.empty((n_members, n + 1 + n_jumps))
+    state[:, : start + 1] = np.broadcast_to(y0, (n_members,))[:, None]
+    state[:, n + 1 :] = np.nan
+    y = state[:, start]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for e in range(event_start[start], event_start[stop]):
+            state[:, dest[e]] = y = germ(y, y, coeffs, fs, dt[e], dm[:, e], dx[:, e], xx[:, e])
+    state[:, stop + 1 : n + 1] = state[:, stop : stop + 1]
+    return state[:, : n + 1], state[:, n + 1 :]
+
+
 def simulate_brownian(rng, times, n_members, dim, vol):
     """Values (N, n+1, d) and bracket (1, n+1, d, d) of a Brownian ensemble
     B = vol . W on `times`, drawn whole from `rng`: one (N, n, d) draw, a

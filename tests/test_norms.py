@@ -8,6 +8,7 @@ from roughsew.grids import increment_table, p_variation
 from roughsew.norms import (
     MAX_TABLE_POINTS,
     _gram_table,
+    _lq_cells,
     chen_residual,
     lq_norm,
     lq_table,
@@ -43,6 +44,19 @@ def test_lq_norm_matches_manual_moment():
 def test_lq_norm_euclidean_across_trailing_axes():
     x = np.array([[[3.0, 4.0]]])  # one member, magnitude 5
     assert lq_norm(x, 2.0) == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("q", [2.0, 4.0])
+def test_lq_cells_do_not_depend_on_memory_layout(q):
+    # a time-major lift's columns dY_{s..u-1, u} (members strided) must give
+    # the member-major cells bit for bit
+    x = np.random.default_rng(3).standard_normal((500, 40, 2))
+    x_time_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(x, 1, 0)), 0, 1)
+    for s, u in [(3, 17), (0, 39)]:
+        cols = [v[:, u : u + 1] - v[:, s:u] for v in (x, x_time_major)]
+        assert not cols[1].flags.c_contiguous
+        assert np.array_equal(_lq_cells(cols[1], q), _lq_cells(cols[0], q))
+    assert lq_norm(x_time_major[:, 5], q) == lq_norm(x[:, 5], q)
 
 
 def test_lq_norm_validation():

@@ -10,6 +10,8 @@ from roughsew import rsde, scenarios
 from roughsew.calculus import smooth_fn
 from roughsew.paths import (
     MartingalePath,
+    RoughLift,
+    SamplePath,
     forward_lift_jump_path,
     ito_lift_brownian,
     simulate_brownian,
@@ -37,6 +39,7 @@ from oracles import (
     euler_maruyama_reference,
     event_schedule_loop,
     plan_windows_one_step,
+    solve_member_major,
     window_control,
 )
 
@@ -88,13 +91,13 @@ def test_add_germ_matches_einsum_oracle_bitwise(dim):
     y = np.linspace(-1.5, 1.5, 16)
     # solve: one event at a time, shape (N,), starting from y
     for e in range(sched.dt.size):
-        args = (sched.dt[e], sched.dm[:, e], sched.dx[:, e], sched.xx[:, e])
+        args = (sched.dt[e], sched.dm[e], sched.dx[e], sched.xx[e])
         got = _add_germ(y, y, coeffs, fs, *args)
         assert np.array_equal(got, add_germ_einsum(y, y, coeffs, fs, *args))
-    # Picard: every event at once, shape (N, L), starting from zeros
-    ys = y[:, None] * np.cos(np.arange(sched.dt.size))[None, :]
+    # Picard: every event at once, time-major (L, N), starting from zeros
+    ys = np.cos(np.arange(sched.dt.size))[:, None] * y[None, :]
     zero = np.zeros_like(ys)
-    args = (sched.dt, sched.dm, sched.dx, sched.xx)
+    args = (sched.dt[:, None], sched.dm, sched.dx, sched.xx)
     got = _add_germ(zero, ys, coeffs, fs, *args)
     assert got.shape == ys.shape
     assert np.array_equal(got, add_germ_einsum(zero, ys, coeffs, fs, *args))
@@ -232,26 +235,119 @@ def _schedule_cases():
     }
 
 
-@pytest.mark.parametrize("case", ["x_and_m_jumps", "lift_jumps_only", "m_jumps_only", "no_jumps"])
-def test_event_schedule_matches_step_loop_oracle(case):
-    lift, mart = _schedule_cases()[case]
+_SCHEDULE_CASES = ["x_and_m_jumps", "lift_jumps_only", "m_jumps_only", "no_jumps"]
+
+
+def _loop_schedule(lift, mart):
+    """`event_schedule_loop` on (lift, mart): member-major event arrays."""
     path = lift.path
-    ref = event_schedule_loop(
+    return event_schedule_loop(
         lift.grid.steps(), path.values, lift.step_second, path.jump_indices,
         path.left_values, lift.jump_second,
         m=None if mart is None else mart.values[..., 0],
         m_jumps=() if mart is None else mart.jump_indices,
         m_left=None if mart is None or mart.left_values is None else mart.left_values[..., 0],
     )
+
+
+def _loop_dest(ref, n):
+    """Grid events land on their grid index, left-limit events on the row
+    after the grid that belongs to their jump."""
+    left_row = n + 1 + np.searchsorted(ref["jump_indices"], ref["grid_index"])
+    return np.where(ref["lands_on_grid"], ref["grid_index"], left_row)
+
+
+def _time_major(a):
+    """The same values laid out time-major: axis 1 outermost in memory."""
+    return None if a is None else np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 1, 0)), 0, 1)
+
+
+def _time_major_drivers(lift, mart):
+    """(lift, mart) with every per-grid-point array laid out time-major."""
+    p = lift.path
+    path = SamplePath(
+        grid=p.grid, values=_time_major(p.values), jump_indices=p.jump_indices,
+        left_values=_time_major(p.left_values),
+    )
+    lift = RoughLift(
+        path=path, step_second=_time_major(lift.step_second),
+        jump_second=_time_major(lift.jump_second), name=lift.name,
+    )
+    if mart is not None:
+        mart = MartingalePath(
+            grid=mart.grid, values=_time_major(mart.values), jump_indices=mart.jump_indices,
+            left_values=_time_major(mart.left_values), bracket=_time_major(mart.bracket),
+        )
+    return lift, mart
+
+
+_LAYOUTS = {"member_major": lambda lift, mart: (lift, mart), "time_major": _time_major_drivers}
+
+
+def _all_coeffs():
+    return CoefficientSet(
+        b=smooth_fn("tanh_affine", a=0.4, b=0.9),
+        sigma=smooth_fn("sin_bundle", a=0.5, b=1.1, c=0.2),
+        f=smooth_fn("tanh_affine", a=0.8, b=0.7, c=0.1),
+    )
+
+
+@pytest.mark.parametrize("case", _SCHEDULE_CASES)
+def test_event_schedule_matches_step_loop_oracle(case):
+    lift, mart = _schedule_cases()[case]
+    ref = _loop_schedule(lift, mart)
     sched = build_event_schedule(lift, mart)
     assert (ref["jump_indices"].size > 0) == (case != "no_jumps")
-    for key in ("dt", "dm", "dx", "xx", "event_start", "jump_indices"):
+    # the schedule is time-major, the oracle member-major
+    for key in ("dm", "dx", "xx"):
+        assert np.array_equal(np.moveaxis(getattr(sched, key), 0, 1), ref[key]), key
+    for key in ("dt", "event_start", "jump_indices"):
         assert np.array_equal(getattr(sched, key), ref[key]), key
-    # grid events land on their grid index, left-limit events on the column
-    # after the grid that belongs to their jump
-    n = lift.grid.n_steps
-    left_col = n + 1 + np.searchsorted(ref["jump_indices"], ref["grid_index"])
-    assert np.array_equal(sched.dest, np.where(ref["lands_on_grid"], ref["grid_index"], left_col))
+    assert np.array_equal(sched.dest, _loop_dest(ref, lift.grid.n_steps))
+    # every event's increments are contiguous rows
+    assert all(a.flags.c_contiguous for a in (sched.dm, sched.dx, sched.xx))
+
+
+@pytest.mark.parametrize("layout", list(_LAYOUTS))
+@pytest.mark.parametrize("case", _SCHEDULE_CASES)
+def test_solve_matches_member_major_loop_oracle_bitwise(case, layout):
+    lift, mart = _LAYOUTS[layout](*_schedule_cases()[case])
+    coeffs, n = _all_coeffs(), lift.grid.n_steps
+    y0 = np.linspace(-0.5, 0.5, lift.path.n_members)
+    ref = _loop_schedule(lift, mart)
+    args = (ref["dt"], ref["dm"], ref["dx"], ref["xx"], _loop_dest(ref, n), ref["event_start"])
+    n_jumps = ref["jump_indices"].size
+    for start, stop in [(0, n), (n // 3, 2 * n // 3)]:  # the full range and a restart
+        res = solve(coeffs, y0, lift, mart, start=start, stop=stop)
+        values, left = solve_member_major(
+            _add_germ, coeffs, coeffs.f_components(), y0, *args, n_jumps, start=start, stop=stop
+        )
+        assert np.array_equal(res.values, values)
+        assert np.array_equal(res.left_values, left, equal_nan=True)
+
+
+@pytest.mark.parametrize("solver", [solve, picard_solve])
+@pytest.mark.parametrize("case", ["x_and_m_jumps", "no_jumps"])
+def test_solvers_are_layout_independent_bitwise(case, solver):
+    lift, mart = _schedule_cases()[case]
+    coeffs = _all_coeffs()
+    y0 = np.linspace(-0.5, 0.5, lift.path.n_members)
+    a = solver(coeffs, y0, lift, mart)
+    b = solver(coeffs, y0, *_time_major_drivers(lift, mart))
+    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a.left_values, b.left_values)
+    assert a.diagnostics == b.diagnostics
+
+
+@pytest.mark.parametrize("solver", [solve, picard_solve])
+def test_solution_values_are_views_of_the_time_major_state(solver):
+    lift, mart = _schedule_cases()["x_and_m_jumps"]
+    res = solver(_all_coeffs(), 0.2, lift, mart)
+    # values and left limits are transposed row ranges of one state array
+    state = res.values.base
+    assert state.shape == (lift.grid.n_steps + 1 + res.jump_indices.size, lift.path.n_members)
+    assert res.left_values.base is state
+    assert np.shares_memory(res.values, state) and np.shares_memory(res.left_values, state)
 
 
 def test_window_control_contains_time_and_grows():
@@ -471,6 +567,30 @@ def test_stability_pairs_match_single_pair_calls_bitwise():
     assert len({rep.ratio for rep in reports}) == 3
 
 
+def test_stability_reports_do_not_depend_on_the_solution_layout(monkeypatch):
+    # solutions are member-major views of a time-major state; the reports must
+    # equal those computed from C-order copies of them bit for bit
+    bm = simulate_brownian(1.0, 32, seed=47, n_members=256)
+    w = simulate_brownian(1.0, 32, seed=49, n_members=256)
+    coeffs = CoefficientSet(
+        b=smooth_fn("tanh_affine", a=0.3), sigma=smooth_fn("sin_bundle", a=0.5),
+        f=smooth_fn("tanh_affine", a=0.6, b=0.8),
+    )
+    base = RSDEProblem(0.1, ito_lift_brownian(bm), bm)
+    pairs = [(RSDEProblem(0.1, ito_lift_brownian(w), bm), None)]
+    got = stability_experiment(coeffs, base, pairs)[1]
+    real_solve = rsde.solve
+
+    def c_order_solve(*args, **kwargs):
+        res = real_solve(*args, **kwargs)
+        assert not res.values.flags.c_contiguous
+        res.values = np.ascontiguousarray(res.values)
+        return res
+
+    monkeypatch.setattr(rsde, "solve", c_order_solve)
+    assert stability_experiment(coeffs, base, pairs)[1] == got
+
+
 def test_stability_base_solves_its_base_once(monkeypatch):
     calls = []
     real_solve = rsde.solve
@@ -502,6 +622,25 @@ def test_brownian_milstein_blocks_match_the_whole_ensemble_exactly(monkeypatch, 
     assert run_scenario(cfg) == whole
     # four levels per block, then the Picard gap row's own solve
     assert blocks == [48] * 4 + [48] * 4 + [34] * 4 + [64]
+
+
+def test_brownian_milstein_event_arrays_are_views_of_the_time_major_block(monkeypatch):
+    # each member block is laid out time-major once, so every level's event
+    # schedule reads the lift's second level in place; the Picard gap row's
+    # small member-major lift is copied
+    monkeypatch.setattr(scenarios, "_BLOCK_BUDGET", 64 * 48)
+    in_place = []
+    real_solve = rsde.solve
+
+    def checking_solve(coeffs, y0, lift, *args, **kwargs):
+        sched = build_event_schedule(lift, *args)
+        assert all(sched.dx[e].flags.c_contiguous for e in range(sched.dt.size))
+        in_place.append(np.shares_memory(sched.xx, lift.step_second))
+        return real_solve(coeffs, y0, lift, *args, **kwargs)
+
+    monkeypatch.setattr(rsde, "solve", checking_solve)
+    run_scenario(default_config("brownian_milstein", n=8, levels=4, ensemble=130))
+    assert in_place == [True] * 12 + [False]
 
 
 def test_brownian_milstein_peak_memory_is_per_block(monkeypatch):
