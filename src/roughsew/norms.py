@@ -14,9 +14,13 @@ an increment is small next to the paths' distance from their time-means, so
 a row with a cell where eps (G_ii + G_jj) exceeds `_GRAM_RTOL` times
 G_ii + G_jj - 2 G_ij is rebuilt by the row builder, and a block with a
 non-finite entry or Gram entry is built by rows throughout.  Full O(n^2)
-tables are only built for n <= 2048 as a memory guard.
+tables are only built for n <= 2048 as a memory guard.  The solver's Picard
+updates are measured by `_pair_seminorm`, which reduces all cells of a small
+block at once and gives the row builder's seminorm bit for bit, at every q.
 """
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -61,6 +65,57 @@ def _lq_cells(increments: np.ndarray, q: float, cell_axes: int = 1):
     flat = increments.reshape(increments.shape[: 1 + cell_axes] + (-1,))
     mags = np.sqrt(np.einsum("...d,...d->...", flat, flat))
     return np.mean(np.ascontiguousarray(mags**q), axis=0) ** (1.0 / q)
+
+
+#: members x cells of one `_pair_seminorm` reduction (128 KB of float64), so
+#: a long window's cells stay in cache and never make one O(N m^2) array: on
+#: 117-step windows (N = 128) one array per update ran Picard at half the
+#: speed of the row builder, these chunks at its speed
+_PAIR_CELL_BUDGET = 2**14
+
+
+def _column_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), 0 <= i < j < m, column by column (j ascending,
+    then i), without the last pair (m-2, m-1): the cells `_pair_seminorm`
+    reduces together.  They depend on m only, so a caller that measures many
+    blocks of the same width builds them once."""
+    _check_table_size(m)
+    jj, ii = np.nonzero(np.tri(m, k=-1, dtype=bool))
+    return ii[:-1], jj[:-1]
+
+
+def _pair_seminorm(values: np.ndarray, pairs, p: float, q: float) -> float:
+    """The V^p L^q seminorm of an (N, m) block, m >= 2, from one cell
+    reduction: bit for bit the p-variation of its row-built table
+    (`_magnitude_table`, which `vp_lq_seminorm` uses except at q = 2).
+
+    `pairs` is `_column_pairs(m)`.  The cells of all pairs reduce in one
+    `_lq_cells` call (in chunks of `_PAIR_CELL_BUDGET`, each of at least two
+    cells); numpy sums an (N, K >= 2) array member by member, as it does each
+    row of the row builder.  The last row's one cell (m-2, m-1) reduces on
+    its own (N, 1) array, which numpy sums pairwise, as the row builder does.
+    The p-variation DP then runs over the columns in plain floats, and a NaN
+    cell gives NaN, as `grids._pvar_dp` does.
+    """
+    ii, jj = pairs
+    n_members, n_pairs = values.shape[0], ii.size
+    step = max(2, _PAIR_CELL_BUDGET // n_members)
+    cells = np.empty(n_pairs + 1)
+    a = 0
+    while a < n_pairs:
+        # the last chunk takes a lone leftover cell, so no chunk is (N, 1)
+        b = n_pairs if a + step >= n_pairs - 1 else a + step
+        cells[a:b] = _lq_cells(values[:, jj[a:b]] - values[:, ii[a:b]], q)
+        a = b
+    cells[-1:] = _lq_cells(values[:, -1:] - values[:, -2:-1], q)
+    if np.isnan(cells).any():
+        return float("nan")
+    powers = (cells**p).tolist()
+    best = [0.0]
+    for j in range(1, values.shape[1]):
+        k = j * (j - 1) // 2  # column j holds the pairs (0..j-1, j)
+        best.append(max(map(operator.add, best, powers[k : k + j])))
+    return best[-1] ** (1.0 / p)
 
 
 def _check_table_size(n_points: int):

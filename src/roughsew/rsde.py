@@ -20,7 +20,12 @@ increments plus, for every event, the row of the state array
 limits at the J jump times are written the same way.  The layout is
 time-major, as the scheme is a recursion in time: increments are (E, N, ...)
 with event e in the contiguous block [e], and the state is (n+1+J, N), so one
-event reads and writes whole contiguous rows.  Two modes: `solve` runs
+event reads and writes whole contiguous rows.  A schedule with jumps is
+built once per jump driver: the lift keeps the last one, with the
+martingale it was built for, and every solver call on the same (lift, mart)
+objects reuses it (a full solve, its restarts and the Picard cross-check
+share one).  A jump-free schedule is views of the lift or one copy of it, so
+it is rebuilt per call and never kept.  Two modes: `solve` runs
 the one-step scheme event by event; `picard_solve` iterates the integral map
 Phi(Y) = y0 + int b dt + int sigma(Y_-) dM + int f(Y) dX on windows where a
 grid-proxy control is small, which mirrors the contraction argument that
@@ -43,8 +48,10 @@ from .calculus import SmoothFn
 from .conventions import outer_increment
 from .grids import TimeGrid, _pvar_dp
 from .norms import (
+    _column_pairs,
     _lq_cells,
     _magnitude_table,
+    _pair_seminorm,
     lq_norm,
     rough_path_distance,
     second_level_seminorm,  # noqa: F401  (kept importable from this module)
@@ -268,11 +275,35 @@ class RSDEResult:
         return self.values[:, -1]
 
 
+#: the `lift.__dict__` slot of the last schedule with jumps, as (mart, schedule)
+_SCHEDULE_SLOT = "_event_schedule"
+
+
+def _schedule(lift: RoughLift, mart) -> EventSchedule:
+    """`build_event_schedule(lift, mart)`, built once per jump driver.
+
+    A schedule with jumps is kept in one slot of the lift, as `second_prefix`
+    is, and returned again while the same `mart` object (`is`) comes back; a
+    different martingale replaces it.  A jump-free schedule is views of the
+    lift or one copy of it, cheap to rebuild, so it is not kept (keeping it
+    would hold a copy as large as the lift for the lift's lifetime).
+    """
+    kept = lift.__dict__.get(_SCHEDULE_SLOT)
+    if kept is not None and kept[0] is mart:
+        return kept[1]
+    sched = build_event_schedule(lift, mart)
+    if sched.jump_indices.size:
+        lift.__dict__[_SCHEDULE_SLOT] = (mart, sched)
+    else:
+        lift.__dict__.pop(_SCHEDULE_SLOT, None)
+    return sched
+
+
 def _prologue(coeffs: CoefficientSet, y0, lift: RoughLift, mart, start: int):
     """Schedule, rough components and a time-major state array (n+1+J, N)
     (see `EventSchedule`) holding y0 on grid rows 0..start and NaN in every
     left-limit row."""
-    sched = build_event_schedule(lift, mart)
+    sched = _schedule(lift, mart)
     fs = coeffs.f_components()
     if fs and len(fs) != lift.dim:
         raise ValueError("one rough coefficient per driver direction required")
@@ -398,12 +429,20 @@ def picard_solve(
     the grid-proxy control of the drivers is small.
 
     Successive iterates are compared in the empirical V^p L^q seminorm at the
-    window's grid points, over the members whose iterate ends the window
-    finite; iteration stops below `tol` or once no member is finite (hitting
-    `max_iter` warns and keeps the last iterate).  Diagnostics record window
-    boundaries, iteration counts and successive distances, plus the event
-    count and diverged members as in `solve`.
+    window's grid points plus the L^q norm of the update at the window's end,
+    over the members whose iterate ends the window finite; iteration stops
+    below `tol` or once no member is finite (hitting `max_iter` warns and
+    keeps the last iterate).  The seminorm reduces all cells of an update at
+    once over the window's grid-point pairs, which are built once per window
+    (the cells change every iteration), and equals the row-built table's
+    seminorm bit for bit at every q (`norms._pair_seminorm`).  The event
+    schedule is shared with the other solver calls on the same drivers (see
+    the module docstring).  Diagnostics record window boundaries, iteration counts and
+    successive distances, plus the event count and diverged members as in
+    `solve`.  p and q below 1 are refused before any planning.
     """
+    if p < 1 or q < 1:
+        raise ValueError(f"picard_solve needs p >= 1 and q >= 1, got p={p}, q={q}")
     sched, fs, state = _prologue(coeffs, y0, lift, mart, 0)
     n = lift.grid.n_steps
     windows = _plan_windows(lift, mart, p, q)
@@ -417,8 +456,10 @@ def picard_solve(
         dx_w = sched.dx[e0:e1]
         xx_w = sched.xx[e0:e1]
         dest_w = sched.dest[e0:e1]
-        # positions (in the event path) of the window's grid points
+        # positions (in the event path) of the window's grid points, and the
+        # pairs of them whose cells the update distance reduces together
         grid_slots = np.concatenate([[0], np.flatnonzero(dest_w <= n) + 1])
+        pairs = _column_pairs(grid_slots.size)
 
         # the window's iterate, time-major (E_w + 1, N) like the state
         y_start = state[s]
@@ -439,7 +480,7 @@ def picard_solve(
                 if not live.any():
                     dists.append(float("nan"))
                     break
-                dist = vp_lq_seminorm(diff, p, q) + lq_norm(diff[:, -1], q)
+                dist = _pair_seminorm(diff, pairs, p, q) + lq_norm(diff[:, -1], q)
                 dists.append(float(dist))
                 if dist < tol:
                     break
@@ -521,18 +562,19 @@ def stability_experiment(
     """
     fs = coeffs.f_components()
 
-    def solution(prob: RSDEProblem):
-        sol = solve(coeffs, prob.y0, prob.lift, prob.mart)
+    def solution(sol: RSDEResult, prob: RSDEProblem):
         # one C-order copy, so the seminorm tables below read contiguous
         # member rows; Y' = f(Y), zero without a rough coefficient
         y = np.ascontiguousarray(sol.values)
-        return sol, y, _f_stack(fs, y) if fs else np.zeros(y.shape + (prob.lift.dim,))
+        return y, _f_stack(fs, y) if fs else np.zeros(y.shape + (prob.lift.dim,))
 
-    base_sol, ya, dya = solution(base)
+    base_sol = solve(coeffs, base.y0, base.lift, base.mart)
+    ya, dya = solution(base_sol, base)
     y0a = np.atleast_1d(np.asarray(base.y0, dtype=float))
     reports = []
     for pert, mdiff_bracket in perts:
-        _, yb, dyb = solution(pert)
+        # the perturbed result goes as soon as its values are copied
+        yb, dyb = solution(solve(coeffs, pert.y0, pert.lift, pert.mart), pert)
         l_sol = vp_lq_seminorm(ya - yb, p, q)
         l_der = vp_lq_seminorm(dya - dyb, p, q)
         l_rem = two_param_seminorm(

@@ -5,10 +5,14 @@ import pytest
 
 from roughsew.calculus import smooth_fn
 from roughsew.grids import increment_table, p_variation
+from roughsew import norms
 from roughsew.norms import (
     MAX_TABLE_POINTS,
+    _column_pairs,
     _gram_table,
     _lq_cells,
+    _magnitude_table,
+    _pair_seminorm,
     chen_residual,
     lq_norm,
     lq_table,
@@ -298,3 +302,65 @@ def test_second_accepts_an_index_column_bitwise():
     assert column.shape == (4, 9, 2, 2)
     for k, s in enumerate(range(2, 11)):
         assert np.array_equal(column[:, k], lift.second(s, 11))
+
+
+def _row_builder_seminorm(values, p, q):
+    """The V^p L^q seminorm of an (N, m) block from the row builder: what
+    `vp_lq_seminorm` gives at q != 2, and the oracle of its Gram table at
+    q = 2."""
+    if q != 2.0:
+        return vp_lq_seminorm(values, p, q)
+    block = values[:, :, None]
+    table = _magnitude_table(lambda i: block[:, i + 1 :] - block[:, i : i + 1], block.shape[1], q)
+    return p_variation(table, p)
+
+
+def _pair_cases(seed):
+    """(N, m) blocks: Brownian-like, with a NaN member and with an inf member,
+    for m = 2..20 and N in {1, 2, 5, 256}."""
+    rng = np.random.default_rng(seed)
+    for m in range(2, 21):
+        for n_members in (1, 2, 5, 256):
+            x = np.cumsum(rng.standard_normal((n_members, m)), axis=1)
+            yield m, x
+            for bad in (np.nan, np.inf):
+                y = x.copy()
+                y[-1, m // 2] = bad
+                yield m, y
+
+
+def _same(a, b):
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
+@pytest.mark.parametrize("p,q", [(2.0, 4.0), (2.5, 3.0), (3.0, 6.0), (2.0, 2.0)])
+def test_pair_seminorm_equals_the_row_builder_bitwise(p, q):
+    kinds = []
+    with np.errstate(invalid="ignore"):
+        for m, x in _pair_cases(seed=int(10 * p + q)):
+            got = _pair_seminorm(x, _column_pairs(m), p, q)
+            want = _row_builder_seminorm(x, p, q)
+            assert _same(got, want), (m, x.shape, got, want)
+            kinds.append("nan" if np.isnan(got) else "inf" if np.isinf(got) else "finite")
+    # a NaN member makes the seminorm NaN, an inf member makes it inf
+    assert kinds.count("nan") == kinds.count("inf") == 19 * 4
+
+
+def test_pair_seminorm_is_bitwise_in_chunks(monkeypatch):
+    # chunks of two, three and five cells give the one-call cells (a chunk
+    # of one cell would sum its 256 members pairwise)
+    x = np.cumsum(np.random.default_rng(5).standard_normal((256, 20)), axis=1)
+    want = [_pair_seminorm(x[:, :m], _column_pairs(m), 2.0, 4.0) for m in range(2, 21)]
+    for budget in (0, 3 * 256, 5 * 256):
+        monkeypatch.setattr(norms, "_PAIR_CELL_BUDGET", budget)
+        got = [_pair_seminorm(x[:, :m], _column_pairs(m), 2.0, 4.0) for m in range(2, 21)]
+        assert got == want
+
+
+def test_column_pairs_run_column_by_column():
+    ii, jj = _column_pairs(4)
+    # (0,1) | (0,2) (1,2) | (0,3) (1,3), then the last pair (2,3) alone
+    assert ii.tolist() == [0, 0, 1, 0, 1] and jj.tolist() == [1, 2, 2, 3, 3]
+    assert [a.size for a in _column_pairs(2)] == [0, 0]
+    with pytest.raises(ValueError, match="O\\(n\\^2\\) table"):
+        _column_pairs(MAX_TABLE_POINTS + 1)

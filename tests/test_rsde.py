@@ -2,6 +2,7 @@
 
 import functools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -484,6 +485,97 @@ def test_plan_windows_build_each_column_once(monkeypatch):
     assert columns == want
 
 
+@pytest.mark.parametrize("seed", [7, 11])
+def test_picard_distance_from_one_reduction_matches_the_table_distance(monkeypatch, seed):
+    # the `jump_mix` driver at the benchmark's size, N = 256
+    mix, coeffs = _jump_mix_driver(256, seed), _all_coeffs()
+    lift, mart = mix.lift, mix.martingale
+    new = picard_solve(coeffs, 0.2, lift, mart, tol=1e-10, max_iter=80)
+    # the update distance as a full `vp_lq_seminorm` table per iteration
+    monkeypatch.setattr(
+        rsde, "_pair_seminorm", lambda diff, pairs, p, q: vp_lq_seminorm(diff, p, q)
+    )
+    old = picard_solve(coeffs, 0.2, lift, mart, tol=1e-10, max_iter=80)
+    assert np.array_equal(new.values, old.values)
+    assert np.array_equal(new.left_values, old.left_values)
+    for key in ("windows", "iterations", "distances"):
+        assert new.diagnostics[key] == old.diagnostics[key], key
+    assert sum(new.diagnostics["iterations"]) > 2 * len(new.diagnostics["windows"])
+
+
+@pytest.mark.parametrize("p,q", [(0.9, 4.0), (2.0, 0.5)])
+def test_picard_refuses_p_or_q_below_one_before_planning(monkeypatch, p, q):
+    def no_plan(*args):
+        raise AssertionError("planned before the refusal")
+
+    monkeypatch.setattr(rsde, "_plan_windows", no_plan)
+    bm = simulate_brownian(1.0, 16, seed=29, n_members=4)
+    with pytest.raises(ValueError, match="p >= 1 and q >= 1"):
+        picard_solve(_all_coeffs(), 0.0, ito_lift_brownian(bm), bm, p=p, q=q)
+
+
+def _counting_schedules(monkeypatch):
+    calls = []
+    real = rsde.build_event_schedule
+
+    def counted(lift, mart=None):
+        calls.append((lift, mart))
+        return real(lift, mart)
+
+    monkeypatch.setattr(rsde, "build_event_schedule", counted)
+    return calls
+
+
+def test_jump_mix_builds_its_event_schedule_once(monkeypatch):
+    # full solve, stop=mid, start=mid and picard_solve share one schedule
+    calls = _counting_schedules(monkeypatch)
+    run_scenario(default_config("jump_mix", n=32, ensemble=16))
+    assert len(calls) == 1
+
+
+def _cold(lift):
+    """The same lift data as a new object, with nothing cached on it."""
+    return RoughLift(path=lift.path, step_second=lift.step_second, jump_second=lift.jump_second)
+
+
+def test_alternating_martingales_on_one_lift_match_cold_runs_bitwise(monkeypatch):
+    lift, mart_a = _schedule_cases()["x_and_m_jumps"]
+    m = mart_a
+    mart_b = MartingalePath(
+        grid=m.grid, values=0.5 * m.values, jump_indices=m.jump_indices,
+        left_values=0.5 * m.left_values, bracket=0.25 * m.bracket,
+    )
+    coeffs, y0 = _all_coeffs(), np.linspace(-0.5, 0.5, lift.path.n_members)
+    calls = _counting_schedules(monkeypatch)
+    runs = [(solve, mart_a), (solve, mart_b), (picard_solve, mart_b), (solve, mart_a),
+            (picard_solve, mart_a), (solve, None), (picard_solve, mart_b)]
+    for solver, mart in runs:
+        warm = solver(coeffs, y0, lift, mart)
+        cold = solver(coeffs, y0, _cold(lift), mart)
+        assert np.array_equal(warm.values, cold.values)
+        assert np.array_equal(warm.left_values, cold.left_values, equal_nan=True)
+        assert warm.diagnostics == cold.diagnostics
+    # the warm lift built one schedule per change of martingale, the cold
+    # lifts one per run
+    built = [c[1] for c in calls if c[0] is lift]
+    assert list(map(id, built)) == list(map(id, [mart_a, mart_b, mart_a, None, mart_b]))
+    assert sum(c[0] is not lift for c in calls) == len(runs)
+    # the kept schedule is the one built for the last martingale
+    assert rsde._schedule(lift, mart_b) is rsde._schedule(lift, mart_b)
+    assert len(calls) == 5 + len(runs)
+
+
+def test_a_jump_free_lift_keeps_no_event_schedule():
+    bm = simulate_brownian(1.0, 16, seed=37, n_members=4)
+    lift = ito_lift_brownian(bm)
+    solve(_all_coeffs(), 0.1, lift, bm)
+    picard_solve(_all_coeffs(), 0.1, lift, bm)
+    assert rsde._SCHEDULE_SLOT not in vars(lift)
+    mix_lift, mix_mart = _schedule_cases()["x_and_m_jumps"]
+    solve(_all_coeffs(), 0.1, mix_lift, mix_mart)
+    assert vars(mix_lift)[rsde._SCHEDULE_SLOT][0] is mix_mart
+
+
 def test_picard_matches_onestep_brownian():
     bm = simulate_brownian(1.0, 128, seed=17, n_members=32)
     lift = ito_lift_brownian(bm)
@@ -589,6 +681,29 @@ def test_stability_reports_do_not_depend_on_the_solution_layout(monkeypatch):
 
     monkeypatch.setattr(rsde, "solve", c_order_solve)
     assert stability_experiment(coeffs, base, pairs)[1] == got
+
+
+def test_stability_releases_each_perturbed_solution(monkeypatch):
+    # a perturbed solve's result is gone once its values are copied, before
+    # the next solve starts; the base result is returned, so it stays
+    results = []
+    real_solve = rsde.solve
+
+    def tracking_solve(*args, **kwargs):
+        assert all(ref() is None for ref in results[1:])
+        res = real_solve(*args, **kwargs)
+        results.append(weakref.ref(res))
+        return res
+
+    monkeypatch.setattr(rsde, "solve", tracking_solve)
+    bm = simulate_brownian(1.0, 16, seed=39, n_members=8)
+    lift = ito_lift_brownian(bm)
+    base = RSDEProblem(y0=0.1, lift=lift, mart=bm)
+    perts = [(RSDEProblem(y0=0.1 + eps, lift=lift, mart=bm), None) for eps in (1e-2, 1e-3, 1e-4)]
+    base_sol, reports = stability_experiment(_all_coeffs(), base, perts)
+    assert len(results) == 4 and len(reports) == 3
+    assert results[0]() is base_sol
+    assert all(ref() is None for ref in results[1:])
 
 
 def test_stability_base_solves_its_base_once(monkeypatch):
