@@ -6,17 +6,18 @@ variants (the V^p L^q[r] family with r > 1) are out of empirical reach on a
 desk ensemble and are reduced to r = 1: conditional means are approximated by
 unconditional ensemble means (for r = 1 the two families coincide; r = infinity
 facts enter only through analytic closed forms such as a stored Brownian
-bracket).  Tables are built row by row in `_magnitude_table`, except the
-q = 2 table of an ensemble, which `lq_table` reads off one Gram product G of
+bracket).  Every table cell comes from one reduction, `_pair_cells`, over
+a chunk of grid-point pairs at once, and equals the cell of a table built
+row by row bit for bit; `_pair_seminorm` runs the p-variation DP over the
+cells for every seminorm (and the solver's Picard update distances), except
+the q = 2 table of an ensemble, which `lq_table` reads off one Gram product G of
 the members' paths, each centred by its time-mean:
 ||dY_{i,j}||^2 = (G_ii + G_jj - 2 G_ij) / N.  That subtraction cancels where
 an increment is small next to the paths' distance from their time-means, so
 a row with a cell where eps (G_ii + G_jj) exceeds `_GRAM_RTOL` times
-G_ii + G_jj - 2 G_ij is rebuilt by the row builder, and a block with a
-non-finite entry or Gram entry is built by rows throughout.  Full O(n^2)
-tables are only built for n <= 2048 as a memory guard.  The solver's Picard
-updates are measured by `_pair_seminorm`, which reduces all cells of a small
-block at once and gives the row builder's seminorm bit for bit, at every q.
+G_ii + G_jj - 2 G_ij is rebuilt from pair cells, and a block with a
+non-finite entry or Gram entry is built from them throughout.  Full O(n^2)
+tables are only built for n <= 2048 as a memory guard.
 """
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ __all__ = [
 MAX_TABLE_POINTS = 2048
 
 # a q = 2 Gram row is kept when eps * (G_ii + G_jj) stays below this fraction
-# of G_ii + G_jj - 2 G_ij in every cell, else the row builder rebuilds it
+# of G_ii + G_jj - 2 G_ij in every cell, else its pair cells rebuild it
 _GRAM_RTOL = 1e-13
 
 
@@ -67,11 +68,23 @@ def _lq_cells(increments: np.ndarray, q: float, cell_axes: int = 1):
     return np.mean(np.ascontiguousarray(mags**q), axis=0) ** (1.0 / q)
 
 
-#: members x cells of one `_pair_seminorm` reduction (128 KB of float64), so
-#: a long window's cells stay in cache and never make one O(N m^2) array: on
-#: 117-step windows (N = 128) one array per update ran Picard at half the
-#: speed of the row builder, these chunks at its speed
+#: members x cells of one `_pair_cells` chunk (128 KB of float64): on
+#: 117-step windows (N = 128) one O(N m^2) array per update ran Picard at
+#: half the speed of a row-by-row table, these chunks at its speed
 _PAIR_CELL_BUDGET = 2**14
+
+
+def _check_args(fn: str, n_points: int, s: int, t: int | None, q: float, **exponents) -> int:
+    """The public seminorms' one argument rule: q and every variation exponent
+    >= 1 and 0 <= s <= t < n_points, else one `ValueError` line; returns t."""
+    t = n_points - 1 if t is None else t
+    low = {name: v for name, v in {**exponents, "q": q}.items() if not v >= 1}
+    if low:
+        got = ", ".join(f"{name}={v}" for name, v in low.items())
+        raise ValueError(f"{fn} needs {' and '.join([*exponents, 'q'])} >= 1, got {got}")
+    if not 0 <= s <= t < n_points:
+        raise ValueError(f"{fn} needs 0 <= s <= t <= {n_points - 1}, got s={s}, t={t}")
+    return t
 
 
 def _column_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -84,35 +97,44 @@ def _column_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
     return ii[:-1], jj[:-1]
 
 
-def _pair_seminorm(values: np.ndarray, pairs, p: float, q: float) -> float:
-    """The V^p L^q seminorm of an (N, m) block, m >= 2, from one cell
-    reduction: bit for bit the p-variation of its row-built table
-    (`_magnitude_table`, which `vp_lq_seminorm` uses except at q = 2).
-
-    `pairs` is `_column_pairs(m)`.  The cells of all pairs reduce in one
-    `_lq_cells` call (in chunks of `_PAIR_CELL_BUDGET`, each of at least two
-    cells); numpy sums an (N, K >= 2) array member by member, as it does each
-    row of the row builder.  The last row's one cell (m-2, m-1) reduces on
-    its own (N, 1) array, which numpy sums pairwise, as the row builder does.
-    The p-variation DP then runs over the columns in plain floats, and a NaN
-    cell gives NaN, as `grids._pvar_dp` does.
+def _pair_cells(increments, n_members: int, q: float, ii, jj, t: int | None = None):
+    """Cell k = ||dY_{ii[k], jj[k]}||_{L^q}, increments(i, j) giving the
+    (N, K, ...) increments of K pairs, in chunks of `_PAIR_CELL_BUDGET`
+    member-cells of at least two cells: numpy sums an (N, K >= 2) array
+    member by member, as each row of two or more cells of a row-built table.
+    With `t` the last pair (t-1, t) follows, alone on its (N, 1) array
+    (index slices), which numpy sums pairwise, as the table's one-cell row.
     """
-    ii, jj = pairs
-    n_members, n_pairs = values.shape[0], ii.size
+    cells = np.empty(ii.size + (t is not None))
     step = max(2, _PAIR_CELL_BUDGET // n_members)
-    cells = np.empty(n_pairs + 1)
     a = 0
-    while a < n_pairs:
+    while a < ii.size:
         # the last chunk takes a lone leftover cell, so no chunk is (N, 1)
-        b = n_pairs if a + step >= n_pairs - 1 else a + step
-        cells[a:b] = _lq_cells(values[:, jj[a:b]] - values[:, ii[a:b]], q)
+        b = ii.size if a + step >= ii.size - 1 else a + step
+        cells[a:b] = _lq_cells(increments(ii[a:b], jj[a:b]), q)
         a = b
-    cells[-1:] = _lq_cells(values[:, -1:] - values[:, -2:-1], q)
+    if t is not None:
+        cells[-1:] = _lq_cells(increments(slice(t - 1, t), slice(t, t + 1)), q)
+    return cells
+
+
+def _pair_seminorm(increments, n_members: int, s: int, t: int, p: float, q: float, pairs=None):
+    """The V^p L^q seminorm over the grid points s..t of increments(i, j)
+    (see `_pair_cells`), bit for bit the p-variation of the row-built table:
+    the cells of `pairs` = `_column_pairs(t - s + 1)` shifted by s, then the
+    DP over the columns in plain floats; a NaN cell gives NaN, as
+    `grids._pvar_dp` does."""
+    if t == s:
+        return 0.0
+    ii, jj = _column_pairs(t - s + 1) if pairs is None else pairs
+    if s:
+        ii, jj = ii + s, jj + s
+    cells = _pair_cells(increments, n_members, q, ii, jj, t)
     if np.isnan(cells).any():
         return float("nan")
     powers = (cells**p).tolist()
     best = [0.0]
-    for j in range(1, values.shape[1]):
+    for j in range(1, t - s + 1):
         k = j * (j - 1) // 2  # column j holds the pairs (0..j-1, j)
         best.append(max(map(operator.add, best, powers[k : k + j])))
     return best[-1] ** (1.0 / p)
@@ -126,22 +148,6 @@ def _check_table_size(n_points: int):
         )
 
 
-def _magnitude_table(row, m: int, q: float, rows=None) -> np.ndarray:
-    """The row builder behind every seminorm table.
-
-    row(i) returns the increments dY_{i, i+1..m-1}, shape (N, m-1-i, ...);
-    the table is out[i, j] = ||dY_{i,j}||_{L^q(ensemble)} for i < j and zero
-    elsewhere, with Euclidean magnitudes across the trailing axes.  Only the
-    given `rows` are filled (all by default).  Built one row at a time, so
-    memory stays at O(N * m) rather than O(N * m^2).
-    """
-    _check_table_size(m)
-    out = np.zeros((m, m))
-    for i in range(m - 1) if rows is None else rows:
-        out[i, i + 1 :] = _lq_cells(row(i), q)
-    return out
-
-
 def _gram_table(block: np.ndarray):
     """The q = 2 table of an (N, m, d) block from one Gram product.
 
@@ -149,7 +155,6 @@ def _gram_table(block: np.ndarray):
     block, a Gram entry or a sum of two is not finite.
     """
     n_members, m, _ = block.shape
-    _check_table_size(m)
     # one column per member and component, centred by its time-mean, which
     # leaves every increment as it is; a copy, so the centring never writes
     # through to the caller's values
@@ -172,27 +177,30 @@ def _gram_table(block: np.ndarray):
 def lq_table(values: np.ndarray, q: float, s: int = 0, t: int | None = None) -> np.ndarray:
     """Two-parameter table F[u, v] = ||Y_v - Y_u||_{L^q} over the window [s, t].
 
-    values: (N, n+1) or (N, n+1, d).  At q = 2 with N >= 2 the table comes
-    from one Gram product (see the module docstring); the rows it cannot keep
-    to `_GRAM_RTOL`, and every row of a non-finite block, come from the row
-    builder, bitwise as `_magnitude_table` alone gives them.
+    values: (N, n+1) or (N, n+1, d), copied to C order if they are not (a
+    Fortran-ordered d = 3 block sums its components in another order).  At
+    q = 2 with N >= 2 the table comes from one Gram product (see the module
+    docstring); all other cells from `_pair_cells`.
     """
-    v = np.asarray(values, dtype=float)
+    v = np.ascontiguousarray(values, dtype=float)
     if v.ndim == 2:
         v = v[:, :, None]
-    t = v.shape[1] - 1 if t is None else t
+    t = _check_args("lq_table", v.shape[1], s, t, q)
     block = v[:, s : t + 1, :]
     m = t - s + 1
-
-    def row(i):
-        return block[:, i + 1 :] - block[:, i : i + 1]
-
+    _check_table_size(m)
     # a single path keeps its exact differences (`grids.increment_table`)
     gram = _gram_table(block) if q == 2.0 and block.shape[0] >= 2 else None
-    if gram is None:
-        return _magnitude_table(row, m, q)
-    out, lossy = gram
-    out[lossy] = _magnitude_table(row, m, q, rows=lossy)[lossy]
+    out, rows = (np.zeros((m, m)), np.arange(m - 1)) if gram is None else gram
+    last = rows.size > 0 and rows[-1] == m - 2  # row m-2's one cell goes last
+    at, jj = np.nonzero(np.arange(m) > rows[: rows.size - last, None])
+    ii = rows[at]
+    cells = _pair_cells(
+        lambda i, j: block[:, j] - block[:, i], block.shape[0], q, ii, jj, m - 1 if last else None
+    )
+    out[ii, jj] = cells[: ii.size]
+    if last:
+        out[m - 2, m - 1] = cells[-1]
     return out
 
 
@@ -204,38 +212,37 @@ def two_param_seminorm(table: np.ndarray, p: float, s: int = 0, t: int | None = 
 def vp_lq_seminorm(
     values: np.ndarray, p: float, q: float, s: int = 0, t: int | None = None
 ) -> float:
-    """||Y||_{p,q,[s,t]}: p-variation of the L^q increment table."""
-    tab = lq_table(values, q, s=s, t=t)
-    return p_variation(tab, p)
-
-
-def _second_rows(lift: RoughLift, s: int, t: int):
-    """row(i) = XX_{s+i, s+i+1..t}, one Chen evaluation per row."""
-    return lambda i: lift.second(s + i, np.arange(s + i + 1, t + 1))
+    """||Y||_{p,q,[s,t]}: p-variation of the L^q increment table, from the
+    Gram table at q = 2 with N >= 2 and from `_pair_seminorm` otherwise."""
+    v = np.ascontiguousarray(values, dtype=float)  # as in `lq_table`
+    t = _check_args("vp_lq_seminorm", v.shape[1], s, t, q, p=p)
+    if q == 2.0 and v.shape[0] >= 2:
+        return p_variation(lq_table(v, q, s=s, t=t), p)
+    return _pair_seminorm(lambda i, j: v[:, j] - v[:, i], v.shape[0], s, t, p, q)
 
 
 def second_level_seminorm(
     lift: RoughLift, p: float, q: float = 2.0, s: int = 0, t: int | None = None
 ) -> float:
     """||XX||_{p/2, q}: (p/2)-variation of the second level's L^q table."""
-    t = lift.grid.n_steps if t is None else t
-    return p_variation(_magnitude_table(_second_rows(lift, s, t), t - s + 1, q), p / 2.0)
+    t = _check_args("second_level_seminorm", lift.grid.n_steps + 1, s, t, q, **{"p/2": p / 2.0})
+    return _pair_seminorm(lift.second, lift.second_prefix.shape[0], s, t, p / 2.0, q)
 
 
 def rough_path_distance(
     a: RoughLift, b: RoughLift, p: float, q: float = 2.0, s: int = 0, t: int | None = None
 ) -> float:
-    """Inhomogeneous distance: ||X - Xtilde||_p + ||XX - XXtilde||_{p/2}.
-
-    Both lifts must live on the same grid.
-    """
+    """Inhomogeneous distance of two lifts on one grid:
+    ||X - Xtilde||_p + ||XX - XXtilde||_{p/2}."""
     if a.grid.n_steps != b.grid.n_steps or np.any(a.grid.times != b.grid.times):
         raise ValueError("lifts live on different grids")
-    t = a.grid.n_steps if t is None else t
+    t = _check_args("rough_path_distance", a.grid.n_steps + 1, s, t, q, **{"p/2": p / 2.0})
     first = vp_lq_seminorm(a.path.values - b.path.values, p, q, s=s, t=t)
-    rows_a, rows_b = _second_rows(a, s, t), _second_rows(b, s, t)
-    tab = _magnitude_table(lambda i: rows_a(i) - rows_b(i), t - s + 1, q)
-    return first + p_variation(tab, p / 2.0)
+    n_members = max(a.second_prefix.shape[0], b.second_prefix.shape[0])
+    second = _pair_seminorm(
+        lambda i, j: a.second(i, j) - b.second(i, j), n_members, s, t, p / 2.0, q
+    )
+    return first + second
 
 
 def chen_residual(lift: RoughLift, s: int, u: int, t: int) -> float:

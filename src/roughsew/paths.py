@@ -173,19 +173,20 @@ class RoughLift:
         np.cumsum(terms, axis=1, out=terms)
         return np.ascontiguousarray(terms[:, ::2])
 
-    def second(self, s: int | np.ndarray, t: int | np.ndarray) -> np.ndarray:
+    def second(self, s, t) -> np.ndarray:
         """XX_{s,t} via Chen from the prefix, shape (N, d, d).
 
-        One end may also be an index array: a row of windows (array `t`) or a
-        column of windows (array `s`).  The result is then (N, k, d, d),
-        entry k equal to the scalar window bit for bit.
+        Either end, or both, may also be an index array or a slice: the
+        windows then run along a new axis, (N, k, d, d), with a scalar end
+        broadcast over them, and entry k equals the scalar window bit for bit.
         """
         x, pre = self.path.values, self.second_prefix
-        x_0, x_s, x_t, pre_s, pre_t = x[:, 0], x[:, s], x[:, t], pre[:, s], pre[:, t]
-        if np.ndim(t):  # broadcast the scalar end's terms over the windows
-            x_0, x_s, pre_s = x_0[:, None], x_s[:, None], pre_s[:, None]
-        elif np.ndim(s):
-            x_0, x_t, pre_t = x_0[:, None], x_t[:, None], pre_t[:, None]
+        x_s, x_t, pre_s, pre_t = x[:, s], x[:, t], pre[:, s], pre[:, t]
+        if x_s.ndim < x_t.ndim:  # broadcast the scalar end's terms over the windows
+            x_s, pre_s = x_s[:, None], pre_s[:, None]
+        elif x_t.ndim < x_s.ndim:
+            x_t, pre_t = x_t[:, None], pre_t[:, None]
+        x_0 = x[:, 0] if x_s.ndim == 2 else x[:, :1]
         return pre_t - pre_s - outer_increment(x_s - x_0, x_t - x_s)
 
 

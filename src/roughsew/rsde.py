@@ -50,12 +50,11 @@ from .grids import TimeGrid, _pvar_dp
 from .norms import (
     _column_pairs,
     _lq_cells,
-    _magnitude_table,
     _pair_seminorm,
     lq_norm,
     rough_path_distance,
     second_level_seminorm,  # noqa: F401  (kept importable from this module)
-    two_param_seminorm,
+    two_param_seminorm,  # noqa: F401  (kept importable from this module)
     vp_lq_seminorm,
 )
 from .paths import MartingalePath, RoughLift
@@ -459,7 +458,8 @@ def picard_solve(
         # positions (in the event path) of the window's grid points, and the
         # pairs of them whose cells the update distance reduces together
         grid_slots = np.concatenate([[0], np.flatnonzero(dest_w <= n) + 1])
-        pairs = _column_pairs(grid_slots.size)
+        last = grid_slots.size - 1
+        pairs = _column_pairs(last + 1)
 
         # the window's iterate, time-major (E_w + 1, N) like the state
         y_start = state[s]
@@ -480,7 +480,9 @@ def picard_solve(
                 if not live.any():
                     dists.append(float("nan"))
                     break
-                dist = _pair_seminorm(diff, pairs, p, q) + lq_norm(diff[:, -1], q)
+                dist = _pair_seminorm(
+                    lambda i, j: diff[:, j] - diff[:, i], diff.shape[0], 0, last, p, q, pairs
+                ) + lq_norm(diff[:, -1], q)
                 dists.append(float(dist))
                 if dist < tol:
                     break
@@ -524,22 +526,19 @@ class StabilityReport:
     rhs_parts: dict
 
 
-def _remainder_mean_table(ya, dya, xa, yb, dyb, xb):
-    """Table of |E[R_{u,v} - Rtilde_{u,v}]| for two solutions' remainders,
-    each taken against its own driver: values (N, n+1), derivatives
-    Y' = f(Y) (N, n+1, d) and driver values (N, n+1, d)."""
+def _remainder_means(ya, dya, xa, yb, dyb, xb):
+    """increments(i, j) of E[R_{i,j} - Rt_{i,j}] as one "member", (1, K), with
+    R_{i,j} = dY_{i,j} - Y'_i . dX_{i,j} of each solution against its own
+    driver; the mean runs on C-order memory (a gather of pairs is not)."""
 
-    def remainder_row(y, yp, x, u: int) -> np.ndarray:
-        dy = y[:, u + 1 :] - y[:, u : u + 1]
-        dx = x[:, u + 1 :, :] - x[:, u : u + 1, :]
-        return dy - np.einsum("nd,ntd->nt", yp[:, u], dx)
+    def remainder(y, yp, x, i, j):
+        return y[:, j] - y[:, i] - np.einsum("nkd,nkd->nk", yp[:, i], x[:, j] - x[:, i])
 
-    def mean_row(u: int) -> np.ndarray:
-        diff = remainder_row(ya, dya, xa, u) - remainder_row(yb, dyb, xb, u)
-        return np.mean(diff, axis=0)[None]
+    def means(i, j):
+        diff = remainder(ya, dya, xa, i, j) - remainder(yb, dyb, xb, i, j)
+        return np.mean(np.ascontiguousarray(diff), axis=0)[None]
 
-    # one "member" (the ensemble mean) and q = 1: the builder returns |mean|
-    return _magnitude_table(mean_row, ya.shape[1], 1.0)
+    return means
 
 
 def stability_experiment(
@@ -558,18 +557,21 @@ def stability_experiment(
     Each pair is (perturbed problem, bracket path of the martingale
     difference, shape (Nb, n+1)); the bracket is None when the martingale is
     unperturbed.  Identical data reports ratio 0 by convention.  Returns the
-    base problem's `solve` result next to the reports.
-    """
+    base problem's `solve` result next to the reports.  p, q >= 2 is checked
+    before any solve."""
+    if not (p >= 2 and q >= 2):
+        raise ValueError(f"stability_experiment needs p/2 and q/2 >= 1, got p={p}, q={q}")
     fs = coeffs.f_components()
 
     def solution(sol: RSDEResult, prob: RSDEProblem):
-        # one C-order copy, so the seminorm tables below read contiguous
-        # member rows; Y' = f(Y), zero without a rough coefficient
+        # one C-order copy, which the seminorms and remainder means below
+        # read; Y' = f(Y), zero without a rough coefficient
         y = np.ascontiguousarray(sol.values)
         return y, _f_stack(fs, y) if fs else np.zeros(y.shape + (prob.lift.dim,))
 
     base_sol = solve(coeffs, base.y0, base.lift, base.mart)
     ya, dya = solution(base_sol, base)
+    xa = np.ascontiguousarray(base.lift.path.values)
     y0a = np.atleast_1d(np.asarray(base.y0, dtype=float))
     reports = []
     for pert, mdiff_bracket in perts:
@@ -577,35 +579,21 @@ def stability_experiment(
         yb, dyb = solution(solve(coeffs, pert.y0, pert.lift, pert.mart), pert)
         l_sol = vp_lq_seminorm(ya - yb, p, q)
         l_der = vp_lq_seminorm(dya - dyb, p, q)
-        l_rem = two_param_seminorm(
-            _remainder_mean_table(ya, dya, base.lift.path.values, yb, dyb, pert.lift.path.values),
-            p / 2.0,
-        )
+        means = _remainder_means(ya, dya, xa, yb, dyb, np.ascontiguousarray(pert.lift.path.values))
+        # one "member" (the ensemble mean) and q = 1: its cells are |mean|
+        l_rem = _pair_seminorm(means, ya.shape[0], 0, ya.shape[1] - 1, p / 2.0, 1.0)
         lhs = l_sol + l_der + l_rem
 
         y0b = np.atleast_1d(np.asarray(pert.y0, dtype=float))
         r_init = lq_norm(y0a - y0b, q)
-        r_mart = (
-            vp_lq_seminorm(mdiff_bracket, p / 2.0, q / 2.0) ** 0.5
-            if mdiff_bracket is not None
-            else 0.0
-        )
+        r_mart = 0.0
+        if mdiff_bracket is not None:
+            r_mart = vp_lq_seminorm(mdiff_bracket, p / 2.0, q / 2.0) ** 0.5
         r_lift = rough_path_distance(base.lift, pert.lift, p, q)
         rhs = r_init + r_mart + r_lift
 
-        if lhs == 0.0:
-            ratio = 0.0
-        elif rhs == 0.0:
-            ratio = float("inf")
-        else:
-            ratio = lhs / rhs
-        reports.append(
-            StabilityReport(
-                lhs=lhs,
-                rhs=rhs,
-                ratio=ratio,
-                lhs_parts={"solution": l_sol, "derivative": l_der, "remainder": l_rem},
-                rhs_parts={"initial": r_init, "martingale": r_mart, "lift": r_lift},
-            )
-        )
+        ratio = 0.0 if lhs == 0.0 else float("inf") if rhs == 0.0 else lhs / rhs
+        lhs_parts = {"solution": l_sol, "derivative": l_der, "remainder": l_rem}
+        rhs_parts = {"initial": r_init, "martingale": r_mart, "lift": r_lift}
+        reports.append(StabilityReport(lhs, rhs, ratio, lhs_parts, rhs_parts))
     return base_sol, reports

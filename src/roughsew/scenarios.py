@@ -69,6 +69,9 @@ class ExperimentConfig:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 1 <= v < math.inf:
                 raise ValueError(f"{name} must be a finite number >= 1, got {v!r}")
+        if self.scenario == "stability_base" and not (self.p >= 2 and self.q >= 2):
+            why = "stability_base measures V^(p/2) L^(q/2) seminorms, so p/2 and q/2 must be >= 1"
+            raise ValueError(f"{why}, got p={self.p!r}, q={self.q!r}")
 
 
 def _row(cfg, metric, value, std_error=0.0, level=0, n=None, N=None):

@@ -199,19 +199,56 @@ def lq_table_rows(values, q, s=0, t=None):
         v = v[:, :, None]
     t = v.shape[1] - 1 if t is None else t
     block = v[:, s : t + 1, :]
-    return _row_table(lambda i: block[:, i + 1 :] - block[:, i : i + 1], t - s + 1, q)
+    return magnitude_table(lambda i: block[:, i + 1 :] - block[:, i : i + 1], t - s + 1, q)
 
 
-def _row_table(row, m, q):
-    """out[i, j] = ||row(i)[:, j - i - 1]||_{L^q} for i < j < m, zeros
-    elsewhere; row(i) is (N, m-1-i, ...), Frobenius magnitudes."""
+def magnitude_table(row, m, q):
+    """The row builder the package's seminorm tables were once built by.
+
+    row(i) returns the increments dY_{i, i+1..m-1}, shape (N, m-1-i, ...);
+    out[i, j] = ||dY_{i,j}||_{L^q(ensemble)} for i < j, zeros elsewhere, with
+    Euclidean magnitudes across the trailing axes.  Each row is one member
+    mean on C-order memory, so numpy sums a row of two or more cells member
+    by member and the one cell of row m-2 pairwise: the package's pair cells
+    must match it bit for bit.
+    """
     out = np.zeros((m, m))
     for i in range(m - 1):
         r = row(i)
-        flat = r.reshape(r.shape[0], r.shape[1], -1)
-        mags = np.sqrt(np.einsum("nkd,nkd->nk", flat, flat))
-        out[i, i + 1 :] = np.mean(mags**q, axis=0) ** (1.0 / q)
+        flat = r.reshape(r.shape[:2] + (-1,))
+        mags = np.sqrt(np.einsum("...d,...d->...", flat, flat))
+        out[i, i + 1 :] = np.mean(np.ascontiguousarray(mags**q), axis=0) ** (1.0 / q)
     return out
+
+
+def pair_rows(increments, s, t):
+    """row(i) of `magnitude_table` from a pair-increments callable
+    increments(ii, jj) (index arrays into the grid, the window starting at
+    s): the increments dY_{s+i, s+i+1..t}."""
+    return lambda i: increments(np.full(t - s - i, s + i), np.arange(s + i + 1, t + 1))
+
+
+def second_rows(lift, s, t):
+    """row(i) = XX_{s+i, s+i+1..t} of a lift, one Chen evaluation per row."""
+    return lambda i: lift.second(s + i, np.arange(s + i + 1, t + 1))
+
+
+def remainder_mean_rows(ya, dya, xa, yb, dyb, xb):
+    """row(u) of the stability remainder table |E[R_{u,v} - Rb_{u,v}]| as
+    one "member" (take q = 1), R_{u,v} = dY_{u,v} - Y'_u . dX_{u,v} against
+    each solution's own driver: values (N, n+1), derivatives (N, n+1, d) and
+    driver values (N, n+1, d)."""
+
+    def remainder_row(y, yp, x, u):
+        dy = y[:, u + 1 :] - y[:, u : u + 1]
+        dx = x[:, u + 1 :, :] - x[:, u : u + 1, :]
+        return dy - np.einsum("nd,ntd->nt", yp[:, u], dx)
+
+    def mean_row(u):
+        diff = remainder_row(ya, dya, xa, u) - remainder_row(yb, dyb, xb, u)
+        return np.mean(diff, axis=0)[None]
+
+    return mean_row
 
 
 def accumulate_prefix(values, step_second):
@@ -468,7 +505,7 @@ def window_control(lift, mart, p, q, s, t):
     times, x, prefix = lift.grid.times, lift.path.values, lift.second_prefix
     out = times[s + 1 : t + 1] - times[s]
     out = out + _pvar_dp_row(lq_table_rows(x, q, s=s, t=t) ** p)[1:]
-    second = _row_table(
+    second = magnitude_table(
         lambda i: chen_row(x, prefix, s + i, np.arange(s + i + 1, t + 1)), t - s + 1, q
     )
     out = out + _pvar_dp_row(second ** (p / 2.0))[1:]

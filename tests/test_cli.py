@@ -111,6 +111,18 @@ def test_run_rejects_bad_configs(tmp_path, capsys, body):
     assert err.startswith("roughsew run: bad config:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("pq", [{"p": 1.5}, {"q": 1.5}, {"p": 1.0, "q": 1.0}])
+def test_run_refuses_stability_base_below_p_and_q_of_two(tmp_path, capsys, pq):
+    # its bracket and second level are V^(p/2) L^(q/2) seminorms
+    cfg = _write_config(tmp_path, scenario="stability_base", n=16, ensemble=4, **pq)
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("roughsew run: bad config: stability_base measures V^(p/2) L^(q/2)")
+    assert "p/2 and q/2 must be >= 1" in err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_verify_rejects_negative_seed(capsys):
     assert main(["verify", "chen", "--seed", "-1"]) == 1
     err = capsys.readouterr().err

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from roughsew.calculus import smooth_fn
-from roughsew.grids import increment_table, p_variation
-from roughsew import norms
+from roughsew.grids import increment_table, make_uniform_grid, p_variation
+from roughsew import cli, norms, rsde
 from roughsew.norms import (
     MAX_TABLE_POINTS,
     _column_pairs,
     _gram_table,
     _lq_cells,
-    _magnitude_table,
     _pair_seminorm,
     chen_residual,
     lq_norm,
@@ -22,18 +21,26 @@ from roughsew.norms import (
     vp_lq_seminorm,
 )
 from roughsew.paths import (
+    MartingalePath,
+    RoughLift,
+    SamplePath,
     ito_lift_brownian,
     simulate_brownian,
     simulate_compound_poisson,
     smooth_lift,
 )
 from roughsew.rsde import CoefficientSet, RSDEProblem, solve, stability_experiment
+from roughsew.scenarios import default_config, run_scenario
 
 from oracles import (
     increment_table_broadcast,
     lq_table_rows,
+    magnitude_table,
+    pair_rows,
+    remainder_mean_rows,
     remainder_mean_table_rows,
     second_level_table_cells,
+    second_rows,
 )
 
 
@@ -304,15 +311,15 @@ def test_second_accepts_an_index_column_bitwise():
         assert np.array_equal(column[:, k], lift.second(s, 11))
 
 
-def _row_builder_seminorm(values, p, q):
-    """The V^p L^q seminorm of an (N, m) block from the row builder: what
-    `vp_lq_seminorm` gives at q != 2, and the oracle of its Gram table at
-    q = 2."""
-    if q != 2.0:
-        return vp_lq_seminorm(values, p, q)
-    block = values[:, :, None]
-    table = _magnitude_table(lambda i: block[:, i + 1 :] - block[:, i : i + 1], block.shape[1], q)
-    return p_variation(table, p)
+def test_second_accepts_index_arrays_and_slices_at_both_ends_bitwise():
+    lift = _lift(4, 2, seed=13)
+    ii, jj = np.array([0, 2, 5, 5]), np.array([3, 7, 6, 12])
+    pairs = lift.second(ii, jj)
+    assert pairs.shape == (4, 4, 2, 2)
+    for k, (s, t) in enumerate(zip(ii, jj)):
+        assert np.array_equal(pairs[:, k], lift.second(s, t))
+    assert np.array_equal(lift.second(slice(8, 9), slice(9, 10)), lift.second(8, 9)[:, None])
+    assert np.array_equal(lift.second(slice(2, 5), 11), lift.second(np.arange(2, 5), 11))
 
 
 def _pair_cases(seed):
@@ -329,6 +336,14 @@ def _pair_cases(seed):
                 yield m, y
 
 
+def _differences(x):
+    return lambda i, j: x[:, j] - x[:, i]
+
+
+def _kind(x):
+    return "nan" if np.isnan(x) else "inf" if np.isinf(x) else "finite"
+
+
 def _same(a, b):
     return a == b or (np.isnan(a) and np.isnan(b))
 
@@ -338,8 +353,8 @@ def test_pair_seminorm_equals_the_row_builder_bitwise(p, q):
     kinds = []
     with np.errstate(invalid="ignore"):
         for m, x in _pair_cases(seed=int(10 * p + q)):
-            got = _pair_seminorm(x, _column_pairs(m), p, q)
-            want = _row_builder_seminorm(x, p, q)
+            got = _pair_seminorm(_differences(x), x.shape[0], 0, m - 1, p, q, _column_pairs(m))
+            want = _rows_vp(x, p, q, 0, m - 1)
             assert _same(got, want), (m, x.shape, got, want)
             kinds.append("nan" if np.isnan(got) else "inf" if np.isinf(got) else "finite")
     # a NaN member makes the seminorm NaN, an inf member makes it inf
@@ -350,10 +365,10 @@ def test_pair_seminorm_is_bitwise_in_chunks(monkeypatch):
     # chunks of two, three and five cells give the one-call cells (a chunk
     # of one cell would sum its 256 members pairwise)
     x = np.cumsum(np.random.default_rng(5).standard_normal((256, 20)), axis=1)
-    want = [_pair_seminorm(x[:, :m], _column_pairs(m), 2.0, 4.0) for m in range(2, 21)]
+    want = [_pair_seminorm(_differences(x), 256, 0, m - 1, 2.0, 4.0) for m in range(2, 21)]
     for budget in (0, 3 * 256, 5 * 256):
         monkeypatch.setattr(norms, "_PAIR_CELL_BUDGET", budget)
-        got = [_pair_seminorm(x[:, :m], _column_pairs(m), 2.0, 4.0) for m in range(2, 21)]
+        got = [_pair_seminorm(_differences(x), 256, 0, m - 1, 2.0, 4.0) for m in range(2, 21)]
         assert got == want
 
 
@@ -364,3 +379,273 @@ def test_column_pairs_run_column_by_column():
     assert [a.size for a in _column_pairs(2)] == [0, 0]
     with pytest.raises(ValueError, match="O\\(n\\^2\\) table"):
         _column_pairs(MAX_TABLE_POINTS + 1)
+
+
+# ---------------------------------------------------------------------------
+# every rerouted seminorm against the row builder, bit for bit
+# ---------------------------------------------------------------------------
+
+# windows with m = 1, 2, 3 and 40 points on a 41-point grid
+WINDOWS = [(5, 5), (3, 4), (7, 9), (0, 40)]
+ROW_CASES = [(n_members, dim) for dim in (1, 2, 3) for n_members in (1, 2, 5, 256)]
+
+
+def _random_lift(n_members, dim, seed, n=40, bad=None):
+    """A lift on a uniform n-step grid from random steps, with an
+    antisymmetric part in its second level; `bad` goes into the last
+    member's path value and step at the middle of the grid."""
+    rng = np.random.default_rng(seed)
+    dx = rng.standard_normal((n_members, n, dim)) / np.sqrt(n)
+    values = np.concatenate([np.zeros((n_members, 1, dim)), np.cumsum(dx, axis=1)], axis=1)
+    steps = 0.5 * dx[..., :, None] * dx[..., None, :]
+    steps = steps + 0.1 * rng.standard_normal((n_members, n, dim, dim)) / n
+    steps = steps - np.swapaxes(steps, -1, -2) / 2
+    if bad is not None:
+        values[-1, n // 2, 0] = bad
+        steps[-1, n // 2, 0, 0] = bad
+    return RoughLift(SamplePath(make_uniform_grid(1.0, n), values), steps)
+
+
+def _rows_vp(values, p, q, s, t):
+    return p_variation(lq_table_rows(values, q, s=s, t=t), p)
+
+
+def _table_vp(values, p, q, s, t):
+    """`vp_lq_seminorm` as the row builder's tables gave it: from the Gram
+    table at q = 2 with N >= 2 (not rerouted), from the rows otherwise."""
+    if q == 2.0 and values.shape[0] >= 2:
+        return p_variation(lq_table(values, q, s=s, t=t), p)
+    return _rows_vp(values, p, q, s, t)
+
+
+def _rows_second(lift, p, q, s, t):
+    return p_variation(magnitude_table(second_rows(lift, s, t), t - s + 1, q), p / 2.0)
+
+
+def _rows_distance(a, b, p, q, s, t):
+    rows_a, rows_b = second_rows(a, s, t), second_rows(b, s, t)
+    second = magnitude_table(lambda i: rows_a(i) - rows_b(i), t - s + 1, q)
+    return _table_vp(a.path.values - b.path.values, p, q, s, t) + p_variation(second, p / 2.0)
+
+
+@pytest.mark.parametrize("n_members,dim", ROW_CASES)
+def test_rerouted_seminorms_equal_the_row_builder_bitwise(n_members, dim):
+    seed = 100 * dim + n_members
+    kinds = set()
+    with np.errstate(invalid="ignore", over="ignore"):
+        for bad in (None, np.nan, np.inf):
+            a = _random_lift(n_members, dim, seed, bad=bad)
+            b = _random_lift(n_members, dim, seed + 1)
+            x = a.path.values
+            for s, t in WINDOWS:
+                vp_cases = [(2.5, q) for q in (1.0, 1.5, 3.0, 4.0)]
+                if n_members == 1:
+                    vp_cases.append((2.0, 2.0))  # a single path is not a Gram table
+                for p, q in vp_cases:
+                    for vals in (x, x[..., 0]) if dim == 1 else (x,):
+                        got = vp_lq_seminorm(vals, p, q, s=s, t=t)
+                        assert _same(got, _rows_vp(vals, p, q, s, t)), (p, q, s, t, bad)
+                        kinds.add(_kind(got))
+                for p, q in [(2.5, 2.0), (3.0, 4.0), (2.0, 1.5)]:
+                    got = second_level_seminorm(a, p, q, s=s, t=t)
+                    assert _same(got, _rows_second(a, p, q, s, t)), (p, q, s, t, bad)
+                    got = rough_path_distance(a, b, p, q, s=s, t=t)
+                    assert _same(got, _rows_distance(a, b, p, q, s, t)), (p, q, s, t, bad)
+                    kinds.add(_kind(got))
+    # an inf member makes the first level inf and the second level NaN
+    assert kinds == {"finite", "nan", "inf"}
+
+
+def _relaid(lift, layout):
+    """The lift with its path values and steps in the memory `layout`."""
+    return RoughLift(SamplePath(lift.grid, layout(lift.path.values)), layout(lift.step_second))
+
+
+def _stability_case(n_members, dim, seed, layout=None, n=40):
+    """A base problem and its y0, martingale and lift perturbations (the
+    martingale difference's bracket given), on d-dimensional lifts; `layout`
+    rearranges the memory of every lift's values and steps."""
+    a = _random_lift(n_members, dim, seed, n=n)
+    b = _random_lift(n_members, dim, seed + 1, n=n)
+    if layout is not None:
+        a, b = _relaid(a, layout), _relaid(b, layout)
+    rng = np.random.default_rng(seed + 2)
+    grid, times = a.grid, a.grid.times
+    m_vals = np.cumsum(rng.standard_normal((n_members, n + 1, 1)), axis=1) / np.sqrt(n)
+    mart = MartingalePath(grid=grid, values=m_vals, bracket=times[None, :, None, None])
+    w = np.cumsum(rng.standard_normal((n_members, n + 1, 1)), axis=1) / np.sqrt(n)
+    eps = 0.05
+    mart_p = MartingalePath(
+        grid=grid, values=m_vals + eps * w, bracket=((1 + eps**2) * times)[None, :, None, None]
+    )
+    y0 = 0.1 + 0.01 * rng.standard_normal(n_members)
+    base = RSDEProblem(y0, a, mart)
+    perts = [
+        (RSDEProblem(y0 + eps, a, mart), None),
+        (RSDEProblem(y0, a, mart_p), np.broadcast_to(eps**2 * times, (n_members, n + 1))),
+        (RSDEProblem(y0, b, mart), None),
+    ]
+    coeffs = CoefficientSet(
+        b=smooth_fn("tanh_affine", a=0.3),
+        sigma=smooth_fn("sin_bundle", a=0.5, b=0.9, c=0.3),
+        f=tuple(smooth_fn("sin_bundle", a=0.5, c=0.2 * k) for k in range(dim)),
+    )
+    return coeffs, base, perts
+
+
+@pytest.mark.parametrize("n_members,dim", ROW_CASES)
+def test_stability_report_parts_equal_the_row_builder_bitwise(n_members, dim):
+    coeffs, base, perts = _stability_case(n_members, dim, seed=7 * dim + n_members)
+    p, q = 2.5, 6.0
+    _, reports = stability_experiment(coeffs, base, perts, p=p, q=q)
+
+    def solution(prob):
+        y = solve(coeffs, prob.y0, prob.lift, prob.mart).values
+        return y, np.stack([fn.f(y) for fn in coeffs.f], axis=-1)
+
+    ya, dya = solution(base)
+    n1 = ya.shape[1]
+    for rep, (pert, bracket) in zip(reports, perts):
+        yb, dyb = solution(pert)
+        rows = remainder_mean_rows(ya, dya, base.lift.path.values, yb, dyb, pert.lift.path.values)
+        want = {
+            "solution": _rows_vp(ya - yb, p, q, 0, n1 - 1),
+            "derivative": _rows_vp(dya - dyb, p, q, 0, n1 - 1),
+            "remainder": p_variation(magnitude_table(rows, n1, 1.0), p / 2.0),
+            "initial": lq_norm(np.atleast_1d(base.y0) - np.atleast_1d(pert.y0), q),
+            "martingale": 0.0
+            if bracket is None
+            else _rows_vp(bracket, p / 2, q / 2, 0, n1 - 1) ** 0.5,
+            "lift": _rows_distance(base.lift, pert.lift, p, q, 0, n1 - 1),
+        }
+        assert {**rep.lhs_parts, **rep.rhs_parts} == want
+    assert all(rep.lhs_parts["remainder"] > 0 for rep in reports)
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_stability_base_csv_is_the_row_builders_byte_for_byte(monkeypatch, tmp_path, seed):
+    cfg = default_config("stability_base", n=24, ensemble=16, seed=seed)
+    cli._write_rows(tmp_path / "new.csv", run_scenario(cfg))
+    # every seminorm of the scenario from tables built row by row: the
+    # reports' first levels, rough-path distances and remainders, and the
+    # Picard update distances of its solve-Picard gap
+    monkeypatch.setattr(
+        rsde, "vp_lq_seminorm", lambda v, p, q: _table_vp(v, p, q, 0, v.shape[1] - 1)
+    )
+    monkeypatch.setattr(
+        rsde,
+        "rough_path_distance",
+        lambda a, b, p, q: _rows_distance(a, b, p, q, 0, a.grid.n_steps),
+    )
+    monkeypatch.setattr(
+        rsde,
+        "_pair_seminorm",
+        lambda increments, n_members, s, t, p, q, pairs=None: p_variation(
+            magnitude_table(pair_rows(increments, s, t), t - s + 1, q), p
+        ),
+    )
+    cli._write_rows(tmp_path / "rows.csv", run_scenario(cfg))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the same bits on every memory layout
+# ---------------------------------------------------------------------------
+
+
+def _time_major(a):
+    """A view of `a` with the same shape whose memory runs time-major (axis 1
+    outermost, the members strided)."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 1, 0)), 0, 1)
+
+
+LAYOUTS = [np.asfortranarray, _time_major]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("layout", LAYOUTS, ids=["fortran", "time_major"])
+def test_rerouted_seminorms_do_not_depend_on_memory_layout(layout, dim):
+    a = _random_lift(5, dim, seed=dim)
+    b = _random_lift(5, dim, seed=dim + 10)
+    relaid = [_relaid(a, layout), _relaid(b, layout)]
+    assert not relaid[0].path.values.flags.c_contiguous
+    x = a.path.values
+    # a cell of a Fortran-ordered block in d = 3 can move in its last bits,
+    # so many windows, for the seminorms to read many cells
+    for s, t in WINDOWS + [(s, s + k) for s in range(0, 36, 5) for k in (2, 4)]:
+        for p, q in [(2.5, 1.5), (3.0, 4.0)]:
+            for vals in (x, x[..., 0]):
+                want = vp_lq_seminorm(vals, p, q, s=s, t=t)
+                assert vp_lq_seminorm(layout(vals), p, q, s=s, t=t) == want
+                want = lq_table(vals, q, s=s, t=t)
+                assert np.array_equal(lq_table(layout(vals), q, s=s, t=t), want)
+            want = second_level_seminorm(a, p, q, s=s, t=t)
+            assert second_level_seminorm(relaid[0], p, q, s=s, t=t) == want
+            want = rough_path_distance(a, b, p, q, s=s, t=t)
+            assert rough_path_distance(*relaid, p, q, s=s, t=t) == want
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("layout", LAYOUTS, ids=["fortran", "time_major"])
+def test_stability_report_does_not_depend_on_memory_layout(layout, dim):
+    p, q = 2.5, 6.0
+    _, want = stability_experiment(*_stability_case(5, dim, seed=dim), p=p, q=q)
+    _, got = stability_experiment(*_stability_case(5, dim, seed=dim, layout=layout), p=p, q=q)
+    for g, w in zip(got, want):
+        assert (g.lhs_parts, g.rhs_parts) == (w.lhs_parts, w.rhs_parts)
+
+
+# ---------------------------------------------------------------------------
+# one argument rule for the public seminorms
+# ---------------------------------------------------------------------------
+
+
+def _seminorm_calls(lift, other):
+    x = lift.path.values
+    return {
+        "lq_table": lambda q=4.0, s=0, t=None: lq_table(x, q, s=s, t=t),
+        "vp_lq_seminorm": lambda q=4.0, s=0, t=None, p=2.5: vp_lq_seminorm(x, p, q, s=s, t=t),
+        "second_level_seminorm": lambda q=4.0, s=0, t=None, p=2.5: second_level_seminorm(
+            lift, p, q, s=s, t=t
+        ),
+        "rough_path_distance": lambda q=4.0, s=0, t=None, p=2.5: rough_path_distance(
+            lift, other, p, q, s=s, t=t
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "kwargs,match",
+    [
+        ({"q": 0.5}, "q >= 1, got q=0.5"),
+        ({"q": 0.0}, "q >= 1, got q=0.0"),
+        ({"q": float("nan")}, "q >= 1, got q=nan"),
+        ({"s": 6, "t": 3}, "0 <= s <= t <= 12, got s=6, t=3"),
+        ({"s": -1, "t": 3}, "0 <= s <= t <= 12, got s=-1, t=3"),
+        ({"s": 2, "t": 13}, "0 <= s <= t <= 12, got s=2, t=13"),
+    ],
+)
+def test_public_seminorms_refuse_bad_arguments_in_one_line(kwargs, match):
+    calls = _seminorm_calls(_lift(3, 2, seed=5), _lift(3, 2, seed=6))
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=f"^{name} needs .*{match}$".replace("(", "\\(")):
+            call(**kwargs)
+
+
+def test_seminorm_exponents_below_one_are_refused():
+    lift, other = _lift(3, 2, seed=5), _lift(3, 2, seed=6)
+    calls = _seminorm_calls(lift, other)
+    with pytest.raises(ValueError, match="^vp_lq_seminorm needs p and q >= 1, got p=0.5$"):
+        calls["vp_lq_seminorm"](p=0.5)
+    for name in ("second_level_seminorm", "rough_path_distance"):
+        with pytest.raises(ValueError, match=f"^{name} needs p/2 and q >= 1, got p/2=0.75$"):
+            calls[name](p=1.5)
+        with pytest.raises(ValueError, match="got p/2=0.25, q=0.5$"):
+            calls[name](p=0.5, q=0.5)
+
+
+def test_seminorms_of_a_one_point_window_are_zero():
+    calls = _seminorm_calls(_lift(3, 2, seed=5), _lift(3, 2, seed=6))
+    assert np.array_equal(calls.pop("lq_table")(s=4, t=4), np.zeros((1, 1)))
+    for call in calls.values():
+        assert call(s=4, t=4) == 0.0

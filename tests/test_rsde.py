@@ -9,6 +9,7 @@ import pytest
 
 from roughsew import rsde, scenarios
 from roughsew.calculus import smooth_fn
+from roughsew.grids import p_variation
 from roughsew.paths import (
     MartingalePath,
     RoughLift,
@@ -39,6 +40,8 @@ from oracles import (
     brownian_milstein_whole_ensemble,
     euler_maruyama_reference,
     event_schedule_loop,
+    magnitude_table,
+    pair_rows,
     plan_windows_one_step,
     solve_member_major,
     window_control,
@@ -491,10 +494,11 @@ def test_picard_distance_from_one_reduction_matches_the_table_distance(monkeypat
     mix, coeffs = _jump_mix_driver(256, seed), _all_coeffs()
     lift, mart = mix.lift, mix.martingale
     new = picard_solve(coeffs, 0.2, lift, mart, tol=1e-10, max_iter=80)
-    # the update distance as a full `vp_lq_seminorm` table per iteration
-    monkeypatch.setattr(
-        rsde, "_pair_seminorm", lambda diff, pairs, p, q: vp_lq_seminorm(diff, p, q)
-    )
+    # the update distance from a table built row by row per iteration
+    def row_built(increments, n_members, s, t, p, q, pairs=None):
+        return p_variation(magnitude_table(pair_rows(increments, s, t), t - s + 1, q), p)
+
+    monkeypatch.setattr(rsde, "_pair_seminorm", row_built)
     old = picard_solve(coeffs, 0.2, lift, mart, tol=1e-10, max_iter=80)
     assert np.array_equal(new.values, old.values)
     assert np.array_equal(new.left_values, old.left_values)
@@ -512,6 +516,19 @@ def test_picard_refuses_p_or_q_below_one_before_planning(monkeypatch, p, q):
     bm = simulate_brownian(1.0, 16, seed=29, n_members=4)
     with pytest.raises(ValueError, match="p >= 1 and q >= 1"):
         picard_solve(_all_coeffs(), 0.0, ito_lift_brownian(bm), bm, p=p, q=q)
+
+
+@pytest.mark.parametrize("p,q", [(1.5, 4.0), (2.0, 1.5)])
+def test_stability_refuses_p_or_q_below_two_before_solving(monkeypatch, p, q):
+    def no_solve(*args):
+        raise AssertionError("solved before the refusal")
+
+    monkeypatch.setattr(rsde, "solve", no_solve)
+    lift = smooth_lift("linear", 1.0, 8)
+    base = RSDEProblem(0.1, lift)
+    msg = f"^stability_experiment needs p/2 and q/2 >= 1, got p={p}, q={q}$"
+    with pytest.raises(ValueError, match=msg):
+        stability_experiment(_all_coeffs(), base, [(base, None)], p=p, q=q)
 
 
 def _counting_schedules(monkeypatch):
