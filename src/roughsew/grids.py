@@ -257,13 +257,12 @@ def alternating_midpoints(
     if t < s:
         raise ValueError("empty window")
     levels = [np.array([s, t], dtype=np.int64)]
-    pts = [s, t]
     for h in range(1, depth + 1):
         w = ws[(h - 1) % len(ws)]
+        pts = levels[-1].tolist()
         new_pts = [pts[0]]
         for a, b in zip(pts[:-1], pts[1:]):
             new_pts.append(_halving_point(w, a, b))
             new_pts.append(b)
-        pts = new_pts
-        levels.append(np.unique(np.asarray(pts, dtype=np.int64)))
+        levels.append(np.unique(np.asarray(new_pts, dtype=np.int64)))
     return levels

@@ -60,11 +60,10 @@ class ExperimentConfig:
             known = ", ".join(sorted(SCENARIOS))
             raise ValueError(f"unknown scenario {self.scenario!r} (known: {known})")
         for name, low in (("n", 2), ("levels", 1), ("ensemble", 1), ("seed", 0)):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-            if v < low:
-                raise ValueError(f"{name} must be >= {low}, got {v!r}")
+            _check_integer(name, getattr(self, name), low)
+        for name in _INTEGER_PARAMS:
+            if name in self.params:
+                _check_integer(f"params.{name}", self.params[name], 1)
         for name in ("p", "q"):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 1 <= v < math.inf:
@@ -72,6 +71,18 @@ class ExperimentConfig:
         if self.scenario == "stability_base" and not (self.p >= 2 and self.q >= 2):
             why = "stability_base measures V^(p/2) L^(q/2) seminorms, so p/2 and q/2 must be >= 1"
             raise ValueError(f"{why}, got p={self.p!r}, q={self.q!r}")
+
+
+# scenario params that count something: refinement levels (sewing_rate),
+# random partitions (sewing_rate) and Chen windows (chen_check)
+_INTEGER_PARAMS = ("depth", "partitions", "triples")
+
+
+def _check_integer(name, v, low):
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    if v < low:
+        raise ValueError(f"{name} must be >= {low}, got {v!r}")
 
 
 def _row(cfg, metric, value, std_error=0.0, level=0, n=None, N=None):

@@ -7,21 +7,25 @@ Xi_{s,t}; its Riemann sums over a partition P, clipped at time t, are
 
 On a finite grid the sewn limit is the full-grid Riemann sum, so every
 integral of the package (Ito, Young, rough) is a full-grid sum of one of the
-germs built here.  A germ evaluates whole index arrays, so a Riemann path is
+germs built here.  A germ evaluates whole index arrays, so `riemann_path` is
 one germ call per partition plus a running sum; the full-grid path
-(`step_path`) is one germ call on the step views.  `sew` walks a sequence of
-nested partitions produced by alternating midpoints of the
+(`step_path`) is one germ call on the step views.  A germ also acts member by
+member: row i of its values depends only on row i of its member-axis context
+arrays, so it can be evaluated on any block of members.  `sew` walks a
+sequence of nested partitions produced by alternating midpoints of the
 supplied controls (time plus p-variation controls of the germ's inputs by
 default), measures the uniform-in-time empirical L^q distance to the limit at
-every level, and reports the observed geometric decay.  Non-decay is a
-diagnostic (a warning), not an error: germs that violate the sewing
-hypotheses — e.g. non-adapted ones — are expected to be run here to see the
-failure.
+every level, and reports the observed geometric decay.  The walk runs in
+member blocks of about `_BLOCK_CELLS` member-steps, one germ call per block
+and level, so each level's arrays are reduced while they are in cache.
+Non-decay is a diagnostic (a warning), not an error: germs that violate the
+sewing hypotheses — e.g. non-adapted ones — are expected to be run here to
+see the failure.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -35,6 +39,11 @@ from .grids import (
     time_control,
 )
 from .norms import lq_table
+
+# member-steps per block of the refinement walk: a block's germ values,
+# clipped path, difference and magnitudes are (rows, n+1) float64 arrays of
+# 256 KB each, so a level's work on one block stays in L2
+_BLOCK_CELLS = 2**15
 
 __all__ = [
     "Germ",
@@ -65,7 +74,11 @@ class Germ:
     all three without gathering a copy.  It must read only ctx entries at
     indices <= t (adaptedness): the same germ built on context arrays cut
     after index t gives the same value on every window ending at or before t.
-    Context arrays are member-major: (N, n+1, ...).
+    Context arrays are member-major: (N, n+1, ...), or (1, n+1, ...) for an
+    input shared by every member.  A germ acts member by member: row i of its
+    values depends only on row i of its member-axis context arrays, so the
+    germ on the context rows [lo:hi] (shared inputs unchanged) gives the rows
+    [lo:hi] of its values, which is how the refinement walk evaluates it.
     `control_keys` names the inputs whose p-variation should control the
     default partition refinement.
     """
@@ -91,14 +104,28 @@ def riemann_path(germ: Germ, partition: Partition) -> np.ndarray:
     start + j.  Inside an interval [u, v] the clipped sum is the running total
     of the earlier intervals plus Xi_{u, t}; one germ call covers every t.
     """
-    idx = partition.indices
+    u, t, k, ends = _windows(partition.indices)
+    return _clipped_path(germ(u, t), k, ends)
+
+
+def _windows(idx: np.ndarray):
+    """The germ windows [u, t] of the clipped sums over the partition `idx`.
+
+    For every grid t in (idx[0], idx[-1]]: u, the start of the interval
+    [idx[k], idx[k+1]] holding t; t; that k; and `ends`, the positions of the
+    interior partition points among the t.
+    """
     start = idx[0]
     t = np.arange(start + 1, idx[-1] + 1)
-    k = np.searchsorted(idx, t) - 1  # interval [idx[k], idx[k+1]] holding t
-    vals = germ(idx[k], t)
-    # running total before each interval, summed from zero in interval order
-    acc = _running_sum(vals[:, idx[1:-1] - start - 1])
-    out = np.empty((vals.shape[0], t.size + 1) + vals.shape[2:])
+    k = np.searchsorted(idx, t) - 1
+    return idx[k], t, k, idx[1:-1] - start - 1
+
+
+def _clipped_path(vals: np.ndarray, k: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Clipped sums from the germ values on `_windows`: the running total of
+    the earlier intervals, summed from zero in interval order, plus vals."""
+    acc = _running_sum(vals[:, ends])
+    out = np.empty((vals.shape[0], vals.shape[1] + 1) + vals.shape[2:])
     out[:, 0] = 0.0
     np.add(acc[:, k], vals, out=out[:, 1:])
     return out
@@ -123,13 +150,18 @@ def _running_sum(steps: np.ndarray) -> np.ndarray:
     return out
 
 
-def _uniform_lq_distance(a: np.ndarray, b: np.ndarray, q: float) -> float:
-    """|| sup_t |a_t - b_t| ||_{L^q(ensemble)} with Frobenius magnitudes."""
-    diff = a - b
-    n = diff.shape[0]
-    flat = diff.reshape(n, diff.shape[1], -1)
-    mags = np.sqrt(np.einsum("ntk,ntk->nt", flat, flat))
-    sup = mags.max(axis=1)
+def _sup_magnitude(diff: np.ndarray) -> np.ndarray:
+    """sup_t |diff_t| per member of an (N, T, ...) array, Frobenius magnitudes.
+
+    The square root is taken after the sup: it is correctly rounded and
+    monotone, so sqrt(max) is max(sqrt) bit for bit, at one root per member.
+    """
+    flat = diff.reshape(diff.shape[0], diff.shape[1], -1)
+    return np.sqrt(np.einsum("ntk,ntk->nt", flat, flat).max(axis=1))
+
+
+def _lq(sup: np.ndarray, q: float) -> float:
+    """The empirical L^q norm of the (N,) per-member sups."""
     return float(np.mean(sup**q) ** (1.0 / q))
 
 
@@ -168,15 +200,54 @@ class SewOutput:
         return self.value_path[:, -1]
 
 
-def _refinement(germ, grid, controls, depth):
-    """The full-grid limit and a lazy walk of (partition, Riemann path), one
-    pair per alternating-midpoint level of the controls (default ones if
-    None)."""
+def _member_rows(ctx: dict, n_members: int, lo: int, hi: int) -> dict:
+    """The germ context of members lo..hi-1: arrays whose leading axis is the
+    member count are cut to their rows [lo:hi]; broadcast (1, ...) arrays and
+    scalars pass through unchanged."""
+    return {
+        key: val[lo:hi] if isinstance(val, np.ndarray) and val.ndim and val.shape[0] == n_members
+        else val
+        for key, val in ctx.items()
+    }
+
+
+def _walk(germ, grid, controls, depth, q, gaps):
+    """The full-grid limit and a lazy refinement walk in member blocks.
+
+    The walk yields, per alternating-midpoint level of the controls (default
+    ones if None), the partition, the L^q distance of its Riemann path to the
+    limit and, with `gaps`, the L^q distance to the previous level's path
+    (None at level 0).  Each level evaluates the germ once per block of about
+    `_BLOCK_CELLS` member-steps and reduces the block's clipped path to
+    per-member sups at once; the (N,) sups are reduced by `_lq`, so every
+    distance equals the whole-ensemble one bit for bit.
+    """
     controls = controls if controls is not None else default_controls(germ, grid)
     full = step_path(germ, grid)
     levels = alternating_midpoints(controls, 0, grid.n_steps, depth)
-    parts = (Partition(grid, lv) for lv in levels)
-    return full, ((part, riemann_path(germ, part)) for part in parts)
+    n_members = full.shape[0]
+    rows = max(1, _BLOCK_CELLS // full[0].size)
+    blocks = [(lo, min(lo + rows, n_members)) for lo in range(0, n_members, rows)]
+    germs = [
+        replace(germ, context=_member_rows(germ.context, n_members, lo, hi))
+        for lo, hi in blocks
+    ]
+
+    def walk():
+        to_limit, to_prev = np.empty(n_members), np.empty(n_members)
+        prev = [None] * len(blocks)  # each block's path at the previous level
+        for h, lv in enumerate(levels):
+            u, t, k, ends = _windows(lv)
+            for i, (g, (lo, hi)) in enumerate(zip(germs, blocks)):
+                path = _clipped_path(g(u, t), k, ends)
+                to_limit[lo:hi] = _sup_magnitude(full[lo:hi] - path)
+                if gaps:
+                    if h:
+                        to_prev[lo:hi] = _sup_magnitude(prev[i] - path)
+                    prev[i] = path
+            yield Partition(grid, lv), _lq(to_limit, q), _lq(to_prev, q) if gaps and h else None
+
+    return full, walk()
 
 
 def sew(
@@ -198,27 +269,25 @@ def sew(
     """
     n = grid.n_steps
     depth = max_depth if max_depth is not None else max(1, int(np.ceil(np.log2(n))) + 2)
-    full, walk = _refinement(germ, grid, controls, depth)
-    scale = 1.0 + _uniform_lq_distance(full, np.zeros_like(full), q)
+    full, walk = _walk(germ, grid, controls, depth, q, gaps=True)
+    scale = 1.0 + _lq(_sup_magnitude(full), q)
 
     partitions: list[Partition] = []
     distances: list[float] = []
     gaps: list[float] = []
     met_tol = False
     exhausted = False
-    prev = None
-    for part, path in walk:
+    for part, dist, gap in walk:
         partitions.append(part)
-        distances.append(_uniform_lq_distance(full, path, q))
-        if prev is not None:
-            gaps.append(_uniform_lq_distance(prev, path, q))
-            if gaps[-1] < tol * scale:
+        distances.append(dist)
+        if gap is not None:
+            gaps.append(gap)
+            if gap < tol * scale:
                 met_tol = True
                 break
         if part.indices.size == n + 1:
             exhausted = True
             break
-        prev = path
     gap_arr = np.array(gaps)
     warning = None
     if gap_arr.size >= 4 and np.any(
@@ -265,8 +334,8 @@ def convergence_rate(
 
     The slope is fitted by `log2_fit`.
     """
-    full, walk = _refinement(germ, grid, controls, depth)
-    distances = np.array([_uniform_lq_distance(full, path, q) for _, path in walk])
+    _, walk = _walk(germ, grid, controls, depth, q, gaps=False)
+    distances = np.array([dist for _, dist, _ in walk])
     levels = np.arange(depth + 1)
     slope, intercept = log2_fit(levels, distances)
     return RateReport(levels, distances, slope, intercept, q)

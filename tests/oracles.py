@@ -634,3 +634,80 @@ def brownian_milstein_whole_ensemble(cfg, scenarios):
         sc._picard_gap_row(cfg, sol, coeffs, 1.0, lift_small, n=128, N=bm_small.n_members)
     )
     return rows
+
+
+def uniform_lq_distance(a, b, q):
+    """|| sup_t |a_t - b_t| ||_{L^q(ensemble)} with Frobenius magnitudes."""
+    diff = a - b
+    n = diff.shape[0]
+    flat = diff.reshape(n, diff.shape[1], -1)
+    mags = np.sqrt(np.einsum("ntk,ntk->nt", flat, flat))
+    sup = mags.max(axis=1)
+    return float(np.mean(sup**q) ** (1.0 / q))
+
+
+def refinement_walk(sewing, germ, grid, controls, depth):
+    """The full-grid limit and a lazy walk of (partition, Riemann path), one
+    pair per alternating-midpoint level of the controls (default ones if
+    None), each path built for the whole ensemble at once, run on the
+    package's `sewing` module (and the layers it imports)."""
+    controls = controls if controls is not None else sewing.default_controls(germ, grid)
+    full = sewing.step_path(germ, grid)
+    levels = sewing.alternating_midpoints(controls, 0, grid.n_steps, depth)
+    parts = (sewing.Partition(grid, lv) for lv in levels)
+    return full, ((part, sewing.riemann_path(germ, part)) for part in parts)
+
+
+def sew_fields(sewing, germ, grid, controls=None, tol=1e-3, q=2.0, max_depth=None):
+    """The fields of `sew(...)` from the whole-ensemble walk: value_path,
+    partitions, distances, gaps, met_tol and converged, and `warned` for
+    whether `sew` attaches its non-decay warning (not emitted here)."""
+    n = grid.n_steps
+    depth = max_depth if max_depth is not None else max(1, int(np.ceil(np.log2(n))) + 2)
+    full, walk = refinement_walk(sewing, germ, grid, controls, depth)
+    scale = 1.0 + uniform_lq_distance(full, np.zeros_like(full), q)
+    partitions, distances, gaps = [], [], []
+    met_tol = exhausted = False
+    prev = None
+    for part, path in walk:
+        partitions.append(part)
+        distances.append(uniform_lq_distance(full, path, q))
+        if prev is not None:
+            gaps.append(uniform_lq_distance(prev, path, q))
+            if gaps[-1] < tol * scale:
+                met_tol = True
+                break
+        if part.indices.size == n + 1:
+            exhausted = True
+            break
+        prev = path
+    gap_arr = np.array(gaps)
+    up = np.diff(gap_arr) > 0
+    grew = gap_arr.size >= 4 and bool(np.any(up[:-2] & up[1:-1] & up[2:]))
+    return {
+        "value_path": full,
+        "partitions": partitions,
+        "distances": np.array(distances),
+        "gaps": gap_arr,
+        "met_tol": met_tol,
+        "converged": (met_tol or exhausted) and not grew,
+        "warned": grew,
+    }
+
+
+def alternating_midpoints_undeduplicated(grids, ws, s, t, depth):
+    """Alternating-midpoint levels of [s, t] from a working list of points
+    that keeps every repeated point, so it doubles at every level even once
+    the partition fills the grid (2^depth + 1 entries at the last level);
+    midpoints by the package's `grids._halving_point`."""
+    levels = [np.array([s, t], dtype=np.int64)]
+    pts = [s, t]
+    for h in range(1, depth + 1):
+        w = ws[(h - 1) % len(ws)]
+        new_pts = [pts[0]]
+        for a, b in zip(pts[:-1], pts[1:]):
+            new_pts.append(grids._halving_point(w, a, b))
+            new_pts.append(b)
+        pts = new_pts
+        levels.append(np.unique(np.asarray(pts, dtype=np.int64)))
+    return levels

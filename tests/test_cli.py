@@ -101,6 +101,14 @@ def test_run_uses_config_out_dir_when_no_flag(tmp_path):
         {"scenario": "chen_check", "q": "x"},
         # passes validation, but its finest grid alone would need 256 TiB
         {"scenario": "brownian_milstein", "n": 64, "levels": 40, "ensemble": 4},
+        # scenario params that count something: integers >= 1
+        {"scenario": "sewing_rate", "params": {"depth": "x"}},
+        {"scenario": "sewing_rate", "params": {"depth": 0}},
+        {"scenario": "sewing_rate", "params": {"depth": 2.5}},
+        {"scenario": "sewing_rate", "params": {"partitions": -3}},
+        {"scenario": "sewing_rate", "params": {"partitions": True}},
+        {"scenario": "chen_check", "params": {"triples": 0}},
+        {"scenario": "chen_check", "params": {"triples": "10"}},
     ],
 )
 def test_run_rejects_bad_configs(tmp_path, capsys, body):
@@ -120,6 +128,16 @@ def test_run_refuses_stability_base_below_p_and_q_of_two(tmp_path, capsys, pq):
     assert err.count("\n") == 1
     assert err.startswith("roughsew run: bad config: stability_base measures V^(p/2) L^(q/2)")
     assert "p/2 and q/2 must be >= 1" in err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_run_refuses_a_negative_partition_count(tmp_path, capsys):
+    # no partitions would write partition_spread[rough] = 0, a pass that tests nothing
+    cfg = _write_config(tmp_path, scenario="sewing_rate", n=16, ensemble=4,
+                        params={"partitions": -3})
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == "roughsew run: bad config: params.partitions must be >= 1, got -3\n"
     assert not list(tmp_path.rglob("*.csv"))
 
 

@@ -23,7 +23,13 @@ from roughsew.grids import (
     time_control,
 )
 
-from oracles import brute_force_p_variation, halving_scan, pvar_dp_rows
+from roughsew import grids
+from oracles import (
+    alternating_midpoints_undeduplicated,
+    brute_force_p_variation,
+    halving_scan,
+    pvar_dp_rows,
+)
 
 
 def test_uniform_grid_basics():
@@ -257,6 +263,26 @@ def test_alternating_midpoints_match_halving_scan_bitwise():
                 assert a.dtype == b.dtype and np.array_equal(a, b)
     full = alternating_midpoints([time_control(g)], 3, 19, 12)[-1]
     assert full.tolist() == list(range(3, 20))
+
+
+def test_alternating_midpoints_stay_linear_once_the_grid_is_full():
+    # the partition fills the 16-step grid after a few levels; later levels
+    # cost one midpoint per grid interval, not one per doubled working point
+    rng = np.random.default_rng(5)
+    g = TimeGrid(np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, 16))]))
+    tab = increment_table(np.cumsum(rng.standard_normal((17, 2)), axis=0))
+    ws = [time_control(g), pvar_control(tab, 2.0)]
+    calls = []
+
+    def counted(w):
+        return ControlFn(lambda a, b: calls.append(b - a) or w.row(a, b), name=w.name)
+
+    levels = alternating_midpoints([counted(w) for w in ws], 0, 16, 60)
+    assert len(levels) == 61 and levels[-1].tolist() == list(range(17))
+    assert len(calls) <= 60 * 16
+    want = alternating_midpoints_undeduplicated(grids, ws, 0, 16, 8)
+    for a, b in zip(levels[:9], want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_oracles_do_not_import_the_package():

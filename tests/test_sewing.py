@@ -5,6 +5,7 @@ import pytest
 
 from roughsew.grids import Partition, TimeGrid, full_partition, make_uniform_grid, time_control
 from roughsew.paths import ito_lift_brownian, simulate_brownian, simulate_compound_poisson
+from roughsew import sewing
 from roughsew.rng import stream
 from roughsew.sewing import (
     Germ,
@@ -22,7 +23,13 @@ from roughsew.sewing import (
 )
 from roughsew.scenarios import _fit_log2_slope
 
-from oracles import riemann_path_loop, riemann_sum_loop
+from oracles import (
+    refinement_walk,
+    riemann_path_loop,
+    riemann_sum_loop,
+    sew_fields,
+    uniform_lq_distance,
+)
 
 
 def _random_partition(rng, n):
@@ -179,6 +186,79 @@ def test_nan_level_fails_both_rate_fits():
     report = convergence_rate(nan_at_top, bm.grid, depth=5)
     assert np.isnan(report.distances[0])
     assert np.isnan(report.slope) and not report.slope < -0.2
+
+
+def _walk_germs(n_members):
+    bm = simulate_brownian(1.0, 48, seed=47, n_members=n_members)
+    lift = ito_lift_brownian(bm, seed=47)
+    b = bm.values[..., 0]
+    shared = np.cos(bm.grid.times)[None, :]  # one (1, n+1) row for every member
+    return bm.grid, {
+        "increment": increment_germ(b),
+        "ito": ito_germ(np.sin(b), bm.values),
+        "qv": qv_germ(bm.values, bracket=bm.bracket),
+        "rough": rough_germ(np.sin(b), shared, bm.values, lift.second_prefix),
+    }
+
+
+def _walk_sizes():
+    rows = sewing._BLOCK_CELLS // 49  # block rows of a scalar germ on 48 steps
+    return {"one": 1, "rows-1": rows - 1, "rows+1": rows + 1, "ragged": 2 * rows + rows // 3}
+
+
+def _oracle_distances(germ, grid, depth, q=2.0):
+    full, walk = refinement_walk(sewing, germ, grid, None, depth)
+    return np.array([uniform_lq_distance(full, path, q) for _, path in walk])
+
+
+@pytest.mark.parametrize("size", ["one", "rows-1", "rows+1", "ragged"])
+def test_blocked_walk_matches_the_whole_ensemble_walk_bitwise(size):
+    n_members = _walk_sizes()[size]
+    grid, germs = _walk_germs(n_members)
+    for name, germ in germs.items():
+        for q in (2.0, 3.0):
+            got = convergence_rate(germ, grid, depth=7, q=q).distances
+            assert got.tobytes() == _oracle_distances(germ, grid, 7, q).tobytes(), (name, q)
+        out = sew(germ, grid)
+        want = sew_fields(sewing, germ, grid)
+        assert out.value_path.tobytes() == want["value_path"].tobytes(), name
+        assert out.distances.tobytes() == want["distances"].tobytes(), name
+        assert out.gaps.tobytes() == want["gaps"].tobytes(), name
+        assert (out.met_tol, out.converged) == (want["met_tol"], want["converged"]), name
+        assert (out.warning is not None) == want["warned"], name
+        assert [p.indices.tobytes() for p in out.partitions] == [
+            p.indices.tobytes() for p in want["partitions"]
+        ], name
+
+
+def test_walk_calls_the_germ_once_per_member_block():
+    rows = _walk_sizes()["rows+1"] - 1
+    grid, germs = _walk_germs(rows + 1)
+    ito, members = germs["ito"], []
+
+    def spy(c, s, t):
+        members.append(c["y"].shape[0])
+        return ito.fn(c, s, t)
+
+    convergence_rate(Germ("spy", spy, ito.context, ito.control_keys), grid, depth=2)
+    # the limit on the whole ensemble, then two blocks on each of three levels
+    assert members == [rows + 1] + [rows, 1] * 3
+
+
+@pytest.mark.parametrize("size", ["one", "rows+1"])
+def test_blocked_walk_keeps_a_nan_level(size):
+    grid, germs = _walk_germs(_walk_sizes()[size])
+    ito = germs["ito"]
+    nan_at_top = Germ(
+        "nan-top",
+        lambda c, s, t: ito.fn(c, s, t) * np.where((s == 0) & (t == 48), np.nan, 1.0),
+        ito.context,
+        ito.control_keys,
+    )
+    report = convergence_rate(nan_at_top, grid, depth=5)
+    assert report.distances.tobytes() == _oracle_distances(nan_at_top, grid, 5).tobytes()
+    assert np.isnan(report.distances[0]) and np.all(np.isfinite(report.distances[1:]))
+    assert np.isnan(report.slope)
 
 
 def test_log2_fit_zero_levels():
