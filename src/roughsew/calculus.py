@@ -119,6 +119,18 @@ class SmoothFn:
     bounded: bool = True
 
 
+@dataclass(frozen=True, eq=False)
+class _Constant:
+    """y -> an array of `value` shaped like y: a registry entry's constant
+    derivative, kept as its value so the solver can multiply by the scalar
+    instead of building the array per event."""
+
+    value: float
+
+    def __call__(self, y):
+        return np.full_like(np.asarray(y, dtype=float), self.value)
+
+
 def _poly_derivatives(coeffs):
     c = np.asarray(coeffs, dtype=float)  # c[k] multiplies y^k
     d1 = c[1:] * np.arange(1, c.size)
@@ -150,7 +162,7 @@ def smooth_fn(name: str, **params) -> SmoothFn:
         return SmoothFn(
             "linear",
             lambda y: a * y + c,
-            lambda y: np.full_like(np.asarray(y, dtype=float), a),
+            _Constant(a),
             lambda y: np.zeros_like(np.asarray(y, dtype=float)),
             bounded=False,
         )

@@ -32,6 +32,14 @@ grid-proxy control is small, which mirrors the contraction argument that
 produces the solution in the first place.  Cross-agreement of the two modes
 is itself one of the package's checks.
 
+Both modes evaluate the scheme's germ through one kernel per solver call,
+`_germ_kernel`, built from the coefficient set and the schedule before the
+loop: `solve` calls it once per event on (N,) rows, writing straight into
+the event's state row, and Picard once per iteration on a window's (E_w, N)
+arrays.  Each call evaluates every coefficient once and works in place in
+reused scratch rows, so an event costs a fixed handful of numpy calls
+whatever the coefficients are.
+
 A solution is the controlled pair (Y, f(Y)), but the solvers return Y only;
 a caller that needs the Gubinelli derivative Y' = f(Y) evaluates the rough
 coefficients on the values (as `stability_experiment` does).
@@ -44,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import SmoothFn
+from .calculus import SmoothFn, _Constant
 from .conventions import outer_increment
 from .grids import TimeGrid, _pvar_dp
 from .norms import (
@@ -105,34 +113,6 @@ def _f_stack(fs, y):
     return np.stack([fn.f(y) for fn in fs], axis=-1)
 
 
-def _add_germ(out, y, coeffs: CoefficientSet, fs, dt, dm, dx, xx):
-    """out + b(y) dt + sigma(y) dm + f(y) . dx + (Df f)(y) : XX, term by term
-    left to right, for the rough components `fs` of `coeffs`.
-
-    Absent terms are skipped entirely, so the sigma-only step from y is a
-    plain Euler-Maruyama update bitwise.  `solve` starts from y; Picard
-    starts from zeros, vectorized over an event axis.
-    """
-    if coeffs.b is not None:
-        out = out + coeffs.b.f(y) * dt
-    if coeffs.sigma is not None:
-        out = out + coeffs.sigma.f(y) * dm
-    if fs:
-        fv = [fn.f(y) for fn in fs]
-        acc = 0.0
-        for i, f in enumerate(fv):
-            acc = acc + f * dx[..., i]
-        out = out + acc
-        dfv = [fn.df(y) for fn in fs]
-        acc = 0.0
-        for j, f in enumerate(fv):
-            for i, df in enumerate(dfv):
-                # second index of XX is the integration direction
-                acc = acc + df * f * xx[..., j, i]
-        out = out + acc
-    return out
-
-
 # ---------------------------------------------------------------------------
 # event schedule
 # ---------------------------------------------------------------------------
@@ -160,6 +140,10 @@ class EventSchedule:
     its result to row dest[e].  A continuous event lands on its step's right
     grid point, or on the left-limit row n + 1 + j when the step ends at the
     j-th jump; that step's jump event then lands on the grid point.
+
+    The germ kernel (`_germ_kernel`) reads these arrays through views with
+    the event axis first, one per direction of dx and per pair of xx: an
+    index gives `solve` an event's rows, a slice gives Picard a window's.
     """
 
     dt: np.ndarray  # (E,)
@@ -241,6 +225,87 @@ def build_event_schedule(lift: RoughLift, mart: MartingalePath | None = None) ->
         dm[ev - 1] = (ml - mv[:, m_jumps - 1]).T
         dm[ev] = (mv[:, m_jumps] - ml).T
     return EventSchedule(dt, dm, dx, xx, dest, event_start, jumps)
+
+
+# ---------------------------------------------------------------------------
+# germ kernel
+# ---------------------------------------------------------------------------
+
+
+def _germ_kernel(coeffs: CoefficientSet, fs, sched: EventSchedule):
+    """The scheme's germ for `coeffs`, whose rough components are `fs`, on
+    the events of `sched`, built once per solver call.
+    germ(base, y, out, scratch, ev, zero_starts) writes
+
+        base + b(y) dt + sigma(y) dm + sum_i f_i(y) dx_i
+             + sum_j sum_i (Df_i(y) f_j(y)) XX_ji
+
+    for the events `ev` into `out`: `solve` passes one event index and its
+    state row as base, Picard a window's slice, its (E_w, N) iterate and
+    base 0.0.  Terms are added left to right and absent ones skipped, so a
+    sigma-only step is plain Euler-Maruyama bitwise.  Each direction sum (i;
+    then j outer, i inner) runs in `scratch` (`_germ_scratch`) before it is
+    added.  Every coefficient is evaluated once, a registry derivative that
+    is a constant enters as its scalar, and the rest runs in place.  With
+    `zero_starts` each direction sum starts from 0.0, which turns a leading
+    -0.0 into +0.0 (see `solve`).
+    """
+    b = None if coeffs.b is None else coeffs.b.f
+    sigma = None if coeffs.sigma is None else coeffs.sigma.f
+    d = len(fs)
+    f = [fn.f for fn in fs]
+    df = [fn.df for fn in fs]
+    slope = [fn.df.value if isinstance(fn.df, _Constant) else None for fn in fs]
+    dt, dm = sched.dt[:, None], sched.dm
+    dx = [sched.dx[..., i] for i in range(d)]
+    xx = [sched.xx[..., j, i] for j in range(d) for i in range(d)]
+    pairs = [(j, i) for j in range(d) for i in range(d)]  # xx's order
+    # f and df values of the current call, released when it ends
+    blank = [None] * d
+    fv, dfv = list(blank), list(slope)
+    mul, add = np.multiply, np.add
+
+    def germ(base, y, out, scratch, ev, zero_starts):
+        acc, term = scratch
+        if b is not None:
+            mul(b(y), dt[ev], out=acc)
+            base = add(base, acc, out=out)
+        if sigma is not None:
+            mul(sigma(y), dm[ev], out=acc)
+            base = add(base, acc, out=out)
+        if d:
+            for i in range(d):
+                fv[i] = f[i](y)
+                if slope[i] is None:
+                    dfv[i] = df[i](y)
+            mul(fv[0], dx[0][ev], out=acc)
+            if zero_starts:
+                acc += 0.0
+            for i in range(1, d):
+                acc += mul(fv[i], dx[i][ev], out=term)
+            base = add(base, acc, out=out)
+            mul(dfv[0], fv[0], out=acc)
+            acc *= xx[0][ev]
+            if zero_starts:
+                acc += 0.0
+            for k in range(1, d * d):
+                j, i = pairs[k]
+                mul(dfv[i], fv[j], out=term)
+                term *= xx[k][ev]
+                acc += term
+            base = add(base, acc, out=out)
+            fv[:], dfv[:] = blank, slope
+        if base is not out:  # no term at all
+            out[...] = base
+
+    return germ
+
+
+def _germ_scratch(fs, shape):
+    """The kernel's reused rows: a sum's accumulator, and its next term when
+    the rough driver has several directions."""
+    acc = np.empty(shape)
+    return acc, np.empty(shape) if len(fs) > 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -350,17 +415,30 @@ def solve(
     Restarting from a recorded state reproduces the full run bitwise on the
     common range (the scheme is a plain recursion in the same increments).
     Members that blow up are flagged in diagnostics rather than raising.
+
+    Each event is one `_germ_kernel` call from the last state row into the
+    event's destination row.  Its rough sums skip the 0.0 start of a plain
+    sum 0.0 + t_1 + ...: dropping it changes a bit only where the sum and the
+    partial state it is added to are both -0.0, and a partial state is -0.0
+    only where the row it starts from is.  So the first event keeps the
+    starts when the start row holds a -0.0; after that event no row does (a
+    sum that starts from 0.0 is never -0.0).
     """
     n = lift.grid.n_steps
     stop = n if stop is None else stop
     if not (0 <= start < stop <= n):
         raise ValueError("need 0 <= start < stop <= n")
     sched, fs, state = _prologue(coeffs, y0, lift, mart, start)
-    dt, dm, dx, xx, dest = sched.dt, sched.dm, sched.dx, sched.xx, sched.dest
+    germ = _germ_kernel(coeffs, fs, sched)
+    scratch = _germ_scratch(fs, state.shape[1:])
+    e0, e1 = int(sched.event_start[start]), int(sched.event_start[stop])
     y = state[start]
+    zero_starts = bool(np.any(np.signbit(y) & (y == 0.0)))
     with np.errstate(over="ignore", invalid="ignore"):
-        for e in range(sched.event_start[start], sched.event_start[stop]):
-            state[dest[e]] = y = _add_germ(y, y, coeffs, fs, dt[e], dm[e], dx[e], xx[e])
+        for e, row in enumerate(sched.dest[e0:e1].tolist(), e0):
+            out = state[row]
+            germ(y, y, out, scratch, e, zero_starts)
+            y, zero_starts = out, False
     state[stop + 1 : n + 1] = state[stop]
     return _epilogue(lift, sched, state, start, stop, {})
 
@@ -443,6 +521,7 @@ def picard_solve(
     if p < 1 or q < 1:
         raise ValueError(f"picard_solve needs p >= 1 and q >= 1, got p={p}, q={q}")
     sched, fs, state = _prologue(coeffs, y0, lift, mart, 0)
+    germ = _germ_kernel(coeffs, fs, sched)
     n = lift.grid.n_steps
     windows = _plan_windows(lift, mart, p, q)
     iters_per_window: list[int] = []
@@ -450,10 +529,6 @@ def picard_solve(
 
     for (s, t) in windows:
         e0, e1 = int(sched.event_start[s]), int(sched.event_start[t])
-        dt_w = sched.dt[e0:e1, None]
-        dm_w = sched.dm[e0:e1]
-        dx_w = sched.dx[e0:e1]
-        xx_w = sched.xx[e0:e1]
         dest_w = sched.dest[e0:e1]
         # positions (in the event path) of the window's grid points, and the
         # pairs of them whose cells the update distance reduces together
@@ -461,22 +536,24 @@ def picard_solve(
         last = grid_slots.size - 1
         pairs = _column_pairs(last + 1)
 
-        # the window's iterate, time-major (E_w + 1, N) like the state
+        # the window's iterate, time-major (E_w + 1, N) like the state and
+        # updated in place once its germs are taken; the germs (E_w, N) and
+        # the kernel's scratch are reused by every iteration
         y_start = state[s]
         cur = np.broadcast_to(y_start, (e1 - e0 + 1, y_start.size)).copy()
+        germs = np.empty_like(cur[1:])
+        scratch = _germ_scratch(fs, germs.shape)
         dists: list[float] = []
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(max_iter):
-                y_w = cur[:-1]
-                zero = np.zeros(np.broadcast_shapes(y_w.shape, dm_w.shape))
-                germs = _add_germ(zero, y_w, coeffs, fs, dt_w, dm_w, dx_w, xx_w)
-                new = np.empty_like(cur)
-                new[0] = y_start
-                np.cumsum(germs, axis=0, out=new[1:])
-                new[1:] += y_start
-                live = np.isfinite(new[-1])  # others stay non-finite, get flagged
-                diff = (new[grid_slots] - cur[grid_slots]).T[live]  # (N_live, G)
-                cur = new
+                # the germs keep every 0.0 start, as a sum from zeros
+                germ(0.0, cur[:-1], germs, scratch, slice(e0, e1), True)
+                change = cur[grid_slots]  # the previous iterate's grid points
+                np.cumsum(germs, axis=0, out=cur[1:])
+                cur[1:] += y_start
+                np.subtract(cur[grid_slots], change, out=change)
+                live = np.isfinite(cur[-1])  # others stay non-finite, get flagged
+                diff = change.T[live]  # (N_live, G)
                 if not live.any():
                     dists.append(float("nan"))
                     break

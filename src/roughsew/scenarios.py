@@ -64,6 +64,8 @@ class ExperimentConfig:
         for name in _INTEGER_PARAMS:
             if name in self.params:
                 _check_integer(f"params.{name}", self.params[name], 1)
+        if "eps" in self.params:
+            _check_eps(self.params["eps"])
         for name in ("p", "q"):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 1 <= v < math.inf:
@@ -83,6 +85,15 @@ def _check_integer(name, v, low):
         raise ValueError(f"{name} must be an integer, got {v!r}")
     if v < low:
         raise ValueError(f"{name} must be >= {low}, got {v!r}")
+
+
+def _check_eps(v):
+    """stability_base's perturbation sizes: a non-empty list of finite
+    numbers > 0."""
+    if not (isinstance(v, (list, tuple)) and v and all(
+        isinstance(e, numbers.Real) and not isinstance(e, bool) and 0 < e < math.inf for e in v
+    )):
+        raise ValueError(f"params.eps must be a non-empty list of finite numbers > 0, got {v!r}")
 
 
 def _row(cfg, metric, value, std_error=0.0, level=0, n=None, N=None):

@@ -538,6 +538,35 @@ def plan_windows_one_step(control, n, threshold):
     return out
 
 
+def add_germ(out, y, coeffs, fs, dt, dm, dx, xx):
+    """out + b(y) dt + sigma(y) dm + f(y) . dx + (Df f)(y) : XX, term by term
+    left to right, for the rough components `fs` of `coeffs`: the germ the
+    solvers evaluated before `rsde._germ_kernel`, one fresh array per term.
+
+    Absent terms are skipped entirely, so the sigma-only step from y is a
+    plain Euler-Maruyama update bitwise.  `solve` started from y; Picard
+    started from zeros, vectorized over an event axis.
+    """
+    if coeffs.b is not None:
+        out = out + coeffs.b.f(y) * dt
+    if coeffs.sigma is not None:
+        out = out + coeffs.sigma.f(y) * dm
+    if fs:
+        fv = [fn.f(y) for fn in fs]
+        acc = 0.0
+        for i, f in enumerate(fv):
+            acc = acc + f * dx[..., i]
+        out = out + acc
+        dfv = [fn.df(y) for fn in fs]
+        acc = 0.0
+        for j, f in enumerate(fv):
+            for i, df in enumerate(dfv):
+                # second index of XX is the integration direction
+                acc = acc + df * f * xx[..., j, i]
+        out = out + acc
+    return out
+
+
 def add_germ_einsum(out, y, coeffs, fs, dt, dm, dx, xx):
     """out + b(y) dt + sigma(y) dm + f(y) . dx + (Df f)(y) : XX with the rough
     components stacked on a last axis and contracted by einsum.
@@ -564,8 +593,8 @@ def solve_member_major(germ, coeffs, fs, y0, dt, dm, dx, xx, dest, event_start, 
     """The one-step RSDE scheme event by event on member-major arrays: the
     solver loop that strided through column e of every array per event.
 
-    germ(out, y, coeffs, fs, dt, dm, dx, xx) is the scheme's germ (the
-    package's `rsde._add_germ`); dt (E,), dm (Nm, E), dx (Nx, E, d) and xx
+    germ(out, y, coeffs, fs, dt, dm, dx, xx) is the scheme's germ
+    (`add_germ` or `add_germ_einsum`); dt (E,), dm (Nm, E), dx (Nx, E, d) and xx
     (Nx, E, d, d) are the event increments, dest (E,) the state column each
     event lands on and event_start (n+1,) the first event of each step, as
     `event_schedule_loop` lays them out.  The state (N, n+1+n_jumps) holds
@@ -585,6 +614,56 @@ def solve_member_major(germ, coeffs, fs, y0, dt, dm, dx, xx, dest, event_start, 
             state[:, dest[e]] = y = germ(y, y, coeffs, fs, dt[e], dm[:, e], dx[:, e], xx[:, e])
     state[:, stop + 1 : n + 1] = state[:, stop : stop + 1]
     return state[:, : n + 1], state[:, n + 1 :]
+
+
+def picard_allocating_loop(rsde, germ, coeffs, y0, lift, mart=None, p=2.0, q=4.0,
+                           tol=1e-9, max_iter=60):
+    """`rsde.picard_solve`'s iteration as it ran before the germ kernel: per
+    iteration a zeros array, the germs `germ(zero, y, coeffs, fs, ...)`
+    (`add_germ` or `add_germ_einsum`) over the window's events at once, a
+    fresh iterate and one cell reduction of the update.  It runs on the
+    package's event schedule, window plan and seminorm, taken from the module
+    `rsde`.  Returns (values (N, n+1), left_values (N, J), iterations per
+    window, distances per window).
+    """
+    sched, fs, state = rsde._prologue(coeffs, y0, lift, mart, 0)
+    n = lift.grid.n_steps
+    iterations, distances = [], []
+    for s, t in rsde._plan_windows(lift, mart, p, q):
+        e0, e1 = int(sched.event_start[s]), int(sched.event_start[t])
+        dt_w, dm_w = sched.dt[e0:e1, None], sched.dm[e0:e1]
+        dx_w, xx_w, dest_w = sched.dx[e0:e1], sched.xx[e0:e1], sched.dest[e0:e1]
+        grid_slots = np.concatenate([[0], np.flatnonzero(dest_w <= n) + 1])
+        last = grid_slots.size - 1
+        pairs = rsde._column_pairs(last + 1)
+        y_start = state[s]
+        cur = np.broadcast_to(y_start, (e1 - e0 + 1, y_start.size)).copy()
+        dists = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(max_iter):
+                y_w = cur[:-1]
+                zero = np.zeros(np.broadcast_shapes(y_w.shape, dm_w.shape))
+                germs = germ(zero, y_w, coeffs, fs, dt_w, dm_w, dx_w, xx_w)
+                new = np.empty_like(cur)
+                new[0] = y_start
+                np.cumsum(germs, axis=0, out=new[1:])
+                new[1:] += y_start
+                live = np.isfinite(new[-1])
+                diff = (new[grid_slots] - cur[grid_slots]).T[live]
+                cur = new
+                if not live.any():
+                    dists.append(float("nan"))
+                    break
+                dist = rsde._pair_seminorm(
+                    lambda i, j: diff[:, j] - diff[:, i], diff.shape[0], 0, last, p, q, pairs
+                ) + rsde.lq_norm(diff[:, -1], q)
+                dists.append(float(dist))
+                if dist < tol:
+                    break
+        iterations.append(len(dists))
+        distances.append(dists)
+        state[dest_w] = cur[1:]
+    return state[: n + 1].T, state[n + 1 :].T, iterations, distances
 
 
 def simulate_brownian(rng, times, n_members, dim, vol):

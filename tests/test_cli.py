@@ -109,6 +109,12 @@ def test_run_uses_config_out_dir_when_no_flag(tmp_path):
         {"scenario": "sewing_rate", "params": {"partitions": True}},
         {"scenario": "chen_check", "params": {"triples": 0}},
         {"scenario": "chen_check", "params": {"triples": "10"}},
+        # stability_base's perturbation sizes: a non-empty list of finite numbers > 0
+        {"scenario": "stability_base", "params": {"eps": 0.1}},
+        {"scenario": "stability_base", "params": {"eps": "x"}},
+        {"scenario": "stability_base", "params": {"eps": []}},
+        {"scenario": "stability_base", "params": {"eps": [0.0]}},
+        {"scenario": "stability_base", "params": {"eps": [float("nan")]}},
     ],
 )
 def test_run_rejects_bad_configs(tmp_path, capsys, body):

@@ -1,5 +1,7 @@
 """The RSDE solver: one-step scheme, Picard mode, jumps, stability."""
 
+import collections
+import dataclasses
 import functools
 import tracemalloc
 import weakref
@@ -7,9 +9,9 @@ import weakref
 import numpy as np
 import pytest
 
-from roughsew import rsde, scenarios
+from roughsew import calculus, rsde, scenarios
 from roughsew.calculus import smooth_fn
-from roughsew.grids import p_variation
+from roughsew.grids import make_uniform_grid, p_variation
 from roughsew.paths import (
     MartingalePath,
     RoughLift,
@@ -26,7 +28,6 @@ from roughsew.rsde import (
     _WINDOW_THRESHOLD,
     CoefficientSet,
     RSDEProblem,
-    _add_germ,
     _plan_windows,
     build_event_schedule,
     picard_solve,
@@ -36,12 +37,14 @@ from roughsew.rsde import (
 from roughsew.scenarios import default_config, run_scenario
 
 from oracles import (
+    add_germ,
     add_germ_einsum,
     brownian_milstein_whole_ensemble,
     euler_maruyama_reference,
     event_schedule_loop,
     magnitude_table,
     pair_rows,
+    picard_allocating_loop,
     plan_windows_one_step,
     solve_member_major,
     window_control,
@@ -53,13 +56,24 @@ def _linear_coeffs():
         return CoefficientSet(f=smooth_fn("linear"))
 
 
+def _germ_once(coeffs, y, dt, dm, dx, xx):
+    """The germ kernel from y on one event with the given increments."""
+    sched = rsde.EventSchedule(
+        np.array([dt]), np.atleast_2d(dm), np.asarray(dx)[None], np.asarray(xx)[None],
+        dest=np.array([1]), event_start=np.array([0, 1]), jump_indices=np.array([], dtype=np.int64),
+    )
+    fs = coeffs.f_components()
+    out = np.empty_like(y)
+    rsde._germ_kernel(coeffs, fs, sched)(y, y, out, rsde._germ_scratch(fs, y.shape), 0, False)
+    return out
+
+
 def test_step_zero_increments_is_identity():
     coeffs = CoefficientSet(
         b=smooth_fn("tanh_affine"), sigma=smooth_fn("sin_bundle"), f=smooth_fn("sin_bundle")
     )
     y = np.array([0.3, -1.2, 7.0])
-    fs = coeffs.f_components()
-    out = _add_germ(y, y, coeffs, fs, 0.0, 0.0, np.zeros((3, 1)), np.zeros((3, 1, 1)))
+    out = _germ_once(coeffs, y, 0.0, 0.0, np.zeros((3, 1)), np.zeros((3, 1, 1)))
     assert np.array_equal(out, y)
 
 
@@ -68,13 +82,11 @@ def test_step_rough_germ_example():
     # y -> y (1 + dx + dx^2/2), the second-order Taylor germ of y e^dx
     coeffs = _linear_coeffs()
     y0, dx = 2.0, 0.1
-    y = np.array([y0])
-    fs = coeffs.f_components()
-    out = _add_germ(y, y, coeffs, fs, 0.0, 0.0, np.array([[dx]]), np.array([[[0.5 * dx**2]]]))
+    out = _germ_once(coeffs, np.array([y0]), 0.0, 0.0, np.array([[dx]]), np.array([[[0.5 * dx**2]]]))
     assert out[0] == pytest.approx(y0 * (1.0 + dx + 0.5 * dx**2), abs=1e-15)
 
 
-def _germ_case(dim):
+def _germ_drivers(dim):
     b, s = smooth_fn("tanh_affine", a=0.4, b=0.9), smooth_fn("sin_bundle", a=0.5, b=1.1, c=0.2)
     if dim == 1:  # a jump driver, so jump events are among the increments
         mix = simulate_mixed(1.0, 32, seed=37, n_members=16, rate=3.0)
@@ -84,27 +96,88 @@ def _germ_case(dim):
         lift = ito_lift_brownian(simulate_brownian(1.0, 32, seed=39, n_members=16, dim=2), seed=39)
         mart = simulate_brownian(1.0, 32, seed=41, n_members=16)
         f = (smooth_fn("sin_bundle", a=0.7, c=0.1), smooth_fn("tanh_affine", a=0.5, b=0.8, c=0.2))
-    return CoefficientSet(b=b, sigma=s, f=f), build_event_schedule(lift, mart)
+    return CoefficientSet(b=b, sigma=s, f=f), lift, mart
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_add_germ_matches_einsum_oracle_bitwise(dim):
+def test_germ_kernel_matches_the_oracle_germs_bitwise(dim):
     # at d = 2 too: the sums run over the directions in einsum's order
-    coeffs, sched = _germ_case(dim)
+    coeffs, lift, mart = _germ_drivers(dim)
+    sched = build_event_schedule(lift, mart)
     fs = coeffs.f_components()
+    germ = rsde._germ_kernel(coeffs, fs, sched)
     y = np.linspace(-1.5, 1.5, 16)
-    # solve: one event at a time, shape (N,), starting from y
+    # solve: one event at a time, shape (N,), from y into another row
+    out, scratch = np.empty_like(y), rsde._germ_scratch(fs, y.shape)
     for e in range(sched.dt.size):
         args = (sched.dt[e], sched.dm[e], sched.dx[e], sched.xx[e])
-        got = _add_germ(y, y, coeffs, fs, *args)
-        assert np.array_equal(got, add_germ_einsum(y, y, coeffs, fs, *args))
-    # Picard: every event at once, time-major (L, N), starting from zeros
+        for zero_starts in (False, True):
+            germ(y, y, out, scratch, e, zero_starts)
+            for oracle in (add_germ, add_germ_einsum):
+                assert out.tobytes() == oracle(y, y, coeffs, fs, *args).tobytes()
+    # Picard: every event at once, time-major (L, N), from 0.0
     ys = np.cos(np.arange(sched.dt.size))[:, None] * y[None, :]
+    out = np.empty_like(ys)
+    germ(0.0, ys, out, rsde._germ_scratch(fs, ys.shape), slice(None), True)
     zero = np.zeros_like(ys)
     args = (sched.dt[:, None], sched.dm, sched.dx, sched.xx)
-    got = _add_germ(zero, ys, coeffs, fs, *args)
-    assert got.shape == ys.shape
-    assert np.array_equal(got, add_germ_einsum(zero, ys, coeffs, fs, *args))
+    for oracle in (add_germ, add_germ_einsum):
+        assert out.tobytes() == oracle(zero, ys, coeffs, fs, *args).tobytes()
+
+
+def _counted(fn, role, calls):
+    """fn whose f, df and d2f count their calls in calls[role, name]."""
+
+    def count(name, g):
+        def counted(y):
+            calls[role, name] += 1
+            return g(y)
+
+        return counted
+
+    return dataclasses.replace(fn, **{k: count(k, getattr(fn, k)) for k in ("f", "df", "d2f")})
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_solvers_evaluate_each_coefficient_once_per_event(dim):
+    # solve: one f per coefficient and one df per rough component per event;
+    # Picard: the same per iteration, over the window's events at once
+    coeffs, lift, mart = _germ_drivers(dim)
+    calls = collections.Counter()
+    fs = tuple(_counted(fn, f"f{i}", calls) for i, fn in enumerate(coeffs.f_components()))
+    counted = CoefficientSet(
+        b=_counted(coeffs.b, "b", calls), sigma=_counted(coeffs.sigma, "sigma", calls),
+        f=fs if dim > 1 else fs[0],
+    )
+    roles = ["b", "sigma", *(f"f{i}" for i in range(dim))]
+
+    def once_each(k):
+        return collections.Counter(
+            {**{(r, "f"): k for r in roles}, **{(f"f{i}", "df"): k for i in range(dim)}}
+        )
+
+    y0 = np.linspace(-0.5, 0.5, lift.path.n_members)
+    res = solve(counted, y0, lift, mart)
+    assert calls == once_each(res.diagnostics["n_events"])
+    calls.clear()
+    res = picard_solve(counted, y0, lift, mart)
+    assert calls == once_each(sum(res.diagnostics["iterations"]))
+
+
+def test_a_constant_derivative_enters_as_its_scalar(monkeypatch):
+    # the registry's linear entry has the constant derivative a: the solvers
+    # multiply by the scalar and never build an array of it
+    calls = []
+    real_call = calculus._Constant.__call__
+    monkeypatch.setattr(
+        calculus._Constant, "__call__", lambda fn, y: calls.append(y.shape) or real_call(fn, y)
+    )
+    coeffs = _linear_set()
+    lift, mart = _schedule_cases()["x_and_m_jumps"]
+    solve(coeffs, 0.2, lift, mart)
+    picard_solve(coeffs, 0.2, lift, mart)
+    assert calls == []
+    assert np.array_equal(coeffs.f.df(np.zeros(3)), np.full(3, 0.7))
 
 
 def test_solve_constant_when_no_coefficients():
@@ -312,22 +385,109 @@ def test_event_schedule_matches_step_loop_oracle(case):
     assert all(a.flags.c_contiguous for a in (sched.dm, sched.dx, sched.xx))
 
 
+def _linear_set():
+    # every coefficient a registry `linear`, whose derivative the kernel reads
+    # as a scalar
+    with pytest.warns(UserWarning):  # linear is unbounded by design
+        return CoefficientSet(
+            b=smooth_fn("linear", a=-0.3, c=0.1), sigma=smooth_fn("linear", a=0.2),
+            f=smooth_fn("linear", a=0.7),
+        )
+
+
+def _same_bytes(a, b):
+    """Equal shapes and bytes: unlike ==, this tells -0.0 from +0.0."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_solve_matches_oracles(coeffs, y0, lift, mart, ranges):
+    """`solve` against the member-major loop with both oracle germs, bytewise."""
+    n = lift.grid.n_steps
+    ref = _loop_schedule(lift, mart)
+    args = (ref["dt"], ref["dm"], ref["dx"], ref["xx"], _loop_dest(ref, n), ref["event_start"])
+    n_jumps = ref["jump_indices"].size
+    for start, stop in ranges:
+        res = solve(coeffs, y0, lift, mart, start=start, stop=stop)
+        for germ in (add_germ, add_germ_einsum):
+            values, left = solve_member_major(
+                germ, coeffs, coeffs.f_components(), y0, *args, n_jumps, start=start, stop=stop
+            )
+            assert _same_bytes(res.values, values), (germ.__name__, start)
+            assert _same_bytes(res.left_values, left), (germ.__name__, start)
+    return res
+
+
+def _assert_picard_matches_oracles(coeffs, y0, lift, mart):
+    """`picard_solve` against the allocating loop with both oracle germs, bytewise."""
+    res = picard_solve(coeffs, y0, lift, mart)
+    for germ in (add_germ, add_germ_einsum):
+        values, left, iterations, distances = picard_allocating_loop(
+            rsde, germ, coeffs, y0, lift, mart
+        )
+        assert _same_bytes(res.values, values), germ.__name__
+        assert _same_bytes(res.left_values, left), germ.__name__
+        assert res.diagnostics["iterations"] == iterations
+        assert _same_bytes(np.array(sum(res.diagnostics["distances"], [])),
+                           np.array(sum(distances, [])))
+    return res
+
+
 @pytest.mark.parametrize("layout", list(_LAYOUTS))
 @pytest.mark.parametrize("case", _SCHEDULE_CASES)
 def test_solve_matches_member_major_loop_oracle_bitwise(case, layout):
     lift, mart = _LAYOUTS[layout](*_schedule_cases()[case])
-    coeffs, n = _all_coeffs(), lift.grid.n_steps
+    n = lift.grid.n_steps
     y0 = np.linspace(-0.5, 0.5, lift.path.n_members)
-    ref = _loop_schedule(lift, mart)
-    args = (ref["dt"], ref["dm"], ref["dx"], ref["xx"], _loop_dest(ref, n), ref["event_start"])
-    n_jumps = ref["jump_indices"].size
-    for start, stop in [(0, n), (n // 3, 2 * n // 3)]:  # the full range and a restart
-        res = solve(coeffs, y0, lift, mart, start=start, stop=stop)
-        values, left = solve_member_major(
-            _add_germ, coeffs, coeffs.f_components(), y0, *args, n_jumps, start=start, stop=stop
-        )
-        assert np.array_equal(res.values, values)
-        assert np.array_equal(res.left_values, left, equal_nan=True)
+    for coeffs in (_all_coeffs(), _linear_set()):
+        # the full range and a restart
+        _assert_solve_matches_oracles(coeffs, y0, lift, mart, [(0, n), (n // 3, 2 * n // 3)])
+
+
+@pytest.mark.parametrize("layout", list(_LAYOUTS))
+@pytest.mark.parametrize("case", _SCHEDULE_CASES)
+def test_picard_matches_the_allocating_loop_oracle_bitwise(case, layout):
+    lift, mart = _LAYOUTS[layout](*_schedule_cases()[case])
+    y0 = np.linspace(-0.5, 0.5, lift.path.n_members)
+    for coeffs in (_all_coeffs(), _linear_set()):
+        _assert_picard_matches_oracles(coeffs, y0, lift, mart)
+
+
+def _zero_driver(n_members, dim, n=12, jumps=(4, 9)):
+    """A driver whose every increment is +0.0, with declared jumps in both
+    the lift and the martingale."""
+    grid = make_uniform_grid(1.0, n)
+    ix = np.array(jumps, dtype=np.int64)
+    zeros, left = np.zeros((n_members, n + 1, dim)), np.zeros((n_members, ix.size, dim))
+    path = SamplePath(grid=grid, values=zeros, jump_indices=ix, left_values=left)
+    lift = RoughLift(path=path, step_second=np.zeros((n_members, n, dim, dim)))
+    mart = MartingalePath(
+        grid=grid, values=zeros[..., :1], jump_indices=ix, left_values=left[..., :1],
+        bracket=np.zeros((1, n + 1, 1, 1)),
+    )
+    return lift, mart
+
+
+@pytest.mark.parametrize(
+    "rough, dim", [(False, 1), (True, 1), (True, 2)], ids=["b_sigma", "rough_d1", "rough_d2"]
+)
+def test_solvers_keep_the_sign_of_zero_bitwise(rough, dim):
+    # y0 holds -0.0 and every increment is 0.0, so every term is a signed
+    # zero; coefficients with c = -0.0 map -0.0 to -0.0 and carry the sign
+    ident = smooth_fn("linear", c=-0.0)
+    coeffs = CoefficientSet(b=ident, sigma=smooth_fn("sin_bundle", c=-0.0))
+    if rough:
+        fs = (ident, smooth_fn("linear", a=2.0, c=-0.0))[:dim]
+        with pytest.warns(UserWarning):
+            coeffs = CoefficientSet(b=coeffs.b, sigma=coeffs.sigma, f=fs if dim > 1 else fs[0])
+    lift, mart = _zero_driver(6, dim)
+    y0 = np.array([-0.0, 0.0, -0.0, 0.25, -0.0, -1.5])
+    n = lift.grid.n_steps
+    res = _assert_solve_matches_oracles(coeffs, y0, lift, mart, [(0, n), (n // 3, n)])
+    # the restart keeps y0's -0.0 on its rows; past them a b/sigma path stays
+    # -0.0, while a rough sum starting from 0.0 turns it into +0.0
+    assert np.signbit(res.values[0, : n // 3 + 1]).all()
+    assert np.signbit(res.values[0, n]) == (not rough)
+    _assert_picard_matches_oracles(coeffs, y0, lift, mart)
 
 
 @pytest.mark.parametrize("solver", [solve, picard_solve])
