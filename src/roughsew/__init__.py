@@ -25,7 +25,6 @@ from .grids import (
     Partition,
     TimeGrid,
     alternating_midpoints,
-    increment_table,
     insert_times,
     make_uniform_grid,
     p_variation,

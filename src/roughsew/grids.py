@@ -9,13 +9,15 @@ moves a jump.
 A control is stored as its rows: row(s, t) = w(s, s+1..t), a prefix of
 row(s, t') for t <= t', nondecreasing for the time and p-variation controls
 and for superadditive tables (`control_from_table` does not check this).
-Midpoint refinement and p-variation read rows.  The p-variation DP itself
-reads one table column per end point, so a caller that grows a window, as
-the solver's Picard plan does, feeds it columns as it builds them.
+Midpoint refinement reads rows.  `_pvar_dp`, the package's one p-variation
+DP, reads a table column per end point, so every seminorm, control and
+Picard window (which grows column by column) feeds it columns as it builds them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isnan, nan
+from operator import add
 from typing import Callable
 
 import numpy as np
@@ -103,32 +105,36 @@ def insert_times(grid: TimeGrid, extra: np.ndarray) -> TimeGrid:
     return TimeGrid(out)
 
 
-def increment_table(values: np.ndarray) -> np.ndarray:
-    """|x_j - x_i| for a single path.
-
-    values: (n+1,) or (n+1, d); returns the symmetric (n+1, n+1) table of
-    increment magnitudes (Euclidean norm across components).  This is the
-    ensemble table builder of `norms` at N = 1, mirrored below the diagonal.
-    """
-    from .norms import lq_table  # norms builds on this module
-
-    upper = lq_table(np.asarray(values, dtype=float)[None], 2.0)
-    return upper + upper.T
+def _check_window(fn: str, n_points: int, s: int, t: int | None) -> int:
+    """The seminorms' window rule 0 <= s <= t < n_points (t None: the last)."""
+    t = n_points - 1 if t is None else t
+    if not 0 <= s <= t < n_points:
+        raise ValueError(f"{fn} needs 0 <= s <= t <= {n_points - 1}, got s={s}, t={t}")
+    return t
 
 
-def _pvar_dp(columns, m: int):
+def _pvar_dp(columns):
     """Yield best[j] = max over partitions of [0, j] of the summed powers[u, v]
-    for j = 1, 2, ... (at most m), one per column powers[:j, j] fed in.
+    for j = 1, 2, ..., one per column powers[:j, j] fed in, a list of floats
+    >= 0 or NaN: best[j] is the max over i < j of best[i] + powers[i, j].
 
-    The O(m^2) dynamic program over end points: the best value reaching j is
-    the best value reaching any i < j plus powers[i, j].  It reads each column
-    once, as it arrives, so a caller can build a table column by column and
-    stop where it likes.
+    Each column is read once, as it arrives, so a caller can build a table
+    column by column and stop where it likes.  Plain floats, as a numpy call
+    per column costs more than its additions up to a few hundred points.  A
+    NaN cell or best makes every later value NaN, as in `np.max`.
     """
-    best = np.zeros(m + 1)
-    for j, column in enumerate(columns, 1):
-        best[j] = np.max(best[:j] + column)
-        yield best[j]
+    best = [0.0]
+    for column in columns:
+        # `max` skips a NaN that is not first; a NaN cell makes the sum NaN
+        top = nan if isnan(best[-1] + sum(column)) else max(map(add, best, column))
+        best.append(top)
+        yield top
+
+
+def _powers(dist: np.ndarray, p: float) -> np.ndarray:
+    if not p >= 1:
+        raise ValueError(f"p must be >= 1, got p={p}")
+    return np.abs(np.asarray(dist, dtype=float)) ** p
 
 
 def p_variation(dist: np.ndarray, p: float, s: int = 0, t: int | None = None) -> float:
@@ -138,11 +144,12 @@ def p_variation(dist: np.ndarray, p: float, s: int = 0, t: int | None = None) ->
 
         sup over partitions P of [s, t] of (sum over [u,v] in P |dist|^p)^(1/p),
 
-    the rooted right-end value of the window's `pvar_control`.
+    the rooted right-end value of the window's DP (0 on a one-point window).
     """
-    t = dist.shape[0] - 1 if t is None else t
-    window = np.asarray(dist, dtype=float)[s : t + 1, s : t + 1]
-    return pvar_control(window, p)(0, t - s) ** (1.0 / p)
+    t = _check_window("p_variation", np.shape(dist)[0], s, t)
+    powers = _powers(np.asarray(dist)[s : t + 1, s : t + 1], p)
+    *_, best = 0.0, *_pvar_dp(powers[:u, u].tolist() for u in range(1, t - s + 1))
+    return best ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------
@@ -197,16 +204,14 @@ def pvar_control(dist: np.ndarray, p: float, name: str = "pvar") -> ControlFn:
     any longer window, so the row of start s is rebuilt only when a longer t
     is asked for.
     """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    powers = np.abs(np.asarray(dist, dtype=float)) ** p
+    powers = _powers(dist, p)
     rows: dict[int, np.ndarray] = {}
 
     def row(s: int, t: int) -> np.ndarray:
         best = rows.get(s)
         if best is None or best.size < t - s:
-            columns = (powers[s:u, u] for u in range(s + 1, t + 1))
-            rows[s] = best = np.fromiter(_pvar_dp(columns, t - s), float, t - s)
+            columns = (powers[s:u, u].tolist() for u in range(s + 1, t + 1))
+            rows[s] = best = np.fromiter(_pvar_dp(columns), float, t - s)
         return best[: t - s]
 
     return ControlFn(row, name=name)

@@ -63,8 +63,7 @@ def ito_integrate(integrand: np.ndarray, mart: MartingalePath) -> IntegralProces
     """
     if mart.dim != 1:
         raise ValueError("ito_integrate handles one-dimensional martingales")
-    values = step_path(ito_germ(integrand, mart.values), mart.grid)
-    return IntegralProcess(grid=mart.grid, values=values, jump_indices=mart.jump_indices)
+    return young_integrate(integrand, mart.values, mart.grid, mart.jump_indices)
 
 
 def _controlled_steps(y: np.ndarray, yp: np.ndarray, dx: np.ndarray, xx: np.ndarray) -> np.ndarray:

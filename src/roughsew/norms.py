@@ -8,8 +8,8 @@ unconditional ensemble means (for r = 1 the two families coincide; r = infinity
 facts enter only through analytic closed forms such as a stored Brownian
 bracket).  Every table cell comes from one reduction, `_pair_cells`, over
 a chunk of grid-point pairs at once, and equals the cell of a table built
-row by row bit for bit; `_pair_seminorm` runs the p-variation DP over the
-cells for every seminorm (and the solver's Picard update distances), except
+row by row bit for bit; `_pair_seminorm` feeds them to `grids._pvar_dp`
+for every seminorm (and the solver's Picard update distances), except
 the q = 2 table of an ensemble, which `lq_table` reads off one Gram product G of
 the members' paths, each centred by its time-mean:
 ||dY_{i,j}||^2 = (G_ii + G_jj - 2 G_ij) / N.  That subtraction cancels where
@@ -21,11 +21,9 @@ tables are only built for n <= 2048 as a memory guard.
 """
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
-from .grids import p_variation
+from .grids import _check_window, _pvar_dp, p_variation
 from .paths import RoughLift
 
 __all__ = [
@@ -76,15 +74,12 @@ _PAIR_CELL_BUDGET = 2**14
 
 def _check_args(fn: str, n_points: int, s: int, t: int | None, q: float, **exponents) -> int:
     """The public seminorms' one argument rule: q and every variation exponent
-    >= 1 and 0 <= s <= t < n_points, else one `ValueError` line; returns t."""
-    t = n_points - 1 if t is None else t
+    >= 1 and `grids._check_window`, else one `ValueError` line; returns t."""
     low = {name: v for name, v in {**exponents, "q": q}.items() if not v >= 1}
     if low:
         got = ", ".join(f"{name}={v}" for name, v in low.items())
         raise ValueError(f"{fn} needs {' and '.join([*exponents, 'q'])} >= 1, got {got}")
-    if not 0 <= s <= t < n_points:
-        raise ValueError(f"{fn} needs 0 <= s <= t <= {n_points - 1}, got s={s}, t={t}")
-    return t
+    return _check_window(fn, n_points, s, t)
 
 
 def _column_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -121,23 +116,18 @@ def _pair_cells(increments, n_members: int, q: float, ii, jj, t: int | None = No
 def _pair_seminorm(increments, n_members: int, s: int, t: int, p: float, q: float, pairs=None):
     """The V^p L^q seminorm over the grid points s..t of increments(i, j)
     (see `_pair_cells`), bit for bit the p-variation of the row-built table:
-    the cells of `pairs` = `_column_pairs(t - s + 1)` shifted by s, then the
-    DP over the columns in plain floats; a NaN cell gives NaN, as
-    `grids._pvar_dp` does."""
+    the cells of `pairs` = `_column_pairs(t - s + 1)` shifted by s, then
+    `grids._pvar_dp` over their columns (a NaN cell gives NaN)."""
     if t == s:
         return 0.0
     ii, jj = _column_pairs(t - s + 1) if pairs is None else pairs
     if s:
         ii, jj = ii + s, jj + s
-    cells = _pair_cells(increments, n_members, q, ii, jj, t)
-    if np.isnan(cells).any():
-        return float("nan")
-    powers = (cells**p).tolist()
-    best = [0.0]
-    for j in range(1, t - s + 1):
-        k = j * (j - 1) // 2  # column j holds the pairs (0..j-1, j)
-        best.append(max(map(operator.add, best, powers[k : k + j])))
-    return best[-1] ** (1.0 / p)
+    powers = (_pair_cells(increments, n_members, q, ii, jj, t) ** p).tolist()
+    # column j holds the pairs (0..j-1, j), from position j (j - 1) / 2 on
+    columns = (powers[j * (j - 1) // 2 : j * (j + 1) // 2] for j in range(1, t - s + 1))
+    *_, best = _pvar_dp(columns)
+    return best ** (1.0 / p)
 
 
 def _check_table_size(n_points: int):
@@ -189,7 +179,7 @@ def lq_table(values: np.ndarray, q: float, s: int = 0, t: int | None = None) -> 
     block = v[:, s : t + 1, :]
     m = t - s + 1
     _check_table_size(m)
-    # a single path keeps its exact differences (`grids.increment_table`)
+    # a single path keeps its exact differences: |x_v - x_u| from pair cells
     gram = _gram_table(block) if q == 2.0 and block.shape[0] >= 2 else None
     out, rows = (np.zeros((m, m)), np.arange(m - 1)) if gram is None else gram
     last = rows.size > 0 and rows[-1] == m - 2  # row m-2's one cell goes last
@@ -204,9 +194,8 @@ def lq_table(values: np.ndarray, q: float, s: int = 0, t: int | None = None) -> 
     return out
 
 
-def two_param_seminorm(table: np.ndarray, p: float, s: int = 0, t: int | None = None) -> float:
-    """p-variation of a two-parameter magnitude table (e.g. remainder norms)."""
-    return p_variation(table, p, s=s, t=t)
+#: p-variation of a two-parameter magnitude table (e.g. remainder norms)
+two_param_seminorm = p_variation
 
 
 def vp_lq_seminorm(
@@ -251,6 +240,9 @@ def chen_residual(lift: RoughLift, s: int, u: int, t: int) -> float:
     max over members of |XX_{s,t} - XX_{s,u} - XX_{u,t} - dX_{s,u} (x) dX_{u,t}|
     divided by (1 + |XX_{s,t}|), where |.| is the Frobenius norm.
     """
+    n = lift.grid.n_steps
+    if not 0 <= s <= u <= t <= n:
+        raise ValueError(f"chen_residual needs 0 <= s <= u <= t <= {n}, got s={s}, u={u}, t={t}")
     x = lift.path.values
     dxsu = x[:, u, :] - x[:, s, :]
     dxut = x[:, t, :] - x[:, u, :]

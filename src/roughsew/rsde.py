@@ -473,8 +473,8 @@ def _plan_windows(lift, mart, p, q) -> list[tuple[int, int]]:
 
     def powered_seminorms(s, column, r, pw):
         """The table's powered seminorm over [s, u] for u = s+1, s+2, ..."""
-        cells = (_lq_cells(column(s, u), r) ** pw for u in range(s + 1, n + 1))
-        return _pvar_dp(cells, n - s)
+        cells = ((_lq_cells(column(s, u), r) ** pw).tolist() for u in range(s + 1, n + 1))
+        return _pvar_dp(cells)
 
     out: list[tuple[int, int]] = []
     s = 0
@@ -516,10 +516,12 @@ def picard_solve(
     schedule is shared with the other solver calls on the same drivers (see
     the module docstring).  Diagnostics record window boundaries, iteration counts and
     successive distances, plus the event count and diverged members as in
-    `solve`.  p and q below 1 are refused before any planning.
+    `solve`.  p or q below 1 and max_iter below 1 are refused before planning.
     """
     if p < 1 or q < 1:
         raise ValueError(f"picard_solve needs p >= 1 and q >= 1, got p={p}, q={q}")
+    if max_iter < 1:
+        raise ValueError(f"picard_solve needs max_iter >= 1, got max_iter={max_iter}")
     sched, fs, state = _prologue(coeffs, y0, lift, mart, 0)
     germ = _germ_kernel(coeffs, fs, sched)
     n = lift.grid.n_steps

@@ -11,7 +11,7 @@ N = 10^4-10^5 ensembles.
 import numpy as np
 import pytest
 
-from oracles import brute_force_p_variation
+from oracles import brute_force_p_variation, increment_table_broadcast
 
 # the exponential scenarios use the (intentionally) unbounded linear rough
 # coefficient; its advisory warning is expected, not a finding
@@ -20,7 +20,6 @@ pytestmark = pytest.mark.filterwarnings("ignore:rough coefficient 'linear' is un
 from roughsew.grids import (
     alternating_midpoints,
     control_from_table,
-    increment_table,
     make_uniform_grid,
     p_variation,
 )
@@ -297,7 +296,7 @@ def test_criterion_13_p_variation_oracle():
     for _ in range(200):
         m = int(rng.integers(2, 11))  # grids with at most 10 points
         vals = rng.normal(size=(m, int(rng.integers(1, 3))))
-        tab = increment_table(vals)
+        tab = increment_table_broadcast(vals)
         p = float(rng.choice([1.0, 1.5, 2.0, 2.5, 3.0]))
         if p_variation(tab, p) != brute_force_p_variation(tab, p):
             mismatches += 1

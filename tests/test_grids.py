@@ -1,6 +1,7 @@
 """Grids, partitions, p-variation, controls, and midpoint machinery."""
 
 import ast
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,6 @@ from roughsew.grids import (
     alternating_midpoints,
     control_from_table,
     full_partition,
-    increment_table,
     insert_times,
     make_uniform_grid,
     p_variation,
@@ -25,9 +25,11 @@ from roughsew.grids import (
 
 from roughsew import grids
 from oracles import (
+    _pvar_dp_row,
     alternating_midpoints_undeduplicated,
     brute_force_p_variation,
     halving_scan,
+    increment_table_broadcast,
     pvar_dp_rows,
 )
 
@@ -72,16 +74,6 @@ def test_full_partition_covers_window():
     assert np.all(np.diff(part.indices) == 1)
 
 
-def test_increment_table_magnitudes():
-    vals = np.array([0.0, 1.0, -0.5, 2.0])
-    tab = increment_table(vals)
-    assert tab.shape == (4, 4)
-    assert tab[0, 3] == pytest.approx(2.0)
-    assert tab[1, 2] == pytest.approx(1.5)  # magnitude of -1.5
-    assert np.all(np.diag(tab) == 0.0)
-    assert np.allclose(tab, tab.T)
-
-
 # ---------------------------------------------------------------------------
 # p-variation
 # ---------------------------------------------------------------------------
@@ -89,19 +81,19 @@ def test_increment_table_magnitudes():
 
 def test_p_variation_two_point_table():
     # single increment: the p-variation is just its magnitude
-    tab = increment_table(np.array([0.0, 3.0]))
+    tab = increment_table_broadcast(np.array([0.0, 3.0]))
     assert p_variation(np.abs(tab), 2.0) == pytest.approx(3.0)
 
 
 def test_p_variation_monotone_path_is_total_increment_for_p1():
     vals = np.array([0.0, 1.0, 2.5, 4.0])
-    tab = np.abs(increment_table(vals))
+    tab = np.abs(increment_table_broadcast(vals))
     assert p_variation(tab, 1.0) == pytest.approx(4.0)
 
 
 def test_p_variation_matches_brute_force_on_zigzag():
     vals = np.array([0.0, 1.0, -1.0, 0.5, 0.0])
-    tab = increment_table(vals)
+    tab = increment_table_broadcast(vals)
     for p in (1.0, 1.5, 2.0, 3.0):
         # the oracle returns the rooted value too; match it exactly
         assert p_variation(tab, p) == brute_force_p_variation(tab, p)
@@ -115,7 +107,7 @@ def test_p_variation_matches_brute_force_on_zigzag():
     p=st.sampled_from([1.0, 1.3, 2.0, 2.7, 3.0]),
 )
 def test_p_variation_dynamic_program_equals_brute_force(vals, p):
-    tab = increment_table(np.asarray(vals))
+    tab = increment_table_broadcast(np.asarray(vals))
     # the brute force is rooted as well and left-associates its sums, so the
     # dynamic program must reproduce it bit for bit
     assert p_variation(tab, p) == brute_force_p_variation(tab, p)
@@ -129,7 +121,7 @@ def test_p_variation_rejects_p_below_one():
 
 def test_p_variation_window_restriction():
     vals = np.array([0.0, 2.0, 2.0, 5.0])
-    tab = np.abs(increment_table(vals))
+    tab = np.abs(increment_table_broadcast(vals))
     assert p_variation(tab, 1.0, s=1, t=2) == pytest.approx(0.0)
     assert p_variation(tab, 1.0, s=1, t=3) == pytest.approx(3.0)
 
@@ -160,7 +152,7 @@ def test_pvar_control_superadditive_on_random_table():
     rng = np.random.default_rng(5)
     vals = np.cumsum(rng.standard_normal(9))
     g = make_uniform_grid(1.0, 8)
-    tab = np.abs(increment_table(vals))
+    tab = np.abs(increment_table_broadcast(vals))
     w = pvar_control(tab, 2.0)
     assert _superadditivity_violation(w, 8) <= 1e-12
     # the control is the p-th power of the rooted p-variation
@@ -170,7 +162,7 @@ def test_pvar_control_superadditive_on_random_table():
 def test_pvar_control_rows_equal_loop_oracle_bitwise():
     rng = np.random.default_rng(21)
     n = 14
-    tab = increment_table(np.cumsum(rng.standard_normal((n + 1, 2)), axis=0))
+    tab = increment_table_broadcast(np.cumsum(rng.standard_normal((n + 1, 2)), axis=0))
     for p in (1.0, 2.0, 2.5):
         want = pvar_dp_rows(tab, p)
         # t increasing rebuilds each start's cached DP; t decreasing reads it
@@ -182,8 +174,40 @@ def test_pvar_control_rows_equal_loop_oracle_bitwise():
         assert p_variation(tab, p) == float(want[0][-1]) ** (1.0 / p)
 
 
+def _dp_powers(rng, m, nan_column=None):
+    """A random (m+1, m+1) power table with 0 and inf cells, and a NaN cell
+    in column `nan_column` when given."""
+    powers = rng.uniform(0.0, 2.0, (m + 1, m + 1))
+    powers[rng.uniform(size=powers.shape) < 0.05] = 0.0
+    powers[rng.uniform(size=powers.shape) < 0.002] = np.inf
+    if nan_column is not None:
+        powers[rng.integers(nan_column), nan_column] = np.nan
+    return powers
+
+
+def test_pvar_dp_equals_the_numpy_loop_oracle_bitwise():
+    # the plain-float DP against the numpy end-point loop, NaN where np.max
+    # gives NaN, and fed lazily: a caller that stops early, as the Picard
+    # planner does, has built only the columns it read
+    rng = np.random.default_rng(18)
+    for m in [*range(1, 65), 256]:
+        for nan_column in (None, 1, (m + 1) // 2):
+            powers = _dp_powers(rng, m, nan_column)
+            want = _pvar_dp_row(powers)
+            got = [0.0, *grids._pvar_dp(powers[:u, u].tolist() for u in range(1, m + 1))]
+            assert np.array(got).tobytes() == want.tobytes()
+            if nan_column is not None:  # NaN from its column on
+                assert np.isnan(want[nan_column:]).all() and not np.isnan(want[:nan_column]).any()
+            fed = []
+            columns = (fed.append(u) or powers[:u, u].tolist() for u in range(1, m + 1))
+            stop = int(rng.integers(1, m + 1))
+            got = [0.0, *itertools.islice(grids._pvar_dp(columns), stop)]
+            assert fed == list(range(1, stop + 1))
+            assert np.array(got).tobytes() == want[: stop + 1].tobytes()
+
+
 def test_pvar_control_rejects_p_below_one():
-    tab = increment_table(np.arange(5.0))
+    tab = increment_table_broadcast(np.arange(5.0))
     with pytest.raises(ValueError, match="p must be >= 1"):
         pvar_control(tab, 0.5)
 
@@ -239,7 +263,7 @@ def test_alternating_midpoints_match_halving_scan_bitwise():
     n = 24
     g = TimeGrid(np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, n))]))
     times = g.times
-    tab = increment_table(np.cumsum(rng.standard_normal((n + 1, 2)), axis=0))
+    tab = increment_table_broadcast(np.cumsum(rng.standard_normal((n + 1, 2)), axis=0))
     rough = rng.uniform(0.0, 1.0, (n + 1, n + 1))  # rows not monotone
     rough[3, 5:9] = 0.0
     rough[5, 20:] = np.nan  # a NaN mass: no first hit, the midpoint is b
@@ -270,7 +294,7 @@ def test_alternating_midpoints_stay_linear_once_the_grid_is_full():
     # cost one midpoint per grid interval, not one per doubled working point
     rng = np.random.default_rng(5)
     g = TimeGrid(np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, 16))]))
-    tab = increment_table(np.cumsum(rng.standard_normal((17, 2)), axis=0))
+    tab = increment_table_broadcast(np.cumsum(rng.standard_normal((17, 2)), axis=0))
     ws = [time_control(g), pvar_control(tab, 2.0)]
     calls = []
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from roughsew.calculus import smooth_fn
-from roughsew.grids import increment_table, make_uniform_grid, p_variation
+from roughsew.grids import make_uniform_grid, p_variation
 from roughsew import cli, norms, rsde
 from roughsew.norms import (
     MAX_TABLE_POINTS,
@@ -91,12 +91,13 @@ def test_vp_lq_seminorm_monotone_single_member():
     # degenerate ensemble: reduces to the path's own p-variation
     assert vp_lq_seminorm(vals, 1.0, 2.0) == pytest.approx(3.0)
     assert vp_lq_seminorm(vals, 2.0, 2.0) == pytest.approx(
-        p_variation(increment_table(vals[0]), 2.0)
+        p_variation(increment_table_broadcast(vals[0]), 2.0)
     )
 
 
 def test_two_param_seminorm_is_p_variation():
-    tab = increment_table(np.array([0.0, 1.0, -1.0]))
+    tab = increment_table_broadcast(np.array([0.0, 1.0, -1.0]))
+    assert two_param_seminorm is p_variation
     assert two_param_seminorm(tab, 2.0) == p_variation(tab, 2.0)
 
 
@@ -141,6 +142,15 @@ def test_chen_residual_zero_for_consistent_lift():
         for (s, u, t) in [(0, 8, 32), (1, 2, 3), (10, 20, 30), (0, 0, 32), (5, 5, 5)]
     )
     assert worst < 1e-12
+
+
+@pytest.mark.parametrize("triple", [(5, 2, 1), (0, 3, 2), (-1, 2, 3), (0, 2, 33)])
+def test_chen_residual_refuses_a_triple_out_of_order_or_range(triple):
+    lift = smooth_lift("sine_cosine_pair", 2.0, 32)
+    s, u, t = triple
+    got = f"got s={s}, u={u}, t={t}$"
+    with pytest.raises(ValueError, match=f"^chen_residual needs 0 <= s <= u <= t <= 32, {got}"):
+        chen_residual(lift, s, u, t)
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +235,6 @@ def test_single_member_table_is_the_broadcast_increment_table_bitwise(dim):
     want = increment_table_broadcast(vals)
     upper = lq_table(vals[None], 2.0)
     assert np.array_equal(upper, np.triu(want))
-    assert np.array_equal(increment_table(vals), want)
 
 
 GRAM_RTOL = 1e-12
@@ -623,10 +632,17 @@ def _seminorm_calls(lift, other):
         ({"s": 6, "t": 3}, "0 <= s <= t <= 12, got s=6, t=3"),
         ({"s": -1, "t": 3}, "0 <= s <= t <= 12, got s=-1, t=3"),
         ({"s": 2, "t": 13}, "0 <= s <= t <= 12, got s=2, t=13"),
+        ({"s": 5, "t": 2}, "0 <= s <= t <= 12, got s=5, t=2"),
+        ({"s": -3}, "0 <= s <= t <= 12, got s=-3, t=12"),
+        ({"t": 20}, "0 <= s <= t <= 12, got s=0, t=20"),
     ],
 )
 def test_public_seminorms_refuse_bad_arguments_in_one_line(kwargs, match):
-    calls = _seminorm_calls(_lift(3, 2, seed=5), _lift(3, 2, seed=6))
+    lift = _lift(3, 2, seed=5)
+    calls = _seminorm_calls(lift, _lift(3, 2, seed=6))
+    if "q" not in kwargs:  # the table seminorm (`norms.two_param_seminorm`) takes no q
+        tab = lq_table(lift.path.values, 4.0)
+        calls["p_variation"] = lambda **kw: p_variation(tab, 2.5, **kw)
     for name, call in calls.items():
         with pytest.raises(ValueError, match=f"^{name} needs .*{match}$".replace("(", "\\(")):
             call(**kwargs)

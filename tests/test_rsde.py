@@ -678,6 +678,18 @@ def test_picard_refuses_p_or_q_below_one_before_planning(monkeypatch, p, q):
         picard_solve(_all_coeffs(), 0.0, ito_lift_brownian(bm), bm, p=p, q=q)
 
 
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_picard_refuses_max_iter_below_one_before_planning(monkeypatch, max_iter):
+    def no_plan(*args):
+        raise AssertionError("planned before the refusal")
+
+    monkeypatch.setattr(rsde, "_plan_windows", no_plan)
+    bm = simulate_brownian(1.0, 16, seed=29, n_members=4)
+    msg = f"^picard_solve needs max_iter >= 1, got max_iter={max_iter}$"
+    with pytest.raises(ValueError, match=msg):
+        picard_solve(_all_coeffs(), 0.0, ito_lift_brownian(bm), bm, max_iter=max_iter)
+
+
 @pytest.mark.parametrize("p,q", [(1.5, 4.0), (2.0, 1.5)])
 def test_stability_refuses_p_or_q_below_two_before_solving(monkeypatch, p, q):
     def no_solve(*args):
