@@ -131,6 +131,19 @@ class _Constant:
         return np.full_like(np.asarray(y, dtype=float), self.value)
 
 
+@dataclass(frozen=True, eq=False)
+class _Affine:
+    """y -> a * y + c: the registry's linear f, kept as its slope and offset
+    so the solver can write it into a reused row with the same two
+    operations instead of building two arrays per event."""
+
+    a: float
+    c: float
+
+    def __call__(self, y):
+        return self.a * y + self.c
+
+
 def _poly_derivatives(coeffs):
     c = np.asarray(coeffs, dtype=float)  # c[k] multiplies y^k
     d1 = c[1:] * np.arange(1, c.size)
@@ -161,7 +174,7 @@ def smooth_fn(name: str, **params) -> SmoothFn:
         a, c = params.get("a", 1.0), params.get("c", 0.0)
         return SmoothFn(
             "linear",
-            lambda y: a * y + c,
+            _Affine(a, c),
             _Constant(a),
             lambda y: np.zeros_like(np.asarray(y, dtype=float)),
             bounded=False,

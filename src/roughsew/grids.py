@@ -255,12 +255,16 @@ def alternating_midpoints(
         w_j(d_i, d_{i+1}-) <= 2^(-floor(h / N)) * w_j(s, t-).
 
     Returns one sorted, duplicate-free index array per level (degenerate
-    insertions collapse, so level h has at most 2^h + 1 points).
+    insertions collapse, so level h has at most 2^h + 1 points).  The window
+    must lie on the controls' grid: 0 <= s <= t, and the first control's
+    row(s, t) (the row level 1 reads) must hold all t - s entries.
     """
     if not ws:
         raise ValueError("need at least one control")
-    if t < s:
-        raise ValueError("empty window")
+    if not 0 <= s <= t or ws[0].row(s, t).size < t - s:
+        raise ValueError(
+            f"alternating_midpoints needs 0 <= s <= t on the controls' grid, got s={s}, t={t}"
+        )
     levels = [np.array([s, t], dtype=np.int64)]
     for h in range(1, depth + 1):
         w = ws[(h - 1) % len(ws)]

@@ -49,8 +49,8 @@ def lq_norm(samples: np.ndarray, q: float) -> float:
     samples: (N, ...) — any trailing shape; magnitudes are Euclidean across
     the trailing axes.
     """
-    if q < 1:
-        raise ValueError("q must be >= 1")
+    if not q >= 1:
+        raise ValueError(f"lq_norm needs q >= 1, got q={q}")
     return float(_lq_cells(np.asarray(samples, dtype=float), q, cell_axes=0))
 
 

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import SmoothFn, _Constant
+from .calculus import SmoothFn, _Affine, _Constant
 from .conventions import outer_increment
 from .grids import TimeGrid, _pvar_dp
 from .norms import (
@@ -246,9 +246,11 @@ def _germ_kernel(coeffs: CoefficientSet, fs, sched: EventSchedule):
     sigma-only step is plain Euler-Maruyama bitwise.  Each direction sum (i;
     then j outer, i inner) runs in `scratch` (`_germ_scratch`) before it is
     added.  Every coefficient is evaluated once, a registry derivative that
-    is a constant enters as its scalar, and the rest runs in place.  With
-    `zero_starts` each direction sum starts from 0.0, which turns a leading
-    -0.0 into +0.0 (see `solve`).
+    is a constant enters as its scalar, the registry's linear f is written
+    into its own scratch row as a * y, then += c (the two operations of
+    a * y + c), and the rest runs in place.  With `zero_starts` each
+    direction sum starts from 0.0, which turns a leading -0.0 into +0.0
+    (see `solve`).
     """
     b = None if coeffs.b is None else coeffs.b.f
     sigma = None if coeffs.sigma is None else coeffs.sigma.f
@@ -256,6 +258,7 @@ def _germ_kernel(coeffs: CoefficientSet, fs, sched: EventSchedule):
     f = [fn.f for fn in fs]
     df = [fn.df for fn in fs]
     slope = [fn.df.value if isinstance(fn.df, _Constant) else None for fn in fs]
+    affine = [(fn.f.a, fn.f.c) if isinstance(fn.f, _Affine) else None for fn in fs]
     dt, dm = sched.dt[:, None], sched.dm
     dx = [sched.dx[..., i] for i in range(d)]
     xx = [sched.xx[..., j, i] for j in range(d) for i in range(d)]
@@ -266,7 +269,7 @@ def _germ_kernel(coeffs: CoefficientSet, fs, sched: EventSchedule):
     mul, add = np.multiply, np.add
 
     def germ(base, y, out, scratch, ev, zero_starts):
-        acc, term = scratch
+        acc, term, rows = scratch
         if b is not None:
             mul(b(y), dt[ev], out=acc)
             base = add(base, acc, out=out)
@@ -275,7 +278,11 @@ def _germ_kernel(coeffs: CoefficientSet, fs, sched: EventSchedule):
             base = add(base, acc, out=out)
         if d:
             for i in range(d):
-                fv[i] = f[i](y)
+                if affine[i] is None:
+                    fv[i] = f[i](y)
+                else:
+                    fv[i] = mul(affine[i][0], y, out=rows[i])
+                    fv[i] += affine[i][1]
                 if slope[i] is None:
                     dfv[i] = df[i](y)
             mul(fv[0], dx[0][ev], out=acc)
@@ -302,10 +309,12 @@ def _germ_kernel(coeffs: CoefficientSet, fs, sched: EventSchedule):
 
 
 def _germ_scratch(fs, shape):
-    """The kernel's reused rows: a sum's accumulator, and its next term when
-    the rough driver has several directions."""
+    """The kernel's reused rows: a sum's accumulator, its next term when
+    the rough driver has several directions, and one value row per linear
+    registry component (None for the others)."""
     acc = np.empty(shape)
-    return acc, np.empty(shape) if len(fs) > 1 else None
+    rows = [np.empty(shape) if isinstance(fn.f, _Affine) else None for fn in fs]
+    return acc, np.empty(shape) if len(fs) > 1 else None, rows
 
 
 # ---------------------------------------------------------------------------

@@ -267,11 +267,15 @@ def scenario_sewing_rate(cfg: ExperimentConfig):
     b = bm.values[..., 0]
     rows = []
 
-    for tag, germ in (
-        ("ito", sewing.ito_germ(b, b)),
-        ("qv", sewing.qv_germ(b, bracket=bm.bracket[..., 0, 0])),
+    # B's controls are built once: the ito germ's list is [time, w_B, w_B],
+    # and its first two are the qv germ's default controls
+    ito = sewing.ito_germ(b, b)
+    controls = sewing.default_controls(ito, bm.grid)
+    for tag, germ, ws in (
+        ("ito", ito, controls),
+        ("qv", sewing.qv_germ(b, bracket=bm.bracket[..., 0, 0]), controls[:2]),
     ):
-        rep = sewing.convergence_rate(germ, bm.grid, depth=depth, q=2.0)
+        rep = sewing.convergence_rate(germ, bm.grid, controls=ws, depth=depth, q=2.0)
         for h, dist in zip(rep.levels, rep.distances):
             rows.append(_row(cfg, f"refine_distance[{tag}]", dist, level=int(h)))
         rows.append(_row(cfg, f"refine_slope[{tag}]", rep.slope))

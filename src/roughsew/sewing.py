@@ -169,8 +169,11 @@ def default_controls(germ: Germ, grid: TimeGrid, p: float = 2.0, q: float = 2.0)
     """Time control plus a p-variation control per declared germ input.
 
     Input controls are built from the ensemble L^q increment table so the
-    partitions are deterministic and shared by all members.  Inputs that are
-    one array share one control.
+    partitions are deterministic and shared by all members.  Each input
+    array gets one control object, built once, but the list holds it once
+    per control key: `ito_germ(b, b)` gives [time, w_b, w_b], so the
+    midpoint walk cycles w_b twice.  Its first two entries are the list of
+    `qv_germ(b)`, whose one control key is b.
     """
     controls = [time_control(grid)]
     by_array: dict[int, ControlFn] = {}

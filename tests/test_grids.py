@@ -320,6 +320,15 @@ def test_oracles_do_not_import_the_package():
     assert not any(m.startswith(("roughsew", ".")) for m in imported), imported
 
 
+@pytest.mark.parametrize("s, t", [(0, 9), (2, 5), (-2, 3), (3, 1)])
+def test_alternating_midpoints_refuse_windows_off_the_grid(s, t):
+    # a 4-step grid: the time control's rows stop at its end
+    ws = [time_control(make_uniform_grid(1.0, 4))]
+    with pytest.raises(ValueError, match="0 <= s <= t on the controls' grid"):
+        alternating_midpoints(ws, s, t, 3)
+    assert alternating_midpoints(ws, 1, 4, 3)[-1].tolist() == [1, 2, 3, 4]
+
+
 def test_alternating_midpoints_levels_are_nested():
     g = make_uniform_grid(1.0, 32)
     w = time_control(g)

@@ -74,6 +74,8 @@ def test_lq_norm_validation():
     x = np.random.default_rng(0).normal(size=(500, 3))
     with pytest.raises(ValueError):
         lq_norm(x, 0.5)
+    with pytest.raises(ValueError, match="q >= 1"):
+        lq_norm(np.ones(3), float("nan"))
 
 
 def test_lq_table_known_two_member_ensemble():

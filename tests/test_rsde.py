@@ -180,6 +180,37 @@ def test_a_constant_derivative_enters_as_its_scalar(monkeypatch):
     assert np.array_equal(coeffs.f.df(np.zeros(3)), np.full(3, 0.7))
 
 
+def _mixed_linear_set(dim, order):
+    """The drivers of `_germ_drivers(dim)` with a registry `linear` among the
+    rough directions: alone at d = 1, first or last next to a non-linear
+    direction at d = 2."""
+    coeffs, lift, mart = _germ_drivers(dim)
+    lin = smooth_fn("linear", a=0.6, c=-0.15)
+    fs = (lin,) if dim == 1 else (lin, coeffs.f[0])[::order]
+    with pytest.warns(UserWarning):  # linear is unbounded by design
+        mixed = CoefficientSet(b=coeffs.b, sigma=coeffs.sigma, f=fs if dim > 1 else fs[0])
+    return mixed, lift, mart
+
+
+@pytest.mark.parametrize("dim, order", [(1, 1), (2, 1), (2, -1)], ids=["d1", "d2_first", "d2_last"])
+def test_linear_directions_match_the_oracles_bitwise(dim, order, monkeypatch):
+    # the kernel writes a linear f as a * y, then += c, into its scratch row:
+    # the two operations of a * y + c, so the bits are the oracles'
+    coeffs, lift, mart = _mixed_linear_set(dim, order)
+    calls = []
+    real_call = calculus._Affine.__call__
+    monkeypatch.setattr(
+        calculus._Affine, "__call__", lambda fn, y: calls.append(np.shape(y)) or real_call(fn, y)
+    )
+    y0 = np.linspace(-0.5, 0.5, lift.path.n_members)
+    solve(coeffs, y0, lift, mart)
+    picard_solve(coeffs, y0, lift, mart)
+    assert calls == []  # only the oracles below call the linear f
+    n = lift.grid.n_steps
+    _assert_solve_matches_oracles(coeffs, y0, lift, mart, [(0, n), (n // 3, 2 * n // 3)])
+    _assert_picard_matches_oracles(coeffs, y0, lift, mart)
+
+
 def test_solve_constant_when_no_coefficients():
     bm = simulate_brownian(1.0, 16, seed=1, n_members=3)
     lift = ito_lift_brownian(bm)

@@ -3,9 +3,17 @@
 import numpy as np
 import pytest
 
-from roughsew.grids import Partition, TimeGrid, full_partition, make_uniform_grid, time_control
+from roughsew.grids import (
+    ControlFn,
+    Partition,
+    TimeGrid,
+    alternating_midpoints,
+    full_partition,
+    make_uniform_grid,
+    time_control,
+)
 from roughsew.paths import ito_lift_brownian, simulate_brownian, simulate_compound_poisson
-from roughsew import sewing
+from roughsew import cli, norms, sewing
 from roughsew.rng import stream
 from roughsew.sewing import (
     Germ,
@@ -21,7 +29,7 @@ from roughsew.sewing import (
     sew,
     step_path,
 )
-from roughsew.scenarios import _fit_log2_slope
+from roughsew.scenarios import _fit_log2_slope, default_config, run_scenario
 
 from oracles import (
     refinement_walk,
@@ -156,6 +164,54 @@ def test_default_controls_share_one_control_per_input_array():
     apart = default_controls(ito_germ(b, b.copy()), bm.grid)
     assert apart[1] is not apart[2]
     assert np.array_equal(apart[1].row(0, 16), controls[2].row(0, 16))
+
+
+def test_sewing_rate_builds_two_gram_tables(monkeypatch):
+    # B's table once, for the ito walk's controls and the qv walk's, then
+    # the integer walk's
+    shapes = []
+    real = norms._gram_table
+    monkeypatch.setattr(norms, "_gram_table", lambda block: shapes.append(block.shape) or real(block))
+    run_scenario(default_config("sewing_rate"))
+    assert shapes == [(2000, 513, 1), (256, 513, 1)]
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_ito_controls_start_with_the_qv_default_controls(seed):
+    # [time, w_B] of the ito germ against the qv germ's own defaults, over
+    # every row the two walks read, after the ito walk has grown w_B's rows
+    bm = simulate_brownian(1.0, 128, seed, n_members=64)
+    b = bm.values[..., 0]
+    controls = default_controls(ito_germ(b, b), bm.grid)
+    own = default_controls(qv_germ(b, bracket=bm.bracket[..., 0, 0]), bm.grid)
+    reads = []
+
+    def recorded(i, w):
+        return ControlFn(lambda a, c: reads.append((i, a, c)) or w.row(a, c), name=w.name)
+
+    alternating_midpoints([recorded(i, w) for i, w in enumerate(controls)], 0, 128, 8)
+    levels = alternating_midpoints([recorded(i, w) for i, w in enumerate(controls[:2])], 0, 128, 8)
+    for got, want in zip(levels, alternating_midpoints(own, 0, 128, 8)):
+        assert np.array_equal(got, want)
+    assert {i for i, _, _ in reads} == {0, 1, 2}
+    for i, a, c in reads:
+        if i < 2:
+            assert controls[i].row(a, c).tobytes() == own[i].row(a, c).tobytes()
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_sewing_rate_csv_is_the_own_controls_csv_byte_for_byte(monkeypatch, tmp_path, seed):
+    cfg = default_config(
+        "sewing_rate", n=64, ensemble=48, seed=seed, params={"depth": 6, "partitions": 5}
+    )
+    cli._write_rows(tmp_path / "shared.csv", run_scenario(cfg))
+    # each walk on its germ's own default controls
+    real = sewing.convergence_rate
+    monkeypatch.setattr(
+        sewing, "convergence_rate", lambda germ, grid, controls=None, **kw: real(germ, grid, **kw)
+    )
+    cli._write_rows(tmp_path / "own.csv", run_scenario(cfg))
+    assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "own.csv").read_bytes()
 
 
 def test_convergence_rate_ito_germ_decays():
