@@ -19,6 +19,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from .scenarios import (
     ROW_FIELDS,
     SCENARIOS,
     SCHEMA_VERSION,
+    ExperimentConfig,
     default_config,
     run_scenario,
 )
@@ -133,10 +135,10 @@ SUITES = {
 # commands
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = ("n", "levels", "ensemble", "seed", "p", "q", "params", "out_dir")
+_CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.name != "scenario")
 
 
-def _load_config(path: str, args) -> "ExperimentConfig":
+def _load_config(path: str, args) -> ExperimentConfig:
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(raw, dict) or "scenario" not in raw:
         raise ValueError("config must be a JSON object with a 'scenario' key")
@@ -182,16 +184,7 @@ def _cmd_run(args) -> int:
             "schema_version": SCHEMA_VERSION,
             "library_version": __version__,
             "created_utc": datetime.now(timezone.utc).isoformat(),
-            "config": {
-                "scenario": cfg.scenario,
-                "n": cfg.n,
-                "levels": cfg.levels,
-                "ensemble": cfg.ensemble,
-                "seed": cfg.seed,
-                "p": cfg.p,
-                "q": cfg.q,
-                "params": cfg.params,
-            },
+            "config": {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "out_dir"},
             "rows_written": len(rows),
             "output": csv_path.name,
         }

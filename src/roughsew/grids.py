@@ -87,8 +87,11 @@ def full_partition(grid: TimeGrid, s: int = 0, t: int | None = None) -> Partitio
 def insert_times(grid: TimeGrid, extra: np.ndarray) -> TimeGrid:
     """Grid with additional interior times merged in (TIME_TOL collapse).
 
-    Times within TIME_TOL of an existing point collapse onto it; times within
-    TIME_TOL of the endpoints are dropped (the endpoints never move).
+    Extra times within TIME_TOL of an endpoint are dropped (the endpoints
+    never move).  The rest are merged with the grid's times in sorted order,
+    and a time is kept when it lies more than TIME_TOL after the last time
+    kept, so of two times within TIME_TOL the earlier stays, base point or
+    not: inserting 0.5 - 5e-13 into [0, .25, .5, .75, 1] replaces 0.5.
     """
     extra = np.asarray(extra, dtype=float)
     extra = extra[(extra > TIME_TOL) & (extra < grid.terminal - TIME_TOL)]
@@ -202,12 +205,15 @@ def pvar_control(dist: np.ndarray, p: float, name: str = "pvar") -> ControlFn:
     The p-th power of a p-variation is superadditive, which is what the
     partition machinery needs.  The DP over [s, t] is a prefix of the DP over
     any longer window, so the row of start s is rebuilt only when a longer t
-    is asked for.
+    is asked for.  A t past the table's last column stops there, so the row
+    is short, as the time and table controls' rows are.
     """
     powers = _powers(dist, p)
+    last = powers.shape[1] - 1
     rows: dict[int, np.ndarray] = {}
 
     def row(s: int, t: int) -> np.ndarray:
+        t = min(t, last)
         best = rows.get(s)
         if best is None or best.size < t - s:
             columns = (powers[s:u, u].tolist() for u in range(s + 1, t + 1))

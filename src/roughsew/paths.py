@@ -383,23 +383,22 @@ def simulate_compound_poisson(
     path = SamplePath(grid=grid, values=values[:, :, None], jump_indices=jump_indices)
 
     jump_mean = float(_JUMP_MEANS[jump_kind](jump_params))
-    comp = rate * jump_mean * times
-    mvals = (values - comp[None, :])[:, :, None]
-    # left limit of M at a jump: X just before the jump minus the (continuous)
-    # compensator evaluated AT the jump time
-    mleft = (
-        path.left_values - comp[jump_indices][None, :, None]
-        if jump_indices.size
-        else None
-    )
-    martingale = MartingalePath(
-        grid=grid,
-        values=mvals,
-        jump_indices=jump_indices,
-        left_values=mleft,
-        bracket=qv[:, :, None, None],
-    )
+    martingale = _compensated(path, rate * jump_mean, qv[:, :, None, None])
     return CompoundPoissonResult(path=path, martingale=martingale, rate=rate, jump_mean=jump_mean)
+
+
+def _compensated(path: SamplePath, drift: float, bracket: np.ndarray) -> MartingalePath:
+    """M = X - drift * t with the given bracket; at a jump time tau the left
+    limit is X_{tau-} - drift * tau, the compensator being continuous."""
+    comp = drift * path.grid.times
+    jumps = path.jump_indices
+    return MartingalePath(
+        grid=path.grid,
+        values=path.values - comp[None, :, None],
+        jump_indices=jumps,
+        left_values=path.left_values - comp[jumps][None, :, None] if jumps.size else None,
+        bracket=bracket,
+    )
 
 
 def forward_lift_jump_path(path: SamplePath) -> RoughLift:
@@ -497,42 +496,29 @@ def simulate_mixed(
     jump_params: tuple = (0.0, 0.5),
     vol: float = 1.0,
 ) -> MixedResult:
-    """X = B + J with J compound Poisson, on the jump-merged grid.
+    """X = B + J with J compound Poisson, on the jump-merged grid, added up
+    from what the two builders return:
 
-    The forward lift of a step ending in a jump is the Ito lift of the
-    diffusive part plus the cross term dB_step (x) Delta J; Delta XX = 0.
-    Left values at jumps are B_t + J_{t-}, which is where a left limit differs
-    from the previous grid point for a diffusing path.
+    - path: B + J; at a jump the left limit is B_t + J_{t-}, which is where
+      a left limit differs from the previous grid point for a diffusing path;
+    - lift steps: `ito_lift_brownian`'s plus the cross term dB_step (x) dJ_step
+      (dB_step (x) Delta J on a step ending in a jump); Delta XX = 0;
+    - martingale: compensated by `_compensated` as in
+      `simulate_compound_poisson`, with bracket [J] + [B] from the two builders.
     """
     cp = simulate_compound_poisson(
         T, rate, n, seed, n_members, jump_kind, jump_params, align_jumps=True
     )
-    grid = cp.path.grid
+    jump, grid = cp.path, cp.path.grid
     bm = simulate_brownian(T, grid.n_steps, seed, n_members, dim=1, vol=vol, grid=grid)
-    values = bm.values + cp.path.values
-    jump_indices = cp.path.jump_indices
-    left = (
-        bm.values[:, jump_indices, :] + cp.path.left_values
-        if jump_indices.size
-        else None
+    jumps = jump.jump_indices
+    left = bm.values[:, jumps] + jump.left_values if jumps.size else None
+    path = SamplePath(
+        grid=grid, values=bm.values + jump.values, jump_indices=jumps, left_values=left
     )
-    path = SamplePath(grid=grid, values=values, jump_indices=jump_indices, left_values=left)
-
-    dt = grid.steps()
-    db = bm.increments()
-    dj = cp.path.increments()
-    step_second = 0.5 * (outer_increment(db, db) - dt[None, :, None, None] * vol**2)
-    step_second = step_second + outer_increment(db, dj)
+    step_second = ito_lift_brownian(bm).step_second + outer_increment(
+        bm.increments(), jump.increments()
+    )
     lift = RoughLift(path=path, step_second=step_second, name="mixed-forward")
-
-    mvals = values - (cp.rate * cp.jump_mean * grid.times)[None, :, None]
-    mleft = (
-        left - (cp.rate * cp.jump_mean * grid.times[jump_indices])[None, :, None]
-        if jump_indices.size
-        else None
-    )
-    bracket = cp.martingale.bracket + (vol**2 * grid.times)[None, :, None, None]
-    mart = MartingalePath(
-        grid=grid, values=mvals, jump_indices=jump_indices, left_values=mleft, bracket=bracket
-    )
+    mart = _compensated(path, cp.rate * cp.jump_mean, cp.martingale.bracket + bm.bracket)
     return MixedResult(path=path, martingale=mart, lift=lift)

@@ -38,7 +38,7 @@ from .grids import (
     pvar_control,
     time_control,
 )
-from .norms import lq_table
+from .norms import lq_norm, lq_table
 
 # member-steps per block of the refinement walk: a block's germ values,
 # clipped path, difference and magnitudes are (rows, n+1) float64 arrays of
@@ -160,11 +160,6 @@ def _sup_magnitude(diff: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ntk,ntk->nt", flat, flat).max(axis=1))
 
 
-def _lq(sup: np.ndarray, q: float) -> float:
-    """The empirical L^q norm of the (N,) per-member sups."""
-    return float(np.mean(sup**q) ** (1.0 / q))
-
-
 def default_controls(germ: Germ, grid: TimeGrid, p: float = 2.0, q: float = 2.0) -> list[ControlFn]:
     """Time control plus a p-variation control per declared germ input.
 
@@ -222,7 +217,7 @@ def _walk(germ, grid, controls, depth, q, gaps):
     limit and, with `gaps`, the L^q distance to the previous level's path
     (None at level 0).  Each level evaluates the germ once per block of about
     `_BLOCK_CELLS` member-steps and reduces the block's clipped path to
-    per-member sups at once; the (N,) sups are reduced by `_lq`, so every
+    per-member sups at once; the (N,) sups are reduced by `lq_norm`, so every
     distance equals the whole-ensemble one bit for bit.
     """
     controls = controls if controls is not None else default_controls(germ, grid)
@@ -248,7 +243,8 @@ def _walk(germ, grid, controls, depth, q, gaps):
                     if h:
                         to_prev[lo:hi] = _sup_magnitude(prev[i] - path)
                     prev[i] = path
-            yield Partition(grid, lv), _lq(to_limit, q), _lq(to_prev, q) if gaps and h else None
+            gap = lq_norm(to_prev, q) if gaps and h else None
+            yield Partition(grid, lv), lq_norm(to_limit, q), gap
 
     return full, walk()
 
@@ -273,7 +269,7 @@ def sew(
     n = grid.n_steps
     depth = max_depth if max_depth is not None else max(1, int(np.ceil(np.log2(n))) + 2)
     full, walk = _walk(germ, grid, controls, depth, q, gaps=True)
-    scale = 1.0 + _lq(_sup_magnitude(full), q)
+    scale = 1.0 + lq_norm(_sup_magnitude(full), q)
 
     partitions: list[Partition] = []
     distances: list[float] = []

@@ -491,6 +491,39 @@ def compound_poisson_loop(times, flat_times, flat_sizes, counts, align_jumps, ti
     return values, qv, np.array(sorted(columns), dtype=np.int64)
 
 
+def mixed_driver_arrays(times, b_values, j_values, j_left, jump_indices, j_bracket,
+                        rate, jump_mean, vol):
+    """The mixed driver X = B + J assembled with its own Ito step, compensator
+    and bracket formulas, from the arrays of a Brownian ensemble B (values
+    (N, n+1, 1)) and a compound-Poisson ensemble J (values (N, n+1, 1), left
+    limits (N, J, 1) or None at `jump_indices`, bracket (N, n+1, 1, 1)) on
+    the grid `times`.
+
+    Returns path values, path left limits, lift steps, lift jumps, martingale
+    values, martingale left limits and bracket: the step is
+    (dB^2 - vol^2 dt) / 2 + dB dJ, M = X - rate E[jump] t and
+    [M] = [J] + vol^2 t.
+    """
+    values = b_values + j_values
+    left = b_values[:, jump_indices, :] + j_left if jump_indices.size else None
+    dt = np.diff(times)
+    db = np.diff(b_values, axis=1)
+    dj = np.diff(j_values, axis=1)
+    step_second = 0.5 * (
+        np.einsum("...j,...k->...jk", db, db) - dt[None, :, None, None] * vol**2
+    )
+    step_second = step_second + np.einsum("...j,...k->...jk", db, dj)
+    jump_second = np.zeros((step_second.shape[0], jump_indices.size, 1, 1))
+    m_values = values - (rate * jump_mean * times)[None, :, None]
+    m_left = (
+        left - (rate * jump_mean * times[jump_indices])[None, :, None]
+        if jump_indices.size
+        else None
+    )
+    bracket = j_bracket + (vol**2 * times)[None, :, None, None]
+    return values, left, step_second, jump_second, m_values, m_left, bracket
+
+
 def window_control(lift, mart, p, q, s, t):
     """Grid-proxy smallness of [s, u] for every u in s+1..t, shape (t - s,):
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ import roughsew
 from roughsew import __version__
 from roughsew import cli
 from roughsew.cli import SUITES, main
-from roughsew.scenarios import ROW_FIELDS, SCENARIOS, SCHEMA_VERSION
+from roughsew.scenarios import ROW_FIELDS, SCENARIOS, SCHEMA_VERSION, ExperimentConfig
 
 
 def _write_config(tmp_path, name="cfg.json", **body):
@@ -46,6 +47,7 @@ def test_run_writes_csv_and_manifest(tmp_path, capsys):
     assert manifest["config"]["n"] == 64
     assert manifest["config"]["ensemble"] == 8
     assert manifest["config"]["seed"] == 5
+    assert set(manifest["config"]) == {f.name for f in fields(ExperimentConfig)} - {"out_dir"}
     # the timestamp is the only thing allowed to differ between reruns
     assert "created_utc" in manifest
 

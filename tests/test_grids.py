@@ -66,6 +66,21 @@ def test_insert_times_collapses_near_duplicates():
     assert np.array_equal(g2.times, np.array([0.0, 0.25, 0.3 - 4e-13, 0.5, 0.75, 1.0]))
 
 
+def test_insert_times_keeps_the_earlier_of_two_near_times_and_the_columns_agree():
+    g = make_uniform_grid(1.0, 4)
+    # a time just before a base point replaces it: the earlier one is kept
+    assert insert_times(g, np.array([0.5 - 5e-13])).times.tolist() == [
+        0.0, 0.25, 0.4999999999995, 0.75, 1.0,
+    ]
+    # the simulators' column rule puts every time within TIME_TOL of its point
+    extra = np.array([0.3, 0.3 + 0.6e-12, 0.3 + 1.2e-12, 0.75 - 5e-13, 1.0 - 5e-13])
+    times = insert_times(g, extra).times
+    assert times.tolist() == [0.0, 0.25, 0.3, 0.3 + 1.2e-12, 0.5, 0.75 - 5e-13, 1.0]
+    col = np.searchsorted(times + TIME_TOL, extra, side="right")
+    assert col.tolist() == [2, 2, 3, 5, 6]
+    assert np.all(np.abs(times[col] - extra) <= TIME_TOL)
+
+
 def test_full_partition_covers_window():
     g = make_uniform_grid(1.0, 10)
     part = full_partition(g, 2, 7)
@@ -204,6 +219,16 @@ def test_pvar_dp_equals_the_numpy_loop_oracle_bitwise():
             got = [0.0, *itertools.islice(grids._pvar_dp(columns), stop)]
             assert fed == list(range(1, stop + 1))
             assert np.array(got).tobytes() == want[: stop + 1].tobytes()
+
+
+@pytest.mark.parametrize("s, t", [(0, 9), (2, 7)])
+def test_pvar_control_rows_stop_at_the_table(s, t):
+    # a 5-point table: a row past it is short, so the window is refused
+    w = pvar_control(increment_table_broadcast(np.arange(5.0)), 2.0)
+    assert np.array_equal(w.row(s, t), w.row(s, 4))
+    assert w.row(s, t).size == 4 - s
+    with pytest.raises(ValueError, match="0 <= s <= t on the controls' grid"):
+        alternating_midpoints([w], s, t, 3)
 
 
 def test_pvar_control_rejects_p_below_one():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from roughsew import paths
+from roughsew.conventions import outer_increment
 from roughsew.grids import TimeGrid, insert_times, make_uniform_grid
 from roughsew.norms import chen_residual
 from roughsew.paths import (
@@ -346,6 +347,54 @@ def test_mixed_driver_structure_and_chen():
     assert res.lift.grid.n_steps >= 32
     worst = _max_chen(res.lift, stream(55, "chen-mixed"))
     assert worst < 1e-10
+
+
+def _mixed_and_oracle(n, seed, n_members, rate, vol):
+    """simulate_mixed, its two builders' outputs, and the oracle's seven arrays."""
+    res = simulate_mixed(1.0, n, seed, n_members, rate, jump_params=(0.3, 0.45), vol=vol)
+    cp = simulate_compound_poisson(
+        1.0, rate, n, seed, n_members, "gauss", (0.3, 0.45), align_jumps=True
+    )
+    grid = cp.path.grid
+    bm = simulate_brownian(1.0, grid.n_steps, seed, n_members, vol=vol, grid=grid)
+    expected = oracles.mixed_driver_arrays(
+        grid.times, bm.values, cp.path.values, cp.path.left_values, cp.path.jump_indices,
+        cp.martingale.bracket, cp.rate, cp.jump_mean, vol,
+    )
+    got = (
+        res.path.values, res.path.left_values, res.lift.step_second, res.lift.jump_second,
+        res.martingale.values, res.martingale.left_values, res.martingale.bracket,
+    )
+    return res, cp, bm, got, expected
+
+
+def _same_bytes(a, b):
+    return a is None and b is None or (
+        a is not None and b is not None and a.shape == b.shape and a.tobytes() == b.tobytes()
+    )
+
+
+@pytest.mark.parametrize("rate", [0.0, 2.0, 5.0])
+@pytest.mark.parametrize("n_members", [1, 4, 64, 256])
+def test_mixed_driver_matches_the_formula_oracle_bitwise_at_unit_vol(n_members, rate):
+    for seed in (7, 8, 11, 12):
+        res, _, _, got, expected = _mixed_and_oracle(128, seed, n_members, rate, 1.0)
+        assert all(_same_bytes(a, b) for a, b in zip(got, expected)), seed
+        assert np.array_equal(res.lift.path.jump_indices, res.martingale.jump_indices)
+
+
+@pytest.mark.parametrize("vol", [0.2, 0.7])
+def test_mixed_driver_steps_are_the_ito_steps_plus_the_cross_term(vol):
+    n = 128
+    for seed in (7, 11):
+        res, cp, bm, got, expected = _mixed_and_oracle(n, seed, 16, 2.0, vol)
+        # the Ito step subtracts diff(vol^2 t), the oracle vol^2 dt
+        assert np.abs(got[2] - expected[2]).max() <= 1.2e-14 * vol**2 / n
+        assert all(_same_bytes(a, b) for k, (a, b) in enumerate(zip(got, expected)) if k != 2)
+        steps = ito_lift_brownian(bm).step_second + outer_increment(
+            bm.increments(), cp.path.increments()
+        )
+        assert _same_bytes(res.lift.step_second, steps)
 
 
 @pytest.mark.parametrize(
