@@ -13,10 +13,8 @@ from .calculus import (
     compose,
     constant_controlled,
     controlled_from_lift,
-    controlled_integral,
     ito_formula_residual,
     mixed_bracket_check,
-    remainder,
     rough_bracket,
     smooth_fn,
 )
@@ -71,7 +69,6 @@ from .scenarios import ExperimentConfig, SCENARIOS, default_config, run_scenario
 from .sewing import (
     Germ,
     RateReport,
-    SewOutput,
     convergence_rate,
     increment_germ,
     ito_germ,
@@ -79,7 +76,6 @@ from .sewing import (
     riemann_path,
     riemann_sum,
     rough_germ,
-    sew,
     step_path,
 )
 

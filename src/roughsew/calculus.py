@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .conventions import apply_derivative, sym
+from .conventions import sym
 from .integrals import IntegralProcess, _cumulative
 from .paths import RoughLift
 from .sewing import _scalar
@@ -27,12 +27,10 @@ __all__ = [
     "smooth_fn",
     "controlled_from_lift",
     "constant_controlled",
-    "remainder",
     "compose",
     "bracket",
     "rough_bracket",
     "mixed_bracket_check",
-    "controlled_integral",
     "ito_formula_residual",
 ]
 
@@ -89,14 +87,6 @@ def constant_controlled(lift: RoughLift, value: float | np.ndarray) -> Controlle
         vals = v
     deriv = np.zeros(vals.shape + (lift.dim,))
     return ControlledPath(lift=lift, values=vals, derivative=deriv)
-
-
-def remainder(cp: ControlledPath, s: int, t: int) -> np.ndarray:
-    """R_{s,t} = dY_{s,t} - Y'_s dX_{s,t}, shape (N, m)."""
-    x = cp.lift.path.values
-    dx = x[:, t, :] - x[:, s, :]
-    dy = cp.values[:, t] - cp.values[:, s]
-    return dy - apply_derivative(cp.derivative[:, s], dx)
 
 
 # ---------------------------------------------------------------------------
@@ -324,27 +314,8 @@ def mixed_bracket_check(
 
 
 # ---------------------------------------------------------------------------
-# controlled integration and the Ito formula
+# the Ito formula
 # ---------------------------------------------------------------------------
-
-
-def controlled_integral(a: ControlledPath, b: ControlledPath) -> IntegralProcess:
-    """Tensor integral int a (x) db with germ Y_u (x) dZ_{u,v} + (Y'(x)Z') XX_{u,v}.
-
-    The second-order contraction pairs a's controlling direction with the
-    first (Gubinelli) index of XX and b's with the second, which is exactly
-    what makes integration by parts with `bracket` a grid identity.
-    Output shape (N, n+1, ma, mb).
-    """
-    lift = a.lift
-    xx = lift.step_second
-    dz = np.diff(b.values, axis=1)
-    first = np.einsum("nta,ntb->ntab", a.values[:, :-1], dz)
-    second = np.einsum(
-        "ntaj,ntbk,ntjk->ntab", a.derivative[:, :-1], b.derivative[:, :-1], xx
-    )
-    steps = first + second
-    return _cumulative(lift.grid, steps, lift.path.jump_indices)
 
 
 def ito_formula_residual(
@@ -361,6 +332,14 @@ def ito_formula_residual(
     against (Y, Y') and [Y] is the grid bracket unless an analytic bracket
     path, shape (Nb, n+1), is supplied (e.g. t for a Brownian integrator,
     turning the check into the classical formula).  Returns (N,) residuals.
+
+    A supplied bracket must carry the jumps, as the grid bracket does.  On a
+    jump step the compensator takes 1/2 D2f(Y_-) dY^2 back out, so the step
+    adds  -D2f(Y_-) (Y' (x) Y') : XX - 1/2 D2f(Y_-) (d[Y] - dY^2)  to the
+    residual.  That vanishes for the grid bracket's step
+    dY^2 - 2 (Y' (x) Y') : Sym(XX), so on jump steps `bracket_path` must
+    include the squared jump dY^2; a continuous bracket alone leaves the jump
+    terms in the residual at every grid size.
 
     The accumulation is fused per step with shared subexpressions, so on a
     jump step of a pure-jump forward lift the integral terms and the jump

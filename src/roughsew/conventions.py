@@ -49,7 +49,6 @@ import numpy as np
 
 __all__ = [
     "outer_increment",
-    "apply_derivative",
     "map_dot",
     "second_level_contract",
     "sym",
@@ -59,17 +58,6 @@ __all__ = [
 def outer_increment(a, b):
     """outer(a, b) on the trailing axis, batched: (..., d), (..., d) -> (..., d, d)."""
     return np.einsum("...j,...k->...jk", a, b)
-
-
-def apply_derivative(yp, dx):
-    """Contract a Gubinelli derivative with an increment on the last axis.
-
-    yp: (..., m, d) or (..., d) for scalar values; dx: (..., d).
-    Returns (..., m) resp. (...,).
-    """
-    return np.einsum("...j,...j->...", yp, dx) if yp.ndim == dx.ndim else np.einsum(
-        "...ij,...j->...i", yp, dx
-    )
 
 
 def map_dot(y, dx):

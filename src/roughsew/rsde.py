@@ -61,8 +61,8 @@ from .norms import (
     _pair_seminorm,
     lq_norm,
     rough_path_distance,
-    second_level_seminorm,  # noqa: F401  (kept importable from this module)
-    two_param_seminorm,  # noqa: F401  (kept importable from this module)
+    second_level_seminorm,  # noqa: F401  (perfbench/tracer.py REQUIRED_BINDINGS)
+    two_param_seminorm,  # noqa: F401  (perfbench/tracer.py REQUIRED_BINDINGS)
     vp_lq_seminorm,
 )
 from .paths import MartingalePath, RoughLift

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import calculus, integrals, paths, rsde, sewing
 from .grids import Partition, TimeGrid, full_partition, make_uniform_grid
-from .norms import chen_residual, lq_norm
+from .norms import MAX_TABLE_POINTS, chen_residual, lq_norm
 from .rng import stream
 
 __all__ = [
@@ -61,11 +61,15 @@ class ExperimentConfig:
             raise ValueError(f"unknown scenario {self.scenario!r} (known: {known})")
         for name, low in (("n", 2), ("levels", 1), ("ensemble", 1), ("seed", 0)):
             _check_integer(name, getattr(self, name), low)
-        for name in _INTEGER_PARAMS:
-            if name in self.params:
-                _check_integer(f"params.{name}", self.params[name], 1)
-        if "eps" in self.params:
-            _check_eps(self.params["eps"])
+        known = _PARAMS.get(self.scenario, ())
+        for name, v in self.params.items():
+            if name not in known:
+                reads = ", ".join(known) or "none"
+                raise ValueError(f"{self.scenario} does not read params.{name} (it reads: {reads})")
+            if name == "eps":
+                _check_eps(v)
+            else:
+                _check_integer(f"params.{name}", v, 1)
         for name in ("p", "q"):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 1 <= v < math.inf:
@@ -73,11 +77,21 @@ class ExperimentConfig:
         if self.scenario == "stability_base" and not (self.p >= 2 and self.q >= 2):
             why = "stability_base measures V^(p/2) L^(q/2) seminorms, so p/2 and q/2 must be >= 1"
             raise ValueError(f"{why}, got p={self.p!r}, q={self.q!r}")
+        if self.scenario in ("sewing_rate", "stability_base") and self.n + 1 > MAX_TABLE_POINTS:
+            raise ValueError(
+                f"{self.scenario} builds tables over all n + 1 grid points, "
+                f"so n must be <= {MAX_TABLE_POINTS - 1}, got {self.n}"
+            )
 
 
-# scenario params that count something: refinement levels (sewing_rate),
-# random partitions (sewing_rate) and Chen windows (chen_check)
-_INTEGER_PARAMS = ("depth", "partitions", "triples")
+# the params each scenario reads: counts (integers >= 1) of refinement levels
+# and random partitions, of Chen windows, and stability_base's list of
+# perturbation sizes
+_PARAMS = {
+    "sewing_rate": ("depth", "partitions"),
+    "chen_check": ("triples",),
+    "stability_base": ("eps",),
+}
 
 
 def _check_integer(name, v, low):

@@ -11,20 +11,16 @@ germs built here.  A germ evaluates whole index arrays, so `riemann_path` is
 one germ call per partition plus a running sum; the full-grid path
 (`step_path`) is one germ call on the step views.  A germ also acts member by
 member: row i of its values depends only on row i of its member-axis context
-arrays, so it can be evaluated on any block of members.  `sew` walks a
-sequence of nested partitions produced by alternating midpoints of the
+arrays, so it can be evaluated on any block of members.  `convergence_rate`
+walks a sequence of nested partitions produced by alternating midpoints of the
 supplied controls (time plus p-variation controls of the germ's inputs by
 default), measures the uniform-in-time empirical L^q distance to the limit at
-every level, and reports the observed geometric decay.  The walk runs in
-member blocks of about `_BLOCK_CELLS` member-steps, one germ call per block
-and level, so each level's arrays are reduced while they are in cache.
-Non-decay is a diagnostic (a warning), not an error: germs that violate the
-sewing hypotheses — e.g. non-adapted ones — are expected to be run here to
-see the failure.
+every level, and fits the observed geometric decay.  The walk runs in member
+blocks of about `_BLOCK_CELLS` member-steps, one germ call per block and
+level, so each level's arrays are reduced while they are in cache.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
@@ -47,12 +43,10 @@ _BLOCK_CELLS = 2**15
 
 __all__ = [
     "Germ",
-    "SewOutput",
     "RateReport",
     "riemann_sum",
     "riemann_path",
     "step_path",
-    "sew",
     "convergence_rate",
     "log2_fit",
     "increment_germ",
@@ -160,10 +154,10 @@ def _sup_magnitude(diff: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ntk,ntk->nt", flat, flat).max(axis=1))
 
 
-def default_controls(germ: Germ, grid: TimeGrid, p: float = 2.0, q: float = 2.0) -> list[ControlFn]:
-    """Time control plus a p-variation control per declared germ input.
+def default_controls(germ: Germ, grid: TimeGrid) -> list[ControlFn]:
+    """Time control plus a 2-variation control per declared germ input.
 
-    Input controls are built from the ensemble L^q increment table so the
+    Input controls are built from the ensemble L^2 increment table so the
     partitions are deterministic and shared by all members.  Each input
     array gets one control object, built once, but the list holds it once
     per control key: `ito_germ(b, b)` gives [time, w_b, w_b], so the
@@ -176,26 +170,9 @@ def default_controls(germ: Germ, grid: TimeGrid, p: float = 2.0, q: float = 2.0)
         arr = germ.context[key]
         if arr.ndim >= 2 and arr.shape[1] == grid.n_steps + 1:
             if id(arr) not in by_array:
-                by_array[id(arr)] = pvar_control(lq_table(arr, q), p, name=f"pvar[{key}]")
+                by_array[id(arr)] = pvar_control(lq_table(arr, 2.0), 2.0, name=f"pvar[{key}]")
             controls.append(by_array[id(arr)])
     return controls
-
-
-@dataclass
-class SewOutput:
-    """Result of sewing a germ on a finite grid."""
-
-    value_path: np.ndarray            # (N, n+1, ...) full-grid limit I_t
-    partitions: list                  # Partition per level
-    distances: np.ndarray             # level -> ||sup_t |I - Xi^{P^h}|||_{L^q}
-    gaps: np.ndarray                  # level h -> distance between levels h-1, h
-    met_tol: bool                     # successive-level criterion was reached
-    converged: bool                   # met_tol or grid exhausted, and no warning
-    warning: str | None = None
-
-    @property
-    def value(self) -> np.ndarray:
-        return self.value_path[:, -1]
 
 
 def _member_rows(ctx: dict, n_members: int, lo: int, hi: int) -> dict:
@@ -207,108 +184,6 @@ def _member_rows(ctx: dict, n_members: int, lo: int, hi: int) -> dict:
         else val
         for key, val in ctx.items()
     }
-
-
-def _walk(germ, grid, controls, depth, q, gaps):
-    """The full-grid limit and a lazy refinement walk in member blocks.
-
-    The walk yields, per alternating-midpoint level of the controls (default
-    ones if None), the partition, the L^q distance of its Riemann path to the
-    limit and, with `gaps`, the L^q distance to the previous level's path
-    (None at level 0).  Each level evaluates the germ once per block of about
-    `_BLOCK_CELLS` member-steps and reduces the block's clipped path to
-    per-member sups at once; the (N,) sups are reduced by `lq_norm`, so every
-    distance equals the whole-ensemble one bit for bit.
-    """
-    controls = controls if controls is not None else default_controls(germ, grid)
-    full = step_path(germ, grid)
-    levels = alternating_midpoints(controls, 0, grid.n_steps, depth)
-    n_members = full.shape[0]
-    rows = max(1, _BLOCK_CELLS // full[0].size)
-    blocks = [(lo, min(lo + rows, n_members)) for lo in range(0, n_members, rows)]
-    germs = [
-        replace(germ, context=_member_rows(germ.context, n_members, lo, hi))
-        for lo, hi in blocks
-    ]
-
-    def walk():
-        to_limit, to_prev = np.empty(n_members), np.empty(n_members)
-        prev = [None] * len(blocks)  # each block's path at the previous level
-        for h, lv in enumerate(levels):
-            u, t, k, ends = _windows(lv)
-            for i, (g, (lo, hi)) in enumerate(zip(germs, blocks)):
-                path = _clipped_path(g(u, t), k, ends)
-                to_limit[lo:hi] = _sup_magnitude(full[lo:hi] - path)
-                if gaps:
-                    if h:
-                        to_prev[lo:hi] = _sup_magnitude(prev[i] - path)
-                    prev[i] = path
-            gap = lq_norm(to_prev, q) if gaps and h else None
-            yield Partition(grid, lv), lq_norm(to_limit, q), gap
-
-    return full, walk()
-
-
-def sew(
-    germ: Germ,
-    grid: TimeGrid,
-    controls: list[ControlFn] | None = None,
-    tol: float = 1e-3,
-    q: float = 2.0,
-    max_depth: int | None = None,
-) -> SewOutput:
-    """Sew a germ: full-grid limit plus a refinement diagnostic.
-
-    Refines along alternating-midpoint partitions until successive levels
-    differ by less than `tol` relative to (1 + ||I||) in the uniform empirical
-    L^q metric, or the partition exhausts the grid.  Non-decay is flagged, not
-    raised: if the successive-level distance grows over three consecutive
-    refinements the germ is failing the sewing hypotheses (the canonical
-    culprit is a non-adapted germ) and a warning is attached and emitted.
-    """
-    n = grid.n_steps
-    depth = max_depth if max_depth is not None else max(1, int(np.ceil(np.log2(n))) + 2)
-    full, walk = _walk(germ, grid, controls, depth, q, gaps=True)
-    scale = 1.0 + lq_norm(_sup_magnitude(full), q)
-
-    partitions: list[Partition] = []
-    distances: list[float] = []
-    gaps: list[float] = []
-    met_tol = False
-    exhausted = False
-    for part, dist, gap in walk:
-        partitions.append(part)
-        distances.append(dist)
-        if gap is not None:
-            gaps.append(gap)
-            if gap < tol * scale:
-                met_tol = True
-                break
-        if part.indices.size == n + 1:
-            exhausted = True
-            break
-    gap_arr = np.array(gaps)
-    warning = None
-    if gap_arr.size >= 4 and np.any(
-        (np.diff(gap_arr) > 0)[:-2]
-        & (np.diff(gap_arr) > 0)[1:-1]
-        & (np.diff(gap_arr) > 0)[2:]
-    ):
-        warning = (
-            f"germ {germ.name!r}: successive-level distances grew over three "
-            "consecutive refinements; the germ is not sewing (check "
-            "adaptedness and the coboundary bounds)"
-        )
-        warnings.warn(warning)
-    return SewOutput(
-        value_path=full,
-        partitions=partitions,
-        distances=np.array(distances),
-        gaps=gap_arr,
-        met_tol=met_tol,
-        converged=(met_tol or exhausted) and warning is None,
-        warning=warning,
-    )
 
 
 @dataclass
@@ -331,10 +206,30 @@ def convergence_rate(
 ) -> RateReport:
     """Distance-to-limit per refinement level and the fitted log2 slope.
 
-    The slope is fitted by `log2_fit`.
+    The levels are the alternating midpoints of the controls (default ones
+    if None).  Each level evaluates the germ once per block of about
+    `_BLOCK_CELLS` member-steps and reduces the block's clipped path to
+    per-member sups at once; the (N,) sups are reduced by `lq_norm`, so every
+    distance equals the whole-ensemble one bit for bit.  The slope is fitted
+    by `log2_fit`.
     """
-    _, walk = _walk(germ, grid, controls, depth, q, gaps=False)
-    distances = np.array([dist for _, dist, _ in walk])
+    controls = controls if controls is not None else default_controls(germ, grid)
+    full = step_path(germ, grid)
+    n_members = full.shape[0]
+    rows = max(1, _BLOCK_CELLS // full[0].size)
+    blocks = [(lo, min(lo + rows, n_members)) for lo in range(0, n_members, rows)]
+    germs = [
+        replace(germ, context=_member_rows(germ.context, n_members, lo, hi))
+        for lo, hi in blocks
+    ]
+    sups = np.empty(n_members)
+    distances = []
+    for lv in alternating_midpoints(controls, 0, grid.n_steps, depth):
+        u, t, k, ends = _windows(lv)
+        for g, (lo, hi) in zip(germs, blocks):
+            sups[lo:hi] = _sup_magnitude(full[lo:hi] - _clipped_path(g(u, t), k, ends))
+        distances.append(lq_norm(sups, q))
+    distances = np.array(distances)
     levels = np.arange(depth + 1)
     slope, intercept = log2_fit(levels, distances)
     return RateReport(levels, distances, slope, intercept, q)

@@ -377,6 +377,31 @@ def left_point_steps_integral(integrand, integrator):
     return np.concatenate([np.zeros((n, 1)), np.cumsum(steps, axis=1)], axis=1)
 
 
+def controlled_remainder(values, derivative, x, s, t):
+    """R_{s,t} = dY_{s,t} - Y'_s dX_{s,t} of a controlled path, shape (N, m),
+    from values (N, n+1, m), derivative (N, n+1, m, d) and the controlling
+    path x (N, n+1, d); member axes of size 1 broadcast."""
+    dx = x[:, t] - x[:, s]
+    return values[:, t] - values[:, s] - np.sum(derivative[:, s] * dx[:, None, :], axis=-1)
+
+
+def controlled_integral(ya, dya, yb, dyb, step_second):
+    """The tensor integral int a (x) db of two controlled paths, zero at t_0:
+    running sums of the steps Y_u (x) dZ_{u,v} + (Y' (x) Z') : XX_{u,v}.
+
+    a's controlling direction pairs with the first (Gubinelli) index of the
+    step second level (N, n, d, d) and b's with the second.  Values are
+    (N, n+1, m), derivatives (N, n+1, m, d); returns (N, n+1, ma, mb).
+    """
+    dz = np.diff(yb, axis=1)
+    first = np.einsum("nta,ntb->ntab", ya[:, :-1], dz)
+    second = np.einsum("ntaj,ntbk,ntjk->ntab", dya[:, :-1], dyb[:, :-1], step_second)
+    steps = first + second
+    out = np.zeros((steps.shape[0], steps.shape[1] + 1) + steps.shape[2:])
+    np.cumsum(steps, axis=1, out=out[:, 1:])
+    return out
+
+
 def event_schedule_loop(
     dts, x, step_second, x_jumps, x_left, jump_second, m=None, m_jumps=(), m_left=None
 ):
@@ -768,43 +793,6 @@ def refinement_walk(sewing, germ, grid, controls, depth):
     levels = sewing.alternating_midpoints(controls, 0, grid.n_steps, depth)
     parts = (sewing.Partition(grid, lv) for lv in levels)
     return full, ((part, sewing.riemann_path(germ, part)) for part in parts)
-
-
-def sew_fields(sewing, germ, grid, controls=None, tol=1e-3, q=2.0, max_depth=None):
-    """The fields of `sew(...)` from the whole-ensemble walk: value_path,
-    partitions, distances, gaps, met_tol and converged, and `warned` for
-    whether `sew` attaches its non-decay warning (not emitted here)."""
-    n = grid.n_steps
-    depth = max_depth if max_depth is not None else max(1, int(np.ceil(np.log2(n))) + 2)
-    full, walk = refinement_walk(sewing, germ, grid, controls, depth)
-    scale = 1.0 + uniform_lq_distance(full, np.zeros_like(full), q)
-    partitions, distances, gaps = [], [], []
-    met_tol = exhausted = False
-    prev = None
-    for part, path in walk:
-        partitions.append(part)
-        distances.append(uniform_lq_distance(full, path, q))
-        if prev is not None:
-            gaps.append(uniform_lq_distance(prev, path, q))
-            if gaps[-1] < tol * scale:
-                met_tol = True
-                break
-        if part.indices.size == n + 1:
-            exhausted = True
-            break
-        prev = path
-    gap_arr = np.array(gaps)
-    up = np.diff(gap_arr) > 0
-    grew = gap_arr.size >= 4 and bool(np.any(up[:-2] & up[1:-1] & up[2:]))
-    return {
-        "value_path": full,
-        "partitions": partitions,
-        "distances": np.array(distances),
-        "gaps": gap_arr,
-        "met_tol": met_tol,
-        "converged": (met_tol or exhausted) and not grew,
-        "warned": grew,
-    }
 
 
 def alternating_midpoints_undeduplicated(grids, ws, s, t, depth):

@@ -9,10 +9,8 @@ from roughsew.calculus import (
     compose,
     constant_controlled,
     controlled_from_lift,
-    controlled_integral,
     ito_formula_residual,
     mixed_bracket_check,
-    remainder,
     rough_bracket,
     smooth_fn,
 )
@@ -26,6 +24,8 @@ from roughsew.paths import (
     simulate_compound_poisson,
     smooth_lift,
 )
+
+from oracles import controlled_integral, controlled_remainder
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +72,9 @@ def test_smooth_fn_registry_and_unknown_name():
 def test_canonical_controlled_path_has_zero_remainder():
     bm = simulate_brownian(1.0, 32, seed=3, n_members=4)
     cp = controlled_from_lift(ito_lift_brownian(bm))
+    x = cp.lift.path.values
     for (s, t) in [(0, 32), (5, 6), (10, 25)]:
-        assert np.max(np.abs(remainder(cp, s, t))) == 0.0
+        assert np.max(np.abs(controlled_remainder(cp.values, cp.derivative, x, s, t))) == 0.0
 
 
 def test_compose_chain_rule():
@@ -89,8 +90,9 @@ def test_composed_remainder_is_second_order():
     # R_{s,t} for f(X) on a smooth driver shrinks like the square of the step
     lift = smooth_lift("linear", 1.0, 64)
     cp = compose(smooth_fn("sin_bundle"), controlled_from_lift(lift))
-    r_wide = np.max(np.abs(remainder(cp, 0, 32)))
-    r_half = np.max(np.abs(remainder(cp, 0, 16)))
+    x = lift.path.values
+    r_wide = np.max(np.abs(controlled_remainder(cp.values, cp.derivative, x, 0, 32)))
+    r_half = np.max(np.abs(controlled_remainder(cp.values, cp.derivative, x, 0, 16)))
     assert r_half < 0.35 * r_wide
 
 
@@ -206,8 +208,10 @@ def test_bracket_heavy_tail_warning():
 def _integration_by_parts_residual(a, b):
     """Max defect of Y_t Z_t = Y_0 Z_0 + int a db + (int b da)^T + [a, b]_t."""
     prod = np.einsum("nta,ntb->ntab", a.values, b.values)
-    i_ab = controlled_integral(a, b).values
-    i_ba = np.swapaxes(controlled_integral(b, a).values, -1, -2)
+    xx = a.lift.step_second
+    i_ab = controlled_integral(a.values, a.derivative, b.values, b.derivative, xx)
+    i_ba = controlled_integral(b.values, b.derivative, a.values, a.derivative, xx)
+    i_ba = np.swapaxes(i_ba, -1, -2)
     resid = (prod - prod[:, :1]) - i_ab - i_ba - bracket(a, b).values
     return float(np.max(np.abs(resid)))
 
@@ -224,16 +228,6 @@ def test_integration_by_parts_grid_identity_two_dim():
     lift = smooth_lift("sine_cosine_pair", 2.0, 32)
     cp = controlled_from_lift(lift)
     assert _integration_by_parts_residual(cp, cp) <= 1e-12
-
-
-def test_controlled_integral_linearity():
-    bm = simulate_brownian(1.0, 32, seed=19, n_members=4)
-    cp = controlled_from_lift(ito_lift_brownian(bm))
-    a = compose(smooth_fn("sin_bundle"), cp)
-    doubled = ControlledPath(lift=cp.lift, values=2.0 * a.values, derivative=2.0 * a.derivative)
-    i1 = controlled_integral(a, cp).values
-    i2 = controlled_integral(doubled, cp).values
-    assert np.allclose(i2, 2.0 * i1, atol=1e-14)
 
 
 def test_ito_formula_pure_jump_residual_exactly_zero():

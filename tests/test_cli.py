@@ -117,6 +117,12 @@ def test_run_uses_config_out_dir_when_no_flag(tmp_path):
         {"scenario": "stability_base", "params": {"eps": []}},
         {"scenario": "stability_base", "params": {"eps": [0.0]}},
         {"scenario": "stability_base", "params": {"eps": [float("nan")]}},
+        # both build tables over all n + 1 grid points, which stop at MAX_TABLE_POINTS
+        {"scenario": "sewing_rate", "n": 5000},
+        {"scenario": "stability_base", "n": 2100},
+        # a params key the scenario does not read: a typo, and a real key elsewhere
+        {"scenario": "sewing_rate", "params": {"dpeth": 8}},
+        {"scenario": "em_reduction", "params": {"depth": 8}},
     ],
 )
 def test_run_rejects_bad_configs(tmp_path, capsys, body):
@@ -125,6 +131,12 @@ def test_run_rejects_bad_configs(tmp_path, capsys, body):
     err = capsys.readouterr().err
     # one line, no traceback
     assert err.startswith("roughsew run: bad config:") and err.count("\n") == 1
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_table_scenarios_accept_the_largest_table_grid():
+    assert ExperimentConfig(scenario="sewing_rate", n=2047).n == 2047
+    assert ExperimentConfig(scenario="stability_base", n=2047).n == 2047
 
 
 @pytest.mark.parametrize("pq", [{"p": 1.5}, {"q": 1.5}, {"p": 1.0, "q": 1.0}])

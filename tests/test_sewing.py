@@ -10,7 +10,6 @@ from roughsew.grids import (
     alternating_midpoints,
     full_partition,
     make_uniform_grid,
-    time_control,
 )
 from roughsew.paths import ito_lift_brownian, simulate_brownian, simulate_compound_poisson
 from roughsew import cli, norms, sewing
@@ -26,7 +25,6 @@ from roughsew.sewing import (
     riemann_path,
     riemann_sum,
     rough_germ,
-    sew,
     step_path,
 )
 from roughsew.scenarios import _fit_log2_slope, default_config, run_scenario
@@ -35,7 +33,6 @@ from oracles import (
     refinement_walk,
     riemann_path_loop,
     riemann_sum_loop,
-    sew_fields,
     uniform_lq_distance,
 )
 
@@ -124,38 +121,6 @@ def test_step_path_matches_full_riemann_path_and_loop(name, stride):
     assert np.array_equal(got, riemann_path_loop(germ, np.arange(grid.n_steps + 1)))
 
 
-def test_sew_ito_germ_converges():
-    bm = simulate_brownian(1.0, 128, seed=7, n_members=64)
-    germ = ito_germ(bm.values, bm.values)
-    out = sew(germ, bm.grid, tol=1e-3)
-    assert out.converged
-    assert out.warning is None
-    assert out.value.shape == (64,)
-    # distances to the full-grid limit shrink
-    assert out.distances[-1] < out.distances[0]
-
-
-def test_sew_flags_germ_that_fails_to_sew():
-    # |dB| has divergent refinement sums: the per-level gap grows, which the
-    # engine reports as a warning instead of silently returning garbage
-    bm = simulate_brownian(1.0, 256, seed=11, n_members=16)
-    m = bm.values[..., 0]
-    germ = Germ("abs-increment", lambda c, s, t: np.abs(c["m"][:, t] - c["m"][:, s]), {"m": m}, ("m",))
-    with pytest.warns(UserWarning):
-        out = sew(germ, bm.grid, tol=1e-12)
-    assert not out.converged
-    assert out.warning is not None
-
-
-def test_sew_respects_supplied_controls():
-    bm = simulate_brownian(1.0, 64, seed=13, n_members=8)
-    germ = ito_germ(bm.values, bm.values)
-    out = sew(germ, bm.grid, controls=[time_control(bm.grid)], tol=1e-4)
-    assert out.converged
-    # with the time control alone, every level is a dyadic refinement
-    assert out.partitions[1].indices.tolist() == [0, 32, 64]
-
-
 def test_default_controls_share_one_control_per_input_array():
     bm = simulate_brownian(1.0, 16, seed=13, n_members=8)
     b = bm.values[..., 0]
@@ -222,6 +187,21 @@ def test_convergence_rate_ito_germ_decays():
     assert report.distances.shape[0] == report.levels.shape[0]
 
 
+@pytest.mark.parametrize("seed", [7, 11])
+def test_convergence_rate_tells_a_non_sewing_germ_apart(seed):
+    # |dB| has no sewn limit: its sums grow under refinement, so the distance
+    # to the full-grid sum barely falls over three levels, where the Ito
+    # germ's falls about fourfold
+    bm = simulate_brownian(1.0, 256, seed=seed, n_members=16)
+    m = bm.values[..., 0]
+    absolute = Germ("abs-increment", lambda c, s, t: np.abs(c["m"][:, t] - c["m"][:, s]),
+                    {"m": m}, ("m",))
+    bad = convergence_rate(absolute, bm.grid, depth=7).distances
+    good = convergence_rate(ito_germ(bm.values, bm.values), bm.grid, depth=7).distances
+    assert bad[3] / bad[0] > 0.8
+    assert good[3] / good[0] < 0.4
+
+
 def test_nan_level_fails_both_rate_fits():
     # at sizes 1, 2, 4, 8 the finite levels alone fit slope -1 and would pass
     # a rate gate; a NaN level must make the fitted slope NaN instead
@@ -275,16 +255,6 @@ def test_blocked_walk_matches_the_whole_ensemble_walk_bitwise(size):
         for q in (2.0, 3.0):
             got = convergence_rate(germ, grid, depth=7, q=q).distances
             assert got.tobytes() == _oracle_distances(germ, grid, 7, q).tobytes(), (name, q)
-        out = sew(germ, grid)
-        want = sew_fields(sewing, germ, grid)
-        assert out.value_path.tobytes() == want["value_path"].tobytes(), name
-        assert out.distances.tobytes() == want["distances"].tobytes(), name
-        assert out.gaps.tobytes() == want["gaps"].tobytes(), name
-        assert (out.met_tol, out.converged) == (want["met_tol"], want["converged"]), name
-        assert (out.warning is not None) == want["warned"], name
-        assert [p.indices.tobytes() for p in out.partitions] == [
-            p.indices.tobytes() for p in want["partitions"]
-        ], name
 
 
 def test_walk_calls_the_germ_once_per_member_block():
