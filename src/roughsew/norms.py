@@ -58,12 +58,23 @@ def _lq_cells(increments: np.ndarray, q: float, cell_axes: int = 1):
     """||dY||_{L^q(ensemble)} of each cell of (N, *cells, ...) increments,
     with Euclidean magnitudes across the axes after the `cell_axes` cell
     axes: the one reduction behind every table cell, and `lq_norm` at
-    cell_axes = 0.  The member mean runs on C-order memory, so a cell does
-    not depend on the layout of the increments (a time-major lift's columns
-    give the member-major cells bit for bit)."""
+    cell_axes = 0.  Components are summed, and the member mean runs, on
+    C-order memory, so a cell does not depend on the layout of the
+    increments (a time-major or Fortran-ordered lift's columns give the
+    member-major cells bit for bit).  One component is squared without a
+    copy; the root, the power and the mean (a sum, then one division, as
+    `np.mean` computes it) work in place."""
     flat = increments.reshape(increments.shape[: 1 + cell_axes] + (-1,))
-    mags = np.sqrt(np.einsum("...d,...d->...", flat, flat))
-    return np.mean(np.ascontiguousarray(mags**q), axis=0) ** (1.0 / q)
+    if flat.shape[-1] == 1:
+        mags = np.square(flat[..., 0], order="C")
+    else:
+        flat = np.ascontiguousarray(flat)
+        mags = np.einsum("...d,...d->...", flat, flat)
+    np.sqrt(mags, out=mags)
+    mags **= q
+    mean = np.add.reduce(mags, axis=0)
+    mean /= flat.shape[0]
+    return mean ** (1.0 / q)
 
 
 #: members x cells of one `_pair_cells` chunk (128 KB of float64): on

@@ -262,10 +262,14 @@ def ito_lift_brownian(bm: MartingalePath, substeps: int = 8, seed: int = 0) -> R
     grid = bm.grid
     db = bm.increments()
     bracket_step = bm.bracket_increments()
-    sym_part = 0.5 * (outer_increment(db, db) - bracket_step)
+    # in place, so no temporary as large as the lift is made
+    sym_part = outer_increment(db, db)
+    sym_part -= bracket_step
+    sym_part *= 0.5
     d = bm.dim
     n_members, n = db.shape[0], db.shape[1]
     if d == 1:
+        del db
         step_second = sym_part
     else:
         if substeps < 2:

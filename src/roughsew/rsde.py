@@ -523,9 +523,15 @@ def picard_solve(
     (the cells change every iteration), and equals the row-built table's
     seminorm bit for bit at every q (`norms._pair_seminorm`).  The event
     schedule is shared with the other solver calls on the same drivers (see
-    the module docstring).  Diagnostics record window boundaries, iteration counts and
-    successive distances, plus the event count and diverged members as in
-    `solve`.  p or q below 1 and max_iter below 1 are refused before planning.
+    the module docstring).  The end term is taken first: while it is at or
+    above `tol` the distance cannot fall below it, so the seminorm is skipped
+    and the iteration goes on.  Diagnostics record window boundaries,
+    iteration counts and one distance entry per iteration: the end term
+    where it was at or above `tol` (a lower bound of the distance, which
+    the warning at max_iter reports as "at least"), the full distance
+    otherwise; a window that stops below `tol` ends on a full distance.
+    They also record the event count and diverged members as in `solve`.
+    p or q below 1 and max_iter below 1 are refused before planning.
     """
     if p < 1 or q < 1:
         raise ValueError(f"picard_solve needs p >= 1 and q >= 1, got p={p}, q={q}")
@@ -568,16 +574,24 @@ def picard_solve(
                 if not live.any():
                     dists.append(float("nan"))
                     break
+                end = lq_norm(diff[:, -1], q)
+                # the distance is seminorm + end with seminorm >= 0 (or NaN),
+                # so it cannot fall below tol while the end term does not
+                bounded = end >= tol
+                if bounded:
+                    dists.append(end)
+                    continue
                 dist = _pair_seminorm(
                     lambda i, j: diff[:, j] - diff[:, i], diff.shape[0], 0, last, p, q, pairs
-                ) + lq_norm(diff[:, -1], q)
-                dists.append(float(dist))
+                ) + end
+                dists.append(dist)
                 if dist < tol:
                     break
             else:
                 warnings.warn(
                     f"Picard iteration hit max_iter={max_iter} on window [{s}, {t}] "
-                    f"(last update {dists[-1]:.3e}); keeping the last iterate"
+                    f"(last update {'at least ' if bounded else ''}{dists[-1]:.3e}); "
+                    "keeping the last iterate"
                 )
         iters_per_window.append(len(dists))
         distance_history.append(dists)

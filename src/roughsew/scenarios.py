@@ -511,7 +511,8 @@ def scenario_brownian_milstein(cfg: ExperimentConfig):
         for n_k, kept in zip(sizes, block_errs):
             lift = paths.ito_lift_brownian(_subsampled_brownian(bm, n_max // n_k), seed=seed)
             kept.append(rsde.solve(coeffs, 1.0, lift).values[:, -1] - exact)
-        del bm, values, lift  # free this block before the next one is drawn
+            del lift  # so the next level's lift is not built while this one lives
+        del bm, values  # free this block before the next one is drawn
     rows, errs = [], []
     for k, (n_k, kept) in enumerate(zip(sizes, block_errs)):
         l2, se = _l2_with_se(np.concatenate(kept))

@@ -189,6 +189,15 @@ def _lq_of_members(x, q):
     return np.mean(mags**q) ** (1.0 / q)
 
 
+def lq_cells_mean(increments, q, cell_axes=1):
+    """The L^q cells of (N, *cells, ...) increments as the package once
+    reduced them: one einsum for the squared magnitudes, fresh arrays for
+    the root and the power, and `np.mean` over members on C-order memory."""
+    flat = increments.reshape(increments.shape[: 1 + cell_axes] + (-1,))
+    mags = np.sqrt(np.einsum("...d,...d->...", flat, flat))
+    return np.mean(np.ascontiguousarray(mags**q), axis=0) ** (1.0 / q)
+
+
 def lq_table_rows(values, q, s=0, t=None):
     """F[u, v] = ||Y_v - Y_u||_{L^q} over [s, t], one row loop per u.
 
@@ -681,12 +690,13 @@ def picard_allocating_loop(rsde, germ, coeffs, y0, lift, mart=None, p=2.0, q=4.0
     (`add_germ` or `add_germ_einsum`) over the window's events at once, a
     fresh iterate and one cell reduction of the update.  It runs on the
     package's event schedule, window plan and seminorm, taken from the module
-    `rsde`.  Returns (values (N, n+1), left_values (N, J), iterations per
-    window, distances per window).
+    `rsde`.  Every iteration takes the full distance, seminorm plus end term.
+    Returns (values (N, n+1), left_values (N, J), iterations per window,
+    distances per window, end terms per window).
     """
     sched, fs, state = rsde._prologue(coeffs, y0, lift, mart, 0)
     n = lift.grid.n_steps
-    iterations, distances = [], []
+    iterations, distances, end_terms = [], [], []
     for s, t in rsde._plan_windows(lift, mart, p, q):
         e0, e1 = int(sched.event_start[s]), int(sched.event_start[t])
         dt_w, dm_w = sched.dt[e0:e1, None], sched.dm[e0:e1]
@@ -696,7 +706,7 @@ def picard_allocating_loop(rsde, germ, coeffs, y0, lift, mart=None, p=2.0, q=4.0
         pairs = rsde._column_pairs(last + 1)
         y_start = state[s]
         cur = np.broadcast_to(y_start, (e1 - e0 + 1, y_start.size)).copy()
-        dists = []
+        dists, ends = [], []
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(max_iter):
                 y_w = cur[:-1]
@@ -711,17 +721,21 @@ def picard_allocating_loop(rsde, germ, coeffs, y0, lift, mart=None, p=2.0, q=4.0
                 cur = new
                 if not live.any():
                     dists.append(float("nan"))
+                    ends.append(float("nan"))
                     break
+                end = rsde.lq_norm(diff[:, -1], q)
                 dist = rsde._pair_seminorm(
                     lambda i, j: diff[:, j] - diff[:, i], diff.shape[0], 0, last, p, q, pairs
-                ) + rsde.lq_norm(diff[:, -1], q)
+                ) + end
                 dists.append(float(dist))
+                ends.append(end)
                 if dist < tol:
                     break
         iterations.append(len(dists))
         distances.append(dists)
+        end_terms.append(ends)
         state[dest_w] = cur[1:]
-    return state[: n + 1].T, state[n + 1 :].T, iterations, distances
+    return state[: n + 1].T, state[n + 1 :].T, iterations, distances, end_terms
 
 
 def simulate_brownian(rng, times, n_members, dim, vol):

@@ -34,6 +34,7 @@ from roughsew.scenarios import default_config, run_scenario
 
 from oracles import (
     increment_table_broadcast,
+    lq_cells_mean,
     lq_table_rows,
     magnitude_table,
     pair_rows,
@@ -68,6 +69,34 @@ def test_lq_cells_do_not_depend_on_memory_layout(q):
         assert not cols[1].flags.c_contiguous
         assert np.array_equal(_lq_cells(cols[1], q), _lq_cells(cols[0], q))
     assert lq_norm(x_time_major[:, 5], q) == lq_norm(x[:, 5], q)
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 2.5, 4.0])
+@pytest.mark.parametrize("dim", [1, 3, 9])
+def test_lq_cells_equal_the_mean_reduction_bitwise(dim, q):
+    # the in-place reduction against the einsum/np.mean body it replaced, on
+    # random shapes with signed zeros, NaN and infinities among the entries;
+    # from d = 2 on the components are summed on C-order memory, so every
+    # layout gives the C-ordered input's old cells
+    rng = np.random.default_rng(int(10 * q) + dim)
+    specials = [None, [0.0, -0.0], [0.0, -0.0, np.inf, -np.inf], [np.nan, -0.0]]
+    for case in range(16):
+        n_members, n_cells = int(rng.integers(1, 301)), int(rng.integers(1, 41))
+        for cell_axes in (0, 1):
+            shape = (n_members, n_cells)[: 1 + cell_axes] + (dim,)
+            x = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4)
+            if specials[case % 4] is not None:
+                at = rng.random(shape) < 0.01 * (1 + case % 5)
+                x[at] = rng.choice(specials[case % 4], size=int(at.sum()))
+            inputs = [x] + ([x[..., 0]] if dim == 1 and cell_axes else [])
+            for c_order in inputs:
+                want = np.asarray(lq_cells_mean(c_order, q, cell_axes)).tobytes()
+                for layout in (np.ascontiguousarray, np.asfortranarray):
+                    got = _lq_cells(layout(c_order), q, cell_axes)
+                    assert np.asarray(got).tobytes() == want, (case, cell_axes, layout)
+                    if dim == 1:
+                        old = lq_cells_mean(layout(c_order), q, cell_axes)
+                        assert np.asarray(old).tobytes() == want
 
 
 def test_lq_norm_validation():

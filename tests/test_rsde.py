@@ -448,18 +448,29 @@ def _assert_solve_matches_oracles(coeffs, y0, lift, mart, ranges):
     return res
 
 
+def _expected_distances(distances, end_terms, tol):
+    """The recorded distances `picard_solve` owes the oracle's iterations:
+    the end term where it is at or above tol, the full distance otherwise."""
+    return [
+        [e if e >= tol else d for d, e in zip(dists, ends)]
+        for dists, ends in zip(distances, end_terms)
+    ]
+
+
 def _assert_picard_matches_oracles(coeffs, y0, lift, mart):
     """`picard_solve` against the allocating loop with both oracle germs, bytewise."""
+    tol = 1e-9  # both sides' default
     res = picard_solve(coeffs, y0, lift, mart)
     for germ in (add_germ, add_germ_einsum):
-        values, left, iterations, distances = picard_allocating_loop(
+        values, left, iterations, distances, end_terms = picard_allocating_loop(
             rsde, germ, coeffs, y0, lift, mart
         )
         assert _same_bytes(res.values, values), germ.__name__
         assert _same_bytes(res.left_values, left), germ.__name__
         assert res.diagnostics["iterations"] == iterations
+        want = _expected_distances(distances, end_terms, tol)
         assert _same_bytes(np.array(sum(res.diagnostics["distances"], [])),
-                           np.array(sum(distances, [])))
+                           np.array(sum(want, [])))
     return res
 
 
@@ -622,6 +633,38 @@ def test_plan_windows_match_one_step_search_oracle_on_a_two_dim_lift():
     assert windows == _one_step_windows(lift, mart)
 
 
+def _planner_cells(monkeypatch, lift, mart=None):
+    """`_plan_windows(lift, mart, 2.0, 4.0)` and every cell it reduced, in order."""
+    cells = []
+    lq_cells = rsde._lq_cells
+
+    def recorded(increments, q):
+        out = lq_cells(increments, q)
+        cells.append(out.copy())
+        return out
+
+    monkeypatch.setattr(rsde, "_lq_cells", recorded)
+    windows = _plan_windows(lift, mart, 2.0, 4.0)
+    monkeypatch.undo()
+    return windows, np.concatenate(cells)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_plan_windows_cells_do_not_depend_on_memory_layout(monkeypatch, seed):
+    # a Fortran-ordered d = 3 lift's columns hold strided components; the
+    # cells sum them on C-order memory, as for the C-ordered lift
+    lift = ito_lift_brownian(simulate_brownian(1.0, 200, seed=seed, n_members=64, dim=3), seed=seed)
+    fortran = RoughLift(
+        SamplePath(lift.grid, np.asfortranarray(lift.path.values)),
+        np.asfortranarray(lift.step_second),
+    )
+    assert not fortran.path.values.flags.c_contiguous
+    want_windows, want = _planner_cells(monkeypatch, lift)
+    windows, cells = _planner_cells(monkeypatch, fortran)
+    assert len(want_windows) > 1 and windows == want_windows
+    assert _same_bytes(cells, want)
+
+
 def test_plan_windows_single_step_over_threshold():
     # unit jumps: each jump step alone exceeds the threshold, right after a
     # longer window, and still becomes its own window
@@ -696,6 +739,56 @@ def test_picard_distance_from_one_reduction_matches_the_table_distance(monkeypat
     for key in ("windows", "iterations", "distances"):
         assert new.diagnostics[key] == old.diagnostics[key], key
     assert sum(new.diagnostics["iterations"]) > 2 * len(new.diagnostics["windows"])
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_picard_records_end_terms_that_cannot_stop_an_iteration(seed):
+    # the `jump_mix` run at the benchmark's size, N = 256: most iterations
+    # end with an end term at or above tol, whose seminorm is skipped;
+    # nothing else moves against the oracle that takes every distance (one
+    # oracle germ: both are checked against each other on smaller drivers)
+    mix, coeffs, tol = _jump_mix_driver(256, seed), _all_coeffs(), 1e-10
+    lift, mart = mix.lift, mix.martingale
+    res = picard_solve(coeffs, 0.2, lift, mart, tol=tol, max_iter=80)
+    values, left, iterations, distances, end_terms = picard_allocating_loop(
+        rsde, add_germ, coeffs, 0.2, lift, mart, tol=tol, max_iter=80
+    )
+    assert res.diagnostics["windows"] == _plan_windows(lift, mart, 2.0, 4.0)
+    assert res.diagnostics["iterations"] == iterations
+    assert _same_bytes(res.values, values) and _same_bytes(res.left_values, left)
+    want = _expected_distances(distances, end_terms, tol)
+    assert _same_bytes(np.array(sum(res.diagnostics["distances"], [])), np.array(sum(want, [])))
+    ends = sum(end_terms, [])
+    assert 2 * sum(e >= tol for e in ends) > len(ends)
+    # every window still stops on a full distance below tol
+    assert all(d[-1] < tol for d in res.diagnostics["distances"])
+
+
+def test_picard_warning_at_max_iter_reports_an_end_term_as_a_lower_bound():
+    # one iteration per window: the first window's end term is at or above
+    # tol, so its entry is that lower bound; the second's is below tol, so
+    # its entry is the full distance
+    bm = simulate_brownian(0.1, 8, seed=5, n_members=16)
+    lift = ito_lift_brownian(bm)
+    coeffs = CoefficientSet(
+        b=smooth_fn("tanh_affine", a=0.4, b=0.9), f=smooth_fn("tanh_affine", a=0.8, b=0.7, c=0.1)
+    )
+    tol = 0.05
+    with pytest.warns(UserWarning) as caught:
+        res = picard_solve(coeffs, 0.2, lift, tol=tol, max_iter=1)
+    _, _, _, distances, end_terms = picard_allocating_loop(
+        rsde, add_germ, coeffs, 0.2, lift, tol=tol, max_iter=1
+    )
+    first, second = res.diagnostics["distances"]
+    assert res.diagnostics["windows"] == [(0, 5), (5, 8)]
+    assert first == end_terms[0] and end_terms[0][0] >= tol
+    assert second == distances[1] and end_terms[1][0] < tol <= distances[1][0]
+    assert [str(w.message) for w in caught] == [
+        f"Picard iteration hit max_iter=1 on window [0, 5] (last update at least "
+        f"{first[0]:.3e}); keeping the last iterate",
+        f"Picard iteration hit max_iter=1 on window [5, 8] (last update "
+        f"{second[0]:.3e}); keeping the last iterate",
+    ]
 
 
 @pytest.mark.parametrize("p,q", [(0.9, 4.0), (2.0, 0.5)])
