@@ -148,6 +148,16 @@ def _poly_eval(c, y):
     return out
 
 
+# the parameters each `smooth_fn` entry reads
+_SMOOTH_PARAMS = {
+    "linear": ("a", "c"),
+    "sin_bundle": ("a", "b", "c"),
+    "tanh_affine": ("a", "b", "c"),
+    "exp_clipped": ("r",),
+    "polynomial_clipped": ("coeffs", "r"),
+}
+
+
 def smooth_fn(name: str, **params) -> SmoothFn:
     """Build a registry function.  Available entries:
 
@@ -158,8 +168,14 @@ def smooth_fn(name: str, **params) -> SmoothFn:
     - polynomial_clipped(coeffs=(0,0,1), r=16.0): P(clip(y, -r, r))
 
     Each carries exact df/d2f evaluators; the clipped entries are exact inside
-    (-r, r) and freeze outside, which keeps their C^3 data finite.
+    (-r, r) and freeze outside, which keeps their C^3 data finite.  A
+    parameter the entry does not read is refused.
     """
+    known = _SMOOTH_PARAMS.get(name, params)
+    for key in params:
+        if key not in known:
+            reads = ", ".join(known)
+            raise ValueError(f"smooth_fn {name!r} does not read {key} (it reads: {reads})")
     if name == "linear":
         a, c = params.get("a", 1.0), params.get("c", 0.0)
         return SmoothFn(
@@ -253,12 +269,13 @@ def _heavy_tail_warning(steps: np.ndarray, what: str):
         )
 
 
-def bracket(a: ControlledPath, b: ControlledPath, lift: RoughLift | None = None) -> IntegralProcess:
-    """[a, b]: cumulative sums of the germ dY (x) dZ - 2 (Y' (x) Z') Sym(XX).
+def bracket(a: ControlledPath, b: ControlledPath) -> IntegralProcess:
+    """[a, b]: cumulative sums of the germ dY (x) dZ - 2 (Y' (x) Z') Sym(XX),
+    XX the second level of a's lift.
 
     Output values have shape (N, n+1, ma, mb).
     """
-    lift = lift if lift is not None else a.lift
+    lift = a.lift
     dy = np.diff(a.values, axis=1)
     dz = np.diff(b.values, axis=1)
     sxx = sym(lift.step_second)

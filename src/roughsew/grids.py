@@ -79,9 +79,8 @@ def make_uniform_grid(T: float, n: int) -> TimeGrid:
     return TimeGrid(np.linspace(0.0, float(T), n + 1))
 
 
-def full_partition(grid: TimeGrid, s: int = 0, t: int | None = None) -> Partition:
-    t = grid.n_steps if t is None else t
-    return Partition(grid, np.arange(s, t + 1, dtype=np.int64))
+def full_partition(grid: TimeGrid) -> Partition:
+    return Partition(grid, np.arange(grid.n_steps + 1, dtype=np.int64))
 
 
 def insert_times(grid: TimeGrid, extra: np.ndarray) -> TimeGrid:
@@ -108,14 +107,6 @@ def insert_times(grid: TimeGrid, extra: np.ndarray) -> TimeGrid:
     return TimeGrid(out)
 
 
-def _check_window(fn: str, n_points: int, s: int, t: int | None) -> int:
-    """The seminorms' window rule 0 <= s <= t < n_points (t None: the last)."""
-    t = n_points - 1 if t is None else t
-    if not 0 <= s <= t < n_points:
-        raise ValueError(f"{fn} needs 0 <= s <= t <= {n_points - 1}, got s={s}, t={t}")
-    return t
-
-
 def _pvar_dp(columns):
     """Yield best[j] = max over partitions of [0, j] of the summed powers[u, v]
     for j = 1, 2, ..., one per column powers[:j, j] fed in, a list of floats
@@ -140,18 +131,18 @@ def _powers(dist: np.ndarray, p: float) -> np.ndarray:
     return np.abs(np.asarray(dist, dtype=float)) ** p
 
 
-def p_variation(dist: np.ndarray, p: float, s: int = 0, t: int | None = None) -> float:
-    """Exact p-variation of a two-parameter magnitude table over [s, t].
+def p_variation(dist: np.ndarray, p: float) -> float:
+    """Exact p-variation of a two-parameter magnitude table over all its points.
 
     dist[i, j] holds |increment over [t_i, t_j]|; the result is
 
-        sup over partitions P of [s, t] of (sum over [u,v] in P |dist|^p)^(1/p),
+        sup over partitions P of the grid of (sum over [u,v] in P |dist|^p)^(1/p),
 
-    the rooted right-end value of the window's DP (0 on a one-point window).
+    the rooted right-end value of the DP (0 on a one-point table).  The
+    p-variation over [s, t] is that of the table dist[s:t+1, s:t+1].
     """
-    t = _check_window("p_variation", np.shape(dist)[0], s, t)
-    powers = _powers(np.asarray(dist)[s : t + 1, s : t + 1], p)
-    *_, best = 0.0, *_pvar_dp(powers[:u, u].tolist() for u in range(1, t - s + 1))
+    powers = _powers(dist, p)
+    *_, best = 0.0, *_pvar_dp(powers[:u, u].tolist() for u in range(1, powers.shape[0]))
     return best ** (1.0 / p)
 
 
@@ -168,38 +159,33 @@ class ControlFn:
     for t <= t'.  Rows of `time_control`, `pvar_control` and superadditive
     tables are nondecreasing; `control_from_table` does not check this.  A
     row may be a view of cached data; callers do not write to it.  w(s, t)
-    is the row's last entry (0 on the diagonal); `left(s, t)` is w(s, t-),
-    the control of the window that stops at the previous grid point, which
-    all partition machinery that needs controls "continuous from the
-    inside" uses.
+    is the row's last entry (0 on the diagonal).  On a grid the left-open
+    w(s, t-), the control of the window that stops at the previous grid
+    point, is w(s, t - 1): what partition machinery that needs controls
+    "continuous from the inside" reads.
     """
 
     row: Callable[[int, int], np.ndarray]
-    name: str = "control"
 
     def __call__(self, s: int, t: int) -> float:
         if t <= s:
             return 0.0
         return float(self.row(int(s), int(t))[-1])
 
-    def left(self, s: int, t: int) -> float:
-        """w(s, t-) = w evaluated at the previous grid point (0 when none)."""
-        return self(s, t - 1)
-
 
 def time_control(grid: TimeGrid) -> ControlFn:
     times = grid.times
-    return ControlFn(lambda s, t: times[s + 1 : t + 1] - times[s], name="time")
+    return ControlFn(lambda s, t: times[s + 1 : t + 1] - times[s])
 
 
-def control_from_table(grid: TimeGrid, table: np.ndarray, name: str = "table") -> ControlFn:
+def control_from_table(grid: TimeGrid, table: np.ndarray) -> ControlFn:
     tab = np.asarray(table, dtype=float)
     if tab.shape != (grid.n_steps + 1, grid.n_steps + 1):
         raise ValueError("table shape does not match the grid")
-    return ControlFn(lambda s, t: tab[s, s + 1 : t + 1], name=name)
+    return ControlFn(lambda s, t: tab[s, s + 1 : t + 1])
 
 
-def pvar_control(dist: np.ndarray, p: float, name: str = "pvar") -> ControlFn:
+def pvar_control(dist: np.ndarray, p: float) -> ControlFn:
     """w(s, t) = (p-variation of `dist` over [s, t])^p, one cached DP per start.
 
     The p-th power of a p-variation is superadditive, which is what the
@@ -220,7 +206,7 @@ def pvar_control(dist: np.ndarray, p: float, name: str = "pvar") -> ControlFn:
             rows[s] = best = np.fromiter(_pvar_dp(columns), float, t - s)
         return best[: t - s]
 
-    return ControlFn(row, name=name)
+    return ControlFn(row)
 
 
 def _halving_point(w: ControlFn, a: int, b: int) -> int:

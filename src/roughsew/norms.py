@@ -1,17 +1,18 @@
 """Empirical L^q norms and V^p L^q-type seminorms over ensembles.
 
-The seminorm of a process Y over a window is the p-variation of the
-two-parameter table F(s, t) = ||dY_{s,t}||_{L^q(ensemble)}.  Conditional
-variants (the V^p L^q[r] family with r > 1) are out of empirical reach on a
-desk ensemble and are reduced to r = 1: conditional means are approximated by
-unconditional ensemble means (for r = 1 the two families coincide; r = infinity
-facts enter only through analytic closed forms such as a stored Brownian
-bracket).  Every table cell comes from one reduction, `_pair_cells`, over
-a chunk of grid-point pairs at once, and equals the cell of a table built
-row by row bit for bit; `_pair_seminorm` feeds them to `grids._pvar_dp`
-for every seminorm (and the solver's Picard update distances), except
-the q = 2 table of an ensemble, which `lq_table` reads off one Gram product G of
-the members' paths, each centred by its time-mean:
+The seminorm of a process Y is the p-variation of the two-parameter table
+F(s, t) = ||dY_{s,t}||_{L^q(ensemble)} over all grid points of its input;
+the seminorm over a window [s, t] is that of the slice values[:, s:t+1].
+Conditional variants (the V^p L^q[r] family with r > 1) are out of empirical
+reach on a desk ensemble and are reduced to r = 1: conditional means are
+approximated by unconditional ensemble means (for r = 1 the two families
+coincide; r = infinity facts enter only through analytic closed forms such as
+a stored Brownian bracket).  Every table cell comes from one reduction,
+`_pair_cells`, over a chunk of grid-point pairs at once, and equals the cell
+of a table built row by row bit for bit; `_pair_seminorm` feeds them to
+`grids._pvar_dp` for every seminorm (and the solver's Picard update
+distances), except the q = 2 table of an ensemble, which `lq_table` reads off
+one Gram product G of the members' paths, each centred by its time-mean:
 ||dY_{i,j}||^2 = (G_ii + G_jj - 2 G_ij) / N.  That subtraction cancels where
 an increment is small next to the paths' distance from their time-means, so
 a row with a cell where eps (G_ii + G_jj) exceeds `_GRAM_RTOL` times
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import _check_window, _pvar_dp, p_variation
+from .grids import _pvar_dp, p_variation
 from .paths import RoughLift
 
 __all__ = [
@@ -83,14 +84,13 @@ def _lq_cells(increments: np.ndarray, q: float, cell_axes: int = 1):
 _PAIR_CELL_BUDGET = 2**14
 
 
-def _check_args(fn: str, n_points: int, s: int, t: int | None, q: float, **exponents) -> int:
+def _check_args(fn: str, q: float, **exponents):
     """The public seminorms' one argument rule: q and every variation exponent
-    >= 1 and `grids._check_window`, else one `ValueError` line; returns t."""
+    >= 1, else one `ValueError` line."""
     low = {name: v for name, v in {**exponents, "q": q}.items() if not v >= 1}
     if low:
         got = ", ".join(f"{name}={v}" for name, v in low.items())
         raise ValueError(f"{fn} needs {' and '.join([*exponents, 'q'])} >= 1, got {got}")
-    return _check_window(fn, n_points, s, t)
 
 
 def _column_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -124,19 +124,17 @@ def _pair_cells(increments, n_members: int, q: float, ii, jj, t: int | None = No
     return cells
 
 
-def _pair_seminorm(increments, n_members: int, s: int, t: int, p: float, q: float, pairs=None):
-    """The V^p L^q seminorm over the grid points s..t of increments(i, j)
+def _pair_seminorm(increments, n_members: int, t: int, p: float, q: float, pairs=None):
+    """The V^p L^q seminorm over the grid points 0..t of increments(i, j)
     (see `_pair_cells`), bit for bit the p-variation of the row-built table:
-    the cells of `pairs` = `_column_pairs(t - s + 1)` shifted by s, then
-    `grids._pvar_dp` over their columns (a NaN cell gives NaN)."""
-    if t == s:
+    the cells of `pairs` = `_column_pairs(t + 1)`, then `grids._pvar_dp`
+    over their columns (a NaN cell gives NaN)."""
+    if t == 0:
         return 0.0
-    ii, jj = _column_pairs(t - s + 1) if pairs is None else pairs
-    if s:
-        ii, jj = ii + s, jj + s
+    ii, jj = _column_pairs(t + 1) if pairs is None else pairs
     powers = (_pair_cells(increments, n_members, q, ii, jj, t) ** p).tolist()
     # column j holds the pairs (0..j-1, j), from position j (j - 1) / 2 on
-    columns = (powers[j * (j - 1) // 2 : j * (j + 1) // 2] for j in range(1, t - s + 1))
+    columns = (powers[j * (j - 1) // 2 : j * (j + 1) // 2] for j in range(1, t + 1))
     *_, best = _pvar_dp(columns)
     return best ** (1.0 / p)
 
@@ -175,20 +173,19 @@ def _gram_table(block: np.ndarray):
     return out, np.flatnonzero(lossy)
 
 
-def lq_table(values: np.ndarray, q: float, s: int = 0, t: int | None = None) -> np.ndarray:
-    """Two-parameter table F[u, v] = ||Y_v - Y_u||_{L^q} over the window [s, t].
+def lq_table(values: np.ndarray, q: float) -> np.ndarray:
+    """Two-parameter table F[u, v] = ||Y_v - Y_u||_{L^q} over all grid points.
 
     values: (N, n+1) or (N, n+1, d), copied to C order if they are not (a
     Fortran-ordered d = 3 block sums its components in another order).  At
     q = 2 with N >= 2 the table comes from one Gram product (see the module
     docstring); all other cells from `_pair_cells`.
     """
-    v = np.ascontiguousarray(values, dtype=float)
-    if v.ndim == 2:
-        v = v[:, :, None]
-    t = _check_args("lq_table", v.shape[1], s, t, q)
-    block = v[:, s : t + 1, :]
-    m = t - s + 1
+    block = np.ascontiguousarray(values, dtype=float)
+    if block.ndim == 2:
+        block = block[:, :, None]
+    _check_args("lq_table", q)
+    m = block.shape[1]
     _check_table_size(m)
     # a single path keeps its exact differences: |x_v - x_u| from pair cells
     gram = _gram_table(block) if q == 2.0 and block.shape[0] >= 2 else None
@@ -209,38 +206,32 @@ def lq_table(values: np.ndarray, q: float, s: int = 0, t: int | None = None) -> 
 two_param_seminorm = p_variation
 
 
-def vp_lq_seminorm(
-    values: np.ndarray, p: float, q: float, s: int = 0, t: int | None = None
-) -> float:
-    """||Y||_{p,q,[s,t]}: p-variation of the L^q increment table, from the
-    Gram table at q = 2 with N >= 2 and from `_pair_seminorm` otherwise."""
+def vp_lq_seminorm(values: np.ndarray, p: float, q: float) -> float:
+    """||Y||_{p,q}: p-variation of the L^q increment table, from the Gram
+    table at q = 2 with N >= 2 and from `_pair_seminorm` otherwise."""
     v = np.ascontiguousarray(values, dtype=float)  # as in `lq_table`
-    t = _check_args("vp_lq_seminorm", v.shape[1], s, t, q, p=p)
+    _check_args("vp_lq_seminorm", q, p=p)
     if q == 2.0 and v.shape[0] >= 2:
-        return p_variation(lq_table(v, q, s=s, t=t), p)
-    return _pair_seminorm(lambda i, j: v[:, j] - v[:, i], v.shape[0], s, t, p, q)
+        return p_variation(lq_table(v, q), p)
+    return _pair_seminorm(lambda i, j: v[:, j] - v[:, i], v.shape[0], v.shape[1] - 1, p, q)
 
 
-def second_level_seminorm(
-    lift: RoughLift, p: float, q: float = 2.0, s: int = 0, t: int | None = None
-) -> float:
+def second_level_seminorm(lift: RoughLift, p: float, q: float = 2.0) -> float:
     """||XX||_{p/2, q}: (p/2)-variation of the second level's L^q table."""
-    t = _check_args("second_level_seminorm", lift.grid.n_steps + 1, s, t, q, **{"p/2": p / 2.0})
-    return _pair_seminorm(lift.second, lift.second_prefix.shape[0], s, t, p / 2.0, q)
+    _check_args("second_level_seminorm", q, **{"p/2": p / 2.0})
+    return _pair_seminorm(lift.second, lift.second_prefix.shape[0], lift.grid.n_steps, p / 2.0, q)
 
 
-def rough_path_distance(
-    a: RoughLift, b: RoughLift, p: float, q: float = 2.0, s: int = 0, t: int | None = None
-) -> float:
+def rough_path_distance(a: RoughLift, b: RoughLift, p: float, q: float = 2.0) -> float:
     """Inhomogeneous distance of two lifts on one grid:
     ||X - Xtilde||_p + ||XX - XXtilde||_{p/2}."""
     if a.grid.n_steps != b.grid.n_steps or np.any(a.grid.times != b.grid.times):
         raise ValueError("lifts live on different grids")
-    t = _check_args("rough_path_distance", a.grid.n_steps + 1, s, t, q, **{"p/2": p / 2.0})
-    first = vp_lq_seminorm(a.path.values - b.path.values, p, q, s=s, t=t)
+    _check_args("rough_path_distance", q, **{"p/2": p / 2.0})
+    first = vp_lq_seminorm(a.path.values - b.path.values, p, q)
     n_members = max(a.second_prefix.shape[0], b.second_prefix.shape[0])
     second = _pair_seminorm(
-        lambda i, j: a.second(i, j) - b.second(i, j), n_members, s, t, p / 2.0, q
+        lambda i, j: a.second(i, j) - b.second(i, j), n_members, a.grid.n_steps, p / 2.0, q
     )
     return first + second
 

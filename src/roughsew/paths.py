@@ -126,7 +126,6 @@ class RoughLift:
     path: SamplePath
     step_second: np.ndarray
     jump_second: np.ndarray | None = None
-    name: str = "lift"
 
     def __post_init__(self):
         ss = np.asarray(self.step_second, dtype=float)
@@ -249,14 +248,18 @@ def _brownian_values(rng, n_members, dim, sqrt_dt, volm) -> np.ndarray:
     return values
 
 
-def ito_lift_brownian(bm: MartingalePath, substeps: int = 8, seed: int = 0) -> RoughLift:
+#: Brownian-bridge sub-increments per step of the simulated Levy area
+_LEVY_SUBSTEPS = 8
+
+
+def ito_lift_brownian(bm: MartingalePath, seed: int = 0) -> RoughLift:
     """Ito lift of a Brownian ensemble.
 
     The symmetric part of each step is the exact Ito identity
     (dB (x) dB - [B]_step) / 2; for dim >= 2 the antisymmetric part (the Levy
-    area) is simulated from `substeps` Brownian-bridge sub-increments per step,
-    which carries an O(1/substeps) distributional bias and needs one bracket
-    shared by all members.  In one dimension the
+    area) is simulated from `_LEVY_SUBSTEPS` Brownian-bridge sub-increments
+    per step, which carries an O(1/_LEVY_SUBSTEPS) distributional bias and
+    needs one bracket shared by all members.  In one dimension the
     lift is exact: XX_step = (dB^2 - vol^2 dt) / 2.
     """
     grid = bm.grid
@@ -266,55 +269,34 @@ def ito_lift_brownian(bm: MartingalePath, substeps: int = 8, seed: int = 0) -> R
     sym_part = outer_increment(db, db)
     sym_part -= bracket_step
     sym_part *= 0.5
-    d = bm.dim
+    d, m = bm.dim, _LEVY_SUBSTEPS
     n_members, n = db.shape[0], db.shape[1]
     if d == 1:
         del db
         step_second = sym_part
     else:
-        if substeps < 2:
-            raise ValueError("need at least 2 substeps for the Levy area")
         if bracket_step.shape[0] != 1:
             raise ValueError("the Levy area needs one bracket shared by all members")
-        rng = stream(seed, "levy-area", d, substeps, n_members)
+        rng = stream(seed, "levy-area", d, m, n_members)
         area = np.zeros((n_members, n, d, d))
         # per-step bridge: xi_i ~ N(0, [B]_step / m), then eta_i = xi_i + (dB - sum xi)/m
-        chol = np.linalg.cholesky(bracket_step[0] / substeps)
+        chol = np.linalg.cholesky(bracket_step[0] / m)
         for k in range(n):
-            xi = rng.standard_normal((n_members, substeps, d))
+            xi = rng.standard_normal((n_members, m, d))
             xi = np.einsum("ij,nmj->nmi", chol[k], xi)
-            eta = xi + (db[:, k, None, :] - xi.sum(axis=1, keepdims=True)) / substeps
+            eta = xi + (db[:, k, None, :] - xi.sum(axis=1, keepdims=True)) / m
             run = np.cumsum(eta, axis=1)
             raw = np.einsum(
                 "nmj,nmk->njk", np.concatenate([np.zeros((n_members, 1, d)), run[:, :-1]], axis=1), eta
             )
             area[:, k] = 0.5 * (raw - np.swapaxes(raw, -1, -2))
         step_second = sym_part + area
-    return RoughLift(path=bm, step_second=step_second, name="brownian-ito")
+    return RoughLift(path=bm, step_second=step_second)
 
 
 # ---------------------------------------------------------------------------
 # compound Poisson
 # ---------------------------------------------------------------------------
-
-_JUMP_MEANS = {
-    "gauss": lambda p: p[0],
-    "fixed": lambda p: p[0],
-    "uniform": lambda p: 0.5 * (p[0] + p[1]),
-}
-
-
-def _draw_jump_sizes(rng, kind, params, count):
-    if kind == "gauss":
-        mu, sigma = params
-        return mu + sigma * rng.standard_normal(count)
-    if kind == "fixed":
-        return np.full(count, float(params[0]))
-    if kind == "uniform":
-        a, b = params
-        return rng.uniform(a, b, size=count)
-    raise ValueError(f"unknown jump size distribution {kind!r}")
-
 
 @dataclass
 class CompoundPoissonResult:
@@ -332,11 +314,11 @@ def simulate_compound_poisson(
     n: int,
     seed: int,
     n_members: int = 1,
-    jump_kind: str = "gauss",
     jump_params: tuple = (0.0, 1.0),
     align_jumps: bool = True,
 ) -> CompoundPoissonResult:
-    """Compound Poisson ensemble with intensity `rate` on [0, T].
+    """Compound Poisson ensemble with intensity `rate` on [0, T] and Gaussian
+    jump sizes N(mu, sigma^2), jump_params = (mu, sigma).
 
     align_jumps=True (default): every member's jump times are merged into the
     base grid exactly, so jumps sit on grid points and left limits are exact
@@ -347,7 +329,7 @@ def simulate_compound_poisson(
     still exact at grid points because it is accumulated from the true jump
     times.  Intended for large-N Monte Carlo.
 
-    The compensated martingale is M_t = X_t - rate * E[jump] * t with bracket
+    The compensated martingale is M_t = X_t - rate * mu * t with bracket
     [M]_t = sum of (Delta X_u)^2 over actual jump times u <= t.
     """
     base = make_uniform_grid(T, n)
@@ -356,7 +338,8 @@ def simulate_compound_poisson(
     total = int(counts.sum())
     # keep jump times clear of t = 0 so a jump index is always >= 1
     flat_times = np.clip(rng.uniform(0.0, T, size=total), 1e-9 * T, T)
-    flat_sizes = _draw_jump_sizes(rng, jump_kind, jump_params, total)
+    mu, sigma = jump_params
+    flat_sizes = mu + sigma * rng.standard_normal(total)
     member_of = np.repeat(np.arange(n_members), counts)
     order = np.lexsort((flat_times, member_of))
     flat_times, flat_sizes, member_of = (
@@ -386,7 +369,7 @@ def simulate_compound_poisson(
     jump_indices = np.unique(col) if align_jumps else np.array([], dtype=np.int64)
     path = SamplePath(grid=grid, values=values[:, :, None], jump_indices=jump_indices)
 
-    jump_mean = float(_JUMP_MEANS[jump_kind](jump_params))
+    jump_mean = float(mu)
     martingale = _compensated(path, rate * jump_mean, qv[:, :, None, None])
     return CompoundPoissonResult(path=path, martingale=martingale, rate=rate, jump_mean=jump_mean)
 
@@ -423,7 +406,7 @@ def forward_lift_jump_path(path: SamplePath) -> RoughLift:
     step_second = np.zeros(
         (path.n_members, path.grid.n_steps, path.dim, path.dim)
     )
-    return RoughLift(path=path, step_second=step_second, name="jump-forward")
+    return RoughLift(path=path, step_second=step_second)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +458,7 @@ def smooth_lift(path_id: str, T: float, n: int, grid: TimeGrid | None = None) ->
     else:
         step_second = _sine_cosine_window(grid.times[:-1], grid.times[1:])[None]
     path = SamplePath(grid=grid, values=values)
-    return RoughLift(path=path, step_second=step_second, name=f"smooth-{path_id}")
+    return RoughLift(path=path, step_second=step_second)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +479,6 @@ def simulate_mixed(
     seed: int,
     n_members: int = 1,
     rate: float = 2.0,
-    jump_kind: str = "gauss",
     jump_params: tuple = (0.0, 0.5),
     vol: float = 1.0,
 ) -> MixedResult:
@@ -510,9 +492,7 @@ def simulate_mixed(
     - martingale: compensated by `_compensated` as in
       `simulate_compound_poisson`, with bracket [J] + [B] from the two builders.
     """
-    cp = simulate_compound_poisson(
-        T, rate, n, seed, n_members, jump_kind, jump_params, align_jumps=True
-    )
+    cp = simulate_compound_poisson(T, rate, n, seed, n_members, jump_params, align_jumps=True)
     jump, grid = cp.path, cp.path.grid
     bm = simulate_brownian(T, grid.n_steps, seed, n_members, dim=1, vol=vol, grid=grid)
     jumps = jump.jump_indices
@@ -523,6 +503,6 @@ def simulate_mixed(
     step_second = ito_lift_brownian(bm).step_second + outer_increment(
         bm.increments(), jump.increments()
     )
-    lift = RoughLift(path=path, step_second=step_second, name="mixed-forward")
+    lift = RoughLift(path=path, step_second=step_second)
     mart = _compensated(path, cp.rate * cp.jump_mean, cp.martingale.bracket + bm.bracket)
     return MixedResult(path=path, martingale=mart, lift=lift)

@@ -582,7 +582,7 @@ def picard_solve(
                     dists.append(end)
                     continue
                 dist = _pair_seminorm(
-                    lambda i, j: diff[:, j] - diff[:, i], diff.shape[0], 0, last, p, q, pairs
+                    lambda i, j: diff[:, j] - diff[:, i], diff.shape[0], last, p, q, pairs
                 ) + end
                 dists.append(dist)
                 if dist < tol:
@@ -683,7 +683,7 @@ def stability_experiment(
         l_der = vp_lq_seminorm(dya - dyb, p, q)
         means = _remainder_means(ya, dya, xa, yb, dyb, np.ascontiguousarray(pert.lift.path.values))
         # one "member" (the ensemble mean) and q = 1: its cells are |mean|
-        l_rem = _pair_seminorm(means, ya.shape[0], 0, ya.shape[1] - 1, p / 2.0, 1.0)
+        l_rem = _pair_seminorm(means, ya.shape[0], ya.shape[1] - 1, p / 2.0, 1.0)
         lhs = l_sol + l_der + l_rem
 
         y0b = np.atleast_1d(np.asarray(pert.y0, dtype=float))

@@ -82,6 +82,15 @@ class ExperimentConfig:
                 f"{self.scenario} builds tables over all n + 1 grid points, "
                 f"so n must be <= {MAX_TABLE_POINTS - 1}, got {self.n}"
             )
+        # levels past 64 only grow a grid that is already too large
+        refined = min(self.levels - 1, 64) if self.scenario in _REFINED else 0
+        members = min(self.ensemble, _MEMBER_CAP.get(self.scenario, self.ensemble))
+        cells = max(members * ((self.n << refined) + 1), 3 * self.params.get("triples", 0))
+        if cells > _MAX_CELLS:
+            raise ValueError(
+                f"{self.scenario} at n={self.n}, levels={self.levels}, ensemble={self.ensemble} "
+                f"needs arrays of {cells} cells, more than the {_MAX_CELLS} numpy can address"
+            )
 
 
 # the params each scenario reads: counts (integers >= 1) of refinement levels
@@ -92,6 +101,16 @@ _PARAMS = {
     "chen_check": ("triples",),
     "stability_base": ("eps",),
 }
+
+
+# the scenarios whose finest grid has n 2^(levels - 1) steps, and those that
+# draw at most a fixed number of members whatever the ensemble size
+_REFINED = ("ito_bdb", "brackets", "ito_formula", "smooth_exponential", "brownian_milstein")
+_MEMBER_CAP = {"chen_check": 64, "jump_structure": 32, "smooth_exponential": 1}
+#: cells of a run's (members, grid points) arrays, or of chen_check's (triples, 3)
+#: windows: above this a derived array such as a d = 2 lift's (N, 2n+1, 2, 2)
+#: prefix terms takes more than np.intp can count in bytes, and numpy refuses it
+_MAX_CELLS = np.iinfo(np.intp).max // 64
 
 
 def _check_integer(name, v, low):
@@ -210,9 +229,7 @@ def scenario_jump_structure(cfg: ExperimentConfig):
     )
     step2 = np.zeros((1, 2, 1, 1))
     step2[0, 1, 0, 0] = 0.3
-    lift2 = paths.RoughLift(
-        sp, step2, jump_second=np.full((1, 1, 1, 1), 0.3), name="hand-built-jump"
-    )
+    lift2 = paths.RoughLift(sp, step2, jump_second=np.full((1, 1, 1, 1), 0.3))
     y2 = np.array([[1.0, 2.0, 2.0]])
     yp2 = np.array([[0.5, 1.5, 1.5]])
     z2 = integrals.rough_stoch_integrate(y2, yp2, lift2)
@@ -289,7 +306,7 @@ def scenario_sewing_rate(cfg: ExperimentConfig):
         ("ito", ito, controls),
         ("qv", sewing.qv_germ(b, bracket=bm.bracket[..., 0, 0]), controls[:2]),
     ):
-        rep = sewing.convergence_rate(germ, bm.grid, controls=ws, depth=depth, q=2.0)
+        rep = sewing.convergence_rate(germ, bm.grid, controls=ws, depth=depth)
         for h, dist in zip(rep.levels, rep.distances):
             rows.append(_row(cfg, f"refine_distance[{tag}]", dist, level=int(h)))
         rows.append(_row(cfg, f"refine_slope[{tag}]", rep.slope))
@@ -299,9 +316,7 @@ def scenario_sewing_rate(cfg: ExperimentConfig):
     g = stream(seed, "integer-walk")
     steps = g.integers(-3, 4, size=(min(N, 256), n)).astype(float)
     walk = np.concatenate([np.zeros((steps.shape[0], 1)), np.cumsum(steps, axis=1)], axis=1)
-    rep_add = sewing.convergence_rate(
-        sewing.increment_germ(walk), bm.grid, depth=depth, q=2.0
-    )
+    rep_add = sewing.convergence_rate(sewing.increment_germ(walk), bm.grid, depth=depth)
     rows.append(
         _row(cfg, "additive_max_distance", float(np.max(rep_add.distances)), N=walk.shape[0])
     )
@@ -628,7 +643,6 @@ def scenario_stability_base(cfg: ExperimentConfig):
         tilted = paths.RoughLift(
             paths.SamplePath(grid=grid, values=vals),
             0.5 * dx[..., None] * dx[:, :, None, :],
-            name="tilted-linear",
         )
         pairs += [
             (rsde.RSDEProblem(y0 + eps, base_lift, bm), None),

@@ -14,7 +14,7 @@ member: row i of its values depends only on row i of its member-axis context
 arrays, so it can be evaluated on any block of members.  `convergence_rate`
 walks a sequence of nested partitions produced by alternating midpoints of the
 supplied controls (time plus p-variation controls of the germ's inputs by
-default), measures the uniform-in-time empirical L^q distance to the limit at
+default), measures the uniform-in-time empirical L^2 distance to the limit at
 every level, and fits the observed geometric decay.  The walk runs in member
 blocks of about `_BLOCK_CELLS` member-steps, one germ call per block and
 level, so each level's arrays are reduced while they are in cache.
@@ -77,7 +77,6 @@ class Germ:
     default partition refinement.
     """
 
-    name: str
     fn: Callable[[dict, Any, Any], np.ndarray]
     context: dict
     control_keys: tuple = ()
@@ -170,7 +169,7 @@ def default_controls(germ: Germ, grid: TimeGrid) -> list[ControlFn]:
         arr = germ.context[key]
         if arr.ndim >= 2 and arr.shape[1] == grid.n_steps + 1:
             if id(arr) not in by_array:
-                by_array[id(arr)] = pvar_control(lq_table(arr, 2.0), 2.0, name=f"pvar[{key}]")
+                by_array[id(arr)] = pvar_control(lq_table(arr, 2.0), 2.0)
             controls.append(by_array[id(arr)])
     return controls
 
@@ -194,7 +193,6 @@ class RateReport:
     distances: np.ndarray
     slope: float
     intercept: float
-    q: float
 
 
 def convergence_rate(
@@ -202,16 +200,16 @@ def convergence_rate(
     grid: TimeGrid,
     controls: list[ControlFn] | None = None,
     depth: int = 8,
-    q: float = 2.0,
 ) -> RateReport:
     """Distance-to-limit per refinement level and the fitted log2 slope.
 
     The levels are the alternating midpoints of the controls (default ones
-    if None).  Each level evaluates the germ once per block of about
-    `_BLOCK_CELLS` member-steps and reduces the block's clipped path to
-    per-member sups at once; the (N,) sups are reduced by `lq_norm`, so every
-    distance equals the whole-ensemble one bit for bit.  The slope is fitted
-    by `log2_fit`.
+    if None).  The distance is the L^2 norm over members of the sup over
+    time of the gap to the full-grid path.  Each level evaluates the germ
+    once per block of about `_BLOCK_CELLS` member-steps and reduces the
+    block's clipped path to per-member sups at once; the (N,) sups are
+    reduced by `lq_norm`, so every distance equals the whole-ensemble one
+    bit for bit.  The slope is fitted by `log2_fit`.
     """
     controls = controls if controls is not None else default_controls(germ, grid)
     full = step_path(germ, grid)
@@ -228,11 +226,11 @@ def convergence_rate(
         u, t, k, ends = _windows(lv)
         for g, (lo, hi) in zip(germs, blocks):
             sups[lo:hi] = _sup_magnitude(full[lo:hi] - _clipped_path(g(u, t), k, ends))
-        distances.append(lq_norm(sups, q))
+        distances.append(lq_norm(sups, 2.0))
     distances = np.array(distances)
     levels = np.arange(depth + 1)
     slope, intercept = log2_fit(levels, distances)
-    return RateReport(levels, distances, slope, intercept, q)
+    return RateReport(levels, distances, slope, intercept)
 
 
 def log2_fit(x, errors) -> tuple[float, float]:
@@ -275,25 +273,20 @@ def _scalar(values, what: str, axis: str = "n+1") -> np.ndarray:
     return a if a.ndim == 2 else a.reshape(a.shape[:2])
 
 
-def increment_germ(values: np.ndarray, name: str = "increment") -> Germ:
+def increment_germ(values: np.ndarray) -> Germ:
     """Additive germ Xi_{s,t} = dX_{s,t}; its sums are partition-independent."""
     ctx = {"x": np.asarray(values, dtype=float)}
-    return Germ(name, lambda c, s, t: c["x"][:, t] - c["x"][:, s], ctx, ("x",))
+    return Germ(lambda c, s, t: c["x"][:, t] - c["x"][:, s], ctx, ("x",))
 
 
-def ito_germ(integrand: np.ndarray, integrator: np.ndarray, name: str = "ito") -> Germ:
+def ito_germ(integrand: np.ndarray, integrator: np.ndarray) -> Germ:
     """Left-point germ Xi_{s,t} = Y_s dM_{s,t}, scalar integrand and integrator.
 
     The integrator may be a martingale or a finite-variation path such as a
     bracket (N, n+1, 1, 1), for which the sums are Stieltjes (Young) sums.
     """
     ctx = {"y": _scalar(integrand, "integrand"), "m": _scalar(integrator, "integrator")}
-    return Germ(
-        name,
-        lambda c, s, t: c["y"][:, s] * (c["m"][:, t] - c["m"][:, s]),
-        ctx,
-        ("y", "m"),
-    )
+    return Germ(lambda c, s, t: c["y"][:, s] * (c["m"][:, t] - c["m"][:, s]), ctx, ("y", "m"))
 
 
 def rough_germ(
@@ -301,7 +294,6 @@ def rough_germ(
     yp: np.ndarray,
     x_values: np.ndarray,
     second_prefix: np.ndarray,
-    name: str = "rough",
 ) -> Germ:
     """One-dimensional controlled-integrand germ Y_s dX_{s,t} + Y'_s XX_{s,t}.
 
@@ -322,10 +314,10 @@ def rough_germ(
         xx = c["xx0"][:, t] - c["xx0"][:, s] - c["x0"][:, s] * dx
         return c["y"][:, s] * dx + c["yp"][:, s] * xx
 
-    return Germ(name, fn, ctx, ("y", "x"))
+    return Germ(fn, ctx, ("y", "x"))
 
 
-def qv_germ(values: np.ndarray, bracket: np.ndarray | None = None, name: str = "qv") -> Germ:
+def qv_germ(values: np.ndarray, bracket: np.ndarray | None = None) -> Germ:
     """Quadratic-variation germ (dM_{s,t})^2, optionally bracket-compensated."""
     ctx = {"m": _scalar(values, "values")}
     if bracket is not None:
@@ -337,4 +329,4 @@ def qv_germ(values: np.ndarray, bracket: np.ndarray | None = None, name: str = "
             val = val - (c["b"][:, t] - c["b"][:, s])
         return val
 
-    return Germ(name, fn, ctx, ("m",))
+    return Germ(fn, ctx, ("m",))

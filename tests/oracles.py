@@ -237,6 +237,17 @@ def pair_rows(increments, s, t):
     return lambda i: increments(np.full(t - s - i, s + i), np.arange(s + i + 1, t + 1))
 
 
+def shifted_increments(increments, s):
+    """increments(i, j) of the window that starts at grid point s, for a
+    seminorm that reads grid points 0..t - s: index arrays and slices (the
+    last pair of the package's pair cells) shifted by s."""
+
+    def shift(k):
+        return slice(k.start + s, k.stop + s) if isinstance(k, slice) else k + s
+
+    return lambda i, j: increments(shift(i), shift(j))
+
+
 def second_rows(lift, s, t):
     """row(i) = XX_{s+i, s+i+1..t} of a lift, one Chen evaluation per row."""
     return lambda i: lift.second(s + i, np.arange(s + i + 1, t + 1))
@@ -725,7 +736,7 @@ def picard_allocating_loop(rsde, germ, coeffs, y0, lift, mart=None, p=2.0, q=4.0
                     break
                 end = rsde.lq_norm(diff[:, -1], q)
                 dist = rsde._pair_seminorm(
-                    lambda i, j: diff[:, j] - diff[:, i], diff.shape[0], 0, last, p, q, pairs
+                    lambda i, j: diff[:, j] - diff[:, i], diff.shape[0], last, p, q, pairs
                 ) + end
                 dists.append(float(dist))
                 ends.append(end)

@@ -277,14 +277,15 @@ def test_criterion_12_alternating_midpoint_bound():
                 masses = rng.uniform(0.05, 1.0, size=n)
                 prefix = np.concatenate([[0.0], np.cumsum(masses)])
                 tab = np.maximum(prefix[None, :] - prefix[:, None], 0.0) ** 1.5
-                ws.append(control_from_table(g, tab, name="random"))
+                ws.append(control_from_table(g, tab))
             levels = alternating_midpoints(ws, 0, n, 2 * n_controls)
             for h, pts in enumerate(levels):
                 factor = 0.5 ** (h // n_controls)
                 for w in ws:
-                    bound = factor * w.left(0, n)
+                    # left-open masses: w(a, b-) = w(a, b - 1) on the grid
+                    bound = factor * w(0, n - 1)
                     for a, b in zip(pts[:-1], pts[1:]):
-                        if not w.left(int(a), int(b)) <= bound:
+                        if not w(int(a), int(b) - 1) <= bound:
                             violations += 1
         checks.append((violations == 0, f"{n_controls} controls: {violations} violations"))
     _gate(12, "halving bound exact on every level, 40 random trials each", checks)

@@ -64,6 +64,23 @@ def test_smooth_fn_registry_and_unknown_name():
     assert smooth_fn("tanh_affine").bounded
 
 
+@pytest.mark.parametrize(
+    "name,typo,reads",
+    [
+        ("linear", "slope", "a, c"),
+        ("sin_bundle", "amp", "a, b, c"),
+        ("tanh_affine", "scale", "a, b, c"),
+        ("exp_clipped", "radius", "r"),
+        ("polynomial_clipped", "coef", "coeffs, r"),
+    ],
+)
+def test_smooth_fn_refuses_a_parameter_its_entry_does_not_read(name, typo, reads):
+    # before, linear(slope=2) silently gave slope 1 and sin_bundle(amp=5) amplitude 1
+    with pytest.raises(ValueError) as err:
+        smooth_fn(name, **{typo: 2.0})
+    assert str(err.value) == f"smooth_fn {name!r} does not read {typo} (it reads: {reads})"
+
+
 # ---------------------------------------------------------------------------
 # controlled paths
 # ---------------------------------------------------------------------------

@@ -123,6 +123,12 @@ def test_run_uses_config_out_dir_when_no_flag(tmp_path):
         # a params key the scenario does not read: a typo, and a real key elsewhere
         {"scenario": "sewing_rate", "params": {"dpeth": 8}},
         {"scenario": "em_reduction", "params": {"depth": 8}},
+        # sizes whose arrays numpy cannot describe, refused before any draw
+        {"scenario": "ito_bdb", "n": 64, "levels": 70, "ensemble": 4},
+        {"scenario": "ito_bdb", "ensemble": 2**62},
+        {"scenario": "em_reduction", "n": 2**62},
+        {"scenario": "jump_mix", "ensemble": 2**62},
+        {"scenario": "chen_check", "params": {"triples": 2**62}},
     ],
 )
 def test_run_rejects_bad_configs(tmp_path, capsys, body):
@@ -132,6 +138,14 @@ def test_run_rejects_bad_configs(tmp_path, capsys, body):
     # one line, no traceback
     assert err.startswith("roughsew run: bad config:") and err.count("\n") == 1
     assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_size_guard_counts_only_the_members_and_levels_a_scenario_reads():
+    # chen_check draws at most 64 members and em_reduction does not refine
+    assert ExperimentConfig(scenario="chen_check", ensemble=2**62).ensemble == 2**62
+    assert ExperimentConfig(scenario="em_reduction", levels=200).levels == 200
+    with pytest.raises(ValueError, match="^ito_bdb at n=64, levels=200, ensemble=4 needs arrays"):
+        ExperimentConfig(scenario="ito_bdb", n=64, levels=200, ensemble=4)
 
 
 def test_table_scenarios_accept_the_largest_table_grid():

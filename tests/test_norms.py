@@ -42,6 +42,7 @@ from oracles import (
     remainder_mean_table_rows,
     second_level_table_cells,
     second_rows,
+    shifted_increments,
 )
 
 
@@ -195,7 +196,28 @@ ORACLE_RTOL = 1e-13
 
 def _lift(n_members, dim, seed, n=12):
     bm = simulate_brownian(1.0, n, seed=seed, n_members=n_members, dim=dim)
-    return ito_lift_brownian(bm, substeps=4, seed=seed)
+    return ito_lift_brownian(bm, seed=seed)
+
+
+def _second_seminorm(lift, p, q, s, t):
+    """`second_level_seminorm` over [s, t]: on the whole grid the seminorm
+    itself, on a shorter window `_pair_seminorm` of the second level with
+    its indices shifted by s, bit for bit the seminorm over that window."""
+    if (s, t) == (0, lift.grid.n_steps):
+        return second_level_seminorm(lift, p, q)
+    second = shifted_increments(lift.second, s)
+    return _pair_seminorm(second, lift.second_prefix.shape[0], t - s, p / 2, q)
+
+
+def _distance(a, b, p, q, s, t):
+    """`rough_path_distance` over [s, t], read as `_second_seminorm` is: the
+    first level from the window's slice of the paths."""
+    if (s, t) == (0, a.grid.n_steps):
+        return rough_path_distance(a, b, p, q)
+    first = vp_lq_seminorm((a.path.values - b.path.values)[:, s : t + 1], p, q)
+    n_members = max(a.second_prefix.shape[0], b.second_prefix.shape[0])
+    second = shifted_increments(lambda i, j: a.second(i, j) - b.second(i, j), s)
+    return first + _pair_seminorm(second, n_members, t - s, p / 2, q)
 
 
 def _second_table_oracle(lift, q, s, t, other=None):
@@ -208,8 +230,8 @@ def _second_table_oracle(lift, q, s, t, other=None):
 @pytest.mark.parametrize("n_members,dim", ENSEMBLE_CASES)
 def test_lq_table_matches_row_loop_oracle(n_members, dim):
     vals = _lift(n_members, dim, seed=3).path.values
-    for q, s, t in [(2.0, 0, None), (4.0, 2, 9), (1.5, 5, 5)]:
-        got = lq_table(vals, q, s=s, t=t)
+    for q, s, t in [(2.0, 0, 12), (4.0, 2, 9), (1.5, 5, 5)]:
+        got = lq_table(vals[:, s : t + 1], q)
         want = lq_table_rows(vals, q, s=s, t=t)
         assert got.shape == want.shape
         assert np.allclose(got, want, rtol=ORACLE_RTOL, atol=0.0)
@@ -220,7 +242,7 @@ def test_second_level_seminorm_matches_cell_loop_oracle(n_members, dim):
     lift = _lift(n_members, dim, seed=5)
     for p, q, s, t in [(2.5, 2.0, 0, 12), (3.0, 4.0, 3, 10)]:
         want = p_variation(_second_table_oracle(lift, q, s, t), p / 2.0)
-        got = second_level_seminorm(lift, p, q, s=s, t=t)
+        got = _second_seminorm(lift, p, q, s, t)
         assert got == pytest.approx(want, rel=ORACLE_RTOL, abs=0.0)
 
 
@@ -232,7 +254,7 @@ def test_rough_path_distance_matches_cell_loop_oracle(n_members, dim):
             lq_table_rows(a.path.values - b.path.values, q, s=s, t=t), p
         )
         second = p_variation(_second_table_oracle(a, q, s, t, other=b), p / 2.0)
-        got = rough_path_distance(a, b, p, q, s=s, t=t)
+        got = _distance(a, b, p, q, s, t)
         assert got == pytest.approx(first + second, rel=ORACLE_RTOL, abs=0.0)
 
 
@@ -272,7 +294,8 @@ GRAM_RTOL = 1e-12
 
 
 def _assert_gram_matches_rows(vals, s=0, t=None):
-    got = lq_table(vals, 2.0, s=s, t=t)
+    t = vals.shape[1] - 1 if t is None else t
+    got = lq_table(vals[:, s : t + 1], 2.0)
     want = lq_table_rows(vals, 2.0, s=s, t=t)
     assert got.shape == want.shape
     # atol 0: a zero cell of the row loop is a zero cell of the Gram table
@@ -393,7 +416,7 @@ def test_pair_seminorm_equals_the_row_builder_bitwise(p, q):
     kinds = []
     with np.errstate(invalid="ignore"):
         for m, x in _pair_cases(seed=int(10 * p + q)):
-            got = _pair_seminorm(_differences(x), x.shape[0], 0, m - 1, p, q, _column_pairs(m))
+            got = _pair_seminorm(_differences(x), x.shape[0], m - 1, p, q, _column_pairs(m))
             want = _rows_vp(x, p, q, 0, m - 1)
             assert _same(got, want), (m, x.shape, got, want)
             kinds.append("nan" if np.isnan(got) else "inf" if np.isinf(got) else "finite")
@@ -405,10 +428,10 @@ def test_pair_seminorm_is_bitwise_in_chunks(monkeypatch):
     # chunks of two, three and five cells give the one-call cells (a chunk
     # of one cell would sum its 256 members pairwise)
     x = np.cumsum(np.random.default_rng(5).standard_normal((256, 20)), axis=1)
-    want = [_pair_seminorm(_differences(x), 256, 0, m - 1, 2.0, 4.0) for m in range(2, 21)]
+    want = [_pair_seminorm(_differences(x), 256, m - 1, 2.0, 4.0) for m in range(2, 21)]
     for budget in (0, 3 * 256, 5 * 256):
         monkeypatch.setattr(norms, "_PAIR_CELL_BUDGET", budget)
-        got = [_pair_seminorm(_differences(x), 256, 0, m - 1, 2.0, 4.0) for m in range(2, 21)]
+        got = [_pair_seminorm(_differences(x), 256, m - 1, 2.0, 4.0) for m in range(2, 21)]
         assert got == want
 
 
@@ -454,7 +477,7 @@ def _table_vp(values, p, q, s, t):
     """`vp_lq_seminorm` as the row builder's tables gave it: from the Gram
     table at q = 2 with N >= 2 (not rerouted), from the rows otherwise."""
     if q == 2.0 and values.shape[0] >= 2:
-        return p_variation(lq_table(values, q, s=s, t=t), p)
+        return p_variation(lq_table(values[:, s : t + 1], q), p)
     return _rows_vp(values, p, q, s, t)
 
 
@@ -483,13 +506,13 @@ def test_rerouted_seminorms_equal_the_row_builder_bitwise(n_members, dim):
                     vp_cases.append((2.0, 2.0))  # a single path is not a Gram table
                 for p, q in vp_cases:
                     for vals in (x, x[..., 0]) if dim == 1 else (x,):
-                        got = vp_lq_seminorm(vals, p, q, s=s, t=t)
+                        got = vp_lq_seminorm(vals[:, s : t + 1], p, q)
                         assert _same(got, _rows_vp(vals, p, q, s, t)), (p, q, s, t, bad)
                         kinds.add(_kind(got))
                 for p, q in [(2.5, 2.0), (3.0, 4.0), (2.0, 1.5)]:
-                    got = second_level_seminorm(a, p, q, s=s, t=t)
+                    got = _second_seminorm(a, p, q, s, t)
                     assert _same(got, _rows_second(a, p, q, s, t)), (p, q, s, t, bad)
-                    got = rough_path_distance(a, b, p, q, s=s, t=t)
+                    got = _distance(a, b, p, q, s, t)
                     assert _same(got, _rows_distance(a, b, p, q, s, t)), (p, q, s, t, bad)
                     kinds.add(_kind(got))
     # an inf member makes the first level inf and the second level NaN
@@ -580,8 +603,8 @@ def test_stability_base_csv_is_the_row_builders_byte_for_byte(monkeypatch, tmp_p
     monkeypatch.setattr(
         rsde,
         "_pair_seminorm",
-        lambda increments, n_members, s, t, p, q, pairs=None: p_variation(
-            magnitude_table(pair_rows(increments, s, t), t - s + 1, q), p
+        lambda increments, n_members, t, p, q, pairs=None: p_variation(
+            magnitude_table(pair_rows(increments, 0, t), t + 1, q), p
         ),
     )
     cli._write_rows(tmp_path / "rows.csv", run_scenario(cfg))
@@ -615,14 +638,13 @@ def test_rerouted_seminorms_do_not_depend_on_memory_layout(layout, dim):
     for s, t in WINDOWS + [(s, s + k) for s in range(0, 36, 5) for k in (2, 4)]:
         for p, q in [(2.5, 1.5), (3.0, 4.0)]:
             for vals in (x, x[..., 0]):
-                want = vp_lq_seminorm(vals, p, q, s=s, t=t)
-                assert vp_lq_seminorm(layout(vals), p, q, s=s, t=t) == want
-                want = lq_table(vals, q, s=s, t=t)
-                assert np.array_equal(lq_table(layout(vals), q, s=s, t=t), want)
-            want = second_level_seminorm(a, p, q, s=s, t=t)
-            assert second_level_seminorm(relaid[0], p, q, s=s, t=t) == want
-            want = rough_path_distance(a, b, p, q, s=s, t=t)
-            assert rough_path_distance(*relaid, p, q, s=s, t=t) == want
+                window, relaid_window = vals[:, s : t + 1], layout(vals)[:, s : t + 1]
+                want = vp_lq_seminorm(window, p, q)
+                assert vp_lq_seminorm(relaid_window, p, q) == want
+                assert np.array_equal(lq_table(relaid_window, q), lq_table(window, q))
+            want = _second_seminorm(a, p, q, s, t)
+            assert _second_seminorm(relaid[0], p, q, s, t) == want
+            assert _distance(*relaid, p, q, s, t) == _distance(a, b, p, q, s, t)
 
 
 @pytest.mark.parametrize("dim", [1, 3])
@@ -643,14 +665,10 @@ def test_stability_report_does_not_depend_on_memory_layout(layout, dim):
 def _seminorm_calls(lift, other):
     x = lift.path.values
     return {
-        "lq_table": lambda q=4.0, s=0, t=None: lq_table(x, q, s=s, t=t),
-        "vp_lq_seminorm": lambda q=4.0, s=0, t=None, p=2.5: vp_lq_seminorm(x, p, q, s=s, t=t),
-        "second_level_seminorm": lambda q=4.0, s=0, t=None, p=2.5: second_level_seminorm(
-            lift, p, q, s=s, t=t
-        ),
-        "rough_path_distance": lambda q=4.0, s=0, t=None, p=2.5: rough_path_distance(
-            lift, other, p, q, s=s, t=t
-        ),
+        "lq_table": lambda q=4.0: lq_table(x, q),
+        "vp_lq_seminorm": lambda q=4.0, p=2.5: vp_lq_seminorm(x, p, q),
+        "second_level_seminorm": lambda q=4.0, p=2.5: second_level_seminorm(lift, p, q),
+        "rough_path_distance": lambda q=4.0, p=2.5: rough_path_distance(lift, other, p, q),
     }
 
 
@@ -660,20 +678,10 @@ def _seminorm_calls(lift, other):
         ({"q": 0.5}, "q >= 1, got q=0.5"),
         ({"q": 0.0}, "q >= 1, got q=0.0"),
         ({"q": float("nan")}, "q >= 1, got q=nan"),
-        ({"s": 6, "t": 3}, "0 <= s <= t <= 12, got s=6, t=3"),
-        ({"s": -1, "t": 3}, "0 <= s <= t <= 12, got s=-1, t=3"),
-        ({"s": 2, "t": 13}, "0 <= s <= t <= 12, got s=2, t=13"),
-        ({"s": 5, "t": 2}, "0 <= s <= t <= 12, got s=5, t=2"),
-        ({"s": -3}, "0 <= s <= t <= 12, got s=-3, t=12"),
-        ({"t": 20}, "0 <= s <= t <= 12, got s=0, t=20"),
     ],
 )
 def test_public_seminorms_refuse_bad_arguments_in_one_line(kwargs, match):
-    lift = _lift(3, 2, seed=5)
-    calls = _seminorm_calls(lift, _lift(3, 2, seed=6))
-    if "q" not in kwargs:  # the table seminorm (`norms.two_param_seminorm`) takes no q
-        tab = lq_table(lift.path.values, 4.0)
-        calls["p_variation"] = lambda **kw: p_variation(tab, 2.5, **kw)
+    calls = _seminorm_calls(_lift(3, 2, seed=5), _lift(3, 2, seed=6))
     for name, call in calls.items():
         with pytest.raises(ValueError, match=f"^{name} needs .*{match}$".replace("(", "\\(")):
             call(**kwargs)
@@ -692,7 +700,9 @@ def test_seminorm_exponents_below_one_are_refused():
 
 
 def test_seminorms_of_a_one_point_window_are_zero():
-    calls = _seminorm_calls(_lift(3, 2, seed=5), _lift(3, 2, seed=6))
-    assert np.array_equal(calls.pop("lq_table")(s=4, t=4), np.zeros((1, 1)))
-    for call in calls.values():
-        assert call(s=4, t=4) == 0.0
+    lift, other = _lift(3, 2, seed=5), _lift(3, 2, seed=6)
+    x = lift.path.values[:, 4:5]
+    assert np.array_equal(lq_table(x, 4.0), np.zeros((1, 1)))
+    assert vp_lq_seminorm(x, 2.5, 4.0) == 0.0
+    assert _second_seminorm(lift, 2.5, 4.0, 4, 4) == 0.0
+    assert _distance(lift, other, 2.5, 4.0, 4, 4) == 0.0

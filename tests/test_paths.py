@@ -11,7 +11,6 @@ from roughsew.paths import (
     MartingalePath,
     RoughLift,
     SamplePath,
-    _draw_jump_sizes,
     forward_lift_jump_path,
     ito_lift_brownian,
     simulate_brownian,
@@ -134,7 +133,7 @@ def test_ito_lift_chen_residual_small():
 def test_levy_area_mean_zero():
     # antisymmetric second-level part over the whole window has zero mean
     bm = simulate_brownian(1.0, 32, seed=17, n_members=4000, dim=2)
-    lift = ito_lift_brownian(bm, substeps=8, seed=17)
+    lift = ito_lift_brownian(bm, seed=17)
     xx = lift.second(0, 32)
     area = 0.5 * (xx[:, 0, 1] - xx[:, 1, 0])
     se = area.std(ddof=1) / np.sqrt(area.shape[0])
@@ -251,14 +250,15 @@ def test_compound_poisson_unaligned_quadratic_variation():
     assert np.all(np.diff(res.martingale.bracket[:, :, 0, 0], axis=1) >= -1e-15)
 
 
-def _compound_poisson_draws(T, rate, seed, n_members, kind, params):
+def _compound_poisson_draws(T, rate, seed, n_members, params):
     """The jumps `simulate_compound_poisson` draws, member-major and
-    time-sorted within a member: (counts, times, sizes)."""
+    time-sorted within a member: (counts, times, sizes), sizes N(mu, sigma^2)."""
     rng = stream(seed, "compound-poisson", n_members)
     counts = rng.poisson(rate * T, size=n_members)
     total = int(counts.sum())
     times = np.clip(rng.uniform(0.0, T, size=total), 1e-9 * T, T)
-    sizes = _draw_jump_sizes(rng, kind, params, total)
+    mu, sigma = params
+    sizes = mu + sigma * rng.standard_normal(total)
     order = np.lexsort((times, np.repeat(np.arange(n_members), counts)))
     return counts, times[order], sizes[order]
 
@@ -268,10 +268,10 @@ def _compound_poisson_draws(T, rate, seed, n_members, kind, params):
     [
         (1, 3.0, 16, True, "gauss", (0.0, 1.0)),
         (64, 3.0, 16, True, "gauss", (0.3, 0.45)),
-        (256, 4.0, 32, True, "uniform", (-1.0, 2.0)),
+        (256, 4.0, 32, True, "gauss", (-1.0, 2.0)),
         (64, 5.0, 8, False, "gauss", (0.0, 1.0)),
-        (16, 0.3, 16, True, "fixed", (0.7,)),   # members without jumps
-        (16, 0.3, 16, False, "fixed", (0.7,)),
+        (16, 0.3, 16, True, "fixed", (0.7, 0.0)),   # members without jumps
+        (16, 0.3, 16, False, "fixed", (0.7, 0.0)),
         (8, 0.0, 16, True, "gauss", (0.0, 1.0)),  # no jumps at all
     ],
 )
@@ -279,10 +279,13 @@ def test_compound_poisson_matches_member_loop_oracle_bitwise(
     n_members, rate, n, align, kind, params
 ):
     T, seed = 1.5, 41
+    # kind "fixed" is sigma = 0: every jump has size mu exactly
     res = simulate_compound_poisson(
-        T, rate, n, seed, n_members, jump_kind=kind, jump_params=params, align_jumps=align
+        T, rate, n, seed, n_members, jump_params=params, align_jumps=align
     )
-    counts, times, sizes = _compound_poisson_draws(T, rate, seed, n_members, kind, params)
+    counts, times, sizes = _compound_poisson_draws(T, rate, seed, n_members, params)
+    if kind == "fixed":
+        assert np.all(sizes == params[0])
     if rate == 0.0:
         assert counts.sum() == 0
     elif rate < 1.0:
@@ -319,7 +322,7 @@ def test_lift_from_steps_chen_by_construction():
     values = np.cumsum(rng.normal(size=(2, 11, 1)), axis=1)
     values -= values[:, :1]
     steps = rng.normal(size=(2, 10, 1, 1))
-    lift = RoughLift(SamplePath(grid=grid, values=values), steps, name="custom")
+    lift = RoughLift(SamplePath(grid=grid, values=values), steps)
     assert np.array_equal(lift.step_second, steps)
     worst = _max_chen(lift, stream(8, "custom-chen"))
     assert worst < 1e-10
@@ -331,7 +334,7 @@ def _hand_built_jump_lift():
     steps = np.zeros((1, 2, 1, 1))
     steps[0, 1, 0, 0] = 0.3
     path = SamplePath(grid=grid, values=values, jump_indices=np.array([2]))
-    return RoughLift(path, steps, jump_second=np.full((1, 1, 1, 1), 0.3), name="two-step")
+    return RoughLift(path, steps, jump_second=np.full((1, 1, 1, 1), 0.3))
 
 
 def test_lift_from_steps_jump_second_injection():
@@ -352,9 +355,7 @@ def test_mixed_driver_structure_and_chen():
 def _mixed_and_oracle(n, seed, n_members, rate, vol):
     """simulate_mixed, its two builders' outputs, and the oracle's seven arrays."""
     res = simulate_mixed(1.0, n, seed, n_members, rate, jump_params=(0.3, 0.45), vol=vol)
-    cp = simulate_compound_poisson(
-        1.0, rate, n, seed, n_members, "gauss", (0.3, 0.45), align_jumps=True
-    )
+    cp = simulate_compound_poisson(1.0, rate, n, seed, n_members, (0.3, 0.45), align_jumps=True)
     grid = cp.path.grid
     bm = simulate_brownian(1.0, grid.n_steps, seed, n_members, vol=vol, grid=grid)
     expected = oracles.mixed_driver_arrays(

@@ -23,7 +23,7 @@ from roughsew.paths import (
     simulate_mixed,
     smooth_lift,
 )
-from roughsew.norms import second_level_seminorm, vp_lq_seminorm
+from roughsew.norms import _pair_seminorm, vp_lq_seminorm
 from roughsew.rsde import (
     _WINDOW_THRESHOLD,
     CoefficientSet,
@@ -46,6 +46,7 @@ from oracles import (
     pair_rows,
     picard_allocating_loop,
     plan_windows_one_step,
+    shifted_increments,
     solve_member_major,
     window_control,
 )
@@ -379,7 +380,7 @@ def _time_major_drivers(lift, mart):
     )
     lift = RoughLift(
         path=path, step_second=_time_major(lift.step_second),
-        jump_second=_time_major(lift.jump_second), name=lift.name,
+        jump_second=_time_major(lift.jump_second),
     )
     if mart is not None:
         mart = MartingalePath(
@@ -569,7 +570,8 @@ def test_window_control_contains_time_and_grows():
 @pytest.mark.parametrize("p,q", [(2.0, 4.0), (2.5, 3.0)])
 def test_window_control_row_matches_per_window_seminorms(with_mart, p, q):
     # entry u - s - 1 of the row is the control of [s, u], summed term by term
-    # from the scalar seminorms of that window alone
+    # from the scalar seminorms of that window alone: the first levels of
+    # its slice, the second level's through indices shifted by s
     mix = simulate_mixed(1.0, 16, seed=29, n_members=12, rate=3.0)
     lift = mix.lift
     mart = mix.martingale if with_mart else None
@@ -577,12 +579,14 @@ def test_window_control_row_matches_per_window_seminorms(with_mart, p, q):
     row = window_control(lift, mart, p, q, s, t)
     assert row.shape == (t - s,)
     times = lift.grid.times
+    second = shifted_increments(lift.second, s)
     for u in range(s + 1, t + 1):
         ref = float(times[u] - times[s])
-        ref += vp_lq_seminorm(lift.path.values, p, q, s=s, t=u) ** p
-        ref += second_level_seminorm(lift, p, q, s=s, t=u) ** (p / 2.0)
+        ref += vp_lq_seminorm(lift.path.values[:, s : u + 1], p, q) ** p
+        ref += _pair_seminorm(second, lift.second_prefix.shape[0], u - s, p / 2.0, q) ** (p / 2.0)
         if with_mart:
-            ref += vp_lq_seminorm(mart.bracket[..., 0, 0], p / 2.0, q / 2.0, s=s, t=u) ** (p / 2.0)
+            bracket = mart.bracket[:, s : u + 1, 0, 0]
+            ref += vp_lq_seminorm(bracket, p / 2.0, q / 2.0) ** (p / 2.0)
         assert row[u - s - 1] == pytest.approx(ref, rel=1e-12, abs=0.0)
     assert np.all(np.diff(row) >= 0.0)
 
@@ -669,7 +673,7 @@ def test_plan_windows_single_step_over_threshold():
     # unit jumps: each jump step alone exceeds the threshold, right after a
     # longer window, and still becomes its own window
     mix = simulate_mixed(
-        1.0, 64, seed=4, n_members=4, rate=1.0, jump_kind="fixed", jump_params=(1.0,), vol=0.2
+        1.0, 64, seed=4, n_members=4, rate=1.0, jump_params=(1.0, 0.0), vol=0.2
     )
     lift, mart = mix.lift, mix.martingale
     windows = _plan_windows(lift, mart, 2.0, 4.0)
@@ -699,7 +703,7 @@ def test_plan_windows_build_each_column_once(monkeypatch):
     # before n also builds the column of the first point over the threshold,
     # unless that point is its own single step
     mix = simulate_mixed(
-        1.0, 64, seed=4, n_members=4, rate=1.0, jump_kind="fixed", jump_params=(1.0,), vol=0.2
+        1.0, 64, seed=4, n_members=4, rate=1.0, jump_params=(1.0, 0.0), vol=0.2
     )
     lift, mart = mix.lift, mix.martingale
     n = lift.grid.n_steps
@@ -729,8 +733,8 @@ def test_picard_distance_from_one_reduction_matches_the_table_distance(monkeypat
     lift, mart = mix.lift, mix.martingale
     new = picard_solve(coeffs, 0.2, lift, mart, tol=1e-10, max_iter=80)
     # the update distance from a table built row by row per iteration
-    def row_built(increments, n_members, s, t, p, q, pairs=None):
-        return p_variation(magnitude_table(pair_rows(increments, s, t), t - s + 1, q), p)
+    def row_built(increments, n_members, t, p, q, pairs=None):
+        return p_variation(magnitude_table(pair_rows(increments, 0, t), t + 1, q), p)
 
     monkeypatch.setattr(rsde, "_pair_seminorm", row_built)
     old = picard_solve(coeffs, 0.2, lift, mart, tol=1e-10, max_iter=80)

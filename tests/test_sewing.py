@@ -152,7 +152,7 @@ def test_ito_controls_start_with_the_qv_default_controls(seed):
     reads = []
 
     def recorded(i, w):
-        return ControlFn(lambda a, c: reads.append((i, a, c)) or w.row(a, c), name=w.name)
+        return ControlFn(lambda a, c: reads.append((i, a, c)) or w.row(a, c))
 
     alternating_midpoints([recorded(i, w) for i, w in enumerate(controls)], 0, 128, 8)
     levels = alternating_midpoints([recorded(i, w) for i, w in enumerate(controls[:2])], 0, 128, 8)
@@ -194,8 +194,7 @@ def test_convergence_rate_tells_a_non_sewing_germ_apart(seed):
     # germ's falls about fourfold
     bm = simulate_brownian(1.0, 256, seed=seed, n_members=16)
     m = bm.values[..., 0]
-    absolute = Germ("abs-increment", lambda c, s, t: np.abs(c["m"][:, t] - c["m"][:, s]),
-                    {"m": m}, ("m",))
+    absolute = Germ(lambda c, s, t: np.abs(c["m"][:, t] - c["m"][:, s]), {"m": m}, ("m",))
     bad = convergence_rate(absolute, bm.grid, depth=7).distances
     good = convergence_rate(ito_germ(bm.values, bm.values), bm.grid, depth=7).distances
     assert bad[3] / bad[0] > 0.8
@@ -214,7 +213,6 @@ def test_nan_level_fails_both_rate_fits():
     ito = ito_germ(bm.values, bm.values)
     # NaN on the level-0 window only; finer levels decay as for the Ito germ
     nan_at_top = Germ(
-        "nan-top",
         lambda c, s, t: ito.fn(c, s, t) * np.where((s == 0) & (t == 64), np.nan, 1.0),
         ito.context,
         ito.control_keys,
@@ -242,9 +240,9 @@ def _walk_sizes():
     return {"one": 1, "rows-1": rows - 1, "rows+1": rows + 1, "ragged": 2 * rows + rows // 3}
 
 
-def _oracle_distances(germ, grid, depth, q=2.0):
+def _oracle_distances(germ, grid, depth):
     full, walk = refinement_walk(sewing, germ, grid, None, depth)
-    return np.array([uniform_lq_distance(full, path, q) for _, path in walk])
+    return np.array([uniform_lq_distance(full, path, 2.0) for _, path in walk])
 
 
 @pytest.mark.parametrize("size", ["one", "rows-1", "rows+1", "ragged"])
@@ -252,9 +250,8 @@ def test_blocked_walk_matches_the_whole_ensemble_walk_bitwise(size):
     n_members = _walk_sizes()[size]
     grid, germs = _walk_germs(n_members)
     for name, germ in germs.items():
-        for q in (2.0, 3.0):
-            got = convergence_rate(germ, grid, depth=7, q=q).distances
-            assert got.tobytes() == _oracle_distances(germ, grid, 7, q).tobytes(), (name, q)
+        got = convergence_rate(germ, grid, depth=7).distances
+        assert got.tobytes() == _oracle_distances(germ, grid, 7).tobytes(), name
 
 
 def test_walk_calls_the_germ_once_per_member_block():
@@ -266,7 +263,7 @@ def test_walk_calls_the_germ_once_per_member_block():
         members.append(c["y"].shape[0])
         return ito.fn(c, s, t)
 
-    convergence_rate(Germ("spy", spy, ito.context, ito.control_keys), grid, depth=2)
+    convergence_rate(Germ(spy, ito.context, ito.control_keys), grid, depth=2)
     # the limit on the whole ensemble, then two blocks on each of three levels
     assert members == [rows + 1] + [rows, 1] * 3
 
@@ -276,7 +273,6 @@ def test_blocked_walk_keeps_a_nan_level(size):
     grid, germs = _walk_germs(_walk_sizes()[size])
     ito = germs["ito"]
     nan_at_top = Germ(
-        "nan-top",
         lambda c, s, t: ito.fn(c, s, t) * np.where((s == 0) & (t == 48), np.nan, 1.0),
         ito.context,
         ito.control_keys,
