@@ -19,7 +19,6 @@ from .calculus import (
     smooth_fn,
 )
 from .grids import (
-    ControlFn,
     Partition,
     TimeGrid,
     alternating_midpoints,
@@ -30,7 +29,6 @@ from .grids import (
     time_control,
 )
 from .integrals import (
-    IntegralProcess,
     ito_integrate,
     jump_structure_check,
     rough_stoch_integrate,

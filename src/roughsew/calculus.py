@@ -17,9 +17,8 @@ from typing import Callable
 import numpy as np
 
 from .conventions import sym
-from .integrals import IntegralProcess, _cumulative
 from .paths import RoughLift
-from .sewing import _scalar
+from .sewing import _running_sum, _scalar
 
 __all__ = [
     "ControlledPath",
@@ -96,17 +95,11 @@ def constant_controlled(lift: RoughLift, value: float | np.ndarray) -> Controlle
 
 @dataclass(frozen=True)
 class SmoothFn:
-    """A scalar C^3 function applied elementwise, with exact derivatives.
+    """A scalar C^3 function applied elementwise, with exact derivatives."""
 
-    `bounded` records whether f itself is bounded (the RSDE solver warns when
-    it is not).
-    """
-
-    name: str
     f: Callable[[np.ndarray], np.ndarray]
     df: Callable[[np.ndarray], np.ndarray]
     d2f: Callable[[np.ndarray], np.ndarray]
-    bounded: bool = True
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,7 +146,6 @@ _SMOOTH_PARAMS = {
     "linear": ("a", "c"),
     "sin_bundle": ("a", "b", "c"),
     "tanh_affine": ("a", "b", "c"),
-    "exp_clipped": ("r",),
     "polynomial_clipped": ("coeffs", "r"),
 }
 
@@ -161,10 +153,9 @@ _SMOOTH_PARAMS = {
 def smooth_fn(name: str, **params) -> SmoothFn:
     """Build a registry function.  Available entries:
 
-    - linear(a=1.0, c=0.0):            a*y + c  (unbounded; flagged)
+    - linear(a=1.0, c=0.0):            a*y + c  (unbounded)
     - sin_bundle(a=1.0, b=1.0, c=0.0): a*sin(b*y + c)
     - tanh_affine(a=1.0, b=1.0, c=0.0): a*tanh(b*y) + c
-    - exp_clipped(r=4.0):              exp(clip(y, -r, r))
     - polynomial_clipped(coeffs=(0,0,1), r=16.0): P(clip(y, -r, r))
 
     Each carries exact df/d2f evaluators; the clipped entries are exact inside
@@ -179,16 +170,11 @@ def smooth_fn(name: str, **params) -> SmoothFn:
     if name == "linear":
         a, c = params.get("a", 1.0), params.get("c", 0.0)
         return SmoothFn(
-            "linear",
-            _Affine(a, c),
-            _Constant(a),
-            lambda y: np.zeros_like(np.asarray(y, dtype=float)),
-            bounded=False,
+            _Affine(a, c), _Constant(a), lambda y: np.zeros_like(np.asarray(y, dtype=float))
         )
     if name == "sin_bundle":
         a, b, c = params.get("a", 1.0), params.get("b", 1.0), params.get("c", 0.0)
         return SmoothFn(
-            "sin_bundle",
             lambda y: a * np.sin(b * y + c),
             lambda y: a * b * np.cos(b * y + c),
             lambda y: -a * b * b * np.sin(b * y + c),
@@ -206,22 +192,7 @@ def smooth_fn(name: str, **params) -> SmoothFn:
             th = np.tanh(b * y)
             return -2.0 * a * b * b * th * (1.0 - th * th)
 
-        return SmoothFn("tanh_affine", _f, _df, _d2f)
-    if name == "exp_clipped":
-        r = params.get("r", 4.0)
-
-        def _f(y):
-            return np.exp(np.clip(y, -r, r))
-
-        def _df(y):
-            y = np.asarray(y, dtype=float)
-            return np.exp(np.clip(y, -r, r)) * (np.abs(y) < r)
-
-        def _d2f(y):
-            y = np.asarray(y, dtype=float)
-            return np.exp(np.clip(y, -r, r)) * (np.abs(y) < r)
-
-        return SmoothFn("exp_clipped", _f, _df, _d2f)
+        return SmoothFn(_f, _df, _d2f)
     if name == "polynomial_clipped":
         coeffs = params.get("coeffs", (0.0, 0.0, 1.0))
         r = params.get("r", 16.0)
@@ -238,7 +209,7 @@ def smooth_fn(name: str, **params) -> SmoothFn:
             y = np.asarray(y, dtype=float)
             return _poly_eval(d2, np.clip(y, -r, r)) * (np.abs(y) < r)
 
-        return SmoothFn("polynomial_clipped", _f, _df, _d2f)
+        return SmoothFn(_f, _df, _d2f)
     raise ValueError(f"unknown smooth function {name!r}")
 
 
@@ -269,11 +240,9 @@ def _heavy_tail_warning(steps: np.ndarray, what: str):
         )
 
 
-def bracket(a: ControlledPath, b: ControlledPath) -> IntegralProcess:
+def bracket(a: ControlledPath, b: ControlledPath) -> np.ndarray:
     """[a, b]: cumulative sums of the germ dY (x) dZ - 2 (Y' (x) Z') Sym(XX),
-    XX the second level of a's lift.
-
-    Output values have shape (N, n+1, ma, mb).
+    XX the second level of a's lift, as an (N, n+1, ma, mb) path.
     """
     lift = a.lift
     dy = np.diff(a.values, axis=1)
@@ -283,18 +252,19 @@ def bracket(a: ControlledPath, b: ControlledPath) -> IntegralProcess:
     second = 2.0 * np.einsum("ntaj,ntbk,ntjk->ntab", a.derivative[:, :-1], b.derivative[:, :-1], sxx)
     steps = first - second
     _heavy_tail_warning(steps, "bracket")
-    return _cumulative(lift.grid, steps, lift.path.jump_indices)
+    return _running_sum(steps)
 
 
-def rough_bracket(lift: RoughLift) -> IntegralProcess:
-    """[X] of the lift itself: germ dX (x) dX - 2 Sym(XX_step).
+def rough_bracket(lift: RoughLift) -> np.ndarray:
+    """[X] of the lift itself, an (N, n+1, d, d) path: cumulative sums of the
+    germ dX (x) dX - 2 Sym(XX_step).
 
     Geometric lifts give identically zero; the forward lift of a pure-jump
     path gives the exact jump sum of (Delta X)^(x2).
     """
     dx = np.diff(lift.path.values, axis=1)
     steps = np.einsum("ntj,ntk->ntjk", dx, dx) - 2.0 * sym(lift.step_second)
-    return _cumulative(lift.grid, steps, lift.path.jump_indices)
+    return _running_sum(steps)
 
 
 def mixed_bracket_check(

@@ -1,4 +1,4 @@
-"""Shared array-layout conventions and the contraction helpers that encode them.
+"""Shared array-layout conventions and the helpers that encode them.
 
 Every module in the package uses these layouts; they are defined once here so
 an index convention can never drift between the integrators.
@@ -23,25 +23,15 @@ Lifts store the per-step values ``XX_{t_k, t_{k+1}}`` of shape ``(N, n, d, d)``,
 derive the prefix ``XX[:, k] = XX_{0, t_k}`` of shape ``(N, n+1, d, d)`` from
 them on first use, and reconstruct any window in O(1) via Chen.
 
-Controlled paths and integrand maps
------------------------------------
+Controlled paths
+----------------
 A controlled path with values in R^m carries a Gubinelli derivative of shape
 ``(..., m, d)`` whose LAST axis is the controlling direction:
 
     dY_{s,t} = Y'_s . dX_{s,t} + R_{s,t}        (contract the last axis).
 
-An integrand for the rough stochastic integral is a linear map R^d -> R^m,
-stored as ``(..., m, d)`` with derivative ``(..., m, d, d)``; the germ is
-
-    Xi_{s,t} = Y_s . dX_{s,t} + Y'_s : XX_{s,t},
-
-where the double contraction pairs the derivative's LAST axis with the FIRST
-(Gubinelli) axis of XX and the map axis with the second:
-
-    (Y' : XX)^a = Y'^a_{i j} XX^{j i}.
-
-In one dimension everything collapses to ``Y dX + Y' XX`` and the scalar
-fast paths below apply.
+In one dimension everything collapses to ``Y dX + Y' XX``, the germ of the
+rough stochastic integral.
 """
 from __future__ import annotations
 
@@ -49,8 +39,6 @@ import numpy as np
 
 __all__ = [
     "outer_increment",
-    "map_dot",
-    "second_level_contract",
     "sym",
 ]
 
@@ -58,19 +46,6 @@ __all__ = [
 def outer_increment(a, b):
     """outer(a, b) on the trailing axis, batched: (..., d), (..., d) -> (..., d, d)."""
     return np.einsum("...j,...k->...jk", a, b)
-
-
-def map_dot(y, dx):
-    """Apply an integrand map to an increment: (..., m, d) . (..., d) -> (..., m)."""
-    return np.einsum("...ij,...j->...i", y, dx)
-
-
-def second_level_contract(yp, xx):
-    """Germ second-order term (Y' : XX)^a = Y'^a_{ij} XX^{ji}.
-
-    yp: (..., m, d, d); xx: (..., d, d).  Returns (..., m).
-    """
-    return np.einsum("...aij,...ji->...a", yp, xx)
 
 
 def sym(m):

@@ -6,12 +6,17 @@ suprema over partitions are suprema over sub-grids.  Jump times are expected
 to be grid members (the simulators guarantee this), so refining a grid never
 moves a jump.
 
-A control is stored as its rows: row(s, t) = w(s, s+1..t), a prefix of
-row(s, t') for t <= t', nondecreasing for the time and p-variation controls
-and for superadditive tables (`control_from_table` does not check this).
-Midpoint refinement reads rows.  `_pvar_dp`, the package's one p-variation
-DP, reads a table column per end point, so every seminorm, control and
-Picard window (which grows column by column) feeds it columns as it builds them.
+A control w on grid index pairs is its row function: w(s, t) returns the row
+w(s, s+1..t), shape (t - s,), a prefix of w(s, t') for t <= t'.  The rows of
+`time_control`, `pvar_control` and superadditive tables are nondecreasing.
+A row may be a view of cached data; callers do not write to it.  The
+control's value over [s, t] is the row's last entry (0 on the diagonal), and
+the left-open w(s, t-), the control of the window that stops at the
+previous grid point, is the entry before the last: what partition machinery
+that needs controls "continuous from the inside" reads.  Midpoint
+refinement reads rows.  `_pvar_dp`, the package's one p-variation DP, reads
+a table column per end point, so every seminorm, control and Picard window
+(which grows column by column) feeds it columns as it builds them.
 """
 from __future__ import annotations
 
@@ -151,48 +156,20 @@ def p_variation(dist: np.ndarray, p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ControlFn:
-    """A control w on grid index pairs, stored as its rows.
-
-    row(s, t) returns w(s, s+1..t), shape (t - s,), a prefix of row(s, t')
-    for t <= t'.  Rows of `time_control`, `pvar_control` and superadditive
-    tables are nondecreasing; `control_from_table` does not check this.  A
-    row may be a view of cached data; callers do not write to it.  w(s, t)
-    is the row's last entry (0 on the diagonal).  On a grid the left-open
-    w(s, t-), the control of the window that stops at the previous grid
-    point, is w(s, t - 1): what partition machinery that needs controls
-    "continuous from the inside" reads.
-    """
-
-    row: Callable[[int, int], np.ndarray]
-
-    def __call__(self, s: int, t: int) -> float:
-        if t <= s:
-            return 0.0
-        return float(self.row(int(s), int(t))[-1])
-
-
-def time_control(grid: TimeGrid) -> ControlFn:
+def time_control(grid: TimeGrid) -> Callable[[int, int], np.ndarray]:
     times = grid.times
-    return ControlFn(lambda s, t: times[s + 1 : t + 1] - times[s])
+    return lambda s, t: times[s + 1 : t + 1] - times[s]
 
 
-def control_from_table(grid: TimeGrid, table: np.ndarray) -> ControlFn:
-    tab = np.asarray(table, dtype=float)
-    if tab.shape != (grid.n_steps + 1, grid.n_steps + 1):
-        raise ValueError("table shape does not match the grid")
-    return ControlFn(lambda s, t: tab[s, s + 1 : t + 1])
-
-
-def pvar_control(dist: np.ndarray, p: float) -> ControlFn:
-    """w(s, t) = (p-variation of `dist` over [s, t])^p, one cached DP per start.
+def pvar_control(dist: np.ndarray, p: float) -> Callable[[int, int], np.ndarray]:
+    """The control (p-variation of `dist` over [s, t])^p as its row function,
+    one cached DP per start s.
 
     The p-th power of a p-variation is superadditive, which is what the
     partition machinery needs.  The DP over [s, t] is a prefix of the DP over
     any longer window, so the row of start s is rebuilt only when a longer t
     is asked for.  A t past the table's last column stops there, so the row
-    is short, as the time and table controls' rows are.
+    is short, as the time control's rows are.
     """
     powers = _powers(dist, p)
     last = powers.shape[1] - 1
@@ -206,10 +183,10 @@ def pvar_control(dist: np.ndarray, p: float) -> ControlFn:
             rows[s] = best = np.fromiter(_pvar_dp(columns), float, t - s)
         return best[: t - s]
 
-    return ControlFn(row)
+    return row
 
 
-def _halving_point(w: ControlFn, a: int, b: int) -> int:
+def _halving_point(w: Callable[[int, int], np.ndarray], a: int, b: int) -> int:
     """Midpoint used by `alternating_midpoints`: the first u in (a, b] with
     w(a, u) >= w(a, b-) / 2, read off the one row w(a, a+1..b).
 
@@ -227,7 +204,7 @@ def _halving_point(w: ControlFn, a: int, b: int) -> int:
     """
     if b <= a:
         return a
-    row = w.row(a, b)
+    row = w(a, b)
     mass = row[-2] if row.size > 1 else 0.0
     if mass <= 0.0:
         return a
@@ -236,7 +213,7 @@ def _halving_point(w: ControlFn, a: int, b: int) -> int:
 
 
 def alternating_midpoints(
-    ws: list[ControlFn], s: int, t: int, depth: int
+    ws: list[Callable[[int, int], np.ndarray]], s: int, t: int, depth: int
 ) -> list[np.ndarray]:
     """Nested partitions refined by cycling through the given controls.
 
@@ -249,11 +226,11 @@ def alternating_midpoints(
     Returns one sorted, duplicate-free index array per level (degenerate
     insertions collapse, so level h has at most 2^h + 1 points).  The window
     must lie on the controls' grid: 0 <= s <= t, and the first control's
-    row(s, t) (the row level 1 reads) must hold all t - s entries.
+    row w(s, t) (the row level 1 reads) must hold all t - s entries.
     """
     if not ws:
         raise ValueError("need at least one control")
-    if not 0 <= s <= t or ws[0].row(s, t).size < t - s:
+    if not 0 <= s <= t or ws[0](s, t).size < t - s:
         raise ValueError(
             f"alternating_midpoints needs 0 <= s <= t on the controls' grid, got s={s}, t={t}"
         )

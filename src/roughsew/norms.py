@@ -11,8 +11,9 @@ a stored Brownian bracket).  Every table cell comes from one reduction,
 `_pair_cells`, over a chunk of grid-point pairs at once, and equals the cell
 of a table built row by row bit for bit; `_pair_seminorm` feeds them to
 `grids._pvar_dp` for every seminorm (and the solver's Picard update
-distances), except the q = 2 table of an ensemble, which `lq_table` reads off
-one Gram product G of the members' paths, each centred by its time-mean:
+distances).  The one exception is the q = 2 table of an ensemble (the
+sewing controls' table), which `lq_table` reads off one Gram product G of
+the members' paths, each centred by its time-mean:
 ||dY_{i,j}||^2 = (G_ii + G_jj - 2 G_ij) / N.  That subtraction cancels where
 an increment is small next to the paths' distance from their time-means, so
 a row with a cell where eps (G_ii + G_jj) exceeds `_GRAM_RTOL` times
@@ -207,12 +208,10 @@ two_param_seminorm = p_variation
 
 
 def vp_lq_seminorm(values: np.ndarray, p: float, q: float) -> float:
-    """||Y||_{p,q}: p-variation of the L^q increment table, from the Gram
-    table at q = 2 with N >= 2 and from `_pair_seminorm` otherwise."""
+    """||Y||_{p,q}: p-variation of the L^q increment table, by `_pair_seminorm`
+    (bit for bit the row-built table, at every q)."""
     v = np.ascontiguousarray(values, dtype=float)  # as in `lq_table`
     _check_args("vp_lq_seminorm", q, p=p)
-    if q == 2.0 and v.shape[0] >= 2:
-        return p_variation(lq_table(v, q), p)
     return _pair_seminorm(lambda i, j: v[:, j] - v[:, i], v.shape[0], v.shape[1] - 1, p, q)
 
 

@@ -300,12 +300,10 @@ def ito_lift_brownian(bm: MartingalePath, seed: int = 0) -> RoughLift:
 
 @dataclass
 class CompoundPoissonResult:
-    """Pure-jump path X, its compensated martingale M, and jump metadata."""
+    """Pure-jump path X and its compensated martingale M."""
 
     path: SamplePath
     martingale: MartingalePath
-    rate: float
-    jump_mean: float
 
 
 def simulate_compound_poisson(
@@ -369,9 +367,8 @@ def simulate_compound_poisson(
     jump_indices = np.unique(col) if align_jumps else np.array([], dtype=np.int64)
     path = SamplePath(grid=grid, values=values[:, :, None], jump_indices=jump_indices)
 
-    jump_mean = float(mu)
-    martingale = _compensated(path, rate * jump_mean, qv[:, :, None, None])
-    return CompoundPoissonResult(path=path, martingale=martingale, rate=rate, jump_mean=jump_mean)
+    martingale = _compensated(path, rate * float(mu), qv[:, :, None, None])
+    return CompoundPoissonResult(path=path, martingale=martingale)
 
 
 def _compensated(path: SamplePath, drift: float, bracket: np.ndarray) -> MartingalePath:
@@ -504,5 +501,5 @@ def simulate_mixed(
         bm.increments(), jump.increments()
     )
     lift = RoughLift(path=path, step_second=step_second)
-    mart = _compensated(path, cp.rate * cp.jump_mean, cp.martingale.bracket + bm.bracket)
+    mart = _compensated(path, rate * float(jump_params[0]), cp.martingale.bracket + bm.bracket)
     return MixedResult(path=path, martingale=mart, lift=lift)

@@ -93,14 +93,6 @@ class CoefficientSet:
     sigma: SmoothFn | None = None
     f: SmoothFn | tuple[SmoothFn, ...] | None = None
 
-    def __post_init__(self):
-        for fn in self.f_components():
-            if not fn.bounded:
-                warnings.warn(
-                    f"rough coefficient {fn.name!r} is unbounded; fine for "
-                    "closed-form checks, outside the guaranteed well-posed regime"
-                )
-
     def f_components(self) -> tuple[SmoothFn, ...]:
         if self.f is None:
             return ()
@@ -343,10 +335,6 @@ class RSDEResult:
     left_values: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.values[:, -1]
-
 
 #: the `lift.__dict__` slot of the last schedule with jumps, as (mart, schedule)
 _SCHEDULE_SLOT = "_event_schedule"
@@ -396,7 +384,6 @@ def _epilogue(lift, sched, state, start, stop, diagnostics) -> RSDEResult:
     limits; flag diverged members."""
     n = lift.grid.n_steps
     values = state[: n + 1].T
-    diagnostics["n_steps"] = stop - start
     diagnostics["n_events"] = int(sched.event_start[stop] - sched.event_start[start])
     bad = ~np.isfinite(state[stop])
     if bad.any():

@@ -254,7 +254,7 @@ def scenario_ito_bdb(cfg: ExperimentConfig):
 
     def level(k):
         mart = _subsampled_brownian(bm, n_max // (cfg.n * 2**k))
-        term = integrals.ito_integrate(mart.values, mart).terminal
+        term = integrals.ito_integrate(mart.values, mart)[:, -1]
         l2, se = _l2_with_se(term - ref)
         return mart.grid.n_steps, l2, se
 
@@ -281,8 +281,8 @@ def scenario_ito_isometry(cfg: ExperimentConfig):
     for mname, mart in (("brownian", bm), ("compensated_cp", cp.martingale)):
         br = mart.bracket[..., 0, 0]
         for yname, y in integrands:
-            lhs = integrals.ito_integrate(y, mart).terminal ** 2
-            rhs = integrals.young_integrate(y * y, br, mart.grid).terminal
+            lhs = integrals.ito_integrate(y, mart)[:, -1] ** 2
+            rhs = integrals.young_integrate(y * y, br, mart.grid)[:, -1]
             diff = lhs - rhs  # paired per member: one SE covers both sides
             gap = abs(float(diff.mean()))
             se = float(np.std(diff, ddof=1) / np.sqrt(diff.size)) if diff.size > 1 else 0.0
@@ -355,7 +355,7 @@ def scenario_brackets(cfg: ExperimentConfig):
     bm = paths.simulate_brownian(T, n, seed, n_members=N, dim=1)
     lift = paths.ito_lift_brownian(bm, seed=seed)
     b_cp = calculus.constant_controlled(lift, bm.values[..., 0])
-    qv = calculus.bracket(b_cp, b_cp).terminal[:, 0, 0]
+    qv = calculus.bracket(b_cp, b_cp)[:, -1, 0, 0]
     gap = abs(float(np.mean(qv)) - T)
     se = float(np.std(qv, ddof=1) / np.sqrt(N)) if N > 1 else 0.0
     rows.append(_row(cfg, "bracket_gap[brownian]", gap, se))
@@ -364,12 +364,12 @@ def scenario_brackets(cfg: ExperimentConfig):
     for tag, pid in (("linear", "linear"), ("sine_cosine", "sine_cosine_pair")):
         sl = paths.smooth_lift(pid, 3.0, n)
         rb = calculus.rough_bracket(sl)
-        rows.append(_row(cfg, f"rough_bracket_max[{tag}]", float(np.max(np.abs(rb.values))), N=1))
+        rows.append(_row(cfg, f"rough_bracket_max[{tag}]", float(np.max(np.abs(rb))), N=1))
 
     # pure-jump bracket is the jump sum, addend for addend
     cpj = paths.simulate_compound_poisson(T, 4.0, n, seed + 1, n_members=min(N, 16))
     liftj = paths.forward_lift_jump_path(cpj.path)
-    term = calculus.rough_bracket(liftj).terminal[:, 0, 0]
+    term = calculus.rough_bracket(liftj)[:, -1, 0, 0]
     js2 = cpj.path.jump_sizes()[..., 0] ** 2
     jump_sum = (
         np.cumsum(js2, axis=1)[:, -1] if js2.shape[1] else np.zeros(js2.shape[0])

@@ -27,7 +27,6 @@ from typing import Any, Callable
 import numpy as np
 
 from .grids import (
-    ControlFn,
     Partition,
     TimeGrid,
     alternating_midpoints,
@@ -153,18 +152,18 @@ def _sup_magnitude(diff: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ntk,ntk->nt", flat, flat).max(axis=1))
 
 
-def default_controls(germ: Germ, grid: TimeGrid) -> list[ControlFn]:
+def default_controls(germ: Germ, grid: TimeGrid) -> list[Callable[[int, int], np.ndarray]]:
     """Time control plus a 2-variation control per declared germ input.
 
     Input controls are built from the ensemble L^2 increment table so the
-    partitions are deterministic and shared by all members.  Each input
-    array gets one control object, built once, but the list holds it once
-    per control key: `ito_germ(b, b)` gives [time, w_b, w_b], so the
-    midpoint walk cycles w_b twice.  Its first two entries are the list of
+    partitions are deterministic and shared by all members.  Controls are
+    row functions (see `grids`).  Each input array gets one control, built
+    once, but the list holds it once per control key: `ito_germ(b, b)`
+    gives [time, w_b, w_b], so the midpoint walk cycles w_b twice.  Its first two entries are the list of
     `qv_germ(b)`, whose one control key is b.
     """
     controls = [time_control(grid)]
-    by_array: dict[int, ControlFn] = {}
+    by_array: dict[int, Callable[[int, int], np.ndarray]] = {}
     for key in germ.control_keys:
         arr = germ.context[key]
         if arr.ndim >= 2 and arr.shape[1] == grid.n_steps + 1:
@@ -192,13 +191,12 @@ class RateReport:
     levels: np.ndarray
     distances: np.ndarray
     slope: float
-    intercept: float
 
 
 def convergence_rate(
     germ: Germ,
     grid: TimeGrid,
-    controls: list[ControlFn] | None = None,
+    controls: list[Callable[[int, int], np.ndarray]] | None = None,
     depth: int = 8,
 ) -> RateReport:
     """Distance-to-limit per refinement level and the fitted log2 slope.
@@ -229,8 +227,8 @@ def convergence_rate(
         distances.append(lq_norm(sups, 2.0))
     distances = np.array(distances)
     levels = np.arange(depth + 1)
-    slope, intercept = log2_fit(levels, distances)
-    return RateReport(levels, distances, slope, intercept)
+    slope, _ = log2_fit(levels, distances)
+    return RateReport(levels, distances, slope)
 
 
 def log2_fit(x, errors) -> tuple[float, float]:

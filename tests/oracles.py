@@ -159,6 +159,21 @@ def _first_half_hit(w, a, b):
     return b
 
 
+def control_from_table(grid, table):
+    """The control of an (n+1, n+1) table on `grid` as its row function
+    w(s, t) -> table[s, s+1..t]; superadditivity is not checked."""
+    tab = np.asarray(table, dtype=float)
+    if tab.shape != (grid.n_steps + 1, grid.n_steps + 1):
+        raise ValueError("table shape does not match the grid")
+    return lambda s, t: tab[s, s + 1 : t + 1]
+
+
+def control_mass(w, s, t):
+    """The scalar w(s, t) of a row-function control: the last entry of its
+    row, 0.0 when t <= s."""
+    return float(w(int(s), int(t))[-1]) if t > s else 0.0
+
+
 def halving_scan(ws, s, t, depth):
     """Alternating-midpoint levels of [s, t], each midpoint found by a scan.
 

@@ -11,15 +11,15 @@ N = 10^4-10^5 ensembles.
 import numpy as np
 import pytest
 
-from oracles import brute_force_p_variation, increment_table_broadcast
-
-# the exponential scenarios use the (intentionally) unbounded linear rough
-# coefficient; its advisory warning is expected, not a finding
-pytestmark = pytest.mark.filterwarnings("ignore:rough coefficient 'linear' is unbounded")
+from oracles import (
+    brute_force_p_variation,
+    control_from_table,
+    control_mass,
+    increment_table_broadcast,
+)
 
 from roughsew.grids import (
     alternating_midpoints,
-    control_from_table,
     make_uniform_grid,
     p_variation,
 )
@@ -283,9 +283,9 @@ def test_criterion_12_alternating_midpoint_bound():
                 factor = 0.5 ** (h // n_controls)
                 for w in ws:
                     # left-open masses: w(a, b-) = w(a, b - 1) on the grid
-                    bound = factor * w(0, n - 1)
+                    bound = factor * control_mass(w, 0, n - 1)
                     for a, b in zip(pts[:-1], pts[1:]):
-                        if not w(int(a), int(b) - 1) <= bound:
+                        if not control_mass(w, a, b - 1) <= bound:
                             violations += 1
         checks.append((violations == 0, f"{n_controls} controls: {violations} violations"))
     _gate(12, "halving bound exact on every level, 40 random trials each", checks)

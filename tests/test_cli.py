@@ -268,17 +268,37 @@ def test_list_names_every_scenario_and_suite(capsys):
         assert name in out
 
 
-def test_module_invocation_runs_main():
-    # `python -m roughsew.cli` must reach main(), not import and exit 0
+def _run_module(*args):
+    """`python -m roughsew.cli *args` in a fresh interpreter, whose stderr
+    holds all the process writes there, warnings included."""
     src = str(Path(roughsew.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, "-m", "roughsew.cli", "list"],
+    return subprocess.run(
+        [sys.executable, "-m", "roughsew.cli", *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_module_invocation_runs_main():
+    # `python -m roughsew.cli` must reach main(), not import and exit 0
+    done = _run_module("list")
     assert done.returncode == 0
     assert "sewing_rate" in done.stdout
+
+
+def test_module_stderr_holds_only_the_refusal(tmp_path):
+    # pytest records warnings that an in-process run would print, so only a
+    # fresh process shows a line written before the refusal
+    bad = _write_config(
+        tmp_path, "bad.json", scenario="brownian_milstein", n=64, levels=40, ensemble=4
+    )
+    done = _run_module("run", bad, "--out", str(tmp_path / "bad"))
+    assert done.returncode == 1
+    assert done.stderr.startswith("roughsew run: bad config:") and done.stderr.count("\n") == 1
+    good = _write_config(tmp_path, "good.json", scenario="smooth_exponential")
+    done = _run_module("run", good, "--out", str(tmp_path / "good"))
+    assert done.returncode == 0 and done.stderr == ""
 
 
 def test_usage_errors_exit_1(capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from roughsew.grids import TimeGrid, make_uniform_grid
 from roughsew.integrals import (
-    IntegralProcess,
     ito_integrate,
     jump_structure_check,
     rough_stoch_integrate,
@@ -31,8 +30,8 @@ def test_ito_integrate_known_deterministic_integrand():
     c = 2.5
     y = np.full((6, 33), c)
     out = ito_integrate(y, bm)
-    assert np.allclose(out.terminal, c * bm.values[:, -1, 0], atol=1e-14)
-    assert np.all(out.values[:, 0] == 0.0)
+    assert np.allclose(out[:, -1], c * bm.values[:, -1, 0], atol=1e-14)
+    assert np.all(out[:, 0] == 0.0)
 
 
 def test_ito_integrate_bdb_identity_error_shrinks():
@@ -44,7 +43,7 @@ def test_ito_integrate_bdb_identity_error_shrinks():
         b = bm.values[..., 0]
         out = ito_integrate(b, bm)
         exact = 0.5 * (b[:, -1] ** 2 - 1.0)
-        errs.append(np.sqrt(np.mean((out.terminal - exact) ** 2)))
+        errs.append(np.sqrt(np.mean((out[:, -1] - exact) ** 2)))
     assert errs[1] < 0.5 * errs[0]
 
 
@@ -56,7 +55,7 @@ def test_ito_integrate_matches_fine_grid_oracle():
     out = ito_integrate(b, bm)
     coarse_vals, ref = fine_grid_ito_reference(lambda x: x, b, bm.grid.times, refine=1)
     assert np.array_equal(coarse_vals, b)
-    assert np.allclose(out.values, ref, atol=1e-14)
+    assert np.allclose(out, ref, atol=1e-14)
 
 
 def test_ito_and_young_integrate_match_step_products():
@@ -64,17 +63,17 @@ def test_ito_and_young_integrate_match_step_products():
     b = bm.values[..., 0]
     y = np.sin(b)
     # member-wise integrand, then one integrand row broadcast over members
-    assert np.array_equal(ito_integrate(y, bm).values, left_point_steps_integral(y, b))
+    assert np.array_equal(ito_integrate(y, bm), left_point_steps_integral(y, b))
     assert np.array_equal(
-        ito_integrate(y[:1], bm).values, left_point_steps_integral(y[:1], b)
+        ito_integrate(y[:1], bm), left_point_steps_integral(y[:1], b)
     )
     assert np.array_equal(
-        ito_integrate(y[:1, :, None], bm).values, left_point_steps_integral(y[:1], b)
+        ito_integrate(y[:1, :, None], bm), left_point_steps_integral(y[:1], b)
     )
     # a (Nb, n+1, 1, 1) bracket integrator, Nb = 1 and Nb = N
     assert bm.bracket.shape == (1, 41, 1, 1)
     assert np.array_equal(
-        young_integrate(y, bm.bracket, bm.grid).values,
+        young_integrate(y, bm.bracket, bm.grid),
         left_point_steps_integral(y, bm.bracket[..., 0, 0]),
     )
     res = simulate_compound_poisson(1.0, 4.0, 40, seed=23, n_members=6, align_jumps=False)
@@ -82,7 +81,7 @@ def test_ito_and_young_integrate_match_step_products():
     assert br.shape == (6, 41, 1, 1)
     for integrand in (y, y[:1]):
         assert np.array_equal(
-            young_integrate(integrand, br, bm.grid).values,
+            young_integrate(integrand, br, bm.grid),
             left_point_steps_integral(integrand, br[..., 0, 0]),
         )
     # strided integrand and integrator views, as the refinement scenarios pass
@@ -90,10 +89,10 @@ def test_ito_and_young_integrate_match_step_products():
     ys = y[:, ::2]
     assert not sub.values.flags.c_contiguous and sub.grid.n_steps == 20
     assert np.array_equal(
-        ito_integrate(ys, sub).values, left_point_steps_integral(ys, sub.values[..., 0])
+        ito_integrate(ys, sub), left_point_steps_integral(ys, sub.values[..., 0])
     )
     assert np.array_equal(
-        young_integrate(ys, sub.bracket, sub.grid).values,
+        young_integrate(ys, sub.bracket, sub.grid),
         left_point_steps_integral(ys, sub.bracket[..., 0, 0]),
     )
 
@@ -116,7 +115,7 @@ def test_rough_stoch_integrate_smooth_driver_chain_rule():
     x = lift.path.values[..., 0]
     y = np.exp(x)
     out = rough_stoch_integrate(y, y, lift)
-    assert out.terminal[0] == pytest.approx(np.e - 1.0, abs=1e-6)
+    assert out[0, -1] == pytest.approx(np.e - 1.0, abs=1e-6)
 
 
 def test_rough_stoch_integrate_reduces_to_ito_for_zero_derivative():
@@ -125,13 +124,13 @@ def test_rough_stoch_integrate_reduces_to_ito_for_zero_derivative():
     y = np.sin(bm.values[..., 0])
     plain = ito_integrate(y, bm)
     rough = rough_stoch_integrate(y, np.zeros_like(y), lift)
-    assert np.array_equal(plain.values, rough.values)
+    assert np.array_equal(plain, rough)
 
 
-def test_rough_stoch_integrate_multidim_requires_map_integrand():
+def test_rough_integrals_refuse_multidim_drivers():
     bm = simulate_brownian(1.0, 16, seed=9, n_members=2, dim=2)
     lift = ito_lift_brownian(bm, seed=9)
-    with pytest.raises(ValueError, match="map-valued integrand"):
+    with pytest.raises(ValueError, match="one-dimensional drivers, got d=2"):
         rough_stoch_integrate(bm.values[..., 0], bm.values[..., 0], lift)
     # the jump check refuses the same integrand on a d = 2 pure-jump lift
     cp = simulate_compound_poisson(1.0, 4.0, 16, seed=9, n_members=2).path
@@ -139,9 +138,9 @@ def test_rough_stoch_integrate_multidim_requires_map_integrand():
     path = SamplePath(cp.grid, np.concatenate([v, np.sin(v)], axis=-1), cp.jump_indices)
     jlift = forward_lift_jump_path(path)
     y = np.cos(v[..., 0])
-    z = IntegralProcess(cp.grid, np.zeros(y.shape))
+    z = np.zeros(y.shape)
     for yy in (y, y[..., None]):
-        with pytest.raises(ValueError, match="map-valued integrand"):
+        with pytest.raises(ValueError, match="one-dimensional drivers, got d=2"):
             jump_structure_check(yy, yy, z, jlift)
 
 
@@ -153,17 +152,17 @@ def test_young_integrate_pure_jump_bracket():
     out = young_integrate(y, mart.bracket[..., 0, 0], mart.grid)
     jumps = res.path.jump_indices
     dbr = np.diff(mart.bracket[..., 0, 0], axis=1)
-    manual = np.zeros(out.terminal.shape)
+    manual = np.zeros(out.shape[0])
     for j in jumps:
         manual += y[:, j - 1] * dbr[:, j - 1]
-    assert np.allclose(out.terminal, manual, atol=1e-13)
+    assert np.allclose(out[:, -1], manual, atol=1e-13)
 
 
 def test_young_integrate_time_integrator():
     grid = make_uniform_grid(1.0, 1000)
     y = np.sin(grid.times)[None, :]
     out = young_integrate(y, grid.times[None, :], grid)
-    assert out.terminal[0] == pytest.approx(1.0 - np.cos(1.0), abs=2e-3)
+    assert out[0, -1] == pytest.approx(1.0 - np.cos(1.0), abs=2e-3)
 
 
 def test_jump_structure_compound_poisson():
@@ -184,7 +183,7 @@ def test_jump_structure_channels_on_scalar_driver(m):
     y = np.stack([np.sin(x), np.cos(x), x * x][:m], axis=-1)
     yp = np.stack([np.cos(x), -np.sin(x), 2.0 * x][:m], axis=-1)
     z = rough_stoch_integrate(y, yp, lift)
-    assert z.values.shape == x.shape + (m,) and z.jump_indices.size
+    assert z.shape == x.shape + (m,) and lift.path.jump_indices.size
     assert jump_structure_check(y, yp, z, lift) <= 1e-12
 
 
@@ -201,7 +200,7 @@ def test_jump_structure_hand_built_second_level_jump():
     yp = np.array([[0.5, 1.5, 1.5]])
     z = rough_stoch_integrate(y, yp, lift)
     # direct check: dZ over the jump step = 2 * 1.0 + 1.5 * 0.3
-    assert z.values[0, 2] - z.values[0, 1] == pytest.approx(2.45)
+    assert z[0, 2] - z[0, 1] == pytest.approx(2.45)
     assert jump_structure_check(y, yp, z, lift) <= 1e-12
 
 
@@ -209,9 +208,9 @@ def test_ito_isometry_small_ensemble_sanity():
     bm = simulate_brownian(1.0, 64, seed=17, n_members=20000)
     y = np.sin(bm.values[..., 0])
     out = ito_integrate(y, bm)
-    lhs = np.mean(out.terminal**2)
+    lhs = np.mean(out[:, -1] ** 2)
     rhs_path = young_integrate(y**2, bm.bracket[..., 0, 0], bm.grid)
-    rhs = np.mean(rhs_path.terminal)
-    diff = out.terminal**2 - rhs_path.terminal
+    rhs = np.mean(rhs_path[:, -1])
+    diff = out[:, -1] ** 2 - rhs_path[:, -1]
     se = diff.std(ddof=1) / np.sqrt(diff.shape[0])
     assert abs(lhs - rhs) < 3 * se

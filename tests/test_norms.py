@@ -473,14 +473,6 @@ def _rows_vp(values, p, q, s, t):
     return p_variation(lq_table_rows(values, q, s=s, t=t), p)
 
 
-def _table_vp(values, p, q, s, t):
-    """`vp_lq_seminorm` as the row builder's tables gave it: from the Gram
-    table at q = 2 with N >= 2 (not rerouted), from the rows otherwise."""
-    if q == 2.0 and values.shape[0] >= 2:
-        return p_variation(lq_table(values[:, s : t + 1], q), p)
-    return _rows_vp(values, p, q, s, t)
-
-
 def _rows_second(lift, p, q, s, t):
     return p_variation(magnitude_table(second_rows(lift, s, t), t - s + 1, q), p / 2.0)
 
@@ -488,7 +480,7 @@ def _rows_second(lift, p, q, s, t):
 def _rows_distance(a, b, p, q, s, t):
     rows_a, rows_b = second_rows(a, s, t), second_rows(b, s, t)
     second = magnitude_table(lambda i: rows_a(i) - rows_b(i), t - s + 1, q)
-    return _table_vp(a.path.values - b.path.values, p, q, s, t) + p_variation(second, p / 2.0)
+    return _rows_vp(a.path.values - b.path.values, p, q, s, t) + p_variation(second, p / 2.0)
 
 
 @pytest.mark.parametrize("n_members,dim", ROW_CASES)
@@ -501,10 +493,7 @@ def test_rerouted_seminorms_equal_the_row_builder_bitwise(n_members, dim):
             b = _random_lift(n_members, dim, seed + 1)
             x = a.path.values
             for s, t in WINDOWS:
-                vp_cases = [(2.5, q) for q in (1.0, 1.5, 3.0, 4.0)]
-                if n_members == 1:
-                    vp_cases.append((2.0, 2.0))  # a single path is not a Gram table
-                for p, q in vp_cases:
+                for p, q in [(2.5, q) for q in (1.0, 1.5, 2.0, 3.0, 4.0)] + [(2.0, 2.0)]:
                     for vals in (x, x[..., 0]) if dim == 1 else (x,):
                         got = vp_lq_seminorm(vals[:, s : t + 1], p, q)
                         assert _same(got, _rows_vp(vals, p, q, s, t)), (p, q, s, t, bad)
@@ -593,7 +582,7 @@ def test_stability_base_csv_is_the_row_builders_byte_for_byte(monkeypatch, tmp_p
     # reports' first levels, rough-path distances and remainders, and the
     # Picard update distances of its solve-Picard gap
     monkeypatch.setattr(
-        rsde, "vp_lq_seminorm", lambda v, p, q: _table_vp(v, p, q, 0, v.shape[1] - 1)
+        rsde, "vp_lq_seminorm", lambda v, p, q: _rows_vp(v, p, q, 0, v.shape[1] - 1)
     )
     monkeypatch.setattr(
         rsde,

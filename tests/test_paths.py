@@ -231,8 +231,7 @@ def test_compound_poisson_aligned_structure():
 def test_compound_poisson_compensation():
     res = simulate_compound_poisson(2.0, 4.0, 32, seed=8, n_members=3, jump_params=(0.5, 0.2))
     times = res.path.grid.times
-    comp = res.rate * res.jump_mean * times
-    assert res.jump_mean == pytest.approx(0.5)
+    comp = 4.0 * 0.5 * times  # rate * mu
     assert np.allclose(res.martingale.values[..., 0], res.path.values[..., 0] - comp[None, :])
     # bracket accumulates the squared jumps
     qv = res.martingale.bracket[:, -1, 0, 0]
@@ -360,7 +359,7 @@ def _mixed_and_oracle(n, seed, n_members, rate, vol):
     bm = simulate_brownian(1.0, grid.n_steps, seed, n_members, vol=vol, grid=grid)
     expected = oracles.mixed_driver_arrays(
         grid.times, bm.values, cp.path.values, cp.path.left_values, cp.path.jump_indices,
-        cp.martingale.bracket, cp.rate, cp.jump_mean, vol,
+        cp.martingale.bracket, rate, 0.3, vol,
     )
     got = (
         res.path.values, res.path.left_values, res.lift.step_second, res.lift.jump_second,

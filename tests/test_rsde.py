@@ -53,8 +53,7 @@ from oracles import (
 
 
 def _linear_coeffs():
-    with pytest.warns(UserWarning):  # linear is unbounded by design
-        return CoefficientSet(f=smooth_fn("linear"))
+    return CoefficientSet(f=smooth_fn("linear"))
 
 
 def _germ_once(coeffs, y, dt, dm, dx, xx):
@@ -188,8 +187,7 @@ def _mixed_linear_set(dim, order):
     coeffs, lift, mart = _germ_drivers(dim)
     lin = smooth_fn("linear", a=0.6, c=-0.15)
     fs = (lin,) if dim == 1 else (lin, coeffs.f[0])[::order]
-    with pytest.warns(UserWarning):  # linear is unbounded by design
-        mixed = CoefficientSet(b=coeffs.b, sigma=coeffs.sigma, f=fs if dim > 1 else fs[0])
+    mixed = CoefficientSet(b=coeffs.b, sigma=coeffs.sigma, f=fs if dim > 1 else fs[0])
     return mixed, lift, mart
 
 
@@ -245,7 +243,7 @@ def test_solve_brownian_geometric_strong_error():
     coeffs = _linear_coeffs()
     res = solve(coeffs, 1.0, lift, bm)
     exact = np.exp(bm.values[:, -1, 0] - 0.5)
-    rmse = np.sqrt(np.mean((res.terminal - exact) ** 2))
+    rmse = np.sqrt(np.mean((res.values[:, -1] - exact) ** 2))
     assert rmse < 0.02
 
 
@@ -420,11 +418,10 @@ def test_event_schedule_matches_step_loop_oracle(case):
 def _linear_set():
     # every coefficient a registry `linear`, whose derivative the kernel reads
     # as a scalar
-    with pytest.warns(UserWarning):  # linear is unbounded by design
-        return CoefficientSet(
-            b=smooth_fn("linear", a=-0.3, c=0.1), sigma=smooth_fn("linear", a=0.2),
-            f=smooth_fn("linear", a=0.7),
-        )
+    return CoefficientSet(
+        b=smooth_fn("linear", a=-0.3, c=0.1), sigma=smooth_fn("linear", a=0.2),
+        f=smooth_fn("linear", a=0.7),
+    )
 
 
 def _same_bytes(a, b):
@@ -520,8 +517,7 @@ def test_solvers_keep_the_sign_of_zero_bitwise(rough, dim):
     coeffs = CoefficientSet(b=ident, sigma=smooth_fn("sin_bundle", c=-0.0))
     if rough:
         fs = (ident, smooth_fn("linear", a=2.0, c=-0.0))[:dim]
-        with pytest.warns(UserWarning):
-            coeffs = CoefficientSet(b=coeffs.b, sigma=coeffs.sigma, f=fs if dim > 1 else fs[0])
+        coeffs = CoefficientSet(b=coeffs.b, sigma=coeffs.sigma, f=fs if dim > 1 else fs[0])
     lift, mart = _zero_driver(6, dim)
     y0 = np.array([-0.0, 0.0, -0.0, 0.25, -0.0, -1.5])
     n = lift.grid.n_steps

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from roughsew.grids import (
-    ControlFn,
     Partition,
     TimeGrid,
     alternating_midpoints,
@@ -128,7 +127,7 @@ def test_default_controls_share_one_control_per_input_array():
     assert len(controls) == 3 and controls[1] is controls[2]
     apart = default_controls(ito_germ(b, b.copy()), bm.grid)
     assert apart[1] is not apart[2]
-    assert np.array_equal(apart[1].row(0, 16), controls[2].row(0, 16))
+    assert np.array_equal(apart[1](0, 16), controls[2](0, 16))
 
 
 def test_sewing_rate_builds_two_gram_tables(monkeypatch):
@@ -152,7 +151,7 @@ def test_ito_controls_start_with_the_qv_default_controls(seed):
     reads = []
 
     def recorded(i, w):
-        return ControlFn(lambda a, c: reads.append((i, a, c)) or w.row(a, c))
+        return lambda a, c: reads.append((i, a, c)) or w(a, c)
 
     alternating_midpoints([recorded(i, w) for i, w in enumerate(controls)], 0, 128, 8)
     levels = alternating_midpoints([recorded(i, w) for i, w in enumerate(controls[:2])], 0, 128, 8)
@@ -161,7 +160,7 @@ def test_ito_controls_start_with_the_qv_default_controls(seed):
     assert {i for i, _, _ in reads} == {0, 1, 2}
     for i, a, c in reads:
         if i < 2:
-            assert controls[i].row(a, c).tobytes() == own[i].row(a, c).tobytes()
+            assert controls[i](a, c).tobytes() == own[i](a, c).tobytes()
 
 
 @pytest.mark.parametrize("seed", [7, 11])
