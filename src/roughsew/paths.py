@@ -330,7 +330,23 @@ def simulate_compound_poisson(
     The compensated martingale is M_t = X_t - rate * mu * t with bracket
     [M]_t = sum of (Delta X_u)^2 over actual jump times u <= t.
     """
+    counts, flat_times, flat_sizes = _jump_draws(T, rate, seed, n_members, jump_params)
     base = make_uniform_grid(T, n)
+    grid = insert_times(base, flat_times) if align_jumps else base
+    drift = rate * float(jump_params[0])
+    return _jump_arrays(grid, counts, flat_times, flat_sizes, drift, align_jumps)
+
+
+def _jump_draws(T, rate, seed, n_members, jump_params):
+    """Every member's jumps as (counts (N,), flat times, flat sizes), the flat
+    arrays member-major and time-sorted within a member, from one draw of the
+    stream (seed, "compound-poisson", n_members) for the whole ensemble.
+
+    With offsets [0, cumsum(counts)], members lo..hi-1 own the flat slice
+    offsets[lo]:offsets[hi], so a member block takes its jumps from this one
+    draw and member i's jump times and sizes keep their bits at every block
+    size (see `rng`).
+    """
     rng = stream(seed, "compound-poisson", n_members)
     counts = rng.poisson(rate * T, size=n_members)
     total = int(counts.sum())
@@ -338,16 +354,20 @@ def simulate_compound_poisson(
     flat_times = np.clip(rng.uniform(0.0, T, size=total), 1e-9 * T, T)
     mu, sigma = jump_params
     flat_sizes = mu + sigma * rng.standard_normal(total)
+    order = np.lexsort((flat_times, np.repeat(np.arange(n_members), counts)))
+    return counts, flat_times[order], flat_sizes[order]
+
+
+def _jump_arrays(grid, counts, flat_times, flat_sizes, drift, align_jumps=True):
+    """The compound-Poisson path of the draws of `_jump_draws` on `grid`, and
+    its martingale compensated by `drift` * t (see `simulate_compound_poisson`).
+
+    With align_jumps the grid holds every jump time (up to TIME_TOL) and each
+    jump's grid point is a declared jump index; without, the grid is any grid
+    and jumps show up in the increment of the step they fall in.
+    """
+    n_members, total = counts.size, flat_times.size
     member_of = np.repeat(np.arange(n_members), counts)
-    order = np.lexsort((flat_times, member_of))
-    flat_times, flat_sizes, member_of = (
-        flat_times[order],
-        flat_sizes[order],
-        member_of[order],
-    )
-
-    grid = insert_times(base, flat_times) if (align_jumps and total) else base
-
     times = grid.times
     # a jump at u counts at t_k once u < t_k + TIME_TOL; col is the first such k
     col = np.searchsorted(times + TIME_TOL, flat_times, side="right")
@@ -367,7 +387,7 @@ def simulate_compound_poisson(
     jump_indices = np.unique(col) if align_jumps else np.array([], dtype=np.int64)
     path = SamplePath(grid=grid, values=values[:, :, None], jump_indices=jump_indices)
 
-    martingale = _compensated(path, rate * float(mu), qv[:, :, None, None])
+    martingale = _compensated(path, drift, qv[:, :, None, None])
     return CompoundPoissonResult(path=path, martingale=martingale)
 
 
@@ -489,17 +509,34 @@ def simulate_mixed(
     - martingale: compensated by `_compensated` as in
       `simulate_compound_poisson`, with bracket [J] + [B] from the two builders.
     """
-    cp = simulate_compound_poisson(T, rate, n, seed, n_members, jump_params, align_jumps=True)
-    jump, grid = cp.path, cp.path.grid
+    counts, times, sizes = _jump_draws(T, rate, seed, n_members, jump_params)
+    grid = insert_times(make_uniform_grid(T, n), times)
+    drift = rate * float(jump_params[0])
+    jump = _jump_arrays(grid, counts, times, sizes, drift)
     bm = simulate_brownian(T, grid.n_steps, seed, n_members, dim=1, vol=vol, grid=grid)
-    jumps = jump.jump_indices
-    left = bm.values[:, jumps] + jump.left_values if jumps.size else None
+    return _mixed(bm, jump, drift)
+
+
+def _mixed(bm: MartingalePath, jump: CompoundPoissonResult, drift: float) -> MixedResult:
+    """The mixed driver X = B + J of a one-dimensional Brownian path `bm` and a
+    compound-Poisson `jump` on one grid, which holds J's jump times:
+
+    - path: B + J; at a jump the left limit is B_t + J_{t-}, which is where
+      a left limit differs from the previous grid point for a diffusing path;
+    - lift steps: `ito_lift_brownian`'s plus the cross term dB_step (x) dJ_step
+      (dB_step (x) Delta J on a step ending in a jump); Delta XX = 0;
+    - martingale: X compensated by `drift` * t (`_compensated`), with bracket
+      [J] + [B] from the two paths.
+    """
+    jp, grid = jump.path, jump.path.grid
+    jumps = jp.jump_indices
+    left = bm.values[:, jumps] + jp.left_values if jumps.size else None
     path = SamplePath(
-        grid=grid, values=bm.values + jump.values, jump_indices=jumps, left_values=left
+        grid=grid, values=bm.values + jp.values, jump_indices=jumps, left_values=left
     )
     step_second = ito_lift_brownian(bm).step_second + outer_increment(
-        bm.increments(), jump.increments()
+        bm.increments(), jp.increments()
     )
     lift = RoughLift(path=path, step_second=step_second)
-    mart = _compensated(path, rate * float(jump_params[0]), cp.martingale.bracket + bm.bracket)
+    mart = _compensated(path, drift, jump.martingale.bracket + bm.bracket)
     return MixedResult(path=path, martingale=mart, lift=lift)
