@@ -112,6 +112,17 @@ def insert_times(grid: TimeGrid, extra: np.ndarray) -> TimeGrid:
     return TimeGrid(out)
 
 
+def _unique(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of an integer array, as `np.unique` returns
+    them, from one sort and an adjacent-difference mask (`np.unique` imports
+    `numpy.ma` on its first call, which costs more than the arrays here)."""
+    a = np.sort(a, axis=None)
+    keep = np.empty(a.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def _pvar_dp(columns):
     """Yield best[j] = max over partitions of [0, j] of the summed powers[u, v]
     for j = 1, 2, ..., one per column powers[:j, j] fed in, a list of floats
@@ -242,5 +253,5 @@ def alternating_midpoints(
         for a, b in zip(pts[:-1], pts[1:]):
             new_pts.append(_halving_point(w, a, b))
             new_pts.append(b)
-        levels.append(np.unique(np.asarray(new_pts, dtype=np.int64)))
+        levels.append(_unique(np.asarray(new_pts, dtype=np.int64)))
     return levels

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .conventions import outer_increment
-from .grids import TIME_TOL, TimeGrid, insert_times, make_uniform_grid
+from .grids import TIME_TOL, TimeGrid, _unique, insert_times, make_uniform_grid
 from .rng import stream
 
 __all__ = [
@@ -384,7 +384,7 @@ def _jump_arrays(grid, counts, flat_times, flat_sizes, drift, align_jumps=True):
     qv = np.take_along_axis(sums[1], seen, axis=1)
     del seen  # an (N, n+1) table: free it before the martingale's arrays
 
-    jump_indices = np.unique(col) if align_jumps else np.array([], dtype=np.int64)
+    jump_indices = _unique(col) if align_jumps else np.array([], dtype=np.int64)
     path = SamplePath(grid=grid, values=values[:, :, None], jump_indices=jump_indices)
 
     martingale = _compensated(path, drift, qv[:, :, None, None])

@@ -54,7 +54,7 @@ import numpy as np
 
 from .calculus import SmoothFn, _Affine, _Constant
 from .conventions import outer_increment
-from .grids import TimeGrid, _pvar_dp
+from .grids import TimeGrid, _pvar_dp, _unique
 from .norms import (
     _column_pairs,
     _lq_cells,
@@ -179,7 +179,7 @@ def build_event_schedule(lift: RoughLift, mart: MartingalePath | None = None) ->
     else:
         dms = np.zeros((n, 1))
         m_jumps = np.array([], dtype=np.int64)
-    jumps = np.union1d(path.jump_indices, m_jumps).astype(np.int64)
+    jumps = _unique(np.concatenate([path.jump_indices, m_jumps]))
 
     # step k owns events event_start[k] (continuous) and, when k + 1 is a
     # jump, event_start[k] + 1 (the jump)
@@ -541,20 +541,30 @@ def picard_solve(
         pairs = _column_pairs(last + 1)
 
         # the window's iterate, time-major (E_w + 1, N) like the state and
-        # updated in place once its germs are taken; the germs (E_w, N) and
-        # the kernel's scratch are reused by every iteration
+        # updated in place once its germs are taken; the germs (E_w, N),
+        # their running sums and the kernel's scratch are reused by every
+        # iteration
         y_start = state[s]
         cur = np.broadcast_to(y_start, (e1 - e0 + 1, y_start.size)).copy()
         germs = np.empty_like(cur[1:])
-        scratch = _germ_scratch(fs, germs.shape)
+        sums = np.empty_like(germs)
+        acc, term, rows = _germ_scratch(fs, germs.shape)
         dists: list[float] = []
         with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(max_iter):
-                # the germs keep every 0.0 start, as a sum from zeros
-                germ(0.0, cur[:-1], germs, scratch, slice(e0, e1), True)
+            for k in range(max_iter):
+                # the scheme is triangular: after k iterations rows 0..k of
+                # the iterate are final, and so are germs 0..k-1 and their
+                # running sums, so only germs k.. are taken again (keeping
+                # every 0.0 start, as a sum from zeros) and their sum
+                # restarts from sums[k - 1], bit for bit a sum from germ 0
+                scratch = (acc[k:], None if term is None else term[k:],
+                           [None if r is None else r[k:] for r in rows])
+                germ(0.0, cur[k:-1], germs[k:], scratch, slice(e0 + k, e1), True)
                 change = cur[grid_slots]  # the previous iterate's grid points
-                np.cumsum(germs, axis=0, out=cur[1:])
-                cur[1:] += y_start
+                if 0 < k < germs.shape[0]:
+                    germs[k] += sums[k - 1]
+                np.cumsum(germs[k:], axis=0, out=sums[k:])
+                np.add(sums[k:], y_start, out=cur[k + 1 :])
                 np.subtract(cur[grid_slots], change, out=change)
                 live = np.isfinite(cur[-1])  # others stay non-finite, get flagged
                 diff = change.T[live]  # (N_live, G)

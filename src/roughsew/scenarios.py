@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import calculus, integrals, paths, rsde, sewing
-from .grids import Partition, TimeGrid, full_partition, make_uniform_grid
+from .grids import Partition, TimeGrid, _unique, full_partition, make_uniform_grid
 from .norms import MAX_TABLE_POINTS, chen_residual, lq_norm
 from .rng import stream
 
@@ -334,7 +334,7 @@ def scenario_sewing_rate(cfg: ExperimentConfig):
     g2 = stream(seed, "partitions")
     spread = 0.0
     for _ in range(int(cfg.params.get("partitions", 50))):
-        interior = np.unique(g2.integers(1, n2, size=int(g2.integers(0, 256))))
+        interior = _unique(g2.integers(1, n2, size=int(g2.integers(0, 256))))
         idx = np.concatenate([[0], interior, [n2]])
         total = sewing.riemann_sum(germ2, Partition(lift2.grid, idx))
         spread = max(spread, float(np.max(np.abs(total - full))))

@@ -9,6 +9,7 @@ module it runs on as an argument instead.
 from __future__ import annotations
 
 import itertools
+import warnings
 
 import numpy as np
 
@@ -762,6 +763,65 @@ def picard_allocating_loop(rsde, germ, coeffs, y0, lift, mart=None, p=2.0, q=4.0
         end_terms.append(ends)
         state[dest_w] = cur[1:]
     return state[: n + 1].T, state[n + 1 :].T, iterations, distances, end_terms
+
+
+def picard_full_sweep(rsde, coeffs, y0, lift, mart=None, p=2.0, q=4.0, tol=1e-9, max_iter=60):
+    """`rsde.picard_solve` as it ran before it kept the rows each iteration
+    fixes: every iteration evaluates the germs of all the window's events and
+    takes the running sum from the first, on the package's germ kernel,
+    schedule, window plan and seminorm, taken from the module `rsde`.
+    Returns the `RSDEResult`, warnings and diagnostics included.
+    """
+    sched, fs, state = rsde._prologue(coeffs, y0, lift, mart, 0)
+    germ = rsde._germ_kernel(coeffs, fs, sched)
+    n = lift.grid.n_steps
+    windows = rsde._plan_windows(lift, mart, p, q)
+    iters_per_window, distance_history = [], []
+    for (s, t) in windows:
+        e0, e1 = int(sched.event_start[s]), int(sched.event_start[t])
+        dest_w = sched.dest[e0:e1]
+        grid_slots = np.concatenate([[0], np.flatnonzero(dest_w <= n) + 1])
+        last = grid_slots.size - 1
+        pairs = rsde._column_pairs(last + 1)
+        y_start = state[s]
+        cur = np.broadcast_to(y_start, (e1 - e0 + 1, y_start.size)).copy()
+        germs = np.empty_like(cur[1:])
+        scratch = rsde._germ_scratch(fs, germs.shape)
+        dists = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(max_iter):
+                germ(0.0, cur[:-1], germs, scratch, slice(e0, e1), True)
+                change = cur[grid_slots]
+                np.cumsum(germs, axis=0, out=cur[1:])
+                cur[1:] += y_start
+                np.subtract(cur[grid_slots], change, out=change)
+                live = np.isfinite(cur[-1])
+                diff = change.T[live]
+                if not live.any():
+                    dists.append(float("nan"))
+                    break
+                end = rsde.lq_norm(diff[:, -1], q)
+                bounded = end >= tol
+                if bounded:
+                    dists.append(end)
+                    continue
+                dist = rsde._pair_seminorm(
+                    lambda i, j: diff[:, j] - diff[:, i], diff.shape[0], last, p, q, pairs
+                ) + end
+                dists.append(dist)
+                if dist < tol:
+                    break
+            else:
+                warnings.warn(
+                    f"Picard iteration hit max_iter={max_iter} on window [{s}, {t}] "
+                    f"(last update {'at least ' if bounded else ''}{dists[-1]:.3e}); "
+                    "keeping the last iterate"
+                )
+        iters_per_window.append(len(dists))
+        distance_history.append(dists)
+        state[dest_w] = cur[1:]
+    diagnostics = {"windows": windows, "iterations": iters_per_window, "distances": distance_history}
+    return rsde._epilogue(lift, sched, state, 0, n, diagnostics)
 
 
 def simulate_brownian(rng, times, n_members, dim, vol):

@@ -81,6 +81,15 @@ def test_insert_times_keeps_the_earlier_of_two_near_times_and_the_columns_agree(
     assert np.all(np.abs(times[col] - extra) <= TIME_TOL)
 
 
+@pytest.mark.parametrize("size,high", [(0, 5), (1, 5), (50, 8), (400, 1000), (300, 2**40)])
+def test_unique_equals_np_unique(size, high):
+    rng = np.random.default_rng(size)
+    for a in (rng.integers(-high, high, size=size), rng.integers(0, high, size=(size // 2, 2))):
+        got, want = grids._unique(a), np.unique(a)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
 def test_full_partition_covers_the_grid():
     part = full_partition(make_uniform_grid(1.0, 10))
     assert part.indices.tolist() == list(range(11))

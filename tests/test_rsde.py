@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import functools
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -45,6 +46,7 @@ from oracles import (
     magnitude_table,
     pair_rows,
     picard_allocating_loop,
+    picard_full_sweep,
     plan_windows_one_step,
     shifted_increments,
     solve_member_major,
@@ -455,10 +457,31 @@ def _expected_distances(distances, end_terms, tol):
     ]
 
 
+def _assert_picard_matches_full_sweep(coeffs, y0, lift, mart, **kw):
+    """`picard_solve` against the loop that takes every germ of a window in
+    every iteration: values, left values, diagnostics and warnings, bytewise."""
+    runs = []
+    for solver in (picard_solve, functools.partial(picard_full_sweep, rsde)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = solver(coeffs, y0, lift, mart, **kw)
+        runs.append((res, [str(w.message) for w in caught]))
+    (res, said), (ref, want) = runs
+    assert said == want
+    assert _same_bytes(res.values, ref.values) and _same_bytes(res.left_values, ref.left_values)
+    got, exp = dict(res.diagnostics), dict(ref.diagnostics)
+    assert _same_bytes(got.pop("diverged", np.zeros(0)), exp.pop("diverged", np.zeros(0)))
+    assert _same_bytes(np.array(sum(got.pop("distances"), [])),
+                       np.array(sum(exp.pop("distances"), [])))
+    assert got == exp
+    return res
+
+
 def _assert_picard_matches_oracles(coeffs, y0, lift, mart):
-    """`picard_solve` against the allocating loop with both oracle germs, bytewise."""
+    """`picard_solve` against the allocating loop with both oracle germs, and
+    against the full-sweep loop, bytewise."""
     tol = 1e-9  # both sides' default
-    res = picard_solve(coeffs, y0, lift, mart)
+    res = _assert_picard_matches_full_sweep(coeffs, y0, lift, mart)
     for germ in (add_germ, add_germ_einsum):
         values, left, iterations, distances, end_terms = picard_allocating_loop(
             rsde, germ, coeffs, y0, lift, mart
@@ -490,6 +513,35 @@ def test_picard_matches_the_allocating_loop_oracle_bitwise(case, layout):
     y0 = np.linspace(-0.5, 0.5, lift.path.n_members)
     for coeffs in (_all_coeffs(), _linear_set()):
         _assert_picard_matches_oracles(coeffs, y0, lift, mart)
+
+
+def _full_sweep_cases():
+    bm = simulate_brownian(1.0, 4, seed=13, n_members=2)
+    stiff = CoefficientSet(b=smooth_fn("linear", a=1e200))
+    small = simulate_brownian(0.1, 8, seed=5, n_members=16)
+    mix = simulate_mixed(1.0, 128, 7, n_members=64, rate=2.0, jump_params=(0.3, 0.45))
+    planar, lift2, mart2 = _germ_drivers(2)
+    cases = {
+        "diverged": (stiff, 10.0, ito_lift_brownian(bm), bm, {}),
+        "jump_mix": (_all_coeffs(), 0.2, mix.lift, mix.martingale, dict(tol=1e-10, max_iter=80)),
+        "planar": (planar, np.linspace(-0.5, 0.5, 16), lift2, mart2, {}),
+    }
+    coeffs = CoefficientSet(
+        b=smooth_fn("tanh_affine", a=0.4, b=0.9), f=smooth_fn("tanh_affine", a=0.8, b=0.7, c=0.1)
+    )
+    for max_iter in (1, 2, 3):  # windows that stop at max_iter, with one step and more
+        cases[f"max_iter_{max_iter}"] = (
+            coeffs, 0.2, ito_lift_brownian(small), None, dict(tol=1e-14, max_iter=max_iter)
+        )
+    return cases
+
+
+@pytest.mark.parametrize("case", list(_full_sweep_cases()))
+def test_picard_matches_the_full_sweep_oracle_bitwise(case):
+    coeffs, y0, lift, mart, kw = _full_sweep_cases()[case]
+    res = _assert_picard_matches_full_sweep(coeffs, y0, lift, mart, **kw)
+    if case == "jump_mix":
+        assert max(res.diagnostics["iterations"]) > 3
 
 
 def _zero_driver(n_members, dim, n=12, jumps=(4, 9)):
