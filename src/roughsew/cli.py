@@ -121,6 +121,17 @@ def _check_brackets(rows):
     ]
 
 
+def _check_jumps(rows):
+    flow = _one(rows, "flow_restart_gap")["value"]
+    jres = _one(rows, "solution_jump_residual")["value"]
+    gap = _one(rows, "solve_picard_gap")["value"]
+    return [
+        ("flow-restart gap exactly zero", flow == 0.0, f"max {flow:.3e}"),
+        ("solution jump residual <= 1e-12", jres <= 1e-12, f"max {jres:.3e}"),
+        ("solve vs Picard gap <= 1e-6", gap <= 1e-6, f"max {gap:.3e}"),
+    ]
+
+
 SUITES = {
     "chen": ("chen_check", _check_chen),
     "jump_structure": ("jump_structure", _check_jump_structure),
@@ -128,6 +139,7 @@ SUITES = {
     "sewing_rate": ("sewing_rate", _check_sewing_rate),
     "stability": ("stability_base", _check_stability),
     "brackets": ("brackets", _check_brackets),
+    "jumps": ("jump_mix", _check_jumps),
 }
 
 

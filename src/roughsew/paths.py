@@ -224,15 +224,18 @@ def _brownian_blocks(rows, T, n, seed, n_members=1, dim=1, vol=1.0, grid=None):
     volm = np.eye(dim) * vol if np.ndim(vol) == 0 else np.asarray(vol, dtype=float)
     rng = stream(seed, "brownian", dim, n_members)
     sqrt_dt = np.sqrt(grid.steps())[None, :, None]
-    bracket = np.einsum("ij,kj->ik", volm, volm)[None, None, :, :] * grid.times[
-        None, :, None, None
-    ]
+    bracket = _brownian_bracket(volm, grid.times)
     for lo in range(0, max(n_members, 1), rows):
         yield MartingalePath(
             grid=grid,
             values=_brownian_values(rng, min(rows, n_members - lo), dim, sqrt_dt, volm),
             bracket=bracket,
         )
+
+
+def _brownian_bracket(volm, times) -> np.ndarray:
+    """[B]_t = vol vol^T t at `times`, shape (1, n+1, d, d)."""
+    return np.einsum("ij,kj->ik", volm, volm)[None, None, :, :] * times[None, :, None, None]
 
 
 def _brownian_values(rng, n_members, dim, sqrt_dt, volm) -> np.ndarray:
@@ -499,22 +502,76 @@ def simulate_mixed(
     jump_params: tuple = (0.0, 0.5),
     vol: float = 1.0,
 ) -> MixedResult:
-    """X = B + J with J compound Poisson, on the jump-merged grid, added up
-    from what the two builders return:
+    """X = B + J with J compound Poisson, on the base grid with every
+    member's jump times merged in, assembled by `_mixed`: the one-block case
+    of `_mixed_blocks`.
 
-    - path: B + J; at a jump the left limit is B_t + J_{t-}, which is where
-      a left limit differs from the previous grid point for a diffusing path;
-    - lift steps: `ito_lift_brownian`'s plus the cross term dB_step (x) dJ_step
-      (dB_step (x) Delta J on a step ending in a jump); Delta XX = 0;
-    - martingale: compensated by `_compensated` as in
-      `simulate_compound_poisson`, with bracket [J] + [B] from the two builders.
+    B on the base grid is `simulate_brownian(T, n, seed, n_members, vol=vol)`
+    bit for bit; at the inserted jump times it is a Brownian bridge between
+    the base points.  The jumps are `simulate_compound_poisson`'s.
     """
+    return next(_mixed_blocks(max(n_members, 1), T, n, seed, n_members, rate, jump_params, vol))
+
+
+def _mixed_blocks(rows, T, n, seed, n_members=1, rate=2.0, jump_params=(0.0, 0.5), vol=1.0):
+    """The ensemble of `simulate_mixed` as consecutive blocks of `rows`
+    members (the last may be shorter), each a MixedResult on the base grid
+    with its own members' jump times merged in.
+
+    Member i's jump times and sizes come from the one draw `_jump_draws`, and
+    its base-grid Brownian values from the one member-major draw of
+    `_brownian_blocks`, so both keep their bits at every block size.  Only
+    the Brownian values at the inserted jump times depend on the block: they
+    are bridged (`_bridged`) from the stream (seed, "brownian-bridge",
+    n_members, lo, hi) of the block's members lo..hi-1.
+    """
+    base = make_uniform_grid(T, n)
     counts, times, sizes = _jump_draws(T, rate, seed, n_members, jump_params)
-    grid = insert_times(make_uniform_grid(T, n), times)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
     drift = rate * float(jump_params[0])
-    jump = _jump_arrays(grid, counts, times, sizes, drift)
-    bm = simulate_brownian(T, grid.n_steps, seed, n_members, dim=1, vol=vol, grid=grid)
-    return _mixed(bm, jump, drift)
+    blocks = _brownian_blocks(rows, T, n, seed, n_members, 1, vol)
+    for lo, bm in zip(range(0, max(n_members, 1), rows), blocks):
+        hi = lo + bm.n_members
+        mine = slice(offsets[lo], offsets[hi])
+        grid = insert_times(base, times[mine])
+        jump = _jump_arrays(grid, counts[lo:hi], times[mine], sizes[mine], drift)
+        bridge = stream(seed, "brownian-bridge", n_members, lo, hi)
+        yield _mixed(_bridged(bm, grid, vol, bridge), jump, drift)
+
+
+def _bridged(bm: MartingalePath, grid: TimeGrid, vol: float, rng) -> MartingalePath:
+    """The one-dimensional Brownian block `bm` = vol W on `grid`, which holds
+    bm's grid points up to the TIME_TOL collapse of `insert_times`, and more.
+
+    A base point keeps its value, also where `insert_times` replaced it by a
+    time less than TIME_TOL before it (the value lands on that time).  The
+    times between two base points are filled in left to right by the
+    Brownian bridge to the next base point: from (s, B_s) towards (t, B_t),
+    B_u = B_s + (u - s) / (t - s) (B_t - B_s) + vol sqrt((u - s)(t - u) / (t - s)) Z,
+    with Z from `rng`, one (members, inserted times) member-major draw.
+    """
+    times = grid.times
+    # the grid index of each base point: the last grid time at or before it
+    at = np.searchsorted(times, bm.grid.times, side="right") - 1
+    values = np.empty((bm.n_members, times.size))
+    values[:, at] = bm.values[..., 0]
+    inserted = np.ones(times.size, dtype=bool)
+    inserted[at] = False
+    new = np.flatnonzero(inserted)
+    z = rng.standard_normal((bm.n_members, new.size))
+    run = np.searchsorted(at, new)  # inserted times between base points run - 1, run
+    right, rank = at[run], new - at[run - 1]  # rank 1 for the first time of a run
+    for r in range(1, int(rank.max(initial=0)) + 1):
+        pick = np.flatnonzero(rank == r)
+        u, t = new[pick], right[pick]
+        s_time, u_time, t_time = times[u - 1], times[u], times[t]
+        frac = (u_time - s_time) / (t_time - s_time)
+        sd = vol * np.sqrt((u_time - s_time) * (t_time - u_time) / (t_time - s_time))
+        b_s = values[:, u - 1]
+        values[:, u] = b_s + frac * (values[:, t] - b_s) + sd * z[:, pick]
+    return MartingalePath(
+        grid=grid, values=values[:, :, None], bracket=_brownian_bracket(np.eye(1) * vol, times)
+    )
 
 
 def _mixed(bm: MartingalePath, jump: CompoundPoissonResult, drift: float) -> MixedResult:

@@ -12,12 +12,16 @@ block of the ensemble depends on the stream's layout:
   Brownian increments (N, n, d) drawn in member blocks of any sizes stack to
   the one (N, n, d) draw bit for bit (`paths._brownian_blocks` relies on
   it).  The compound-Poisson jump draws (counts, then the flat times, then
-  the flat sizes, each member-major) split the same way draw by draw; a
-  member block of the whole simulation would still need every count before
-  the first time.
+  the flat sizes, each member-major) are drawn once for the whole ensemble
+  (`paths._jump_draws`), and a member block takes its members' slice of
+  each, so member i's jumps are the same at every block size
+  (`paths._mixed_blocks` relies on it).
 - not chunkable: the step-major Levy-area stream of `ito_lift_brownian`
   (d >= 2), which draws every member's substeps for step k before step
-  k + 1, so a member block would see other members' draws.
+  k + 1, so a member block would see other members' draws; and the
+  Brownian-bridge stream of `paths._mixed_blocks`, keyed by the block (its
+  member range), which draws one value per member and jump time of the
+  block's merged grid, so its draws change with the block's members.
 """
 from __future__ import annotations
 

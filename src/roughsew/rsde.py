@@ -35,10 +35,11 @@ is itself one of the package's checks.
 Both modes evaluate the scheme's germ through one kernel per solver call,
 `_germ_kernel`, built from the coefficient set and the schedule before the
 loop: `solve` calls it once per event on (N,) rows, writing straight into
-the event's state row, and Picard once per iteration on a window's (E_w, N)
-arrays.  Each call evaluates every coefficient once and works in place in
-reused scratch rows, so an event costs a fixed handful of numpy calls
-whatever the coefficients are.
+the event's state row, and Picard once per iteration on the rows of a
+window's (E_w, N) arrays that the iteration can change.  Each call
+evaluates every coefficient once and works in place in reused scratch rows,
+so an event costs a fixed handful of numpy calls whatever the coefficients
+are.
 
 A solution is the controlled pair (Y, f(Y)), but the solvers return Y only;
 a caller that needs the Gubinelli derivative Y' = f(Y) evaluates the rough
@@ -499,7 +500,11 @@ def picard_solve(
 ) -> RSDEResult:
     """Fixed-point mode: iterate Phi(Y) = y_s + sum of event germs of the
     previous iterate on each window, windows planned by `_plan_windows` where
-    the grid-proxy control of the drivers is small.
+    the grid-proxy control of the drivers is small.  The scheme is
+    triangular, so after k iterations the iterate's first k + 1 rows are
+    final: iteration k + 1 takes the germs from row k on only and restarts
+    their running sum from the kept partial sum, bit for bit the sum over
+    every germ.
 
     Successive iterates are compared in the empirical V^p L^q seminorm at the
     window's grid points plus the L^q norm of the update at the window's end,

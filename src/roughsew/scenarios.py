@@ -9,7 +9,8 @@ verification suites and any downstream analysis agree by construction.
 Refinement studies couple their levels: Brownian drivers are simulated once
 on the finest grid and subsampled (views, no copies), and jump ensembles draw
 their jump times/sizes before the grid is built, so the same seed yields the
-identical jumps at every resolution.
+identical jumps at every resolution.  `jump_mix` runs in member blocks, each
+on the base grid with its own members' jump times merged in.
 """
 from __future__ import annotations
 
@@ -469,12 +470,15 @@ def scenario_ito_formula(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 
-def _picard_gap_row(cfg, sol, coeffs, y0, lift, mart=None, n=None, N=None):
+def _picard_gap(cfg, sol, coeffs, y0, lift, mart=None) -> float:
     """Max gap between `sol`, the caller's `rsde.solve` of the same data, and
     the Picard solution."""
     pic = rsde.picard_solve(coeffs, y0, lift, mart, p=cfg.p, q=cfg.q, tol=1e-10, max_iter=80)
-    gap = float(np.max(np.abs(sol.values - pic.values)))
-    return _row(cfg, "solve_picard_gap", gap, n=n, N=N)
+    return float(np.max(np.abs(sol.values - pic.values)))
+
+
+def _picard_gap_row(cfg, sol, coeffs, y0, lift, mart=None, n=None, N=None):
+    return _row(cfg, "solve_picard_gap", _picard_gap(cfg, sol, coeffs, y0, lift, mart), n=n, N=N)
 
 
 def scenario_smooth_exponential(cfg: ExperimentConfig):
@@ -570,47 +574,66 @@ def scenario_em_reduction(cfg: ExperimentConfig):
     return rows
 
 
+#: members per block of `scenario_jump_mix`: a block's grid holds its own
+#: members' jump times, about n + rows * rate * T steps, so each member's work
+#: does not grow with the ensemble
+_JUMP_BLOCK = 64
+
+
 def scenario_jump_mix(cfg: ExperimentConfig):
     """Full RSDE on a Brownian-plus-jumps driver: solution jump structure,
-    flow property under restart, and the two solver modes agreeing."""
+    flow property under restart, and the two solver modes agreeing.
+
+    The ensemble runs in member blocks of `_JUMP_BLOCK` (`paths._mixed_blocks`),
+    each on the base grid with its own members' jump times merged in.  Each
+    gate is computed per block and reported once, as its max over the blocks
+    (NaN if any block's is), and the rows' `n` is the largest block grid's
+    step count.
+    """
     T, n, N, seed = 1.0, cfg.n, cfg.ensemble, cfg.seed
-    mixed = paths.simulate_mixed(T, n, seed, n_members=N, rate=2.0, jump_params=(0.3, 0.45))
-    lift, mart = mixed.lift, mixed.martingale
     coeffs = rsde.CoefficientSet(
         b=calculus.smooth_fn("tanh_affine", a=0.4, b=0.9),
         sigma=calculus.smooth_fn("sin_bundle", a=0.5, b=1.1, c=0.2),
         f=calculus.smooth_fn("tanh_affine", a=0.8, b=0.7, c=0.1),
     )
     y0 = 0.2
-    res = rsde.solve(coeffs, y0, lift, mart=mart)
-    rows = []
+    gaps, steps = [], 0
+    blocks = paths._mixed_blocks(_JUMP_BLOCK, T, n, seed, N, rate=2.0, jump_params=(0.3, 0.45))
+    for mixed in blocks:
+        lift, mart = mixed.lift, mixed.martingale
+        res = rsde.solve(coeffs, y0, lift, mart=mart)
 
-    jumps = lift.path.jump_indices
-    if jumps.size:
-        left = res.left_values
-        dmj = mart.jump_sizes()[..., 0]
-        dxj = lift.path.jump_sizes()[..., 0]
-        dxxj = lift.jump_second[..., 0, 0]
-        f = coeffs.f_components()[0]
-        pred = (
-            left
-            + coeffs.sigma.f(left) * dmj
-            + f.f(left) * dxj
-            + f.df(left) * f.f(left) * dxxj
-        )
-        jr = float(np.max(np.abs(res.values[:, jumps] - pred)))
-    else:
-        jr = 0.0
-    rows.append(_row(cfg, "solution_jump_residual", jr, n=lift.grid.n_steps))
+        jumps = lift.path.jump_indices
+        if jumps.size:
+            left = res.left_values
+            dmj = mart.jump_sizes()[..., 0]
+            dxj = lift.path.jump_sizes()[..., 0]
+            dxxj = lift.jump_second[..., 0, 0]
+            f = coeffs.f_components()[0]
+            pred = (
+                left
+                + coeffs.sigma.f(left) * dmj
+                + f.f(left) * dxj
+                + f.df(left) * f.f(left) * dxxj
+            )
+            jr = float(np.max(np.abs(res.values[:, jumps] - pred)))
+        else:
+            jr = 0.0
 
-    mid = lift.grid.n_steps // 2
-    first = rsde.solve(coeffs, y0, lift, mart=mart, stop=mid)
-    second = rsde.solve(coeffs, first.values[:, mid], lift, mart=mart, start=mid)
-    flow_gap = float(np.max(np.abs(second.values[:, mid:] - res.values[:, mid:])))
-    rows.append(_row(cfg, "flow_restart_gap", flow_gap, n=lift.grid.n_steps))
+        mid = lift.grid.n_steps // 2
+        first = rsde.solve(coeffs, y0, lift, mart=mart, stop=mid)
+        second = rsde.solve(coeffs, first.values[:, mid], lift, mart=mart, start=mid)
+        flow_gap = float(np.max(np.abs(second.values[:, mid:] - res.values[:, mid:])))
 
-    rows.append(_picard_gap_row(cfg, res, coeffs, y0, lift, mart=mart, n=lift.grid.n_steps))
-    return rows
+        gaps.append((jr, flow_gap, _picard_gap(cfg, res, coeffs, y0, lift, mart)))
+        steps = max(steps, lift.grid.n_steps)
+        del mixed, lift, mart, res, first, second  # free this block before the next
+    jr, flow_gap, picard_gap = np.max(gaps, axis=0).tolist()
+    return [
+        _row(cfg, "solution_jump_residual", jr, n=steps),
+        _row(cfg, "flow_restart_gap", flow_gap, n=steps),
+        _row(cfg, "solve_picard_gap", picard_gap, n=steps),
+    ]
 
 
 def scenario_stability_base(cfg: ExperimentConfig):

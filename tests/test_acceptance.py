@@ -148,16 +148,21 @@ def test_criterion_04_ito_isometry():
     _gate(4, "Ito isometry within 3 SE, 6 combinations, N=1e5", checks)
 
 
-def test_criterion_05_jump_structure():
+def test_criterion_05_jump_structure(jump_mix_rows):
     rows = _rows("jump_structure")
     r_cp = _value(rows, "jump_residual[compound_poisson]")
     r_hb = _value(rows, "jump_residual[hand_built]")
+    # the RSDE solution's own jumps, and a restart at a mid-grid state
+    r_sol = _value(jump_mix_rows, "solution_jump_residual")
+    flow = _value(jump_mix_rows, "flow_restart_gap")
     _gate(
         5,
-        "dZ = Y dX + Y' dXX at jumps, residual <= 1e-12",
+        "dZ = Y dX + Y' dXX at jumps, residual <= 1e-12; RSDE jumps and restart exact",
         [
             (r_cp <= 1e-12, f"compound Poisson {r_cp:.3e}"),
             (r_hb <= 1e-12, f"hand-built {r_hb:.3e}"),
+            (r_sol <= 1e-12, f"RSDE solution {r_sol:.3e}"),
+            (flow == 0.0, f"flow-restart gap {flow:.1e}"),
         ],
     )
 

@@ -230,6 +230,9 @@ _PASSING_ROWS = {
         ("rough_bracket_max[sine_cosine]", 0.0), ("pure_jump_bracket_residual", 0.0),
         ("mixed_bracket_slope", -0.5),
     ],
+    "jumps": [
+        ("flow_restart_gap", 0.0), ("solution_jump_residual", 0.0), ("solve_picard_gap", 1e-9),
+    ],
 }
 
 

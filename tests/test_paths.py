@@ -351,12 +351,24 @@ def test_mixed_driver_structure_and_chen():
     assert worst < 1e-10
 
 
+def _mixed_parts(n, seed, n_members, rate, vol):
+    """The jump path and Brownian path `simulate_mixed` assembles, by its
+    recipe: the jumps of `simulate_compound_poisson` on the base grid with
+    every jump time merged in, and `simulate_brownian` on the base grid
+    bridged over them from the stream of its one block, members 0..N."""
+    counts, times, sizes = paths._jump_draws(1.0, rate, seed, n_members, (0.3, 0.45))
+    grid = insert_times(make_uniform_grid(1.0, n), times)
+    cp = paths._jump_arrays(grid, counts, times, sizes, rate * 0.3)
+    bridge = stream(seed, "brownian-bridge", n_members, 0, n_members)
+    bm = paths._bridged(simulate_brownian(1.0, n, seed, n_members, vol=vol), grid, vol, bridge)
+    return cp, bm
+
+
 def _mixed_and_oracle(n, seed, n_members, rate, vol):
-    """simulate_mixed, its two builders' outputs, and the oracle's seven arrays."""
+    """simulate_mixed, the two paths it adds up, and the oracle's seven arrays."""
     res = simulate_mixed(1.0, n, seed, n_members, rate, jump_params=(0.3, 0.45), vol=vol)
-    cp = simulate_compound_poisson(1.0, rate, n, seed, n_members, (0.3, 0.45), align_jumps=True)
+    cp, bm = _mixed_parts(n, seed, n_members, rate, vol)
     grid = cp.path.grid
-    bm = simulate_brownian(1.0, grid.n_steps, seed, n_members, vol=vol, grid=grid)
     expected = oracles.mixed_driver_arrays(
         grid.times, bm.values, cp.path.values, cp.path.left_values, cp.path.jump_indices,
         cp.martingale.bracket, rate, 0.3, vol,
@@ -395,6 +407,88 @@ def test_mixed_driver_steps_are_the_ito_steps_plus_the_cross_term(vol):
             bm.increments(), cp.path.increments()
         )
         assert _same_bytes(res.lift.step_second, steps)
+
+
+def test_mixed_assembly_on_a_subsampled_grid_matches_the_formula_oracle():
+    # a coarse level of a coupled refinement: every second base point plus
+    # the jump times, with the Brownian subsampled from the fine level
+    n, seed, n_members, rate = 64, 5, 16, 3.0
+    counts, times, sizes = paths._jump_draws(1.0, rate, seed, n_members, (0.3, 0.45))
+    fine = insert_times(make_uniform_grid(1.0, n), times)
+    bridge = stream(seed, "brownian-bridge", n_members, 0, n_members)
+    bm = paths._bridged(simulate_brownian(1.0, n, seed, n_members), fine, 1.0, bridge)
+    grid = insert_times(make_uniform_grid(1.0, n // 2), times)
+    idx = np.searchsorted(fine.times, grid.times)
+    assert np.array_equal(fine.times[idx], grid.times) and grid.n_steps < fine.n_steps
+    coarse = MartingalePath(grid=grid, values=bm.values[:, idx], bracket=bm.bracket[:, idx])
+    cp = paths._jump_arrays(grid, counts, times, sizes, rate * 0.3)
+    res = paths._mixed(coarse, cp, rate * 0.3)
+    expected = oracles.mixed_driver_arrays(
+        grid.times, coarse.values, cp.path.values, cp.path.left_values, cp.path.jump_indices,
+        cp.martingale.bracket, rate, 0.3, 1.0,
+    )
+    got = (
+        res.path.values, res.path.left_values, res.lift.step_second, res.lift.jump_second,
+        res.martingale.values, res.martingale.left_values, res.martingale.bracket,
+    )
+    assert cp.path.jump_indices.size > 0
+    assert all(_same_bytes(a, b) for a, b in zip(got, expected))
+
+
+def _block_parts(monkeypatch, rows, n, seed, n_members, rate):
+    """The (Brownian, jump) pairs `_mixed_blocks` assembles, block by block."""
+    monkeypatch.setattr(paths, "_mixed", lambda bm, jump, drift: (bm, jump))
+    return list(paths._mixed_blocks(rows, 1.0, n, seed, n_members, rate, (0.3, 0.45), 0.8))
+
+
+def _member_rows(parts, base):
+    """Per member, from the blocks' parts: its jump times, its jump path's
+    values there, and its Brownian at the base points (at the grid time that
+    stands for a base point: the last one at or before it)."""
+    out = []
+    for bm, jump in parts:
+        times = jump.path.grid.times
+        at = np.searchsorted(times, base, side="right") - 1
+        for j_i, b_i in zip(jump.path.values[..., 0], bm.values[..., 0]):
+            k = np.flatnonzero(np.diff(j_i)) + 1
+            out.append((times[k], j_i[k], b_i[at]))
+    return out
+
+
+@pytest.mark.parametrize("collapse", [False, True], ids=["drawn", "collapsing"])
+def test_mixed_blocks_keep_each_members_jumps_and_base_brownian_bitwise(monkeypatch, collapse):
+    n, seed, n_members, rate = 16, 23, 70, 3.0
+    base = make_uniform_grid(1.0, n).times
+    if collapse:
+        # every 5th jump moves to 5e-13 before a base point, which
+        # `insert_times` then replaces by the jump time
+        real = paths._jump_draws
+
+        def draws(*args):
+            counts, times, sizes = real(*args)
+            times = times.copy()
+            near = np.clip(np.round(times[::5] * n), 1, n - 1).astype(np.int64)
+            times[::5] = base[near] - 5e-13
+            order = np.lexsort((times, np.repeat(np.arange(counts.size), counts)))
+            return counts, times[order], sizes[order]
+
+        monkeypatch.setattr(paths, "_jump_draws", draws)
+    whole = simulate_brownian(1.0, n, seed, n_members, vol=0.8).values[..., 0]
+    per_rows = {}
+    for rows in (1, 16, 64, n_members):
+        parts = _block_parts(monkeypatch, rows, n, seed, n_members, rate)
+        sizes = [min(rows, n_members - lo) for lo in range(0, n_members, rows)]
+        assert [bm.n_members for bm, _ in parts] == sizes
+        if collapse:  # some base points are not on the block grids
+            assert any(not np.isin(base, jump.path.grid.times).all() for _, jump in parts)
+        per_rows[rows] = _member_rows(parts, base)
+    want = per_rows[n_members]
+    assert sum(t.size for t, _, _ in want) > n_members  # members with jumps
+    for rows, got in per_rows.items():
+        assert len(got) == n_members
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert all(_same_bytes(a, b) for a, b in zip(g, w)), (rows, i)
+            assert _same_bytes(g[2], whole[i]), (rows, i)
 
 
 @pytest.mark.parametrize(

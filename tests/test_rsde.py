@@ -10,7 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
-from roughsew import calculus, rsde, scenarios
+from roughsew import calculus, paths, rsde, scenarios
 from roughsew.calculus import smooth_fn
 from roughsew.grids import make_uniform_grid, p_variation
 from roughsew.paths import (
@@ -891,11 +891,40 @@ def _counting_schedules(monkeypatch):
     return calls
 
 
-def test_jump_mix_builds_its_event_schedule_once(monkeypatch):
-    # full solve, stop=mid, start=mid and picard_solve share one schedule
+def test_jump_mix_builds_one_event_schedule_per_block(monkeypatch):
+    # in each member block, the full solve, stop=mid, start=mid and
+    # picard_solve share one schedule; N = 130 leaves a ragged last block
     calls = _counting_schedules(monkeypatch)
-    run_scenario(default_config("jump_mix", n=32, ensemble=16))
-    assert len(calls) == 1
+    for n_members, sizes in ((16, [16]), (130, [64, 64, 2])):
+        calls.clear()
+        run_scenario(default_config("jump_mix", n=32, ensemble=n_members))
+        assert [lift.path.n_members for lift, _ in calls] == sizes
+        assert len({id(lift) for lift, _ in calls}) == len(sizes)
+
+
+def test_jump_mix_reports_each_gate_once_as_its_max_over_blocks(monkeypatch):
+    cfg = default_config("jump_mix", n=32, ensemble=130)
+    blocks = list(paths._mixed_blocks(64, 1.0, 32, cfg.seed, 130, 2.0, (0.3, 0.45)))
+    steps = [mix.lift.grid.n_steps for mix in blocks]
+    assert len(set(steps)) > 1
+    rows = run_scenario(cfg)
+    assert [r["metric"] for r in rows] == [
+        "solution_jump_residual", "flow_restart_gap", "solve_picard_gap"
+    ]
+    assert all(r["n"] == max(steps) and r["N"] == 130 for r in rows)
+    jr, flow, gap = (r["value"] for r in rows)
+    assert jr <= 1e-12 and flow == 0.0 and gap <= 1e-6
+    # the max is over every block: a NaN gap in one block is the row's
+    real, seen = scenarios._picard_gap, []
+
+    def nan_in_the_second_block(*args):
+        seen.append(real(*args))
+        return float("nan") if len(seen) == 2 else seen[-1]
+
+    monkeypatch.setattr(scenarios, "_picard_gap", nan_in_the_second_block)
+    rows = run_scenario(cfg)
+    assert len(seen) == 3 and np.isnan(rows[2]["value"])
+    assert [r["value"] for r in rows[:2]] == [jr, flow]
 
 
 def _cold(lift):
