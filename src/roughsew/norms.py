@@ -79,10 +79,13 @@ def _lq_cells(increments: np.ndarray, q: float, cell_axes: int = 1):
     return mean ** (1.0 / q)
 
 
-#: members x cells of one `_pair_cells` chunk (128 KB of float64): on
+#: members x cells of one `_pair_cells` chunk (64 KB of float64): on
 #: 117-step windows (N = 128) one O(N m^2) array per update ran Picard at
-#: half the speed of a row-by-row table, these chunks at its speed
-_PAIR_CELL_BUDGET = 2**14
+#: half the speed of a row-by-row table, these chunks at its speed.  A chunk
+#: stays under glibc's default 128 KB mmap threshold, so its arrays come
+#: from the heap: at 128 KB each array was a fresh mapping, and the
+#: `stability_base` run faulted in 22k pages instead of 0.5k
+_PAIR_CELL_BUDGET = 2**13
 
 
 def _check_args(fn: str, q: float, **exponents):
