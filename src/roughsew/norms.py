@@ -79,7 +79,8 @@ def _lq_cells(increments: np.ndarray, q: float, cell_axes: int = 1):
     return mean ** (1.0 / q)
 
 
-#: members x cells of one `_pair_cells` chunk (64 KB of float64): on
+#: members x cells of one `_pair_cells` chunk, and of one slice of a
+#: diagonal in `rsde._plan_windows` (64 KB of float64): on
 #: 117-step windows (N = 128) one O(N m^2) array per update ran Picard at
 #: half the speed of a row-by-row table, these chunks at its speed.  A chunk
 #: stays under glibc's default 128 KB mmap threshold, so its arrays come

@@ -29,17 +29,19 @@ it is rebuilt per call and never kept.  Two modes: `solve` runs
 the one-step scheme event by event; `picard_solve` iterates the integral map
 Phi(Y) = y0 + int b dt + int sigma(Y_-) dM + int f(Y) dX on windows where a
 grid-proxy control is small, which mirrors the contraction argument that
-produces the solution in the first place.  Cross-agreement of the two modes
-is itself one of the package's checks.
+produces the solution in the first place; `_plan_windows` plans them,
+reducing the drivers' L^q tables along their diagonals, so one reduction
+serves many short windows.  Cross-agreement of the two modes is itself one
+of the package's checks.
 
 Both modes evaluate the scheme's germ through one kernel per solver call,
 `_germ_kernel`, built from the coefficient set and the schedule before the
 loop: `solve` calls it once per event on (N,) rows, writing straight into
-the event's state row, and Picard once per iteration on the rows of a
-window's (E_w, N) arrays that the iteration can change.  Each call
-evaluates every coefficient once and works in place in reused scratch rows,
-so an event costs a fixed handful of numpy calls whatever the coefficients
-are.
+the event's state row, and Picard once per iteration that has germ rows
+left, on the rows of a window's (E_w, N) arrays that the iteration can
+change.  Each call evaluates every coefficient once and works in place in
+reused scratch rows, so an event costs a fixed handful of numpy calls
+whatever the coefficients are.
 
 A solution is the controlled pair (Y, f(Y)), but the solvers return Y only;
 a caller that needs the Gubinelli derivative Y' = f(Y) evaluates the rough
@@ -57,6 +59,7 @@ from .calculus import SmoothFn, _Affine, _Constant
 from .conventions import outer_increment
 from .grids import TimeGrid, _pvar_dp, _unique
 from .norms import (
+    _PAIR_CELL_BUDGET,
     _column_pairs,
     _lq_cells,
     _pair_seminorm,
@@ -443,6 +446,12 @@ def solve(
 #: the grid-proxy control a planned Picard window stays at or below
 _WINDOW_THRESHOLD = 0.25
 
+#: the longest lag `_plan_windows` reduces along a table's diagonals: the
+#: windows of a `jump_mix` block are at most 11 steps long, so all their
+#: cells come from diagonals; longer lags are read by long windows only,
+#: whose columns are long enough to be reduced one by one
+_PLAN_LAGS = 16
+
 
 def _plan_windows(lift, mart, p, q) -> list[tuple[int, int]]:
     """Greedy split of [0, n] into maximal windows [s, t] whose grid-proxy
@@ -453,30 +462,76 @@ def _plan_windows(lift, mart, p, q) -> list[tuple[int, int]]:
     stays at or below the threshold for every u <= t.  Powered seminorms, so
     each term scales like a control in the window.  A window from s grows one
     grid point u at a time: each L^q table gains its column ||dY_{i,u}||,
-    i = s..u-1, and each powered seminorm one DP step.  The window ends
-    before the first u over the threshold (NaN counts as over); a single
-    step over it is its own window.
+    i = s..u-1, and each powered seminorm one `grids._pvar_dp` step.  The
+    window ends before the first u over the threshold (NaN counts as over);
+    a single step over it is its own window.
+
+    Each table's cells of lag l = j - i <= `_PLAN_LAGS` are reduced along
+    its diagonals: the cells (i, i+l) of one lag come from one slice of
+    starts i per `_lq_cells` call, a chunk of `norms._PAIR_CELL_BUDGET`
+    member-cells, reduced ahead from the first window that reads the lag, so
+    one call serves the columns of many short windows.  The cells of a
+    longer lag, read by long windows only, come from one slice of the column
+    per grid point.  Every call but one reduces two or more cells, which
+    numpy sums member by member, as a column of two or more cells (a lone
+    cell is reduced next to a copy of itself).  The one call is a window's
+    first column, its one cell (s, s+1), reduced alone on its (N, 1) array,
+    which numpy sums pairwise, as the column does.  So every cell the DP
+    reads is bit for bit the cell of the column it stands in (the
+    column-by-column planner, `tests/oracles.plan_windows_by_columns`), and
+    no diagonal or column cell is reduced twice.
     """
     n = lift.grid.n_steps
     times, x = lift.grid.times, lift.path.values
-    # (column dY_{s..u-1, u} of a table, its q, its p)
+    step = max(2, _PAIR_CELL_BUDGET // x.shape[0])
+    # (increments dY_{i,j} of index slices i and j, a table's q, its p)
     tables = [
-        (lambda s, u: x[:, u : u + 1] - x[:, s:u], q, p),
-        (lambda s, u: lift.second(np.arange(s, u), u), q, p / 2.0),
+        (lambda i, j: x[:, j] - x[:, i], q, p),
+        (lift.second, q, p / 2.0),
     ]
     if mart is not None and mart.bracket is not None:
         br = mart.bracket[..., 0, 0]
-        tables.append((lambda s, u: br[:, u : u + 1] - br[:, s:u], q / 2.0, p / 2.0))
+        tables.append((lambda i, j: br[:, j] - br[:, i], q / 2.0, p / 2.0))
 
-    def powered_seminorms(s, column, r, pw):
-        """The table's powered seminorm over [s, u] for u = s+1, s+2, ..."""
-        cells = ((_lq_cells(column(s, u), r) ** pw).tolist() for u in range(s + 1, n + 1))
-        return _pvar_dp(cells)
+    def diagonal_columns(increments, r, pw):
+        """columns(s) yields the table's columns over [s, u], u = s+1, s+2, ...,
+        as lists of powered cells."""
+        # band[l, i] is the powered cell (i, i+l), reduced for the end points
+        # i + l < reach[l]; the cells of one column lie on a strided line of
+        # the flat band, (i, u) at l (n + 1) + i = u + l n
+        band = np.full((min(n, _PLAN_LAGS) + 1, n + 1), np.nan)
+        flat = band.reshape(-1)
+        reach = list(range(band.shape[0]))
 
+        def powered(i, j, size):
+            inc = increments(i, j)
+            if size == 1:  # a lone cell, summed as in a column of two or more
+                inc = np.concatenate([inc, inc], axis=1)
+            return _lq_cells(inc, r)[:size] ** pw
+
+        def columns(s):
+            yield (_lq_cells(increments(slice(s, s + 1), slice(s + 1, s + 2)), r) ** pw).tolist()
+            for u in range(s + 2, n + 1):
+                lags = min(u - s, _PLAN_LAGS)
+                if min(reach[1 : lags + 1]) <= u:
+                    for lag in range(1, lags + 1):
+                        if reach[lag] <= u:  # the lag's next chunk
+                            a = max(reach[lag] - lag, s)
+                            b = min(n + 1 - lag, a + step)
+                            band[lag, a:b] = powered(slice(a, b), slice(a + lag, b + lag), b - a)
+                            reach[lag] = b + lag
+                column = flat[u + lags * n : u : -n].tolist()
+                if u - s > lags:
+                    column[:0] = powered(slice(s, u - lags), slice(u, u + 1), u - s - lags).tolist()
+                yield column
+
+        return columns
+
+    readers = [diagonal_columns(*table) for table in tables]
     out: list[tuple[int, int]] = []
     s = 0
     while s < n:
-        seminorms = [powered_seminorms(s, *table) for table in tables]
+        seminorms = [_pvar_dp(columns(s)) for columns in readers]
         t = n
         for u, *terms in zip(range(s + 1, n + 1), *seminorms):
             if not sum(terms, times[u] - times[s]) <= _WINDOW_THRESHOLD:
@@ -504,7 +559,11 @@ def picard_solve(
     triangular, so after k iterations the iterate's first k + 1 rows are
     final: iteration k + 1 takes the germs from row k on only and restarts
     their running sum from the kept partial sum, bit for bit the sum over
-    every germ.
+    every germ.  After E_w iterations (the window's event count) no germ row
+    is left and the iterate is final: the next iteration would find an
+    update of exactly 0.0, so with tol > 0 its full distance 0.0 is recorded
+    without running it.  The iterate, germ, sum and scratch buffers are
+    allocated once per call, for the window with the most events.
 
     Successive iterates are compared in the empirical V^p L^q seminorm at the
     window's grid points plus the L^q norm of the update at the window's end,
@@ -512,18 +571,20 @@ def picard_solve(
     below `tol` or once no member is finite (hitting `max_iter` warns and
     keeps the last iterate).  The seminorm reduces all cells of an update at
     once over the window's grid-point pairs, which are built once per window
-    (the cells change every iteration), and equals the row-built table's
-    seminorm bit for bit at every q (`norms._pair_seminorm`).  The event
-    schedule is shared with the other solver calls on the same drivers (see
-    the module docstring).  The end term is taken first: while it is at or
-    above `tol` the distance cannot fall below it, so the seminorm is skipped
-    and the iteration goes on.  Diagnostics record window boundaries,
-    iteration counts and one distance entry per iteration: the end term
-    where it was at or above `tol` (a lower bound of the distance, which
-    the warning at max_iter reports as "at least"), the full distance
-    otherwise; a window that stops below `tol` ends on a full distance.
-    They also record the event count and diverged members as in `solve`.
-    p or q below 1 and max_iter below 1 are refused before planning.
+    when its first full distance is taken (the cells change every
+    iteration), and equals the row-built table's seminorm bit for bit at
+    every q (`norms._pair_seminorm`).  The event schedule is shared with the
+    other solver calls on the same drivers (see the module docstring).  The
+    end term is taken first, from the update's last row: while it is at or
+    above `tol` the distance cannot fall below it, so the update is not
+    gathered, the seminorm is skipped and the iteration goes on.
+    Diagnostics record window boundaries, iteration counts and one distance
+    entry per iteration: the end term where it was at or above `tol` (a
+    lower bound of the distance, which the warning at max_iter reports as
+    "at least"), the full distance otherwise; a window that stops below
+    `tol` ends on a full distance.  They also record the event count and
+    diverged members as in `solve`.  p or q below 1 and max_iter below 1 are
+    refused before planning.
     """
     if p < 1 or q < 1:
         raise ValueError(f"picard_solve needs p >= 1 and q >= 1, got p={p}, q={q}")
@@ -535,54 +596,68 @@ def picard_solve(
     windows = _plan_windows(lift, mart, p, q)
     iters_per_window: list[int] = []
     distance_history: list[list[float]] = []
+    # one set of buffers for every window, which takes their first rows: the
+    # iterate, time-major (E_w + 1, N) like the state and updated in place
+    # once its germs are taken, the germs (E_w, N), their running sums and
+    # the kernel's scratch
+    bounds = sched.event_start[[s for s, _ in windows] + [n]].tolist()
+    n_rows = max(b - a for a, b in zip(bounds, bounds[1:]))
+    iterate = np.empty((n_rows + 1, state.shape[1]))
+    germ_rows, sum_rows = np.empty_like(iterate[1:]), np.empty_like(iterate[1:])
+    acc, term, rows = _germ_scratch(fs, germ_rows.shape)
 
-    for (s, t) in windows:
-        e0, e1 = int(sched.event_start[s]), int(sched.event_start[t])
-        dest_w = sched.dest[e0:e1]
-        # positions (in the event path) of the window's grid points, and the
-        # pairs of them whose cells the update distance reduces together
-        grid_slots = np.concatenate([[0], np.flatnonzero(dest_w <= n) + 1])
-        last = grid_slots.size - 1
-        pairs = _column_pairs(last + 1)
-
-        # the window's iterate, time-major (E_w + 1, N) like the state and
-        # updated in place once its germs are taken; the germs (E_w, N),
-        # their running sums and the kernel's scratch are reused by every
-        # iteration
-        y_start = state[s]
-        cur = np.broadcast_to(y_start, (e1 - e0 + 1, y_start.size)).copy()
-        germs = np.empty_like(cur[1:])
-        sums = np.empty_like(germs)
-        acc, term, rows = _germ_scratch(fs, germs.shape)
-        dists: list[float] = []
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (s, t), e0, e1 in zip(windows, bounds, bounds[1:]):
+            n_ev = e1 - e0
+            dest_w = sched.dest[e0:e1]
+            # positions (in the event path) of the window's grid points, the
+            # last of them the window's end, row n_ev
+            grid_slots = np.concatenate([[0], np.flatnonzero(dest_w <= n) + 1])
+            last = grid_slots.size - 1
+            pairs = None  # the grid-point pairs of a full distance, built once
+            y_start = state[s]
+            cur, germs, sums = iterate[: n_ev + 1], germ_rows[:n_ev], sum_rows[:n_ev]
+            cur[...] = y_start
+            dists: list[float] = []
             for k in range(max_iter):
-                # the scheme is triangular: after k iterations rows 0..k of
-                # the iterate are final, and so are germs 0..k-1 and their
-                # running sums, so only germs k.. are taken again (keeping
-                # every 0.0 start, as a sum from zeros) and their sum
-                # restarts from sums[k - 1], bit for bit a sum from germ 0
-                scratch = (acc[k:], None if term is None else term[k:],
-                           [None if r is None else r[k:] for r in rows])
-                germ(0.0, cur[k:-1], germs[k:], scratch, slice(e0 + k, e1), True)
+                if k < n_ev:
+                    # the scheme is triangular: after k iterations rows 0..k
+                    # of the iterate are final, and so are germs 0..k-1 and
+                    # their running sums, so only germs k.. are taken again
+                    # (keeping every 0.0 start, as a sum from zeros) and
+                    # their sum restarts from sums[k - 1], bit for bit a sum
+                    # from germ 0
+                    scratch = (acc[k:n_ev], None if term is None else term[k:n_ev],
+                               [None if r is None else r[k:n_ev] for r in rows])
+                    germ(0.0, cur[k:-1], germs[k:], scratch, slice(e0 + k, e1), True)
+                elif 0.0 < tol:
+                    # no germ row is left: the update is exactly 0.0 at every
+                    # grid point of a live member (the iterate is y_s plus a
+                    # running sum, which carries a non-finite entry to the
+                    # window's end, so a live member's grid points are
+                    # finite), a full distance of 0.0, below tol
+                    dists.append(0.0)
+                    break
                 change = cur[grid_slots]  # the previous iterate's grid points
-                if 0 < k < germs.shape[0]:
+                if 0 < k < n_ev:
                     germs[k] += sums[k - 1]
                 np.cumsum(germs[k:], axis=0, out=sums[k:])
                 np.add(sums[k:], y_start, out=cur[k + 1 :])
                 np.subtract(cur[grid_slots], change, out=change)
                 live = np.isfinite(cur[-1])  # others stay non-finite, get flagged
-                diff = change.T[live]  # (N_live, G)
                 if not live.any():
                     dists.append(float("nan"))
                     break
-                end = lq_norm(diff[:, -1], q)
+                end = lq_norm(change[-1][live], q)
                 # the distance is seminorm + end with seminorm >= 0 (or NaN),
                 # so it cannot fall below tol while the end term does not
                 bounded = end >= tol
                 if bounded:
                     dists.append(end)
                     continue
+                diff = change.T[live]  # (N_live, G)
+                if pairs is None:
+                    pairs = _column_pairs(last + 1)
                 dist = _pair_seminorm(
                     lambda i, j: diff[:, j] - diff[:, i], diff.shape[0], last, p, q, pairs
                 ) + end
@@ -595,9 +670,9 @@ def picard_solve(
                     f"(last update {'at least ' if bounded else ''}{dists[-1]:.3e}); "
                     "keeping the last iterate"
                 )
-        iters_per_window.append(len(dists))
-        distance_history.append(dists)
-        state[dest_w] = cur[1:]
+            iters_per_window.append(len(dists))
+            distance_history.append(dists)
+            state[dest_w] = cur[1:]
 
     diagnostics = {
         "windows": windows,

@@ -632,6 +632,44 @@ def plan_windows_one_step(control, n, threshold):
     return out
 
 
+def plan_windows_by_columns(rsde, lift, mart, p, q):
+    """`rsde._plan_windows` as it ran before its band: every window grows
+    one grid point u at a time, and each table reduces its column of cells
+    (i, u), i = s..u-1, on its own (N, u - s) array, one `_lq_cells` call per
+    table and grid point, on the package's reduction, DP and threshold,
+    taken from the module `rsde`."""
+    n = lift.grid.n_steps
+    times, x = lift.grid.times, lift.path.values
+    # (column dY_{s..u-1, u} of a table, its q, its p)
+    tables = [
+        (lambda s, u: x[:, u : u + 1] - x[:, s:u], q, p),
+        (lambda s, u: lift.second(np.arange(s, u), u), q, p / 2.0),
+    ]
+    if mart is not None and mart.bracket is not None:
+        br = mart.bracket[..., 0, 0]
+        tables.append((lambda s, u: br[:, u : u + 1] - br[:, s:u], q / 2.0, p / 2.0))
+
+    def powered_seminorms(s, column, r, pw):
+        """The table's powered seminorm over [s, u] for u = s+1, s+2, ..."""
+        cells = (
+            (rsde._lq_cells(column(s, u), r) ** pw).tolist() for u in range(s + 1, n + 1)
+        )
+        return rsde._pvar_dp(cells)
+
+    out = []
+    s = 0
+    while s < n:
+        seminorms = [powered_seminorms(s, *table) for table in tables]
+        t = n
+        for u, *terms in zip(range(s + 1, n + 1), *seminorms):
+            if not sum(terms, times[u] - times[s]) <= rsde._WINDOW_THRESHOLD:
+                t = max(s + 1, u - 1)
+                break
+        out.append((s, t))
+        s = t
+    return out
+
+
 def add_germ(out, y, coeffs, fs, dt, dm, dx, xx):
     """out + b(y) dt + sigma(y) dm + f(y) . dx + (Df f)(y) : XX, term by term
     left to right, for the rough components `fs` of `coeffs`: the germ the

@@ -47,6 +47,7 @@ from oracles import (
     pair_rows,
     picard_allocating_loop,
     picard_full_sweep,
+    plan_windows_by_columns,
     plan_windows_one_step,
     shifted_increments,
     solve_member_major,
@@ -143,7 +144,8 @@ def _counted(fn, role, calls):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_solvers_evaluate_each_coefficient_once_per_event(dim):
     # solve: one f per coefficient and one df per rough component per event;
-    # Picard: the same per iteration, over the window's events at once
+    # Picard: the same per iteration that has germ rows, over those rows at
+    # once
     coeffs, lift, mart = _germ_drivers(dim)
     calls = collections.Counter()
     fs = tuple(_counted(fn, f"f{i}", calls) for i, fn in enumerate(coeffs.f_components()))
@@ -163,7 +165,15 @@ def test_solvers_evaluate_each_coefficient_once_per_event(dim):
     assert calls == once_each(res.diagnostics["n_events"])
     calls.clear()
     res = picard_solve(counted, y0, lift, mart)
-    assert calls == once_each(sum(res.diagnostics["iterations"]))
+    # an iteration k of a window of E_w events has germ rows k..E_w-1 while
+    # k < E_w; the rest, when they run, take no germ
+    starts = build_event_schedule(lift, mart).event_start
+    with_rows = [
+        min(k, int(starts[t] - starts[s]))
+        for (s, t), k in zip(res.diagnostics["windows"], res.diagnostics["iterations"])
+    ]
+    assert calls == once_each(sum(with_rows))
+    assert sum(with_rows) < sum(res.diagnostics["iterations"])
 
 
 def test_a_constant_derivative_enters_as_its_scalar(monkeypatch):
@@ -544,6 +554,79 @@ def test_picard_matches_the_full_sweep_oracle_bitwise(case):
         assert max(res.diagnostics["iterations"]) > 3
 
 
+def _nan_above_half(y):
+    """A drift that pulls y up to 0.5, is NaN above 0.5 and 0.0 at NaN: an
+    iterate that overshoots 0.5 makes the next one NaN from there on, and
+    the one after finite again."""
+    out = np.where(y < 0.0, -0.1 * y, 40.0 * (0.5 - y))
+    out[y > 0.5] = np.nan
+    out[np.isnan(y)] = 0.0
+    return out
+
+
+def _confirming_iteration_case(case):
+    """(coeffs, y0, lift, mart, kw, the window whose event count is max_iter
+    or None) of a case around the iteration that finds no germ row left."""
+    if case == "max_iter_events":
+        # a tol no update above 0.0 reaches, and max_iter the event count of
+        # the longest window that runs to its confirming iteration: that
+        # window stops at max_iter, one iteration before it would find no
+        # germ row left
+        coeffs, lift, mart = _germ_drivers(1)
+        y0 = np.linspace(-0.5, 0.5, 16)
+        free = picard_solve(coeffs, y0, lift, mart, tol=1e-300).diagnostics
+        starts = build_event_schedule(lift, mart).event_start
+        events = [int(starts[t] - starts[s]) for s, t in free["windows"]]
+        at = max(
+            (k for k, e in enumerate(events) if free["iterations"][k] == e + 1),
+            key=events.__getitem__,
+        )
+        return coeffs, y0, lift, mart, dict(tol=1e-300, max_iter=events[at]), at
+    tanh = CoefficientSet(
+        b=smooth_fn("tanh_affine", a=0.4, b=0.9), f=smooth_fn("tanh_affine", a=0.8, b=0.7, c=0.1)
+    )
+    small = ito_lift_brownian(simulate_brownian(0.1, 8, seed=5, n_members=16))
+    pair = ito_lift_brownian(simulate_brownian(0.1, 8, seed=5, n_members=2))
+    if case == "tol_zero":  # an update of 0.0 is not below tol, so every window runs on
+        return tanh, 0.2, small, None, dict(tol=0.0, max_iter=9), None
+    if case == "nan_update":
+        # a member finite at the window's end whose update is NaN from an
+        # interior grid point on, and the rest of the distance path around it
+        zero = np.zeros_like
+        recovering = CoefficientSet(b=calculus.SmoothFn(_nan_above_half, zero, zero))
+        return recovering, np.array([-10.0, 0.3]), pair, None, {}, None
+    return tanh, np.array([np.inf, np.nan]), pair, None, {}, None  # all_non_finite
+
+
+@pytest.mark.parametrize("case", ["tol_zero", "nan_update", "all_non_finite", "max_iter_events"])
+def test_picard_records_the_confirming_iteration_as_the_full_sweep_does(case):
+    # values, left values, diagnostics and warnings against the oracle that
+    # runs every iteration, then what the case is about
+    coeffs, y0, lift, mart, kw, at = _confirming_iteration_case(case)
+    res = _assert_picard_matches_full_sweep(coeffs, y0, lift, mart, **kw)
+    iterations, distances = res.diagnostics["iterations"], res.diagnostics["distances"]
+    if case == "tol_zero":
+        assert iterations == [9] * len(iterations) and len(iterations) > 1
+        assert all(d[-1] == 0.0 for d in distances)
+        with pytest.warns(UserWarning) as caught:
+            picard_solve(coeffs, y0, lift, mart, **kw)
+        assert len(caught) == len(iterations)
+        assert all("(last update at least 0.000e+00)" in str(w.message) for w in caught)
+    elif case == "nan_update":
+        flat = np.array(sum(distances, []))
+        assert np.isnan(flat).any() and np.isfinite(res.values).all()
+        assert distances[0][-1] == 0.0
+    elif case == "all_non_finite":
+        assert iterations == [1] * len(iterations)
+        assert np.isnan(np.array(sum(distances, []))).all()
+    else:
+        starts = build_event_schedule(lift, mart).event_start
+        events = [int(starts[t] - starts[s]) for s, t in res.diagnostics["windows"]]
+        assert iterations[at] == kw["max_iter"] == events[at] > 1
+        assert any(k == e + 1 and d[-1] == 0.0
+                   for k, e, d in zip(iterations, events, distances))
+
+
 def _zero_driver(n_members, dim, n=12, jumps=(4, 9)):
     """A driver whose every increment is +0.0, with declared jumps in both
     the lift and the martingale."""
@@ -746,32 +829,153 @@ def test_plan_windows_count_a_nan_control_as_over_threshold():
     assert windows == _one_step_windows(lift, bm)
 
 
-def test_plan_windows_build_each_column_once(monkeypatch):
-    # every grid point of a window gets its column once; a window that ends
-    # before n also builds the column of the first point over the threshold,
-    # unless that point is its own single step
+def test_plan_windows_reduce_each_cell_once(monkeypatch):
+    # the second-level table's reductions, seen through `lift.second`: one
+    # lone first cell (s, s+1) per window; every other reduction is a slice
+    # of one lag <= `_PLAN_LAGS` of at most a chunk of cells, or a slice of
+    # one column holding the longer lags; no cell is reduced twice, and
+    # every cell of every column a window reads is reduced.  A window that
+    # ends before n also reads the column of the first point over the
+    # threshold, unless that point is its own single step.  Lags up to 4 and
+    # chunks of 8 cells make lags take several chunks and long columns
+    # slices of their own
     mix = simulate_mixed(
         1.0, 64, seed=4, n_members=4, rate=1.0, jump_params=(1.0, 0.0), vol=0.2
     )
     lift, mart = mix.lift, mix.martingale
     n = lift.grid.n_steps
-    columns = []
-    lq_cells = rsde._lq_cells
+    monkeypatch.setattr(rsde, "_PLAN_LAGS", 4)
+    monkeypatch.setattr(rsde, "_PAIR_CELL_BUDGET", 4 * 8)
+    calls = []
+    second = lift.second
 
-    def counted(increments, q):
-        columns.append(increments.shape[1])
-        return lq_cells(increments, q)
+    def recorded(i, j):
+        ii, jj = np.arange(n + 1)[i], np.arange(n + 1)[j]
+        calls.append(list(zip(*np.broadcast_arrays(ii, jj))))
+        return second(i, j)
 
-    monkeypatch.setattr(rsde, "_lq_cells", counted)
+    monkeypatch.setattr(lift, "second", recorded)
     windows = _plan_windows(lift, mart, 2.0, 4.0)
-    want = []
+    firsts = [(s, s + 1) for s, _ in windows]
+    lone = [c for c in calls if len(c) == 1 and c[0] in firsts]
+    assert sorted(c[0] for c in lone) == firsts
+    rest = [c for c in calls if c not in lone]
+    cells = [cell for c in rest for cell in c]
+    assert len(set(cells)) == len(cells)
+    for c in rest:
+        lags = {j - i for i, j in c}
+        if min(lags) <= 4:  # a slice of one lag
+            assert len(lags) == 1 and len(c) <= 8
+            assert all(b == (i + 1, j + 1) for (i, j), b in zip(c, c[1:]))
+        else:  # a slice of one column, past lag 4
+            assert len({j for _, j in c}) == 1 and min(lags) == 5
+            assert all(b == (i + 1, j) for (i, j), b in zip(c, c[1:]))
+    read = set()
     for s, t in windows:
         over = window_control(lift, mart, 2.0, 4.0, s, s + 1)[0] > _WINDOW_THRESHOLD
-        ends = list(range(s + 1, t + 1)) + ([t + 1] if t < n and not over else [])
-        # three tables (X, XX, [M]) per column, column u has u - s cells
-        want += [u - s for u in ends for _ in range(3)]
+        end = t + 1 if t < n and not over else t
+        read |= {(i, u) for u in range(s + 2, end + 1) for i in range(s, u)}
+    assert read <= set(cells)
     assert any(t < n for _, t in windows[:-1])
-    assert columns == want
+    assert max(t - s for s, t in windows) > 4
+    assert any(len(c) > 1 and c[0][1] == c[1][1] for c in rest)
+    assert max(sum(j - i == lag for c in rest for i, j in c[:1]) for lag in range(1, 5)) > 1
+
+
+def _planner_reads(planner, *args):
+    """The windows of planner(*args), and the length and cells of every
+    column its `rsde._pvar_dp` calls read, in order."""
+    lengths, cells = [], []
+    dp = rsde._pvar_dp
+
+    def read(columns):
+        return dp(lengths.append(len(c)) or cells.extend(c) or c for c in columns)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rsde, "_pvar_dp", read)
+        windows = planner(*args)
+    return windows, lengths, np.array(cells)
+
+
+def _assert_plan_reads_the_column_planners_cells(lift, mart, p=2.0, q=4.0):
+    """`_plan_windows` against `plan_windows_by_columns`, one run each: the
+    same windows, and every cell its DPs read bit for bit."""
+    windows, lengths, cells = _planner_reads(_plan_windows, lift, mart, p, q)
+    want = _planner_reads(plan_windows_by_columns, rsde, lift, mart, p, q)
+    assert windows == want[0] and lengths == want[1]
+    assert _same_bytes(cells, want[2])
+    return windows
+
+
+@functools.lru_cache(maxsize=1)  # the tests below run seed by seed
+def _jump_mix_blocks(seed):
+    """The member blocks of the `jump_mix` run at the benchmark's size."""
+    return tuple(
+        paths._mixed_blocks(
+            scenarios._JUMP_BLOCK, 1.0, 128, seed, 256, rate=2.0, jump_params=(0.3, 0.45)
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "p,q,with_mart",
+    [(2.0, 4.0, True), (2.0, 4.0, False), (2.5, 3.0, True), (2.5, 3.0, False), (2.0, 2.0, True),
+     (2.0, 2.0, False)],
+)
+@pytest.mark.parametrize("seed", range(7, 15))
+def test_plan_windows_read_the_column_planners_cells_on_jump_mix_blocks(seed, p, q, with_mart):
+    # the run's default exponents and the five other sets of the one-step
+    # search tests
+    for block in _jump_mix_blocks(seed):
+        mart = block.martingale if with_mart else None
+        assert len(_assert_plan_reads_the_column_planners_cells(block.lift, mart, p, q)) > 1
+
+
+def _smooth_ensemble_lift():
+    """64 smooth members c sin(t) on a grid of 40 steps to T = 0.1: one
+    window spans the grid, so its columns run past `_PLAN_LAGS` and the
+    column slice past it holds a lone cell (when u = `_PLAN_LAGS` + 1)."""
+    grid = make_uniform_grid(0.1, 40)
+    scale = np.random.default_rng(3).uniform(0.5, 1.5, 64)
+    values = scale[:, None, None] * np.sin(grid.times)[None, :, None]
+    step = np.diff(values, axis=1)
+    return RoughLift(SamplePath(grid, values), 0.5 * step[..., None] * step[..., None, :]), None
+
+
+def _planner_drivers():
+    """(lift, mart) builders for the planner's edge drivers."""
+
+    def two_dim():
+        bm = simulate_brownian(1.0, 128, seed=43, n_members=64, dim=2)
+        return ito_lift_brownian(bm, seed=43), simulate_brownian(1.0, 128, seed=45, n_members=64)
+
+    def fortran_d3():
+        bm = simulate_brownian(1.0, 200, seed=1, n_members=64, dim=3)
+        lift = ito_lift_brownian(bm, seed=1)
+        return RoughLift(
+            SamplePath(lift.grid, np.asfortranarray(lift.path.values)),
+            np.asfortranarray(lift.step_second),
+        ), None
+
+    def nan_member():
+        bm = simulate_brownian(1.0, 16, seed=47, n_members=4)
+        bm.values[2, 5:] = np.nan
+        return ito_lift_brownian(bm), bm
+
+    def unit_jumps():
+        mix = simulate_mixed(1.0, 64, seed=4, n_members=4, rate=1.0, jump_params=(1.0, 0.0), vol=0.2)
+        return mix.lift, mix.martingale
+
+    return {"two_dim": two_dim, "fortran_d3": fortran_d3, "nan_member": nan_member,
+            "unit_jumps": unit_jumps, "smooth_spanning": _smooth_ensemble_lift}
+
+
+@pytest.mark.parametrize("driver", list(_planner_drivers()))
+def test_plan_windows_read_the_column_planners_cells(driver):
+    lift, mart = _planner_drivers()[driver]()
+    windows = _assert_plan_reads_the_column_planners_cells(lift, mart)
+    if driver == "smooth_spanning":
+        assert windows == [(0, lift.grid.n_steps)]
 
 
 @pytest.mark.parametrize("seed", [7, 11])
