@@ -86,10 +86,6 @@ class MartingalePath(SamplePath):
 
     bracket: (Nb, n+1, d, d) with Nb in {1, N}; [M]_t sampled at grid points.
     Deterministic brackets (e.g. vol vol^T t for Brownian motion) use Nb = 1.
-    Do not change a martingale's arrays in place once it is built: the
-    solvers key the event schedule a lift keeps on the martingale object
-    (see `rsde`), so a changed martingale would be solved with its old
-    increments.  Build a new one instead.
     """
 
     bracket: np.ndarray | None = None
@@ -116,11 +112,9 @@ class RoughLift:
     is the one stored second-level array.  jump_second[:, j] = Delta XX at
     path.jump_indices[j], shape (Nx, J, d, d) (the jump of the second level
     itself; zero for forward lifts of pure-jump paths, and the default).
-    `second_prefix` is derived from the steps by Chen on first use, and the
-    solvers keep the lift's last event schedule with jumps on it (see
-    `rsde`).  Both are read from the arrays as they were then, so do not
-    change a lift's arrays, or its path's, in place once the lift is built:
-    build a new lift instead.
+    `second_prefix` is derived from the steps by Chen on first use and read
+    from the arrays as they were then, so do not change a lift's arrays, or
+    its path's, in place once the lift is built: build a new lift instead.
     """
 
     path: SamplePath

@@ -20,13 +20,9 @@ increments plus, for every event, the row of the state array
 limits at the J jump times are written the same way.  The layout is
 time-major, as the scheme is a recursion in time: increments are (E, N, ...)
 with event e in the contiguous block [e], and the state is (n+1+J, N), so one
-event reads and writes whole contiguous rows.  A schedule with jumps is
-built once per jump driver: the lift keeps the last one, with the
-martingale it was built for, and every solver call on the same (lift, mart)
-objects reuses it (a full solve, its restarts and the Picard cross-check
-share one).  A jump-free schedule is views of the lift or one copy of it, so
-it is rebuilt per call and never kept.  Two modes: `solve` runs
-the one-step scheme event by event; `picard_solve` iterates the integral map
+event reads and writes whole contiguous rows.  Each solver call builds its
+schedule and drops it when it returns.  Two modes: `solve` runs the
+one-step scheme event by event; `picard_solve` iterates the integral map
 Phi(Y) = y0 + int b dt + int sigma(Y_-) dM + int f(Y) dX on windows where a
 grid-proxy control is small, which mirrors the contraction argument that
 produces the solution in the first place; `_plan_windows` plans them,
@@ -340,35 +336,11 @@ class RSDEResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-#: the `lift.__dict__` slot of the last schedule with jumps, as (mart, schedule)
-_SCHEDULE_SLOT = "_event_schedule"
-
-
-def _schedule(lift: RoughLift, mart) -> EventSchedule:
-    """`build_event_schedule(lift, mart)`, built once per jump driver.
-
-    A schedule with jumps is kept in one slot of the lift, as `second_prefix`
-    is, and returned again while the same `mart` object (`is`) comes back; a
-    different martingale replaces it.  A jump-free schedule is views of the
-    lift or one copy of it, cheap to rebuild, so it is not kept (keeping it
-    would hold a copy as large as the lift for the lift's lifetime).
-    """
-    kept = lift.__dict__.get(_SCHEDULE_SLOT)
-    if kept is not None and kept[0] is mart:
-        return kept[1]
-    sched = build_event_schedule(lift, mart)
-    if sched.jump_indices.size:
-        lift.__dict__[_SCHEDULE_SLOT] = (mart, sched)
-    else:
-        lift.__dict__.pop(_SCHEDULE_SLOT, None)
-    return sched
-
-
 def _prologue(coeffs: CoefficientSet, y0, lift: RoughLift, mart, start: int):
     """Schedule, rough components and a time-major state array (n+1+J, N)
     (see `EventSchedule`) holding y0 on grid rows 0..start and NaN in every
     left-limit row."""
-    sched = _schedule(lift, mart)
+    sched = build_event_schedule(lift, mart)
     fs = coeffs.f_components()
     if fs and len(fs) != lift.dim:
         raise ValueError("one rough coefficient per driver direction required")
@@ -573,11 +545,10 @@ def picard_solve(
     once over the window's grid-point pairs, which are built once per window
     when its first full distance is taken (the cells change every
     iteration), and equals the row-built table's seminorm bit for bit at
-    every q (`norms._pair_seminorm`).  The event schedule is shared with the
-    other solver calls on the same drivers (see the module docstring).  The
-    end term is taken first, from the update's last row: while it is at or
-    above `tol` the distance cannot fall below it, so the update is not
-    gathered, the seminorm is skipped and the iteration goes on.
+    every q (`norms._pair_seminorm`).  The end term is taken first, from
+    the update's last row: while it is at or above `tol` the distance cannot
+    fall below it, so the update is not gathered, the seminorm is skipped
+    and the iteration goes on.
     Diagnostics record window boundaries, iteration counts and one distance
     entry per iteration: the end term where it was at or above `tol` (a
     lower bound of the distance, which the warning at max_iter reports as

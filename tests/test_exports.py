@@ -1,5 +1,6 @@
-"""The public surface: every exported name exists."""
+"""The public surface: every exported name exists, every test oracle is used."""
 
+import ast
 import importlib
 import pkgutil
 import subprocess
@@ -38,3 +39,30 @@ def test_benchmark_tracer_wraps_every_binding():
         check=True,
         timeout=120,
     )
+
+
+def _referenced_names(tree):
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_public_oracle_has_a_caller():
+    tests = Path(__file__).parent
+    oracles = ast.parse((tests / "oracles.py").read_text())
+    refs = {
+        node.name: _referenced_names(node)
+        for node in oracles.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    used = set().union(*(_referenced_names(ast.parse(path.read_text()))
+                         for path in tests.glob("test_*.py")))
+    unused = [
+        name for name in refs
+        if not name.startswith("_")
+        and name not in used
+        and not any(name in names for other, names in refs.items() if other != name)
+    ]
+    assert unused == []

@@ -980,7 +980,8 @@ def test_plan_windows_read_the_column_planners_cells(driver):
 
 @pytest.mark.parametrize("seed", [7, 11])
 def test_picard_distance_from_one_reduction_matches_the_table_distance(monkeypatch, seed):
-    # the `jump_mix` driver at the benchmark's size, N = 256
+    # the whole-ensemble `jump_mix` driver at N = 256: one union grid of
+    # every member's jump times, longer than any of the scenario's blocks
     mix, coeffs = _jump_mix_driver(256, seed), _all_coeffs()
     lift, mart = mix.lift, mix.martingale
     new = picard_solve(coeffs, 0.2, lift, mart, tol=1e-10, max_iter=80)
@@ -999,10 +1000,11 @@ def test_picard_distance_from_one_reduction_matches_the_table_distance(monkeypat
 
 @pytest.mark.parametrize("seed", [7, 11])
 def test_picard_records_end_terms_that_cannot_stop_an_iteration(seed):
-    # the `jump_mix` run at the benchmark's size, N = 256: most iterations
-    # end with an end term at or above tol, whose seminorm is skipped;
-    # nothing else moves against the oracle that takes every distance (one
-    # oracle germ: both are checked against each other on smaller drivers)
+    # the whole-ensemble `jump_mix` driver at N = 256, one union grid of
+    # every member's jump times: most iterations end with an end term at or
+    # above tol, whose seminorm is skipped; nothing else moves against the
+    # oracle that takes every distance (one oracle germ: both are checked
+    # against each other on smaller drivers)
     mix, coeffs, tol = _jump_mix_driver(256, seed), _all_coeffs(), 1e-10
     lift, mart = mix.lift, mix.martingale
     res = picard_solve(coeffs, 0.2, lift, mart, tol=tol, max_iter=80)
@@ -1083,27 +1085,20 @@ def test_stability_refuses_p_or_q_below_two_before_solving(monkeypatch, p, q):
         stability_experiment(_all_coeffs(), base, [(base, None)], p=p, q=q)
 
 
-def _counting_schedules(monkeypatch):
-    calls = []
-    real = rsde.build_event_schedule
+def test_jump_mix_solves_one_lift_per_block(monkeypatch):
+    # N = 130 leaves a ragged last block; in each block the full solve,
+    # stop=mid, start=mid and picard_solve all run on the block's lift
+    seen, prologue = [], rsde._prologue
 
-    def counted(lift, mart=None):
-        calls.append((lift, mart))
-        return real(lift, mart)
+    def recorded(coeffs, y0, lift, mart, start):
+        seen.append(lift)
+        return prologue(coeffs, y0, lift, mart, start)
 
-    monkeypatch.setattr(rsde, "build_event_schedule", counted)
-    return calls
-
-
-def test_jump_mix_builds_one_event_schedule_per_block(monkeypatch):
-    # in each member block, the full solve, stop=mid, start=mid and
-    # picard_solve share one schedule; N = 130 leaves a ragged last block
-    calls = _counting_schedules(monkeypatch)
-    for n_members, sizes in ((16, [16]), (130, [64, 64, 2])):
-        calls.clear()
-        run_scenario(default_config("jump_mix", n=32, ensemble=n_members))
-        assert [lift.path.n_members for lift, _ in calls] == sizes
-        assert len({id(lift) for lift, _ in calls}) == len(sizes)
+    monkeypatch.setattr(rsde, "_prologue", recorded)
+    run_scenario(default_config("jump_mix", n=32, ensemble=130))
+    lifts = list({id(lift): lift for lift in seen}.values())
+    assert [lift.path.n_members for lift in lifts] == [64, 64, 2]
+    assert list(map(id, seen)) == [id(lift) for lift in lifts for _ in range(4)]
 
 
 def test_jump_mix_reports_each_gate_once_as_its_max_over_blocks(monkeypatch):
@@ -1131,47 +1126,36 @@ def test_jump_mix_reports_each_gate_once_as_its_max_over_blocks(monkeypatch):
     assert [r["value"] for r in rows[:2]] == [jr, flow]
 
 
-def _cold(lift):
-    """The same lift data as a new object, with nothing cached on it."""
-    return RoughLift(path=lift.path, step_second=lift.step_second, jump_second=lift.jump_second)
+def test_solvers_leave_no_state_on_the_lift():
+    cases = _schedule_cases()
+    for case in ("x_and_m_jumps", "no_jumps"):
+        lift, mart = cases[case]
+        solve(_all_coeffs(), 0.1, lift, mart)
+        picard_solve(_all_coeffs(), 0.1, lift, mart)
+        fields = {f.name for f in dataclasses.fields(lift)}
+        assert set(vars(lift)) <= fields | {"second_prefix"}, case
 
 
-def test_alternating_martingales_on_one_lift_match_cold_runs_bitwise(monkeypatch):
-    lift, mart_a = _schedule_cases()["x_and_m_jumps"]
-    m = mart_a
-    mart_b = MartingalePath(
-        grid=m.grid, values=0.5 * m.values, jump_indices=m.jump_indices,
-        left_values=0.5 * m.left_values, bracket=0.25 * m.bracket,
-    )
+def test_a_martingale_changed_in_place_is_read_afresh():
+    def rebuilt(m):
+        return MartingalePath(
+            grid=m.grid, values=m.values.copy(), jump_indices=m.jump_indices,
+            left_values=m.left_values.copy(), bracket=m.bracket.copy(),
+        )
+
+    lift, mart = _schedule_cases()["x_and_m_jumps"]
     coeffs, y0 = _all_coeffs(), np.linspace(-0.5, 0.5, lift.path.n_members)
-    calls = _counting_schedules(monkeypatch)
-    runs = [(solve, mart_a), (solve, mart_b), (picard_solve, mart_b), (solve, mart_a),
-            (picard_solve, mart_a), (solve, None), (picard_solve, mart_b)]
-    for solver, mart in runs:
-        warm = solver(coeffs, y0, lift, mart)
-        cold = solver(coeffs, y0, _cold(lift), mart)
-        assert np.array_equal(warm.values, cold.values)
-        assert np.array_equal(warm.left_values, cold.left_values, equal_nan=True)
-        assert warm.diagnostics == cold.diagnostics
-    # the warm lift built one schedule per change of martingale, the cold
-    # lifts one per run
-    built = [c[1] for c in calls if c[0] is lift]
-    assert list(map(id, built)) == list(map(id, [mart_a, mart_b, mart_a, None, mart_b]))
-    assert sum(c[0] is not lift for c in calls) == len(runs)
-    # the kept schedule is the one built for the last martingale
-    assert rsde._schedule(lift, mart_b) is rsde._schedule(lift, mart_b)
-    assert len(calls) == 5 + len(runs)
-
-
-def test_a_jump_free_lift_keeps_no_event_schedule():
-    bm = simulate_brownian(1.0, 16, seed=37, n_members=4)
-    lift = ito_lift_brownian(bm)
-    solve(_all_coeffs(), 0.1, lift, bm)
-    picard_solve(_all_coeffs(), 0.1, lift, bm)
-    assert rsde._SCHEDULE_SLOT not in vars(lift)
-    mix_lift, mix_mart = _schedule_cases()["x_and_m_jumps"]
-    solve(_all_coeffs(), 0.1, mix_lift, mix_mart)
-    assert vars(mix_lift)[rsde._SCHEDULE_SLOT][0] is mix_mart
+    for solver in (solve, picard_solve):
+        before = solver(coeffs, y0, lift, mart)
+        mart.values *= 0.5
+        mart.left_values *= 0.5
+        mart.bracket *= 0.25
+        changed = solver(coeffs, y0, lift, mart)
+        fresh = solver(coeffs, y0, lift, rebuilt(mart))
+        assert not np.array_equal(changed.values, before.values)
+        assert _same_bytes(changed.values, fresh.values)
+        assert _same_bytes(changed.left_values, fresh.left_values)
+        assert changed.diagnostics == fresh.diagnostics
 
 
 def test_picard_matches_onestep_brownian():

@@ -29,6 +29,7 @@ from roughsew.sewing import (
 from roughsew.scenarios import _fit_log2_slope, default_config, run_scenario
 
 from oracles import (
+    ols_slope,
     refinement_walk,
     riemann_path_loop,
     riemann_sum_loop,
@@ -288,6 +289,19 @@ def test_log2_fit_zero_levels():
     slope, _ = log2_fit([0, 1, 2, 3], [0.5, 0.25, 0.0, 0.0625])
     assert slope == pytest.approx(-1.0)
     assert _fit_log2_slope([2, 4, 8], [0.0, 0.0, 0.0]) == float("-inf")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_log2_fit_slope_matches_the_ols_oracle_over_positive_errors(seed):
+    # the rate gates fit noisy errors, some of them exact zeros (levels
+    # whose germs telescope); the fit is the OLS line over the rest
+    rng = np.random.default_rng(seed)
+    x = np.arange(3.0, 3.0 + rng.integers(4, 12))  # log2 of grid sizes 8, 16, ...
+    errors = 2.0 ** (-0.8 * x + rng.normal(0.0, 0.5, x.size))
+    errors[rng.choice(x.size, size=rng.integers(1, x.size - 1), replace=False)] = 0.0
+    pos = errors > 0
+    slope, _ = log2_fit(x, errors)
+    assert slope == pytest.approx(ols_slope(x[pos], np.log2(errors[pos])), rel=1e-12, abs=0)
 
 
 def test_rough_germ_partition_independence():
