@@ -144,7 +144,9 @@ def _pvar_dp(columns):
 def _powers(dist: np.ndarray, p: float) -> np.ndarray:
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got p={p}")
-    return np.abs(np.asarray(dist, dtype=float)) ** p
+    powers = np.abs(np.asarray(dist, dtype=float))
+    powers **= p
+    return powers
 
 
 def p_variation(dist: np.ndarray, p: float) -> float:

@@ -161,21 +161,28 @@ def _gram_table(block: np.ndarray):
     n_members, m, _ = block.shape
     # one column per member and component, centred by its time-mean, which
     # leaves every increment as it is; a copy, so the centring never writes
-    # through to the caller's values
+    # through to the caller's values, dropped after the product
     y = np.array(block.transpose(1, 0, 2), order="C").reshape(m, -1)
     with np.errstate(over="ignore", invalid="ignore"):
         y -= y.mean(axis=0)
-        g = y @ y.T
-        diag = np.diag(g)
+        sq = y @ y.T
+        del y
+        diag = np.diag(sq)
         both = diag[:, None] + diag[None, :]
-        sq = both - 2.0 * g
+        # in place: (-2 G) + both is both - 2 G bit for bit
+        sq *= -2.0
+        sq += both
     # a non-finite entry of the block makes its column, and so every cell,
     # NaN; a non-finite Gram entry or sum shows here too
     if not np.all(np.isfinite(sq)):
         return None
-    lossy = np.triu(np.finfo(float).eps * both > _GRAM_RTOL * sq, 1).any(axis=1)
-    out = np.triu(np.sqrt(np.maximum(sq, 0.0) / n_members), 1)
-    return out, np.flatnonzero(lossy)
+    both *= np.finfo(float).eps
+    lossy = np.triu(both > _GRAM_RTOL * sq, 1).any(axis=1)
+    np.maximum(sq, 0.0, out=sq)
+    sq /= n_members
+    np.sqrt(sq, out=sq)
+    sq[np.tri(m, dtype=bool)] = 0.0  # the strict upper triangle, as `np.triu(., 1)`
+    return sq, np.flatnonzero(lossy)
 
 
 def lq_table(values: np.ndarray, q: float) -> np.ndarray:

@@ -10,8 +10,8 @@ block of the ensemble depends on the stream's layout:
 
 - chunkable: the member-major draws, which run member by member.  The
   Brownian increments (N, n, d) drawn in member blocks of any sizes stack to
-  the one (N, n, d) draw bit for bit (`paths._brownian_blocks` relies on
-  it).  The compound-Poisson jump draws (counts, then the flat times, then
+  the one (N, n, d) draw bit for bit (`paths._brownian_blocks` and the
+  chunks of `paths._brownian_values` rely on it).  The compound-Poisson jump draws (counts, then the flat times, then
   the flat sizes, each member-major) are drawn once for the whole ensemble
   (`paths._jump_draws`), and a member block takes its members' slice of
   each, so member i's jumps are the same at every block size

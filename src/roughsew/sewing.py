@@ -15,9 +15,12 @@ arrays, so it can be evaluated on any block of members.  `convergence_rate`
 walks a sequence of nested partitions produced by alternating midpoints of the
 supplied controls (time plus p-variation controls of the germ's inputs by
 default), measures the uniform-in-time empirical L^2 distance to the limit at
-every level, and fits the observed geometric decay.  The walk runs in member
-blocks of about `_BLOCK_CELLS` member-steps, one germ call per block and
-level, so each level's arrays are reduced while they are in cache.
+every level, and fits the observed geometric decay.  The walk is
+block-major: it builds every level's partition once, then takes the members
+in blocks of about `_BLOCK_CELLS` member-steps, and for each block builds its
+sewn limit and runs every level on it, one germ call per block and level.  So
+it holds its inputs, one block's arrays and the (levels, N) sups, never a
+whole-ensemble path.
 """
 from __future__ import annotations
 
@@ -35,9 +38,9 @@ from .grids import (
 )
 from .norms import lq_norm, lq_table
 
-# member-steps per block of the refinement walk: a block's germ values,
-# clipped path, difference and magnitudes are (rows, n+1) float64 arrays of
-# 256 KB each, so a level's work on one block stays in L2
+# member-steps per block of the refinement walk: for a scalar germ the
+# block's full-grid path, germ values and gap buffer are (rows, n+1) float64
+# arrays of 256 KB each, so a level's work on one block stays in L2
 _BLOCK_CELLS = 2**15
 
 __all__ = [
@@ -71,7 +74,8 @@ class Germ:
     input shared by every member.  A germ acts member by member: row i of its
     values depends only on row i of its member-axis context arrays, so the
     germ on the context rows [lo:hi] (shared inputs unchanged) gives the rows
-    [lo:hi] of its values, which is how the refinement walk evaluates it.
+    [lo:hi] of its values, which is how the refinement walk evaluates it;
+    the walk reads N off the largest leading axis of the (., n+1, ...) arrays.
     `control_keys` names the inputs whose p-variation should control the
     default partition refinement.
     """
@@ -113,11 +117,13 @@ def _windows(idx: np.ndarray):
     return idx[k], t, k, idx[1:-1] - start - 1
 
 
-def _clipped_path(vals: np.ndarray, k: np.ndarray, ends: np.ndarray) -> np.ndarray:
+def _clipped_path(vals: np.ndarray, k: np.ndarray, ends: np.ndarray, out=None) -> np.ndarray:
     """Clipped sums from the germ values on `_windows`: the running total of
-    the earlier intervals, summed from zero in interval order, plus vals."""
+    the earlier intervals, summed from zero in interval order, plus vals;
+    written into `out` if given."""
     acc = _running_sum(vals[:, ends])
-    out = np.empty((vals.shape[0], vals.shape[1] + 1) + vals.shape[2:])
+    if out is None:
+        out = np.empty((vals.shape[0], vals.shape[1] + 1) + vals.shape[2:])
     out[:, 0] = 0.0
     np.add(acc[:, k], vals, out=out[:, 1:])
     return out
@@ -143,13 +149,18 @@ def _running_sum(steps: np.ndarray) -> np.ndarray:
 
 
 def _sup_magnitude(diff: np.ndarray) -> np.ndarray:
-    """sup_t |diff_t| per member of an (N, T, ...) array, Frobenius magnitudes.
+    """sup_t |diff_t| per member of an (N, T, ...) array, Frobenius magnitudes;
+    a scalar (N, T) diff is squared in place.
 
     The square root is taken after the sup: it is correctly rounded and
     monotone, so sqrt(max) is max(sqrt) bit for bit, at one root per member.
     """
-    flat = diff.reshape(diff.shape[0], diff.shape[1], -1)
-    return np.sqrt(np.einsum("ntk,ntk->nt", flat, flat).max(axis=1))
+    if diff.ndim == 2:
+        squares = np.square(diff, out=diff)
+    else:
+        flat = diff.reshape(diff.shape[0], diff.shape[1], -1)
+        squares = np.einsum("ntk,ntk->nt", flat, flat)
+    return np.sqrt(squares.max(axis=1))
 
 
 def default_controls(germ: Germ, grid: TimeGrid) -> list[Callable[[int, int], np.ndarray]]:
@@ -171,6 +182,16 @@ def default_controls(germ: Germ, grid: TimeGrid) -> list[Callable[[int, int], np
                 by_array[id(arr)] = pvar_control(lq_table(arr, 2.0), 2.0)
             controls.append(by_array[id(arr)])
     return controls
+
+
+def _member_count(ctx: dict, n_steps: int) -> int:
+    """N: the largest leading axis of the germ's (., n+1, ...) context arrays
+    (1 if every input is shared)."""
+    return max(
+        (val.shape[0] for val in ctx.values()
+         if isinstance(val, np.ndarray) and val.ndim >= 2 and val.shape[1] == n_steps + 1),
+        default=1,
+    )
 
 
 def _member_rows(ctx: dict, n_members: int, lo: int, hi: int) -> dict:
@@ -203,29 +224,33 @@ def convergence_rate(
 
     The levels are the alternating midpoints of the controls (default ones
     if None).  The distance is the L^2 norm over members of the sup over
-    time of the gap to the full-grid path.  Each level evaluates the germ
-    once per block of about `_BLOCK_CELLS` member-steps and reduces the
-    block's clipped path to per-member sups at once; the (N,) sups are
-    reduced by `lq_norm`, so every distance equals the whole-ensemble one
-    bit for bit.  The slope is fitted by `log2_fit`.
+    time of the gap to the full-grid path.  The walk is block-major: every
+    level's windows are built once; then for each block of about
+    `_BLOCK_CELLS` member-steps (N from `_member_count`) the germ gives the
+    block's full-grid path and, once per level, its clipped path, which one
+    reused buffer turns into the gap and its squares in place, and the
+    block's per-member sups go into a (levels, N) array.  So the walk holds
+    its inputs, one block's arrays and the sups, never a whole-ensemble path.
+    Each level's (N,) sups are reduced by `lq_norm` after the last block, so
+    every distance equals the whole-ensemble one bit for bit.  The slope is
+    fitted by `log2_fit`.
     """
     controls = controls if controls is not None else default_controls(germ, grid)
-    full = step_path(germ, grid)
-    n_members = full.shape[0]
-    rows = max(1, _BLOCK_CELLS // full[0].size)
-    blocks = [(lo, min(lo + rows, n_members)) for lo in range(0, n_members, rows)]
-    germs = [
-        replace(germ, context=_member_rows(germ.context, n_members, lo, hi))
-        for lo, hi in blocks
-    ]
-    sups = np.empty(n_members)
-    distances = []
-    for lv in alternating_midpoints(controls, 0, grid.n_steps, depth):
-        u, t, k, ends = _windows(lv)
-        for g, (lo, hi) in zip(germs, blocks):
-            sups[lo:hi] = _sup_magnitude(full[lo:hi] - _clipped_path(g(u, t), k, ends))
-        distances.append(lq_norm(sups, 2.0))
-    distances = np.array(distances)
+    n = grid.n_steps
+    walks = [_windows(lv) for lv in alternating_midpoints(controls, 0, n, depth)]
+    n_members = _member_count(germ.context, n)
+    rows = max(1, _BLOCK_CELLS // (n + 1))
+    sups = np.empty((len(walks), n_members))
+    for lo in range(0, n_members, rows):
+        hi = min(lo + rows, n_members)
+        block = replace(germ, context=_member_rows(germ.context, n_members, lo, hi))
+        full = step_path(block, grid)
+        gap = np.empty_like(full)
+        for sup, (u, t, k, ends) in zip(sups, walks):
+            _clipped_path(block(u, t), k, ends, out=gap)
+            np.subtract(full, gap, out=gap)
+            sup[lo:hi] = _sup_magnitude(gap)
+    distances = np.array([lq_norm(sup, 2.0) for sup in sups])
     levels = np.arange(depth + 1)
     slope, _ = log2_fit(levels, distances)
     return RateReport(levels, distances, slope)

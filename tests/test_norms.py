@@ -1,5 +1,7 @@
 """Ensemble norms: L^q magnitudes, increment tables, and V^p seminorms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -331,6 +333,20 @@ def test_gram_table_leaves_its_input_as_it_is():
     vals = np.array([[1.0], [2.0], [4.0]])  # one time point: no copy on transpose
     assert np.array_equal(lq_table(vals, 2.0), np.zeros((1, 1)))
     assert np.array_equal(vals, [[1.0], [2.0], [4.0]])
+
+
+def test_gram_table_peak_memory_is_the_centred_copy_and_two_tables():
+    # the centred (m, N) copy lives until the Gram product, the m x m arrays
+    # after it are formed in place
+    vals = simulate_brownian(1.0, 200, seed=7, n_members=2000).values
+    m = vals.shape[1]
+    tracemalloc.start()
+    try:
+        lq_table(vals, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= vals.nbytes + 2 * m * m * 8
 
 
 def test_gram_table_rebuilds_cancelling_rows_bitwise():

@@ -1,5 +1,7 @@
 """The sewing engine: germs, partition limits, diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -254,18 +256,55 @@ def test_blocked_walk_matches_the_whole_ensemble_walk_bitwise(size):
         assert got.tobytes() == _oracle_distances(germ, grid, 7).tobytes(), name
 
 
+def _vector_germ(ito):
+    """(Y_s dM_{s,t}, (dM_{s,t})^2) on the context of an ito germ: (N, m, 2)."""
+
+    def fn(c, s, t):
+        dm = c["m"][:, t] - c["m"][:, s]
+        return np.stack([c["y"][:, s] * dm, dm * dm], axis=-1)
+
+    return Germ(fn, ito.context, ito.control_keys)
+
+
+@pytest.mark.parametrize("size", ["one", "rows-1", "rows+1", "ragged"])
+def test_blocked_walk_matches_the_whole_ensemble_walk_on_a_vector_germ(size):
+    grid, germs = _walk_germs(_walk_sizes()[size])
+    germ = _vector_germ(germs["ito"])
+    assert germ(np.array([0, 3]), np.array([5, 9])).shape[1:] == (2, 2)
+    got = convergence_rate(germ, grid, depth=7).distances
+    assert got.tobytes() == _oracle_distances(germ, grid, 7).tobytes()
+
+
+def test_walk_peak_memory_is_below_one_whole_ensemble_path():
+    # twelve member blocks: the walk holds one block's arrays and the
+    # (levels, N) sups, never an (N, n+1) path
+    n_members = 12 * (_walk_sizes()["rows+1"] - 1)
+    grid, germs = _walk_germs(n_members)
+    whole = n_members * (grid.n_steps + 1) * 8
+    for name, germ in germs.items():
+        controls = default_controls(germ, grid)
+        tracemalloc.start()
+        try:
+            convergence_rate(germ, grid, controls, depth=7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < whole, name
+
+
 def test_walk_calls_the_germ_once_per_member_block():
     rows = _walk_sizes()["rows+1"] - 1
     grid, germs = _walk_germs(rows + 1)
-    ito, members = germs["ito"], []
+    ito, calls = germs["ito"], []
 
     def spy(c, s, t):
-        members.append(c["y"].shape[0])
+        calls.append((c["y"].shape[0], "limit" if isinstance(s, slice) else "level"))
         return ito.fn(c, s, t)
 
     convergence_rate(Germ(spy, ito.context, ito.control_keys), grid, depth=2)
-    # the limit on the whole ensemble, then two blocks on each of three levels
-    assert members == [rows + 1] + [rows, 1] * 3
+    # each block's full-grid path, then its three levels, one block at a time
+    block = lambda r: [(r, "limit")] + [(r, "level")] * 3
+    assert calls == block(rows) + block(1)
 
 
 @pytest.mark.parametrize("size", ["one", "rows+1"])
