@@ -238,27 +238,22 @@ _DRAW_CELLS = 2**15
 
 
 def _brownian_values(rng, n_members, dim, sqrt_dt, volm) -> np.ndarray:
-    """The next `n_members` rows of the draw as values (N, n+1, d), built in
-    place: consecutive member chunks of about `_DRAW_CELLS` draws, each drawn
-    into one reused buffer, scaled and `cumsum`med straight into the output,
-    so no (N, n, d) increment array is held.  The chunks continue the one
-    member-major draw (see `rng`).  At d = 1 the scaling by vol is a product
-    in place plus 0.0, the (vol . dW) `einsum` bit for bit, signed zeros
-    included (its sum starts at +0.0, so a product of -0.0 reads +0.0)."""
+    """The next `n_members` rows of the draw as values (N, n+1, k) for a
+    k x d `volm`, built in place: consecutive member chunks of about
+    `_DRAW_CELLS` draws, each drawn into one reused buffer, scaled, mapped
+    by the (vol . dW) `einsum` and `cumsum`med straight into the output, so
+    no (N, n, d) increment array is held.  The chunks continue the one
+    member-major draw (see `rng`)."""
     n = sqrt_dt.shape[1]
-    values = np.empty((n_members, n + 1, dim))
+    values = np.empty((n_members, n + 1, volm.shape[0]))
     values[:, 0] = 0.0
     rows = max(1, _DRAW_CELLS // (n * dim))
     buf = np.empty((min(rows, n_members), n, dim))
     for lo in range(0, n_members, rows):
         dw = rng.standard_normal(out=buf[: min(rows, n_members - lo)])
         dw *= sqrt_dt
-        if dim == 1:
-            dw *= volm[0, 0]
-            dw += 0.0
-        else:
-            dw = np.einsum("ij,nkj->nki", volm, dw)
-        np.cumsum(dw, axis=1, out=values[lo : lo + dw.shape[0], 1:])
+        db = np.einsum("ij,nkj->nki", volm, dw)
+        np.cumsum(db, axis=1, out=values[lo : lo + db.shape[0], 1:])
     return values
 
 

@@ -149,18 +149,13 @@ def _running_sum(steps: np.ndarray) -> np.ndarray:
 
 
 def _sup_magnitude(diff: np.ndarray) -> np.ndarray:
-    """sup_t |diff_t| per member of an (N, T, ...) array, Frobenius magnitudes;
-    a scalar (N, T) diff is squared in place.
+    """sup_t |diff_t| per member of an (N, T, ...) array, Frobenius magnitudes.
 
     The square root is taken after the sup: it is correctly rounded and
     monotone, so sqrt(max) is max(sqrt) bit for bit, at one root per member.
     """
-    if diff.ndim == 2:
-        squares = np.square(diff, out=diff)
-    else:
-        flat = diff.reshape(diff.shape[0], diff.shape[1], -1)
-        squares = np.einsum("ntk,ntk->nt", flat, flat)
-    return np.sqrt(squares.max(axis=1))
+    flat = diff.reshape(diff.shape[0], diff.shape[1], -1)
+    return np.sqrt(np.einsum("ntk,ntk->nt", flat, flat).max(axis=1))
 
 
 def default_controls(germ: Germ, grid: TimeGrid) -> list[Callable[[int, int], np.ndarray]]:
@@ -228,9 +223,9 @@ def convergence_rate(
     level's windows are built once; then for each block of about
     `_BLOCK_CELLS` member-steps (N from `_member_count`) the germ gives the
     block's full-grid path and, once per level, its clipped path, which one
-    reused buffer turns into the gap and its squares in place, and the
-    block's per-member sups go into a (levels, N) array.  So the walk holds
-    its inputs, one block's arrays and the sups, never a whole-ensemble path.
+    reused buffer turns into the gap in place, and the block's per-member
+    sups go into a (levels, N) array.  So the walk holds its inputs, one
+    block's arrays and the sups, never a whole-ensemble path.
     Each level's (N,) sups are reduced by `lq_norm` after the last block, so
     every distance equals the whole-ensemble one bit for bit.  The slope is
     fitted by `log2_fit`.

@@ -863,15 +863,15 @@ def picard_full_sweep(rsde, coeffs, y0, lift, mart=None, p=2.0, q=4.0, tol=1e-9,
 
 
 def simulate_brownian(rng, times, n_members, dim, vol):
-    """Values (N, n+1, d) and bracket (1, n+1, d, d) of a Brownian ensemble
-    B = vol . W on `times`, drawn whole from `rng`: one (N, n, d) draw, a
-    scaled copy, an `einsum` copy, a `cumsum` and a `concatenate`."""
+    """Values (N, n+1, k) and bracket (1, n+1, k, k) of a Brownian ensemble
+    B = vol . W on `times` (vol k x d), drawn whole from `rng`: one (N, n, d)
+    draw, a scaled copy, an `einsum` copy, a `cumsum` and a `concatenate`."""
     volm = np.eye(dim) * vol if np.ndim(vol) == 0 else np.asarray(vol, dtype=float)
     dt = np.diff(times)
     dw = rng.standard_normal((n_members, dt.size, dim)) * np.sqrt(dt)[None, :, None]
     db = np.einsum("ij,nkj->nki", volm, dw)
     values = np.concatenate(
-        [np.zeros((n_members, 1, dim)), np.cumsum(db, axis=1)], axis=1
+        [np.zeros((n_members, 1, db.shape[2])), np.cumsum(db, axis=1)], axis=1
     )
     bracket = np.einsum("ij,kj->ik", volm, volm)[None, None, :, :] * times[
         None, :, None, None

@@ -335,9 +335,11 @@ def test_gram_table_leaves_its_input_as_it_is():
     assert np.array_equal(vals, [[1.0], [2.0], [4.0]])
 
 
-def test_gram_table_peak_memory_is_the_centred_copy_and_two_tables():
-    # the centred (m, N) copy lives until the Gram product, the m x m arrays
-    # after it are formed in place
+def test_gram_table_drops_the_centred_copy_before_the_cells():
+    # the centred (m, N) copy lives until the Gram product and no longer: at
+    # N = 2000 members it is ten m x m tables large, so the bound admits it
+    # beside the Gram table and one more, and fails if it is still held while
+    # the cells are formed
     vals = simulate_brownian(1.0, 200, seed=7, n_members=2000).values
     m = vals.shape[1]
     tracemalloc.start()

@@ -102,18 +102,24 @@ def test_brownian_values_continue_one_draw_in_uneven_blocks():
     assert np.array_equal(np.concatenate(parts), values)
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("vol", [1.0, 1.3, 0.0])
-def test_brownian_draw_chunks_match_the_whole_draw_to_the_sign_of_zero(monkeypatch, dim, vol):
-    # 17 members of 33 steps drawn in chunks of 5 members, the last of 2; at
-    # vol = 0 the whole draw's `einsum` reads +0.0 where a plain product of a
-    # negative draw gives -0.0
+_NON_SQUARE_VOLS = [np.array([[1.0], [0.5], [-2.0]]), np.array([[1.0, 0.3, 0.2], [-0.4, 0.8, 0.1]])]
+
+
+@pytest.mark.parametrize(
+    "dim, vol",
+    [(d, v) for v in (1.0, 1.3, 0.0) for d in (1, 2)] + [(v.shape[1], v) for v in _NON_SQUARE_VOLS],
+)
+def test_brownian_draw_chunks_match_the_whole_draw(monkeypatch, dim, vol):
+    # 17 members of 33 steps drawn in chunks of 5 members, the last of 2; a
+    # k x d vol maps the d drawn components to k
     monkeypatch.setattr(paths, "_DRAW_CELLS", 5 * 33 * dim)
     bm = simulate_brownian(1.0, 33, seed=12, n_members=17, dim=dim, vol=vol)
-    values, _ = oracles.simulate_brownian(
+    values, bracket = oracles.simulate_brownian(
         stream(12, "brownian", dim, 17), bm.grid.times, 17, dim, vol
     )
+    assert bm.values.shape == values.shape
     assert bm.values.tobytes() == values.tobytes()
+    assert np.array_equal(bm.bracket, bracket)
 
 
 def test_brownian_increment_moments():
