@@ -11,14 +11,18 @@ a stored Brownian bracket).  Every table cell comes from one reduction,
 `_pair_cells`, over a chunk of grid-point pairs at once, and equals the cell
 of a table built row by row bit for bit; `_pair_seminorm` feeds them to
 `grids._pvar_dp` for every seminorm (and the solver's Picard update
-distances).  The one exception is the q = 2 table of an ensemble (the
-sewing controls' table), which `lq_table` reads off one Gram product G of
-the members' paths, each centred by its time-mean:
+distances).  There are two exceptions.  The stability remainder's table of
+|means| is built from member-mean contractions in `rsde._remainder_table`,
+since a mean, unlike an L^q norm, is linear.  The q = 2 table of an ensemble
+(the sewing controls' table) is read by `lq_table` off one Gram product G
+of the members' paths, each centred by its time-mean:
 ||dY_{i,j}||^2 = (G_ii + G_jj - 2 G_ij) / N.  That subtraction cancels where
 an increment is small next to the paths' distance from their time-means, so
 a row with a cell where eps (G_ii + G_jj) exceeds `_GRAM_RTOL` times
 G_ii + G_jj - 2 G_ij is rebuilt from pair cells, and a block with a
-non-finite entry or Gram entry is built from them throughout.  Full O(n^2)
+non-finite entry or Gram entry is built from them throughout; the guard runs
+by blocks of rows, so beside the product only a block's temporaries live.
+Full O(n^2)
 tables are only built for n <= 2048 as a memory guard.
 """
 from __future__ import annotations
@@ -166,22 +170,32 @@ def _gram_table(block: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):
         y -= y.mean(axis=0)
         sq = y @ y.T
-        del y
-        diag = np.diag(sq)
-        both = diag[:, None] + diag[None, :]
-        # in place: (-2 G) + both is both - 2 G bit for bit
-        sq *= -2.0
-        sq += both
-    # a non-finite entry of the block makes its column, and so every cell,
-    # NaN; a non-finite Gram entry or sum shows here too
-    if not np.all(np.isfinite(sq)):
-        return None
-    both *= np.finfo(float).eps
-    lossy = np.triu(both > _GRAM_RTOL * sq, 1).any(axis=1)
-    np.maximum(sq, 0.0, out=sq)
-    sq /= n_members
-    np.sqrt(sq, out=sq)
-    sq[np.tri(m, dtype=bool)] = 0.0  # the strict upper triangle, as `np.triu(., 1)`
+    del y
+    diag = sq.diagonal().copy()
+    lossy = np.zeros(m, dtype=bool)
+    cols = np.arange(m)
+    step = max(1, _PAIR_CELL_BUDGET // m)
+    # by blocks of rows, so that beside the table only a block's sums G_ii +
+    # G_jj, guard products and masks are live; every step is elementwise, so
+    # the blocks give the whole-table bits
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(0, m, step):
+            rows = sq[a : a + step]
+            both = diag[a : a + step, None] + diag[None, :]
+            # in place: (-2 G) + both is both - 2 G bit for bit
+            rows *= -2.0
+            rows += both
+            # a non-finite entry of the block makes its column, and so every
+            # cell, NaN; a non-finite Gram entry or sum shows here too
+            if not np.all(np.isfinite(rows)):
+                return None
+            both *= np.finfo(float).eps
+            lossy[a : a + step] = np.triu(both > _GRAM_RTOL * rows, a + 1).any(axis=1)
+            np.maximum(rows, 0.0, out=rows)
+            rows /= n_members
+            np.sqrt(rows, out=rows)
+            # the strict upper triangle, as `np.triu(., 1)`
+            rows[cols[None, :] <= cols[a : a + step, None]] = 0.0
     return sq, np.flatnonzero(lossy)
 
 

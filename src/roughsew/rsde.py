@@ -53,7 +53,7 @@ import numpy as np
 
 from .calculus import SmoothFn, _Affine, _Constant
 from .conventions import outer_increment
-from .grids import TimeGrid, _pvar_dp, _unique
+from .grids import TimeGrid, _pvar_dp, _unique, p_variation
 from .norms import (
     _PAIR_CELL_BUDGET,
     _column_pairs,
@@ -676,19 +676,37 @@ class StabilityReport:
     rhs_parts: dict
 
 
-def _remainder_means(ya, dya, xa, yb, dyb, xb):
-    """increments(i, j) of E[R_{i,j} - Rt_{i,j}] as one "member", (1, K), with
-    R_{i,j} = dY_{i,j} - Y'_i . dX_{i,j} of each solution against its own
-    driver; the mean runs on C-order memory (a gather of pairs is not)."""
+def _remainder_table(ya, dya, xa, yb, dyb, xb):
+    """The table |E[R_{i,j} - Rt_{i,j}]| over grid points i < j (upper
+    triangle; the rest is not read), with R_{i,j} = dY_{i,j} - Y'_i . dX_{i,j}
+    of each solution against its own driver: values (N, m), derivatives
+    (N, m, d) and driver values (Nx, m, d), Nx in {1, N}.  The mean is linear,
+    so in difference form
 
-    def remainder(y, yp, x, i, j):
-        return y[:, j] - y[:, i] - np.einsum("nkd,nkd->nk", yp[:, i], x[:, j] - x[:, i])
+        E[R_{i,j} - Rt_{i,j}] = (m_j - m_i) - (D_ij - D_ii) - (F_ij - F_ii)
 
-    def means(i, j):
-        diff = remainder(ya, dya, xa, i, j) - remainder(yb, dyb, xb, i, j)
-        return np.mean(np.ascontiguousarray(diff), axis=0)[None]
+    with m = E[Y - Yt], D_ij = E[(Y' - Yt')_i . X_j] and
+    F_ij = E[Yt'_i . (X - Xt)_j]: one member contraction per table, not a
+    pair cell per (i, j).  Each contraction is an `einsum` without BLAS (a
+    threaded product leaves a worker spinning after it returns), on C-order
+    copies, so the sums run in one order whatever the inputs' layout; at most
+    two m x m arrays are live.  A NaN member gives NaN entries."""
+    ya, dya, xa, yb, dyb, xb = map(np.ascontiguousarray, (ya, dya, xa, yb, dyb, xb))
+    shape = dya.shape
 
-    return means
+    def contraction(a, b):
+        """E[a_i . b_j] - E[a_i . b_i], with b broadcast over the members."""
+        tab = np.einsum("nid,njd->ij", a, np.broadcast_to(b, shape))
+        tab /= shape[0]
+        tab -= tab.diagonal().copy()[:, None]
+        return tab
+
+    # a time-major copy: numpy sums a contiguous member axis pairwise
+    means = np.mean(np.ascontiguousarray((ya - yb).T), axis=1)
+    table = means[None, :] - means[:, None]
+    table -= contraction(dya - dyb, xa)
+    table -= contraction(dyb, xa - xb)
+    return np.abs(table, out=table)
 
 
 def stability_experiment(
@@ -706,22 +724,26 @@ def stability_experiment(
 
     Each pair is (perturbed problem, bracket path of the martingale
     difference, shape (Nb, n+1)); the bracket is None when the martingale is
-    unperturbed.  Identical data reports ratio 0 by convention.  Returns the
-    base problem's `solve` result next to the reports.  p, q >= 2 is checked
-    before any solve."""
+    unperturbed.  The first levels and the lift distance are pair-cell
+    seminorms; the remainder term is the (p/2)-variation of the table of
+    |E[R_{i,j} - Rt_{i,j}]|, R_{i,j} = dY_{i,j} - Y'_i . dX_{i,j} against each
+    solution's own driver, which `_remainder_table` builds from member means
+    in difference form.  Identical data reports ratio 0 by convention; a NaN
+    member makes the remainder and the ratio NaN.  Returns the base problem's
+    `solve` result next to the reports.  p, q >= 2 is checked before any
+    solve."""
     if not (p >= 2 and q >= 2):
         raise ValueError(f"stability_experiment needs p/2 and q/2 >= 1, got p={p}, q={q}")
     fs = coeffs.f_components()
 
     def solution(sol: RSDEResult, prob: RSDEProblem):
-        # one C-order copy, which the seminorms and remainder means below
+        # one C-order copy, which the seminorms and remainder table below
         # read; Y' = f(Y), zero without a rough coefficient
         y = np.ascontiguousarray(sol.values)
         return y, _f_stack(fs, y) if fs else np.zeros(y.shape + (prob.lift.dim,))
 
     base_sol = solve(coeffs, base.y0, base.lift, base.mart)
     ya, dya = solution(base_sol, base)
-    xa = np.ascontiguousarray(base.lift.path.values)
     y0a = np.atleast_1d(np.asarray(base.y0, dtype=float))
     reports = []
     for pert, mdiff_bracket in perts:
@@ -729,9 +751,8 @@ def stability_experiment(
         yb, dyb = solution(solve(coeffs, pert.y0, pert.lift, pert.mart), pert)
         l_sol = vp_lq_seminorm(ya - yb, p, q)
         l_der = vp_lq_seminorm(dya - dyb, p, q)
-        means = _remainder_means(ya, dya, xa, yb, dyb, np.ascontiguousarray(pert.lift.path.values))
-        # one "member" (the ensemble mean) and q = 1: its cells are |mean|
-        l_rem = _pair_seminorm(means, ya.shape[0], ya.shape[1] - 1, p / 2.0, 1.0)
+        table = _remainder_table(ya, dya, base.lift.path.values, yb, dyb, pert.lift.path.values)
+        l_rem = p_variation(table, p / 2.0)
         lhs = l_sol + l_der + l_rem
 
         y0b = np.atleast_1d(np.asarray(pert.y0, dtype=float))

@@ -31,7 +31,13 @@ from roughsew.paths import (
     simulate_compound_poisson,
     smooth_lift,
 )
-from roughsew.rsde import CoefficientSet, RSDEProblem, solve, stability_experiment
+from roughsew.rsde import (
+    CoefficientSet,
+    RSDEProblem,
+    _remainder_table,
+    solve,
+    stability_experiment,
+)
 from roughsew.scenarios import default_config, run_scenario
 
 from oracles import (
@@ -351,6 +357,24 @@ def test_gram_table_drops_the_centred_copy_before_the_cells():
     assert peak <= vals.nbytes + 2 * m * m * 8
 
 
+def test_gram_table_forms_its_cells_beside_the_product_alone():
+    # at m = 1025 points a table (8.4 MB) dwarfs the centred (m, N) copy
+    # (0.4 MB): the guard's sums, products and masks go by blocks of rows,
+    # so the peak stays near one table; whole-table temporaries took it to
+    # 3.1 tables
+    vals = simulate_brownian(1.0, 1024, seed=7, n_members=50).values
+    m = vals.shape[1]
+    tracemalloc.start()
+    try:
+        table, rows = _gram_table(vals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * m * m * 8
+    # the guard still sends rows back to the pair cells at this size
+    assert 0 < rows.size < m - 1
+
+
 def test_gram_table_rebuilds_cancelling_rows_bitwise():
     # a turn of radius 1e6 in 512 steps: every row has a cell whose increment
     # is tiny next to the distance from the time-mean, where the unguarded
@@ -563,8 +587,9 @@ def _stability_case(n_members, dim, seed, layout=None, n=40):
     return coeffs, base, perts
 
 
-@pytest.mark.parametrize("n_members,dim", ROW_CASES)
-def test_stability_report_parts_equal_the_row_builder_bitwise(n_members, dim):
+def _report_parts_and_row_builder(n_members, dim):
+    """(the report's parts, the same parts from tables built row by row) for
+    each perturbation of a `_stability_case`."""
     coeffs, base, perts = _stability_case(n_members, dim, seed=7 * dim + n_members)
     p, q = 2.5, 6.0
     _, reports = stability_experiment(coeffs, base, perts, p=p, q=q)
@@ -588,17 +613,36 @@ def test_stability_report_parts_equal_the_row_builder_bitwise(n_members, dim):
             else _rows_vp(bracket, p / 2, q / 2, 0, n1 - 1) ** 0.5,
             "lift": _rows_distance(base.lift, pert.lift, p, q, 0, n1 - 1),
         }
-        assert {**rep.lhs_parts, **rep.rhs_parts} == want
-    assert all(rep.lhs_parts["remainder"] > 0 for rep in reports)
+        yield {**rep.lhs_parts, **rep.rhs_parts}, want
+
+
+@pytest.mark.parametrize("n_members,dim", ROW_CASES)
+def test_stability_report_parts_equal_the_row_builder_bitwise(n_members, dim):
+    # every part but the remainder, which the next test compares
+    for got, want in _report_parts_and_row_builder(n_members, dim):
+        del got["remainder"], want["remainder"]
+        assert got == want
+
+
+@pytest.mark.parametrize("n_members,dim", ROW_CASES)
+def test_stability_report_remainder_meets_the_row_builder_to_1e_12(n_members, dim):
+    # the report's remainder comes from member-mean contractions in
+    # difference form, the row builder's from per-member differences of two
+    # remainders: they agree to rtol 1e-12, not bit for bit
+    for got, want in _report_parts_and_row_builder(n_members, dim):
+        assert got["remainder"] > 0
+        assert got["remainder"] == pytest.approx(want["remainder"], rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("seed", [7, 11])
 def test_stability_base_csv_is_the_row_builders_byte_for_byte(monkeypatch, tmp_path, seed):
     cfg = default_config("stability_base", n=24, ensemble=16, seed=seed)
     cli._write_rows(tmp_path / "new.csv", run_scenario(cfg))
-    # every seminorm of the scenario from tables built row by row: the
-    # reports' first levels, rough-path distances and remainders, and the
-    # Picard update distances of its solve-Picard gap
+    # every pair-cell seminorm of the scenario from tables built row by row:
+    # the reports' first levels and rough-path distances, and the Picard
+    # update distances of its solve-Picard gap (the reports' remainders come
+    # from `rsde._remainder_table` on both sides, so these bytes do not
+    # cover them; the remainder tests below do)
     monkeypatch.setattr(
         rsde, "vp_lq_seminorm", lambda v, p, q: _rows_vp(v, p, q, 0, v.shape[1] - 1)
     )
@@ -662,6 +706,89 @@ def test_stability_report_does_not_depend_on_memory_layout(layout, dim):
     _, got = stability_experiment(*_stability_case(5, dim, seed=dim, layout=layout), p=p, q=q)
     for g, w in zip(got, want):
         assert (g.lhs_parts, g.rhs_parts) == (w.lhs_parts, w.rhs_parts)
+
+
+# ---------------------------------------------------------------------------
+# the stability remainder table against the per-member sums it replaced
+# ---------------------------------------------------------------------------
+
+
+def _geometric_lift(grid, values):
+    dx = np.diff(values, axis=1)
+    return RoughLift(SamplePath(grid, values), 0.5 * dx[..., :, None] * dx[..., None, :])
+
+
+def _remainder_args(dim, eps, tilted, n=96, n_members=128):
+    """(Y, Y', X, Yt, Yt', Xt) in `stability_base`'s setting, in d
+    dimensions: a straight-line driver shared by the members, with y0 moved
+    by eps on it, or the driver tilted by eps t (1 - t) in every direction."""
+    grid = make_uniform_grid(1.0, n)
+    t = grid.times
+    base = _geometric_lift(grid, (t[:, None] * np.array([1.0, -0.5, 0.25][:dim]))[None])
+    tilt = _geometric_lift(grid, base.path.values + eps * (t * (1.0 - t))[None, :, None])
+    bm = simulate_brownian(1.0, n, seed=7, n_members=n_members)
+    coeffs = CoefficientSet(
+        b=smooth_fn("tanh_affine", a=0.3, b=1.0, c=0.05),
+        sigma=smooth_fn("sin_bundle", a=0.5, b=0.9, c=0.3),
+        f=tuple(smooth_fn("tanh_affine", a=0.6, b=0.8, c=0.1 * k) for k in range(dim)),
+    )
+    args = []
+    for y0, lift in [(0.1, base), (0.1, tilt) if tilted else (0.1 + eps, base)]:
+        y = solve(coeffs, y0, lift, bm).values
+        args += [y, np.stack([fn.f(y) for fn in coeffs.f], axis=-1), lift.path.values]
+    return args
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52, reason="no extended long double")
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("tilted", [False, True], ids=["shared", "tilted"])
+def test_remainder_table_is_nearer_an_80_bit_reference(tilted, dim):
+    # the per-member form subtracts two remainders that agree to ~eps
+    # relative in every member, so at eps = 1e-4 it loses digits that the
+    # difference form keeps; at eps = 0.1 both are a few ulp off, where the
+    # difference form's rounding of the levels can cost it an ulp or two
+    for eps in (1e-1, 1e-4):
+        args = _remainder_args(dim, eps, tilted)
+        m = args[0].shape[1]
+        ref = p_variation(remainder_mean_table_rows(*(a.astype(np.longdouble) for a in args)), 1.0)
+        new = p_variation(_remainder_table(*args), 1.0)
+        old = p_variation(magnitude_table(remainder_mean_rows(*args), m, 1.0), 1.0)
+        new_err, old_err = abs(new - ref) / ref, abs(old - ref) / ref
+        if eps == 1e-4:
+            assert new_err <= old_err and old_err > 1e-14, (new_err, old_err)
+        else:
+            assert max(new_err, old_err) <= 2e-14, (new_err, old_err)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("layout", LAYOUTS, ids=["fortran", "time_major"])
+def test_remainder_table_does_not_depend_on_memory_layout(layout, dim):
+    rng = np.random.default_rng(dim)
+    ya, yb = np.cumsum(rng.standard_normal((2, 64, 41)), axis=2)
+    dya, dyb, xa = rng.standard_normal((3, 64, 41, dim))
+    xb = rng.standard_normal((1, 41, dim))  # a driver shared by the members
+    args = [ya, dya, xa, yb, dyb, xb]
+    relaid = [layout(a) for a in args]
+    assert not any(a.flags.c_contiguous for a in relaid[:5])
+    assert np.array_equal(_remainder_table(*relaid), _remainder_table(*args))
+
+
+def test_a_diverged_member_makes_the_remainder_and_the_ratio_nan(monkeypatch):
+    coeffs, base, perts = _stability_case(5, 2, seed=3)
+    real_solve = rsde.solve
+
+    def diverging_solve(coeffs, y0, lift, mart=None):
+        res = real_solve(coeffs, y0, lift, mart)
+        if lift is not base.lift:  # the lift perturbation: member 3 is NaN from step 20 on
+            res.values = np.array(res.values)
+            res.values[3, 20:] = np.nan
+        return res
+
+    monkeypatch.setattr(rsde, "solve", diverging_solve)
+    _, reports = stability_experiment(coeffs, base, perts)
+    assert [np.isnan(rep.lhs_parts["remainder"]) for rep in reports] == [False, False, True]
+    assert np.isnan(reports[-1].ratio)
+    assert np.isfinite(reports[-1].rhs)
 
 
 # ---------------------------------------------------------------------------

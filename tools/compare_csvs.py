@@ -8,12 +8,18 @@ checkout's `src`).  The configs are every default scenario at seeds 7 and 11,
 the four benchmark workloads (`perfbench/workloads.CONFIGS`) at seeds 7 and
 11, and the `jump_rsde` workload at seeds 7-14.  Each config runs as
 `python -m roughsew.cli run` in a fresh process on each tree, two processes
-at a time; the manifests, which carry a timestamp, are not compared.  Exit 0
-when every CSV is byte-identical, 1 when one differs or a run fails.
+at a time; the manifests, which carry a timestamp, are not compared.  For a
+CSV whose bytes differ it prints how many rows differ and the largest
+relative change of `value` and of `std_error` over the rows, or that the rows'
+keys (every other column) differ.  Exit 0 when every CSV is byte-identical, 1
+when one differs or a run fails.
 """
 from __future__ import annotations
 
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -24,6 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (7, 11)
 JUMP_SEEDS = range(7, 15)
+MEASURES = ("value", "std_error")
 
 
 def _workload_configs() -> dict:
@@ -73,6 +80,37 @@ def _run(src: Path, cfg: dict, out_dir: Path) -> bytes | str:
     return (out_dir / f"{cfg['scenario']}.csv").read_bytes()
 
 
+def _relative_change(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if a == 0.0 or not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(b - a) / abs(a)
+
+
+def _describe_change(parent: bytes, child: bytes) -> str:
+    """How the rows of two CSVs of one config differ: the number of rows that
+    differ and the largest relative change of each measure, or that the keys
+    (the header, and every column but the measures, row by row) differ."""
+    tables = [list(csv.reader(io.StringIO(b.decode("utf-8")))) for b in (parent, child)]
+    header = tables[0][0] if tables[0] else []
+    if any(not t or t[0] != header for t in tables) or not set(MEASURES) <= set(header):
+        return "keys differ"
+    at = [header.index(name) for name in MEASURES]
+    rows = [t[1:] for t in tables]
+    keys = [[[v for k, v in enumerate(r) if k not in at] for r in side] for side in rows]
+    if keys[0] != keys[1]:
+        return "keys differ"
+    pairs = list(zip(*rows))
+    worst = [
+        max((_relative_change(float(a[k]), float(b[k])) for a, b in pairs), default=0.0)
+        for k in at
+    ]
+    changes = ", ".join(f"{name} {w:.2g}" for name, w in zip(MEASURES, worst))
+    n_diff = sum(a != b for a, b in pairs)
+    return f"{n_diff} of {len(pairs)} rows differ; largest relative change: {changes}"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python3 tools/compare_csvs.py PARENT_SRC CHILD_SRC", file=sys.stderr)
@@ -97,7 +135,9 @@ def main(argv: list[str]) -> int:
             if isinstance(got, str):
                 print(f"{label}: {side} run failed: {got}", file=sys.stderr)
         if parent != child or isinstance(parent, str):
-            print(f"{label}: CSV bytes differ", file=sys.stderr)
+            both_ran = isinstance(parent, bytes) and isinstance(child, bytes)
+            how = f": {_describe_change(parent, child)}" if both_ran else ""
+            print(f"{label}: CSV bytes differ{how}", file=sys.stderr)
             bad.append(label)
     print(f"{len(runs)} CSVs: " + (f"{len(bad)} differ" if bad else "all byte-identical"))
     return 1 if bad else 0
