@@ -8,8 +8,8 @@ reach on a desk ensemble and are reduced to r = 1: conditional means are
 approximated by unconditional ensemble means (for r = 1 the two families
 coincide; r = infinity facts enter only through analytic closed forms such as
 a stored Brownian bracket).  Every table cell comes from one reduction,
-`_pair_cells`, over a chunk of grid-point pairs at once, and equals the cell
-of a table built row by row bit for bit; `_pair_seminorm` feeds them to
+`_pair_cells`, over a chunk of grid-point pairs at once, and equals
+`lq_norm` of its increment bit for bit; `_pair_seminorm` feeds them to
 `grids._pvar_dp` for every seminorm (and the solver's Picard update
 distances).  There are two exceptions.  The stability remainder's table of
 |means| is built from member-mean contractions in `rsde._remainder_table`,
@@ -22,8 +22,8 @@ a row with a cell where eps (G_ii + G_jj) exceeds `_GRAM_RTOL` times
 G_ii + G_jj - 2 G_ij is rebuilt from pair cells, and a block with a
 non-finite entry or Gram entry is built from them throughout; the guard runs
 by blocks of rows, so beside the product only a block's temporaries live.
-Full O(n^2)
-tables are only built for n <= 2048 as a memory guard.
+Full O(n^2) tables are only built for n <= 2047 (`MAX_TABLE_POINTS` grid
+points) as a memory guard.
 """
 from __future__ import annotations
 
@@ -57,28 +57,27 @@ def lq_norm(samples: np.ndarray, q: float) -> float:
     """
     if not q >= 1:
         raise ValueError(f"lq_norm needs q >= 1, got q={q}")
-    return float(_lq_cells(np.asarray(samples, dtype=float), q, cell_axes=0))
+    return float(_lq_cells(np.asarray(samples, dtype=float)[:, None], q)[0])
 
 
-def _lq_cells(increments: np.ndarray, q: float, cell_axes: int = 1):
-    """||dY||_{L^q(ensemble)} of each cell of (N, *cells, ...) increments,
-    with Euclidean magnitudes across the axes after the `cell_axes` cell
-    axes: the one reduction behind every table cell, and `lq_norm` at
-    cell_axes = 0.  Components are summed, and the member mean runs, on
-    C-order memory, so a cell does not depend on the layout of the
-    increments (a time-major or Fortran-ordered lift's columns give the
-    member-major cells bit for bit).  One component is squared without a
-    copy; the root, the power and the mean (a sum, then one division, as
-    `np.mean` computes it) work in place."""
-    flat = increments.reshape(increments.shape[: 1 + cell_axes] + (-1,))
+def _lq_cells(increments: np.ndarray, q: float):
+    """||dY||_{L^q(ensemble)} of each cell of (N, K, ...) increments, with
+    Euclidean magnitudes across the axes after the cell axis: the one
+    reduction behind every table cell and `lq_norm`.  The squared magnitudes
+    are laid out (K, N) in C order, components summed on C-order memory, so
+    each cell's members are summed pairwise over a contiguous axis, alone or
+    in a chunk, whatever the layout of the increments.  One component is
+    squared without a copy; the root, the power and the mean (a sum, then
+    one division, as `np.mean` computes it) work in place."""
+    flat = increments.reshape(increments.shape[:2] + (-1,))
     if flat.shape[-1] == 1:
-        mags = np.square(flat[..., 0], order="C")
+        mags = np.square(flat[..., 0].T, order="C")
     else:
         flat = np.ascontiguousarray(flat)
-        mags = np.einsum("...d,...d->...", flat, flat)
+        mags = np.einsum("...d,...d->...", flat, flat).T.copy()
     np.sqrt(mags, out=mags)
     mags **= q
-    mean = np.add.reduce(mags, axis=0)
+    mean = np.add.reduce(mags, axis=-1)
     mean /= flat.shape[0]
     return mean ** (1.0 / q)
 
@@ -104,44 +103,33 @@ def _check_args(fn: str, q: float, **exponents):
 
 def _column_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (i, j), 0 <= i < j < m, column by column (j ascending,
-    then i), without the last pair (m-2, m-1): the cells `_pair_seminorm`
-    reduces together.  They depend on m only, so a caller that measures many
-    blocks of the same width builds them once."""
+    then i): the cells `_pair_seminorm` reduces together.  They depend on m
+    only, so a caller that measures many blocks of the same width builds
+    them once."""
     _check_table_size(m)
     jj, ii = np.nonzero(np.tri(m, k=-1, dtype=bool))
-    return ii[:-1], jj[:-1]
+    return ii, jj
 
 
-def _pair_cells(increments, n_members: int, q: float, ii, jj, t: int | None = None):
+def _pair_cells(increments, n_members: int, q: float, ii, jj):
     """Cell k = ||dY_{ii[k], jj[k]}||_{L^q}, increments(i, j) giving the
     (N, K, ...) increments of K pairs, in chunks of `_PAIR_CELL_BUDGET`
-    member-cells of at least two cells: numpy sums an (N, K >= 2) array
-    member by member, as each row of two or more cells of a row-built table.
-    With `t` the last pair (t-1, t) follows, alone on its (N, 1) array
-    (index slices), which numpy sums pairwise, as the table's one-cell row.
-    """
-    cells = np.empty(ii.size + (t is not None))
-    step = max(2, _PAIR_CELL_BUDGET // n_members)
-    a = 0
-    while a < ii.size:
-        # the last chunk takes a lone leftover cell, so no chunk is (N, 1)
-        b = ii.size if a + step >= ii.size - 1 else a + step
-        cells[a:b] = _lq_cells(increments(ii[a:b], jj[a:b]), q)
-        a = b
-    if t is not None:
-        cells[-1:] = _lq_cells(increments(slice(t - 1, t), slice(t, t + 1)), q)
+    member-cells."""
+    cells = np.empty(ii.size)
+    step = max(1, _PAIR_CELL_BUDGET // n_members)
+    for a in range(0, ii.size, step):
+        cells[a : a + step] = _lq_cells(increments(ii[a : a + step], jj[a : a + step]), q)
     return cells
 
 
 def _pair_seminorm(increments, n_members: int, t: int, p: float, q: float, pairs=None):
     """The V^p L^q seminorm over the grid points 0..t of increments(i, j)
-    (see `_pair_cells`), bit for bit the p-variation of the row-built table:
-    the cells of `pairs` = `_column_pairs(t + 1)`, then `grids._pvar_dp`
-    over their columns (a NaN cell gives NaN)."""
+    (see `_pair_cells`): the cells of `pairs` = `_column_pairs(t + 1)`, then
+    `grids._pvar_dp` over their columns (a NaN cell gives NaN)."""
     if t == 0:
         return 0.0
     ii, jj = _column_pairs(t + 1) if pairs is None else pairs
-    powers = (_pair_cells(increments, n_members, q, ii, jj, t) ** p).tolist()
+    powers = (_pair_cells(increments, n_members, q, ii, jj) ** p).tolist()
     # column j holds the pairs (0..j-1, j), from position j (j - 1) / 2 on
     columns = (powers[j * (j - 1) // 2 : j * (j + 1) // 2] for j in range(1, t + 1))
     *_, best = _pvar_dp(columns)
@@ -216,15 +204,9 @@ def lq_table(values: np.ndarray, q: float) -> np.ndarray:
     # a single path keeps its exact differences: |x_v - x_u| from pair cells
     gram = _gram_table(block) if q == 2.0 and block.shape[0] >= 2 else None
     out, rows = (np.zeros((m, m)), np.arange(m - 1)) if gram is None else gram
-    last = rows.size > 0 and rows[-1] == m - 2  # row m-2's one cell goes last
-    at, jj = np.nonzero(np.arange(m) > rows[: rows.size - last, None])
+    at, jj = np.nonzero(np.arange(m) > rows[:, None])
     ii = rows[at]
-    cells = _pair_cells(
-        lambda i, j: block[:, j] - block[:, i], block.shape[0], q, ii, jj, m - 1 if last else None
-    )
-    out[ii, jj] = cells[: ii.size]
-    if last:
-        out[m - 2, m - 1] = cells[-1]
+    out[ii, jj] = _pair_cells(lambda i, j: block[:, j] - block[:, i], block.shape[0], q, ii, jj)
     return out
 
 
@@ -233,8 +215,7 @@ two_param_seminorm = p_variation
 
 
 def vp_lq_seminorm(values: np.ndarray, p: float, q: float) -> float:
-    """||Y||_{p,q}: p-variation of the L^q increment table, by `_pair_seminorm`
-    (bit for bit the row-built table, at every q)."""
+    """||Y||_{p,q}: p-variation of the L^q increment table, by `_pair_seminorm`."""
     v = np.ascontiguousarray(values, dtype=float)  # as in `lq_table`
     _check_args("vp_lq_seminorm", q, p=p)
     return _pair_seminorm(lambda i, j: v[:, j] - v[:, i], v.shape[0], v.shape[1] - 1, p, q)

@@ -444,18 +444,14 @@ def _plan_windows(lift, mart, p, q) -> list[tuple[int, int]]:
     member-cells, reduced ahead from the first window that reads the lag, so
     one call serves the columns of many short windows.  The cells of a
     longer lag, read by long windows only, come from one slice of the column
-    per grid point.  Every call but one reduces two or more cells, which
-    numpy sums member by member, as a column of two or more cells (a lone
-    cell is reduced next to a copy of itself).  The one call is a window's
-    first column, its one cell (s, s+1), reduced alone on its (N, 1) array,
-    which numpy sums pairwise, as the column does.  So every cell the DP
-    reads is bit for bit the cell of the column it stands in (the
-    column-by-column planner, `tests/oracles.plan_windows_by_columns`), and
-    no diagonal or column cell is reduced twice.
+    per grid point.  No diagonal or column cell is reduced twice, and each
+    is `lq_norm` of its increment bit for bit, so every cell the DP reads is
+    the cell of the column-by-column planner
+    (`tests/oracles.plan_windows_by_columns`).
     """
     n = lift.grid.n_steps
     times, x = lift.grid.times, lift.path.values
-    step = max(2, _PAIR_CELL_BUDGET // x.shape[0])
+    step = max(1, _PAIR_CELL_BUDGET // x.shape[0])
     # (increments dY_{i,j} of index slices i and j, a table's q, its p)
     tables = [
         (lambda i, j: x[:, j] - x[:, i], q, p),
@@ -475,26 +471,22 @@ def _plan_windows(lift, mart, p, q) -> list[tuple[int, int]]:
         flat = band.reshape(-1)
         reach = list(range(band.shape[0]))
 
-        def powered(i, j, size):
-            inc = increments(i, j)
-            if size == 1:  # a lone cell, summed as in a column of two or more
-                inc = np.concatenate([inc, inc], axis=1)
-            return _lq_cells(inc, r)[:size] ** pw
+        def powered(i, j):
+            return _lq_cells(increments(i, j), r) ** pw
 
         def columns(s):
-            yield (_lq_cells(increments(slice(s, s + 1), slice(s + 1, s + 2)), r) ** pw).tolist()
-            for u in range(s + 2, n + 1):
+            for u in range(s + 1, n + 1):
                 lags = min(u - s, _PLAN_LAGS)
                 if min(reach[1 : lags + 1]) <= u:
                     for lag in range(1, lags + 1):
                         if reach[lag] <= u:  # the lag's next chunk
                             a = max(reach[lag] - lag, s)
                             b = min(n + 1 - lag, a + step)
-                            band[lag, a:b] = powered(slice(a, b), slice(a + lag, b + lag), b - a)
+                            band[lag, a:b] = powered(slice(a, b), slice(a + lag, b + lag))
                             reach[lag] = b + lag
                 column = flat[u + lags * n : u : -n].tolist()
                 if u - s > lags:
-                    column[:0] = powered(slice(s, u - lags), slice(u, u + 1), u - s - lags).tolist()
+                    column[:0] = powered(slice(s, u - lags), slice(u, u + 1)).tolist()
                 yield column
 
         return columns
@@ -544,8 +536,8 @@ def picard_solve(
     keeps the last iterate).  The seminorm reduces all cells of an update at
     once over the window's grid-point pairs, which are built once per window
     when its first full distance is taken (the cells change every
-    iteration), and equals the row-built table's seminorm bit for bit at
-    every q (`norms._pair_seminorm`).  The end term is taken first, from
+    iteration), each cell `lq_norm` of its increment bit for bit
+    (`norms._pair_seminorm`).  The end term is taken first, from
     the update's last row: while it is at or above `tol` the distance cannot
     fall below it, so the update is not gathered, the seminorm is skipped
     and the iteration goes on.

@@ -57,9 +57,9 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            known = ", ".join(sorted(SCENARIOS))
-            raise ValueError(f"unknown scenario {self.scenario!r} (known: {known})")
+        _check_scenario(self.scenario)
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a string or null, got {self.out_dir!r}")
         for name, low in (("n", 2), ("levels", 1), ("ensemble", 1), ("seed", 0)):
             _check_integer(name, getattr(self, name), low)
         known = _PARAMS.get(self.scenario, ())
@@ -112,6 +112,14 @@ _MEMBER_CAP = {"chen_check": 64, "jump_structure": 32, "smooth_exponential": 1}
 #: windows: above this a derived array such as a d = 2 lift's (N, 2n+1, 2, 2)
 #: prefix terms takes more than np.intp can count in bytes, and numpy refuses it
 _MAX_CELLS = np.iinfo(np.intp).max // 64
+
+
+def _check_scenario(name):
+    if not isinstance(name, str):
+        raise ValueError(f"scenario must be a string, got {name!r}")
+    if name not in SCENARIOS:
+        known = ", ".join(sorted(SCENARIOS))
+        raise ValueError(f"unknown scenario {name!r} (known: {known})")
 
 
 def _check_integer(name, v, low):
@@ -731,7 +739,8 @@ DEFAULT_SIZES = {
 
 
 def default_config(scenario: str, **overrides) -> ExperimentConfig:
-    kw = dict(DEFAULT_SIZES.get(scenario, {}))
+    _check_scenario(scenario)
+    kw = dict(DEFAULT_SIZES[scenario])
     kw.update(overrides)
     return ExperimentConfig(scenario=scenario, **kw)
 

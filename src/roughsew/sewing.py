@@ -165,8 +165,9 @@ def default_controls(germ: Germ, grid: TimeGrid) -> list[Callable[[int, int], np
     partitions are deterministic and shared by all members.  Controls are
     row functions (see `grids`).  Each input array gets one control, built
     once, but the list holds it once per control key: `ito_germ(b, b)`
-    gives [time, w_b, w_b], so the midpoint walk cycles w_b twice.  Its first two entries are the list of
-    `qv_germ(b)`, whose one control key is b.
+    gives [time, w_b, w_b], so the midpoint walk cycles w_b twice.  Its
+    first two entries are the list of `qv_germ(b)`, whose one control key
+    is b.
     """
     controls = [time_control(grid)]
     by_array: dict[int, Callable[[int, int], np.ndarray]] = {}

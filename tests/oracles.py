@@ -205,13 +205,13 @@ def _lq_of_members(x, q):
     return np.mean(mags**q) ** (1.0 / q)
 
 
-def lq_cells_mean(increments, q, cell_axes=1):
-    """The L^q cells of (N, *cells, ...) increments as the package once
-    reduced them: one einsum for the squared magnitudes, fresh arrays for
-    the root and the power, and `np.mean` over members on C-order memory."""
-    flat = increments.reshape(increments.shape[: 1 + cell_axes] + (-1,))
+def lq_cells_mean(increments, q):
+    """The L^q cells of (N, K, ...) increments: one einsum for the squared
+    magnitudes, fresh arrays for the root and the power, and `np.mean` of
+    each cell's members over a contiguous member axis, with an array root."""
+    flat = increments.reshape(increments.shape[:2] + (-1,))
     mags = np.sqrt(np.einsum("...d,...d->...", flat, flat))
-    return np.mean(np.ascontiguousarray(mags**q), axis=0) ** (1.0 / q)
+    return np.mean(np.ascontiguousarray((mags**q).T), axis=-1) ** (1.0 / q)
 
 
 def lq_table_rows(values, q, s=0, t=None):
@@ -232,17 +232,13 @@ def magnitude_table(row, m, q):
 
     row(i) returns the increments dY_{i, i+1..m-1}, shape (N, m-1-i, ...);
     out[i, j] = ||dY_{i,j}||_{L^q(ensemble)} for i < j, zeros elsewhere, with
-    Euclidean magnitudes across the trailing axes.  Each row is one member
-    mean on C-order memory, so numpy sums a row of two or more cells member
-    by member and the one cell of row m-2 pairwise: the package's pair cells
-    must match it bit for bit.
+    Euclidean magnitudes across the trailing axes.  Each row is one
+    `lq_cells_mean` call, which sums every cell's members over a contiguous
+    axis: the package's pair cells must match it bit for bit.
     """
     out = np.zeros((m, m))
     for i in range(m - 1):
-        r = row(i)
-        flat = r.reshape(r.shape[:2] + (-1,))
-        mags = np.sqrt(np.einsum("...d,...d->...", flat, flat))
-        out[i, i + 1 :] = np.mean(np.ascontiguousarray(mags**q), axis=0) ** (1.0 / q)
+        out[i, i + 1 :] = lq_cells_mean(row(i), q)
     return out
 
 
@@ -255,13 +251,8 @@ def pair_rows(increments, s, t):
 
 def shifted_increments(increments, s):
     """increments(i, j) of the window that starts at grid point s, for a
-    seminorm that reads grid points 0..t - s: index arrays and slices (the
-    last pair of the package's pair cells) shifted by s."""
-
-    def shift(k):
-        return slice(k.start + s, k.stop + s) if isinstance(k, slice) else k + s
-
-    return lambda i, j: increments(shift(i), shift(j))
+    seminorm that reads grid points 0..t - s: index arrays shifted by s."""
+    return lambda i, j: increments(i + s, j + s)
 
 
 def second_rows(lift, s, t):

@@ -91,6 +91,10 @@ def test_run_uses_config_out_dir_when_no_flag(tmp_path):
     [
         {"n": 64},  # no scenario key
         {"scenario": "not_a_scenario"},
+        {"scenario": ["chen_check"]},
+        {"scenario": {"name": "chen_check"}},
+        # read only without --out, which the run below leaves off for it
+        {"scenario": "chen_check", "out_dir": 5},
         {"scenario": "chen_check", "bogus_key": 1},
         {"scenario": "chen_check", "params": "not-an-object"},
         {"scenario": "chen_check", "n": "64"},
@@ -131,9 +135,11 @@ def test_run_uses_config_out_dir_when_no_flag(tmp_path):
         {"scenario": "chen_check", "params": {"triples": 2**62}},
     ],
 )
-def test_run_rejects_bad_configs(tmp_path, capsys, body):
+def test_run_rejects_bad_configs(tmp_path, monkeypatch, capsys, body):
     cfg = _write_config(tmp_path, **body)
-    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+    monkeypatch.chdir(tmp_path)  # where a run without --out would write
+    out = [] if "out_dir" in body else ["--out", str(tmp_path / "out")]
+    assert main(["run", cfg, *out]) == 1
     err = capsys.readouterr().err
     # one line, no traceback
     assert err.startswith("roughsew run: bad config:") and err.count("\n") == 1

@@ -83,29 +83,30 @@ def test_lq_cells_do_not_depend_on_memory_layout(q):
 @pytest.mark.parametrize("q", [1.0, 2.0, 2.5, 4.0])
 @pytest.mark.parametrize("dim", [1, 3, 9])
 def test_lq_cells_equal_the_mean_reduction_bitwise(dim, q):
-    # the in-place reduction against the einsum/np.mean body it replaced, on
-    # random shapes with signed zeros, NaN and infinities among the entries;
-    # from d = 2 on the components are summed on C-order memory, so every
-    # layout gives the C-ordered input's old cells
+    # the in-place reduction, and `lq_norm` on its one-cell array, against
+    # the einsum/np.mean oracle on random shapes with signed zeros, NaN and
+    # infinities among the entries; from d = 2 on the components are summed
+    # on C-order memory, so every layout gives the C-ordered input's cells
     rng = np.random.default_rng(int(10 * q) + dim)
     specials = [None, [0.0, -0.0], [0.0, -0.0, np.inf, -np.inf], [np.nan, -0.0]]
     for case in range(16):
         n_members, n_cells = int(rng.integers(1, 301)), int(rng.integers(1, 41))
-        for cell_axes in (0, 1):
-            shape = (n_members, n_cells)[: 1 + cell_axes] + (dim,)
-            x = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4)
-            if specials[case % 4] is not None:
-                at = rng.random(shape) < 0.01 * (1 + case % 5)
-                x[at] = rng.choice(specials[case % 4], size=int(at.sum()))
-            inputs = [x] + ([x[..., 0]] if dim == 1 and cell_axes else [])
-            for c_order in inputs:
-                want = np.asarray(lq_cells_mean(c_order, q, cell_axes)).tobytes()
-                for layout in (np.ascontiguousarray, np.asfortranarray):
-                    got = _lq_cells(layout(c_order), q, cell_axes)
-                    assert np.asarray(got).tobytes() == want, (case, cell_axes, layout)
-                    if dim == 1:
-                        old = lq_cells_mean(layout(c_order), q, cell_axes)
-                        assert np.asarray(old).tobytes() == want
+        shape = (n_members, n_cells, dim)
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4)
+        if specials[case % 4] is not None:
+            at = rng.random(shape) < 0.01 * (1 + case % 5)
+            x[at] = rng.choice(specials[case % 4], size=int(at.sum()))
+        inputs = [x] + ([x[..., 0]] if dim == 1 else [])
+        for c_order in inputs:
+            want = np.asarray(lq_cells_mean(c_order, q)).tobytes()
+            lone = np.asarray(lq_cells_mean(c_order[:, :1], q)).tobytes()
+            for layout in (np.ascontiguousarray, np.asfortranarray):
+                got = _lq_cells(layout(c_order), q)
+                assert np.asarray(got).tobytes() == want, (case, layout)
+                assert np.float64(lq_norm(layout(c_order[:, 0]), q)).tobytes() == lone
+                if dim == 1:
+                    old = lq_cells_mean(layout(c_order), q)
+                    assert np.asarray(old).tobytes() == want
 
 
 def test_lq_norm_validation():
@@ -467,21 +468,46 @@ def test_pair_seminorm_equals_the_row_builder_bitwise(p, q):
 
 
 def test_pair_seminorm_is_bitwise_in_chunks(monkeypatch):
-    # chunks of two, three and five cells give the one-call cells (a chunk
-    # of one cell would sum its 256 members pairwise)
+    # chunks of one, two, three and five cells give the one-call cells
     x = np.cumsum(np.random.default_rng(5).standard_normal((256, 20)), axis=1)
     want = [_pair_seminorm(_differences(x), 256, m - 1, 2.0, 4.0) for m in range(2, 21)]
-    for budget in (0, 3 * 256, 5 * 256):
+    for budget in (256, 2 * 256, 3 * 256, 5 * 256):
         monkeypatch.setattr(norms, "_PAIR_CELL_BUDGET", budget)
         got = [_pair_seminorm(_differences(x), 256, m - 1, 2.0, 4.0) for m in range(2, 21)]
         assert got == want
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n_members", [1, 2, 5, 256, 10_000])
+def test_every_pair_cell_is_lq_norm_of_its_increment_bitwise(monkeypatch, n_members, dim):
+    # lq_table's cells (off the Gram path) and the powered cells
+    # `_pair_seminorm` hands to the DP, against lq_norm(Y_j - Y_i, q); 10 000
+    # members exceed numpy's 8192-element reduction buffer and make chunks
+    # of one cell.  The last member is an outlier, and a NaN and an inf
+    # member stand at two grid points
+    rng = np.random.default_rng(10 * n_members + dim)
+    m = 6 if n_members == 10_000 else 12
+    x = np.cumsum(rng.standard_normal((n_members, m, dim)), axis=1)
+    x[-1] *= 1e6
+    x[0, 3, -1], x[-1, 8 % m, 0] = np.nan, np.inf
+    ii, jj = _column_pairs(m)
+    dp_columns = []
+    monkeypatch.setattr(norms, "_pvar_dp", lambda cols: dp_columns.extend(cols) or [0.0])
+    with np.errstate(invalid="ignore", over="ignore"):
+        for q, p in [(1.0, 2.0), (2.5, 3.0), (3.0, 2.5), (4.0, 2.0)]:
+            want = np.array([lq_norm(x[:, j] - x[:, i], q) for i, j in zip(ii, jj)])
+            assert np.isnan(want).any() and np.isinf(want).any()
+            assert lq_table(x, q)[ii, jj].tobytes() == want.tobytes(), q
+            dp_columns.clear()
+            _pair_seminorm(_differences(x), n_members, m - 1, p, q)
+            assert np.array([c for col in dp_columns for c in col]).tobytes() == (want**p).tobytes()
+
+
 def test_column_pairs_run_column_by_column():
     ii, jj = _column_pairs(4)
-    # (0,1) | (0,2) (1,2) | (0,3) (1,3), then the last pair (2,3) alone
-    assert ii.tolist() == [0, 0, 1, 0, 1] and jj.tolist() == [1, 2, 2, 3, 3]
-    assert [a.size for a in _column_pairs(2)] == [0, 0]
+    # (0,1) | (0,2) (1,2) | (0,3) (1,3) (2,3)
+    assert ii.tolist() == [0, 0, 1, 0, 1, 2] and jj.tolist() == [1, 2, 2, 3, 3, 3]
+    assert [a.tolist() for a in _column_pairs(2)] == [[0], [1]]
     with pytest.raises(ValueError, match="O\\(n\\^2\\) table"):
         _column_pairs(MAX_TABLE_POINTS + 1)
 

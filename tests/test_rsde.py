@@ -830,10 +830,10 @@ def test_plan_windows_count_a_nan_control_as_over_threshold():
 
 
 def test_plan_windows_reduce_each_cell_once(monkeypatch):
-    # the second-level table's reductions, seen through `lift.second`: one
-    # lone first cell (s, s+1) per window; every other reduction is a slice
-    # of one lag <= `_PLAN_LAGS` of at most a chunk of cells, or a slice of
-    # one column holding the longer lags; no cell is reduced twice, and
+    # the second-level table's reductions, seen through `lift.second`: each
+    # is a slice of one lag <= `_PLAN_LAGS` of at most a chunk of cells, or
+    # a slice of one column holding the longer lags; no cell is reduced
+    # twice, no call reduces a window's first cell (s, s+1) alone, and
     # every cell of every column a window reads is reduced.  A window that
     # ends before n also reads the column of the first point over the
     # threshold, unless that point is its own single step.  Lags up to 4 and
@@ -856,13 +856,11 @@ def test_plan_windows_reduce_each_cell_once(monkeypatch):
 
     monkeypatch.setattr(lift, "second", recorded)
     windows = _plan_windows(lift, mart, 2.0, 4.0)
-    firsts = [(s, s + 1) for s, _ in windows]
-    lone = [c for c in calls if len(c) == 1 and c[0] in firsts]
-    assert sorted(c[0] for c in lone) == firsts
-    rest = [c for c in calls if c not in lone]
-    cells = [cell for c in rest for cell in c]
+    firsts = {(s, s + 1) for s, _ in windows}
+    assert not [c for c in calls if len(c) == 1 and c[0] in firsts]
+    cells = [cell for c in calls for cell in c]
     assert len(set(cells)) == len(cells)
-    for c in rest:
+    for c in calls:
         lags = {j - i for i, j in c}
         if min(lags) <= 4:  # a slice of one lag
             assert len(lags) == 1 and len(c) <= 8
@@ -874,12 +872,12 @@ def test_plan_windows_reduce_each_cell_once(monkeypatch):
     for s, t in windows:
         over = window_control(lift, mart, 2.0, 4.0, s, s + 1)[0] > _WINDOW_THRESHOLD
         end = t + 1 if t < n and not over else t
-        read |= {(i, u) for u in range(s + 2, end + 1) for i in range(s, u)}
+        read |= {(i, u) for u in range(s + 1, end + 1) for i in range(s, u)}
     assert read <= set(cells)
     assert any(t < n for _, t in windows[:-1])
     assert max(t - s for s, t in windows) > 4
-    assert any(len(c) > 1 and c[0][1] == c[1][1] for c in rest)
-    assert max(sum(j - i == lag for c in rest for i, j in c[:1]) for lag in range(1, 5)) > 1
+    assert any(len(c) > 1 and c[0][1] == c[1][1] for c in calls)
+    assert max(sum(j - i == lag for c in calls for i, j in c[:1]) for lag in range(1, 5)) > 1
 
 
 def _planner_reads(planner, *args):
