@@ -1,7 +1,8 @@
 """Controlled paths, composition, brackets, and the Ito formula on grids.
 
 A controlled path (Y, Y') carries its Gubinelli derivative against a fixed
-lift; remainders are R_{s,t} = dY_{s,t} - Y'_s dX_{s,t}.  Brackets are sewn
+lift, values (N, n+1, m) and derivative (N, n+1, m, d) and no other form;
+remainders are R_{s,t} = dY_{s,t} - Y'_s dX_{s,t}.  Brackets are sewn
 from the germ  dY (x) dZ - 2 (Y' (x) Z') Sym(XX),  and the Ito formula's jump
 compensation runs over the lift's declared jump times with left limits at the
 previous grid point.  Moment hygiene: bracket statistics want q >= 4; the ops
@@ -47,14 +48,10 @@ class ControlledPath:
     derivative: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim == 2:
-            v = v[:, :, None]
-        self.values = v
-        dv = np.asarray(self.derivative, dtype=float)
-        if dv.ndim == v.ndim - 1:
-            dv = dv[..., None]
-        self.derivative = dv
+        self.values = np.asarray(self.values, dtype=float)
+        self.derivative = np.asarray(self.derivative, dtype=float)
+        if self.values.ndim != 3 or self.derivative.ndim != 4:
+            raise ValueError("values must have shape (N, n+1, m) and derivative (N, n+1, m, d)")
 
     @property
     def n_channels(self) -> int:
@@ -74,18 +71,11 @@ def controlled_from_lift(lift: RoughLift) -> ControlledPath:
     return ControlledPath(lift=lift, values=lift.path.values, derivative=ident)
 
 
-def constant_controlled(lift: RoughLift, value: float | np.ndarray) -> ControlledPath:
-    """(c, 0): a constant (or adapted, derivative-free) controlled path."""
-    v = np.asarray(value, dtype=float)
-    n1 = lift.grid.n_steps + 1
-    if v.ndim == 0:
-        vals = np.full((1, n1, 1), float(v))
-    elif v.ndim == 2:  # already (N, n+1)
-        vals = v[:, :, None]
-    else:
-        vals = v
-    deriv = np.zeros(vals.shape + (lift.dim,))
-    return ControlledPath(lift=lift, values=vals, derivative=deriv)
+def constant_controlled(lift: RoughLift, values: np.ndarray) -> ControlledPath:
+    """(Y, 0): the adapted, derivative-free single-channel controlled path of
+    the (N, n+1) `values`."""
+    vals = np.asarray(values, dtype=float)[..., None]
+    return ControlledPath(lift=lift, values=vals, derivative=np.zeros(vals.shape + (lift.dim,)))
 
 
 # ---------------------------------------------------------------------------
@@ -127,18 +117,8 @@ class _Affine:
         return self.a * y + self.c
 
 
-def _poly_derivatives(coeffs):
-    c = np.asarray(coeffs, dtype=float)  # c[k] multiplies y^k
-    d1 = c[1:] * np.arange(1, c.size)
-    d2 = d1[1:] * np.arange(1, d1.size) if d1.size > 1 else np.zeros(1)
-    return c, d1, d2
-
-
-def _poly_eval(c, y):
-    out = np.zeros_like(np.asarray(y, dtype=float))
-    for k in range(c.size - 1, -1, -1):
-        out = out * y + c[k]
-    return out
+#: the clipped square freezes outside (-_CLIP, _CLIP)
+_CLIP = 16.0
 
 
 # the parameters each `smooth_fn` entry reads
@@ -146,7 +126,7 @@ _SMOOTH_PARAMS = {
     "linear": ("a", "c"),
     "sin_bundle": ("a", "b", "c"),
     "tanh_affine": ("a", "b", "c"),
-    "polynomial_clipped": ("coeffs", "r"),
+    "clipped_square": (),
 }
 
 
@@ -156,16 +136,16 @@ def smooth_fn(name: str, **params) -> SmoothFn:
     - linear(a=1.0, c=0.0):            a*y + c  (unbounded)
     - sin_bundle(a=1.0, b=1.0, c=0.0): a*sin(b*y + c)
     - tanh_affine(a=1.0, b=1.0, c=0.0): a*tanh(b*y) + c
-    - polynomial_clipped(coeffs=(0,0,1), r=16.0): P(clip(y, -r, r))
+    - clipped_square():                clip(y, -16, 16)^2
 
-    Each carries exact df/d2f evaluators; the clipped entries are exact inside
-    (-r, r) and freeze outside, which keeps their C^3 data finite.  A
+    Each carries exact df/d2f evaluators; the clipped square is exact inside
+    (-16, 16) and freezes outside, which keeps its C^3 data finite.  A
     parameter the entry does not read is refused.
     """
     known = _SMOOTH_PARAMS.get(name, params)
     for key in params:
         if key not in known:
-            reads = ", ".join(known)
+            reads = ", ".join(known) or "nothing"
             raise ValueError(f"smooth_fn {name!r} does not read {key} (it reads: {reads})")
     if name == "linear":
         a, c = params.get("a", 1.0), params.get("c", 0.0)
@@ -193,23 +173,19 @@ def smooth_fn(name: str, **params) -> SmoothFn:
             return -2.0 * a * b * b * th * (1.0 - th * th)
 
         return SmoothFn(_f, _df, _d2f)
-    if name == "polynomial_clipped":
-        coeffs = params.get("coeffs", (0.0, 0.0, 1.0))
-        r = params.get("r", 16.0)
-        c, d1, d2 = _poly_derivatives(coeffs)
-
-        def _f(y):
-            return _poly_eval(c, np.clip(y, -r, r))
+    if name == "clipped_square":
+        # Horner's rule at the clipped y, bit for bit: its + 0.0 maps -0.0 to
+        # 0.0, and its 0.0 y carries a NaN into the constant d2f
 
         def _df(y):
             y = np.asarray(y, dtype=float)
-            return _poly_eval(d1, np.clip(y, -r, r)) * (np.abs(y) < r)
+            return (2.0 * np.clip(y, -_CLIP, _CLIP) + 0.0) * (np.abs(y) < _CLIP)
 
         def _d2f(y):
             y = np.asarray(y, dtype=float)
-            return _poly_eval(d2, np.clip(y, -r, r)) * (np.abs(y) < r)
+            return (0.0 * np.clip(y, -_CLIP, _CLIP) + 2.0) * (np.abs(y) < _CLIP)
 
-        return SmoothFn(_f, _df, _d2f)
+        return SmoothFn(lambda y: np.square(np.clip(y, -_CLIP, _CLIP)), _df, _d2f)
     raise ValueError(f"unknown smooth function {name!r}")
 
 

@@ -8,8 +8,9 @@ Paths and ensembles
 * A time grid has n + 1 points ``t_0 = 0 < ... < t_n = T``.
 * An ensemble of N paths in R^d is an array of shape ``(N, n + 1, d)``.
   Deterministic data may use N = 1 and broadcast.
-* Scalar-valued processes (integrals, controlled scalars) drop the trailing
-  axis: shape ``(N, n + 1)``.
+* Scalar-valued processes (integrals, the values ``constant_controlled``
+  takes) drop the trailing axis: shape ``(N, n + 1)``.  A controlled path
+  keeps its channel axis (see below).
 
 Second level of a rough path
 ----------------------------
@@ -25,8 +26,9 @@ them on first use, and reconstruct any window in O(1) via Chen.
 
 Controlled paths
 ----------------
-A controlled path with values in R^m carries a Gubinelli derivative of shape
-``(..., m, d)`` whose LAST axis is the controlling direction:
+A controlled path with values ``(N, n + 1, m)`` in R^m carries a Gubinelli
+derivative of shape ``(N, n + 1, m, d)`` whose LAST axis is the controlling
+direction:
 
     dY_{s,t} = Y'_s . dX_{s,t} + R_{s,t}        (contract the last axis).
 

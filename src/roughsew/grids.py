@@ -41,6 +41,8 @@ class TimeGrid:
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or t.size < 2:
             raise ValueError("grid needs at least two points")
+        if not np.isfinite(t).all():
+            raise ValueError("grid times must be finite")
         if abs(t[0]) > TIME_TOL:
             raise ValueError("grid must start at 0")
         if np.any(np.diff(t) <= 0):

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .conventions import outer_increment
 from .grids import _pvar_dp, p_variation
 from .paths import RoughLift
 
@@ -254,7 +255,7 @@ def chen_residual(lift: RoughLift, s: int, u: int, t: int) -> float:
     dxsu = x[:, u, :] - x[:, s, :]
     dxut = x[:, t, :] - x[:, u, :]
     lhs = lift.second(s, t)
-    rhs = lift.second(s, u) + lift.second(u, t) + np.einsum("nj,nk->njk", dxsu, dxut)
+    rhs = lift.second(s, u) + lift.second(u, t) + outer_increment(dxsu, dxut)
     defect = np.sqrt(np.sum((lhs - rhs) ** 2, axis=(-1, -2)))
     scale = 1.0 + np.sqrt(np.sum(lhs**2, axis=(-1, -2)))
     return float(np.max(defect / scale))

@@ -1,9 +1,15 @@
 """Sample paths, martingales, and rough-path lifts with jumps.
 
 Paths are ensembles: `values` has shape (N, n+1, d) on a shared grid.  Jump
-times are grid members; `jump_indices` lists them and `left_values` stores the
-state immediately before each jump (for piecewise-constant paths this is the
-value at the previous grid point, bit for bit).
+times are grid members; `jump_indices` lists them and `left_values`, shape
+(N, J, d), stores the state immediately before each jump (for
+piecewise-constant paths this is the value at the previous grid point, bit
+for bit).  A martingale always carries its bracket.
+
+The Brownian driver is standard: unit volatility, drawn on the uniform grid
+of n steps, with bracket I t.  The smooth drivers are sampled on that grid
+too; the mixed driver's jump times come in by a Brownian bridge
+(`_bridged`).
 
 A lift stores its second level on each grid step, XX_{t_k, t_{k+1}}, plus the
 jumps Delta XX of the second level itself.  That fixes every window: on first
@@ -47,8 +53,6 @@ class SamplePath:
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.ndim == 2:
-            v = v[:, :, None]
         if v.ndim != 3 or v.shape[1] != self.grid.n_steps + 1:
             raise ValueError("values must have shape (N, n+1, d)")
         self.values = v
@@ -60,7 +64,13 @@ class SamplePath:
         if self.left_values is None and self.jump_indices.size:
             self.left_values = v[:, self.jump_indices - 1, :].copy()
         if self.left_values is not None:
-            self.left_values = np.asarray(self.left_values, dtype=float)
+            left = np.asarray(self.left_values, dtype=float)
+            want = (v.shape[0], self.jump_indices.size, v.shape[2])
+            if left.shape != want:
+                raise ValueError(
+                    f"left_values must have shape (N, J, d) = {want}, got {left.shape}"
+                )
+            self.left_values = left
 
     @property
     def n_members(self) -> int:
@@ -82,25 +92,22 @@ class SamplePath:
 
 @dataclass
 class MartingalePath(SamplePath):
-    """A path ensemble together with its (optional) predictable bracket.
+    """A path ensemble together with its predictable bracket.
 
     bracket: (Nb, n+1, d, d) with Nb in {1, N}; [M]_t sampled at grid points.
-    Deterministic brackets (e.g. vol vol^T t for Brownian motion) use Nb = 1.
+    Deterministic brackets (e.g. I t for Brownian motion) use Nb = 1.
     """
 
-    bracket: np.ndarray | None = None
+    bracket: np.ndarray = field(kw_only=True)
 
     def __post_init__(self):
         super().__post_init__()
-        if self.bracket is not None:
-            b = np.asarray(self.bracket, dtype=float)
-            if b.ndim != 4 or b.shape[1] != self.grid.n_steps + 1:
-                raise ValueError("bracket must have shape (Nb, n+1, d, d)")
-            self.bracket = b
+        b = np.asarray(self.bracket, dtype=float)
+        if b.ndim != 4 or b.shape[1] != self.grid.n_steps + 1:
+            raise ValueError("bracket must have shape (Nb, n+1, d, d)")
+        self.bracket = b
 
     def bracket_increments(self) -> np.ndarray:
-        if self.bracket is None:
-            raise ValueError("no bracket stored")
         return np.diff(self.bracket, axis=1)
 
 
@@ -169,18 +176,14 @@ class RoughLift:
     def second(self, s, t) -> np.ndarray:
         """XX_{s,t} via Chen from the prefix, shape (N, d, d).
 
-        Either end, or both, may also be an index array or a slice: the
-        windows then run along a new axis, (N, k, d, d), with a scalar end
-        broadcast over them, and entry k equals the scalar window bit for bit.
+        Both ends may also be index arrays or slices of one length k: the
+        windows then run along a new axis, (N, k, d, d), and entry k equals
+        the scalar window bit for bit.
         """
         x, pre = self.path.values, self.second_prefix
-        x_s, x_t, pre_s, pre_t = x[:, s], x[:, t], pre[:, s], pre[:, t]
-        if x_s.ndim < x_t.ndim:  # broadcast the scalar end's terms over the windows
-            x_s, pre_s = x_s[:, None], pre_s[:, None]
-        elif x_t.ndim < x_s.ndim:
-            x_t, pre_t = x_t[:, None], pre_t[:, None]
+        x_s, x_t = x[:, s], x[:, t]
         x_0 = x[:, 0] if x_s.ndim == 2 else x[:, :1]
-        return pre_t - pre_s - outer_increment(x_s - x_0, x_t - x_s)
+        return pre[:, t] - pre[:, s] - outer_increment(x_s - x_0, x_t - x_s)
 
 
 # ---------------------------------------------------------------------------
@@ -189,24 +192,18 @@ class RoughLift:
 
 
 def simulate_brownian(
-    T: float,
-    n: int,
-    seed: int,
-    n_members: int = 1,
-    dim: int = 1,
-    vol: np.ndarray | float = 1.0,
-    grid: TimeGrid | None = None,
+    T: float, n: int, seed: int, n_members: int = 1, dim: int = 1
 ) -> MartingalePath:
-    """Brownian ensemble B_t = vol . W_t on a uniform (or supplied) grid.
+    """Standard Brownian ensemble W on the uniform grid of n steps on [0, T].
 
-    The bracket vol vol^T t is stored analytically with a broadcast member
-    axis.  Increments are drawn in one member-major call from the stream
+    The bracket I t is stored analytically with a broadcast member axis.
+    Increments are drawn in one member-major call from the stream
     (seed, "brownian"): the one-block case of `_brownian_blocks`.
     """
-    return next(_brownian_blocks(max(n_members, 1), T, n, seed, n_members, dim, vol, grid))
+    return next(_brownian_blocks(max(n_members, 1), T, n, seed, n_members, dim))
 
 
-def _brownian_blocks(rows, T, n, seed, n_members=1, dim=1, vol=1.0, grid=None):
+def _brownian_blocks(rows, T, n, seed, n_members=1, dim=1):
     """The ensemble of `simulate_brownian` as consecutive blocks of `rows`
     members (the last may be shorter), each a MartingalePath on the full grid.
 
@@ -214,22 +211,21 @@ def _brownian_blocks(rows, T, n, seed, n_members=1, dim=1, vol=1.0, grid=None):
     (seed, "brownian", dim, n_members), so the blocks stacked in order equal
     the whole ensemble bit for bit (see `rng`).
     """
-    grid = grid if grid is not None else make_uniform_grid(T, n)
-    volm = np.eye(dim) * vol if np.ndim(vol) == 0 else np.asarray(vol, dtype=float)
+    grid = make_uniform_grid(T, n)
     rng = stream(seed, "brownian", dim, n_members)
     sqrt_dt = np.sqrt(grid.steps())[None, :, None]
-    bracket = _brownian_bracket(volm, grid.times)
+    bracket = _brownian_bracket(dim, grid.times)
     for lo in range(0, max(n_members, 1), rows):
         yield MartingalePath(
             grid=grid,
-            values=_brownian_values(rng, min(rows, n_members - lo), dim, sqrt_dt, volm),
+            values=_brownian_values(rng, min(rows, n_members - lo), dim, sqrt_dt),
             bracket=bracket,
         )
 
 
-def _brownian_bracket(volm, times) -> np.ndarray:
-    """[B]_t = vol vol^T t at `times`, shape (1, n+1, d, d)."""
-    return np.einsum("ij,kj->ik", volm, volm)[None, None, :, :] * times[None, :, None, None]
+def _brownian_bracket(dim, times) -> np.ndarray:
+    """[W]_t = I t at `times`, shape (1, n+1, d, d)."""
+    return np.eye(dim)[None, None, :, :] * times[None, :, None, None]
 
 
 #: draws per chunk of `_brownian_values`: a (rows, n, d) float64 buffer of
@@ -237,23 +233,21 @@ def _brownian_bracket(volm, times) -> np.ndarray:
 _DRAW_CELLS = 2**15
 
 
-def _brownian_values(rng, n_members, dim, sqrt_dt, volm) -> np.ndarray:
-    """The next `n_members` rows of the draw as values (N, n+1, k) for a
-    k x d `volm`, built in place: consecutive member chunks of about
-    `_DRAW_CELLS` draws, each drawn into one reused buffer, scaled, mapped
-    by the (vol . dW) `einsum` and `cumsum`med straight into the output, so
-    no (N, n, d) increment array is held.  The chunks continue the one
-    member-major draw (see `rng`)."""
+def _brownian_values(rng, n_members, dim, sqrt_dt) -> np.ndarray:
+    """The next `n_members` rows of the draw as values (N, n+1, d), built in
+    place: consecutive member chunks of about `_DRAW_CELLS` draws, each drawn
+    into one reused buffer, scaled by sqrt(dt) there and `cumsum`med straight
+    into the output, so no (N, n, d) increment array is held.  The chunks
+    continue the one member-major draw (see `rng`)."""
     n = sqrt_dt.shape[1]
-    values = np.empty((n_members, n + 1, volm.shape[0]))
+    values = np.empty((n_members, n + 1, dim))
     values[:, 0] = 0.0
     rows = max(1, _DRAW_CELLS // (n * dim))
     buf = np.empty((min(rows, n_members), n, dim))
     for lo in range(0, n_members, rows):
         dw = rng.standard_normal(out=buf[: min(rows, n_members - lo)])
         dw *= sqrt_dt
-        db = np.einsum("ij,nkj->nki", volm, dw)
-        np.cumsum(db, axis=1, out=values[lo : lo + db.shape[0], 1:])
+        np.cumsum(dw, axis=1, out=values[lo : lo + dw.shape[0], 1:])
     return values
 
 
@@ -269,7 +263,7 @@ def ito_lift_brownian(bm: MartingalePath, seed: int = 0) -> RoughLift:
     area) is simulated from `_LEVY_SUBSTEPS` Brownian-bridge sub-increments
     per step, which carries an O(1/_LEVY_SUBSTEPS) distributional bias and
     needs one bracket shared by all members.  In one dimension the
-    lift is exact: XX_step = (dB^2 - vol^2 dt) / 2.
+    lift is exact: XX_step = (dB^2 - d[B]) / 2.
     """
     grid = bm.grid
     db = bm.increments()
@@ -465,8 +459,9 @@ def smooth_path_registry() -> dict:
     }
 
 
-def smooth_lift(path_id: str, T: float, n: int, grid: TimeGrid | None = None) -> RoughLift:
-    """Canonical geometric lift of a registered smooth driver.
+def smooth_lift(path_id: str, T: float, n: int) -> RoughLift:
+    """Canonical geometric lift of a registered smooth driver on the uniform
+    grid of n steps on [0, T].
 
     One-dimensional entries use the exact identity XX_step = (dX)^2 / 2; the
     sine/cosine pair uses hand-derived closed-form window integrals (checked
@@ -476,7 +471,7 @@ def smooth_lift(path_id: str, T: float, n: int, grid: TimeGrid | None = None) ->
     if path_id not in reg:
         raise ValueError(f"unknown smooth driver {path_id!r}")
     dim, fn = reg[path_id]
-    grid = grid if grid is not None else make_uniform_grid(T, n)
+    grid = make_uniform_grid(T, n)
     values = fn(grid.times)[None, :, :]
     if dim == 1:
         dstep = np.diff(values, axis=1)
@@ -506,20 +501,19 @@ def simulate_mixed(
     n_members: int = 1,
     rate: float = 2.0,
     jump_params: tuple = (0.0, 0.5),
-    vol: float = 1.0,
 ) -> MixedResult:
     """X = B + J with J compound Poisson, on the base grid with every
     member's jump times merged in, assembled by `_mixed`: the one-block case
     of `_mixed_blocks`.
 
-    B on the base grid is `simulate_brownian(T, n, seed, n_members, vol=vol)`
-    bit for bit; at the inserted jump times it is a Brownian bridge between
+    B on the base grid is `simulate_brownian(T, n, seed, n_members)` bit for
+    bit; at the inserted jump times it is a Brownian bridge between
     the base points.  The jumps are `simulate_compound_poisson`'s.
     """
-    return next(_mixed_blocks(max(n_members, 1), T, n, seed, n_members, rate, jump_params, vol))
+    return next(_mixed_blocks(max(n_members, 1), T, n, seed, n_members, rate, jump_params))
 
 
-def _mixed_blocks(rows, T, n, seed, n_members=1, rate=2.0, jump_params=(0.0, 0.5), vol=1.0):
+def _mixed_blocks(rows, T, n, seed, n_members=1, rate=2.0, jump_params=(0.0, 0.5)):
     """The ensemble of `simulate_mixed` as consecutive blocks of `rows`
     members (the last may be shorter), each a MixedResult on the base grid
     with its own members' jump times merged in.
@@ -535,25 +529,25 @@ def _mixed_blocks(rows, T, n, seed, n_members=1, rate=2.0, jump_params=(0.0, 0.5
     counts, times, sizes = _jump_draws(T, rate, seed, n_members, jump_params)
     offsets = np.concatenate([[0], np.cumsum(counts)])
     drift = rate * float(jump_params[0])
-    blocks = _brownian_blocks(rows, T, n, seed, n_members, 1, vol)
+    blocks = _brownian_blocks(rows, T, n, seed, n_members)
     for lo, bm in zip(range(0, max(n_members, 1), rows), blocks):
         hi = lo + bm.n_members
         mine = slice(offsets[lo], offsets[hi])
         grid = insert_times(base, times[mine])
         jump = _jump_arrays(grid, counts[lo:hi], times[mine], sizes[mine], drift)
         bridge = stream(seed, "brownian-bridge", n_members, lo, hi)
-        yield _mixed(_bridged(bm, grid, vol, bridge), jump, drift)
+        yield _mixed(_bridged(bm, grid, bridge), jump, drift)
 
 
-def _bridged(bm: MartingalePath, grid: TimeGrid, vol: float, rng) -> MartingalePath:
-    """The one-dimensional Brownian block `bm` = vol W on `grid`, which holds
+def _bridged(bm: MartingalePath, grid: TimeGrid, rng) -> MartingalePath:
+    """The one-dimensional Brownian block `bm` = W on `grid`, which holds
     bm's grid points up to the TIME_TOL collapse of `insert_times`, and more.
 
     A base point keeps its value, also where `insert_times` replaced it by a
     time less than TIME_TOL before it (the value lands on that time).  The
     times between two base points are filled in left to right by the
     Brownian bridge to the next base point: from (s, B_s) towards (t, B_t),
-    B_u = B_s + (u - s) / (t - s) (B_t - B_s) + vol sqrt((u - s)(t - u) / (t - s)) Z,
+    B_u = B_s + (u - s) / (t - s) (B_t - B_s) + sqrt((u - s)(t - u) / (t - s)) Z,
     with Z from `rng`, one (members, inserted times) member-major draw.
     """
     times = grid.times
@@ -572,12 +566,10 @@ def _bridged(bm: MartingalePath, grid: TimeGrid, vol: float, rng) -> MartingaleP
         u, t = new[pick], right[pick]
         s_time, u_time, t_time = times[u - 1], times[u], times[t]
         frac = (u_time - s_time) / (t_time - s_time)
-        sd = vol * np.sqrt((u_time - s_time) * (t_time - u_time) / (t_time - s_time))
+        sd = np.sqrt((u_time - s_time) * (t_time - u_time) / (t_time - s_time))
         b_s = values[:, u - 1]
         values[:, u] = b_s + frac * (values[:, t] - b_s) + sd * z[:, pick]
-    return MartingalePath(
-        grid=grid, values=values[:, :, None], bracket=_brownian_bracket(np.eye(1) * vol, times)
-    )
+    return MartingalePath(grid=grid, values=values[:, :, None], bracket=_brownian_bracket(1, times))
 
 
 def _mixed(bm: MartingalePath, jump: CompoundPoissonResult, drift: float) -> MixedResult:

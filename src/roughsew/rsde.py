@@ -457,7 +457,7 @@ def _plan_windows(lift, mart, p, q) -> list[tuple[int, int]]:
         (lambda i, j: x[:, j] - x[:, i], q, p),
         (lift.second, q, p / 2.0),
     ]
-    if mart is not None and mart.bracket is not None:
+    if mart is not None:
         br = mart.bracket[..., 0, 0]
         tables.append((lambda i, j: br[:, j] - br[:, i], q / 2.0, p / 2.0))
 

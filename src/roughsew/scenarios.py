@@ -156,24 +156,26 @@ def _fit_log2_slope(sizes, errors) -> float:
     return sewing.log2_fit(np.log2(np.asarray(sizes, dtype=float)), errors)[0]
 
 
+def _mean_se(x: np.ndarray) -> float:
+    """The standard error of the mean of the samples x (0 for one sample)."""
+    return float(np.std(x, ddof=1) / np.sqrt(x.size)) if x.size > 1 else 0.0
+
+
 def _l2_with_se(err: np.ndarray) -> tuple[float, float]:
     """Root-mean-square of err with its delta-method standard error."""
     sq = err**2
     m = float(sq.mean())
     l2 = float(np.sqrt(m))
-    if sq.size < 2 or l2 == 0.0:
+    if l2 == 0.0:
         return l2, 0.0
-    se = float(np.std(sq, ddof=1) / np.sqrt(sq.size) / (2.0 * l2))
-    return l2, se
+    return l2, _mean_se(sq) / (2.0 * l2)
 
 
 def _subsampled_brownian(bm: paths.MartingalePath, stride: int) -> paths.MartingalePath:
     """The same Brownian ensemble on every stride-th grid point (views)."""
     grid = TimeGrid(bm.grid.times[::stride])
     return paths.MartingalePath(
-        grid=grid,
-        values=bm.values[:, ::stride],
-        bracket=bm.bracket[:, ::stride] if bm.bracket is not None else None,
+        grid=grid, values=bm.values[:, ::stride], bracket=bm.bracket[:, ::stride]
     )
 
 
@@ -294,8 +296,7 @@ def scenario_ito_isometry(cfg: ExperimentConfig):
             rhs = integrals.young_integrate(y * y, br, mart.grid)[:, -1]
             diff = lhs - rhs  # paired per member: one SE covers both sides
             gap = abs(float(diff.mean()))
-            se = float(np.std(diff, ddof=1) / np.sqrt(diff.size)) if diff.size > 1 else 0.0
-            rows.append(_row(cfg, f"isometry_gap[Y={yname},M={mname}]", gap, se))
+            rows.append(_row(cfg, f"isometry_gap[Y={yname},M={mname}]", gap, _mean_se(diff)))
     return rows
 
 
@@ -366,8 +367,7 @@ def scenario_brackets(cfg: ExperimentConfig):
     b_cp = calculus.constant_controlled(lift, bm.values[..., 0])
     qv = calculus.bracket(b_cp, b_cp)[:, -1, 0, 0]
     gap = abs(float(np.mean(qv)) - T)
-    se = float(np.std(qv, ddof=1) / np.sqrt(N)) if N > 1 else 0.0
-    rows.append(_row(cfg, "bracket_gap[brownian]", gap, se))
+    rows.append(_row(cfg, "bracket_gap[brownian]", gap, _mean_se(qv)))
 
     # geometric lifts have vanishing bracket
     for tag, pid in (("linear", "linear"), ("sine_cosine", "sine_cosine_pair")):
@@ -421,7 +421,7 @@ def scenario_ito_formula(cfg: ExperimentConfig):
     and the exactly-compensated pure-jump case."""
     T, seed, N = 1.0, cfg.seed, cfg.ensemble
     rows = []
-    square = calculus.smooth_fn("polynomial_clipped", coeffs=(0.0, 0.0, 1.0), r=16.0)
+    square = calculus.smooth_fn("clipped_square")
 
     n_max = cfg.n * 2 ** (cfg.levels - 1)
     bm = paths.simulate_brownian(T, n_max, seed, n_members=N, dim=1)
@@ -434,8 +434,7 @@ def scenario_ito_formula(cfg: ExperimentConfig):
             square, cp, bracket_path=mart.grid.times[None, :]
         )
         ab = np.abs(resid)
-        se = float(np.std(ab, ddof=1) / np.sqrt(ab.size)) if ab.size > 1 else 0.0
-        return mart.grid.n_steps, float(ab.mean()), se
+        return mart.grid.n_steps, float(ab.mean()), _mean_se(ab)
 
     out = [level(k) for k in range(cfg.levels)]
     for k, (n_k, l1, se) in enumerate(out):

@@ -257,7 +257,7 @@ def shifted_increments(increments, s):
 
 def second_rows(lift, s, t):
     """row(i) = XX_{s+i, s+i+1..t} of a lift, one Chen evaluation per row."""
-    return lambda i: lift.second(s + i, np.arange(s + i + 1, t + 1))
+    return pair_rows(lift.second, s, t)
 
 
 def remainder_mean_rows(ya, dya, xa, yb, dyb, xb):
@@ -544,7 +544,7 @@ def compound_poisson_loop(times, flat_times, flat_sizes, counts, align_jumps, ti
 
 
 def mixed_driver_arrays(times, b_values, j_values, j_left, jump_indices, j_bracket,
-                        rate, jump_mean, vol):
+                        rate, jump_mean):
     """The mixed driver X = B + J assembled with its own Ito step, compensator
     and bracket formulas, from the arrays of a Brownian ensemble B (values
     (N, n+1, 1)) and a compound-Poisson ensemble J (values (N, n+1, 1), left
@@ -553,17 +553,14 @@ def mixed_driver_arrays(times, b_values, j_values, j_left, jump_indices, j_brack
 
     Returns path values, path left limits, lift steps, lift jumps, martingale
     values, martingale left limits and bracket: the step is
-    (dB^2 - vol^2 dt) / 2 + dB dJ, M = X - rate E[jump] t and
-    [M] = [J] + vol^2 t.
+    (dB^2 - dt) / 2 + dB dJ, M = X - rate E[jump] t and [M] = [J] + t.
     """
     values = b_values + j_values
     left = b_values[:, jump_indices, :] + j_left if jump_indices.size else None
     dt = np.diff(times)
     db = np.diff(b_values, axis=1)
     dj = np.diff(j_values, axis=1)
-    step_second = 0.5 * (
-        np.einsum("...j,...k->...jk", db, db) - dt[None, :, None, None] * vol**2
-    )
+    step_second = 0.5 * (np.einsum("...j,...k->...jk", db, db) - dt[None, :, None, None])
     step_second = step_second + np.einsum("...j,...k->...jk", db, dj)
     jump_second = np.zeros((step_second.shape[0], jump_indices.size, 1, 1))
     m_values = values - (rate * jump_mean * times)[None, :, None]
@@ -572,7 +569,7 @@ def mixed_driver_arrays(times, b_values, j_values, j_left, jump_indices, j_brack
         if jump_indices.size
         else None
     )
-    bracket = j_bracket + (vol**2 * times)[None, :, None, None]
+    bracket = j_bracket + times[None, :, None, None]
     return values, left, step_second, jump_second, m_values, m_left, bracket
 
 
@@ -594,7 +591,7 @@ def window_control(lift, mart, p, q, s, t):
         lambda i: chen_row(x, prefix, s + i, np.arange(s + i + 1, t + 1)), t - s + 1, q
     )
     out = out + _pvar_dp_row(second ** (p / 2.0))[1:]
-    if mart is not None and mart.bracket is not None:
+    if mart is not None:
         bracket = lq_table_rows(mart.bracket[..., 0, 0], q / 2.0, s=s, t=t)
         out = out + _pvar_dp_row(bracket ** (p / 2.0))[1:]
     return out
@@ -634,9 +631,9 @@ def plan_windows_by_columns(rsde, lift, mart, p, q):
     # (column dY_{s..u-1, u} of a table, its q, its p)
     tables = [
         (lambda s, u: x[:, u : u + 1] - x[:, s:u], q, p),
-        (lambda s, u: lift.second(np.arange(s, u), u), q, p / 2.0),
+        (lambda s, u: lift.second(np.arange(s, u), np.full(u - s, u)), q, p / 2.0),
     ]
-    if mart is not None and mart.bracket is not None:
+    if mart is not None:
         br = mart.bracket[..., 0, 0]
         tables.append((lambda s, u: br[:, u : u + 1] - br[:, s:u], q / 2.0, p / 2.0))
 
@@ -853,21 +850,46 @@ def picard_full_sweep(rsde, coeffs, y0, lift, mart=None, p=2.0, q=4.0, tol=1e-9,
     return rsde._epilogue(lift, sched, state, 0, n, diagnostics)
 
 
-def simulate_brownian(rng, times, n_members, dim, vol):
-    """Values (N, n+1, k) and bracket (1, n+1, k, k) of a Brownian ensemble
-    B = vol . W on `times` (vol k x d), drawn whole from `rng`: one (N, n, d)
-    draw, a scaled copy, an `einsum` copy, a `cumsum` and a `concatenate`."""
-    volm = np.eye(dim) * vol if np.ndim(vol) == 0 else np.asarray(vol, dtype=float)
+def simulate_brownian(rng, times, n_members, dim):
+    """Values (N, n+1, d) and bracket (1, n+1, d, d) of a standard Brownian
+    ensemble W on `times`, drawn whole from `rng`: one (N, n, d) draw, a
+    scaled copy, a `cumsum` and a `concatenate`."""
     dt = np.diff(times)
     dw = rng.standard_normal((n_members, dt.size, dim)) * np.sqrt(dt)[None, :, None]
-    db = np.einsum("ij,nkj->nki", volm, dw)
-    values = np.concatenate(
-        [np.zeros((n_members, 1, db.shape[2])), np.cumsum(db, axis=1)], axis=1
-    )
-    bracket = np.einsum("ij,kj->ik", volm, volm)[None, None, :, :] * times[
-        None, :, None, None
-    ]
+    values = np.concatenate([np.zeros((n_members, 1, dim)), np.cumsum(dw, axis=1)], axis=1)
+    bracket = np.eye(dim)[None, None, :, :] * times[None, :, None, None]
     return values, bracket
+
+
+def clipped_polynomial(coeffs, r):
+    """(f, df, d2f) of P(clip(y, -r, r)) for the polynomial P with
+    coefficients `coeffs` (c[k] multiplies y^k), each by Horner's rule at the
+    clipped y; the derivatives are masked to 0 outside (-r, r)."""
+    c, d1, d2 = _poly_derivatives(coeffs)
+
+    def df(y):
+        y = np.asarray(y, dtype=float)
+        return _poly_eval(d1, np.clip(y, -r, r)) * (np.abs(y) < r)
+
+    def d2f(y):
+        y = np.asarray(y, dtype=float)
+        return _poly_eval(d2, np.clip(y, -r, r)) * (np.abs(y) < r)
+
+    return (lambda y: _poly_eval(c, np.clip(y, -r, r))), df, d2f
+
+
+def _poly_derivatives(coeffs):
+    c = np.asarray(coeffs, dtype=float)  # c[k] multiplies y^k
+    d1 = c[1:] * np.arange(1, c.size)
+    d2 = d1[1:] * np.arange(1, d1.size) if d1.size > 1 else np.zeros(1)
+    return c, d1, d2
+
+
+def _poly_eval(c, y):
+    out = np.zeros_like(np.asarray(y, dtype=float))
+    for k in range(c.size - 1, -1, -1):
+        out = out * y + c[k]
+    return out
 
 
 def brownian_milstein_whole_ensemble(cfg, scenarios):

@@ -26,7 +26,7 @@ from roughsew.paths import (
     smooth_lift,
 )
 
-from oracles import controlled_integral, controlled_remainder
+from oracles import clipped_polynomial, controlled_integral, controlled_remainder
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +44,7 @@ def _central_diff(f, y, h=1e-6):
         ("linear", {"a": 1.7, "c": -0.3}),
         ("sin_bundle", {"a": 0.8, "b": 1.4, "c": 0.2}),
         ("tanh_affine", {"a": 1.2, "b": 0.9, "c": 0.1}),
-        ("polynomial_clipped", {"coeffs": (0.5, -1.0, 0.0, 2.0), "r": 8.0}),
+        ("clipped_square", {}),
     ],
 )
 def test_smooth_fn_derivatives_match_finite_differences(name, params):
@@ -54,8 +54,18 @@ def test_smooth_fn_derivatives_match_finite_differences(name, params):
     assert np.allclose(fn.d2f(y), _central_diff(fn.df, y), atol=1e-5)
 
 
+def test_clipped_square_is_the_horner_oracle_bitwise():
+    # a naive 2 y gives df(-0.0) = -0.0, and a naive 2 * mask gives d2f(NaN) = 0
+    y = np.array(
+        [-0.0, 0.0, 0.3, -2.7, 16.0, -16.0, 17.0, -40.0, np.inf, -np.inf, np.nan, -np.nan]
+    )
+    fn = smooth_fn("clipped_square")
+    for got, want in zip((fn.f, fn.df, fn.d2f), clipped_polynomial((0.0, 0.0, 1.0), 16.0)):
+        assert got(y).tobytes() == want(y).tobytes()
+
+
 def test_smooth_fn_registry_and_unknown_name():
-    for name in ("linear", "sin_bundle", "tanh_affine", "polynomial_clipped"):
+    for name in ("linear", "sin_bundle", "tanh_affine", "clipped_square"):
         assert isinstance(smooth_fn(name), SmoothFn)
     for name in ("gaussian_bump", "exp_clipped"):
         with pytest.raises(ValueError, match=f"unknown smooth function '{name}'"):
@@ -68,7 +78,7 @@ def test_smooth_fn_registry_and_unknown_name():
         ("linear", "slope", "a, c"),
         ("sin_bundle", "amp", "a, b, c"),
         ("tanh_affine", "scale", "a, b, c"),
-        ("polynomial_clipped", "coef", "coeffs, r"),
+        ("clipped_square", "r", "nothing"),
     ],
 )
 def test_smooth_fn_refuses_a_parameter_its_entry_does_not_read(name, typo, reads):
@@ -113,7 +123,7 @@ def test_composed_remainder_is_second_order():
 def test_constant_controlled_shapes_and_scalar_guard():
     bm = simulate_brownian(1.0, 8, seed=7, n_members=2, dim=2)
     lift = ito_lift_brownian(bm, seed=7)
-    cp = constant_controlled(lift, 3.0)
+    cp = constant_controlled(lift, np.full((1, 9), 3.0))
     assert cp.values.shape == (1, 9, 1)
     assert cp.derivative.shape == (1, 9, 1, 2)
     assert np.all(cp.derivative == 0.0)
@@ -186,7 +196,8 @@ def test_mixed_bracket_pure_jump_grid_identity():
 def test_mixed_bracket_refuses_planar_inputs():
     # a planar M was read through its first component
     bm = simulate_brownian(1.0, 16, seed=15, n_members=4, dim=2)
-    z = constant_controlled(ito_lift_brownian(simulate_brownian(1.0, 16, seed=16)), 0.5)
+    lift = ito_lift_brownian(simulate_brownian(1.0, 16, seed=16))
+    z = constant_controlled(lift, np.full((1, 17), 0.5))
     with pytest.raises(ValueError, match="m_values must be scalar"):
         mixed_bracket_check(bm.values, np.array([], dtype=np.int64), np.zeros((4, 0, 2)), z)
     sizes = np.ones((4, 2, 2))
@@ -245,7 +256,7 @@ def test_ito_formula_pure_jump_residual_exactly_zero():
     res = simulate_compound_poisson(1.0, 4.0, 24, seed=21, n_members=16)
     lift = forward_lift_jump_path(res.path)
     z = compose(smooth_fn("sin_bundle", a=0.9, b=1.1, c=0.2), controlled_from_lift(lift))
-    fn = smooth_fn("polynomial_clipped", coeffs=(0.0, 0.0, 1.0), r=16.0)
+    fn = smooth_fn("clipped_square")
     resid = ito_formula_residual(fn, z)
     assert np.all(resid == 0.0)
 
@@ -259,7 +270,7 @@ def test_ito_formula_smooth_driver_residual_small():
 
 
 def test_ito_formula_brownian_square_residual_shrinks():
-    fn = smooth_fn("polynomial_clipped", coeffs=(0.0, 0.0, 1.0), r=16.0)
+    fn = smooth_fn("clipped_square")
     l1 = []
     for n in (32, 128):
         bm = simulate_brownian(1.0, n, seed=23, n_members=512)

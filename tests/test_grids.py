@@ -47,6 +47,15 @@ def test_grid_rejects_unsorted_times():
         TimeGrid(np.array([0.0, 0.5, 0.4, 1.0]))
 
 
+@pytest.mark.parametrize("times", [[0.0, np.nan, 1.0], [np.nan, 0.5, 1.0], [0.0, 0.5, np.inf]])
+def test_grid_rejects_non_finite_times(times):
+    # a NaN fails every order check, so these grids were accepted
+    with pytest.raises(ValueError, match="grid times must be finite"):
+        TimeGrid(np.array(times))
+    with pytest.raises(ValueError, match="grid times must be finite"):
+        make_uniform_grid(float("nan"), 4)
+
+
 def test_insert_times_keeps_old_points_and_adds_new():
     g = make_uniform_grid(1.0, 4)
     g2 = insert_times(g, np.array([0.1, 0.625, 0.625]))

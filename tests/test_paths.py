@@ -1,5 +1,7 @@
 """Drivers: simulators, rough-path lifts, and their structural identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -43,7 +45,7 @@ def test_brownian_shapes_and_bracket():
     bm = simulate_brownian(2.0, 16, seed=3, n_members=5, dim=2)
     assert bm.values.shape == (5, 17, 2)
     assert bm.bracket.shape == (1, 17, 2, 2)
-    # analytic bracket vol vol^T t with unit vol
+    # analytic bracket I t
     assert np.allclose(bm.bracket[0, -1], 2.0 * np.eye(2))
     assert np.allclose(bm.bracket[0, 0], 0.0)
 
@@ -56,23 +58,11 @@ def test_brownian_seed_reproducibility():
     assert not np.array_equal(a.values, c.values)
 
 
-# a non-uniform grid of the kind `simulate_mixed` supplies: jump times merged in
-_MERGED_GRID = insert_times(make_uniform_grid(1.0, 24), np.array([0.013, 0.5003, 0.77]))
-
-
-@pytest.mark.parametrize(
-    "dim, vol, grid",
-    [
-        (1, 1.0, None),
-        (1, 0.7, _MERGED_GRID),
-        (2, np.array([[1.0, 0.3], [-0.4, 0.8]]), None),
-        (2, 1.3, _MERGED_GRID),
-    ],
-)
-def test_simulate_brownian_matches_whole_draw_oracle_bitwise(dim, vol, grid):
-    bm = simulate_brownian(1.0, 24, seed=31, n_members=9, dim=dim, vol=vol, grid=grid)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_simulate_brownian_matches_whole_draw_oracle_bitwise(dim):
+    bm = simulate_brownian(1.0, 24, seed=31, n_members=9, dim=dim)
     values, bracket = oracles.simulate_brownian(
-        stream(31, "brownian", dim, 9), bm.grid.times, 9, dim, vol
+        stream(31, "brownian", dim, 9), bm.grid.times, 9, dim
     )
     assert np.array_equal(bm.values, values)
     assert np.array_equal(bm.bracket, bracket)
@@ -80,11 +70,10 @@ def test_simulate_brownian_matches_whole_draw_oracle_bitwise(dim, vol, grid):
 
 @pytest.mark.parametrize("rows", [1, 4, 10, 29])
 def test_brownian_blocks_stack_to_the_whole_ensemble_bitwise(rows):
-    vol = np.array([[1.0, 0.3], [-0.4, 0.8]])
-    blocks = list(paths._brownian_blocks(rows, 1.0, 16, 5, 29, dim=2, vol=vol))
+    blocks = list(paths._brownian_blocks(rows, 1.0, 16, 5, 29, dim=2))
     assert [b.n_members for b in blocks][:-1] == [rows] * (len(blocks) - 1)
     values, bracket = oracles.simulate_brownian(
-        stream(5, "brownian", 2, 29), blocks[0].grid.times, 29, 2, vol
+        stream(5, "brownian", 2, 29), blocks[0].grid.times, 29, 2
     )
     assert np.array_equal(np.concatenate([b.values for b in blocks]), values)
     assert all(b.bracket is blocks[0].bracket for b in blocks)
@@ -94,32 +83,40 @@ def test_brownian_blocks_stack_to_the_whole_ensemble_bitwise(rows):
 def test_brownian_values_continue_one_draw_in_uneven_blocks():
     # the chunking promise of `rng`: any split of the member-major draw,
     # ragged last block included, continues the one stream bit for bit
-    grid, volm = _MERGED_GRID, np.array([[0.9, 0.2], [0.1, 1.1]])
+    grid = make_uniform_grid(1.0, 24)
     sqrt_dt = np.sqrt(grid.steps())[None, :, None]
     rng = stream(8, "brownian", 2, 31)
-    parts = [paths._brownian_values(rng, m, 2, sqrt_dt, volm) for m in (7, 13, 1, 10)]
-    values, _ = oracles.simulate_brownian(stream(8, "brownian", 2, 31), grid.times, 31, 2, volm)
+    parts = [paths._brownian_values(rng, m, 2, sqrt_dt) for m in (7, 13, 1, 10)]
+    values, _ = oracles.simulate_brownian(stream(8, "brownian", 2, 31), grid.times, 31, 2)
     assert np.array_equal(np.concatenate(parts), values)
 
 
-_NON_SQUARE_VOLS = [np.array([[1.0], [0.5], [-2.0]]), np.array([[1.0, 0.3, 0.2], [-0.4, 0.8, 0.1]])]
-
-
-@pytest.mark.parametrize(
-    "dim, vol",
-    [(d, v) for v in (1.0, 1.3, 0.0) for d in (1, 2)] + [(v.shape[1], v) for v in _NON_SQUARE_VOLS],
-)
-def test_brownian_draw_chunks_match_the_whole_draw(monkeypatch, dim, vol):
-    # 17 members of 33 steps drawn in chunks of 5 members, the last of 2; a
-    # k x d vol maps the d drawn components to k
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_brownian_draw_chunks_match_the_whole_draw(monkeypatch, dim):
+    # 17 members of 33 steps drawn in chunks of 5 members, the last of 2
     monkeypatch.setattr(paths, "_DRAW_CELLS", 5 * 33 * dim)
-    bm = simulate_brownian(1.0, 33, seed=12, n_members=17, dim=dim, vol=vol)
+    bm = simulate_brownian(1.0, 33, seed=12, n_members=17, dim=dim)
     values, bracket = oracles.simulate_brownian(
-        stream(12, "brownian", dim, 17), bm.grid.times, 17, dim, vol
+        stream(12, "brownian", dim, 17), bm.grid.times, 17, dim
     )
     assert bm.values.shape == values.shape
     assert bm.values.tobytes() == values.tobytes()
     assert np.array_equal(bm.bracket, bracket)
+
+
+def test_simulate_brownian_holds_one_draw_buffer():
+    # 512 x 256 draws in four chunks of 128 members: each chunk is scaled in
+    # the draw buffer and summed into the values, so beside the values only
+    # the buffer (and the grid's arrays) is held; the first call's one-off
+    # allocations are made before tracing
+    simulate_brownian(1.0, 4, seed=3)
+    tracemalloc.start()
+    try:
+        bm = simulate_brownian(1.0, 256, seed=3, n_members=512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bm.values.nbytes + 1.5 * 8 * paths._DRAW_CELLS
 
 
 def test_brownian_increment_moments():
@@ -371,7 +368,7 @@ def test_mixed_driver_structure_and_chen():
     assert worst < 1e-10
 
 
-def _mixed_parts(n, seed, n_members, rate, vol):
+def _mixed_parts(n, seed, n_members, rate):
     """The jump path and Brownian path `simulate_mixed` assembles, by its
     recipe: the jumps of `simulate_compound_poisson` on the base grid with
     every jump time merged in, and `simulate_brownian` on the base grid
@@ -380,18 +377,18 @@ def _mixed_parts(n, seed, n_members, rate, vol):
     grid = insert_times(make_uniform_grid(1.0, n), times)
     cp = paths._jump_arrays(grid, counts, times, sizes, rate * 0.3)
     bridge = stream(seed, "brownian-bridge", n_members, 0, n_members)
-    bm = paths._bridged(simulate_brownian(1.0, n, seed, n_members, vol=vol), grid, vol, bridge)
+    bm = paths._bridged(simulate_brownian(1.0, n, seed, n_members), grid, bridge)
     return cp, bm
 
 
-def _mixed_and_oracle(n, seed, n_members, rate, vol):
+def _mixed_and_oracle(n, seed, n_members, rate):
     """simulate_mixed, the two paths it adds up, and the oracle's seven arrays."""
-    res = simulate_mixed(1.0, n, seed, n_members, rate, jump_params=(0.3, 0.45), vol=vol)
-    cp, bm = _mixed_parts(n, seed, n_members, rate, vol)
+    res = simulate_mixed(1.0, n, seed, n_members, rate, jump_params=(0.3, 0.45))
+    cp, bm = _mixed_parts(n, seed, n_members, rate)
     grid = cp.path.grid
     expected = oracles.mixed_driver_arrays(
         grid.times, bm.values, cp.path.values, cp.path.left_values, cp.path.jump_indices,
-        cp.martingale.bracket, rate, 0.3, vol,
+        cp.martingale.bracket, rate, 0.3,
     )
     got = (
         res.path.values, res.path.left_values, res.lift.step_second, res.lift.jump_second,
@@ -410,19 +407,15 @@ def _same_bytes(a, b):
 @pytest.mark.parametrize("n_members", [1, 4, 64, 256])
 def test_mixed_driver_matches_the_formula_oracle_bitwise_at_unit_vol(n_members, rate):
     for seed in (7, 8, 11, 12):
-        res, _, _, got, expected = _mixed_and_oracle(128, seed, n_members, rate, 1.0)
+        res, _, _, got, expected = _mixed_and_oracle(128, seed, n_members, rate)
         assert all(_same_bytes(a, b) for a, b in zip(got, expected)), seed
         assert np.array_equal(res.lift.path.jump_indices, res.martingale.jump_indices)
 
 
-@pytest.mark.parametrize("vol", [0.2, 0.7])
-def test_mixed_driver_steps_are_the_ito_steps_plus_the_cross_term(vol):
-    n = 128
+def test_mixed_driver_steps_are_the_ito_steps_plus_the_cross_term():
     for seed in (7, 11):
-        res, cp, bm, got, expected = _mixed_and_oracle(n, seed, 16, 2.0, vol)
-        # the Ito step subtracts diff(vol^2 t), the oracle vol^2 dt
-        assert np.abs(got[2] - expected[2]).max() <= 1.2e-14 * vol**2 / n
-        assert all(_same_bytes(a, b) for k, (a, b) in enumerate(zip(got, expected)) if k != 2)
+        res = simulate_mixed(1.0, 128, seed, 16, 2.0, jump_params=(0.3, 0.45))
+        cp, bm = _mixed_parts(128, seed, 16, 2.0)
         steps = ito_lift_brownian(bm).step_second + outer_increment(
             bm.increments(), cp.path.increments()
         )
@@ -436,7 +429,7 @@ def test_mixed_assembly_on_a_subsampled_grid_matches_the_formula_oracle():
     counts, times, sizes = paths._jump_draws(1.0, rate, seed, n_members, (0.3, 0.45))
     fine = insert_times(make_uniform_grid(1.0, n), times)
     bridge = stream(seed, "brownian-bridge", n_members, 0, n_members)
-    bm = paths._bridged(simulate_brownian(1.0, n, seed, n_members), fine, 1.0, bridge)
+    bm = paths._bridged(simulate_brownian(1.0, n, seed, n_members), fine, bridge)
     grid = insert_times(make_uniform_grid(1.0, n // 2), times)
     idx = np.searchsorted(fine.times, grid.times)
     assert np.array_equal(fine.times[idx], grid.times) and grid.n_steps < fine.n_steps
@@ -445,7 +438,7 @@ def test_mixed_assembly_on_a_subsampled_grid_matches_the_formula_oracle():
     res = paths._mixed(coarse, cp, rate * 0.3)
     expected = oracles.mixed_driver_arrays(
         grid.times, coarse.values, cp.path.values, cp.path.left_values, cp.path.jump_indices,
-        cp.martingale.bracket, rate, 0.3, 1.0,
+        cp.martingale.bracket, rate, 0.3,
     )
     got = (
         res.path.values, res.path.left_values, res.lift.step_second, res.lift.jump_second,
@@ -458,7 +451,7 @@ def test_mixed_assembly_on_a_subsampled_grid_matches_the_formula_oracle():
 def _block_parts(monkeypatch, rows, n, seed, n_members, rate):
     """The (Brownian, jump) pairs `_mixed_blocks` assembles, block by block."""
     monkeypatch.setattr(paths, "_mixed", lambda bm, jump, drift: (bm, jump))
-    return list(paths._mixed_blocks(rows, 1.0, n, seed, n_members, rate, (0.3, 0.45), 0.8))
+    return list(paths._mixed_blocks(rows, 1.0, n, seed, n_members, rate, (0.3, 0.45)))
 
 
 def _member_rows(parts, base):
@@ -493,7 +486,7 @@ def test_mixed_blocks_keep_each_members_jumps_and_base_brownian_bitwise(monkeypa
             return counts, times[order], sizes[order]
 
         monkeypatch.setattr(paths, "_jump_draws", draws)
-    whole = simulate_brownian(1.0, n, seed, n_members, vol=0.8).values[..., 0]
+    whole = simulate_brownian(1.0, n, seed, n_members).values[..., 0]
     per_rows = {}
     for rows in (1, 16, 64, n_members):
         parts = _block_parts(monkeypatch, rows, n, seed, n_members, rate)
@@ -530,6 +523,20 @@ def test_second_prefix_matches_stepwise_oracle(build):
     lift = build()
     expected = accumulate_prefix(lift.path.values, lift.step_second)
     assert np.array_equal(lift.second_prefix, expected)
+
+
+@pytest.mark.parametrize("shape", [(3, 1, 1), (1, 2, 1), (3, 2, 2), (3, 2)])
+def test_sample_path_rejects_misshapen_left_values(shape):
+    # two declared jumps and three members: left_values must be (3, 2, 1); a
+    # (3, 1, 1) array was broadcast over both jumps, and so were the sizes
+    grid = make_uniform_grid(1.0, 4)
+    values = np.repeat(np.array([[[0.0], [3.0], [3.0], [9.0], [9.0]]]), 3, axis=0)
+    jumps = np.array([1, 3])
+    with pytest.raises(ValueError, match=r"left_values must have shape \(N, J, d\) = \(3, 2, 1\)"):
+        SamplePath(grid=grid, values=values, jump_indices=jumps, left_values=np.zeros(shape))
+    left = np.repeat(np.array([[[0.0], [3.0]]]), 3, axis=0)
+    path = SamplePath(grid=grid, values=values, jump_indices=jumps, left_values=left)
+    assert path.jump_sizes()[..., 0].tolist() == [[3.0, 6.0]] * 3
 
 
 @pytest.mark.parametrize("shape", [(3, 2, 1, 1), (1, 1, 1, 1)])

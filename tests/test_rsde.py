@@ -344,7 +344,9 @@ def test_picard_diverged_member_leaves_finite_members_alone():
 def _schedule_cases():
     mix = simulate_mixed(1.0, 24, seed=31, n_members=5, rate=3.0)
     cp = simulate_compound_poisson(1.0, 3.0, 24, seed=33, n_members=5)
-    bm_cp = simulate_brownian(1.0, cp.path.grid.n_steps, 33, n_members=5, grid=cp.path.grid)
+    # a Brownian on the jump path's grid: the base points bridged over its jump times
+    bridge = np.random.default_rng(33)
+    bm_cp = paths._bridged(simulate_brownian(1.0, 24, 33, n_members=5), cp.path.grid, bridge)
     bm = simulate_brownian(1.0, 24, seed=35, n_members=5)
     return {
         "x_and_m_jumps": (mix.lift, mix.martingale),
@@ -800,13 +802,19 @@ def test_plan_windows_cells_do_not_depend_on_memory_layout(monkeypatch, seed):
     assert _same_bytes(cells, want)
 
 
+def _unit_jumps():
+    """A mixed driver of unit jumps, one per member on average, on [0, 0.04]:
+    its Brownian part has the step variance of 0.2 W on [0, 1], so windows
+    run over several steps between the jumps, and each jump step alone is
+    over the window threshold."""
+    mix = simulate_mixed(0.04, 64, seed=4, n_members=4, rate=25.0, jump_params=(1.0, 0.0))
+    return mix.lift, mix.martingale
+
+
 def test_plan_windows_single_step_over_threshold():
     # unit jumps: each jump step alone exceeds the threshold, right after a
     # longer window, and still becomes its own window
-    mix = simulate_mixed(
-        1.0, 64, seed=4, n_members=4, rate=1.0, jump_params=(1.0, 0.0), vol=0.2
-    )
-    lift, mart = mix.lift, mix.martingale
+    lift, mart = _unit_jumps()
     windows = _plan_windows(lift, mart, 2.0, 4.0)
     assert windows == _one_step_windows(lift, mart)
     over = [
@@ -839,10 +847,7 @@ def test_plan_windows_reduce_each_cell_once(monkeypatch):
     # threshold, unless that point is its own single step.  Lags up to 4 and
     # chunks of 8 cells make lags take several chunks and long columns
     # slices of their own
-    mix = simulate_mixed(
-        1.0, 64, seed=4, n_members=4, rate=1.0, jump_params=(1.0, 0.0), vol=0.2
-    )
-    lift, mart = mix.lift, mix.martingale
+    lift, mart = _unit_jumps()
     n = lift.grid.n_steps
     monkeypatch.setattr(rsde, "_PLAN_LAGS", 4)
     monkeypatch.setattr(rsde, "_PAIR_CELL_BUDGET", 4 * 8)
@@ -960,12 +965,8 @@ def _planner_drivers():
         bm.values[2, 5:] = np.nan
         return ito_lift_brownian(bm), bm
 
-    def unit_jumps():
-        mix = simulate_mixed(1.0, 64, seed=4, n_members=4, rate=1.0, jump_params=(1.0, 0.0), vol=0.2)
-        return mix.lift, mix.martingale
-
     return {"two_dim": two_dim, "fortran_d3": fortran_d3, "nan_member": nan_member,
-            "unit_jumps": unit_jumps, "smooth_spanning": _smooth_ensemble_lift}
+            "unit_jumps": _unit_jumps, "smooth_spanning": _smooth_ensemble_lift}
 
 
 @pytest.mark.parametrize("driver", list(_planner_drivers()))
