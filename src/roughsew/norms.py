@@ -11,14 +11,20 @@ a stored Brownian bracket).  Every table cell comes from one reduction,
 `_pair_cells`, over a chunk of grid-point pairs at once, and equals
 `lq_norm` of its increment bit for bit; `_pair_seminorm` feeds them to
 `grids._pvar_dp` for every seminorm (and the solver's Picard update
-distances).  There are two exceptions.  The stability remainder's table of
+distances).  There are three exceptions.  The stability remainder's table of
 |means| is built from member-mean contractions in `rsde._remainder_table`,
-since a mean, unlike an L^q norm, is linear.  The q = 2 table of an ensemble
-(the sewing controls' table) is read by `lq_table` off one Gram product G
-of the members' paths, each centred by its time-mean:
-||dY_{i,j}||^2 = (G_ii + G_jj - 2 G_ij) / N.  That subtraction cancels where
+since a mean, unlike an L^q norm, is linear.  The q = 4 table of a scalar
+ensemble (the stability first levels) is read by `_moment_table` off member
+moments of the paths, each centred by its time-mean:
+N ||dY_{i,j}||^4 = S_i + S_j - 4 (A_ij + A_ji) + 6 B_ij, with S = sum y^4,
+A_ij = sum y_i y_j^3 and B_ij = sum y_i^2 y_j^2 over the members; a cell
+where 16 eps (S_i + S_j) exceeds `_MOMENT_RTOL` times its sum is rebuilt
+from its pair cell, and a table with a non-finite entry from pair cells
+throughout.  The q = 2 table of an ensemble (the sewing controls' table)
+is read by `lq_table` off one Gram product G of the members' paths, centred
+alike: ||dY_{i,j}||^2 = (G_ii + G_jj - 2 G_ij) / N.  Both sums cancel where
 an increment is small next to the paths' distance from their time-means, so
-a row with a cell where eps (G_ii + G_jj) exceeds `_GRAM_RTOL` times
+here a row with a cell where eps (G_ii + G_jj) exceeds `_GRAM_RTOL` times
 G_ii + G_jj - 2 G_ij is rebuilt from pair cells, and a block with a
 non-finite entry or Gram entry is built from them throughout; the guard runs
 by blocks of rows, so beside the product only a block's temporaries live.
@@ -48,6 +54,10 @@ MAX_TABLE_POINTS = 2048
 # a q = 2 Gram row is kept when eps * (G_ii + G_jj) stays below this fraction
 # of G_ii + G_jj - 2 G_ij in every cell, else its pair cells rebuild it
 _GRAM_RTOL = 1e-13
+
+# a q = 4 moment cell is kept when 16 eps (S_i + S_j) stays below this
+# fraction of its fourth-power sum, else its pair cell rebuilds it
+_MOMENT_RTOL = 1e-12
 
 
 def lq_norm(samples: np.ndarray, q: float) -> float:
@@ -186,6 +196,56 @@ def _gram_table(block: np.ndarray):
             # the strict upper triangle, as `np.triu(., 1)`
             rows[cols[None, :] <= cols[a : a + step, None]] = 0.0
     return sq, np.flatnonzero(lossy)
+
+
+def _moment_table(values: np.ndarray):
+    """The q = 4 table of a scalar (N, m) ensemble from member moments.
+
+    Returns (table, (ii, jj)): the strict upper triangle, as `lq_table` fills
+    it, and the cells the guard sent back to `_pair_cells`, all of them when
+    a table entry is not finite.
+    """
+    block = np.ascontiguousarray(values, dtype=float)
+    n_members, m = block.shape
+    _check_table_size(m)
+    upper = np.triu(np.ones((m, m), dtype=bool), 1)
+    # each member centred by its time-mean, which leaves every increment as
+    # it is; then N E|y_j - y_i|^4 = S_i + S_j - 4 (A_ij + A_ji) + 6 B_ij
+    # with S = sum y^4, A_ij = sum y_i y_j^3 and B_ij = sum y_i^2 y_j^2 over
+    # the members, each an `einsum` without BLAS on C-order arrays; the
+    # cube overwrites the square once S and B are taken, so beside the
+    # input at most two (N, m) arrays are live
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = block - block.mean(axis=1, keepdims=True)
+        y2 = np.square(y)
+        s = np.einsum("ni,ni->i", y2, y2)
+        table = np.einsum("ni,nj->ij", y2, y2)
+        table *= 6.0
+        y2 *= y
+        cross = np.einsum("ni,nj->ij", y, y2)
+        del y, y2
+        cross += cross.T
+        cross *= 4.0
+        table -= cross
+        del cross
+        both = s[:, None] + s[None, :]
+        table += both
+        if np.all(np.isfinite(table)):
+            # the sums cancel where an increment is small next to the values'
+            # distance from their time-means; N tiny bounds what the products
+            # lost to underflow, so an all-zero difference is guarded too
+            both += n_members * np.finfo(float).tiny
+            both *= 16.0 * np.finfo(float).eps / _MOMENT_RTOL
+            guarded = upper & (both > table)
+            del both
+            table[~upper] = 0.0
+            table /= n_members
+            table **= 0.25
+        else:
+            table, guarded = np.zeros((m, m)), upper
+    ii, jj = np.nonzero(guarded)
+    table[ii, jj] = _pair_cells(lambda i, j: block[:, j] - block[:, i], n_members, 4.0, ii, jj)
+    return table, (ii, jj)
 
 
 def lq_table(values: np.ndarray, q: float) -> np.ndarray:

@@ -13,6 +13,7 @@ from roughsew.norms import (
     _column_pairs,
     _gram_table,
     _lq_cells,
+    _moment_table,
     _pair_seminorm,
     chen_residual,
     lq_norm,
@@ -282,7 +283,12 @@ def test_stability_remainder_term_matches_row_loop_oracle(n_members, dim):
     # the Gubinelli derivative Y' = f(Y), one column per driver direction
     dya = np.stack([fn.f(ya) for fn in coeffs.f], axis=-1)
     dyb = np.stack([fn.f(yb) for fn in coeffs.f], axis=-1)
-    assert rep.lhs_parts["derivative"] == vp_lq_seminorm(dya - dyb, p, q)
+    want = vp_lq_seminorm(dya - dyb, p, q)
+    if n_members >= 2 and dim == 1:
+        # one component at q = 4: the member-moment table
+        assert rep.lhs_parts["derivative"] == pytest.approx(want, rel=1e-13, abs=0.0)
+    else:
+        assert rep.lhs_parts["derivative"] == want
     tab = remainder_mean_table_rows(
         ya, dya, base.lift.path.values, yb, dyb, pert.lift.path.values
     )
@@ -651,10 +657,11 @@ def test_stability_base_csv_is_the_row_builders_byte_for_byte(monkeypatch, tmp_p
     cfg = default_config("stability_base", n=24, ensemble=16, seed=seed)
     cli._write_rows(tmp_path / "new.csv", run_scenario(cfg))
     # every pair-cell seminorm of the scenario from tables built row by row:
-    # the reports' first levels and rough-path distances, and the Picard
-    # update distances of its solve-Picard gap (the reports' remainders come
-    # from `rsde._remainder_table` on both sides, so these bytes do not
-    # cover them; the remainder tests below do)
+    # the reports' rough-path distances and martingale terms, and the Picard
+    # update distances of its solve-Picard gap.  The reports' first levels
+    # (q = 4, one component) come from `norms._moment_table` and their
+    # remainders from `rsde._remainder_table` on both sides, so these bytes
+    # do not cover them; the next test and the remainder tests below do
     monkeypatch.setattr(
         rsde, "vp_lq_seminorm", lambda v, p, q: _rows_vp(v, p, q, 0, v.shape[1] - 1)
     )
@@ -672,6 +679,32 @@ def test_stability_base_csv_is_the_row_builders_byte_for_byte(monkeypatch, tmp_p
     )
     cli._write_rows(tmp_path / "rows.csv", run_scenario(cfg))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_stability_base_first_levels_meet_the_row_builder_to_1e_13(monkeypatch, seed):
+    # the first levels the byte-for-byte test above cannot reach: each
+    # report's solution and derivative terms against the row builder's
+    # seminorm of the difference the moment table was given
+    diffs, reports = [], []
+    real_table, real_experiment = rsde._moment_table, rsde.stability_experiment
+
+    def experiment(*args, **kwargs):
+        out = real_experiment(*args, **kwargs)
+        reports.extend(out[1])
+        return out
+
+    monkeypatch.setattr(rsde, "_moment_table", lambda v: diffs.append(v) or real_table(v))
+    monkeypatch.setattr(rsde, "stability_experiment", experiment)
+    cfg = default_config("stability_base", n=24, ensemble=16, seed=seed)
+    run_scenario(cfg)
+    # four eps times three perturbations, two first levels each
+    assert len(reports) == 12 and len(diffs) == 24
+    for k, rep in enumerate(reports):
+        for part, diff in zip(("solution", "derivative"), diffs[2 * k : 2 * k + 2]):
+            want = _rows_vp(diff, cfg.p, cfg.q, 0, cfg.n)
+            assert rep.lhs_parts[part] > 0
+            assert rep.lhs_parts[part] == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -801,6 +834,133 @@ def test_a_diverged_member_makes_the_remainder_and_the_ratio_nan(monkeypatch):
     assert [np.isnan(rep.lhs_parts["remainder"]) for rep in reports] == [False, False, True]
     assert np.isnan(reports[-1].ratio)
     assert np.isfinite(reports[-1].rhs)
+
+
+# ---------------------------------------------------------------------------
+# the q = 4 member-moment table against the pair cells it replaces
+# ---------------------------------------------------------------------------
+
+MOMENT_CELL_RTOL, MOMENT_SEMINORM_RTOL = 1e-12, 1e-13
+
+
+def _assert_moments_meet_pair_cells(vals, p=2.0):
+    """The moment table of (N, m) values against `lq_table` and its
+    p-variation against `vp_lq_seminorm`; returns the guarded cells."""
+    table, (ii, jj) = _moment_table(vals)
+    # atol 0: a zero cell of the pair cells is a zero cell of the moments
+    assert np.allclose(table, lq_table(vals, 4.0), rtol=MOMENT_CELL_RTOL, atol=0.0)
+    # every guarded cell is `lq_norm` of its raw increment, bit for bit
+    for i, j in zip(ii, jj):
+        want = np.float64(lq_norm(vals[:, j] - vals[:, i], 4.0))
+        assert table[i, j].tobytes() == want.tobytes(), (i, j)
+    got, want = p_variation(table, p), vp_lq_seminorm(vals, p, 4.0)
+    assert got == pytest.approx(want, rel=MOMENT_SEMINORM_RTOL, abs=0.0)
+    return ii.size
+
+
+def _stability_first_levels(monkeypatch, **overrides):
+    """Run `stability_base` and return (the values each moment table was
+    built from, the guarded cells of each, the pair-cell member-cells each
+    reduced)."""
+    built, inside = [], []
+    real_table, real_cells = rsde._moment_table, norms._pair_cells
+
+    def cells(increments, n_members, q, ii, jj):
+        if inside:
+            inside[-1] += n_members * ii.size
+        return real_cells(increments, n_members, q, ii, jj)
+
+    def table(values):
+        inside.append(0)
+        try:
+            out = real_table(values)
+        finally:
+            member_cells = inside.pop()
+        built.append((np.array(values), out[1][0].size, member_cells))
+        return out
+
+    monkeypatch.setattr(rsde, "_moment_table", table)
+    monkeypatch.setattr(norms, "_pair_cells", cells)
+    run_scenario(default_config("stability_base", **overrides))
+    return built
+
+
+@pytest.mark.parametrize("seed", [7, 11, 19])
+def test_moment_tables_meet_pair_cells_on_stability_base_inputs(monkeypatch, seed):
+    # Y - Yt and Y' - Yt' of every report at the scenario's defaults; seed
+    # 19 was not among those the guard was tried on
+    built = _stability_first_levels(monkeypatch, seed=seed)
+    monkeypatch.undo()
+    cells = 0
+    for vals, guarded, _ in built:
+        assert _assert_moments_meet_pair_cells(vals) == guarded
+        cells += vals.shape[1] * (vals.shape[1] - 1) // 2
+    assert 0 < sum(guarded for _, guarded, _ in built) < 0.1 * cells
+
+
+def test_stability_base_builds_24_moment_tables(monkeypatch):
+    # at the defaults: two first levels for each of the 12 reports, whose
+    # pair cells are the guarded cells and no more; a silent fallback to pair
+    # cells would show here and not only as lost speed
+    built = _stability_first_levels(monkeypatch)
+    assert [vals.shape for vals, _, _ in built] == [(128, 97)] * 24
+    for _, guarded, member_cells in built:
+        assert 0 < guarded < 97 * 96 // 2
+        assert member_cells == 128 * guarded
+    # other q stay on `vp_lq_seminorm`
+    monkeypatch.undo()
+    assert _stability_first_levels(monkeypatch, n=24, ensemble=16, q=6.0) == []
+
+
+def test_moment_table_centres_away_a_large_level():
+    w = simulate_brownian(1.0, 64, seed=9, n_members=50).values[..., 0]
+    _assert_moments_meet_pair_cells(1e6 + 1e-6 * w)
+
+
+def test_moment_table_guards_a_slowly_drifting_path(monkeypatch):
+    # a drift of 1 over the grid under noise of 1e-7: the short increments
+    # are tiny next to the distance from the time-mean, where the sums cancel
+    t = make_uniform_grid(1.0, 96).times
+    w = simulate_brownian(1.0, 96, seed=4, n_members=128).values[..., 0]
+    vals = t[None, :] + 1e-7 * w
+    assert _assert_moments_meet_pair_cells(vals) > 0
+    # without the guard the same sums miss the pair cells
+    monkeypatch.setattr(norms, "_MOMENT_RTOL", np.inf)
+    unguarded, (ii, _) = _moment_table(vals)
+    assert ii.size == 0
+    assert not np.allclose(unguarded, lq_table(vals, 4.0), rtol=MOMENT_CELL_RTOL, atol=0.0)
+
+
+def test_moment_table_of_an_all_zero_difference_is_zero():
+    vals = np.zeros((16, 33))
+    table, _ = _moment_table(vals)
+    assert np.array_equal(table, np.zeros((33, 33)))
+    assert p_variation(table, 2.0) == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_moment_table_of_a_non_finite_member_is_all_pair_cells(bad):
+    vals = simulate_brownian(1.0, 40, seed=2, n_members=32).values[..., 0]
+    vals[5, 17] = bad
+    with np.errstate(invalid="ignore", over="ignore"):
+        table, (ii, _) = _moment_table(vals)
+        want = lq_table(vals, 4.0)
+        got = p_variation(table, 2.0)
+        assert _kind(got) == _kind(vp_lq_seminorm(vals, 2.0, 4.0)) == _kind(bad)
+    assert ii.size == 41 * 40 // 2
+    assert np.array_equal(table, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS, ids=["fortran", "time_major"])
+def test_moment_table_does_not_depend_on_memory_layout(layout):
+    vals = simulate_brownian(1.0, 48, seed=6, n_members=64).values[..., 0]
+    vals = vals + 0.5 * make_uniform_grid(1.0, 48).times  # some guarded cells
+    relaid = layout(vals)
+    assert not relaid.flags.c_contiguous
+    (got, (gi, gj)), (want, (wi, wj)) = _moment_table(relaid), _moment_table(vals)
+    assert gi.size > 0
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(gi, wi) and np.array_equal(gj, wj)
 
 
 # ---------------------------------------------------------------------------
