@@ -102,6 +102,8 @@ def _check_stability(rows):
         shown = ", ".join(f"{v:.3g}" for v in vals)
         checks.append((f"{key} perturbation ratios finite", finite, f"ratios [{shown}]"))
         checks.append((f"{key} ratio spread < 5", spread < 5.0, f"spread {spread:.3f}"))
+    gap = _one(rows, "solve_picard_gap")["value"]
+    checks.append(("solve vs Picard gap <= 1e-6", gap <= 1e-6, f"max {gap:.3e}"))
     return checks
 
 

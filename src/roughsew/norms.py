@@ -11,11 +11,14 @@ a stored Brownian bracket).  Every table cell comes from one reduction,
 `_pair_cells`, over a chunk of grid-point pairs at once, and equals
 `lq_norm` of its increment bit for bit; `_pair_seminorm` feeds them to
 `grids._pvar_dp` for every seminorm (and the solver's Picard update
-distances).  There are three exceptions.  The stability remainder's table of
-|means| is built from member-mean contractions in `rsde._remainder_table`,
-since a mean, unlike an L^q norm, is linear.  The q = 4 table of a scalar
-ensemble (the stability first levels) is read by `_moment_table` off member
-moments of the paths, each centred by its time-mean:
+distances).  A lift's `rough_path_distance` to itself is 0.0 without a
+table when its arrays are finite.  There are three exceptions.  The
+stability remainder's table of |means| is built from member-mean
+contractions in `rsde._remainder_table`, since a mean, unlike an L^q norm,
+is linear; a driver shared by the members enters after the member means
+are taken.  The q = 4 table of a scalar ensemble (the stability first
+levels) is read by `_moment_table` off member moments of the paths, each
+centred by its time-mean:
 N ||dY_{i,j}||^4 = S_i + S_j - 4 (A_ij + A_ji) + 6 B_ij, with S = sum y^4,
 A_ij = sum y_i y_j^3 and B_ij = sum y_i^2 y_j^2 over the members; a cell
 where 16 eps (S_i + S_j) exceeds `_MOMENT_RTOL` times its sum is rebuilt
@@ -290,10 +293,18 @@ def second_level_seminorm(lift: RoughLift, p: float, q: float = 2.0) -> float:
 
 def rough_path_distance(a: RoughLift, b: RoughLift, p: float, q: float = 2.0) -> float:
     """Inhomogeneous distance of two lifts on one grid:
-    ||X - Xtilde||_p + ||XX - XXtilde||_{p/2}."""
+    ||X - Xtilde||_p + ||XX - XXtilde||_{p/2}.
+
+    A lift against itself (`b is a`) with finite arrays is 0.0 without a
+    pair cell or a `second_prefix`: every increment difference is x - x = 0,
+    which the pair cells also return unless the Chen prefix overflows.  A
+    lift with a non-finite entry goes through the pair cells, so NaN stays
+    NaN."""
     if a.grid.n_steps != b.grid.n_steps or np.any(a.grid.times != b.grid.times):
         raise ValueError("lifts live on different grids")
     _check_args("rough_path_distance", q, **{"p/2": p / 2.0})
+    if b is a and all(np.isfinite(x).all() for x in (a.path.values, a.step_second, a.jump_second)):
+        return 0.0
     first = vp_lq_seminorm(a.path.values - b.path.values, p, q)
     n_members = max(a.second_prefix.shape[0], b.second_prefix.shape[0])
     second = _pair_seminorm(

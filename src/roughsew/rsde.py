@@ -680,17 +680,25 @@ def _remainder_table(ya, dya, xa, yb, dyb, xb):
 
     with m = E[Y - Yt], D_ij = E[(Y' - Yt')_i . X_j] and
     F_ij = E[Yt'_i . (X - Xt)_j]: one member contraction per table, not a
-    pair cell per (i, j).  Each contraction is an `einsum` without BLAS (a
-    threaded product leaves a worker spinning after it returns), on C-order
-    copies, so the sums run in one order whatever the inputs' layout; at most
-    two m x m arrays are live.  A NaN member gives NaN entries."""
+    pair cell per (i, j).  A driver shared by the members (Nx = 1) leaves the
+    expectation, E[a_i . b_j] = E[a_i] . b_j, so its contraction is the
+    member means, then one m x m product: O(N m + m^2) work, not O(N m^2).
+    Those means add the members' rows in member order, with no copy (a
+    members-last copy, for a pairwise sum, raised `stability_base`'s peak
+    RSS).  A driver with N rows keeps the member `einsum`.  Neither uses BLAS
+    (a threaded product leaves a worker spinning after it returns), and both
+    run on C-order copies, so the sums run in one order whatever the inputs'
+    layout; at most two m x m arrays are live.  A NaN member gives NaN
+    entries."""
     ya, dya, xa, yb, dyb, xb = map(np.ascontiguousarray, (ya, dya, xa, yb, dyb, xb))
-    shape = dya.shape
 
     def contraction(a, b):
-        """E[a_i . b_j] - E[a_i . b_i], with b broadcast over the members."""
-        tab = np.einsum("nid,njd->ij", a, np.broadcast_to(b, shape))
-        tab /= shape[0]
+        """E[a_i . b_j] - E[a_i . b_i], b shared by the members or one per member."""
+        if b.shape[0] == 1:
+            tab = np.einsum("id,jd->ij", np.mean(a, axis=0), b[0])
+        else:
+            tab = np.einsum("nid,njd->ij", a, b)
+            tab /= a.shape[0]
         tab -= tab.diagonal().copy()[:, None]
         return tab
 
@@ -720,13 +728,15 @@ def stability_experiment(
     unperturbed.  The first levels are the p-variation of
     `norms._moment_table` at q = 4 with one component and N >= 2 (within
     ~1e-14 of the pair-cell seminorm), else pair-cell seminorms, as the lift
-    distance is; the remainder term is the (p/2)-variation of the table of
+    distance is; a perturbation that keeps a finite base lift object (a y0
+    or martingale perturbation) is at lift distance 0.0 with no table.  The
+    remainder term is the (p/2)-variation of the table of
     |E[R_{i,j} - Rt_{i,j}]|, R_{i,j} = dY_{i,j} - Y'_i . dX_{i,j} against each
     solution's own driver, which `_remainder_table` builds from member means
-    in difference form.  Identical data reports ratio 0 by convention; a NaN
-    member makes the remainder and the ratio NaN.  Returns the base problem's
-    `solve` result next to the reports.  p, q >= 2 is checked before any
-    solve."""
+    in difference form, a shared driver entering after the means.  Identical
+    data reports ratio 0 by convention; a NaN member makes the remainder and
+    the ratio NaN.  Returns the base problem's `solve` result next to the
+    reports.  p, q >= 2 is checked before any solve."""
     if not (p >= 2 and q >= 2):
         raise ValueError(f"stability_experiment needs p/2 and q/2 >= 1, got p={p}, q={q}")
     fs = coeffs.f_components()

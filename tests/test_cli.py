@@ -230,7 +230,7 @@ _PASSING_ROWS = {
         row for key in ("y0", "martingale", "lift")
         for row in ((f"stability_ratio[{key}]", 1.2), (f"stability_ratio[{key}]", 1.5),
                     (f"ratio_spread[{key}]", 1.25))
-    ],
+    ] + [("solve_picard_gap", 1e-9)],
     "brackets": [
         ("bracket_gap[brownian]", 0.01, 0.02), ("rough_bracket_max[linear]", 0.0),
         ("rough_bracket_max[sine_cosine]", 0.0), ("pure_jump_bracket_residual", 0.0),
@@ -266,6 +266,14 @@ def test_a_nan_in_any_gated_row_fails_its_suite(suite, monkeypatch, capsys):
         monkeypatch.setattr(cli, "run_scenario", lambda cfg, rows=rows: rows)
         assert main(["verify", suite]) == 2
         assert f"{suite}: FAILED" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("gap", [2e-6, float("nan")])
+def test_stability_suite_gates_the_solve_picard_gap(gap):
+    rows = _rows(_PASSING_ROWS["stability"])
+    rows[-1]["value"] = gap
+    failed = [label for label, ok, _ in cli._check_stability(rows) if not ok]
+    assert failed == ["solve vs Picard gap <= 1e-6"]
 
 
 def test_list_names_every_scenario_and_suite(capsys):

@@ -156,10 +156,68 @@ def test_second_level_seminorm_smooth_lift():
     assert val == pytest.approx(0.5, rel=1e-12)
 
 
+def _copy_lift(lift, **arrays):
+    """An equal but distinct lift, with any of its arrays replaced."""
+    arrays = {
+        "values": lift.path.values.copy(),
+        "step_second": lift.step_second.copy(),
+        "jump_second": lift.jump_second.copy(),
+        **arrays,
+    }
+    path = SamplePath(lift.grid, arrays["values"], lift.path.jump_indices)
+    return RoughLift(path, arrays["step_second"], arrays["jump_second"])
+
+
 def test_rough_path_distance_zero_on_identical_lifts():
     bm = simulate_brownian(1.0, 16, seed=41, n_members=8)
     lift = ito_lift_brownian(bm)
-    assert rough_path_distance(lift, lift, 2.5) == 0.0
+    # an equal but distinct lift takes the pair cells
+    copy = _copy_lift(lift)
+    assert rough_path_distance(lift, copy, 2.5) == 0.0
+    assert "second_prefix" in copy.__dict__
+
+
+def test_rough_path_distance_of_a_lift_to_itself_reads_no_pair_cell():
+    lift = ito_lift_brownian(simulate_brownian(1.0, 16, seed=41, n_members=8))
+    got = rough_path_distance(lift, lift, 2.5, 4.0)
+    assert type(got) is float and got == 0.0
+    assert "second_prefix" not in lift.__dict__
+
+
+@pytest.mark.parametrize("array", ["values", "step_second"])
+def test_rough_path_distance_keeps_a_nan_lift_nan_against_itself(array):
+    lift = ito_lift_brownian(simulate_brownian(1.0, 16, seed=41, n_members=8))
+    bad = getattr(lift.path if array == "values" else lift, array).copy()
+    bad[2, 5] = np.nan
+    nan_lift = _copy_lift(lift, **{array: bad})
+    assert np.isnan(rough_path_distance(nan_lift, nan_lift, 2.5))
+    assert np.isnan(rough_path_distance(nan_lift, _copy_lift(nan_lift), 2.5))
+
+
+def test_stability_base_reads_pair_cells_only_for_the_lift_perturbations(monkeypatch):
+    # the y0 and martingale perturbations keep the base lift, so 8 of the 12
+    # distances are a lift against itself; the 4 tilted lifts take the pair
+    # cells, once for the first level and once for the second
+    real_distance, real_seminorm = rsde.rough_path_distance, norms._pair_seminorm
+    cells_per_distance, inside = [], []
+
+    def distance(*args):
+        cells_per_distance.append(0)
+        inside.append(True)
+        try:
+            return real_distance(*args)
+        finally:
+            inside.pop()
+
+    def seminorm(*args, **kwargs):
+        if inside:
+            cells_per_distance[-1] += 1
+        return real_seminorm(*args, **kwargs)
+
+    monkeypatch.setattr(rsde, "rough_path_distance", distance)
+    monkeypatch.setattr(norms, "_pair_seminorm", seminorm)
+    run_scenario(default_config("stability_base"))
+    assert cells_per_distance == [0, 0, 2] * 4
 
 
 def test_rough_path_distance_detects_perturbation():
@@ -805,17 +863,56 @@ def test_remainder_table_is_nearer_an_80_bit_reference(tilted, dim):
             assert max(new_err, old_err) <= 2e-14, (new_err, old_err)
 
 
+def _member_rows(args):
+    """`_remainder_args` with each driver broadcast to one row per member."""
+    n_members = args[0].shape[0]
+    return [
+        np.broadcast_to(a, (n_members,) + a.shape[1:]).copy() if k % 3 == 2 else a
+        for k, a in enumerate(args)
+    ]
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize("tilted", [False, True], ids=["shared", "tilted"])
+def test_remainder_table_of_shared_drivers_meets_the_member_contraction(tilted, dim):
+    # a cell is a difference of O(1) contractions, so a small cell can move
+    # far in its own last digits: entries are compared to the table's scale
+    for eps in (1e-1, 1e-4):
+        args = _remainder_args(dim, eps, tilted)
+        assert args[2].shape[0] == args[5].shape[0] == 1
+        got, want = _remainder_table(*args), _remainder_table(*_member_rows(args))
+        assert np.array_equal(np.diag(got), np.zeros(got.shape[0]))
+        upper = np.triu_indices(got.shape[0], 1)
+        scale = np.max(want[upper])
+        assert np.max(np.abs(got - want)[upper]) <= 1e-13 * scale
+        assert p_variation(got, 1.0) == pytest.approx(p_variation(want, 1.0), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("member", [0, 1])
+def test_remainder_table_of_shared_drivers_keeps_a_nan_member_nan(member):
+    args = _remainder_args(3, 1e-2, True, n=32, n_members=16)
+    args[member] = np.array(args[member])
+    args[member][5, 20:] = np.nan
+    got, want = _remainder_table(*args), _remainder_table(*_member_rows(args))
+    upper = np.triu_indices(got.shape[0], 1)
+    assert np.isnan(got[upper]).any()
+    assert np.array_equal(np.isnan(got[upper]), np.isnan(want[upper]))
+
+
 @pytest.mark.parametrize("dim", [1, 3])
 @pytest.mark.parametrize("layout", LAYOUTS, ids=["fortran", "time_major"])
 def test_remainder_table_does_not_depend_on_memory_layout(layout, dim):
     rng = np.random.default_rng(dim)
     ya, yb = np.cumsum(rng.standard_normal((2, 64, 41)), axis=2)
-    dya, dyb, xa = rng.standard_normal((3, 64, 41, dim))
+    dya, dyb, member_xa = rng.standard_normal((3, 64, 41, dim))
     xb = rng.standard_normal((1, 41, dim))  # a driver shared by the members
-    args = [ya, dya, xa, yb, dyb, xb]
-    relaid = [layout(a) for a in args]
-    assert not any(a.flags.c_contiguous for a in relaid[:5])
-    assert np.array_equal(_remainder_table(*relaid), _remainder_table(*args))
+    # one driver per member, then both drivers shared (the mean-first path)
+    for xa in (member_xa, member_xa[:1]):
+        args = [ya, dya, xa, yb, dyb, xb]
+        relaid = [layout(a) for a in args]
+        # a one-member driver can be C- and F-ordered at once
+        assert not any(a.flags.c_contiguous for a in relaid[:5] if a.shape[0] > 1)
+        assert np.array_equal(_remainder_table(*relaid), _remainder_table(*args))
 
 
 def test_a_diverged_member_makes_the_remainder_and_the_ratio_nan(monkeypatch):
