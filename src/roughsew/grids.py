@@ -144,8 +144,8 @@ def _pvar_dp(columns):
 
 
 def _powers(dist: np.ndarray, p: float) -> np.ndarray:
-    if not p >= 1:
-        raise ValueError(f"p must be >= 1, got p={p}")
+    if not 1 <= p < np.inf:
+        raise ValueError(f"p must be >= 1 and finite, got p={p}")
     powers = np.abs(np.asarray(dist, dtype=float))
     powers **= p
     return powers

@@ -12,25 +12,23 @@ a stored Brownian bracket).  Every table cell comes from one reduction,
 `lq_norm` of its increment bit for bit; `_pair_seminorm` feeds them to
 `grids._pvar_dp` for every seminorm (and the solver's Picard update
 distances).  A lift's `rough_path_distance` to itself is 0.0 without a
-table when its arrays are finite.  There are three exceptions.  The
+table when its arrays are finite.  There are two exceptions.  The
 stability remainder's table of |means| is built from member-mean
 contractions in `rsde._remainder_table`, since a mean, unlike an L^q norm,
 is linear; a driver shared by the members enters after the member means
-are taken.  The q = 4 table of a scalar ensemble (the stability first
-levels) is read by `_moment_table` off member moments of the paths, each
-centred by its time-mean:
-N ||dY_{i,j}||^4 = S_i + S_j - 4 (A_ij + A_ji) + 6 B_ij, with S = sum y^4,
-A_ij = sum y_i y_j^3 and B_ij = sum y_i^2 y_j^2 over the members; a cell
-where 16 eps (S_i + S_j) exceeds `_MOMENT_RTOL` times its sum is rebuilt
-from its pair cell, and a table with a non-finite entry from pair cells
-throughout.  The q = 2 table of an ensemble (the sewing controls' table)
-is read by `lq_table` off one Gram product G of the members' paths, centred
-alike: ||dY_{i,j}||^2 = (G_ii + G_jj - 2 G_ij) / N.  Both sums cancel where
-an increment is small next to the paths' distance from their time-means, so
-here a row with a cell where eps (G_ii + G_jj) exceeds `_GRAM_RTOL` times
-G_ii + G_jj - 2 G_ij is rebuilt from pair cells, and a block with a
-non-finite entry or Gram entry is built from them throughout; the guard runs
-by blocks of rows, so beside the product only a block's temporaries live.
+are taken.  And `_moment_table` reads the q = 2 table of an ensemble (the
+sewing controls' table, through `lq_table`) and the q = 4 table of a
+scalar ensemble (the stability first levels) off moments of the members'
+paths y, each centred by its time-mean: N ||dY_{i,j}||^q = D_i + D_j + C_ij
+with D_i = sum |y_i|^q over the members.  At q = 2, C_ij = -2 G_ij for the
+Gram product G_ij = sum y_i . y_j; at q = 4, C_ij = 6 B_ij - 4 (A_ij +
+A_ji) with A_ij = sum y_i y_j^3 and B_ij = sum y_i^2 y_j^2.  The sums
+cancel where an increment is small next to the paths' distance from their
+time-means, so one guard serves both q: a cell where eps (D_i + D_j)
+exceeds `_MOMENT_RTOL[q]` times its sum is rebuilt from its pair cell, and
+a table with a non-finite entry from pair cells throughout.  The guard runs
+by blocks of rows, so beside the contraction only a block's temporaries
+live.
 Full O(n^2) tables are only built for n <= 2047 (`MAX_TABLE_POINTS` grid
 points) as a memory guard.
 """
@@ -54,13 +52,10 @@ __all__ = [
 
 MAX_TABLE_POINTS = 2048
 
-# a q = 2 Gram row is kept when eps * (G_ii + G_jj) stays below this fraction
-# of G_ii + G_jj - 2 G_ij in every cell, else its pair cells rebuild it
-_GRAM_RTOL = 1e-13
-
-# a q = 4 moment cell is kept when 16 eps (S_i + S_j) stays below this
-# fraction of its fourth-power sum, else its pair cell rebuilds it
-_MOMENT_RTOL = 1e-12
+# a moment cell is kept when eps (D_i + D_j) stays below this fraction of its
+# q-th power sum, else its pair cell rebuilds it: the q = 4 sums lose up to 16
+# times what the q = 2 sums lose
+_MOMENT_RTOL = {2.0: 1e-13, 4.0: 1e-12 / 16}
 
 
 def lq_norm(samples: np.ndarray, q: float) -> float:
@@ -69,8 +64,8 @@ def lq_norm(samples: np.ndarray, q: float) -> float:
     samples: (N, ...) — any trailing shape; magnitudes are Euclidean across
     the trailing axes.
     """
-    if not q >= 1:
-        raise ValueError(f"lq_norm needs q >= 1, got q={q}")
+    if not 1 <= q < np.inf:
+        raise ValueError(f"lq_norm needs finite q >= 1, got q={q}")
     return float(_lq_cells(np.asarray(samples, dtype=float)[:, None], q)[0])
 
 
@@ -108,11 +103,11 @@ _PAIR_CELL_BUDGET = 2**13
 
 def _check_args(fn: str, q: float, **exponents):
     """The public seminorms' one argument rule: q and every variation exponent
-    >= 1, else one `ValueError` line."""
-    low = {name: v for name, v in {**exponents, "q": q}.items() if not v >= 1}
-    if low:
-        got = ", ".join(f"{name}={v}" for name, v in low.items())
-        raise ValueError(f"{fn} needs {' and '.join([*exponents, 'q'])} >= 1, got {got}")
+    finite and >= 1, else one `ValueError` line."""
+    bad = {name: v for name, v in {**exponents, "q": q}.items() if not 1 <= v < np.inf}
+    if bad:
+        got = ", ".join(f"{name}={v}" for name, v in bad.items())
+        raise ValueError(f"{fn} needs finite {' and '.join([*exponents, 'q'])} >= 1, got {got}")
 
 
 def _column_pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -158,96 +153,84 @@ def _check_table_size(n_points: int):
         )
 
 
-def _gram_table(block: np.ndarray):
-    """The q = 2 table of an (N, m, d) block from one Gram product.
+def _moment_table(values: np.ndarray, q: float):
+    """The q = 2 or q = 4 table of an ensemble from member moments.
 
-    Returns (table, rows the cancellation guard rejects), or None when the
-    block, a Gram entry or a sum of two is not finite.
-    """
-    n_members, m, _ = block.shape
-    # one column per member and component, centred by its time-mean, which
-    # leaves every increment as it is; a copy, so the centring never writes
-    # through to the caller's values, dropped after the product
-    y = np.array(block.transpose(1, 0, 2), order="C").reshape(m, -1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        y -= y.mean(axis=0)
-        sq = y @ y.T
-    del y
-    diag = sq.diagonal().copy()
-    lossy = np.zeros(m, dtype=bool)
-    cols = np.arange(m)
-    step = max(1, _PAIR_CELL_BUDGET // m)
-    # by blocks of rows, so that beside the table only a block's sums G_ii +
-    # G_jj, guard products and masks are live; every step is elementwise, so
-    # the blocks give the whole-table bits
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a in range(0, m, step):
-            rows = sq[a : a + step]
-            both = diag[a : a + step, None] + diag[None, :]
-            # in place: (-2 G) + both is both - 2 G bit for bit
-            rows *= -2.0
-            rows += both
-            # a non-finite entry of the block makes its column, and so every
-            # cell, NaN; a non-finite Gram entry or sum shows here too
-            if not np.all(np.isfinite(rows)):
-                return None
-            both *= np.finfo(float).eps
-            lossy[a : a + step] = np.triu(both > _GRAM_RTOL * rows, a + 1).any(axis=1)
-            np.maximum(rows, 0.0, out=rows)
-            rows /= n_members
-            np.sqrt(rows, out=rows)
-            # the strict upper triangle, as `np.triu(., 1)`
-            rows[cols[None, :] <= cols[a : a + step, None]] = 0.0
-    return sq, np.flatnonzero(lossy)
-
-
-def _moment_table(values: np.ndarray):
-    """The q = 4 table of a scalar (N, m) ensemble from member moments.
-
-    Returns (table, (ii, jj)): the strict upper triangle, as `lq_table` fills
-    it, and the cells the guard sent back to `_pair_cells`, all of them when
-    a table entry is not finite.
+    values: (N, m) or (N, m, ...), with one component at q = 4.  Returns
+    (table, (ii, jj)): the strict upper triangle, as `lq_table` fills it,
+    and the cells the guard sent back to `_pair_cells`, all of them when a
+    table entry is not finite.
     """
     block = np.ascontiguousarray(values, dtype=float)
-    n_members, m = block.shape
+    n_members, m = block.shape[:2]
+    block = block.reshape(n_members, m, -1)
     _check_table_size(m)
-    upper = np.triu(np.ones((m, m), dtype=bool), 1)
     # each member centred by its time-mean, which leaves every increment as
-    # it is; then N E|y_j - y_i|^4 = S_i + S_j - 4 (A_ij + A_ji) + 6 B_ij
-    # with S = sum y^4, A_ij = sum y_i y_j^3 and B_ij = sum y_i^2 y_j^2 over
-    # the members, each an `einsum` without BLAS on C-order arrays; the
-    # cube overwrites the square once S and B are taken, so beside the
-    # input at most two (N, m) arrays are live
+    # it is; then N E|y_j - y_i|^q = D_i + D_j + C_ij with D_i = sum |y_i|^q
+    # over the members
     with np.errstate(over="ignore", invalid="ignore"):
-        y = block - block.mean(axis=1, keepdims=True)
-        y2 = np.square(y)
-        s = np.einsum("ni,ni->i", y2, y2)
-        table = np.einsum("ni,nj->ij", y2, y2)
-        table *= 6.0
-        y2 *= y
-        cross = np.einsum("ni,nj->ij", y, y2)
-        del y, y2
-        cross += cross.T
-        cross *= 4.0
-        table -= cross
-        del cross
-        both = s[:, None] + s[None, :]
-        table += both
-        if np.all(np.isfinite(table)):
+        if q == 2.0:
+            # one column per member and component, a copy, so the centring
+            # never writes through to the caller's values, dropped after the
+            # Gram product G: D = diag G and C = -2 G
+            y = np.array(block.transpose(1, 0, 2), order="C").reshape(m, -1)
+            y -= y.mean(axis=0)
+            table = y @ y.T
+            del y
+            moments = table.diagonal().copy()
+            table *= -2.0
+        else:
+            # D = S = sum y^4 and C = 6 B - 4 (A + A^T) with A_ij = sum
+            # y_i y_j^3 and B_ij = sum y_i^2 y_j^2, each an `einsum` without
+            # BLAS on C-order arrays; the cube overwrites the square once S
+            # and B are taken, so beside the input at most two (N, m) arrays
+            # are live
+            y = block.reshape(n_members, m)
+            y = y - y.mean(axis=1, keepdims=True)
+            y2 = np.square(y)
+            moments = np.einsum("ni,ni->i", y2, y2)
+            table = np.einsum("ni,nj->ij", y2, y2)
+            table *= 6.0
+            y2 *= y
+            cross = np.einsum("ni,nj->ij", y, y2)
+            del y, y2
+            cross += cross.T
+            cross *= 4.0
+            table -= cross
+            del cross
+        cols = np.arange(m)
+        guarded = [(np.empty(0, np.intp),) * 2]
+        step = max(1, _PAIR_CELL_BUDGET // m)
+        # by blocks of rows, so that beside the table only a block's sums,
+        # guard products and masks are live; every step is elementwise, so
+        # the blocks give the whole-table bits
+        for a in range(0, m, step):
+            rows = table[a : a + step]
+            both = moments[a : a + step, None] + moments[None, :]
+            rows += both
+            # a non-finite entry of the values makes its column, and so every
+            # cell, NaN; a non-finite moment or sum shows here too
+            if not np.all(np.isfinite(rows)):
+                table.fill(0.0)
+                guarded = [np.triu_indices(m, 1)]
+                break
             # the sums cancel where an increment is small next to the values'
             # distance from their time-means; N tiny bounds what the products
             # lost to underflow, so an all-zero difference is guarded too
             both += n_members * np.finfo(float).tiny
-            both *= 16.0 * np.finfo(float).eps / _MOMENT_RTOL
-            guarded = upper & (both > table)
-            del both
-            table[~upper] = 0.0
-            table /= n_members
-            table **= 0.25
-        else:
-            table, guarded = np.zeros((m, m)), upper
-    ii, jj = np.nonzero(guarded)
-    table[ii, jj] = _pair_cells(lambda i, j: block[:, j] - block[:, i], n_members, 4.0, ii, jj)
+            both *= np.finfo(float).eps
+            bad = both > _MOMENT_RTOL[q] * rows
+            # the strict upper triangle, as `np.triu(., 1)`
+            lower = cols[None, :] <= cols[a : a + step, None]
+            bad[lower] = False
+            if bad.any():
+                ii, jj = np.nonzero(bad)
+                guarded.append((ii + a, jj))
+            rows[lower] = 0.0
+            rows /= n_members
+            rows **= 1.0 / q
+    ii, jj = (np.concatenate(k) for k in zip(*guarded))
+    table[ii, jj] = _pair_cells(lambda i, j: block[:, j] - block[:, i], n_members, q, ii, jj)
     return table, (ii, jj)
 
 
@@ -256,20 +239,18 @@ def lq_table(values: np.ndarray, q: float) -> np.ndarray:
 
     values: (N, n+1) or (N, n+1, d), copied to C order if they are not (a
     Fortran-ordered d = 3 block sums its components in another order).  At
-    q = 2 with N >= 2 the table comes from one Gram product (see the module
+    q = 2 with N >= 2 the table comes from `_moment_table` (see the module
     docstring); all other cells from `_pair_cells`.
     """
     block = np.ascontiguousarray(values, dtype=float)
-    if block.ndim == 2:
-        block = block[:, :, None]
     _check_args("lq_table", q)
     m = block.shape[1]
     _check_table_size(m)
     # a single path keeps its exact differences: |x_v - x_u| from pair cells
-    gram = _gram_table(block) if q == 2.0 and block.shape[0] >= 2 else None
-    out, rows = (np.zeros((m, m)), np.arange(m - 1)) if gram is None else gram
-    at, jj = np.nonzero(np.arange(m) > rows[:, None])
-    ii = rows[at]
+    if q == 2.0 and block.shape[0] >= 2:
+        return _moment_table(block, q)[0]
+    out = np.zeros((m, m))
+    ii, jj = np.triu_indices(m, 1)
     out[ii, jj] = _pair_cells(lambda i, j: block[:, j] - block[:, i], block.shape[0], q, ii, jj)
     return out
 

@@ -547,11 +547,11 @@ def picard_solve(
     lower bound of the distance, which the warning at max_iter reports as
     "at least"), the full distance otherwise; a window that stops below
     `tol` ends on a full distance.  They also record the event count and
-    diverged members as in `solve`.  p or q below 1 and max_iter below 1 are
-    refused before planning.
+    diverged members as in `solve`.  p or q below 1 or infinite and max_iter
+    below 1 are refused before planning.
     """
-    if p < 1 or q < 1:
-        raise ValueError(f"picard_solve needs p >= 1 and q >= 1, got p={p}, q={q}")
+    if not (1 <= p < np.inf and 1 <= q < np.inf):
+        raise ValueError(f"picard_solve needs finite p >= 1 and q >= 1, got p={p}, q={q}")
     if max_iter < 1:
         raise ValueError(f"picard_solve needs max_iter >= 1, got max_iter={max_iter}")
     sched, fs, state = _prologue(coeffs, y0, lift, mart, 0)
@@ -726,19 +726,20 @@ def stability_experiment(
     Each pair is (perturbed problem, bracket path of the martingale
     difference, shape (Nb, n+1)); the bracket is None when the martingale is
     unperturbed.  The first levels are the p-variation of
-    `norms._moment_table` at q = 4 with one component and N >= 2 (within
-    ~1e-14 of the pair-cell seminorm), else pair-cell seminorms, as the lift
-    distance is; a perturbation that keeps a finite base lift object (a y0
-    or martingale perturbation) is at lift distance 0.0 with no table.  The
+    `norms._moment_table(diff, 4.0)` when q = 4, N >= 2 and the difference
+    has one component (within ~1e-14 of the pair-cell seminorm; its guarded
+    cells are pair cells), else pair-cell seminorms, as the lift distance
+    is; a perturbation that keeps a finite base lift object (a y0 or
+    martingale perturbation) is at lift distance 0.0 with no table.  The
     remainder term is the (p/2)-variation of the table of
     |E[R_{i,j} - Rt_{i,j}]|, R_{i,j} = dY_{i,j} - Y'_i . dX_{i,j} against each
     solution's own driver, which `_remainder_table` builds from member means
     in difference form, a shared driver entering after the means.  Identical
     data reports ratio 0 by convention; a NaN member makes the remainder and
     the ratio NaN.  Returns the base problem's `solve` result next to the
-    reports.  p, q >= 2 is checked before any solve."""
-    if not (p >= 2 and q >= 2):
-        raise ValueError(f"stability_experiment needs p/2 and q/2 >= 1, got p={p}, q={q}")
+    reports.  Finite p, q >= 2 is checked before any solve."""
+    if not (2 <= p < np.inf and 2 <= q < np.inf):
+        raise ValueError(f"stability_experiment needs finite p/2 and q/2 >= 1, got p={p}, q={q}")
     fs = coeffs.f_components()
 
     def solution(sol: RSDEResult, prob: RSDEProblem):
@@ -750,7 +751,7 @@ def stability_experiment(
     def first_level(diff):
         # q = 4 on one component: the p-variation of the member-moment table
         if q == 4.0 and diff.shape[0] >= 2 and diff[0, 0].size == 1:
-            return p_variation(_moment_table(diff.reshape(diff.shape[:2]))[0], p)
+            return p_variation(_moment_table(diff, 4.0)[0], p)
         return vp_lq_seminorm(diff, p, q)
 
     base_sol = solve(coeffs, base.y0, base.lift, base.mart)

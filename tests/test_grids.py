@@ -246,6 +246,14 @@ def test_pvar_control_rejects_p_below_one():
         pvar_control(tab, 0.5)
 
 
+@pytest.mark.parametrize("p", [np.inf, -np.inf])
+def test_p_variation_refuses_an_infinite_exponent_in_one_line(p):
+    # inf >= 1, yet the rooted variation of any table reads 1.0 there
+    tab = increment_table_broadcast(np.arange(5.0))
+    with pytest.raises(ValueError, match=f"^p must be >= 1 and finite, got p={p}$"):
+        p_variation(tab, p)
+
+
 # ---------------------------------------------------------------------------
 # alternating refinements
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from roughsew import cli, norms, rsde
 from roughsew.norms import (
     MAX_TABLE_POINTS,
     _column_pairs,
-    _gram_table,
     _lq_cells,
     _moment_table,
     _pair_seminorm,
@@ -116,6 +115,9 @@ def test_lq_norm_validation():
         lq_norm(x, 0.5)
     with pytest.raises(ValueError, match="q >= 1"):
         lq_norm(np.ones(3), float("nan"))
+    # inf >= 1, yet the empirical norm read 1.0 there whatever the samples
+    with pytest.raises(ValueError, match="^lq_norm needs finite q >= 1, got q=inf$"):
+        lq_norm([[2.0], [3.0]], float("inf"))
 
 
 def test_lq_table_known_two_member_ensemble():
@@ -378,8 +380,8 @@ def _assert_gram_matches_rows(vals, s=0, t=None):
 def test_gram_table_matches_rows_on_a_workload_size_brownian_ensemble():
     vals = simulate_brownian(1.0, 512, seed=7, n_members=2000).values
     _assert_gram_matches_rows(vals)
-    # every row is kept from the Gram product at this size
-    assert _gram_table(vals)[1].size == 0
+    # every cell is kept from the Gram product at this size
+    assert _moment_table(vals, 2.0)[1][0].size == 0
 
 
 @pytest.mark.parametrize("rate,n_members,align", [(5.0, 500, False), (2.0, 64, True)])
@@ -431,24 +433,40 @@ def test_gram_table_forms_its_cells_beside_the_product_alone():
     m = vals.shape[1]
     tracemalloc.start()
     try:
-        table, rows = _gram_table(vals)
+        table, (ii, _) = _moment_table(vals, 2.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 1.2 * m * m * 8
-    # the guard still sends rows back to the pair cells at this size
-    assert 0 < rows.size < m - 1
+    # the guard still sends cells back to the pair cells at this size
+    assert 0 < ii.size < m
+    assert np.allclose(table, lq_table_rows(vals, 2.0), rtol=GRAM_RTOL, atol=0.0)
 
 
-def test_gram_table_rebuilds_cancelling_rows_bitwise():
-    # a turn of radius 1e6 in 512 steps: every row has a cell whose increment
+def test_gram_table_rebuilds_cancelling_cells_bitwise(monkeypatch):
+    # a turn of radius 1e6 in 512 steps: every row has cells whose increment
     # is tiny next to the distance from the time-mean, where the unguarded
     # Gram table is off by ~7e-12 relative and has a false zero
     t = np.linspace(0.0, 1.0, 513)
     circle = np.stack([np.cos(2 * np.pi * t), np.sin(2 * np.pi * t)], axis=-1)
     w = simulate_brownian(1.0, 512, seed=9, n_members=40, dim=2).values
     vals = 1e6 * circle[None] + 1e-6 * w
-    assert np.array_equal(lq_table(vals, 2.0), lq_table_rows(vals, 2.0))
+    table, (ii, jj) = _moment_table(vals, 2.0)
+    assert np.array_equal(lq_table(vals, 2.0), table)
+    assert np.unique(ii).size == 512
+    # every guarded cell is `lq_norm` of its raw increment, bit for bit
+    for i, j in zip(ii, jj):
+        want = np.float64(lq_norm(vals[:, j] - vals[:, i], 2.0))
+        assert table[i, j].tobytes() == want.tobytes(), (i, j)
+    # atol 0: no false zero
+    want = lq_table_rows(vals, 2.0)
+    assert np.allclose(table, want, rtol=GRAM_RTOL, atol=0.0)
+    assert np.count_nonzero(table) == 513 * 512 // 2
+    # without the guard the same sums miss the row loop
+    monkeypatch.setitem(norms._MOMENT_RTOL, 2.0, np.inf)
+    unguarded, (ii, _) = _moment_table(vals, 2.0)
+    assert ii.size == 0
+    assert not np.allclose(unguarded, want, rtol=GRAM_RTOL, atol=0.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
@@ -752,7 +770,7 @@ def test_stability_base_first_levels_meet_the_row_builder_to_1e_13(monkeypatch, 
         reports.extend(out[1])
         return out
 
-    monkeypatch.setattr(rsde, "_moment_table", lambda v: diffs.append(v) or real_table(v))
+    monkeypatch.setattr(rsde, "_moment_table", lambda v, q: diffs.append(v) or real_table(v, q))
     monkeypatch.setattr(rsde, "stability_experiment", experiment)
     cfg = default_config("stability_base", n=24, ensemble=16, seed=seed)
     run_scenario(cfg)
@@ -941,9 +959,9 @@ MOMENT_CELL_RTOL, MOMENT_SEMINORM_RTOL = 1e-12, 1e-13
 
 
 def _assert_moments_meet_pair_cells(vals, p=2.0):
-    """The moment table of (N, m) values against `lq_table` and its
+    """The moment table of scalar (N, m) values against `lq_table` and its
     p-variation against `vp_lq_seminorm`; returns the guarded cells."""
-    table, (ii, jj) = _moment_table(vals)
+    table, (ii, jj) = _moment_table(vals, 4.0)
     # atol 0: a zero cell of the pair cells is a zero cell of the moments
     assert np.allclose(table, lq_table(vals, 4.0), rtol=MOMENT_CELL_RTOL, atol=0.0)
     # every guarded cell is `lq_norm` of its raw increment, bit for bit
@@ -967,10 +985,10 @@ def _stability_first_levels(monkeypatch, **overrides):
             inside[-1] += n_members * ii.size
         return real_cells(increments, n_members, q, ii, jj)
 
-    def table(values):
+    def table(values, q):
         inside.append(0)
         try:
-            out = real_table(values)
+            out = real_table(values, q)
         finally:
             member_cells = inside.pop()
         built.append((np.array(values), out[1][0].size, member_cells))
@@ -1000,7 +1018,7 @@ def test_stability_base_builds_24_moment_tables(monkeypatch):
     # pair cells are the guarded cells and no more; a silent fallback to pair
     # cells would show here and not only as lost speed
     built = _stability_first_levels(monkeypatch)
-    assert [vals.shape for vals, _, _ in built] == [(128, 97)] * 24
+    assert [vals.shape[:2] for vals, _, _ in built] == [(128, 97)] * 24
     for _, guarded, member_cells in built:
         assert 0 < guarded < 97 * 96 // 2
         assert member_cells == 128 * guarded
@@ -1022,15 +1040,15 @@ def test_moment_table_guards_a_slowly_drifting_path(monkeypatch):
     vals = t[None, :] + 1e-7 * w
     assert _assert_moments_meet_pair_cells(vals) > 0
     # without the guard the same sums miss the pair cells
-    monkeypatch.setattr(norms, "_MOMENT_RTOL", np.inf)
-    unguarded, (ii, _) = _moment_table(vals)
+    monkeypatch.setitem(norms._MOMENT_RTOL, 4.0, np.inf)
+    unguarded, (ii, _) = _moment_table(vals, 4.0)
     assert ii.size == 0
     assert not np.allclose(unguarded, lq_table(vals, 4.0), rtol=MOMENT_CELL_RTOL, atol=0.0)
 
 
 def test_moment_table_of_an_all_zero_difference_is_zero():
     vals = np.zeros((16, 33))
-    table, _ = _moment_table(vals)
+    table, _ = _moment_table(vals, 4.0)
     assert np.array_equal(table, np.zeros((33, 33)))
     assert p_variation(table, 2.0) == 0.0
 
@@ -1040,7 +1058,7 @@ def test_moment_table_of_a_non_finite_member_is_all_pair_cells(bad):
     vals = simulate_brownian(1.0, 40, seed=2, n_members=32).values[..., 0]
     vals[5, 17] = bad
     with np.errstate(invalid="ignore", over="ignore"):
-        table, (ii, _) = _moment_table(vals)
+        table, (ii, _) = _moment_table(vals, 4.0)
         want = lq_table(vals, 4.0)
         got = p_variation(table, 2.0)
         assert _kind(got) == _kind(vp_lq_seminorm(vals, 2.0, 4.0)) == _kind(bad)
@@ -1054,8 +1072,27 @@ def test_moment_table_does_not_depend_on_memory_layout(layout):
     vals = vals + 0.5 * make_uniform_grid(1.0, 48).times  # some guarded cells
     relaid = layout(vals)
     assert not relaid.flags.c_contiguous
-    (got, (gi, gj)), (want, (wi, wj)) = _moment_table(relaid), _moment_table(vals)
+    (got, (gi, gj)), (want, (wi, wj)) = _moment_table(relaid, 4.0), _moment_table(vals, 4.0)
     assert gi.size > 0
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(gi, wi) and np.array_equal(gj, wj)
+
+
+@pytest.mark.parametrize("budget", [1, "m", "3m", 2**20])
+@pytest.mark.parametrize("q,dim", [(2.0, 2), (4.0, 1)])
+def test_moment_table_does_not_depend_on_its_row_blocks(monkeypatch, q, dim, budget):
+    # a drift under noise, so that both tables have guarded cells; budgets 1
+    # and m give one row per block, 3m three rows and 2^20 every row, against
+    # the default blocks
+    t = make_uniform_grid(1.0, 96).times
+    w = simulate_brownian(1.0, 96, seed=3, n_members=64, dim=dim).values
+    vals = t[None, :, None] + 1e-7 * w
+    m = vals.shape[1]
+    want, (wi, wj) = _moment_table(vals, q)
+    assert wi.size > 0
+    budget = {"m": m, "3m": 3 * m}.get(budget, budget)
+    monkeypatch.setattr(norms, "_PAIR_CELL_BUDGET", budget)
+    got, (gi, gj) = _moment_table(vals, q)
     assert got.tobytes() == want.tobytes()
     assert np.array_equal(gi, wi) and np.array_equal(gj, wj)
 
@@ -1081,6 +1118,7 @@ def _seminorm_calls(lift, other):
         ({"q": 0.5}, "q >= 1, got q=0.5"),
         ({"q": 0.0}, "q >= 1, got q=0.0"),
         ({"q": float("nan")}, "q >= 1, got q=nan"),
+        ({"q": float("inf")}, "q >= 1, got q=inf"),
     ],
 )
 def test_public_seminorms_refuse_bad_arguments_in_one_line(kwargs, match):
@@ -1093,10 +1131,10 @@ def test_public_seminorms_refuse_bad_arguments_in_one_line(kwargs, match):
 def test_seminorm_exponents_below_one_are_refused():
     lift, other = _lift(3, 2, seed=5), _lift(3, 2, seed=6)
     calls = _seminorm_calls(lift, other)
-    with pytest.raises(ValueError, match="^vp_lq_seminorm needs p and q >= 1, got p=0.5$"):
+    with pytest.raises(ValueError, match="^vp_lq_seminorm needs finite p and q >= 1, got p=0.5$"):
         calls["vp_lq_seminorm"](p=0.5)
     for name in ("second_level_seminorm", "rough_path_distance"):
-        with pytest.raises(ValueError, match=f"^{name} needs p/2 and q >= 1, got p/2=0.75$"):
+        with pytest.raises(ValueError, match=f"^{name} needs finite p/2 and q >= 1, got p/2=0.75$"):
             calls[name](p=1.5)
         with pytest.raises(ValueError, match="got p/2=0.25, q=0.5$"):
             calls[name](p=0.5, q=0.5)

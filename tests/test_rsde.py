@@ -1048,14 +1048,17 @@ def test_picard_warning_at_max_iter_reports_an_end_term_as_a_lower_bound():
     ]
 
 
-@pytest.mark.parametrize("p,q", [(0.9, 4.0), (2.0, 0.5)])
+@pytest.mark.parametrize(
+    "p,q", [(0.9, 4.0), (2.0, 0.5), (np.inf, 4.0), (2.0, np.inf), (2.0, np.nan)]
+)
 def test_picard_refuses_p_or_q_below_one_before_planning(monkeypatch, p, q):
     def no_plan(*args):
         raise AssertionError("planned before the refusal")
 
     monkeypatch.setattr(rsde, "_plan_windows", no_plan)
     bm = simulate_brownian(1.0, 16, seed=29, n_members=4)
-    with pytest.raises(ValueError, match="p >= 1 and q >= 1"):
+    msg = f"^picard_solve needs finite p >= 1 and q >= 1, got p={p}, q={q}$"
+    with pytest.raises(ValueError, match=msg):
         picard_solve(_all_coeffs(), 0.0, ito_lift_brownian(bm), bm, p=p, q=q)
 
 
@@ -1071,7 +1074,7 @@ def test_picard_refuses_max_iter_below_one_before_planning(monkeypatch, max_iter
         picard_solve(_all_coeffs(), 0.0, ito_lift_brownian(bm), bm, max_iter=max_iter)
 
 
-@pytest.mark.parametrize("p,q", [(1.5, 4.0), (2.0, 1.5)])
+@pytest.mark.parametrize("p,q", [(1.5, 4.0), (2.0, 1.5), (np.inf, 4.0), (2.0, np.inf)])
 def test_stability_refuses_p_or_q_below_two_before_solving(monkeypatch, p, q):
     def no_solve(*args):
         raise AssertionError("solved before the refusal")
@@ -1079,7 +1082,7 @@ def test_stability_refuses_p_or_q_below_two_before_solving(monkeypatch, p, q):
     monkeypatch.setattr(rsde, "solve", no_solve)
     lift = smooth_lift("linear", 1.0, 8)
     base = RSDEProblem(0.1, lift)
-    msg = f"^stability_experiment needs p/2 and q/2 >= 1, got p={p}, q={q}$"
+    msg = f"^stability_experiment needs finite p/2 and q/2 >= 1, got p={p}, q={q}$"
     with pytest.raises(ValueError, match=msg):
         stability_experiment(_all_coeffs(), base, [(base, None)], p=p, q=q)
 

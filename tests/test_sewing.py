@@ -137,10 +137,12 @@ def test_sewing_rate_builds_two_gram_tables(monkeypatch):
     # B's table once, for the ito walk's controls and the qv walk's, then
     # the integer walk's
     shapes = []
-    real = norms._gram_table
-    monkeypatch.setattr(norms, "_gram_table", lambda block: shapes.append(block.shape) or real(block))
+    real = norms._moment_table
+    monkeypatch.setattr(
+        norms, "_moment_table", lambda block, q: shapes.append((block.shape, q)) or real(block, q)
+    )
     run_scenario(default_config("sewing_rate"))
-    assert shapes == [(2000, 513, 1), (256, 513, 1)]
+    assert shapes == [((2000, 513), 2.0), ((256, 513), 2.0)]
 
 
 @pytest.mark.parametrize("seed", [7, 11])
