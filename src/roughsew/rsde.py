@@ -42,6 +42,12 @@ whatever the coefficients are.
 A solution is the controlled pair (Y, f(Y)), but the solvers return Y only;
 a caller that needs the Gubinelli derivative Y' = f(Y) evaluates the rough
 coefficients on the values (as `stability_experiment` does).
+
+A solve costs a fixed handful of numpy calls per event whatever N is, so
+`stability_experiment` solves the data bundles that share a lift object and
+a martingale jump set as one ensemble, their members stacked, and splits the
+state back per bundle: the members' recursions are elementwise, so each
+bundle's values are those of its own solve, bit for bit.
 """
 from __future__ import annotations
 
@@ -66,7 +72,7 @@ from .norms import (
     two_param_seminorm,  # noqa: F401  (perfbench/tracer.py REQUIRED_BINDINGS)
     vp_lq_seminorm,
 )
-from .paths import MartingalePath, RoughLift
+from .paths import MartingalePath, RoughLift, SamplePath
 
 __all__ = [
     "CoefficientSet",
@@ -148,9 +154,8 @@ class EventSchedule:
     jump_indices: np.ndarray  # union of declared driver jumps
 
 
-def _check_same_grid(a: TimeGrid, b: TimeGrid):
-    if a.n_steps != b.n_steps or np.any(a.times != b.times):
-        raise ValueError("driver grids are not aligned")
+def _same_grid(a: TimeGrid, b: TimeGrid) -> bool:
+    return a.n_steps == b.n_steps and not np.any(a.times != b.times)
 
 
 def _time_major(a: np.ndarray) -> np.ndarray:
@@ -173,7 +178,8 @@ def build_event_schedule(lift: RoughLift, mart: MartingalePath | None = None) ->
     if mart is not None:
         if mart.dim != 1:
             raise ValueError("the solvers handle one-dimensional martingales")
-        _check_same_grid(grid, mart.grid)
+        if not _same_grid(grid, mart.grid):
+            raise ValueError("driver grids are not aligned")
         mv = mart.values[..., 0]
         dms = _time_major(np.diff(mv, axis=1))
         m_jumps = mart.jump_indices
@@ -337,6 +343,15 @@ class RSDEResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _n_members(y0, lift: RoughLift, mart) -> int:
+    """The number of members a solve runs: y0, the lift's path and the
+    martingale broadcast against each other."""
+    rows = [np.shape(np.atleast_1d(y0)), (lift.path.n_members,)]
+    if mart is not None:
+        rows.append((mart.n_members,))
+    return int(np.broadcast_shapes(*rows)[0])
+
+
 def _prologue(coeffs: CoefficientSet, y0, lift: RoughLift, mart, start: int):
     """Schedule, rough components and a time-major state array (n+1+J, N)
     (see `EventSchedule`) holding y0 on grid rows 0..start and NaN in every
@@ -346,9 +361,7 @@ def _prologue(coeffs: CoefficientSet, y0, lift: RoughLift, mart, start: int):
     if fs and len(fs) != lift.dim:
         raise ValueError("one rough coefficient per driver direction required")
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    n_members = int(
-        np.broadcast_shapes(y0.shape, (sched.dm.shape[1],), (sched.dx.shape[1],))[0]
-    )
+    n_members = _n_members(y0, lift, mart)
     n = lift.grid.n_steps
     state = np.empty((n + 1 + sched.jump_indices.size, n_members))
     state[: start + 1] = np.broadcast_to(y0, (n_members,))
@@ -710,6 +723,60 @@ def _remainder_table(ya, dya, xa, yb, dyb, xb):
     return np.abs(table, out=table)
 
 
+def _stacked(probs: Sequence[RSDEProblem], n_members: int):
+    """(y0, lift, mart) of the bundles `probs`, `n_members` members each,
+    which hold one lift object and martingales with one set of jump indices
+    (or none), stacked member-wise, bundle after bundle.  Each y0 is
+    broadcast to the members and concatenated, and so are the martingales'
+    values, left limits and brackets; a lift array with one row, which the
+    members share, passes as is, and one with N rows is repeated once per
+    bundle.  A single bundle passes as is."""
+    if len(probs) == 1:
+        return probs[0].y0, probs[0].lift, probs[0].mart
+
+    def members(arrays):
+        return np.concatenate([np.broadcast_to(a, (n_members,) + a.shape[1:]) for a in arrays])
+
+    def repeated(a):
+        return a if a is None or a.shape[0] == 1 else members([a] * len(probs))
+
+    y0 = members([np.atleast_1d(np.asarray(prob.y0, dtype=float)) for prob in probs])
+    lift, path = probs[0].lift, probs[0].lift.path
+    lift = RoughLift(
+        SamplePath(path.grid, repeated(path.values), path.jump_indices, repeated(path.left_values)),
+        repeated(lift.step_second),
+        repeated(lift.jump_second),
+    )
+    marts = [prob.mart for prob in probs]
+    mart = marts[0]
+    if mart is not None:
+        mart = MartingalePath(
+            grid=mart.grid,
+            values=members([m.values for m in marts]),
+            jump_indices=mart.jump_indices,
+            left_values=members([m.left_values for m in marts]) if mart.jump_indices.size else None,
+            bracket=members([m.bracket for m in marts]),
+        )
+    return y0, lift, mart
+
+
+def _split(res: RSDEResult, n_members: int) -> list[RSDEResult]:
+    """The result of a stacked solve (`_stacked`), one per bundle of
+    `n_members` members: C-order copies of the bundle's values and left
+    limits, so that no bundle's result holds the stack, and diagnostics that
+    flag the bundle's own diverged members."""
+    out = []
+    for lo in range(0, res.values.shape[0], n_members):
+        rows = slice(lo, lo + n_members)
+        diagnostics = dict(res.diagnostics)
+        bad = diagnostics.pop("diverged", None)
+        if bad is not None and bad[rows].any():
+            diagnostics["diverged"] = bad[rows].copy()
+        values, left = res.values[rows].copy(), res.left_values[rows].copy()
+        out.append(RSDEResult(res.grid, values, res.jump_indices, left, diagnostics))
+    return out
+
+
 def stability_experiment(
     coeffs: CoefficientSet,
     base: RSDEProblem,
@@ -717,7 +784,7 @@ def stability_experiment(
     p: float = 2.0,
     q: float = 4.0,
 ) -> tuple[RSDEResult, list[StabilityReport]]:
-    """Solve the base data bundle once and each perturbed one, and compare
+    """Solve the base data bundle and each perturbed one, and compare
     solution distance to data distance, one report per pair in `perts`:
 
         LHS = ||Y - Yt||_{p,q} + ||Y' - Yt'||_{p,q} + ||E.(R - Rt)||_{p/2}
@@ -725,7 +792,16 @@ def stability_experiment(
 
     Each pair is (perturbed problem, bracket path of the martingale
     difference, shape (Nb, n+1)); the bracket is None when the martingale is
-    unperturbed.  The first levels are the p-variation of
+    unperturbed.  The bundles that hold one lift object and martingales with
+    one set of jump indices (or none) form a group, solved by one `solve`
+    call over their members stacked (`_stacked`): a y0 or martingale
+    perturbation joins the base's group, a perturbed lift is a group of its
+    own.  Each member's recursion is elementwise and a stack keeps the
+    solver's -0.0 rule exact for every member, so every report is the one a
+    solve per bundle gives, bit for bit.  Only copies of each bundle's
+    values outlive its group's result, which goes before the next group's
+    solve; a group's divergence warning counts that group's diverged
+    members.  The first levels are the p-variation of
     `norms._moment_table(diff, 4.0)` when q = 4, N >= 2 and the difference
     has one component (within ~1e-14 of the pair-cell seminorm; its guarded
     cells are pair cells), else pair-cell seminorms, as the lift distance
@@ -736,17 +812,29 @@ def stability_experiment(
     solution's own driver, which `_remainder_table` builds from member means
     in difference form, a shared driver entering after the means.  Identical
     data reports ratio 0 by convention; a NaN member makes the remainder and
-    the ratio NaN.  Returns the base problem's `solve` result next to the
-    reports.  Finite p, q >= 2 is checked before any solve."""
+    the ratio NaN.  Returns the base problem's result, which owns the base
+    members' rows only (in C order when the base shares its group), next to
+    the reports.  Finite p, q >= 2, and every perturbed bundle's grid and
+    member count against the base's, are checked before any solve."""
     if not (2 <= p < np.inf and 2 <= q < np.inf):
         raise ValueError(f"stability_experiment needs finite p/2 and q/2 >= 1, got p={p}, q={q}")
+    n_members, grid = _n_members(base.y0, base.lift, base.mart), base.lift.grid
+    for i, (pert, _) in enumerate(perts):
+        for name, driver in (("lift", pert.lift), ("martingale", pert.mart)):
+            if driver is not None and not _same_grid(driver.grid, grid):
+                raise ValueError(
+                    f"stability_experiment: the {name} of perts[{i}] is not on the base lift's grid"
+                )
+        m = _n_members(pert.y0, pert.lift, pert.mart)
+        if m != n_members:
+            raise ValueError(
+                f"stability_experiment: perts[{i}] has {m} members, the base {n_members}"
+            )
     fs = coeffs.f_components()
 
-    def solution(sol: RSDEResult, prob: RSDEProblem):
-        # one C-order copy, which the seminorms and remainder table below
-        # read; Y' = f(Y), zero without a rough coefficient
-        y = np.ascontiguousarray(sol.values)
-        return y, _f_stack(fs, y) if fs else np.zeros(y.shape + (prob.lift.dim,))
+    def derivative(y, prob: RSDEProblem):
+        # Y' = f(Y), zero without a rough coefficient
+        return _f_stack(fs, y) if fs else np.zeros(y.shape + (prob.lift.dim,))
 
     def first_level(diff):
         # q = 4 on one component: the p-variation of the member-moment table
@@ -754,13 +842,30 @@ def stability_experiment(
             return p_variation(_moment_table(diff, 4.0)[0], p)
         return vp_lq_seminorm(diff, p, q)
 
-    base_sol = solve(coeffs, base.y0, base.lift, base.mart)
-    ya, dya = solution(base_sol, base)
+    bundles = [base] + [pert for pert, _ in perts]
+    groups: dict[tuple, list[int]] = {}
+    for k, prob in enumerate(bundles):
+        jumps = None if prob.mart is None else prob.mart.jump_indices.tobytes()
+        groups.setdefault((id(prob.lift), jumps), []).append(k)
+    # one C-order copy of each bundle's values, which the seminorms and
+    # remainder tables below read
+    ys = [None] * len(bundles)
+    for group in groups.values():
+        res = solve(coeffs, *_stacked([bundles[k] for k in group], n_members))
+        sols = [res] if len(group) == 1 else _split(res, n_members)
+        if group[0] == 0:
+            base_sol = sols[0]
+        for k, sol in zip(group, sols):
+            ys[k] = np.ascontiguousarray(sol.values)
+        del res, sols, sol  # the group's state goes before the next solve
+
+    ya = ys[0]
+    dya = derivative(ya, base)
     y0a = np.atleast_1d(np.asarray(base.y0, dtype=float))
     reports = []
-    for pert, mdiff_bracket in perts:
-        # the perturbed result goes as soon as its values are copied
-        yb, dyb = solution(solve(coeffs, pert.y0, pert.lift, pert.mart), pert)
+    for k, (pert, mdiff_bracket) in enumerate(perts, 1):
+        yb, ys[k] = ys[k], None  # each perturbed solution goes after its report
+        dyb = derivative(yb, pert)
         l_sol = first_level(ya - yb)
         l_der = first_level(dya - dyb)
         table = _remainder_table(ya, dya, base.lift.path.values, yb, dyb, pert.lift.path.values)

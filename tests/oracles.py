@@ -962,3 +962,47 @@ def alternating_midpoints_undeduplicated(grids, ws, s, t, depth):
         pts = new_pts
         levels.append(np.unique(np.asarray(pts, dtype=np.int64)))
     return levels
+
+
+def stability_experiment_by_bundle(rsde, coeffs, base, perts, p=2.0, q=4.0):
+    """`rsde.stability_experiment` as it ran before it stacked the bundles
+    that share a lift: one `rsde.solve` per bundle, the base first, then each
+    perturbed bundle solved and reported in turn, on the module's own
+    seminorms, moment tables and remainder tables.  Returns (base result,
+    reports)."""
+    fs = coeffs.f_components()
+
+    def solution(sol, prob):
+        y = np.ascontiguousarray(sol.values)
+        return y, rsde._f_stack(fs, y) if fs else np.zeros(y.shape + (prob.lift.dim,))
+
+    def first_level(diff):
+        if q == 4.0 and diff.shape[0] >= 2 and diff[0, 0].size == 1:
+            return rsde.p_variation(rsde._moment_table(diff, 4.0)[0], p)
+        return rsde.vp_lq_seminorm(diff, p, q)
+
+    base_sol = rsde.solve(coeffs, base.y0, base.lift, base.mart)
+    ya, dya = solution(base_sol, base)
+    y0a = np.atleast_1d(np.asarray(base.y0, dtype=float))
+    reports = []
+    for pert, mdiff_bracket in perts:
+        yb, dyb = solution(rsde.solve(coeffs, pert.y0, pert.lift, pert.mart), pert)
+        l_sol = first_level(ya - yb)
+        l_der = first_level(dya - dyb)
+        table = rsde._remainder_table(
+            ya, dya, base.lift.path.values, yb, dyb, pert.lift.path.values
+        )
+        l_rem = rsde.p_variation(table, p / 2.0)
+        lhs = l_sol + l_der + l_rem
+        y0b = np.atleast_1d(np.asarray(pert.y0, dtype=float))
+        r_init = rsde.lq_norm(y0a - y0b, q)
+        r_mart = 0.0
+        if mdiff_bracket is not None:
+            r_mart = rsde.vp_lq_seminorm(mdiff_bracket, p / 2.0, q / 2.0) ** 0.5
+        r_lift = rsde.rough_path_distance(base.lift, pert.lift, p, q)
+        rhs = r_init + r_mart + r_lift
+        ratio = 0.0 if lhs == 0.0 else float("inf") if rhs == 0.0 else lhs / rhs
+        lhs_parts = {"solution": l_sol, "derivative": l_der, "remainder": l_rem}
+        rhs_parts = {"initial": r_init, "martingale": r_mart, "lift": r_lift}
+        reports.append(rsde.StabilityReport(lhs, rhs, ratio, lhs_parts, rhs_parts))
+    return base_sol, reports

@@ -51,6 +51,7 @@ from oracles import (
     second_level_table_cells,
     second_rows,
     shifted_increments,
+    stability_experiment_by_bundle,
 )
 
 
@@ -710,6 +711,21 @@ def _report_parts_and_row_builder(n_members, dim):
         yield {**rep.lhs_parts, **rep.rhs_parts}, want
 
 
+@pytest.mark.parametrize("p,q", [(2.5, 6.0), (2.0, 4.0)])
+@pytest.mark.parametrize("n_members,dim", [(2, 1), (5, 1), (2, 3), (5, 3)])
+def test_stability_reports_equal_a_solve_per_bundle(n_members, dim, p, q):
+    # the base shares its group with the y0 and martingale perturbations,
+    # whose lift has N rows: the stack repeats it once per bundle (a stack
+    # that shared it would not broadcast); the lift perturbation is solved
+    # alone
+    case = _stability_case(n_members, dim, seed=7 * dim + n_members)
+    sol, reports = stability_experiment(*case, p=p, q=q)
+    want_sol, want = stability_experiment_by_bundle(rsde, *case, p=p, q=q)
+    assert reports == want
+    assert sol.values.tobytes() == np.ascontiguousarray(want_sol.values).tobytes()
+    assert sol.diagnostics == want_sol.diagnostics
+
+
 @pytest.mark.parametrize("n_members,dim", ROW_CASES)
 def test_stability_report_parts_equal_the_row_builder_bitwise(n_members, dim):
     # every part but the remainder, which the next test compares
@@ -939,7 +955,7 @@ def test_a_diverged_member_makes_the_remainder_and_the_ratio_nan(monkeypatch):
 
     def diverging_solve(coeffs, y0, lift, mart=None):
         res = real_solve(coeffs, y0, lift, mart)
-        if lift is not base.lift:  # the lift perturbation: member 3 is NaN from step 20 on
+        if lift is perts[-1][0].lift:  # the lift perturbation: member 3 is NaN from step 20 on
             res.values = np.array(res.values)
             res.values[3, 20:] = np.nan
         return res
@@ -949,6 +965,36 @@ def test_a_diverged_member_makes_the_remainder_and_the_ratio_nan(monkeypatch):
     assert [np.isnan(rep.lhs_parts["remainder"]) for rep in reports] == [False, False, True]
     assert np.isnan(reports[-1].ratio)
     assert np.isfinite(reports[-1].rhs)
+
+
+@pytest.mark.parametrize("member", [5 + 3, 1], ids=["y0_perturbation", "base"])
+def test_a_diverged_member_of_a_stacked_group_stays_in_its_bundle(monkeypatch, member):
+    # the base, its y0 perturbation and its martingale perturbation are one
+    # stacked solve of 15 members; a NaN start makes one of them diverge in
+    # the solver (the reports' own y0 stay finite).  Only that bundle's
+    # remainder and ratio are NaN, and the base result flags its own
+    # members only.  The group's warning counts the group's diverged members
+    coeffs, base, perts = _stability_case(5, 2, seed=3)
+    real_solve = rsde.solve
+
+    def nan_start(coeffs, y0, lift, mart=None):
+        if np.shape(y0) == (15,):
+            y0 = y0.copy()
+            y0[member] = np.nan
+        return real_solve(coeffs, y0, lift, mart)
+
+    monkeypatch.setattr(rsde, "solve", nan_start)
+    with pytest.warns(UserWarning, match=r"^1 member\(s\) diverged"):
+        sol, reports = stability_experiment(coeffs, base, perts)
+    nan = [np.isnan(rep.lhs_parts["remainder"]) for rep in reports]
+    assert nan == [np.isnan(rep.ratio) for rep in reports]
+    assert all(np.isfinite(rep.rhs) for rep in reports)
+    if member == 1:  # a base member: every report reads it
+        assert nan == [True, True, True]
+        assert sol.diagnostics["diverged"].tolist() == [False, True, False, False, False]
+    else:
+        assert nan == [True, False, False]
+        assert "diverged" not in sol.diagnostics
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,7 @@ from oracles import (
     plan_windows_one_step,
     shifted_increments,
     solve_member_major,
+    stability_experiment_by_bundle,
     window_control,
 )
 
@@ -1268,13 +1269,14 @@ def test_stability_reports_do_not_depend_on_the_solution_layout(monkeypatch):
 
 
 def test_stability_releases_each_perturbed_solution(monkeypatch):
-    # a perturbed solve's result is gone once its values are copied, before
-    # the next solve starts; the base result is returned, so it stays
+    # a group's result is gone once its bundles' values are copied, before
+    # the next group's solve starts; the base result owns the base members'
+    # rows only, not its group's stack
     results = []
     real_solve = rsde.solve
 
     def tracking_solve(*args, **kwargs):
-        assert all(ref() is None for ref in results[1:])
+        assert all(ref() is None for ref in results)
         res = real_solve(*args, **kwargs)
         results.append(weakref.ref(res))
         return res
@@ -1284,24 +1286,139 @@ def test_stability_releases_each_perturbed_solution(monkeypatch):
     lift = ito_lift_brownian(bm)
     base = RSDEProblem(y0=0.1, lift=lift, mart=bm)
     perts = [(RSDEProblem(y0=0.1 + eps, lift=lift, mart=bm), None) for eps in (1e-2, 1e-3, 1e-4)]
+    for seed in (41, 43):
+        other = ito_lift_brownian(simulate_brownian(1.0, 16, seed=seed, n_members=8))
+        perts.append((RSDEProblem(y0=0.1, lift=other, mart=bm), None))
     base_sol, reports = stability_experiment(_all_coeffs(), base, perts)
-    assert len(results) == 4 and len(reports) == 3
-    assert results[0]() is base_sol
-    assert all(ref() is None for ref in results[1:])
+    assert len(results) == 3 and len(reports) == 5
+    assert all(ref() is None for ref in results)
+    assert base_sol.values.shape == (8, 17) and base_sol.values.flags.owndata
+    assert base_sol.left_values.shape == (8, 0) and base_sol.left_values.flags.owndata
 
 
 def test_stability_base_solves_its_base_once(monkeypatch):
-    calls = []
+    members = []
     real_solve = rsde.solve
 
-    def counting_solve(*args, **kwargs):
-        calls.append(1)
-        return real_solve(*args, **kwargs)
+    def counting_solve(coeffs, y0, lift, mart=None):
+        members.append(np.broadcast_shapes(np.shape(y0), (mart.n_members,))[0])
+        return real_solve(coeffs, y0, lift, mart)
 
     monkeypatch.setattr(rsde, "solve", counting_solve)
     run_scenario(default_config("stability_base"))
-    # the base, whose solve the Picard gap row reuses, and its 12 perturbations
-    assert len(calls) == 13
+    # the base, whose solve the Picard gap row reuses, stacked with its four
+    # y0 and four martingale perturbations on the base lift; then the four
+    # tilted lifts, one solve each
+    assert members == [9 * 128] + [128] * 4
+
+
+@pytest.mark.parametrize("seed", [7, 11, 12])
+def test_stability_base_reports_equal_a_solve_per_bundle(monkeypatch, seed):
+    real, calls = rsde.stability_experiment, []
+
+    def both(coeffs, base, perts, p, q):
+        got = real(coeffs, base, perts, p=p, q=q)
+        calls.append((got, stability_experiment_by_bundle(rsde, coeffs, base, perts, p=p, q=q)))
+        return got
+
+    monkeypatch.setattr(rsde, "stability_experiment", both)
+    run_scenario(default_config("stability_base", seed=seed))
+    [((sol, reports), (want_sol, want))] = calls
+    assert len(reports) == 12 and reports == want
+    assert _same_bytes(np.ascontiguousarray(sol.values), np.ascontiguousarray(want_sol.values))
+    assert sol.diagnostics == want_sol.diagnostics
+
+
+def _assert_stacks_solve_alone(monkeypatch, coeffs, base, perts, stacks):
+    """The reports and base result against the solve-per-bundle oracle, and
+    the stacked groups: `stacks` lists the bundles of each (0 the base, k
+    perts[k - 1]), and each bundle's result from its group is its own
+    `solve`'s, byte for byte.  Returns the stacked groups' results."""
+    split, real_split = [], rsde._split
+    monkeypatch.setattr(
+        rsde, "_split", lambda res, n: split.append(real_split(res, n)) or split[-1]
+    )
+    sol, reports = stability_experiment(coeffs, base, perts)
+    want_sol, want = stability_experiment_by_bundle(rsde, coeffs, base, perts)
+    assert reports == want
+    assert _same_bytes(np.ascontiguousarray(sol.values), np.ascontiguousarray(want_sol.values))
+    probs = [base] + [pert for pert, _ in perts]
+    assert [len(results) for results in split] == [len(stack) for stack in stacks]
+    for stack, results in zip(stacks, split):
+        for k, res in zip(stack, results):
+            alone = solve(coeffs, probs[k].y0, probs[k].lift, probs[k].mart)
+            for name in ("values", "left_values"):
+                got, expected = (np.ascontiguousarray(getattr(r, name)) for r in (res, alone))
+                assert _same_bytes(got, expected), (k, name)
+            assert res.diagnostics == alone.diagnostics
+    return split
+
+
+@pytest.mark.parametrize(
+    "rough, dim", [(False, 1), (True, 1), (True, 2)], ids=["b_sigma", "rough_d1", "rough_d2"]
+)
+def test_stacked_bundles_keep_the_sign_of_zero_bitwise(monkeypatch, rough, dim):
+    # one bundle's y0 holds -0.0 and the others' do not: the stack keeps the
+    # rough sums' zero starts on its first event for all its members, which
+    # changes no bit of a member that does not start at -0.0
+    ident = smooth_fn("linear", c=-0.0)
+    coeffs = CoefficientSet(b=ident, sigma=smooth_fn("sin_bundle", c=-0.0))
+    if rough:
+        fs = (ident, smooth_fn("linear", a=2.0, c=-0.0))[:dim]
+        coeffs = CoefficientSet(b=coeffs.b, sigma=coeffs.sigma, f=fs if dim > 1 else fs[0])
+    lift, mart = _zero_driver(6, dim)
+    y0 = np.array([0.5, 0.0, 0.25, 0.25, 1.0, -1.5])
+    signed = np.array([-0.0, 0.0, -0.0, 0.25, -0.0, -1.5])
+    base = RSDEProblem(y0, lift, mart)
+    perts = [(RSDEProblem(signed, lift, mart), None), (RSDEProblem(y0 + 0.5, lift, mart), None)]
+    [[_, got, _]] = _assert_stacks_solve_alone(monkeypatch, coeffs, base, perts, [[0, 1, 2]])
+    assert np.signbit(got.values[0, -1]) == (not rough)
+
+
+def test_stability_groups_bundles_by_lift_and_martingale_jumps(monkeypatch):
+    # bundles stack when they hold one lift object and martingales with one
+    # set of declared jumps, or none: the same martingale values with no
+    # declared jump are a group of their own.  The lift has jumps and N
+    # rows, so each stack repeats its values, left limits and second levels
+    mix = simulate_mixed(1.0, 24, seed=31, n_members=6, rate=3.0)
+    lift, mart = mix.lift, mix.martingale
+    assert lift.path.jump_indices.size and mart.jump_indices.size
+    undeclared = MartingalePath(grid=mart.grid, values=mart.values, bracket=mart.bracket)
+    perts = [
+        (RSDEProblem(0.3, lift, mart), None),
+        (RSDEProblem(0.2, lift, undeclared), None),
+        (RSDEProblem(0.2, lift), None),
+        (RSDEProblem(0.3, lift), None),
+    ]
+    base = RSDEProblem(0.2, lift, mart)
+    _assert_stacks_solve_alone(monkeypatch, _all_coeffs(), base, perts, [[0, 1], [3, 4]])
+
+
+@pytest.mark.parametrize(
+    "case, msg",
+    [
+        ("lift_grid", r"the lift of perts\[1\] is not on the base lift's grid"),
+        ("martingale_grid", r"the martingale of perts\[1\] is not on the base lift's grid"),
+        ("members", r"perts\[1\] has 8 members, the base 16"),
+    ],
+)
+def test_stability_refuses_a_bundle_off_the_base_grid_or_size_before_solving(
+    monkeypatch, case, msg
+):
+    # before the check, both cases failed after both solves with numpy's
+    # "operands could not be broadcast together" on the solutions' shapes
+    def no_solve(*args):
+        raise AssertionError("solved before the refusal")
+
+    monkeypatch.setattr(rsde, "solve", no_solve)
+    bm = simulate_brownian(1.0, 32, seed=3, n_members=16)
+    base = RSDEProblem(0.1, ito_lift_brownian(bm), bm)
+    n, n_members = (32, 8) if case == "members" else (48, 16)
+    other = simulate_brownian(1.0, n, seed=5, n_members=n_members)
+    lift = base.lift if case == "martingale_grid" else ito_lift_brownian(other)
+    perts = [(RSDEProblem(0.2, base.lift, bm), None), (RSDEProblem(0.1, lift, other), None)]
+    with pytest.raises(ValueError, match=f"^stability_experiment: {msg}$"):
+        stability_experiment(_all_coeffs(), base, perts)
 
 
 @pytest.mark.parametrize("seed", [7, 11])
